@@ -100,6 +100,23 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str], where: str) 
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
 
 
+def _is_int(value) -> bool:
+    """JSON integer test: ``true``/``false`` load as ``bool``, never as a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive_number(value, name: str, upper: float | None = None) -> float:
+    """A finite number above zero (and at most ``upper``) or a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not np.isfinite(value) or value <= 0:
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    if upper is not None and value > upper:
+        raise ConfigError(f"{name} must be at most {upper:g}, got {value!r}")
+    return value
+
+
 def _as_matrix(value, shape: tuple[int, int], where: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != shape:
@@ -137,10 +154,10 @@ def load_config(path: str) -> dict:
         required={"schema", "dimension"},
         where="config",
     )
-    if doc["schema"] != SCHEMA:
-        raise ConfigError(f"unsupported config schema {doc['schema']!r} (expected {SCHEMA})")
+    if not _is_int(doc["schema"]) or doc["schema"] != SCHEMA:
+        raise ConfigError(f"config schema must be {SCHEMA}, got {doc['schema']!r}")
     m = doc["dimension"]
-    if not isinstance(m, int) or not 1 <= m <= cl.MAX_DIM:
+    if not _is_int(m) or not 1 <= m <= cl.MAX_DIM:
         raise ConfigError(f"dimension must be an integer in 1..{cl.MAX_DIM}")
     return doc
 
@@ -157,7 +174,7 @@ def build_twist(doc: dict, m: int) -> np.ndarray | None:
             raise ConfigError("each twist row must be [a, b, c, value]")
         a, b, c, value = row
         idx = [a, b, c]
-        if any(not isinstance(i, int) or not 0 <= i < m for i in idx) or len(set(idx)) != 3:
+        if any(not _is_int(i) or not 0 <= i < m for i in idx) or len(set(idx)) != 3:
             raise ConfigError(f"twist axes {idx} must be three distinct integers below {m}")
         for perm, sign in (
             ((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
@@ -232,7 +249,7 @@ def _one_form_from_modes(modes, m: int) -> gf.FourierField:
             raise ConfigError("one_form modes must be objects")
         _require_keys(mode, {"frequency", "cos", "sin"}, {"frequency"}, "one_form mode")
         k = mode["frequency"]
-        if not (isinstance(k, list) and len(k) == m and all(isinstance(v, int) for v in k)):
+        if not (isinstance(k, list) and len(k) == m and all(_is_int(v) for v in k)):
             raise ConfigError(f"mode frequency must be {m} integers")
         if not any(k):
             raise ConfigError("one_form modes need a nonzero frequency")
@@ -260,7 +277,7 @@ def _series_from_doc(terms, m: int) -> sol.SeriesSoField:
                 raise ConfigError("explicit-series modes must be objects")
             _require_keys(mode, {"frequency", "real", "imag"}, {"frequency", "real"}, "series mode")
             k = mode["frequency"]
-            if not (isinstance(k, list) and len(k) == m and all(isinstance(v, int) for v in k)):
+            if not (isinstance(k, list) and len(k) == m and all(_is_int(v) for v in k)):
                 raise ConfigError(f"mode frequency must be {m} integers")
             mat = np.asarray(mode["real"], dtype=float).astype(complex)
             if "imag" in mode:
@@ -289,7 +306,7 @@ def build_deformation(doc: dict, pair: gs.HermitianPair, order_cap: int) -> list
             _require_keys(item, {"kind", "vectors", "scale"}, {"kind", "vectors"}, "constant-bivector")
             idx = item["vectors"]
             n = m // 2
-            if not (isinstance(idx, list) and len(idx) == 2 and all(isinstance(i, int) and 0 <= i < n for i in idx)):
+            if not (isinstance(idx, list) and len(idx) == 2 and all(_is_int(i) and 0 <= i < n for i in idx)):
                 raise ConfigError(f"constant-bivector vectors must be two indices below {n}")
             if idx[0] == idx[1]:
                 raise ConfigError("constant-bivector vectors must be distinct")
@@ -316,15 +333,15 @@ def build_deformation(doc: dict, pair: gs.HermitianPair, order_cap: int) -> list
 
 
 def _tolerances(doc: dict, tol_override: float | None) -> dict[str, float]:
-    tol = doc.get("tol", 1e-9)
-    out = {
-        "tol": float(tol_override if tol_override is not None else tol),
-        "tol_order": float(tol_override if tol_override is not None else doc.get("tol_order", 1e-9)),
-        "tol_checks": float(doc.get("tol_checks", 1e-10)),
+    raw = {
+        "tol": doc.get("tol", 1e-9),
+        "tol_order": doc.get("tol_order", 1e-9),
+        "tol_checks": doc.get("tol_checks", 1e-10),
     }
-    for name, value in out.items():
-        if value <= 0:
-            raise ConfigError(f"{name} must be positive")
+    out = {name: _positive_number(value, name) for name, value in raw.items()}
+    if tol_override is not None:
+        override = _positive_number(tol_override, "--tol")
+        out["tol"] = out["tol_order"] = override
     return out
 
 
@@ -466,7 +483,7 @@ def cmd_verify_hodge(args) -> int:
     pair = build_background(doc, m)
     h = build_twist(doc, m)
     box = doc.get("frequency_box", 1)
-    if not isinstance(box, int) or box < 1:
+    if not _is_int(box) or box < 1:
         raise ConfigError("frequency_box must be a positive integer")
     support = gf.frequencies_box(m, box)
     bg = gh.TorusBackground(pair, support, h)
@@ -485,7 +502,7 @@ def cmd_verify_hodge(args) -> int:
     torsion_second = 0.0
     full = None
     for shift in gh.COMPONENT_SHIFTS:
-        comp = gh.component_operator(shift, pair, support, h, derivative=D)
+        comp = gh.component_operator(shift, pair, support, h)
         full = comp if full is None else full + comp
         if abs(shift[0]) == 1 and abs(shift[1]) == 1:
             level_one = comp if level_one is None else level_one + comp
@@ -607,12 +624,12 @@ def cmd_deform(args) -> int:
     if m % 2:
         raise ConfigError("deform needs an even dimension")
     order_cap = args.order if args.order is not None else doc.get("order", 4)
-    if not isinstance(order_cap, int) or not 1 <= order_cap <= sol.MAX_ORDER:
+    if not _is_int(order_cap) or not 1 <= order_cap <= sol.MAX_ORDER:
         raise ConfigError(f"order must be an integer in 1..{sol.MAX_ORDER}")
     tols = _tolerances(doc, args.tol)
-    verify_t = float(doc.get("verify_t", 1e-2))
+    verify_t = _positive_number(doc.get("verify_t", 1e-2), "verify_t", upper=1.0)
     verify_points = doc.get("verify_points", 16)
-    if not isinstance(verify_points, int) or verify_points < 1:
+    if not _is_int(verify_points) or verify_points < 1:
         raise ConfigError("verify_points must be a positive integer")
 
     pair = build_background(doc, m)

@@ -276,42 +276,39 @@ def chevalley_symmetry_sign(m: int) -> int:
     return int(_REVERSAL[_check_m(m) % 4])
 
 
+def _ladder_step(wedge, bit, idx: np.ndarray):
+    """One wedge (``wedge`` true) or contraction by ``dx_{bit+1}`` on subset
+    indices: returns (nonzero, image index, sign), broadcast over the inputs."""
+    one = np.uint64(1)
+    has = ((idx >> bit) & one).astype(bool)
+    below = np.bitwise_count(idx & ((one << bit) - one)).astype(np.int64)
+    return has != wedge, idx ^ (one << bit), 1 - 2 * (below % 2)
+
+
+def _ladder_matrices(m: int, wedge: bool) -> tuple[np.ndarray, ...]:
+    m = _check_m(m)
+    n = spinor_dim(m)
+    idx = np.arange(n, dtype=np.uint64)
+    out = []
+    for i in range(m):
+        ok, image, sign = _ladder_step(wedge, np.uint64(i), idx)
+        M = np.zeros((n, n))
+        M[image[ok].astype(np.int64), idx[ok].astype(np.int64)] = sign[ok]
+        M.setflags(write=False)
+        out.append(M)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def wedge_matrices(m: int) -> tuple[np.ndarray, ...]:
     """Matrices of ``dx_{i+1} ^ .`` for i = 0..m-1, each ``(2**m, 2**m)``."""
-    m = _check_m(m)
-    n = spinor_dim(m)
-    out = []
-    for i in range(m):
-        bit = 1 << i
-        W = np.zeros((n, n))
-        for I in range(n):
-            if I & bit:
-                continue
-            sign = 1 if int(I & (bit - 1)).bit_count() % 2 == 0 else -1
-            W[I | bit, I] = sign
-        W.setflags(write=False)
-        out.append(W)
-    return tuple(out)
+    return _ladder_matrices(m, wedge=True)
 
 
 @lru_cache(maxsize=None)
 def contraction_matrices(m: int) -> tuple[np.ndarray, ...]:
     """Matrices of contraction by ``d/dx_{i+1}`` (so ``i_X dx_j = delta_ij``)."""
-    m = _check_m(m)
-    n = spinor_dim(m)
-    out = []
-    for i in range(m):
-        bit = 1 << i
-        Cm = np.zeros((n, n))
-        for I in range(n):
-            if not I & bit:
-                continue
-            sign = 1 if int(I & (bit - 1)).bit_count() % 2 == 0 else -1
-            Cm[I ^ bit, I] = sign
-        Cm.setflags(write=False)
-        out.append(Cm)
-    return tuple(out)
+    return _ladder_matrices(m, wedge=False)
 
 
 def clifford_vector_matrix(v: np.ndarray) -> np.ndarray:
@@ -453,24 +450,59 @@ def random_so_element(rng: np.random.Generator, m: int, scale: float = 1.0) -> n
     return (Pinv @ K).astype(complex)
 
 
+@lru_cache(maxsize=None)
+def _spin_action_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse images ``T[r, c] = [B_r, D_c] / 4`` of the matrix units of so(m,m).
+
+    ``B_r = cl(e_r)`` (contraction for r < m, wedge after) and ``D_c`` is the
+    wedge for c < m and the contraction after.  Each image is a signed partial
+    permutation: ``B_r D_c`` and ``D_c B_r`` send a subset ``I`` to the same
+    ``I ^ bit(r) ^ bit(c)``.  Returns flat ``(row * 2**m + col)`` indices into
+    the spinor matrix, flat ``(r * 2m + c)`` indices into ``alpha`` and the
+    values ``(+-1/4, +-1/2)``.
+    """
+    m = _check_m(m)
+    n = spinor_dim(m)
+    two_m = np.arange(2 * m, dtype=np.uint64)
+    b_wedge, b_bit = (two_m >= m)[:, None, None], (two_m % np.uint64(m))[:, None, None]
+    d_wedge, d_bit = (two_m < m)[None, :, None], (two_m % np.uint64(m))[None, :, None]
+    idx = np.arange(n, dtype=np.uint64)[None, None, :]
+
+    def product(first, second):
+        ok1, mid, s1 = _ladder_step(*first, idx)
+        ok2, image, s2 = _ladder_step(*second, mid)
+        return np.where(ok1 & ok2, s1 * s2, 0), image
+
+    bd, image = product((d_wedge, d_bit), (b_wedge, b_bit))
+    db, _ = product((b_wedge, b_bit), (d_wedge, d_bit))
+    value = 0.25 * (bd - db)
+    r, c, col = np.nonzero(value)
+    out_index = image[r, c, col].astype(np.int64) * n + col
+    coef_index = r * (2 * m) + c
+    tables = (out_index, coef_index, value[r, c, col])
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
 def spin_lie_action(alpha: np.ndarray) -> np.ndarray:
     """Spinor representation of an so(m,m) element.
 
-    Defined by one quarter of the commutator sum over a pairing-dual basis;
-    it is the unique lift with ``[action(a), cl(v)] = cl(a @ v)`` and no
-    scalar part for trace-free ``a``.
+    The map is linear: ``spin(alpha) = sum_{r,c} alpha[r, c] T[r, c]`` with
+    ``T[r, c] = [cl(e_r), D_c] / 4``, ``D_c`` the wedge by ``dx_{c+1}`` for
+    c < m and the contraction by ``d_{c-m+1}`` after (one quarter of the
+    commutator sum over a pairing-dual basis).  It is the unique lift with
+    ``[action(a), cl(v)] = cl(a @ v)`` and no scalar part for trace-free
+    ``a``.  The ``T[r, c]`` are signed partial permutations held as flat
+    tables per m, so a call is one scatter-add.
     """
     alpha = require_so(alpha)
     m = _infer_m_from_so(alpha)
-    W = wedge_matrices(m)
-    C = contraction_matrices(m)
-    out = np.zeros((spinor_dim(m), spinor_dim(m)), dtype=complex)
-    for i in range(m):
-        a_vec = clifford_vector_matrix(alpha[:, i])
-        a_cov = clifford_vector_matrix(alpha[:, m + i])
-        out += a_vec @ W[i] - W[i] @ a_vec
-        out += a_cov @ C[i] - C[i] @ a_cov
-    return out / 4.0
+    n = spinor_dim(m)
+    out_index, coef_index, value = _spin_action_table(m)
+    out = np.zeros(n * n, dtype=complex)
+    np.add.at(out, out_index, alpha.ravel()[coef_index] * value)
+    return out.reshape(n, n)
 
 
 def spin_group_exp(alpha: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from genkahler.clifford import chevalley_gram, spinor_dim
-from genkahler.fields import FourierField, derivative_block
+from genkahler.clifford import chevalley_gram, spinor_dim, wedge_matrices, wedge_operator
+from genkahler.fields import FourierField, derivative_block, three_form_spinor
 from genkahler.structures import HermitianPair, hodge_star
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "adjoint",
     "derivative_operator",
     "component_operator",
-    "derivative_components",
     "laplacian",
     "green_operator",
     "harmonic_projector",
@@ -246,37 +245,47 @@ def component_operator(
     pair: HermitianPair,
     support,
     h: np.ndarray | None = None,
-    derivative: BlockOperator | None = None,
 ) -> BlockOperator:
-    """Graded component of the twisted derivative for one (dp, dq) shift."""
+    """Graded component of the twisted derivative for one (dp, dq) shift.
+
+    Affine in the frequency: ``derivative_block(k) = i sum_j k_j W_j + H^``
+    (``W_j`` the wedge by ``dx_{j+1}``), so the block at ``k`` is
+    ``i sum_j k_j C_j + C_H`` with ``C_j = sum_{(p,q)} P_{p+dp,q+dq} W_j P_{pq}``
+    over the bigrading and ``C_H`` the same sum with ``H^`` in place of
+    ``W_j`` (only when ``h`` is set).  The m (+1) matrices are built once per
+    call; the blocks are views into one ``(S, n, n)`` stack.
+    """
     shift = (int(shift[0]), int(shift[1]))
     if shift not in COMPONENT_SHIFTS:
         raise ValueError(f"unsupported shift label {shift}")
-    if derivative is None:
-        derivative = derivative_operator(pair.m, support, h)
     dp, dq = shift
+    m = pair.m
+    n = spinor_dim(m)
+    out = BlockOperator(m, n, support, label=f"dH[{dp},{dq}]")
+
+    # W_j is a signed row permutation: (W_j @ X)[J] = sign[j, J] * X[src[j, J]]
+    W = np.stack(wedge_matrices(m))
+    src = np.abs(W).argmax(axis=2)
+    sign = np.take_along_axis(W, src[..., None], axis=2)
+    Hw = None if h is None else wedge_operator(three_form_spinor(h))
     grading = pair.bigrading
-    out = derivative._like(f"dH[{dp},{dq}]")
-    for k in derivative.support:
-        Dk = derivative.blocks.get(k)
-        if Dk is None:
+    terms = np.zeros((m + (Hw is not None), n, n), dtype=complex)
+    for (p, q), Ppq in grading.items():
+        target = grading.get((p + dp, q + dq))
+        if target is None:
             continue
-        acc = np.zeros_like(Dk)
-        for (p, q), Ppq in grading.items():
-            acc += pair.projector(p + dp, q + dq) @ Dk @ Ppq
-        out.blocks[k] = acc
+        right = sign * Ppq[src]
+        if Hw is not None:
+            right = np.concatenate([right, (Hw @ Ppq)[None]])
+        terms += target @ right
+
+    freqs = np.array(out.support, dtype=float).reshape(len(out.support), m)
+    coeff = 1j * freqs
+    if Hw is not None:
+        coeff = np.concatenate([coeff, np.ones((len(freqs), 1))], axis=1)
+    stack = np.einsum("sj,jab->sab", coeff, terms)
+    out.blocks = dict(zip(out.support, stack))
     return out
-
-
-def derivative_components(
-    pair: HermitianPair, support, h: np.ndarray | None = None
-) -> dict[str, BlockOperator]:
-    """The four level-(+-1) components of the twisted derivative by name."""
-    D = derivative_operator(pair.m, support, h)
-    return {
-        name: component_operator(shift, pair, support, h, derivative=D)
-        for name, shift in DELTA_SHIFTS.items()
-    }
 
 
 def laplacian(op: BlockOperator, pair_or_gram) -> BlockOperator:
@@ -363,7 +372,7 @@ class TorusBackground:
     @cached_property
     def components(self) -> dict[str, BlockOperator]:
         return {
-            name: component_operator(shift, self.pair, self.support, self.h, derivative=self.derivative)
+            name: component_operator(shift, self.pair, self.support, self.h)
             for name, shift in DELTA_SHIFTS.items()
         }
 

@@ -44,7 +44,7 @@ from .fields import (
     uniform_points,
 )
 from .hodge import TorusBackground
-from .structures import HermitianPair, canonical_generator
+from .structures import HermitianPair
 
 __all__ = [
     "IntegrabilityError",
@@ -378,7 +378,7 @@ def first_structure_defects(a, pair: HermitianPair, h: np.ndarray | None, order_
     """
     factors = _factor_list(a)
     torus_dim = pair.m
-    gen = FourierField.constant(torus_dim, canonical_generator(pair.J1))
+    gen = FourierField.constant(torus_dim, pair.canonical_generator(1))
     E = _spin_exp_product(factors, order_cap, torus_dim)
     Einv = _spin_exp_product(factors, order_cap, torus_dim, invert=True)
     moved = [op.act(gen) for op in E]

@@ -150,13 +150,17 @@ def volume_spin_element(J: np.ndarray, projectors: dict[int, np.ndarray] | None 
     return sum((1j**k) * Pk for k, Pk in sorted(projectors.items()))
 
 
-def canonical_generator(J: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def canonical_generator(
+    J: np.ndarray, tol: float = 1e-8, projectors: dict[int, np.ndarray] | None = None
+) -> np.ndarray:
     """Generator of the top eigenlevel line, scaled so max|coeff| = 1.
 
     Deterministic: picks the largest column of the top-level projector and
-    divides by its largest entry (first index on ties).
+    divides by its largest entry (first index on ties).  ``projectors`` are
+    the eigenlevel projectors of ``J`` if already at hand.
     """
-    projectors = iso_projectors(J)
+    if projectors is None:
+        projectors = iso_projectors(J)
     n = max(projectors)
     Pn = projectors[n]
     sv = np.linalg.svd(Pn, compute_uv=False)
@@ -397,7 +401,9 @@ class HermitianPair:
         return HermitianPair((E @ self.J1 @ Einv).real, (E @ self.J2 @ Einv).real, tol=self.tol)
 
     def canonical_generator(self, which: int = 2) -> np.ndarray:
-        return canonical_generator(self.J2 if which == 2 else self.J1)
+        if which == 2:
+            return canonical_generator(self.J2, projectors=self.proj2)
+        return canonical_generator(self.J1, projectors=self.proj1)
 
 
 def standard_kahler_pair(m: int) -> HermitianPair:

@@ -99,6 +99,43 @@ def test_config_errors_exit_64(tmp_path, doc, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("verify_t", "abc"),
+        ("verify_t", float("nan")),
+        ("verify_t", 1e6),
+        ("verify_t", -0.01),
+        ("tol", "x"),
+        ("tol_order", float("inf")),
+        ("tol_checks", True),
+        ("order", True),
+        ("schema", True),
+        ("dimension", True),
+        ("verify_points", True),
+    ],
+)
+def test_deform_rejects_bad_scalar(tmp_path, capsys, key, value):
+    doc = bfield_doc()
+    doc[key] = value
+    code = cli.main(["deform", "--config", write_config(tmp_path, doc)])
+    assert code == 64
+    assert f"{key} must" in capsys.readouterr().err
+
+
+def test_deform_rejects_bad_tol_override(tmp_path, capsys):
+    code = cli.main(["deform", "--config", write_config(tmp_path, bfield_doc()), "--tol", "nan"])
+    assert code == 64
+    assert "--tol must" in capsys.readouterr().err
+
+
+def test_verify_hodge_rejects_boolean_frequency_box(tmp_path, capsys):
+    doc = {"schema": 1, "dimension": 2, "frequency_box": True}
+    code = cli.main(["verify-hodge", "--config", write_config(tmp_path, doc)])
+    assert code == 64
+    assert "frequency_box must" in capsys.readouterr().err
+
+
 def test_unparseable_config_exits_64(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

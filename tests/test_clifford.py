@@ -195,6 +195,42 @@ def test_spin_action_equivariance(seed):
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, np.abs(alpha).max()))
 
 
+def spin_commutator_sum(alpha):
+    """Reference spin action: one quarter of the commutator sum over a
+    pairing-dual basis, with dense Clifford matrices."""
+    alpha = cl.require_so(alpha)
+    m = alpha.shape[0] // 2
+    W = cl.wedge_matrices(m)
+    C = cl.contraction_matrices(m)
+    out = np.zeros((1 << m, 1 << m), dtype=complex)
+    for i in range(m):
+        a_vec = cl.clifford_vector_matrix(alpha[:, i])
+        a_cov = cl.clifford_vector_matrix(alpha[:, m + i])
+        out += a_vec @ W[i] - W[i] @ a_vec
+        out += a_cov @ C[i] - C[i] @ a_cov
+    return out / 4.0
+
+
+@pytest.mark.parametrize("m", range(1, cl.MAX_DIM + 1))
+def test_spin_action_matches_commutator_sum(m):
+    rng = np.random.default_rng(100 + m)
+    for alpha in (cl.random_so_element(rng, m), cl.random_so_element(rng, m) + 1j * cl.random_so_element(rng, m)):
+        diff = np.abs(cl.spin_lie_action(alpha) - spin_commutator_sum(alpha)).max()
+        assert diff <= 1e-13 * max(1.0, np.linalg.norm(alpha))
+
+
+def test_spin_action_equivariance_m8():
+    rng = np.random.default_rng(8)
+    m = 8
+    alpha = cl.random_so_element(rng, m)
+    v = rand_vec(rng, m)
+    act = cl.spin_lie_action(alpha)
+    cv = cl.clifford_vector_matrix(v)
+    lhs = act @ cv - cv @ act
+    rhs = cl.clifford_vector_matrix(alpha @ v)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1, np.abs(alpha).max()))
+
+
 def test_spin_action_two_form_is_wedge():
     # B = dx1^dx2 acts on spinors as wedging with dx1^dx2
     B = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -97,6 +97,58 @@ def test_component_shift_labels(t4):
         assert op.coeff_norm() < 1e-10
 
 
+def projector_sum_component(shift, pair, support, h=None):
+    """Reference graded component: per frequency block, the projector sum
+    ``sum_{(p,q)} P_{p+dp,q+dq} D_k P_{pq}`` of the dense derivative block."""
+    dp, dq = shift
+    out = {}
+    for k in support:
+        Dk = gf.derivative_block(k, pair.m, h)
+        out[tuple(k)] = sum(pair.projector(p + dp, q + dq) @ Dk @ Ppq for (p, q), Ppq in pair.bigrading.items())
+    return out
+
+
+def random_three_form(rng, m):
+    A = rng.normal(size=(m, m, m))
+    perms = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1, (1, 0, 2): -1, (0, 2, 1): -1, (2, 1, 0): -1}
+    return sum(sign * A.transpose(perm) for perm, sign in perms.items()) / 6.0
+
+
+def small_support(m):
+    """k = 0, every unit vector, and two mixed frequencies (spans the affine dependence)."""
+    eye = np.eye(m, dtype=int)
+    mixed = [np.arange(m) % 3 - 1, (-1) ** np.arange(m) * (np.arange(m) % 2 + 1)]
+    return [tuple(int(v) for v in k) for k in [np.zeros(m, dtype=int), *eye, *mixed]]
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("m", [4, 6])
+def test_component_operator_matches_projector_sum(m, twisted):
+    rng = np.random.default_rng(40 + m + twisted)
+    pair = gs.random_hermitian_pair(rng, m, b_scale=0.7)
+    assert np.linalg.norm(pair.b_field) > 0.1
+    h = random_three_form(rng, m) if twisted else None
+    support = gf.frequencies_box(4, 1) if m == 4 else small_support(m)
+    new = {shift: gh.component_operator(shift, pair, support, h) for shift in gh.COMPONENT_SHIFTS}
+    ref = {shift: projector_sum_component(shift, pair, support, h) for shift in gh.COMPONENT_SHIFTS}
+    scale = max(np.linalg.norm(B) for blocks in ref.values() for B in blocks.values())
+    assert scale > 1.0
+    for shift in gh.COMPONENT_SHIFTS:
+        assert set(new[shift].blocks) == set(ref[shift])
+        for k, B in ref[shift].items():
+            assert np.linalg.norm(new[shift][k] - B) <= 1e-10 * scale, (shift, k)
+
+
+def test_component_operator_matches_projector_sum_t8():
+    pair = gs.standard_kahler_pair(8)
+    support = [(0,) * 8, (1,) + (0,) * 7, (0, 1, 1) + (0,) * 5]
+    new = gh.component_operator((1, 1), pair, support)
+    ref = projector_sum_component((1, 1), pair, support)
+    scale = max(np.linalg.norm(B) for B in ref.values())
+    for k, B in ref.items():
+        assert np.linalg.norm(new[k] - B) <= 1e-10 * scale, k
+
+
 def test_components_sum_to_derivative(t4):
     total = None
     for op in t4.components.values():

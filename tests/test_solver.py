@@ -339,3 +339,21 @@ def test_verification_scales_with_the_order_cap(pair, bfield_report):
     # order cap 3: halving the parameter divides the defect by about 2^4
     ratio = v1["derivative_sup"] / v2["derivative_sup"]
     assert 12.0 < ratio < 20.0
+
+
+def test_run_deformation_t8():
+    """North-star size: flat Kahler T^8, one exact-b-field family whose
+    one-form sits at e_0 and e_1 + e_2 (the acceptance shape), order cap 1."""
+    pair8 = gs.standard_kahler_pair(8)
+    xi = gf.FourierField(8, 8)
+    symmetric_mode(xi, (1,) + (0,) * 7, 0.5 * np.array([0.0, 0.3, -0.2, 0.1, 0.0, 0.2, 0.0, -0.1]))
+    symmetric_mode(xi, (0, 1, 1) + (0,) * 5, 0.5j * np.array([0.15, 0.0, 0.1, -0.25, 0.1, 0.0, -0.05, 0.0]))
+    C = gf.one_form_differential(xi).map_values(cl.two_form_so)
+    target = sol.conjugated_structure_series(C, pair8.J1, 1)
+    family = sol.extract_transverse_family(pair8.J1, target, 1)
+    tol_order = 1e-9
+    report = sol.run_deformation(family, pair8, order_cap=1, tol_order=tol_order)
+    assert report.ok
+    assert len(report.support) == 5
+    assert report.rho_norms[0] > 1e-3
+    assert all(r <= tol_order * report.psi_norm for r in report.residual_norms)
