@@ -20,7 +20,6 @@ from genkahler.clifford import (
     pairing_matrix,
     require_so,
     so_exp,
-    so_from_pair,
     spin_lie_action,
     spinor_dim,
 )
@@ -39,11 +38,9 @@ __all__ = [
     "generalized_metric",
     "metric_from_generalized",
     "hodge_star",
-    "conjugate_structure",
     "HermitianPair",
     "standard_kahler_pair",
     "random_hermitian_pair",
-    "solve_adjoint_factor",
 ]
 
 
@@ -187,12 +184,6 @@ def l_frame(J: np.ndarray) -> np.ndarray:
     m = J.shape[0] // 2
     proj = 0.5 * (np.eye(2 * m) - 1j * J)
     return _projector_column_space(proj, m)
-
-
-def conjugate_structure(J: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Transport ``J`` by the orthogonal exponential of an so(m,m) element."""
-    E = so_exp(alpha)
-    return E @ np.asarray(J, dtype=complex) @ np.linalg.inv(E)
 
 
 # ---------------------------------------------------------------------------
@@ -440,76 +431,3 @@ def random_hermitian_pair(rng: np.random.Generator, m: int, b_scale: float = 1.0
     j_m = random_orthogonal_complex_structure()
     J1 = F_plus @ j_p @ F_plus.T @ P - F_minus @ j_m @ F_minus.T @ P
     return HermitianPair(J1, G @ J1)
-
-
-# ---------------------------------------------------------------------------
-# recovering an orbit parameter
-
-
-def solve_adjoint_factor(
-    J_ref: np.ndarray,
-    J_target: np.ndarray,
-    tol: float = 1e-11,
-    max_iter: int = 50,
-) -> np.ndarray:
-    """Find a real so(m,m) element conjugating ``J_ref`` into ``J_target``.
-
-    The unknown is constrained to the real span of pair-products of the
-    +i-eigenframe of ``J_ref`` and their conjugates (the complement of the
-    stabilizer directions), which makes the solution locally unique.  Damped
-    Gauss-Newton; raises ``RuntimeError`` when it fails to reach ``tol``.
-    """
-    J_ref = require_gcs(J_ref)
-    J_target = require_gcs(J_target)
-    m = J_ref.shape[0] // 2
-    lf = l_frame(J_ref)
-    basis = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            alpha = so_from_pair(lf[:, a], lf[:, b])
-            basis.append((alpha + alpha.conj()).real)
-            basis.append((1j * (alpha - alpha.conj())).real)
-    dim = len(basis)
-
-    def assemble(c: np.ndarray) -> np.ndarray:
-        A = np.zeros((2 * m, 2 * m))
-        for ci, Bi in zip(c, basis):
-            A += ci * Bi
-        return A
-
-    def residual(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        A = assemble(c)
-        F = scipy.linalg.expm(A)
-        Finv = scipy.linalg.expm(-A)
-        R = F @ J_ref.real @ Finv - J_target.real
-        return R, F, Finv
-
-    c = np.zeros(dim)
-    R, F, Finv = residual(c)
-    res = np.linalg.norm(R)
-    for _ in range(max_iter):
-        if res < tol:
-            return assemble(c)
-        A = assemble(c)
-        JFinv = J_ref.real @ Finv
-        FJFinv = F @ JFinv
-        cols = np.empty((4 * m * m, dim))
-        for i, Bi in enumerate(basis):
-            Li = scipy.linalg.expm_frechet(A, Bi, compute_expm=False)
-            dR = Li @ JFinv - FJFinv @ (Li @ Finv)
-            cols[:, i] = dR.ravel()
-        step, *_ = np.linalg.lstsq(cols, -R.ravel(), rcond=None)
-        scale = 1.0
-        for _ in range(25):
-            R_new, F_new, Finv_new = residual(c + scale * step)
-            if np.linalg.norm(R_new) < res:
-                break
-            scale *= 0.5
-        else:
-            raise RuntimeError(f"no descent step found (residual {res:.3e})")
-        c = c + scale * step
-        R, F, Finv = residual(c)
-        res = np.linalg.norm(R)
-    if res < tol:
-        return assemble(c)
-    raise RuntimeError(f"did not converge to {tol:.1e} (residual {res:.3e})")

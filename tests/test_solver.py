@@ -1,6 +1,8 @@
 """Order-by-order deformation solver: series algebra, per-order solves,
 input-family preconditions and finite-parameter verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -36,6 +38,35 @@ def holomorphic_bivector_exponent(pair):
     alpha = cl.bivector_so((biv + biv.conj()).real)
     assert cl.so_residual(alpha) < 1e-12
     return alpha
+
+
+def three_form(*rows):
+    """Constant three-form from antisymmetrized ``(a, b, c, value)`` rows on T^4."""
+    h = np.zeros((4, 4, 4))
+    for a, b, c, value in rows:
+        for perm, sign in [((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1), ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1)]:
+            h[perm] += sign * value
+    return h
+
+
+def gauge_family(pair, rng):
+    """Stabilizer-valued family: a constant and a modulated commutant term."""
+    gauge_term = gf.FourierOperatorField.constant(4, 0.2 * sol.commutant_part(pair.J1, cl.random_so_element(rng, 4)))
+    symmetric_mode(gauge_term, (0, 0, 1, 0), 0.25 * sol.commutant_part(pair.J1, cl.random_so_element(rng, 4)))
+    return sol.SeriesSoField(4, [None, gauge_term])
+
+
+def exact_bfield_report(m, order_cap, coeff_a, coeff_b, extra=(), **kw):
+    """Run on the flat Kahler T^m for the one-form with a cosine mode at e_0
+    and a sine mode at e_1 + e_2, composed with ``extra`` factor families."""
+    pair_m = gs.standard_kahler_pair(m)
+    xi = gf.FourierField(m, m)
+    symmetric_mode(xi, (1,) + (0,) * (m - 1), 0.5 * np.asarray(coeff_a))
+    symmetric_mode(xi, (0, 1, 1) + (0,) * (m - 3), 0.5j * np.asarray(coeff_b))
+    C = gf.one_form_differential(xi).map_values(cl.two_form_so)
+    target = sol.conjugated_structure_series(C, pair_m.J1, order_cap)
+    family = sol.extract_transverse_family(pair_m.J1, target, order_cap)
+    return sol.run_deformation([family, *extra], pair_m, order_cap=order_cap, **kw)
 
 
 @pytest.fixture(scope="module")
@@ -169,15 +200,25 @@ def test_defects_flag_modulated_bivector(pair):
     assert err.value.order == 1
 
 
+def test_defect_check_does_not_scale_with_the_seed(pair):
+    """The defects measure the first structure's generator: a large seed
+    must not loosen the check."""
+    mod = gf.FourierOperatorField(4, 8)
+    symmetric_mode(mod, (0, 0, 1, 0), 1e-6 * holomorphic_bivector_exponent(pair))
+    bad = sol.SeriesSoField(4, [None, mod])
+    assert 1e-7 < sol.first_structure_defects(bad, pair, None, 2)[1] < 1e-5
+    with pytest.raises(sol.IntegrabilityError) as err:
+        sol.run_deformation(bad, pair, order_cap=2, psi=1e6 * pair.canonical_generator(2))
+    assert err.value.order == 1
+
+
 def test_run_rejects_bad_inputs(pair, bfield_family):
     with pytest.raises(ValueError):
         sol.run_deformation(bfield_family, pair, order_cap=9)
     with pytest.raises(ValueError):
         sol.run_deformation([], pair, order_cap=2)
     # a twist the seed spinor is not closed for
-    h = np.zeros((4, 4, 4))
-    for perm, sign in [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1), ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)]:
-        h[perm] = 0.5 * sign
+    h = three_form((0, 1, 2, 0.5))
     with pytest.raises(sol.IntegrabilityError):
         sol.run_deformation(bfield_family, pair, h=h, order_cap=2)
 
@@ -261,6 +302,23 @@ def test_beta_from_phi_roundtrip_and_errors(pair):
 # full runs
 
 
+def test_grading_check_scales_with_a_small_seed(pair, bfield_family, bfield_report, monkeypatch):
+    """A correction leaking 1e-12 outside the middle component is caught at
+    its own order for a seed of norm 2e-4, not let through by a floor of 1."""
+    seed = (2e-4 / bfield_report.psi_norm) * pair.canonical_generator(2)
+    alpha = cl.random_so_element(np.random.default_rng(3), 4)
+    exact = sol.beta_from_phi
+
+    def leaky(phi, psi, pair_, **kw):
+        leak = gf.FourierOperatorField(4, 8)
+        symmetric_mode(leak, (1, 0, 0, 0), 2.5e-9 * alpha)
+        return exact(phi, psi, pair_, **kw) + leak
+
+    monkeypatch.setattr(sol, "beta_from_phi", leaky)
+    with pytest.raises(ValueError, match="acts outside the middle component"):
+        sol.run_deformation(bfield_family, pair, order_cap=3, psi=seed)
+
+
 def test_constant_poisson_needs_no_correction(pair):
     fam = sol.SeriesSoField.linear(4, holomorphic_bivector_exponent(pair))
     report = sol.run_deformation(fam, pair, order_cap=4)
@@ -313,11 +371,7 @@ def test_conjugated_route_matches_direct(pair, bfield_family, bfield_report):
 
 
 def test_gauge_precomposition_changes_corrections_not_success(pair, bfield_family, bfield_report):
-    rng = np.random.default_rng(14)
-    gauge_term = gf.FourierOperatorField.constant(4, 0.2 * sol.commutant_part(pair.J1, cl.random_so_element(rng, 4)))
-    symmetric_mode(gauge_term, (0, 0, 1, 0), 0.25 * sol.commutant_part(pair.J1, cl.random_so_element(rng, 4)))
-    gauge = sol.SeriesSoField(4, [None, gauge_term])
-
+    gauge = gauge_family(pair, np.random.default_rng(14))
     report = sol.run_deformation([bfield_family, gauge], pair, order_cap=3)
     assert report.ok
     assert (report.betas[0] - bfield_report.betas[0]).coeff_norm() > 1e-2
@@ -341,19 +395,187 @@ def test_verification_scales_with_the_order_cap(pair, bfield_report):
     assert 12.0 < ratio < 20.0
 
 
-def test_run_deformation_t8():
-    """North-star size: flat Kahler T^8, one exact-b-field family whose
-    one-form sits at e_0 and e_1 + e_2 (the acceptance shape), order cap 1."""
-    pair8 = gs.standard_kahler_pair(8)
-    xi = gf.FourierField(8, 8)
-    symmetric_mode(xi, (1,) + (0,) * 7, 0.5 * np.array([0.0, 0.3, -0.2, 0.1, 0.0, 0.2, 0.0, -0.1]))
-    symmetric_mode(xi, (0, 1, 1) + (0,) * 5, 0.5j * np.array([0.15, 0.0, 0.1, -0.25, 0.1, 0.0, -0.05, 0.0]))
-    C = gf.one_form_differential(xi).map_values(cl.two_form_so)
-    target = sol.conjugated_structure_series(C, pair8.J1, 1)
-    family = sol.extract_transverse_family(pair8.J1, target, 1)
-    tol_order = 1e-9
-    report = sol.run_deformation(family, pair8, order_cap=1, tol_order=tol_order)
+# ---------------------------------------------------------------------------
+# finite-t verification against the per-point dense exponential route
+
+
+def _oracle_verify_gk_at_t(report, t, *, count=16, seed=0):
+    """Per point: dense exponentials, inverses and one Frechet derivative
+    ``expm_frechet(spin(alpha_f), spin(d_d alpha_f))`` per family and direction."""
+    pair, h = report.pair, report.h
+    m = pair.m
+    dim = cl.spinor_dim(m)
+    points = gf.uniform_points(np.random.default_rng(seed), count, m)
+    families = list(report.factors) + [report.b]
+    vals = [f.evaluate(t, points) for f in families]
+    grads = [f.evaluate_gradient(t, points) for f in families]
+    W = cl.wedge_matrices(m)
+    twist_op = cl.wedge_operator(gf.three_form_spinor(h)) if h is not None else np.zeros((dim, dim))
+    P = cl.pairing_matrix(m)
+    psi0 = report.psi0[(0,) * m]
+    eye = np.eye(2 * m)
+    out = dict.fromkeys(
+        ("structure_residual", "commutation", "involution", "stabilizer_defect", "derivative_sup", "psi_sup"), 0.0
+    )
+    min_eig = np.inf
+
+    def product(mats, size):
+        acc = np.eye(size, dtype=complex)
+        for mat in mats:
+            acc = acc @ mat
+        return acc
+
+    for p in range(len(points)):
+        exps = [scipy.linalg.expm(v[p]) for v in vals]
+        E = product(exps, 2 * m)
+        E_no_b = product(exps[:-1], 2 * m)
+        J1t = (E @ pair.J1 @ np.linalg.inv(E)).real
+        J2t = (E @ pair.J2 @ np.linalg.inv(E)).real
+        J1_only_a = (E_no_b @ pair.J1 @ np.linalg.inv(E_no_b)).real
+        Gt = -J1t @ J2t
+        Msym = P @ Gt
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(0.5 * (Msym + Msym.T)).min()))
+        worst = {
+            "structure_residual": max(
+                np.linalg.norm(J1t @ J1t + eye), np.linalg.norm(J2t @ J2t + eye), cl.so_residual(J1t), cl.so_residual(J2t)
+            ),
+            "commutation": np.linalg.norm(J1t @ J2t - J2t @ J1t),
+            "involution": np.linalg.norm(Gt @ Gt - eye),
+            "stabilizer_defect": np.linalg.norm(J1t - J1_only_a),
+        }
+
+        spins = [cl.spin_lie_action(v[p]) for v in vals]
+        spin_exps = [scipy.linalg.expm(S) for S in spins]
+        psi_t = product(spin_exps, dim) @ psi0
+        dpsi = twist_op @ psi_t
+        for d in range(m):
+            for f in range(len(families)):
+                frech = scipy.linalg.expm_frechet(spins[f], cl.spin_lie_action(grads[f][d][p]), compute_expm=False)
+                left, right = product(spin_exps[:f], dim), product(spin_exps[f + 1 :], dim)
+                dpsi = dpsi + W[d] @ (left @ frech @ right @ psi0)
+        worst["psi_sup"] = np.linalg.norm(psi_t)
+        worst["derivative_sup"] = np.linalg.norm(dpsi)
+        for key, value in worst.items():
+            out[key] = max(out[key], float(value))
+    return {
+        "t": float(t),
+        "points": count,
+        **out,
+        "metric_min_eig": min_eig,
+        "metric_positive": bool(min_eig > 0),
+    }
+
+
+M4_COEFFS = ([0.0, 0.3, -0.2, 0.1], [0.15, 0.0, 0.1, -0.25])
+M6_COEFFS = ([0.0, 0.3, -0.2, 0.1, 0.2, -0.1], [0.15, 0.0, 0.1, -0.25, 0.0, 0.1])
+
+
+def twisted_two_factor_report():
+    # No constant pair on a flat torus tried here has a closed seed and an
+    # integrable first structure for a nonzero twist, so the twist is put on
+    # a solved report: the verification reads it but not how it was solved.
+    pair4 = gs.standard_kahler_pair(4)
+    report = exact_bfield_report(4, 3, *M4_COEFFS, extra=[gauge_family(pair4, np.random.default_rng(14))])
+    return dataclasses.replace(report, h=three_form((0, 1, 2, 0.3), (1, 2, 3, -0.2)))
+
+
+@pytest.mark.parametrize(
+    "build, t, count",
+    [
+        (lambda: exact_bfield_report(4, 4, *M4_COEFFS), 1e-2, 8),
+        (twisted_two_factor_report, 2e-2, 6),
+        (lambda: exact_bfield_report(6, 3, *M6_COEFFS), 1e-1, 4),
+    ],
+    ids=["acceptance-m4-k4", "twisted-two-factors", "exact-bfield-m6-k3"],
+)
+def test_verification_matches_dense_exponential_route(build, t, count):
+    report = build()
+    for tt in (t, 0.5 * t):
+        got = sol.verify_gk_at_t(report, tt, count=count, seed=0)
+        want = _oracle_verify_gk_at_t(report, tt, count=count, seed=0)
+        assert got.keys() == want.keys()
+        assert (got["t"], got["points"], got["metric_positive"]) == (want["t"], want["points"], want["metric_positive"])
+        for key in ("structure_residual", "commutation", "involution", "stabilizer_defect", "metric_min_eig"):
+            assert abs(got[key] - want[key]) <= 1e-13, key
+        assert abs(got["psi_sup"] - want["psi_sup"]) <= 1e-13 * want["psi_sup"]
+        slack = 1e-6 * want["derivative_sup"] + 1e-14 * report.psi_norm
+        assert abs(got["derivative_sup"] - want["derivative_sup"]) <= slack
+    if report.h is not None:
+        assert got["derivative_sup"] > 1e-2  # the twist term is exercised
+
+
+@pytest.mark.parametrize("size", [0.01, 1.0, 20.0])
+def test_exp_jet_matches_frechet_derivative(size):
+    """The vector jet reproduces expm and expm_frechet; size 20 takes 20 steps."""
+    rng = np.random.default_rng(int(100 * size))
+    n, m = 16, 3
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    S = cplx(n, n)
+    S *= size / np.abs(S).sum(axis=0).max()
+    G = cplx(m, n, n)
+    G *= 0.5 * size / np.abs(G).sum(axis=1).max()
+    v, D = cplx(n), cplx(m, n)
+    got_v, got_D = sol._exp_jet(S, G, v, D)
+    E = scipy.linalg.expm(S)
+    want_v = E @ v
+    want_D = np.stack([E @ D[d] + scipy.linalg.expm_frechet(S, G[d], compute_expm=False) @ v for d in range(m)])
+    assert np.linalg.norm(got_v - want_v) <= 1e-12 * np.linalg.norm(want_v)
+    assert np.linalg.norm(got_D - want_D) <= 1e-12 * np.linalg.norm(want_D)
+
+
+def test_exp_jet_rejects_non_finite_exponent():
+    S = np.full((4, 4), np.nan)
+    with pytest.raises(ValueError, match="finite exponent"):
+        sol._exp_jet(S, np.zeros((1, 4, 4)), np.ones(4, dtype=complex), np.zeros((1, 4), dtype=complex))
+
+
+def test_verification_rejects_empty_samples(bfield_report):
+    with pytest.raises(ValueError, match="at least one sample point"):
+        sol.verify_gk_at_t(bfield_report, 1e-2, count=0)
+
+
+def test_verification_rejects_empty_points(bfield_report):
+    with pytest.raises(ValueError, match="at least one sample point"):
+        sol.verify_gk_at_t(bfield_report, 1e-2, points=np.empty((0, 4)))
+
+
+def test_verification_rejects_points_of_wrong_dimension(bfield_report):
+    with pytest.raises(ValueError, match="4 coordinates"):
+        sol.verify_gk_at_t(bfield_report, 1e-2, points=np.zeros((3, 5)))
+
+
+T8_TOL_ORDER = 1e-9
+
+
+@pytest.fixture(scope="module")
+def t8_report():
+    """Flat Kahler T^8, one exact-b-field family whose one-form sits at e_0
+    and e_1 + e_2 (the acceptance shape), order cap 1."""
+    return exact_bfield_report(
+        8,
+        1,
+        [0.0, 0.3, -0.2, 0.1, 0.0, 0.2, 0.0, -0.1],
+        [0.15, 0.0, 0.1, -0.25, 0.1, 0.0, -0.05, 0.0],
+        tol_order=T8_TOL_ORDER,
+    )
+
+
+def test_run_deformation_t8(t8_report):
+    """North-star size: the T^8 solve closes every order up to its cap."""
+    tol_order = T8_TOL_ORDER
+    report = t8_report
     assert report.ok
     assert len(report.support) == 5
     assert report.rho_norms[0] > 1e-3
     assert all(r <= tol_order * report.psi_norm for r in report.residual_norms)
+
+
+def test_verification_at_t8(t8_report):
+    """Order cap 1 at T^8: halving the parameter divides the defect by about 2^2."""
+    v1 = sol.verify_gk_at_t(t8_report, 1e-2, count=2, seed=0)
+    v2 = sol.verify_gk_at_t(t8_report, 5e-3, count=2, seed=0)
+    assert v1["metric_positive"] and v2["metric_positive"]
+    assert 3.0 <= v1["derivative_sup"] / v2["derivative_sup"] <= 5.0

@@ -221,28 +221,6 @@ def test_pair_conjugation_transports_metric():
     np.testing.assert_allclose(moved.G, (E @ pair.G @ np.linalg.inv(E)).real, atol=1e-10)
 
 
-def test_solve_adjoint_factor_roundtrip():
-    rng = np.random.default_rng(6)
-    pair = gs.random_hermitian_pair(rng, 4)
-    lf = gs.l_frame(pair.J1)
-    alpha = cl.so_from_pair(lf[:, 0], lf[:, 1])
-    beta = cl.so_from_pair(lf[:, 1], lf[:, 3])
-    A_true = 0.15 * (alpha + alpha.conj()).real + 0.1 * (1j * (beta - beta.conj())).real
-    J_target = gs.conjugate_structure(pair.J1, A_true).real
-    A_rec = gs.solve_adjoint_factor(pair.J1, J_target)
-    np.testing.assert_allclose(
-        gs.conjugate_structure(pair.J1, A_rec).real, J_target, atol=1e-10
-    )
-    np.testing.assert_allclose(A_rec, A_true, atol=1e-8)
-
-
-def test_solve_adjoint_factor_failure_raises():
-    pair = gs.standard_kahler_pair(4)
-    other = gs.random_hermitian_pair(np.random.default_rng(1), 4)
-    with pytest.raises(RuntimeError):
-        gs.solve_adjoint_factor(pair.J1, other.J1, max_iter=0)
-
-
 def test_random_pairs_validate():
     rng = np.random.default_rng(11)
     for m in (2, 4, 6):
