@@ -3,8 +3,12 @@
 Because the background pair, b-field and twisting three-form are constant on
 the torus, every operator of interest (twisted derivative, its graded
 components, their adjoints, Laplacians and Green operators) is block-diagonal
-over frequencies.  A :class:`BlockOperator` stores one ``2**m x 2**m`` block
-per frequency of a declared support and refuses to act outside of it.
+over frequencies.  A :class:`BlockOperator` holds its ``n x n`` blocks
+(``n = 2**m``) as one ``(S, n, n)`` array over the sorted support of ``S``
+frequencies and refuses to act outside that support.  Every operation is one
+batched numpy call on that array: sums and scalar multiples on the stack,
+products as one batched ``matmul``, adjoints with one factorization of the
+Gram matrix for all blocks, Green operators with one batched ``eigh``.
 
 The inner product is ``h(f, g) = sum_k (f_k, star conj(g_k))_Ch`` with the
 star taken in the standard torus orientation; this is the unique placement of
@@ -14,13 +18,14 @@ components comes out right (shipped as a test on the flat Kahler plane).
 
 from __future__ import annotations
 
+import copy
 import itertools
 from functools import cached_property
 
 import numpy as np
 
 from genkahler.clifford import chevalley_gram, spinor_dim, wedge_matrices, wedge_operator
-from genkahler.fields import FourierField, derivative_block, three_form_spinor
+from genkahler.fields import FourierField, three_form_spinor
 from genkahler.structures import HermitianPair, hodge_star
 
 __all__ = [
@@ -30,14 +35,12 @@ __all__ = [
     "l2_gram",
     "l2_inner",
     "l2_norm",
-    "adjoint_block",
     "adjoint",
     "derivative_operator",
     "component_operator",
     "laplacian",
     "green_operator",
     "harmonic_projector",
-    "green_apply",
     "TorusBackground",
 ]
 
@@ -58,120 +61,104 @@ COMPONENT_SHIFTS: tuple[tuple[int, int], ...] = tuple(
 
 
 class BlockOperator:
-    """Frequency-diagonal operator on spinor fields over a fixed support."""
+    """Frequency-diagonal operator on spinor fields over a fixed support.
+
+    ``support`` is the sorted tuple of the ``S`` frequencies, ``index`` maps
+    each of them to its row, and ``stack`` is one complex ``(S, n, n)`` array
+    holding the block of row ``s`` at ``stack[s]`` (a zero block where none
+    was given).  Results of the algebra share the support and index of their
+    operands; only this constructor sorts and validates a support.
+    """
 
     def __init__(self, torus_dim: int, value_dim: int, support, blocks=None, label: str = ""):
-        self.torus_dim = int(torus_dim)
-        self.value_dim = int(value_dim)
-        self.support = tuple(sorted(tuple(int(v) for v in k) for k in support))
-        self._support_set = set(self.support)
-        self.label = label
-        self.blocks: dict[tuple[int, ...], np.ndarray] = {}
+        self.torus_dim, self.value_dim, self.label = int(torus_dim), int(value_dim), label
+        n = self.value_dim
+        self.support = tuple(sorted({tuple(map(int, k)) for k in support}))
+        self.index = {k: row for row, k in enumerate(self.support)}
+        self.stack = np.zeros((len(self.support), n, n), dtype=complex)
         for k, B in (blocks or {}).items():
             key = tuple(int(v) for v in k)
-            if key not in self._support_set:
+            if key not in self.index:
                 raise ValueError(f"block frequency {key} outside declared support")
             B = np.asarray(B, dtype=complex)
-            if B.shape != (self.value_dim, self.value_dim):
-                raise ValueError(f"block shape {B.shape} != square {self.value_dim}")
-            self.blocks[key] = B.copy()
+            if B.shape != (n, n):
+                raise ValueError(f"block shape {B.shape} != square {n}")
+            self.stack[self.index[key]] = B
 
     @classmethod
     def identity(cls, torus_dim: int, value_dim: int, support, label: str = "Id") -> "BlockOperator":
-        eye = np.eye(value_dim, dtype=complex)
-        op = cls(torus_dim, value_dim, support, label=label)
-        op.blocks = {k: eye.copy() for k in op.support}
-        return op
+        return cls.from_constant(torus_dim, support, np.eye(value_dim), label=label)
 
     @classmethod
     def from_constant(cls, torus_dim: int, support, matrix, label: str = "") -> "BlockOperator":
         matrix = np.asarray(matrix, dtype=complex)
         op = cls(torus_dim, matrix.shape[0], support, label=label)
-        op.blocks = {k: matrix.copy() for k in op.support}
+        op.stack[:] = matrix
         return op
+
+    def _like(self, stack: np.ndarray, label: str = "") -> "BlockOperator":
+        """An operator over the same support holding ``stack`` (not copied)."""
+        out = copy.copy(self)
+        out.stack, out.label = stack, label
+        return out
+
+    @property
+    def blocks(self) -> dict[tuple[int, ...], np.ndarray]:
+        """Frequency-keyed views into ``stack``."""
+        return dict(zip(self.support, self.stack))
 
     def __getitem__(self, k) -> np.ndarray:
         key = tuple(int(v) for v in k)
-        if key not in self._support_set:
+        row = self.index.get(key)
+        if row is None:
             raise ValueError(f"frequency {key} outside operator support")
-        B = self.blocks.get(key)
-        return B if B is not None else np.zeros((self.value_dim, self.value_dim), dtype=complex)
+        return self.stack[row]
 
-    def _like(self, label: str) -> "BlockOperator":
-        return BlockOperator(self.torus_dim, self.value_dim, self.support, label=label)
-
-    def _check_match(self, other: "BlockOperator") -> None:
+    def _matching(self, other: "BlockOperator") -> np.ndarray:
+        """The stack of ``other``, which must live over the same support."""
         if (
             other.torus_dim != self.torus_dim
             or other.value_dim != self.value_dim
-            or other.support != self.support
+            or (other.support is not self.support and other.support != self.support)
         ):
             raise ValueError("block operators live over different supports")
+        return other.stack
 
     def act(self, field: FourierField) -> FourierField:
         if field.torus_dim != self.torus_dim or field.value_dim != self.value_dim:
             raise ValueError("field shape does not match operator")
+        keys = sorted(field.coeffs)
+        rows = [self.index.get(k) for k in keys]
+        if None in rows:
+            raise ValueError(f"field frequency {keys[rows.index(None)]} outside operator support")
         out = FourierField(self.torus_dim, self.value_dim)
-        for k, c in sorted(field.coeffs.items()):
-            if k not in self._support_set:
-                raise ValueError(f"field frequency {k} outside operator support")
-            B = self.blocks.get(k)
-            out.coeffs[k] = (B @ c) if B is not None else np.zeros_like(c)
+        if keys:
+            vecs = np.stack([field.coeffs[k] for k in keys])[:, :, None]
+            out.coeffs = dict(zip(keys, np.matmul(self.stack[rows], vecs)[:, :, 0]))
         return out
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):
             return NotImplemented
-        self._check_match(other)
-        out = self._like(f"{self.label}*{other.label}" if self.label or other.label else "")
-        for k in self.support:
-            A = self.blocks.get(k)
-            B = other.blocks.get(k)
-            if A is not None and B is not None:
-                out.blocks[k] = A @ B
-        return out
+        label = f"{self.label}*{other.label}" if self.label or other.label else ""
+        return self._like(np.matmul(self.stack, self._matching(other)), label)
 
-    def _binary(self, other: "BlockOperator", sign: float) -> "BlockOperator":
-        self._check_match(other)
-        out = self._like("")
-        for k in self.support:
-            A = self.blocks.get(k)
-            B = other.blocks.get(k)
-            if A is None and B is None:
-                continue
-            out.blocks[k] = self[k] + sign * other[k]
-        return out
+    def __add__(self, other: "BlockOperator") -> "BlockOperator":
+        return self._like(self.stack + self._matching(other))
 
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
+    def __sub__(self, other: "BlockOperator") -> "BlockOperator":
+        return self._like(self.stack - self._matching(other))
 
     def __mul__(self, scalar):
-        out = self._like(self.label)
-        out.blocks = {k: complex(scalar) * B for k, B in self.blocks.items()}
-        return out
+        return self._like(complex(scalar) * self.stack, self.label)
 
     __rmul__ = __mul__
 
     def __neg__(self):
         return self * (-1.0)
 
-    def map_blocks(self, func, label: str = "") -> "BlockOperator":
-        out = self._like(label)
-        out.blocks = {k: np.asarray(func(B), dtype=complex) for k, B in sorted(self.blocks.items())}
-        return out
-
     def coeff_norm(self) -> float:
-        if not self.blocks:
-            return 0.0
-        return float(np.sqrt(sum(np.linalg.norm(B) ** 2 for B in self.blocks.values())))
-
-    def max_block_norm(self) -> float:
-        if not self.blocks:
-            return 0.0
-        return float(max(np.linalg.norm(B) for B in self.blocks.values()))
+        return float(np.linalg.norm(self.stack))
 
 
 # ---------------------------------------------------------------------------
@@ -219,24 +206,41 @@ def l2_norm(f: FourierField, pair_or_gram) -> float:
     return float(np.sqrt(max(l2_inner(f, f, pair_or_gram).real, 0.0)))
 
 
-def adjoint_block(B: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(gram, B.conj().T @ gram)
-
-
 def adjoint(op: BlockOperator, pair_or_gram) -> BlockOperator:
+    """Adjoint for ``h``: the block ``A^-1 B^H A`` at every frequency.
+
+    The Gram matrix ``A`` is factorized once (as its inverse) for all blocks.
+    """
     A = _as_gram(pair_or_gram)
-    return op.map_blocks(lambda B: adjoint_block(B, A), label=f"{op.label}*")
+    work = np.conj(op.stack)
+    rhs = np.matmul(work.transpose(0, 2, 1), A)
+    np.matmul(np.linalg.inv(A), rhs, out=work)
+    return op._like(work, f"{op.label}*")
 
 
 # ---------------------------------------------------------------------------
 # the twisted derivative and its graded components
 
 
+def _affine_stack(support: tuple, terms: np.ndarray, constant: bool) -> np.ndarray:
+    """``i sum_j k_j terms[j] (+ terms[-1])`` for every frequency ``k``, as one GEMM."""
+    freqs = np.array(support, dtype=float).reshape(len(support), len(terms) - constant)
+    coeff = 1j * freqs
+    if constant:
+        coeff = np.concatenate([coeff, np.ones((len(freqs), 1))], axis=1)
+    n = terms.shape[-1]
+    return (coeff @ terms.reshape(len(terms), n * n)).reshape(len(support), n, n)
+
+
 def derivative_operator(
     torus_dim: int, support, h: np.ndarray | None = None, label: str = "dH"
 ) -> BlockOperator:
+    """Twisted derivative ``i sum_j k_j W_j + H^`` (``W_j`` the wedge by ``dx_{j+1}``)."""
     op = BlockOperator(torus_dim, spinor_dim(torus_dim), support, label=label)
-    op.blocks = {k: derivative_block(k, torus_dim, h) for k in op.support}
+    terms = np.stack(wedge_matrices(torus_dim)).astype(complex)
+    if h is not None:
+        terms = np.concatenate([terms, wedge_operator(three_form_spinor(h))[None]])
+    op.stack = _affine_stack(op.support, terms, h is not None)
     return op
 
 
@@ -253,7 +257,7 @@ def component_operator(
     ``i sum_j k_j C_j + C_H`` with ``C_j = sum_{(p,q)} P_{p+dp,q+dq} W_j P_{pq}``
     over the bigrading and ``C_H`` the same sum with ``H^`` in place of
     ``W_j`` (only when ``h`` is set).  The m (+1) matrices are built once per
-    call; the blocks are views into one ``(S, n, n)`` stack.
+    call; the stack is one ``(S, m (+1)) @ (m (+1), n^2)`` product.
     """
     shift = (int(shift[0]), int(shift[1]))
     if shift not in COMPONENT_SHIFTS:
@@ -279,45 +283,45 @@ def component_operator(
             right = np.concatenate([right, (Hw @ Ppq)[None]])
         terms += target @ right
 
-    freqs = np.array(out.support, dtype=float).reshape(len(out.support), m)
-    coeff = 1j * freqs
-    if Hw is not None:
-        coeff = np.concatenate([coeff, np.ones((len(freqs), 1))], axis=1)
-    stack = np.einsum("sj,jab->sab", coeff, terms)
-    out.blocks = dict(zip(out.support, stack))
+    out.stack = _affine_stack(out.support, terms, Hw is not None)
     return out
 
 
 def laplacian(op: BlockOperator, pair_or_gram) -> BlockOperator:
-    A = _as_gram(pair_or_gram)
-    star_op = adjoint(op, A)
-    out = op @ star_op + star_op @ op
-    out.label = f"Lap({op.label})"
-    return out
+    star = adjoint(op, pair_or_gram).stack
+    lap = np.matmul(op.stack, star)
+    lap += np.matmul(star, op.stack)
+    return op._like(lap, f"Lap({op.label})")
 
 
 def green_operator(lap: BlockOperator, pair_or_gram, rcond: float = 1e-10) -> BlockOperator:
     """Inverse of a Laplacian on the orthogonal complement of its kernel.
 
-    Per block: transport to coordinates where the inner product is standard,
-    invert by eigendecomposition with singular values below ``rcond`` times
-    the largest treated as kernel, transport back.
+    With ``A = L L^T`` and ``T = L^T``, every block is transported to
+    ``T D T^-1``, where the inner product is standard, and replaced by its
+    hermitian part.  One batched ``eigh`` diagonalizes all of them; in each
+    block the eigenvalues at most ``rcond`` times that block's largest
+    modulus count as kernel (all of them in a zero block, which maps to
+    zero) and the rest are inverted before transporting back.
     """
     A = _as_gram(pair_or_gram)
-    L = np.linalg.cholesky(A)
-    T = L.T
-    Tinv = np.linalg.inv(T)
-
-    def block(Dk: np.ndarray) -> np.ndarray:
-        Dp = T @ Dk @ Tinv
-        Dp = 0.5 * (Dp + Dp.conj().T)
-        w, U = np.linalg.eigh(Dp)
-        wmax = float(np.max(np.abs(w))) if w.size else 0.0
-        inv = np.where(np.abs(w) > rcond * wmax, 1.0 / np.where(w == 0, 1.0, w), 0.0) if wmax > 0 else 0.0 * w
-        Gp = (U * inv) @ U.conj().T
-        return Tinv @ Gp @ T
-
-    return lap.map_blocks(block, label=f"Green({lap.label})")
+    T = np.linalg.cholesky(A).T
+    T_inv = np.linalg.inv(T)
+    work = np.matmul(T, lap.stack)
+    herm = np.matmul(work, T_inv)
+    # hermitian part in place: symmetric real part, antisymmetric imaginary part
+    np.add(herm.real, herm.real.transpose(0, 2, 1), out=herm.real)
+    np.subtract(herm.imag, herm.imag.transpose(0, 2, 1), out=herm.imag)
+    herm *= 0.5
+    w, U = np.linalg.eigh(herm)
+    keep = np.abs(w) > rcond * np.abs(w).max(axis=1, initial=0.0, keepdims=True)
+    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
+    np.multiply(U, inv_w[:, None, :], out=work)
+    np.conj(U, out=U)
+    np.matmul(work, U.transpose(0, 2, 1), out=herm)
+    np.matmul(T_inv, herm, out=work)
+    np.matmul(work, T, out=herm)
+    return lap._like(herm, f"Green({lap.label})")
 
 
 def harmonic_projector(lap: BlockOperator, green: BlockOperator) -> BlockOperator:
@@ -325,22 +329,6 @@ def harmonic_projector(lap: BlockOperator, green: BlockOperator) -> BlockOperato
     out = eye - lap @ green
     out.label = "harmonic"
     return out
-
-
-def green_apply(
-    rho: FourierField,
-    pair: HermitianPair,
-    h: np.ndarray | None = None,
-    support=None,
-    shift: tuple[int, int] = (1, 1),
-) -> FourierField:
-    """Apply the Green operator of one graded component's Laplacian to a field."""
-    if support is None:
-        support = rho.support()
-    comp = component_operator(shift, pair, support, h)
-    gram = l2_gram(pair)
-    G = green_operator(laplacian(comp, gram), gram)
-    return G.act(rho)
 
 
 # ---------------------------------------------------------------------------

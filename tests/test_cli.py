@@ -4,6 +4,7 @@ artifacts, and determinism."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +259,16 @@ def test_console_module_entry():
     )
     assert proc.returncode == 0
     assert "result: ok" in proc.stdout
+
+
+def readme_config():
+    """The config example of README.md (its first JSON block)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize("argv", [["deform", "--order", "2"], ["verify-hodge"]])
+def test_readme_config_example_runs(tmp_path, capsys, argv):
+    path = write_config(tmp_path, readme_config())
+    assert cli.main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert "result: ok" in capsys.readouterr().out

@@ -137,6 +137,9 @@ def test_component_operator_matches_projector_sum(m, twisted):
         assert set(new[shift].blocks) == set(ref[shift])
         for k, B in ref[shift].items():
             assert np.linalg.norm(new[shift][k] - B) <= 1e-10 * scale, (shift, k)
+    derivative = gh.derivative_operator(m, support, h)
+    for k in support:
+        assert np.linalg.norm(derivative[k] - gf.derivative_block(k, m, h)) <= 1e-10 * scale, k
 
 
 def test_component_operator_matches_projector_sum_t8():
@@ -253,12 +256,74 @@ def test_harmonic_projector_properties(t4):
         assert (harm @ Pop - Pop @ harm).coeff_norm() < 1e-9
 
 
-def test_green_apply_convenience(t2):
-    rng = np.random.default_rng(6)
-    raw = gf.random_field(rng, 2, 4, gf.frequencies_box(2, 1))
-    rho = gf.twisted_derivative(raw)
-    out = gh.green_apply(rho, t2.pair)
-    lap = gh.laplacian(
-        gh.component_operator((1, 1), t2.pair, rho.support()), gh.l2_gram(t2.pair)
-    )
-    assert (lap.act(out) - rho).coeff_norm() < 1e-10
+def oracle_adjoint(op, gram):
+    """Reference adjoint: one ``solve(gram, B^H gram)`` per block."""
+    return {k: np.linalg.solve(gram, B.conj().T @ gram) for k, B in op.blocks.items()}
+
+
+def oracle_green(lap, gram, rcond=1e-10):
+    """Reference Green operator, block by block: transport to ``T D T^-1``
+    (``gram = T^T T``), hermitian part, ``eigh``, eigenvalues at most
+    ``rcond`` times the block's largest modulus dropped, transport back."""
+    T = np.linalg.cholesky(gram).T
+    Tinv = np.linalg.inv(T)
+    out = {}
+    for k, D in lap.blocks.items():
+        Dp = T @ D @ Tinv
+        w, U = np.linalg.eigh(0.5 * (Dp + Dp.conj().T))
+        wmax = np.max(np.abs(w))
+        inv = np.array([1.0 / x if wmax > 0 and abs(x) > rcond * wmax else 0.0 for x in w])
+        out[k] = Tinv @ ((U * inv) @ U.conj().T) @ T
+    return out
+
+
+def assert_blocks_close(op, ref):
+    scale = max(np.linalg.norm(B) for B in ref.values())
+    assert set(op.blocks) == set(ref)
+    for k, B in ref.items():
+        assert np.linalg.norm(op[k] - B) <= 1e-10 * max(scale, 1e-300), k
+
+
+def assert_matches_oracle(op, gram):
+    """Batched adjoint, Laplacian and Green operator against the per-block route."""
+    ref_star = oracle_adjoint(op, gram)
+    assert_blocks_close(gh.adjoint(op, gram), ref_star)
+    lap = gh.laplacian(op, gram)
+    assert_blocks_close(lap, {k: op[k] @ S + S @ op[k] for k, S in ref_star.items()})
+    assert_blocks_close(gh.green_operator(lap, gram), oracle_green(lap, gram))
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("m", [4, 6])
+def test_batched_algebra_matches_per_block_oracle(m, twisted):
+    rng = np.random.default_rng(60 + m + twisted)
+    pair = gs.random_hermitian_pair(rng, m, b_scale=0.7)
+    assert np.linalg.norm(pair.b_field) > 0.1
+    h = random_three_form(rng, m) if twisted else None
+    support = gf.frequencies_box(4, 1) if m == 4 else small_support(m)
+    gram = gh.l2_gram(pair)
+    for shift in ((1, 1), (-1, 1)):
+        assert_matches_oracle(gh.component_operator(shift, pair, support, h), gram)
+
+
+def test_green_oracle_all_kernel_block(t4):
+    # at k = 0 the untwisted derivative vanishes: the whole block is kernel
+    op = gh.component_operator((1, 1), t4.pair, [(0, 0, 0, 0), (1, 0, 0, 0)])
+    assert np.linalg.norm(op[(0, 0, 0, 0)]) < 1e-14
+    assert_matches_oracle(op, t4.gram)
+    green = gh.green_operator(gh.laplacian(op, t4.gram), t4.gram)
+    assert np.linalg.norm(green[(0, 0, 0, 0)]) < 1e-12
+
+
+def test_green_oracle_cut_is_per_block(t4):
+    # Laplacian blocks 1e12 apart: a cut relative to the largest block overall
+    # would drop the small block entirely
+    op = gh.component_operator((1, 1), t4.pair, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    op.stack[1] *= 1e-6
+    assert_matches_oracle(op, t4.gram)
+
+
+def test_zero_operator_matches_oracle(t4):
+    zero = gh.BlockOperator(4, 16, t4.support)
+    assert_matches_oracle(zero, t4.gram)
+    assert gh.green_operator(gh.laplacian(zero, t4.gram), t4.gram).coeff_norm() == 0
