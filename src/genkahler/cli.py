@@ -105,23 +105,41 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _real_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """Finite real array of the given shape from nested JSON lists, or a ConfigError.
+
+    Every entry must be a JSON number: numpy would read ``"1.5"`` and
+    ``true`` as numbers, and a NaN would slip past later checks.
+    """
+
+    def entries(v):
+        if isinstance(v, list):
+            for x in v:
+                yield from entries(x)
+        else:
+            yield v
+
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entries(value)):
+        raise ConfigError(f"{where} must contain only numbers, got {value!r}")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where} is not a numeric array: {exc}") from exc
+    if arr.shape != shape:
+        raise ConfigError(f"{where} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return arr
+
+
 def _positive_number(value, name: str, upper: float | None = None) -> float:
     """A finite number above zero (and at most ``upper``) or a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value) or value <= 0:
-        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    value = float(_real_array(value, (), name))
+    if value <= 0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
     if upper is not None and value > upper:
         raise ConfigError(f"{name} must be at most {upper:g}, got {value!r}")
     return value
-
-
-def _as_matrix(value, shape: tuple[int, int], where: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != shape:
-        raise ConfigError(f"{where} must have shape {shape}, got {arr.shape}")
-    return arr
 
 
 def load_config(path: str) -> dict:
@@ -176,11 +194,12 @@ def build_twist(doc: dict, m: int) -> np.ndarray | None:
         idx = [a, b, c]
         if any(not _is_int(i) or not 0 <= i < m for i in idx) or len(set(idx)) != 3:
             raise ConfigError(f"twist axes {idx} must be three distinct integers below {m}")
+        value = float(_real_array(value, (), "twist value"))
         for perm, sign in (
             ((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
             ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1),
         ):
-            h[perm] += sign * float(value)
+            h[perm] += sign * value
     return h
 
 
@@ -193,7 +212,7 @@ def build_background(doc: dict, m: int) -> gs.HermitianPair:
         _require_keys(block, {"kind", "metric"}, {"kind"}, "background")
         if m % 2:
             raise ConfigError("kaehler backgrounds need an even dimension")
-        metric = _as_matrix(block["metric"], (m, m), "background.metric") if "metric" in block else np.eye(m)
+        metric = _real_array(block["metric"], (m, m), "background.metric") if "metric" in block else np.eye(m)
         try:
             return gs.HermitianPair.from_kahler(gs.standard_complex_structure(m), metric)
         except ValueError as exc:
@@ -202,16 +221,16 @@ def build_background(doc: dict, m: int) -> gs.HermitianPair:
         _require_keys(
             block, {"kind", "metric", "b_field", "base_complex", "symplectic_form"}, {"kind", "metric"}, "background"
         )
-        metric = _as_matrix(block["metric"], (m, m), "background.metric")
-        b_field = _as_matrix(block["b_field"], (m, m), "background.b_field") if "b_field" in block else None
+        metric = _real_array(block["metric"], (m, m), "background.metric")
+        b_field = _real_array(block["b_field"], (m, m), "background.b_field") if "b_field" in block else None
         has_complex = "base_complex" in block
         has_symplectic = "symplectic_form" in block
         if has_complex == has_symplectic:
             raise ConfigError("explicit backgrounds need exactly one of base_complex or symplectic_form")
         if has_complex:
-            J1 = gs.complex_structure_gcs(_as_matrix(block["base_complex"], (m, m), "background.base_complex"))
+            J1 = gs.complex_structure_gcs(_real_array(block["base_complex"], (m, m), "background.base_complex"))
         else:
-            J1 = gs.symplectic_gcs(_as_matrix(block["symplectic_form"], (m, m), "background.symplectic_form"))
+            J1 = gs.symplectic_gcs(_real_array(block["symplectic_form"], (m, m), "background.symplectic_form"))
         try:
             return gs.HermitianPair.from_metric(J1, metric, b_field)
         except ValueError as exc:
@@ -227,12 +246,8 @@ def build_seed(doc: dict, pair: gs.HermitianPair) -> tuple[np.ndarray, complex]:
     elif isinstance(choice, dict):
         _require_keys(choice, {"scale"}, {"scale"}, "seed_spinor")
         raw = choice["scale"]
-        if isinstance(raw, list) and len(raw) == 2:
-            scale = complex(float(raw[0]), float(raw[1]))
-        elif isinstance(raw, (int, float)):
-            scale = complex(float(raw))
-        else:
-            raise ConfigError("seed_spinor.scale must be a number or [re, im]")
+        parts = _real_array(raw, (2,) if isinstance(raw, list) else (), "seed_spinor.scale")
+        scale = complex(*parts.ravel())
         if scale == 0:
             raise ConfigError("seed_spinor.scale must be nonzero")
     else:
@@ -253,10 +268,8 @@ def _one_form_from_modes(modes, m: int) -> gf.FourierField:
             raise ConfigError(f"mode frequency must be {m} integers")
         if not any(k):
             raise ConfigError("one_form modes need a nonzero frequency")
-        cosv = np.asarray(mode.get("cos", [0.0] * m), dtype=float)
-        sinv = np.asarray(mode.get("sin", [0.0] * m), dtype=float)
-        if cosv.shape != (m,) or sinv.shape != (m,):
-            raise ConfigError(f"mode coefficients must be length-{m} lists")
+        cosv = _real_array(mode.get("cos", [0.0] * m), (m,), "one_form mode cos")
+        sinv = _real_array(mode.get("sin", [0.0] * m), (m,), "one_form mode sin")
         key = tuple(k)
         mirror = tuple(-v for v in k)
         xi.coeffs[key] = xi[key] + 0.5 * (cosv - 1j * sinv)
@@ -279,11 +292,9 @@ def _series_from_doc(terms, m: int) -> sol.SeriesSoField:
             k = mode["frequency"]
             if not (isinstance(k, list) and len(k) == m and all(_is_int(v) for v in k)):
                 raise ConfigError(f"mode frequency must be {m} integers")
-            mat = np.asarray(mode["real"], dtype=float).astype(complex)
+            mat = _real_array(mode["real"], (2 * m, 2 * m), "series mode real").astype(complex)
             if "imag" in mode:
-                mat = mat + 1j * np.asarray(mode["imag"], dtype=float)
-            if mat.shape != (2 * m, 2 * m):
-                raise ConfigError(f"series matrices must be {2 * m}x{2 * m}")
+                mat = mat + 1j * _real_array(mode["imag"], (2 * m, 2 * m), "series mode imag")
             term.coeffs[tuple(k)] = term[tuple(k)] + mat
         parsed.append(term)
     try:
@@ -313,7 +324,8 @@ def build_deformation(doc: dict, pair: gs.HermitianPair, order_cap: int) -> list
             base = -pair.J1[:m, :m]
             u = np.linalg.svd(0.5 * (np.eye(m) - 1j * base))[0][:, :n]
             biv = np.outer(u[:, idx[0]], u[:, idx[1]]) - np.outer(u[:, idx[1]], u[:, idx[0]])
-            alpha = float(item.get("scale", 1.0)) * cl.bivector_so((biv + biv.conj()).real)
+            scale = float(_real_array(item.get("scale", 1.0), (), "constant-bivector scale"))
+            alpha = scale * cl.bivector_so((biv + biv.conj()).real)
             factors.append(sol.SeriesSoField.linear(m, alpha))
         elif kind == "exact-b-field":
             _require_keys(item, {"kind", "one_form"}, {"kind", "one_form"}, "exact-b-field")
@@ -630,6 +642,12 @@ def cmd_deform(args) -> int:
     m = doc["dimension"]
     if m % 2:
         raise ConfigError("deform needs an even dimension")
+    h = build_twist(doc, m)
+    if h is not None and np.any(h):
+        raise ConfigError(
+            "deform needs a zero twist: a constant generalized Kahler pair on a flat torus "
+            "has H = 0 (d^c_+ omega_+ = H = -d^c_- omega_-, and constant forms have d^c omega = 0)"
+        )
     order_cap = args.order if args.order is not None else doc.get("order", 4)
     if not _is_int(order_cap) or not 1 <= order_cap <= sol.MAX_ORDER:
         raise ConfigError(f"order must be an integer in 1..{sol.MAX_ORDER}")
@@ -640,7 +658,6 @@ def cmd_deform(args) -> int:
         raise ConfigError("verify_points must be a positive integer")
 
     pair = build_background(doc, m)
-    h = build_twist(doc, m)
     seed_spinor, scale = build_seed(doc, pair)
     factors = build_deformation(doc, pair, order_cap)
 
@@ -648,7 +665,6 @@ def cmd_deform(args) -> int:
         report = sol.run_deformation(
             factors,
             pair,
-            h=h,
             order_cap=order_cap,
             psi=seed_spinor,
             tol_order=tols["tol_order"],

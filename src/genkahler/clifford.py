@@ -27,7 +27,6 @@ __all__ = [
     "MAX_DIM",
     "spinor_dim",
     "degrees",
-    "degree_component",
     "form_vector",
     "subset_label",
     "format_form",
@@ -36,7 +35,6 @@ __all__ = [
     "wedge_sign_table",
     "wedge",
     "wedge_operator",
-    "top_coefficient",
     "transpose_form",
     "chevalley_gram",
     "chevalley_pairing",
@@ -48,7 +46,6 @@ __all__ = [
     "so_residual",
     "require_so",
     "so_from_blocks",
-    "so_decompose",
     "so_from_pair",
     "two_form_so",
     "bivector_so",
@@ -92,13 +89,6 @@ def degrees(m: int) -> np.ndarray:
     out = np.bitwise_count(np.arange(spinor_dim(m), dtype=np.uint64)).astype(np.int64)
     out.setflags(write=False)
     return out
-
-
-def degree_component(phi: np.ndarray, k: int) -> np.ndarray:
-    """Project a form vector onto its degree-``k`` part."""
-    phi = np.asarray(phi, dtype=complex)
-    m = _infer_m_from_spinor(phi)
-    return np.where(degrees(m) == k, phi, 0.0)
 
 
 def form_vector(m: int, components: dict[tuple[int, ...], complex]) -> np.ndarray:
@@ -223,13 +213,6 @@ def wedge_operator(phi: np.ndarray) -> np.ndarray:
             if row[J]:
                 M[I | J, J] += row[J] * phi[I]
     return M
-
-
-def top_coefficient(phi: np.ndarray) -> complex:
-    """Coefficient of dx1^..^dxm (the orientation with ascending indices positive)."""
-    phi = np.asarray(phi, dtype=complex)
-    _infer_m_from_spinor(phi)
-    return complex(phi[-1])
 
 
 #: Reversal signs (-1)^{k(k-1)/2} for k mod 4.
@@ -397,13 +380,6 @@ def so_from_blocks(
             raise ValueError("bivector block must be skew-symmetric")
         alpha[:m, m:] = b
     return alpha
-
-
-def so_decompose(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split an so(m,m) element into (endo, two_form, bivector) blocks."""
-    alpha = require_so(alpha)
-    m = _infer_m_from_so(alpha)
-    return alpha[:m, :m].copy(), alpha[m:, :m].copy(), alpha[:m, m:].copy()
 
 
 def so_from_pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -45,8 +45,6 @@ __all__ = [
     "dual_l_frames",
     "nijenhuis_tensor",
     "torsion_clifford_element",
-    "torsion_operator",
-    "integrability_defect",
 ]
 
 Frequency = tuple[int, ...]
@@ -436,23 +434,3 @@ def torsion_clifford_element(J: np.ndarray, h: np.ndarray | None = None) -> np.n
                 out += N[a, b, c] * cls[a] @ cls[b] @ cls[c]
     return out
 
-
-def torsion_operator(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
-    """Level-raising (+3) component of the twisted derivative on constant forms."""
-    J = require_gcs(J)
-    m = J.shape[0] // 2
-    proj = iso_projectors(J)
-    n = m // 2
-    if h is None:
-        return np.zeros((spinor_dim(m), spinor_dim(m)), dtype=complex)
-    Hw = wedge_operator(three_form_spinor(h))
-    out = np.zeros((spinor_dim(m), spinor_dim(m)), dtype=complex)
-    for k in range(-n, n + 1):
-        if k + 3 in proj:
-            out += proj[k + 3] @ Hw @ proj[k]
-    return out
-
-
-def integrability_defect(J: np.ndarray, h: np.ndarray | None = None) -> float:
-    """Norm of the level-raising component of the twisted derivative."""
-    return float(np.linalg.norm(torsion_operator(J, h)))

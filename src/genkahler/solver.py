@@ -8,7 +8,10 @@ first structure such that
 
     psi(t) = exp(a_t) exp(b_t) psi
 
-stays closed for the twisted differential, order by order in ``t``.
+stays closed for the exterior derivative ``d``, order by order in ``t``.
+The differential is untwisted because a constant generalized Kahler pair
+on a flat torus has ``H = 0``: in bihermitian form ``d^c_+ omega_+ = H =
+-d^c_- omega_-``, and constant two-forms have ``d^c omega = 0``.
 
 The per-order obstruction ``rho`` lives in the four corner components
 adjacent to ``U^{0,n-2}``; it is resolved through the Green operator of the
@@ -33,13 +36,10 @@ from .clifford import (
     spin_lie_action,
     spinor_dim,
     wedge_matrices,
-    wedge_operator,
 )
 from .fields import (
     FourierField,
     FourierOperatorField,
-    require_three_form,
-    three_form_spinor,
     twisted_derivative,
     uniform_points,
 )
@@ -233,44 +233,35 @@ class SeriesSpinorField:
 
 
 # ---------------------------------------------------------------------------
-# series algebra on operator fields
+# the series exponential
 
 
-def _op_zero(torus_dim: int, dim: int) -> FourierOperatorField:
-    return FourierOperatorField(torus_dim, dim)
+def _exp_apply(X: list, Y: list, act, order_cap: int) -> list:
+    """Coefficients of ``exp(X_t)`` applied to the series ``Y_t``, up to the cap.
 
+    ``X[j]`` and ``Y[j]`` go with ``t**j``; ``X[0]`` must vanish, and
+    ``act(x, y)`` applies one coefficient of ``X`` to one of ``Y``.  The sum
+    runs over ``term_j = (1/j) act(X, term_{j-1})`` from ``term_0 = Y``;
+    ``term_j`` vanishes below order j, so it ends at the cap.
+    """
 
-def _op_series_mul(A: list, B: list, order_cap: int) -> list:
-    torus_dim, dim = A[0].torus_dim, A[0].value_dim
-    out = [_op_zero(torus_dim, dim) for _ in range(order_cap + 1)]
-    for i, Ai in enumerate(A[: order_cap + 1]):
-        if not Ai.coeffs:
-            continue
-        for j in range(order_cap + 1 - i):
-            if j < len(B) and B[j].coeffs:
-                out[i + j] = out[i + j] + Ai @ B[j]
-    return out
+    def zero():
+        return type(Y[0])(Y[0].torus_dim, Y[0].value_dim)
 
-
-def _op_series_exp(X: list, order_cap: int) -> list:
-    """Exponential of an operator series with X[0] = 0, truncated at the cap."""
-    torus_dim, dim = X[0].torus_dim, X[0].value_dim
-    out = [_op_zero(torus_dim, dim) for _ in range(order_cap + 1)]
-    out[0] = FourierOperatorField.identity(torus_dim, dim)
-    term = list(out)
+    term = [Y[k] if k < len(Y) else zero() for k in range(order_cap + 1)]
+    out = list(term)
     for j in range(1, order_cap + 1):
-        term = [(1.0 / j) * f for f in _op_series_mul(term, X, order_cap)]
+        nxt = [zero() for _ in range(order_cap + 1)]
+        for i in range(1, min(len(X), order_cap + 1)):
+            if not X[i].coeffs:
+                continue
+            for k in range(order_cap + 1 - i):
+                if term[k].coeffs:
+                    nxt[i + k] = nxt[i + k] + act(X[i], term[k])
+        term = [(1.0 / j) * f for f in nxt]
         if all(not f.coeffs for f in term):
             break
         out = [a + b for a, b in zip(out, term)]
-    return out
-
-
-def _op_series_product(series_list: list, order_cap: int, torus_dim: int, dim: int) -> list:
-    out = [_op_zero(torus_dim, dim) for _ in range(order_cap + 1)]
-    out[0] = FourierOperatorField.identity(torus_dim, dim)
-    for S in series_list:
-        out = _op_series_mul(out, S, order_cap)
     return out
 
 
@@ -283,18 +274,6 @@ def _factor_list(a) -> list[SeriesSoField]:
     if not all(isinstance(f, SeriesSoField) for f in factors):
         raise TypeError("deformation factors must be SeriesSoField instances")
     return factors
-
-
-def _spin_exp_product(factors: list[SeriesSoField], order_cap: int, torus_dim: int, *, invert: bool = False) -> list:
-    dim = spinor_dim(torus_dim)
-    series = []
-    ordered = list(reversed(factors)) if invert else factors
-    for f in ordered:
-        X = f.spin_terms()
-        if invert:
-            X = [-1.0 * x for x in X]
-        series.append(_op_series_exp(X, order_cap))
-    return _op_series_product(series, order_cap, torus_dim, dim)
 
 
 def _seed_field(torus_dim: int, psi) -> FourierField:
@@ -311,14 +290,17 @@ def series_exp_action(a, b, psi, order_cap: int) -> SeriesSpinorField:
 
     ``a`` may be a single family or a sequence of factor families composed
     left to right (leftmost acts last on the spinor); ``b`` may be None.
+    The factors act on the spinor series one at a time, right to left, each
+    as the series exponential of its spin representation.
     """
     factors = _factor_list(a) + _factor_list(b)
     if not factors:
         raise ValueError("need at least one series family")
     torus_dim = factors[0].torus_dim
-    seed = _seed_field(torus_dim, psi)
-    ops = _spin_exp_product(factors, order_cap, torus_dim)
-    return SeriesSpinorField(torus_dim, [op.act(seed) for op in ops])
+    out = [_seed_field(torus_dim, psi)]
+    for f in reversed(factors):
+        out = _exp_apply(f.spin_terms(), out, FourierOperatorField.act, order_cap)
+    return SeriesSpinorField(torus_dim, out)
 
 
 # ---------------------------------------------------------------------------
@@ -368,31 +350,18 @@ def support_closure(sources, order_cap: int, torus_dim: int) -> tuple:
 # integrability of the deformed first structure
 
 
-def first_structure_defects(a, pair: HermitianPair, h: np.ndarray | None, order_cap: int) -> list[float]:
-    """Per-order norm of the part of ``exp(-a) d^H exp(a) gen`` outside the
+def first_structure_defects(a, pair: HermitianPair, order_cap: int) -> list[float]:
+    """Per-order norm of the part of ``exp(-a) d exp(a) gen`` outside the
     level just below the top of the first structure's grading.
 
-    ``gen`` is the canonical top-level generator of the first structure.  A
-    nonzero value at order j means the deformed first structure fails to be
-    integrable at that order, which breaks the induction hypothesis.
+    ``gen`` is the canonical top-level generator of the first structure and
+    the series is ``conjugated_residual_series`` of it.  A nonzero value at
+    order j means the deformed first structure fails to be integrable at
+    that order, which breaks the induction hypothesis.
     """
-    factors = _factor_list(a)
-    torus_dim = pair.m
-    gen = FourierField.constant(torus_dim, pair.canonical_generator(1))
-    E = _spin_exp_product(factors, order_cap, torus_dim)
-    Einv = _spin_exp_product(factors, order_cap, torus_dim, invert=True)
-    moved = [op.act(gen) for op in E]
-    dmoved = [twisted_derivative(f, h) for f in moved]
+    moved = conjugated_residual_series(a, None, pair.canonical_generator(1), order_cap)
     P_good = pair.proj1[pair.n - 1]
-
-    defects = []
-    for k in range(order_cap + 1):
-        q = FourierField(torus_dim, gen.value_dim)
-        for i in range(k + 1):
-            if Einv[i].coeffs and dmoved[k - i].coeffs:
-                q = q + Einv[i].act(dmoved[k - i])
-        defects.append(q.map_values(lambda v: v - P_good @ v).coeff_norm())
-    return defects
+    return [q.map_values(lambda v: v - P_good @ v).coeff_norm() for q in moved.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +577,6 @@ class SolutionReport:
     """Everything the induction produced, plus the data needed to verify it."""
 
     pair: HermitianPair
-    h: np.ndarray | None
     order_cap: int
     psi0: FourierField
     psi_norm: float
@@ -650,7 +618,6 @@ class SolutionReport:
         return {
             "torus_dim": self.pair.m,
             "order_cap": self.order_cap,
-            "twist": None if self.h is None else np.asarray(self.h).tolist(),
             "psi_norm": self.psi_norm,
             "support_size": len(self.support),
             "precondition_defects": list(self.precondition_defects),
@@ -664,7 +631,6 @@ def run_deformation(
     a,
     pair: HermitianPair,
     *,
-    h: np.ndarray | None = None,
     order_cap: int = 4,
     psi=None,
     tol_order: float = 1e-9,
@@ -685,23 +651,20 @@ def run_deformation(
     if not factors:
         raise ValueError("need at least one deformation family")
     torus_dim = pair.m
-    if h is not None:
-        h = require_three_form(h, torus_dim)
-
     seed = _seed_field(torus_dim, psi if psi is not None else pair.canonical_generator(2))
     support = support_closure(factors + [seed], order_cap, torus_dim)
-    background = TorusBackground(pair, support, h, rcond=rcond)
+    background = TorusBackground(pair, support, rcond=rcond)
     psi_norm = background.norm(seed)
     if psi_norm <= 0:
         raise ValueError("seed spinor vanishes")
 
-    seed_closed = background.norm(twisted_derivative(seed, h))
+    seed_closed = background.norm(twisted_derivative(seed))
     if seed_closed > tol_checks * psi_norm:
         raise IntegrabilityError(f"seed spinor is not closed ({seed_closed:.3e})", order=0)
 
     # the defects measure the transported generator of the first structure,
     # so they scale with it and not with the seed
-    defects = first_structure_defects(factors, pair, h, order_cap)
+    defects = first_structure_defects(factors, pair, order_cap)
     gen_norm = float(np.linalg.norm(pair.canonical_generator(1)))
     for j, d in enumerate(defects):
         if d > tol_checks * gen_norm:
@@ -741,12 +704,11 @@ def run_deformation(
 
     psi_series = series_exp_action(factors, b, seed, order_cap)
     residual_norms = [
-        background.norm(twisted_derivative(psi_series.term(j), h)) for j in range(order_cap + 1)
+        background.norm(twisted_derivative(psi_series.term(j))) for j in range(order_cap + 1)
     ]
     bad = [j for j in range(1, order_cap + 1) if residual_norms[j] > tol_order * psi_norm]
     report = SolutionReport(
         pair=pair,
-        h=h,
         order_cap=order_cap,
         psi0=seed,
         psi_norm=psi_norm,
@@ -832,7 +794,7 @@ def verify_gk_at_t(
 
     Conjugates both structures by the pointwise exponentials (compensating
     family included), verifies the structure axioms, their commutation, the
-    positivity of the induced metric, and measures the sup of the twisted
+    positivity of the induced metric, and measures the sup of the exterior
     derivative of the transported spinor over the sample, which should
     scale like t**(order_cap + 1).
 
@@ -847,9 +809,9 @@ def verify_gk_at_t(
     |G_d|_1)`` steps of 1-norm at most one (Al-Mohy & Higham, SISC 2011).
     Points are processed one at a time, so memory holds one point's m + 1
     spin matrices per family whatever the sample size.  Then
-    ``psi_t = v`` and ``d^H psi_t = H ^ v + sum_d dx_d ^ D_d``.
+    ``psi_t = v`` and ``d psi_t = sum_d dx_d ^ D_d``.
     """
-    pair, h = report.pair, report.h
+    pair = report.pair
     m = pair.m
     if points is None:
         if count < 1:
@@ -893,7 +855,6 @@ def verify_gk_at_t(
 
     # spinor side, one point at a time
     W = wedge_matrices(m)
-    twist_op = wedge_operator(three_form_spinor(h)) if h is not None else None
     psi0 = report.psi0[(0,) * m]
     derivative_sup = 0.0
     psi_sup = 0.0
@@ -905,8 +866,6 @@ def verify_gk_at_t(
             v, D = _exp_jet(S, G, v, D)
         psi_sup = max(psi_sup, float(np.linalg.norm(v)))
         dpsi = np.einsum("dij,dj->i", W, D)
-        if twist_op is not None:
-            dpsi = dpsi + twist_op @ v
         derivative_sup = max(derivative_sup, float(np.linalg.norm(dpsi)))
 
     return {
@@ -927,66 +886,38 @@ def verify_gk_at_t(
 # cross-check route and input families
 
 
-def conjugated_residual_series(a, b, psi, h: np.ndarray | None, order_cap: int) -> SeriesSpinorField:
-    """Coefficients of ``exp(-b) exp(-a) d^H exp(a) exp(b) psi``.
+def conjugated_residual_series(a, b, psi, order_cap: int) -> SeriesSpinorField:
+    """Coefficients of ``exp(-b) exp(-a) d exp(a) exp(b) psi``.
 
     Independent route to the per-order obstruction: as long as the residual
     vanishes below a given order, its coefficient there matches the direct
-    one.  Kept separate from order_residual so the two can be compared.
+    one.  The series of ``series_exp_action`` is differentiated termwise, then
+    the factors act again left to right with negated spin terms.
     """
-    factors = _factor_list(a) + _factor_list(b)
-    if not factors:
-        raise ValueError("need at least one series family")
-    torus_dim = factors[0].torus_dim
-    seed = _seed_field(torus_dim, psi)
-    E = _spin_exp_product(factors, order_cap, torus_dim)
-    Einv = _spin_exp_product(factors, order_cap, torus_dim, invert=True)
-    moved = [op.act(seed) for op in E]
-    dmoved = [twisted_derivative(f, h) for f in moved]
-    out = []
-    for k in range(order_cap + 1):
-        acc = FourierField(torus_dim, seed.value_dim)
-        for i in range(k + 1):
-            if Einv[i].coeffs and dmoved[k - i].coeffs:
-                acc = acc + Einv[i].act(dmoved[k - i])
-        out.append(acc)
-    return SeriesSpinorField(torus_dim, out)
+    moved = series_exp_action(a, b, psi, order_cap)
+    out = [twisted_derivative(f) for f in moved.terms]
+    for f in _factor_list(a) + _factor_list(b):
+        out = _exp_apply([-1.0 * x for x in f.spin_terms()], out, FourierOperatorField.act, order_cap)
+    return SeriesSpinorField(moved.torus_dim, out)
 
 
 def conjugated_structure_series(generator: FourierOperatorField, J: np.ndarray, order_cap: int) -> list[FourierOperatorField]:
     """Coefficients of ``exp(t C) J exp(-t C)``: iterated brackets over j factorial."""
-    torus_dim = generator.torus_dim
-    J0 = FourierOperatorField.constant(torus_dim, np.asarray(J, dtype=complex))
-    out = [J0]
-    cur = J0
-    for j in range(1, order_cap + 1):
-        cur = (1.0 / j) * (generator @ cur - cur @ generator)
-        out.append(cur)
-    return out
+    return structure_series_of_family(SeriesSoField.linear(generator.torus_dim, generator, check=False), J, order_cap)
 
 
 def structure_series_of_family(a, J: np.ndarray, order_cap: int) -> list[FourierOperatorField]:
-    """Coefficients of ``exp(a_t) J exp(-a_t)`` for a series family."""
+    """Coefficients of ``exp(a_t) J exp(-a_t)`` for a series family.
+
+    Each factor, right to left, acts on the structure series by the series
+    exponential of its bracket ``[x, y] = x y - y x``.
+    """
     factors = _factor_list(a)
     if not factors:
         raise ValueError("need at least one series family")
-    torus_dim = factors[0].torus_dim
-    dim = 2 * torus_dim
-    fwd = [_op_series_exp(f.padded(order_cap), order_cap) for f in factors]
-    bwd = [
-        _op_series_exp([-1.0 * t for t in f.padded(order_cap)], order_cap)
-        for f in reversed(factors)
-    ]
-    E = _op_series_product(fwd, order_cap, torus_dim, dim)
-    Einv = _op_series_product(bwd, order_cap, torus_dim, dim)
-    J0 = FourierOperatorField.constant(torus_dim, np.asarray(J, dtype=complex))
-    out = []
-    for k in range(order_cap + 1):
-        acc = _op_zero(torus_dim, dim)
-        for i in range(k + 1):
-            if E[i].coeffs and Einv[k - i].coeffs:
-                acc = acc + E[i] @ J0 @ Einv[k - i]
-        out.append(acc)
+    out = [FourierOperatorField.constant(factors[0].torus_dim, np.asarray(J, dtype=complex))]
+    for f in reversed(factors):
+        out = _exp_apply(f.terms, out, lambda x, y: x @ y - y @ x, order_cap)
     return out
 
 

@@ -124,6 +124,56 @@ def test_deform_rejects_bad_scalar(tmp_path, capsys, key, value):
     assert f"{key} must" in capsys.readouterr().err
 
 
+def _with(doc, path, value):
+    """Copy of ``doc`` with the entry at ``path`` (keys and indices) replaced."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    holder = doc
+    for key in head:
+        holder = holder[key]
+    holder[last] = value
+    return doc
+
+
+def bivector_doc():
+    return {**bfield_doc(), "deformation": [{"kind": "constant-bivector", "vectors": [0, 1]}]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _with(bfield_doc(), ["seed_spinor"], {"scale": ["a", 1]}),
+        _with(bfield_doc(), ["deformation", 0, "one_form", 0, "cos"], ["a", 0.3, -0.2, 0.1]),
+        _with(bivector_doc(), ["deformation", 0, "scale"], "a"),
+        _with(bfield_doc(), ["background"], {"kind": "kaehler", "metric": [["a", 0, 0, 0]] + np.eye(4)[1:].tolist()}),
+        _with(bfield_doc(), ["twist"], [[0, 1, 2, "a"]]),
+        _with(bfield_doc(), ["seed_spinor"], {"scale": float("nan")}),
+        _with(bfield_doc(), ["seed_spinor"], {"scale": True}),
+        _with(bfield_doc(), ["deformation", 0, "one_form", 0, "cos"], [float("nan"), 0, 0, 0]),
+    ],
+    ids=["scale-string", "cos-string", "bivector-scale-string", "metric-string", "twist-string",
+         "scale-nan", "scale-bool", "cos-nan"],
+)
+def test_deform_rejects_hostile_values(tmp_path, capsys, doc):
+    code = cli.main(["deform", "--config", write_config(tmp_path, doc)])
+    assert code == 64
+    assert "config error" in capsys.readouterr().err
+
+
+def test_deform_rejects_a_nonzero_twist(tmp_path, capsys):
+    doc = {**bfield_doc(), "twist": [[0, 1, 2, 0.4]]}
+    assert cli.main(["deform", "--config", write_config(tmp_path, doc)]) == 64
+    err = capsys.readouterr().err
+    assert "config error" in err and "zero twist" in err and "H = 0" in err
+
+
+def test_deform_runs_a_twist_that_cancels(tmp_path, capsys):
+    doc = {**bfield_doc(), "twist": [[0, 1, 2, 0.4], [0, 1, 2, -0.4]]}
+    assert cli.main(["deform", "--config", write_config(tmp_path, doc), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True and "twist" not in report
+
+
 def test_deform_rejects_bad_tol_override(tmp_path, capsys):
     code = cli.main(["deform", "--config", write_config(tmp_path, bfield_doc()), "--tol", "nan"])
     assert code == 64

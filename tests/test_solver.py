@@ -1,8 +1,6 @@
 """Order-by-order deformation solver: series algebra, per-order solves,
 input-family preconditions and finite-parameter verification."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,15 +36,6 @@ def holomorphic_bivector_exponent(pair):
     alpha = cl.bivector_so((biv + biv.conj()).real)
     assert cl.so_residual(alpha) < 1e-12
     return alpha
-
-
-def three_form(*rows):
-    """Constant three-form from antisymmetrized ``(a, b, c, value)`` rows on T^4."""
-    h = np.zeros((4, 4, 4))
-    for a, b, c, value in rows:
-        for perm, sign in [((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1), ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1)]:
-            h[perm] += sign * value
-    return h
 
 
 def gauge_family(pair, rng):
@@ -189,11 +178,11 @@ def test_defects_flag_modulated_bivector(pair):
     mod = gf.FourierOperatorField(4, 8)
     symmetric_mode(mod, (0, 0, 1, 0), 0.5 * biv)
     bad = sol.SeriesSoField(4, [None, mod])
-    defects = sol.first_structure_defects(bad, pair, None, 2)
+    defects = sol.first_structure_defects(bad, pair, 2)
     assert defects[0] < 1e-14 and defects[1] > 0.5
 
     good = sol.SeriesSoField.linear(4, biv)
-    assert max(sol.first_structure_defects(good, pair, None, 2)) < 1e-14
+    assert max(sol.first_structure_defects(good, pair, 2)) < 1e-14
 
     with pytest.raises(sol.IntegrabilityError) as err:
         sol.run_deformation(bad, pair, order_cap=2)
@@ -206,7 +195,7 @@ def test_defect_check_does_not_scale_with_the_seed(pair):
     mod = gf.FourierOperatorField(4, 8)
     symmetric_mode(mod, (0, 0, 1, 0), 1e-6 * holomorphic_bivector_exponent(pair))
     bad = sol.SeriesSoField(4, [None, mod])
-    assert 1e-7 < sol.first_structure_defects(bad, pair, None, 2)[1] < 1e-5
+    assert 1e-7 < sol.first_structure_defects(bad, pair, 2)[1] < 1e-5
     with pytest.raises(sol.IntegrabilityError) as err:
         sol.run_deformation(bad, pair, order_cap=2, psi=1e6 * pair.canonical_generator(2))
     assert err.value.order == 1
@@ -217,10 +206,6 @@ def test_run_rejects_bad_inputs(pair, bfield_family):
         sol.run_deformation(bfield_family, pair, order_cap=9)
     with pytest.raises(ValueError):
         sol.run_deformation([], pair, order_cap=2)
-    # a twist the seed spinor is not closed for
-    h = three_form((0, 1, 2, 0.5))
-    with pytest.raises(sol.IntegrabilityError):
-        sol.run_deformation(bfield_family, pair, h=h, order_cap=2)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +350,150 @@ def test_conjugated_route_matches_direct(pair, bfield_family, bfield_report):
     bg = gh.TorusBackground(pair, support, None)
     b_low = bfield_report.b.truncate(1)
     data = sol.order_residual(2, bfield_family, b_low, bg, bfield_report.psi0)
-    other = sol.conjugated_residual_series(bfield_family, b_low, bfield_report.psi0, None, 2)
+    other = sol.conjugated_residual_series(bfield_family, b_low, bfield_report.psi0, 2)
     assert bg.norm(other.term(2) - data.rho) < 1e-12
     assert other.term(1).coeff_norm() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the series exponential against the operator-series route
+
+
+def _op_series_mul(A, B, order_cap):
+    torus_dim, dim = A[0].torus_dim, A[0].value_dim
+    out = [gf.FourierOperatorField(torus_dim, dim) for _ in range(order_cap + 1)]
+    for i, Ai in enumerate(A[: order_cap + 1]):
+        if not Ai.coeffs:
+            continue
+        for j in range(order_cap + 1 - i):
+            if j < len(B) and B[j].coeffs:
+                out[i + j] = out[i + j] + Ai @ B[j]
+    return out
+
+
+def _op_series_exp(X, order_cap):
+    """Exponential of an operator series with X[0] = 0, truncated at the cap."""
+    torus_dim, dim = X[0].torus_dim, X[0].value_dim
+    out = [gf.FourierOperatorField(torus_dim, dim) for _ in range(order_cap + 1)]
+    out[0] = gf.FourierOperatorField.identity(torus_dim, dim)
+    term = list(out)
+    for j in range(1, order_cap + 1):
+        term = [(1.0 / j) * f for f in _op_series_mul(term, X, order_cap)]
+        if all(not f.coeffs for f in term):
+            break
+        out = [a + b for a, b in zip(out, term)]
+    return out
+
+
+def _op_series_product(factors, order_cap, *, spin, invert=False):
+    """Operator series of ``exp(f_1) ... exp(f_F)``, or of its inverse, on
+    spinors (``spin``) or on the doubled bundle."""
+    m = factors[0].torus_dim
+    dim = cl.spinor_dim(m) if spin else 2 * m
+    out = [gf.FourierOperatorField(m, dim) for _ in range(order_cap + 1)]
+    out[0] = gf.FourierOperatorField.identity(m, dim)
+    for f in reversed(factors) if invert else factors:
+        X = f.spin_terms() if spin else f.padded(order_cap)
+        out = _op_series_mul(out, _op_series_exp([-1.0 * x for x in X] if invert else X, order_cap), order_cap)
+    return out
+
+
+def _oracle_conjugated_residual(factors, psi, order_cap):
+    m = factors[0].torus_dim
+    seed = gf.FourierField.constant(m, psi)
+    E = _op_series_product(factors, order_cap, spin=True)
+    Einv = _op_series_product(factors, order_cap, spin=True, invert=True)
+    dmoved = [gf.twisted_derivative(op.act(seed)) for op in E]
+    out = []
+    for k in range(order_cap + 1):
+        acc = gf.FourierField(m, seed.value_dim)
+        for i in range(k + 1):
+            if Einv[i].coeffs and dmoved[k - i].coeffs:
+                acc = acc + Einv[i].act(dmoved[k - i])
+        out.append(acc)
+    return out
+
+
+def _oracle_structure_series(factors, J, order_cap):
+    m = factors[0].torus_dim
+    E = _op_series_product(factors, order_cap, spin=False)
+    Einv = _op_series_product(factors, order_cap, spin=False, invert=True)
+    J0 = gf.FourierOperatorField.constant(m, np.asarray(J, dtype=complex))
+    out = []
+    for k in range(order_cap + 1):
+        acc = gf.FourierOperatorField(m, 2 * m)
+        for i in range(k + 1):
+            if E[i].coeffs and Einv[k - i].coeffs:
+                acc = acc + E[i] @ J0 @ Einv[k - i]
+        out.append(acc)
+    return out
+
+
+def random_family(rng, m, modes):
+    """Real so-valued family with one random mode per ``(order, frequency)``."""
+    terms = [None] + [gf.FourierOperatorField(m, 2 * m) for _ in range(max(j for j, _ in modes))]
+    for j, k in modes:
+        symmetric_mode(terms[j], k, 0.3 * cl.random_so_element(rng, m))
+    return sol.SeriesSoField(m, terms)
+
+
+@pytest.fixture(scope="module", params=[(4, 4), (6, 3)], ids=["m4-k4", "m6-k3"])
+def oracle_case(request):
+    """Two ``a`` factors and a ``b`` on the flat Kahler T^m, order cap K."""
+    m, K = request.param
+    rng = np.random.default_rng(10 * m + K)
+    e = np.eye(m, dtype=int)
+    a1 = random_family(rng, m, [(1, tuple(e[0])), (2, tuple(e[1] + e[2]))])
+    a2 = random_family(rng, m, [(1, tuple(e[1])), (1, tuple(e[3] - e[0]))])
+    b = random_family(rng, m, [(1, tuple(e[2])), (2, (0,) * m)])
+    return gs.standard_kahler_pair(m), [a1, a2], b, K
+
+
+def assert_series_close(got, want):
+    """Per order, within 1e-13 of the coefficient norm of the oracle."""
+    assert len(got) == len(want)
+    for j, (g, w) in enumerate(zip(got, want)):
+        assert (g - w).coeff_norm() <= 1e-13 * w.coeff_norm(), j
+
+
+def test_series_exp_action_matches_operator_route(oracle_case):
+    pair, a, b, K = oracle_case
+    psi0 = pair.canonical_generator(2)
+    seed = gf.FourierField.constant(pair.m, psi0)
+    want = [op.act(seed) for op in _op_series_product(a + [b], K, spin=True)]
+    assert all(w.coeff_norm() > 1e-3 for w in want)
+    assert_series_close(sol.series_exp_action(a, b, psi0, K).terms, want)
+
+
+def test_conjugated_residual_series_matches_operator_route(oracle_case):
+    pair, a, b, K = oracle_case
+    psi0 = pair.canonical_generator(2)
+    want = _oracle_conjugated_residual(a + [b], psi0, K)
+    assert all(w.coeff_norm() > 1e-3 for w in want[1:])
+    assert_series_close(sol.conjugated_residual_series(a, b, psi0, K).terms, want)
+
+
+def test_first_structure_defects_match_operator_route(oracle_case):
+    pair, a, _, K = oracle_case
+    P_good = pair.proj1[pair.n - 1]
+    got = sol.first_structure_defects(a, pair, K)
+    assert len(got) == K + 1
+    for j, q in enumerate(_oracle_conjugated_residual(a, pair.canonical_generator(1), K)):
+        want = q.map_values(lambda v: v - P_good @ v).coeff_norm()
+        assert abs(got[j] - want) <= 1e-13 * q.coeff_norm(), j
+        assert j == 0 or want > 1e-3
+
+
+def test_structure_series_match_operator_route(oracle_case):
+    pair, a, b, K = oracle_case
+    want = _oracle_structure_series(a + [b], pair.J1, K)
+    assert all(w.coeff_norm() > 1e-3 for w in want)
+    assert_series_close(sol.structure_series_of_family(a + [b], pair.J1, K), want)
+
+    C = a[0].term(1) + b.term(2)
+    want = _oracle_structure_series([sol.SeriesSoField.linear(pair.m, C)], pair.J2, K)
+    assert all(w.coeff_norm() > 1e-3 for w in want)
+    assert_series_close(sol.conjugated_structure_series(C, pair.J2, K), want)
 
 
 def test_gauge_precomposition_changes_corrections_not_success(pair, bfield_family, bfield_report):
@@ -402,7 +528,7 @@ def test_verification_scales_with_the_order_cap(pair, bfield_report):
 def _oracle_verify_gk_at_t(report, t, *, count=16, seed=0):
     """Per point: dense exponentials, inverses and one Frechet derivative
     ``expm_frechet(spin(alpha_f), spin(d_d alpha_f))`` per family and direction."""
-    pair, h = report.pair, report.h
+    pair = report.pair
     m = pair.m
     dim = cl.spinor_dim(m)
     points = gf.uniform_points(np.random.default_rng(seed), count, m)
@@ -410,7 +536,6 @@ def _oracle_verify_gk_at_t(report, t, *, count=16, seed=0):
     vals = [f.evaluate(t, points) for f in families]
     grads = [f.evaluate_gradient(t, points) for f in families]
     W = cl.wedge_matrices(m)
-    twist_op = cl.wedge_operator(gf.three_form_spinor(h)) if h is not None else np.zeros((dim, dim))
     P = cl.pairing_matrix(m)
     psi0 = report.psi0[(0,) * m]
     eye = np.eye(2 * m)
@@ -447,7 +572,7 @@ def _oracle_verify_gk_at_t(report, t, *, count=16, seed=0):
         spins = [cl.spin_lie_action(v[p]) for v in vals]
         spin_exps = [scipy.linalg.expm(S) for S in spins]
         psi_t = product(spin_exps, dim) @ psi0
-        dpsi = twist_op @ psi_t
+        dpsi = np.zeros(dim, dtype=complex)
         for d in range(m):
             for f in range(len(families)):
                 frech = scipy.linalg.expm_frechet(spins[f], cl.spin_lie_action(grads[f][d][p]), compute_expm=False)
@@ -470,23 +595,19 @@ M4_COEFFS = ([0.0, 0.3, -0.2, 0.1], [0.15, 0.0, 0.1, -0.25])
 M6_COEFFS = ([0.0, 0.3, -0.2, 0.1, 0.2, -0.1], [0.15, 0.0, 0.1, -0.25, 0.0, 0.1])
 
 
-def twisted_two_factor_report():
-    # No constant pair on a flat torus tried here has a closed seed and an
-    # integrable first structure for a nonzero twist, so the twist is put on
-    # a solved report: the verification reads it but not how it was solved.
+def two_factor_report():
     pair4 = gs.standard_kahler_pair(4)
-    report = exact_bfield_report(4, 3, *M4_COEFFS, extra=[gauge_family(pair4, np.random.default_rng(14))])
-    return dataclasses.replace(report, h=three_form((0, 1, 2, 0.3), (1, 2, 3, -0.2)))
+    return exact_bfield_report(4, 3, *M4_COEFFS, extra=[gauge_family(pair4, np.random.default_rng(14))])
 
 
 @pytest.mark.parametrize(
     "build, t, count",
     [
         (lambda: exact_bfield_report(4, 4, *M4_COEFFS), 1e-2, 8),
-        (twisted_two_factor_report, 2e-2, 6),
+        (two_factor_report, 2e-2, 6),
         (lambda: exact_bfield_report(6, 3, *M6_COEFFS), 1e-1, 4),
     ],
-    ids=["acceptance-m4-k4", "twisted-two-factors", "exact-bfield-m6-k3"],
+    ids=["acceptance-m4-k4", "two-factors", "exact-bfield-m6-k3"],
 )
 def test_verification_matches_dense_exponential_route(build, t, count):
     report = build()
@@ -500,8 +621,6 @@ def test_verification_matches_dense_exponential_route(build, t, count):
         assert abs(got["psi_sup"] - want["psi_sup"]) <= 1e-13 * want["psi_sup"]
         slack = 1e-6 * want["derivative_sup"] + 1e-14 * report.psi_norm
         assert abs(got["derivative_sup"] - want["derivative_sup"]) <= slack
-    if report.h is not None:
-        assert got["derivative_sup"] > 1e-2  # the twist term is exercised
 
 
 @pytest.mark.parametrize("size", [0.01, 1.0, 20.0])
