@@ -252,7 +252,10 @@ def build_seed(doc: dict, pair: gs.HermitianPair) -> tuple[np.ndarray, complex]:
             raise ConfigError("seed_spinor.scale must be nonzero")
     else:
         raise ConfigError("seed_spinor must be 'canonical' or {'scale': ...}")
-    return scale * pair.canonical_generator(2), scale
+    seed = scale * pair.canonical_generator(2)
+    if not 0 < np.vdot(seed, seed).real < np.inf:
+        raise ConfigError(f"seed_spinor.scale {abs(scale):.3g} makes the squared seed norm overflow or vanish")
+    return seed, scale
 
 
 def _one_form_from_modes(modes, m: int) -> gf.FourierField:
@@ -330,7 +333,11 @@ def build_deformation(doc: dict, pair: gs.HermitianPair, order_cap: int) -> list
         elif kind == "exact-b-field":
             _require_keys(item, {"kind", "one_form"}, {"kind", "one_form"}, "exact-b-field")
             xi = _one_form_from_modes(item["one_form"], m)
-            generator = gf.one_form_differential(xi).map_values(cl.two_form_so)
+            with np.errstate(over="ignore"):  # an overflowing norm is reported below
+                generator = gf.one_form_differential(xi).map_values(cl.two_form_so)
+                norm = generator.coeff_norm()
+            if not np.isfinite(norm):
+                raise ConfigError("exact-b-field one_form is too large: the norm of its differential overflows")
             target = sol.conjugated_structure_series(generator, pair.J1, order_cap)
             try:
                 factors.append(sol.extract_transverse_family(pair.J1, target, order_cap))
@@ -497,8 +504,7 @@ def cmd_verify_hodge(args) -> int:
     box = doc.get("frequency_box", 1)
     if not _is_int(box) or box < 1:
         raise ConfigError("frequency_box must be a positive integer")
-    support = gf.frequencies_box(m, box)
-    bg = gh.TorusBackground(pair, support, h)
+    bg = gh.TorusBackground(pair, gf.frequencies_box(m, box), h)
 
     D = bg.derivative
     scale = D.coeff_norm()
@@ -516,7 +522,7 @@ def cmd_verify_hodge(args) -> int:
     torsion_second = 0.0
     full = None
     for shift in gh.COMPONENT_SHIFTS:
-        comp = delta_ops[shift] if shift in delta_ops else gh.component_operator(shift, pair, support, h)
+        comp = delta_ops[shift] if shift in delta_ops else gh.component_operator(shift, pair, bg.support, h)
         full = comp if full is None else full + comp
         if abs(shift[0]) == 1 and abs(shift[1]) == 1:
             level_one = comp if level_one is None else level_one + comp
@@ -573,7 +579,7 @@ def cmd_verify_hodge(args) -> int:
 
         G = bg.green
         lap = bg.laplace
-        eye = gh.BlockOperator.identity(m, cl.spinor_dim(m), support)
+        eye = gh.BlockOperator.identity(m, cl.spinor_dim(m), bg.support)
         add("green_commutes_with_laplacian", _operator_residual(G @ lap - lap @ G, 1.0))
         add("green_plus_harmonic_resolve_identity", _operator_residual(lap @ G + bg.harmonic - eye, 1.0))
         g_other = gh.green_operator(gh.laplacian(ops["delta_bar-"], bg.gram), bg.gram)

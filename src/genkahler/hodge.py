@@ -4,11 +4,17 @@ Because the background pair, b-field and twisting three-form are constant on
 the torus, every operator of interest (twisted derivative, its graded
 components, their adjoints, Laplacians and Green operators) is block-diagonal
 over frequencies.  A :class:`BlockOperator` holds its ``n x n`` blocks
-(``n = 2**m``) as one ``(S, n, n)`` array over the sorted support of ``S``
-frequencies and refuses to act outside that support.  Every operation is one
+(``n = 2**m``) as one ``(S, n, n)`` array over a :class:`Support` of ``S``
+sorted frequencies and refuses to act outside it.  Every operation is one
 batched numpy call on that array: sums and scalar multiples on the stack,
 products as one batched ``matmul``, adjoints with one factorization of the
-Gram matrix for all blocks, Green operators with one batched ``eigh``.
+Gram matrix for all blocks.
+
+Untwisted, Gualtieri's identities (*Generalized Kahler geometry*, CMP 331
+(2014), arXiv:1007.3485) give the graded structure in closed form: the
+components are Clifford actions ``delta_s(k) = i cl(pi_s k)`` and
+``4 Lap_{delta+}(k) = |k|^2_{g^-1} Id``.  ``laplacian`` and the batched
+``eigh`` of ``green_operator`` serve the twisted case and cross-checks.
 
 The inner product is ``h(f, g) = sum_k (f_k, star conj(g_k))_Ch`` with the
 star taken in the standard torus orientation; this is the unique placement of
@@ -24,13 +30,14 @@ from functools import cached_property
 
 import numpy as np
 
-from genkahler.clifford import chevalley_gram, spinor_dim, wedge_matrices, wedge_operator
+from genkahler.clifford import chevalley_gram, clifford_matrices, spinor_dim, wedge_matrices, wedge_operator
 from genkahler.fields import FourierField, three_form_spinor
 from genkahler.structures import HermitianPair, hodge_star
 
 __all__ = [
     "DELTA_SHIFTS",
     "COMPONENT_SHIFTS",
+    "Support",
     "BlockOperator",
     "l2_gram",
     "l2_inner",
@@ -40,7 +47,6 @@ __all__ = [
     "component_operator",
     "laplacian",
     "green_operator",
-    "harmonic_projector",
     "TorusBackground",
 ]
 
@@ -60,21 +66,35 @@ COMPONENT_SHIFTS: tuple[tuple[int, int], ...] = tuple(
 )
 
 
+class Support(tuple):
+    """Sorted distinct integer frequencies and their row index; sorted once,
+    since a ``Support`` given where a support is expected is used as it is."""
+
+    def __new__(cls, frequencies):
+        if isinstance(frequencies, Support):
+            return frequencies
+        return super().__new__(cls, sorted({tuple(int(v) for v in k) for k in frequencies}))
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        return {k: row for row, k in enumerate(self)}
+
+
 class BlockOperator:
     """Frequency-diagonal operator on spinor fields over a fixed support.
 
-    ``support`` is the sorted tuple of the ``S`` frequencies, ``index`` maps
-    each of them to its row, and ``stack`` is one complex ``(S, n, n)`` array
-    holding the block of row ``s`` at ``stack[s]`` (a zero block where none
-    was given).  Results of the algebra share the support and index of their
-    operands; only this constructor sorts and validates a support.
+    ``support`` is the :class:`Support` of the ``S`` frequencies, ``index``
+    maps each of them to its row, and ``stack`` is one complex ``(S, n, n)``
+    array holding the block of row ``s`` at ``stack[s]`` (a zero block where
+    none was given).  Results of the algebra share the support and index of
+    their operands.
     """
 
     def __init__(self, torus_dim: int, value_dim: int, support, blocks=None, label: str = ""):
         self.torus_dim, self.value_dim, self.label = int(torus_dim), int(value_dim), label
         n = self.value_dim
-        self.support = tuple(sorted({tuple(map(int, k)) for k in support}))
-        self.index = {k: row for row, k in enumerate(self.support)}
+        self.support = Support(support)
+        self.index = self.support.index
         self.stack = np.zeros((len(self.support), n, n), dtype=complex)
         for k, B in (blocks or {}).items():
             key = tuple(int(v) for v in k)
@@ -252,12 +272,13 @@ def component_operator(
 ) -> BlockOperator:
     """Graded component of the twisted derivative for one (dp, dq) shift.
 
-    Affine in the frequency: ``derivative_block(k) = i sum_j k_j W_j + H^``
-    (``W_j`` the wedge by ``dx_{j+1}``), so the block at ``k`` is
-    ``i sum_j k_j C_j + C_H`` with ``C_j = sum_{(p,q)} P_{p+dp,q+dq} W_j P_{pq}``
-    over the bigrading and ``C_H`` the same sum with ``H^`` in place of
-    ``W_j`` (only when ``h`` is set).  The m (+1) matrices are built once per
-    call; the stack is one ``(S, m (+1)) @ (m (+1), n^2)`` product.
+    Affine in the frequency: the block at ``k`` is ``i sum_j k_j C_j + C_H``.
+    ``i sum_j k_j dx_j^`` is the Clifford action of the covector ``k``, and
+    that of a vector in the sector ``pi_s = (1 - i dp J1)/2 (1 + dp dq G)/2``
+    shifts every ``U^{p,q}`` by exactly ``(dp, dq)`` (Gualtieri, CMP 331
+    (2014)).  So ``C_j = cl(pi_s dx_j)`` for the level-one shifts and 0 for
+    the +-3 shifts; ``C_H`` (only with ``h``) is the bigrading sum
+    ``sum_{(p,q)} P_{p+dp,q+dq} H^ P_{pq}``.  The stack is one GEMM.
     """
     shift = (int(shift[0]), int(shift[1]))
     if shift not in COMPONENT_SHIFTS:
@@ -266,24 +287,15 @@ def component_operator(
     m = pair.m
     n = spinor_dim(m)
     out = BlockOperator(m, n, support, label=f"dH[{dp},{dq}]")
-
-    # W_j is a signed row permutation: (W_j @ X)[J] = sign[j, J] * X[src[j, J]]
-    W = np.stack(wedge_matrices(m))
-    src = np.abs(W).argmax(axis=2)
-    sign = np.take_along_axis(W, src[..., None], axis=2)
-    Hw = None if h is None else wedge_operator(three_form_spinor(h))
-    grading = pair.bigrading
-    terms = np.zeros((m + (Hw is not None), n, n), dtype=complex)
-    for (p, q), Ppq in grading.items():
-        target = grading.get((p + dp, q + dq))
-        if target is None:
-            continue
-        right = sign * Ppq[src]
-        if Hw is not None:
-            right = np.concatenate([right, (Hw @ Ppq)[None]])
-        terms += target @ right
-
-    out.stack = _affine_stack(out.support, terms, Hw is not None)
+    if abs(dp) == abs(dq) == 1:
+        terms = clifford_matrices(pair.sector_projector(dp * dq > 0, dp > 0)[:, m:].T)
+    else:
+        terms = np.zeros((m, n, n), dtype=complex)
+    if h is not None:
+        Hw, grading = wedge_operator(three_form_spinor(h)), pair.bigrading
+        C_H = sum(grading[(p + dp, q + dq)] @ Hw @ P for (p, q), P in grading.items() if (p + dp, q + dq) in grading)
+        terms = np.concatenate([terms, np.broadcast_to(C_H, (1, n, n))])  # C_H is 0 when no level is shifted
+    out.stack = _affine_stack(out.support, terms, h is not None)
     return out
 
 
@@ -324,30 +336,26 @@ def green_operator(lap: BlockOperator, pair_or_gram, rcond: float = 1e-10) -> Bl
     return lap._like(herm, f"Green({lap.label})")
 
 
-def harmonic_projector(lap: BlockOperator, green: BlockOperator) -> BlockOperator:
-    eye = BlockOperator.identity(lap.torus_dim, lap.value_dim, lap.support)
-    out = eye - lap @ green
-    out.label = "harmonic"
-    return out
-
-
 # ---------------------------------------------------------------------------
 # a bundled background
 
 
 class TorusBackground:
-    """Constant generalized Kahler background with a fixed frequency support.
+    """Constant generalized Kahler background over one :class:`Support`.
 
-    Caches the Gram matrix, the twisted derivative, its four components,
-    the reference Laplacian (of the (+1,+1) component), its Green operator
-    and the harmonic projector.
+    Caches the Gram matrix, the twisted derivative, its four components, the
+    reference Laplacian (of the (+1,+1) component), its Green operator and
+    the harmonic projector.  Untwisted, ``4 Lap_{delta+}(k) = |k|^2_{g^-1}
+    Id`` (Gualtieri, CMP 331 (2014)): the Green operator is ``4/|k|^2_{g^-1}``
+    off ``k = 0`` and zero there, the harmonic projector the identity at
+    ``k = 0``.  Twisted, both come from the computed Laplacian.
     """
 
     def __init__(self, pair: HermitianPair, support, h: np.ndarray | None = None, rcond: float = 1e-10):
         self.pair = pair
         self.h = h
         self.rcond = rcond
-        self.support = tuple(sorted(tuple(int(v) for v in k) for k in support))
+        self.support = Support(support)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -368,13 +376,27 @@ class TorusBackground:
     def laplace(self) -> BlockOperator:
         return laplacian(self.components["delta+"], self.gram)
 
+    def _scalar(self, of_k2, label: str) -> BlockOperator:
+        """The operator ``of_k2(|k|^2_{g^-1}) Id`` on the block of every ``k``."""
+        m = self.pair.m
+        k = np.array(self.support, dtype=float).reshape(len(self.support), m)
+        k2 = np.einsum("si,ij,sj->s", k, np.linalg.inv(self.pair.metric), k)
+        op = BlockOperator(m, spinor_dim(m), self.support, label=label)
+        op.stack = of_k2(k2)[:, None, None] * np.eye(op.value_dim, dtype=complex)
+        return op
+
     @cached_property
     def green(self) -> BlockOperator:
-        return green_operator(self.laplace, self.gram, rcond=self.rcond)
+        if self.h is not None:
+            return green_operator(self.laplace, self.gram, rcond=self.rcond)
+        return self._scalar(lambda k2: np.divide(4.0, k2, out=np.zeros_like(k2), where=k2 > 0), "Green")
 
     @cached_property
     def harmonic(self) -> BlockOperator:
-        return harmonic_projector(self.laplace, self.green)
+        if self.h is not None:
+            eye = BlockOperator.identity(self.pair.m, spinor_dim(self.pair.m), self.support)
+            return eye - self.laplace @ self.green
+        return self._scalar(lambda k2: (k2 == 0).astype(float), "harmonic")
 
     def inner(self, f: FourierField, g: FourierField) -> complex:
         return l2_inner(f, g, self.gram)

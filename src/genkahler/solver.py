@@ -65,7 +65,6 @@ __all__ = [
     "structure_series_of_family",
     "extract_transverse_family",
     "commutant_part",
-    "anticommutant_part",
 ]
 
 MAX_ORDER = 8
@@ -77,6 +76,11 @@ class IntegrabilityError(RuntimeError):
     def __init__(self, message: str, order: int | None = None):
         super().__init__(message)
         self.order = order
+
+
+def _exceeds(value: float, bound: float) -> bool:
+    """``value > bound``, and true on NaN: an overflowed check fails, never passes."""
+    return not value <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +113,11 @@ class SeriesSoField:
         if not self.terms:
             self.terms = [FourierOperatorField(self.torus_dim, self.value_dim)]
         if check:
-            if self.terms[0].coeff_norm() > tol:
+            if _exceeds(self.terms[0].coeff_norm(), tol):
                 raise ValueError("series family does not vanish at t = 0")
             for j, term in enumerate(self.terms):
                 for k, c in term.coeffs.items():
-                    if so_residual(c) > tol * max(1.0, float(np.linalg.norm(c))):
+                    if _exceeds(so_residual(c), tol * max(1.0, float(np.linalg.norm(c)))):
                         raise ValueError(f"order-{j} coefficient at {k} is not in so(m,m)")
                 if require_real and not term.is_real(tol):
                     raise ValueError(f"order-{j} term is not a real field")
@@ -153,15 +157,6 @@ class SeriesSoField:
 
     def conj(self) -> "SeriesSoField":
         return SeriesSoField(self.torus_dim, [t.conj() for t in self.terms], check=False)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(t.coeff_norm() <= tol for t in self.terms)
-
-    def support(self) -> list[tuple[int, ...]]:
-        out = set()
-        for t in self.terms:
-            out.update(t.coeffs)
-        return sorted(out)
 
     def weighted_support(self) -> list[tuple[int, tuple[int, ...]]]:
         """Pairs (order, frequency) over all nonzero coefficients."""
@@ -227,9 +222,6 @@ class SeriesSpinorField:
             if term.coeffs:
                 out += (t ** j) * term.evaluate(points)
         return out
-
-    def coeff_norms(self) -> list[float]:
-        return [t.coeff_norm() for t in self.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +370,6 @@ class OrderData:
     outside_norm: float
     component_closed: dict[str, float]
     cross_sum: float
-    prior_norms: list[float]
     rho_norm: float
 
 
@@ -426,7 +417,7 @@ def order_residual(
     derivs = [twisted_derivative(psi_series.term(j), background.h) for j in range(order + 1)]
     prior = [background.norm(derivs[j]) for j in range(order)]
     if check:
-        bad = [j for j, v in enumerate(prior) if v > tol * scale]
+        bad = [j for j, v in enumerate(prior) if _exceeds(v, tol * scale)]
         if bad:
             raise ValueError(f"residual below order {order} is nonzero at orders {bad}")
 
@@ -439,7 +430,7 @@ def order_residual(
     for f in comps.values():
         inside = inside + f
     outside_norm = background.norm(rho - inside)
-    if check and outside_norm > tol * scale:
+    if check and _exceeds(outside_norm, tol * scale):
         raise ValueError(f"order-{order} obstruction leaks outside the four corners ({outside_norm:.3e})")
 
     ops = background.components
@@ -448,7 +439,7 @@ def order_residual(
         for name, corner in _annihilating_arrows(n).items()
     }
     if check:
-        bad_ops = {k: v for k, v in closed.items() if v > tol * scale}
+        bad_ops = {k: v for k, v in closed.items() if _exceeds(v, tol * scale)}
         if bad_ops:
             raise ValueError(f"corner components are not closed under their outgoing arrows: {bad_ops}")
 
@@ -459,7 +450,7 @@ def order_residual(
         + ops["delta_bar+"].act(comps[(1, n - 1)])
     )
     cross_sum = background.norm(cross)
-    if check and cross_sum > tol * scale:
+    if check and _exceeds(cross_sum, tol * scale):
         raise ValueError(f"mixed corner sum does not cancel ({cross_sum:.3e})")
 
     return OrderData(
@@ -469,7 +460,6 @@ def order_residual(
         outside_norm=outside_norm,
         component_closed=closed,
         cross_sum=cross_sum,
-        prior_norms=prior,
         rho_norm=background.norm(rho),
     )
 
@@ -508,11 +498,11 @@ def solve_phi(
         "phi_exactness": exactness,
         "phi_off_grade": off_grade,
     }
-    if check and agreement > tol_agree * scale:
+    if check and _exceeds(agreement, tol_agree * scale):
         raise ValueError(f"the two potential expressions disagree ({agreement:.3e})")
-    if check and exactness > tol_exact * scale:
+    if check and _exceeds(exactness, tol_exact * scale):
         raise ValueError(f"potential does not reproduce the obstruction ({exactness:.3e})")
-    if check and off_grade > tol_agree * scale:
+    if check and _exceeds(off_grade, tol_agree * scale):
         raise ValueError(f"potential leaves the middle component ({off_grade:.3e})")
     return phi, info
 
@@ -562,7 +552,7 @@ def beta_from_phi(
     for k, v in sorted(phi.coeffs.items()):
         c = pinv @ v
         resid = float(np.linalg.norm(M @ c - v))
-        if resid > tol * max(float(np.linalg.norm(v)), 1e-300):
+        if _exceeds(resid, tol * max(float(np.linalg.norm(v)), 1e-300)):
             raise ValueError(f"potential at frequency {k} is not in the correction range ({resid:.3e})")
         out.coeffs[k] = np.tensordot(c, basis_stack, axes=(0, 0))
     return out.prune(0.0)
@@ -635,7 +625,6 @@ def run_deformation(
     psi=None,
     tol_order: float = 1e-9,
     tol_checks: float = 1e-10,
-    rcond: float = 1e-10,
 ) -> SolutionReport:
     """Build the compensating family order by order and verify each step.
 
@@ -653,13 +642,13 @@ def run_deformation(
     torus_dim = pair.m
     seed = _seed_field(torus_dim, psi if psi is not None else pair.canonical_generator(2))
     support = support_closure(factors + [seed], order_cap, torus_dim)
-    background = TorusBackground(pair, support, rcond=rcond)
+    background = TorusBackground(pair, support)
     psi_norm = background.norm(seed)
-    if psi_norm <= 0:
-        raise ValueError("seed spinor vanishes")
+    if not 0 < psi_norm < np.inf:
+        raise ValueError(f"seed spinor norm {psi_norm:.3e} is zero or not finite")
 
     seed_closed = background.norm(twisted_derivative(seed))
-    if seed_closed > tol_checks * psi_norm:
+    if _exceeds(seed_closed, tol_checks * psi_norm):
         raise IntegrabilityError(f"seed spinor is not closed ({seed_closed:.3e})", order=0)
 
     # the defects measure the transported generator of the first structure,
@@ -667,7 +656,7 @@ def run_deformation(
     defects = first_structure_defects(factors, pair, order_cap)
     gen_norm = float(np.linalg.norm(pair.canonical_generator(1)))
     for j, d in enumerate(defects):
-        if d > tol_checks * gen_norm:
+        if _exceeds(d, tol_checks * gen_norm):
             raise IntegrabilityError(
                 f"deformed first structure loses integrability at order {j} ({d:.3e})", order=j
             )
@@ -688,7 +677,7 @@ def run_deformation(
 
         acted = beta.map_values(spin_lie_action).act(seed) if beta.coeffs else FourierField(torus_dim, seed.value_dim)
         grading = background.norm(acted - acted.map_values(lambda v: mid_proj @ v))
-        if grading > tol_checks * psi_norm:
+        if _exceeds(grading, tol_checks * psi_norm):
             raise ValueError(f"order-{order} correction acts outside the middle component ({grading:.3e})")
 
         b = b.with_term(order, beta + beta.conj())
@@ -706,7 +695,7 @@ def run_deformation(
     residual_norms = [
         background.norm(twisted_derivative(psi_series.term(j))) for j in range(order_cap + 1)
     ]
-    bad = [j for j in range(1, order_cap + 1) if residual_norms[j] > tol_order * psi_norm]
+    bad = [j for j in range(1, order_cap + 1) if _exceeds(residual_norms[j], tol_order * psi_norm)]
     report = SolutionReport(
         pair=pair,
         order_cap=order_cap,
@@ -926,11 +915,6 @@ def commutant_part(J: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return 0.5 * (alpha - J @ alpha @ J)
 
 
-def anticommutant_part(J: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Component of an so element anticommuting with the structure."""
-    return 0.5 * (alpha + J @ alpha @ J)
-
-
 def extract_transverse_family(
     J: np.ndarray,
     target: list[FourierOperatorField],
@@ -954,14 +938,16 @@ def extract_transverse_family(
             SeriesSoField(torus_dim, terms, check=False), J, j
         )
         D = target[j] - partial[j]
+        if not all(np.isfinite(c).all() for c in D.coeffs.values()):
+            raise ValueError(f"order-{j} structure coefficient is not finite")
         obstruction = D.map_values(lambda c: commutant_part(J, c)).coeff_norm()
-        if obstruction > tol * max(1.0, D.coeff_norm()):
+        if _exceeds(obstruction, tol * max(1.0, D.coeff_norm())):
             raise ValueError(
                 f"order-{j} structure coefficient has a commutant component ({obstruction:.3e})"
             )
         a_j = D.map_values(lambda c: -0.5 * (c @ J)).prune(0.0)
         for k, c in a_j.coeffs.items():
-            if so_residual(c) > tol * max(1.0, float(np.linalg.norm(c))):
+            if _exceeds(so_residual(c), tol * max(1.0, float(np.linalg.norm(c)))):
                 raise ValueError(f"extracted order-{j} exponent at {k} leaves so(m,m)")
         terms.append(a_j)
     return SeriesSoField(torus_dim, terms, check=False)

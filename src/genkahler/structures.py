@@ -12,15 +12,12 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from genkahler.clifford import (
     _check_m,
-    clifford_vector_matrix,
+    chevalley_gram,
+    clifford_matrices,
     pairing_matrix,
-    require_so,
-    so_exp,
-    spin_lie_action,
     spinor_dim,
 )
 
@@ -72,8 +69,7 @@ def standard_complex_structure(m: int) -> np.ndarray:
     m = _check_m(m)
     if m % 2:
         raise ValueError("a complex structure needs an even dimension")
-    block = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return scipy.linalg.block_diag(*([block] * (m // 2)))
+    return np.kron(np.eye(m // 2), [[0.0, -1.0], [1.0, 0.0]])
 
 
 def standard_symplectic_form(m: int) -> np.ndarray:
@@ -81,8 +77,7 @@ def standard_symplectic_form(m: int) -> np.ndarray:
     m = _check_m(m)
     if m % 2:
         raise ValueError("a symplectic form needs an even dimension")
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return scipy.linalg.block_diag(*([block] * (m // 2)))
+    return np.kron(np.eye(m // 2), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def complex_structure_gcs(J_base: np.ndarray) -> np.ndarray:
@@ -113,28 +108,54 @@ def symplectic_gcs(omega: np.ndarray) -> np.ndarray:
     return out
 
 
+def _graded_projectors(L: np.ndarray, Lbar: np.ndarray, steps, top, gram: np.ndarray | None = None) -> dict:
+    """Projectors onto the label spaces of the Clifford words on a pure spinor.
+
+    ``L`` frames (columns) a maximal isotropic subspace, ``Lbar`` a
+    complement.  The pure spinor ``rho`` of ``L`` spans the common kernel of
+    ``cl(L)``, the image of the rank-one ``cl(l_1) ... cl(l_m)``.  The words
+    ``cl(lbar_I) rho`` over subsets ``I`` form a basis ``V``, the word of
+    ``I`` labelled ``top + sum_{i in I} steps[i]``; label ``s`` projects by
+    ``V_s (V^-1)_s``.
+    Given a ``gram`` A making the words orthogonal, ``V^-1 = (V^H A V)^-1
+    V^H A`` is solved from a nearly diagonal matrix.
+    """
+    word = clifford_matrices(L.T)
+    M = word[0]
+    for C in word[1:]:
+        M = M @ C
+    rho = M[:, np.argmax(np.linalg.norm(M, axis=0))]
+    V, labels = rho[:, None], np.array([top])
+    for C, step in zip(clifford_matrices(Lbar.T), steps):
+        V, labels = np.hstack([V, C @ V]), np.concatenate([labels, labels + step])
+    V /= np.linalg.norm(V, axis=0)
+    if gram is None:
+        V_inv = np.linalg.inv(V)
+    else:
+        H = V.conj().T @ gram
+        V_inv = np.linalg.solve(H @ V, H)
+    out = {}
+    for label in np.unique(labels, axis=0):
+        cols = (labels == label).all(axis=1)
+        out[tuple(int(v) for v in label)] = V[:, cols] @ V_inv[cols]
+    return out
+
+
 def iso_projectors(J: np.ndarray, tol: float = 1e-9) -> dict[int, np.ndarray]:
     """Projectors onto the eigenlevels of the spin action of ``J``.
 
-    The spin action has spectrum ``i*k`` for ``k = -m/2 .. m/2``; the level-k
-    projector is the Lagrange interpolation polynomial of the action.
+    The spin action has spectrum ``i*k`` for ``k = -m/2 .. m/2``.  The pure
+    spinor of the ``+i`` eigenspace ``L`` spans level ``n = m/2`` and every
+    vector of ``conj(L)`` lowers the level by one, so the words with ``|I|``
+    letters span level ``n - |I|`` (Gualtieri, Ann. of Math. 174 (2011)).
     """
     J = require_gcs(J, tol=tol)
     m = J.shape[0] // 2
     if m % 2:
         raise ValueError("the eigenlevel grading needs an even dimension")
-    n = m // 2
-    D = spin_lie_action(J)
-    eye = np.eye(spinor_dim(m), dtype=complex)
-    levels = range(-n, n + 1)
-    out = {}
-    for k in levels:
-        acc = eye
-        for j in levels:
-            if j != k:
-                acc = acc @ (D - 1j * j * eye) / (1j * (k - j))
-        out[k] = acc
-    return out
+    L = l_frame(J, tol=tol)
+    levels = _graded_projectors(L, L.conj(), [(-1,)] * m, (m // 2,))
+    return {k: P for (k,), P in levels.items()}
 
 
 def volume_spin_element(J: np.ndarray, projectors: dict[int, np.ndarray] | None = None) -> np.ndarray:
@@ -147,9 +168,7 @@ def volume_spin_element(J: np.ndarray, projectors: dict[int, np.ndarray] | None 
     return sum((1j**k) * Pk for k, Pk in sorted(projectors.items()))
 
 
-def canonical_generator(
-    J: np.ndarray, tol: float = 1e-8, projectors: dict[int, np.ndarray] | None = None
-) -> np.ndarray:
+def canonical_generator(J: np.ndarray, projectors: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """Generator of the top eigenlevel line, scaled so max|coeff| = 1.
 
     Deterministic: picks the largest column of the top-level projector and
@@ -158,10 +177,8 @@ def canonical_generator(
     """
     if projectors is None:
         projectors = iso_projectors(J)
-    n = max(projectors)
-    Pn = projectors[n]
-    sv = np.linalg.svd(Pn, compute_uv=False)
-    if sv[0] < tol or (len(sv) > 1 and sv[1] > 0.5):
+    Pn = projectors[max(projectors)]
+    if abs(np.trace(Pn) - 1.0) > 0.5:  # the trace of an idempotent is its rank
         raise ValueError("top eigenlevel is not a line")
     col = int(np.argmax(np.linalg.norm(Pn, axis=0)))
     v = Pn[:, col]
@@ -178,9 +195,9 @@ def _projector_column_space(Pmat: np.ndarray, rank: int) -> np.ndarray:
     return U[:, :rank]
 
 
-def l_frame(J: np.ndarray) -> np.ndarray:
+def l_frame(J: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Orthonormal frame (columns) of the +i eigenspace of ``J`` in C^{2m}."""
-    J = require_gcs(J)
+    J = require_gcs(J, tol=tol)
     m = J.shape[0] // 2
     proj = 0.5 * (np.eye(2 * m) - 1j * J)
     return _projector_column_space(proj, m)
@@ -251,35 +268,23 @@ def hodge_star(
     The result only depends on the frame through its orientation.
     """
     F = _metric_frame(metric, b_field, orientation)
-    m = F.shape[1]
-    M = np.eye(spinor_dim(m), dtype=complex)
-    for i in range(m):
-        M = clifford_vector_matrix(F[:, i]) @ M
+    M = np.eye(spinor_dim(F.shape[1]), dtype=complex)
+    for C in clifford_matrices(F.T):
+        M = C @ M
     return -M
 
 
 def _complex_orientation_sign(j: np.ndarray) -> int:
     """Orientation sign of frames ``(v1, j v1, v2, j v2, ...)`` for an
-    orthogonal complex structure ``j`` on R^m, relative to the standard one."""
-    j = np.asarray(j)
+    orthogonal complex structure ``j`` on R^m, relative to the standard one.
+
+    A +i eigenvector ``w`` has ``j Re w = -Im w``, so ``(Re w, -Im w)`` over a
+    complex basis of the eigenspace is such a frame; a change of that basis
+    has positive real determinant, so every basis gives the same sign.
+    """
     m = j.shape[0]
-    cols: list[np.ndarray] = []
-    for i in range(m):
-        if len(cols) == m:
-            break
-        cand = np.zeros(m)
-        cand[i] = 1.0
-        if cols:
-            Cmat = np.column_stack(cols)
-            cand = cand - Cmat @ (Cmat.T @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm < 1e-8:
-            continue
-        v = cand / nrm
-        cols.append(v)
-        cols.append(j @ v)
-    det = np.linalg.det(np.column_stack(cols))
-    return 1 if det > 0 else -1
+    W = _projector_column_space(0.5 * (np.eye(m) - 1j * np.asarray(j)), m // 2)
+    return 1 if np.linalg.det(np.stack([W.real, -W.imag], axis=2).reshape(m, m)) > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +357,37 @@ class HermitianPair:
             raise ValueError(f"star does not match the spin volume elements (residual {res:.3e})")
 
     @cached_property
+    def bigrading(self) -> dict[tuple[int, int], np.ndarray]:
+        """Projectors onto the ``U^{p,q}`` (|p|+|q| <= n, p+q = n mod 2).
+
+        Exact joint eigenbasis (Gualtieri, *Generalized Kahler geometry*, CMP
+        331 (2014), arXiv:1007.3485): the pure spinor of ``L_1 = V_+^{1,0} +
+        V_-^{1,0}`` spans ``U^{n,0}``, and vectors of ``V_+^{0,1}`` and
+        ``V_-^{0,1}`` shift (p, q) by (-1, -1) and (-1, +1), so the words with
+        ``a`` and ``b`` letters from their frames span ``U^{n-a-b, b-a}``.
+        These are orthogonal for the pair's L2 Gram matrix ``+-(C star)^T``.
+        """
+        n = self.n
+        L = np.hstack([self.sector_frame(True, True), self.sector_frame(False, True)])
+        Lbar = np.hstack([self.sector_frame(True, False), self.sector_frame(False, False)])
+        gram = (chevalley_gram(self.m) @ self.star).T
+        return _graded_projectors(L, Lbar, [(-1, -1)] * n + [(-1, 1)] * n, (n, 0), gram)
+
+    def _levels(self, axis: int) -> dict[int, np.ndarray]:
+        out: dict[int, np.ndarray] = {}
+        for key, P in self.bigrading.items():
+            out[key[axis]] = out.get(key[axis], 0) + P
+        return dict(sorted(out.items()))
+
+    @cached_property
     def proj1(self) -> dict[int, np.ndarray]:
-        return iso_projectors(self.J1, tol=self.tol)
+        """Eigenlevel projectors of the first structure: bigrading sums over q."""
+        return self._levels(0)
 
     @cached_property
     def proj2(self) -> dict[int, np.ndarray]:
-        return iso_projectors(self.J2, tol=self.tol)
-
-    @cached_property
-    def bigrading(self) -> dict[tuple[int, int], np.ndarray]:
-        """Joint projectors; only levels with |p|+|q| <= n and p+q = n mod 2 survive."""
-        out = {}
-        for p, Pp in sorted(self.proj1.items()):
-            for q, Pq in sorted(self.proj2.items()):
-                if abs(p) + abs(q) <= self.n and (p + q - self.n) % 2 == 0:
-                    out[(p, q)] = Pp @ Pq
-        return out
+        """Eigenlevel projectors of the second structure: bigrading sums over p."""
+        return self._levels(1)
 
     def projector(self, p: int, q: int) -> np.ndarray:
         zero = np.zeros((spinor_dim(self.m), spinor_dim(self.m)), dtype=complex)
@@ -376,20 +396,17 @@ class HermitianPair:
     def component(self, phi: np.ndarray, p: int, q: int) -> np.ndarray:
         return self.projector(p, q) @ np.asarray(phi, dtype=complex)
 
-    def sector_frame(self, plus: bool, holo: bool) -> np.ndarray:
-        """Orthonormal frame of the rank-n intersection of the +-1 eigenspace of
-        the product with the (anti)holomorphic eigenspace of the first structure."""
+    def sector_projector(self, plus: bool, holo: bool) -> np.ndarray:
+        """``(1 - i s_h J1)/2 (1 + s_p G)/2``, onto the +-1 eigenspace of the
+        product within the (anti)holomorphic eigenspace of the first structure."""
         eye = np.eye(2 * self.m)
         s_h = 1.0 if holo else -1.0
         s_p = 1.0 if plus else -1.0
-        proj = (0.5 * (eye - 1j * s_h * self.J1)) @ (0.5 * (eye + s_p * self.G))
-        return _projector_column_space(proj, self.n)
+        return (0.5 * (eye - 1j * s_h * self.J1)) @ (0.5 * (eye + s_p * self.G))
 
-    def conjugate(self, alpha: np.ndarray) -> "HermitianPair":
-        """Transport the whole pair by the exponential of an so(m,m) element."""
-        E = so_exp(require_so(alpha))
-        Einv = np.linalg.inv(E)
-        return HermitianPair((E @ self.J1 @ Einv).real, (E @ self.J2 @ Einv).real, tol=self.tol)
+    def sector_frame(self, plus: bool, holo: bool) -> np.ndarray:
+        """Orthonormal frame of the rank-n image of ``sector_projector``."""
+        return _projector_column_space(self.sector_projector(plus, holo), self.n)
 
     def canonical_generator(self, which: int = 2) -> np.ndarray:
         if which == 2:
@@ -424,8 +441,7 @@ def random_hermitian_pair(rng: np.random.Generator, m: int, b_scale: float = 1.0
     def random_orthogonal_complex_structure() -> np.ndarray:
         Q, R = np.linalg.qr(rng.normal(size=(m, m)))
         Q = Q * np.sign(np.diag(R))
-        K = scipy.linalg.block_diag(*([np.array([[0.0, -1.0], [1.0, 0.0]])] * (m // 2)))
-        return Q @ K @ Q.T
+        return Q @ standard_complex_structure(m) @ Q.T
 
     j_p = random_orthogonal_complex_structure()
     j_m = random_orthogonal_complex_structure()

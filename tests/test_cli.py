@@ -160,6 +160,31 @@ def test_deform_rejects_hostile_values(tmp_path, capsys, doc):
     assert "config error" in capsys.readouterr().err
 
 
+def test_deform_rejects_a_one_form_whose_norm_overflows(tmp_path, capsys):
+    # dx1^dx2 is (1,1) for the standard complex structure, so this family is
+    # the identity at any size; at 1e200 its norm is not representable
+    doc = {
+        "schema": 1,
+        "dimension": 4,
+        "order": 2,
+        "deformation": [{"kind": "exact-b-field", "one_form": [{"frequency": [1, 0, 0, 0], "cos": [0, 1e200, 0, 0]}]}],
+    }
+    assert cli.main(["deform", "--config", write_config(tmp_path, doc)]) == 64
+    captured = capsys.readouterr()
+    assert "too large" in captured.err and "result: ok" not in captured.out
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"], ["--out", "OUT"]], ids=["text", "json", "out"])
+def test_deform_rejects_an_overflowing_seed_scale(tmp_path, capsys, mode):
+    doc = {**bfield_doc(), "seed_spinor": {"scale": 1e300}}
+    argv = [str(tmp_path / "out") if a == "OUT" else a for a in mode]
+    assert cli.main(["deform", "--config", write_config(tmp_path, doc), *argv]) == 64
+    captured = capsys.readouterr()
+    assert "seed_spinor.scale" in captured.err and "overflow" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_deform_rejects_a_nonzero_twist(tmp_path, capsys):
     doc = {**bfield_doc(), "twist": [[0, 1, 2, 0.4]]}
     assert cli.main(["deform", "--config", write_config(tmp_path, doc)]) == 64

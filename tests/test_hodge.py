@@ -97,14 +97,17 @@ def test_component_shift_labels(t4):
         assert op.coeff_norm() < 1e-10
 
 
-def projector_sum_component(shift, pair, support, h=None):
+def projector_sum_component(shift, grading, m, support, h=None):
     """Reference graded component: per frequency block, the projector sum
-    ``sum_{(p,q)} P_{p+dp,q+dq} D_k P_{pq}`` of the dense derivative block."""
+    ``sum_{(p,q)} P_{p+dp,q+dq} D_k P_{pq}`` of the dense derivative block
+    over ``grading`` (the Lagrange oracle, independent of the library route)."""
     dp, dq = shift
     out = {}
     for k in support:
-        Dk = gf.derivative_block(k, pair.m, h)
-        out[tuple(k)] = sum(pair.projector(p + dp, q + dq) @ Dk @ Ppq for (p, q), Ppq in pair.bigrading.items())
+        Dk = gf.derivative_block(k, m, h)
+        out[tuple(k)] = sum(
+            grading[(p + dp, q + dq)] @ Dk @ Ppq for (p, q), Ppq in grading.items() if (p + dp, q + dq) in grading
+        )
     return out
 
 
@@ -123,14 +126,15 @@ def small_support(m):
 
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("m", [4, 6])
-def test_component_operator_matches_projector_sum(m, twisted):
+def test_component_operator_matches_projector_sum(m, twisted, lagrange_bigrading):
     rng = np.random.default_rng(40 + m + twisted)
     pair = gs.random_hermitian_pair(rng, m, b_scale=0.7)
     assert np.linalg.norm(pair.b_field) > 0.1
     h = random_three_form(rng, m) if twisted else None
     support = gf.frequencies_box(4, 1) if m == 4 else small_support(m)
+    grading = lagrange_bigrading(pair)
     new = {shift: gh.component_operator(shift, pair, support, h) for shift in gh.COMPONENT_SHIFTS}
-    ref = {shift: projector_sum_component(shift, pair, support, h) for shift in gh.COMPONENT_SHIFTS}
+    ref = {shift: projector_sum_component(shift, grading, m, support, h) for shift in gh.COMPONENT_SHIFTS}
     scale = max(np.linalg.norm(B) for blocks in ref.values() for B in blocks.values())
     assert scale > 1.0
     for shift in gh.COMPONENT_SHIFTS:
@@ -142,14 +146,39 @@ def test_component_operator_matches_projector_sum(m, twisted):
         assert np.linalg.norm(derivative[k] - gf.derivative_block(k, m, h)) <= 1e-10 * scale, k
 
 
-def test_component_operator_matches_projector_sum_t8():
+def test_component_operator_matches_projector_sum_t8(lagrange_bigrading):
     pair = gs.standard_kahler_pair(8)
     support = [(0,) * 8, (1,) + (0,) * 7, (0, 1, 1) + (0,) * 5]
     new = gh.component_operator((1, 1), pair, support)
-    ref = projector_sum_component((1, 1), pair, support)
+    ref = projector_sum_component((1, 1), lagrange_bigrading(pair), 8, support)
     scale = max(np.linalg.norm(B) for B in ref.values())
     for k, B in ref.items():
         assert np.linalg.norm(new[k] - B) <= 1e-10 * scale, k
+
+
+def test_component_operator_all_shifts_t8_bfield(bfield_t8):
+    pair, grading = bfield_t8
+    k = (1, -1, 0, 2, 0, 0, 1, 0)
+    scale = np.linalg.norm(gf.derivative_block(k, 8))
+    for shift in gh.DELTA_SHIFTS.values():
+        new = gh.component_operator(shift, pair, [(0,) * 8, k])
+        ref = projector_sum_component(shift, grading, 8, [k])[k]
+        assert np.linalg.norm(new[k] - ref) <= 1e-10 * scale, shift
+        assert np.linalg.norm(new[(0,) * 8]) == 0
+
+
+def test_support_is_deduplicated_once(t4):
+    freqs = gf.frequencies_box(4, 1)
+    repeated = freqs[::-1] + freqs[::3]
+    bg = gh.TorusBackground(t4.pair, repeated)
+    assert isinstance(bg.support, gh.Support) and bg.support == t4.support
+    for name in ("delta+", "delta_bar-"):
+        op = gh.component_operator(gh.DELTA_SHIFTS[name], t4.pair, repeated)
+        assert op.support == t4.support
+        np.testing.assert_array_equal(op.stack, t4.components[name].stack)
+    # a Support is taken as it is, without sorting it again
+    assert gh.component_operator((1, 1), t4.pair, bg.support).support is bg.support
+    assert gh.derivative_operator(4, bg.support).support is bg.support
 
 
 def test_components_sum_to_derivative(t4):
@@ -254,6 +283,25 @@ def test_harmonic_projector_properties(t4):
     for (p, q), Ppq in t4.pair.bigrading.items():
         Pop = gh.BlockOperator.from_constant(4, t4.support, Ppq)
         assert (harm @ Pop - Pop @ harm).coeff_norm() < 1e-9
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_scalar_green_matches_operator_route(m):
+    pair = gs.random_hermitian_pair(np.random.default_rng(70 + m), m, b_scale=0.7)
+    assert np.linalg.norm(pair.b_field) > 0.1
+    support = gf.frequencies_box(4, 1) if m == 4 else small_support(m)
+    bg = gh.TorusBackground(pair, support)
+    zero = (0,) * m
+    assert zero in bg.support
+    for name in gh.DELTA_SHIFTS:
+        lap = gh.laplacian(bg.components[name], bg.gram)
+        green = gh.green_operator(lap, bg.gram)
+        scale = green.coeff_norm()
+        assert (bg.green - green).coeff_norm() <= 1e-10 * scale, name
+        harmonic = gh.BlockOperator.identity(m, 2**m, support) - lap @ green
+        assert (harmonic - bg.harmonic).coeff_norm() <= 1e-10 * np.sqrt(len(support)), name
+    assert np.linalg.norm(bg.green[zero]) == 0
+    np.testing.assert_array_equal(bg.harmonic[zero], np.eye(2**m))
 
 
 def oracle_adjoint(op, gram):

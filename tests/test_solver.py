@@ -212,6 +212,17 @@ def test_run_rejects_bad_inputs(pair, bfield_family):
 # the extracted transverse family
 
 
+def test_checks_fail_on_non_finite_values(pair, bfield_family):
+    J = pair.J1
+    bad = gf.FourierOperatorField(4, 8, {(1, 0, 0, 0): np.full((8, 8), np.nan)})
+    with pytest.raises(ValueError, match="not finite"):
+        sol.extract_transverse_family(J, [gf.FourierOperatorField.constant(4, J), bad], 1)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        sol.run_deformation(bfield_family, pair, order_cap=1, psi=1e300 * pair.canonical_generator(2))
+    assert sol._exceeds(float("nan"), 1.0) and sol._exceeds(1.0, float("nan"))
+    assert not sol._exceeds(1.0, 1.0)
+
+
 def test_extraction_reproduces_structure_series(pair):
     xi = two_frequency_one_form()
     C = gf.one_form_differential(xi).map_values(cl.two_form_so)
@@ -330,7 +341,7 @@ def test_bfield_run_compensates_every_order(pair, bfield_report):
     for j in range(1, 4):
         term = report.b.term(j)
         assert term.is_real(1e-11)
-        leak = term.map_values(lambda c: sol.anticommutant_part(pair.J1, c)).coeff_norm()
+        leak = term.map_values(lambda c: 0.5 * (c + pair.J1 @ c @ pair.J1)).coeff_norm()  # anticommuting part
         assert leak < 1e-10 * max(1.0, term.coeff_norm())
 
 
