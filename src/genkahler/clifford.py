@@ -28,6 +28,8 @@ __all__ = [
     "spinor_dim",
     "degrees",
     "form_vector",
+    "subset_label",
+    "format_form",
     "pairing_matrix",
     "natural_pairing",
     "wedge_sign_table",
@@ -120,6 +122,25 @@ def form_vector(m: int, components: dict[tuple[int, ...], complex]) -> np.ndarra
     return out
 
 
+def subset_label(index: int) -> str:
+    """Human-readable monomial for a subset index, e.g. ``dx1^dx3``."""
+    if index == 0:
+        return "1"
+    return "^".join(f"dx{i + 1}" for i in range(index.bit_length()) if index >> i & 1)
+
+
+def format_form(phi: np.ndarray, tol: float = 1e-12) -> str:
+    """Render a form vector as a short monomial sum (for logs and debugging)."""
+    phi = np.asarray(phi, dtype=complex)
+    _infer_m_from_spinor(phi)
+    parts = []
+    for idx in np.flatnonzero(np.abs(phi) > tol):
+        c = phi[idx]
+        c_str = f"{c.real:+.6g}" if abs(c.imag) < tol else f"+({c:.6g})"
+        parts.append(f"{c_str}*{subset_label(int(idx))}")
+    return " ".join(parts) if parts else "0"
+
+
 @lru_cache(maxsize=None)
 def pairing_matrix(m: int) -> np.ndarray:
     """Gram matrix of the split-signature pairing on R^{2m} (the 1/2 convention)."""
@@ -166,9 +187,18 @@ def wedge(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Wedge product of two form vectors."""
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
+    m = _infer_m_from_spinor(f)
     if g.shape != f.shape:
         raise ValueError("wedge operands must share a dimension")
-    return wedge_operator(f) @ g
+    table = wedge_sign_table(m)
+    out = np.zeros_like(f)
+    for I in np.flatnonzero(f):
+        row = table[I]
+        for J in np.flatnonzero(g):
+            s = row[J]
+            if s:
+                out[I | J] += s * f[I] * g[J]
+    return out
 
 
 def wedge_operator(phi: np.ndarray) -> np.ndarray:
@@ -177,9 +207,12 @@ def wedge_operator(phi: np.ndarray) -> np.ndarray:
     m = _infer_m_from_spinor(phi)
     n = spinor_dim(m)
     table = wedge_sign_table(m)
-    I, J = np.nonzero(table * (phi != 0)[:, None])
     M = np.zeros((n, n), dtype=complex)
-    M[I | J, J] = table[I, J] * phi[I]  # (I | J, J) fixes I: no target repeats
+    for I in np.flatnonzero(phi):
+        row = table[I]
+        for J in range(n):
+            if row[J]:
+                M[I | J, J] += row[J] * phi[I]
     return M
 
 
@@ -301,11 +334,20 @@ def clifford_vector_matrix(v: np.ndarray) -> np.ndarray:
 
 def clifford_act(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Apply the Clifford action of ``v`` in R^{2m} to a form vector."""
+    v = np.asarray(v, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
     m = _infer_m_from_spinor(phi)
-    if np.shape(v) != (2 * m,):
-        raise ValueError(f"vector shape {np.shape(v)} does not match spinor dim {phi.shape}")
-    return clifford_vector_matrix(v) @ phi
+    if v.shape != (2 * m,):
+        raise ValueError(f"vector shape {v.shape} does not match spinor dim {phi.shape}")
+    W = wedge_matrices(m)
+    C = contraction_matrices(m)
+    out = np.zeros_like(phi)
+    for j in range(m):
+        if v[j]:
+            out += v[j] * (C[j] @ phi)
+        if v[m + j]:
+            out += v[m + j] * (W[j] @ phi)
+    return out
 
 
 def so_residual(alpha: np.ndarray) -> float:

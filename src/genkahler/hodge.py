@@ -47,6 +47,7 @@ __all__ = [
     "component_operator",
     "laplacian",
     "green_operator",
+    "harmonic_projector",
     "TorusBackground",
 ]
 
@@ -336,6 +337,13 @@ def green_operator(lap: BlockOperator, pair_or_gram, rcond: float = 1e-10) -> Bl
     return lap._like(herm, f"Green({lap.label})")
 
 
+def harmonic_projector(lap: BlockOperator, green: BlockOperator) -> BlockOperator:
+    eye = BlockOperator.identity(lap.torus_dim, lap.value_dim, lap.support)
+    out = eye - lap @ green
+    out.label = "harmonic"
+    return out
+
+
 # ---------------------------------------------------------------------------
 # a bundled background
 
@@ -394,8 +402,7 @@ class TorusBackground:
     @cached_property
     def harmonic(self) -> BlockOperator:
         if self.h is not None:
-            eye = BlockOperator.identity(self.pair.m, spinor_dim(self.pair.m), self.support)
-            return eye - self.laplace @ self.green
+            return harmonic_projector(self.laplace, self.green)
         return self._scalar(lambda k2: (k2 == 0).astype(float), "harmonic")
 
     def inner(self, f: FourierField, g: FourierField) -> complex:

@@ -65,6 +65,7 @@ __all__ = [
     "structure_series_of_family",
     "extract_transverse_family",
     "commutant_part",
+    "anticommutant_part",
 ]
 
 MAX_ORDER = 8
@@ -158,6 +159,15 @@ class SeriesSoField:
     def conj(self) -> "SeriesSoField":
         return SeriesSoField(self.torus_dim, [t.conj() for t in self.terms], check=False)
 
+    def is_zero(self, tol: float = 0.0) -> bool:
+        return all(t.coeff_norm() <= tol for t in self.terms)
+
+    def support(self) -> list[tuple[int, ...]]:
+        out = set()
+        for t in self.terms:
+            out.update(t.coeffs)
+        return sorted(out)
+
     def weighted_support(self) -> list[tuple[int, tuple[int, ...]]]:
         """Pairs (order, frequency) over all nonzero coefficients."""
         out = []
@@ -222,6 +232,9 @@ class SeriesSpinorField:
             if term.coeffs:
                 out += (t ** j) * term.evaluate(points)
         return out
+
+    def coeff_norms(self) -> list[float]:
+        return [t.coeff_norm() for t in self.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +383,7 @@ class OrderData:
     outside_norm: float
     component_closed: dict[str, float]
     cross_sum: float
+    prior_norms: list[float]
     rho_norm: float
 
 
@@ -460,6 +474,7 @@ def order_residual(
         outside_norm=outside_norm,
         component_closed=closed,
         cross_sum=cross_sum,
+        prior_norms=prior,
         rho_norm=background.norm(rho),
     )
 
@@ -913,6 +928,11 @@ def structure_series_of_family(a, J: np.ndarray, order_cap: int) -> list[Fourier
 def commutant_part(J: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Component of an so element commuting with the structure."""
     return 0.5 * (alpha - J @ alpha @ J)
+
+
+def anticommutant_part(J: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Component of an so element anticommuting with the structure."""
+    return 0.5 * (alpha + J @ alpha @ J)
 
 
 def extract_transverse_family(

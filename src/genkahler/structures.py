@@ -12,12 +12,16 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from genkahler.clifford import (
     _check_m,
     chevalley_gram,
     clifford_matrices,
+    clifford_vector_matrix,
     pairing_matrix,
+    require_so,
+    so_exp,
     spinor_dim,
 )
 
@@ -69,7 +73,8 @@ def standard_complex_structure(m: int) -> np.ndarray:
     m = _check_m(m)
     if m % 2:
         raise ValueError("a complex structure needs an even dimension")
-    return np.kron(np.eye(m // 2), [[0.0, -1.0], [1.0, 0.0]])
+    block = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return scipy.linalg.block_diag(*([block] * (m // 2)))
 
 
 def standard_symplectic_form(m: int) -> np.ndarray:
@@ -77,7 +82,8 @@ def standard_symplectic_form(m: int) -> np.ndarray:
     m = _check_m(m)
     if m % 2:
         raise ValueError("a symplectic form needs an even dimension")
-    return np.kron(np.eye(m // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return scipy.linalg.block_diag(*([block] * (m // 2)))
 
 
 def complex_structure_gcs(J_base: np.ndarray) -> np.ndarray:
@@ -118,7 +124,11 @@ def _graded_projectors(L: np.ndarray, Lbar: np.ndarray, steps, top, gram: np.nda
     ``I`` labelled ``top + sum_{i in I} steps[i]``; label ``s`` projects by
     ``V_s (V^-1)_s``.
     Given a ``gram`` A making the words orthogonal, ``V^-1 = (V^H A V)^-1
-    V^H A`` is solved from a nearly diagonal matrix.
+    V^H A`` is solved from a nearly diagonal matrix.  In exact arithmetic any
+    A with ``V^H A V`` invertible gives the same result; in floating point a
+    plain ``inv(V)`` loses idempotency to about 1e-13 of the size of the
+    pieces at m = 8 (3.5e-10 absolute on a random pair), the solve keeps it
+    below 1e-15.
     """
     word = clifford_matrices(L.T)
     M = word[0]
@@ -153,7 +163,7 @@ def iso_projectors(J: np.ndarray, tol: float = 1e-9) -> dict[int, np.ndarray]:
     m = J.shape[0] // 2
     if m % 2:
         raise ValueError("the eigenlevel grading needs an even dimension")
-    L = l_frame(J, tol=tol)
+    L = _projector_column_space(0.5 * (np.eye(2 * m) - 1j * J), m)
     levels = _graded_projectors(L, L.conj(), [(-1,)] * m, (m // 2,))
     return {k: P for (k,), P in levels.items()}
 
@@ -168,7 +178,9 @@ def volume_spin_element(J: np.ndarray, projectors: dict[int, np.ndarray] | None 
     return sum((1j**k) * Pk for k, Pk in sorted(projectors.items()))
 
 
-def canonical_generator(J: np.ndarray, projectors: dict[int, np.ndarray] | None = None) -> np.ndarray:
+def canonical_generator(
+    J: np.ndarray, tol: float = 1e-8, projectors: dict[int, np.ndarray] | None = None
+) -> np.ndarray:
     """Generator of the top eigenlevel line, scaled so max|coeff| = 1.
 
     Deterministic: picks the largest column of the top-level projector and
@@ -177,8 +189,10 @@ def canonical_generator(J: np.ndarray, projectors: dict[int, np.ndarray] | None 
     """
     if projectors is None:
         projectors = iso_projectors(J)
-    Pn = projectors[max(projectors)]
-    if abs(np.trace(Pn) - 1.0) > 0.5:  # the trace of an idempotent is its rank
+    n = max(projectors)
+    Pn = projectors[n]
+    sv = np.linalg.svd(Pn, compute_uv=False)
+    if sv[0] < tol or (len(sv) > 1 and sv[1] > 0.5):
         raise ValueError("top eigenlevel is not a line")
     col = int(np.argmax(np.linalg.norm(Pn, axis=0)))
     v = Pn[:, col]
@@ -195,9 +209,9 @@ def _projector_column_space(Pmat: np.ndarray, rank: int) -> np.ndarray:
     return U[:, :rank]
 
 
-def l_frame(J: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def l_frame(J: np.ndarray) -> np.ndarray:
     """Orthonormal frame (columns) of the +i eigenspace of ``J`` in C^{2m}."""
-    J = require_gcs(J, tol=tol)
+    J = require_gcs(J)
     m = J.shape[0] // 2
     proj = 0.5 * (np.eye(2 * m) - 1j * J)
     return _projector_column_space(proj, m)
@@ -268,23 +282,35 @@ def hodge_star(
     The result only depends on the frame through its orientation.
     """
     F = _metric_frame(metric, b_field, orientation)
-    M = np.eye(spinor_dim(F.shape[1]), dtype=complex)
-    for C in clifford_matrices(F.T):
-        M = C @ M
+    m = F.shape[1]
+    M = np.eye(spinor_dim(m), dtype=complex)
+    for i in range(m):
+        M = clifford_vector_matrix(F[:, i]) @ M
     return -M
 
 
 def _complex_orientation_sign(j: np.ndarray) -> int:
     """Orientation sign of frames ``(v1, j v1, v2, j v2, ...)`` for an
-    orthogonal complex structure ``j`` on R^m, relative to the standard one.
-
-    A +i eigenvector ``w`` has ``j Re w = -Im w``, so ``(Re w, -Im w)`` over a
-    complex basis of the eigenspace is such a frame; a change of that basis
-    has positive real determinant, so every basis gives the same sign.
-    """
+    orthogonal complex structure ``j`` on R^m, relative to the standard one."""
+    j = np.asarray(j)
     m = j.shape[0]
-    W = _projector_column_space(0.5 * (np.eye(m) - 1j * np.asarray(j)), m // 2)
-    return 1 if np.linalg.det(np.stack([W.real, -W.imag], axis=2).reshape(m, m)) > 0 else -1
+    cols: list[np.ndarray] = []
+    for i in range(m):
+        if len(cols) == m:
+            break
+        cand = np.zeros(m)
+        cand[i] = 1.0
+        if cols:
+            Cmat = np.column_stack(cols)
+            cand = cand - Cmat @ (Cmat.T @ cand)
+        nrm = np.linalg.norm(cand)
+        if nrm < 1e-8:
+            continue
+        v = cand / nrm
+        cols.append(v)
+        cols.append(j @ v)
+    det = np.linalg.det(np.column_stack(cols))
+    return 1 if det > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +434,12 @@ class HermitianPair:
         """Orthonormal frame of the rank-n image of ``sector_projector``."""
         return _projector_column_space(self.sector_projector(plus, holo), self.n)
 
+    def conjugate(self, alpha: np.ndarray) -> "HermitianPair":
+        """Transport the whole pair by the exponential of an so(m,m) element."""
+        E = so_exp(require_so(alpha))
+        Einv = np.linalg.inv(E)
+        return HermitianPair((E @ self.J1 @ Einv).real, (E @ self.J2 @ Einv).real, tol=self.tol)
+
     def canonical_generator(self, which: int = 2) -> np.ndarray:
         if which == 2:
             return canonical_generator(self.J2, projectors=self.proj2)
@@ -441,7 +473,8 @@ def random_hermitian_pair(rng: np.random.Generator, m: int, b_scale: float = 1.0
     def random_orthogonal_complex_structure() -> np.ndarray:
         Q, R = np.linalg.qr(rng.normal(size=(m, m)))
         Q = Q * np.sign(np.diag(R))
-        return Q @ standard_complex_structure(m) @ Q.T
+        K = scipy.linalg.block_diag(*([np.array([[0.0, -1.0], [1.0, 0.0]])] * (m // 2)))
+        return Q @ K @ Q.T
 
     j_p = random_orthogonal_complex_structure()
     j_m = random_orthogonal_complex_structure()

@@ -320,3 +320,6 @@ def test_degree_component_and_labels():
     np.testing.assert_allclose(
         np.where(cl.degrees(m) == 2, phi, 0.0), cl.form_vector(m, {(1, 3): -1.0})
     )
+    assert cl.subset_label(0) == "1"
+    assert cl.subset_label(0b101) == "dx1^dx3"
+    assert "dx1^dx3" in cl.format_form(phi)

@@ -99,14 +99,24 @@ def test_exact_projectors_idempotent_t8(bfield_t8):
     # the defect this guards against: Lagrange projectors reached 2.6e-10 at
     # m=8, above the solver's default tol_checks = 1e-10.  Rounding scales
     # with the size of the grading pieces, which ranges from about 6 (Frobenius
-    # norm, orthogonal pieces) to 1e4 on these pairs; the Lagrange route sits
-    # above 1e-13 times that size, the exact one below 1e-15
+    # norm, orthogonal pieces) to 1e4 on these pairs; the Lagrange route and a
+    # plain inverse of the word basis sit above 5e-14 times that size, the
+    # Gram-weighted solve below 1e-15
     pairs = [typed_pair("complex", 8), typed_pair("symplectic", 8), bfield_t8[0]]
     pairs += [gs.random_hermitian_pair(np.random.default_rng(seed), 8) for seed in range(2)]
     for pair in pairs:
         size = max(np.linalg.norm(P) for P in pair.bigrading.values())
         for P in [*pair.bigrading.values(), *pair.proj1.values(), *pair.proj2.values()]:
             assert np.linalg.norm(P @ P - P) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("kind", ["kahler", "symplectic"])
+def test_orthogonal_projectors_idempotent_t8_absolute(kind):
+    pair = gs.standard_kahler_pair(8) if kind == "kahler" else typed_pair(kind, 8)
+    # orthonormal word basis: every piece has Frobenius norm at most about 6
+    assert max(np.linalg.norm(P) for P in pair.bigrading.values()) < 10
+    for P in [*pair.bigrading.values(), *pair.proj1.values(), *pair.proj2.values()]:
+        assert np.linalg.norm(P @ P - P) <= 1e-12
 
 
 def test_volume_spin_element_is_quarter_turn_exp():
@@ -259,6 +269,15 @@ def test_sector_frames_shift_bigrading_random_pair():
         image = Cv @ Ppq
         target = pair.projector(p + 1, q + 1)
         np.testing.assert_allclose(target @ image, image, atol=1e-7)
+
+
+def test_pair_conjugation_transports_metric():
+    rng = np.random.default_rng(21)
+    pair = gs.standard_kahler_pair(2)
+    alpha = 0.2 * cl.random_so_element(rng, 2)
+    moved = pair.conjugate(alpha)
+    E = cl.so_exp(alpha)
+    np.testing.assert_allclose(moved.G, (E @ pair.G @ np.linalg.inv(E)).real, atol=1e-10)
 
 
 def test_random_pairs_validate():
