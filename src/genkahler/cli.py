@@ -49,6 +49,18 @@ def _format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _complex_array(arr: np.ndarray) -> str:
+    """Nested lists of a nonempty complex array, each entry an [re, im] pair."""
+    parts = np.ascontiguousarray(arr).view(float).ravel()
+    if not np.isfinite(parts).all():
+        raise ValueError("reports must contain finite numbers")
+    text = [format(x, ".17g") for x in parts.tolist()]
+    items = [f"[{re}, {im}]" for re, im in zip(text[0::2], text[1::2])]
+    for size in reversed(arr.shape[1:]):
+        items = ["[" + ", ".join(items[i : i + size]) + "]" for i in range(0, len(items), size)]
+    return "[" + ", ".join(items) + "]"
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, 17-significant-digit floats,
     complex numbers as [re, im] pairs."""
@@ -67,6 +79,8 @@ def canonical_json(obj) -> str:
         if isinstance(v, str):
             return json.dumps(v)
         if isinstance(v, np.ndarray):
+            if v.dtype == complex and v.ndim and v.size:
+                return _complex_array(v)
             return emit(v.tolist())
         if isinstance(v, (list, tuple)):
             return "[" + ", ".join(emit(x) for x in v) + "]"
@@ -76,15 +90,6 @@ def canonical_json(obj) -> str:
         raise TypeError(f"cannot serialize {type(v)!r}")
 
     return emit(obj) + "\n"
-
-
-def _complex_pairs(vec: np.ndarray) -> list:
-    return [[float(c.real), float(c.imag)] for c in np.asarray(vec, dtype=complex).ravel()]
-
-
-def _matrix_pairs(mat: np.ndarray) -> list:
-    mat = np.asarray(mat, dtype=complex)
-    return [_complex_pairs(row) for row in mat]
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +520,16 @@ def cmd_verify_hodge(args) -> int:
         checks.append({"name": name, "max_residual": float(value), "tol": tol_here, "pass": bool(value <= tol_here)})
 
     # every graded shift, split into the level-one part (cached on the
-    # background) and the torsion part
+    # background) and the torsion part; untwisted, the +-3 components are
+    # zero, so they are not built and the torsion levels stay 0
     delta_ops = {shift: bg.components[name] for name, shift in gh.DELTA_SHIFTS.items()}
     level_one = None
     torsion_first = 0.0
     torsion_second = 0.0
     full = None
     for shift in gh.COMPONENT_SHIFTS:
+        if shift not in delta_ops and h is None:
+            continue
         comp = delta_ops[shift] if shift in delta_ops else gh.component_operator(shift, pair, bg.support, h)
         full = comp if full is None else full + comp
         if abs(shift[0]) == 1 and abs(shift[1]) == 1:
@@ -618,7 +626,7 @@ def _series_record(report: sol.SolutionReport) -> dict:
     betas = []
     for j, beta in enumerate(report.betas, start=1):
         modes = [
-            {"frequency": list(k), "matrix": _matrix_pairs(v)}
+            {"frequency": list(k), "matrix": v}
             for k, v in sorted(beta.coeffs.items())
         ]
         betas.append({"order": j, "modes": modes})
@@ -626,7 +634,7 @@ def _series_record(report: sol.SolutionReport) -> dict:
     for j in range(report.order_cap + 1):
         term = report.psi_series.term(j)
         modes = [
-            {"frequency": list(k), "vector": _complex_pairs(v)}
+            {"frequency": list(k), "vector": v}
             for k, v in sorted(term.coeffs.items())
         ]
         psi.append({"order": j, "modes": modes})

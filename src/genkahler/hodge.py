@@ -32,7 +32,7 @@ import numpy as np
 
 from genkahler.clifford import chevalley_gram, clifford_matrices, spinor_dim, wedge_matrices, wedge_operator
 from genkahler.fields import FourierField, three_form_spinor
-from genkahler.structures import HermitianPair, hodge_star
+from genkahler.structures import HermitianPair
 
 __all__ = [
     "DELTA_SHIFTS",
@@ -79,6 +79,22 @@ class Support(tuple):
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
         return {k: row for row, k in enumerate(self)}
+
+    @cached_property
+    def _shifts(self) -> dict[tuple[int, ...], np.ndarray]:
+        return {}
+
+    def shifted(self, p) -> np.ndarray:
+        """Row of ``k + p`` for the frequency ``k`` of every row, -1 where that
+        leaves the support; one lookup table per shift, cached."""
+        p = tuple(int(v) for v in p)
+        rows = self._shifts.get(p)
+        if rows is None:
+            columns = [[k[d] + p[d] for k in self] for d in range(len(p))]
+            rows = np.array([self.index.get(k, -1) for k in zip(*columns)], dtype=np.intp)
+            rows.setflags(write=False)
+            self._shifts[p] = rows
+        return rows
 
 
 class BlockOperator:
@@ -192,7 +208,9 @@ def l2_gram(pair: HermitianPair) -> np.ndarray:
     Real, symmetric and positive definite; raises ``ValueError`` otherwise
     (that signals an inner-product construction bug, not bad user data).
     """
-    star = hodge_star(pair.metric, pair.b_field, orientation=1)
+    # the pair's star is taken in its own orientation; -1 negates one frame
+    # vector and with it the star
+    star = pair.orientation * pair.star
     A = (chevalley_gram(pair.m) @ star).T
     if np.linalg.norm(A.imag) > 1e-12 * np.linalg.norm(A.real):
         raise ValueError("Gram matrix is not real")

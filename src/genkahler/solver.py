@@ -43,7 +43,7 @@ from .fields import (
     twisted_derivative,
     uniform_points,
 )
-from .hodge import TorusBackground
+from .hodge import Support, TorusBackground
 from .structures import HermitianPair
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "structure_series_of_family",
     "extract_transverse_family",
     "commutant_part",
-    "anticommutant_part",
 ]
 
 MAX_ORDER = 8
@@ -113,6 +112,7 @@ class SeriesSoField:
         self.terms = [_as_operator_term(self.torus_dim, self.value_dim, t) for t in terms]
         if not self.terms:
             self.terms = [FourierOperatorField(self.torus_dim, self.value_dim)]
+        self._spin_stacks: list[tuple[list, np.ndarray] | None] | None = None
         if check:
             if _exceeds(self.terms[0].coeff_norm(), tol):
                 raise ValueError("series family does not vanish at t = 0")
@@ -159,15 +159,6 @@ class SeriesSoField:
     def conj(self) -> "SeriesSoField":
         return SeriesSoField(self.torus_dim, [t.conj() for t in self.terms], check=False)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(t.coeff_norm() <= tol for t in self.terms)
-
-    def support(self) -> list[tuple[int, ...]]:
-        out = set()
-        for t in self.terms:
-            out.update(t.coeffs)
-        return sorted(out)
-
     def weighted_support(self) -> list[tuple[int, tuple[int, ...]]]:
         """Pairs (order, frequency) over all nonzero coefficients."""
         out = []
@@ -197,9 +188,36 @@ class SeriesSoField:
                         out[d] += (1j * kd) * phase[:, None, None] * c
         return out
 
-    def spin_terms(self) -> list[FourierOperatorField]:
-        """Per-order spinor-space representations of the coefficients."""
-        return [t.map_values(spin_lie_action) if t.coeffs else FourierOperatorField(self.torus_dim, spinor_dim(self.torus_dim)) for t in self.terms]
+    def spin_stacks(self) -> list[tuple[list, np.ndarray] | None]:
+        """Per order, the frequencies and stacked spin images of the coefficients.
+
+        Computed on the first call and kept read-only: a family's terms are
+        not changed after construction (every method above returns a new one).
+        """
+        if self._spin_stacks is None:
+            self._spin_stacks = [_spin_stack(t) for t in self.terms]
+        return self._spin_stacks
+
+
+def _spin_stack(field: FourierOperatorField) -> tuple[list, np.ndarray] | None:
+    """Frequencies and read-only stacked spin images of an so-valued field; None if zero."""
+    if not field.coeffs:
+        return None
+    freqs = sorted(field.coeffs)
+    n = spinor_dim(field.torus_dim)
+    mats = np.empty((len(freqs), n, n), dtype=complex)
+    for a, p in enumerate(freqs):
+        mats[a] = spin_lie_action(field.coeffs[p])
+    mats.setflags(write=False)
+    return freqs, mats
+
+
+def _stack(field: FourierOperatorField) -> tuple[list, np.ndarray] | None:
+    """Frequencies and stacked coefficients of an operator field; None if zero."""
+    if not field.coeffs:
+        return None
+    freqs = sorted(field.coeffs)
+    return freqs, np.stack([field.coeffs[p] for p in freqs])
 
 
 class SeriesSpinorField:
@@ -233,41 +251,166 @@ class SeriesSpinorField:
                 out += (t ** j) * term.evaluate(points)
         return out
 
-    def coeff_norms(self) -> list[float]:
-        return [t.coeff_norm() for t in self.terms]
-
 
 # ---------------------------------------------------------------------------
 # the series exponential
 
 
-def _exp_apply(X: list, Y: list, act, order_cap: int) -> list:
-    """Coefficients of ``exp(X_t)`` applied to the series ``Y_t``, up to the cap.
+def _packed(support: Support, field, shape: tuple[int, ...]) -> np.ndarray:
+    """Coefficients of a Fourier field as one ``(S, *shape)`` array over the support."""
+    out = np.zeros((len(support), *shape), dtype=complex)
+    for k, c in field.coeffs.items():
+        row = support.index.get(k)
+        if row is None:
+            raise ValueError(f"frequency {k} lies outside the series support")
+        out[row] = c
+    return out
 
-    ``X[j]`` and ``Y[j]`` go with ``t**j``; ``X[0]`` must vanish, and
-    ``act(x, y)`` applies one coefficient of ``X`` to one of ``Y``.  The sum
-    runs over ``term_j = (1/j) act(X, term_{j-1})`` from ``term_0 = Y``;
-    ``term_j`` vanishes below order j, so it ends at the cap.
+
+def _unpacked(support: Support, arr: np.ndarray | None, cls, torus_dim: int, value_dim: int):
+    """The Fourier field (``cls``) of a packed array, keyed by its nonzero rows."""
+    out = cls(torus_dim, value_dim)
+    if arr is not None:
+        rows = np.flatnonzero(arr.reshape(len(arr), -1).any(axis=1))
+        out.coeffs = dict(zip((support[r] for r in rows), arr[rows]))
+    return out
+
+
+def _sum(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """Sum of two packed coefficients, either of which may be None (zero)."""
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+class _Coefficient:
+    """One coefficient ``x = sum_p x_p exp(i <p, .>)`` of a factor, ready to act:
+    ``mats[a] = x_p`` for ``p = freqs[a]``, and ``rows[a, r]`` is the row of
+    ``k_r + p`` (-1 outside the support)."""
+
+    def __init__(self, support: Support, freqs: list, mats: np.ndarray):
+        self.freqs, self.mats = freqs, mats
+        self.rows = np.stack([support.shifted(p) for p in freqs])
+
+
+class _SeriesExp:
+    """``exp(X^1_t) ... exp(X^F_t)`` applied to a series ``Y_t``, one power of t at a time.
+
+    Every coefficient is a packed ``(S, *shape)`` array over one
+    :class:`~genkahler.hodge.Support` (rows from ``Support.index``), or None
+    where it vanishes.  A factor coefficient ``X_i`` acts on spinor columns
+    by the matrix product and, with ``bracket``, on operator columns by
+    ``[x, y] = x y - y x``: per call, the nonzero rows of the column are
+    gathered, multiplied by the matrices of all frequencies of ``X_i`` in
+    one batched product, and summed into their rows of the cached shift
+    tables.  A nonzero row that a shift would take outside the support
+    raises ``ValueError``.
+
+    Factor f turns its input ``term_0`` (the output of factor f + 1, or
+    ``Y`` for the last) into ``sum_j term_j`` with ``term_j[n] = (1/j) sum_i
+    X_i term_{j-1}[n-i]``.  As ``X_0 = 0`` this reads only columns below n,
+    so ``fill(n)`` computes column n of every factor, right to left, from
+    the filled ones.  A coefficient ``X^f_n`` given after column n is filled
+    (``extend``) enters that column only through ``X^f_n term_0[0]``.
     """
 
-    def zero():
-        return type(Y[0])(Y[0].torus_dim, Y[0].value_dim)
+    def __init__(self, support: Support, factors: list[list], source: list, order_cap: int, bracket: bool = False):
+        """``factors[f][i]``: the frequencies and stacked matrices of ``X^f_i``,
+        or None; ``source[n]``: column n of ``Y``."""
+        self.support, self.order_cap, self.bracket = support, order_cap, bracket
+        self.X = [[None] * (order_cap + 1) for _ in factors]
+        for f, terms in enumerate(factors):
+            for i in range(1, min(len(terms), order_cap + 1)):
+                self._set(f, i, terms[i])
+        columns = list(source[: order_cap + 1]) + [None] * (order_cap + 1 - len(source))
+        # out[f][n]: column n after factor f acts; out[F] is the source series
+        self.out = [[None] * (order_cap + 1) for _ in factors] + [columns]
+        # terms[f][j][n]; term_0 of factor f is its input, out[f + 1]
+        self.terms = [
+            [self.out[f + 1]] + [[None] * (order_cap + 1) for _ in range(order_cap)] for f in range(len(factors))
+        ]
+        self.filled = 0
 
-    term = [Y[k] if k < len(Y) else zero() for k in range(order_cap + 1)]
-    out = list(term)
-    for j in range(1, order_cap + 1):
-        nxt = [zero() for _ in range(order_cap + 1)]
-        for i in range(1, min(len(X), order_cap + 1)):
-            if not X[i].coeffs:
+    def _set(self, f: int, i: int, stack: tuple[list, np.ndarray] | None) -> None:
+        if stack is not None:
+            self.X[f][i] = _Coefficient(self.support, *stack)
+
+    def _apply(self, pairs) -> np.ndarray | None:
+        """``sum x y`` over the (coefficient, column) pairs; None when it vanishes."""
+        targets, values = [], []
+        for x, y in pairs:
+            nonzero = np.flatnonzero(y.reshape(len(y), -1).any(axis=1))
+            if not nonzero.size:
                 continue
-            for k in range(order_cap + 1 - i):
-                if term[k].coeffs:
-                    nxt[i + k] = nxt[i + k] + act(X[i], term[k])
-        term = [(1.0 / j) * f for f in nxt]
-        if all(not f.coeffs for f in term):
-            break
-        out = [a + b for a, b in zip(out, term)]
-    return out
+            dst = x.rows[:, nonzero]  # (P, r), the layout of the products below
+            if (dst < 0).any():
+                a, r = np.argwhere(dst < 0)[0]
+                raise ValueError(
+                    f"series coefficient at frequency {self.support[nonzero[r]]} leaves the "
+                    f"support when shifted by {x.freqs[a]}"
+                )
+            rows = y[nonzero]
+            if self.bracket:
+                prod = x.mats[:, None] @ rows - rows @ x.mats[:, None]
+            else:
+                prod = (x.mats @ rows.T).transpose(0, 2, 1)
+            targets.append(dst.ravel())
+            values.append(prod.reshape(dst.size, *y.shape[1:]))
+        if not targets:
+            return None
+        dst = np.concatenate(targets)
+        order = np.argsort(dst, kind="stable")
+        dst = dst[order]
+        starts = np.flatnonzero(np.concatenate(([True], dst[1:] != dst[:-1])))
+        vals = np.concatenate(values)[order]
+        out = np.zeros((len(self.support), *vals.shape[1:]), dtype=complex)
+        out[dst[starts]] = np.add.reduceat(vals, starts, axis=0)
+        return out
+
+    def fill(self, n: int) -> np.ndarray | None:
+        """Compute column n (the lower ones must be filled) and return it."""
+        if n != self.filled or n > self.order_cap:
+            raise ValueError(f"column {n} cannot be filled after {self.filled} columns")
+        for f in reversed(range(len(self.X))):
+            X, terms = self.X[f], self.terms[f]
+            total = terms[0][n]
+            for j in range(1, n + 1):
+                pairs = [
+                    (X[i], terms[j - 1][n - i])
+                    for i in range(1, n - j + 2)
+                    if X[i] is not None and terms[j - 1][n - i] is not None
+                ]
+                col = self._apply(pairs)
+                if col is not None:
+                    col *= 1.0 / j
+                terms[j][n] = col
+                total = _sum(total, col)
+            self.out[f][n] = total
+        self.filled = n + 1
+        return self.out[0][n]
+
+    def extend(self, f: int, i: int, stack: tuple[list, np.ndarray] | None) -> np.ndarray | None:
+        """Give factor f its order-i coefficient once column i is the last filled.
+
+        The change to column i is ``X^f_i term_0[0]``: it joins ``term_1[i]``
+        of factor f and the input and output of every factor left of it.
+        Returns the updated column i.
+        """
+        if i != self.filled - 1 or i < 1 or self.X[f][i] is not None:
+            raise ValueError(f"order-{i} coefficient cannot be added after {self.filled} columns")
+        self._set(f, i, stack)
+        if self.X[f][i] is not None and self.terms[f][0][0] is not None:
+            delta = self._apply([(self.X[f][i], self.terms[f][0][0])])
+            self.terms[f][1][i] = _sum(self.terms[f][1][i], delta)
+            for g in range(f, -1, -1):
+                self.out[g][i] = _sum(self.out[g][i], delta)
+        return self.out[0][i]
+
+    def fill_all(self) -> list:
+        """Fill the remaining columns; returns every column of the output."""
+        for n in range(self.filled, self.order_cap + 1):
+            self.fill(n)
+        return self.out[0]
 
 
 def _factor_list(a) -> list[SeriesSoField]:
@@ -290,6 +433,23 @@ def _seed_field(torus_dim: int, psi) -> FourierField:
     return FourierField.constant(torus_dim, vec)
 
 
+def _series_support(factors: list[SeriesSoField], seed: FourierField, order_cap: int) -> Support:
+    """Frequencies of every coefficient of the factors applied to the seed up
+    to the cap: the seed's frequencies shifted by the factors' closure."""
+    reach = support_closure(factors, order_cap, seed.torus_dim)
+    shifts = seed.support() or [(0,) * seed.torus_dim]
+    return Support(tuple(a + b for a, b in zip(k, q)) for k in reach for q in shifts)
+
+
+def _spinor_series(support: Support, factors: list[SeriesSoField], seed: FourierField, order_cap: int) -> _SeriesExp:
+    source = [_packed(support, seed, (seed.value_dim,))]
+    return _SeriesExp(support, [f.spin_stacks() for f in factors], source, order_cap)
+
+
+def _spinor_fields(support: Support, columns: list, torus_dim: int) -> list[FourierField]:
+    return [_unpacked(support, c, FourierField, torus_dim, spinor_dim(torus_dim)) for c in columns]
+
+
 def series_exp_action(a, b, psi, order_cap: int) -> SeriesSpinorField:
     """Series coefficients of ``exp(a_t) exp(b_t) psi`` up to the order cap.
 
@@ -302,10 +462,10 @@ def series_exp_action(a, b, psi, order_cap: int) -> SeriesSpinorField:
     if not factors:
         raise ValueError("need at least one series family")
     torus_dim = factors[0].torus_dim
-    out = [_seed_field(torus_dim, psi)]
-    for f in reversed(factors):
-        out = _exp_apply(f.spin_terms(), out, FourierOperatorField.act, order_cap)
-    return SeriesSpinorField(torus_dim, out)
+    seed = _seed_field(torus_dim, psi)
+    support = _series_support(factors, seed, order_cap)
+    columns = _spinor_series(support, factors, seed, order_cap).fill_all()
+    return SeriesSpinorField(torus_dim, _spinor_fields(support, columns, torus_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +543,6 @@ class OrderData:
     outside_norm: float
     component_closed: dict[str, float]
     cross_sum: float
-    prior_norms: list[float]
     rho_norm: float
 
 
@@ -420,27 +579,30 @@ def order_residual(
     """
     if order < 1:
         raise ValueError("orders start at 1")
-    pair = background.pair
-    n = pair.n
-    torus_dim = pair.m
+    torus_dim = background.pair.m
     seed = _seed_field(torus_dim, psi)
     scale = max(background.norm(seed), 1e-300)
-    b_low = b.truncate(order - 1) if b is not None else None
-
-    psi_series = series_exp_action(a, b_low, seed, order)
-    derivs = [twisted_derivative(psi_series.term(j), background.h) for j in range(order + 1)]
-    prior = [background.norm(derivs[j]) for j in range(order)]
+    factors = _factor_list(a) + _factor_list(b.truncate(order - 1) if b is not None else None)
+    if not factors:
+        raise ValueError("need at least one series family")
+    columns = _spinor_series(background.support, factors, seed, order).fill_all()
+    derivs = [twisted_derivative(f, background.h) for f in _spinor_fields(background.support, columns, torus_dim)]
     if check:
-        bad = [j for j, v in enumerate(prior) if _exceeds(v, tol * scale)]
+        bad = [j for j in range(order) if _exceeds(background.norm(derivs[j]), tol * scale)]
         if bad:
             raise ValueError(f"residual below order {order} is nonzero at orders {bad}")
+    return _obstruction(order, derivs[order], background, scale, tol=tol, check=check)
 
-    rho = derivs[order]
+
+def _obstruction(order: int, rho: FourierField, background: TorusBackground, scale: float, *, tol: float, check: bool) -> OrderData:
+    """Corner components of the order-``order`` obstruction and their checks."""
+    pair = background.pair
+    n = pair.n
     comps = {}
     for p, q in _corner_keys(n):
         proj = pair.projector(p, q)
         comps[(p, q)] = rho.map_values(lambda v, proj=proj: proj @ v)
-    inside = FourierField(torus_dim, rho.value_dim)
+    inside = FourierField(pair.m, rho.value_dim)
     for f in comps.values():
         inside = inside + f
     outside_norm = background.norm(rho - inside)
@@ -474,7 +636,6 @@ def order_residual(
         outside_norm=outside_norm,
         component_closed=closed,
         cross_sum=cross_sum,
-        prior_norms=prior,
         rho_norm=background.norm(rho),
     )
 
@@ -656,7 +817,7 @@ def run_deformation(
         raise ValueError("need at least one deformation family")
     torus_dim = pair.m
     seed = _seed_field(torus_dim, psi if psi is not None else pair.canonical_generator(2))
-    support = support_closure(factors + [seed], order_cap, torus_dim)
+    support = _series_support(factors, seed, order_cap)
     background = TorusBackground(pair, support)
     psi_norm = background.norm(seed)
     if not 0 < psi_norm < np.inf:
@@ -684,9 +845,19 @@ def run_deformation(
     n = pair.n
     mid_proj = pair.projector(0, n - 2)
 
+    # the series exp(a_t) exp(b_t) psi is carried forward one column per
+    # order: column k is built with b_k = 0, and b_k then adds spin(b_k) psi
+    engine = _spinor_series(support, factors + [b], seed, order_cap)
+    psi_terms = _spinor_fields(support, [engine.fill(0)], torus_dim)
+    residual_norms = [background.norm(twisted_derivative(psi_terms[0]))]
+
     for order in range(1, order_cap + 1):
         t0 = time.perf_counter()
-        data = order_residual(order, factors, b, background, seed, tol=tol_checks, check=True)
+        bad = [j for j in range(order) if _exceeds(residual_norms[j], tol_checks * psi_norm)]
+        if bad:
+            raise ValueError(f"residual below order {order} is nonzero at orders {bad}")
+        trial = _spinor_fields(support, [engine.fill(order)], torus_dim)[0]
+        data = _obstruction(order, twisted_derivative(trial), background, psi_norm, tol=tol_checks, check=True)
         phi, info = solve_phi(data, background, tol_agree=tol_checks, tol_exact=tol_order, check=True)
         beta = beta_from_phi(-1.0 * phi, seed, pair)
 
@@ -695,7 +866,11 @@ def run_deformation(
         if _exceeds(grading, tol_checks * psi_norm):
             raise ValueError(f"order-{order} correction acts outside the middle component ({grading:.3e})")
 
-        b = b.with_term(order, beta + beta.conj())
+        b_k = beta + beta.conj()
+        b = b.with_term(order, b_k)
+        column = engine.extend(len(factors), order, _spin_stack(b_k))
+        psi_terms += _spinor_fields(support, [column], torus_dim)
+        residual_norms.append(background.norm(twisted_derivative(psi_terms[-1])))
         betas.append(beta)
         beta_norms.append(beta.coeff_norm())
         rho_norms.append(data.rho_norm)
@@ -706,10 +881,7 @@ def run_deformation(
         grading_list.append(grading)
         wall_ms.append(1e3 * (time.perf_counter() - t0))
 
-    psi_series = series_exp_action(factors, b, seed, order_cap)
-    residual_norms = [
-        background.norm(twisted_derivative(psi_series.term(j))) for j in range(order_cap + 1)
-    ]
+    psi_series = SeriesSpinorField(torus_dim, psi_terms)
     bad = [j for j in range(1, order_cap + 1) if _exceeds(residual_norms[j], tol_order * psi_norm)]
     report = SolutionReport(
         pair=pair,
@@ -898,11 +1070,17 @@ def conjugated_residual_series(a, b, psi, order_cap: int) -> SeriesSpinorField:
     one.  The series of ``series_exp_action`` is differentiated termwise, then
     the factors act again left to right with negated spin terms.
     """
-    moved = series_exp_action(a, b, psi, order_cap)
-    out = [twisted_derivative(f) for f in moved.terms]
-    for f in _factor_list(a) + _factor_list(b):
-        out = _exp_apply([-1.0 * x for x in f.spin_terms()], out, FourierOperatorField.act, order_cap)
-    return SeriesSpinorField(moved.torus_dim, out)
+    factors = _factor_list(a) + _factor_list(b)
+    if not factors:
+        raise ValueError("need at least one series family")
+    torus_dim = factors[0].torus_dim
+    seed = _seed_field(torus_dim, psi)
+    support = _series_support(factors, seed, order_cap)
+    moved = _spinor_fields(support, _spinor_series(support, factors, seed, order_cap).fill_all(), torus_dim)
+    derivs = [_packed(support, twisted_derivative(f), (seed.value_dim,)) for f in moved]
+    inverse = [[None if x is None else (x[0], -x[1]) for x in f.spin_stacks()] for f in reversed(factors)]
+    columns = _SeriesExp(support, inverse, derivs, order_cap).fill_all()
+    return SeriesSpinorField(torus_dim, _spinor_fields(support, columns, torus_dim))
 
 
 def conjugated_structure_series(generator: FourierOperatorField, J: np.ndarray, order_cap: int) -> list[FourierOperatorField]:
@@ -919,20 +1097,21 @@ def structure_series_of_family(a, J: np.ndarray, order_cap: int) -> list[Fourier
     factors = _factor_list(a)
     if not factors:
         raise ValueError("need at least one series family")
-    out = [FourierOperatorField.constant(factors[0].torus_dim, np.asarray(J, dtype=complex))]
-    for f in reversed(factors):
-        out = _exp_apply(f.terms, out, lambda x, y: x @ y - y @ x, order_cap)
-    return out
+    torus_dim = factors[0].torus_dim
+    support = Support(support_closure(factors, order_cap, torus_dim))
+    source = _structure_source(support, J, torus_dim)
+    columns = _SeriesExp(support, [[_stack(t) for t in f.terms] for f in factors], [source], order_cap, bracket=True).fill_all()
+    return [_unpacked(support, c, FourierOperatorField, torus_dim, source.shape[-1]) for c in columns]
+
+
+def _structure_source(support: Support, J: np.ndarray, torus_dim: int) -> np.ndarray:
+    J = np.asarray(J, dtype=complex)
+    return _packed(support, FourierOperatorField.constant(torus_dim, J), J.shape)
 
 
 def commutant_part(J: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Component of an so element commuting with the structure."""
     return 0.5 * (alpha - J @ alpha @ J)
-
-
-def anticommutant_part(J: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Component of an so element anticommuting with the structure."""
-    return 0.5 * (alpha + J @ alpha @ J)
 
 
 def extract_transverse_family(
@@ -952,22 +1131,30 @@ def extract_transverse_family(
     """
     J = np.asarray(J, dtype=float)
     torus_dim = target[0].torus_dim
+    weighted = [(j, k) for j in range(1, order_cap + 1) for k in target[j].coeffs]
+    support = Support(support_closure(weighted, order_cap, torus_dim))
+    source = _structure_source(support, J, torus_dim)
+    # the series exp(a_t) J exp(-a_t) is carried forward: column j is built
+    # with a_j = 0, and a_j then adds its order-j correction [a_j, J]
+    engine = _SeriesExp(support, [[]], [source], order_cap, bracket=True)
+    engine.fill(0)
     terms: list[FourierOperatorField | None] = [None]
     for j in range(1, order_cap + 1):
-        partial = structure_series_of_family(
-            SeriesSoField(torus_dim, terms, check=False), J, j
-        )
-        D = target[j] - partial[j]
-        if not all(np.isfinite(c).all() for c in D.coeffs.values()):
+        D = _packed(support, target[j], J.shape)
+        partial = engine.fill(j)
+        if partial is not None:
+            D -= partial
+        if not np.isfinite(D).all():
             raise ValueError(f"order-{j} structure coefficient is not finite")
-        obstruction = D.map_values(lambda c: commutant_part(J, c)).coeff_norm()
-        if _exceeds(obstruction, tol * max(1.0, D.coeff_norm())):
+        obstruction = float(np.linalg.norm(commutant_part(J, D)))
+        if _exceeds(obstruction, tol * max(1.0, float(np.linalg.norm(D)))):
             raise ValueError(
                 f"order-{j} structure coefficient has a commutant component ({obstruction:.3e})"
             )
-        a_j = D.map_values(lambda c: -0.5 * (c @ J)).prune(0.0)
+        a_j = _unpacked(support, -0.5 * (D @ J), FourierOperatorField, torus_dim, J.shape[0])
         for k, c in a_j.coeffs.items():
             if _exceeds(so_residual(c), tol * max(1.0, float(np.linalg.norm(c)))):
                 raise ValueError(f"extracted order-{j} exponent at {k} leaves so(m,m)")
         terms.append(a_j)
+        engine.extend(0, j, _stack(a_j))
     return SeriesSoField(torus_dim, terms, check=False)

@@ -20,6 +20,28 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+@pytest.mark.parametrize("shape", [(6,), (2, 3)])
+def test_canonical_json_complex_arrays_match_nested_lists(shape):
+    """Complex arrays are written as the nested [re, im] lists they stand for."""
+    parts = [-0.0, 1e-300, 5e-324, 2.0, -3.0, 0.1, 1.5, -0.0, 7.0, 1e-310, 4.0, 123456789.0]
+    arr = np.array(parts).view(complex).reshape(shape)
+
+    def nested(a):
+        if a.ndim == 1:
+            return [[float(c.real), float(c.imag)] for c in a]
+        return [nested(row) for row in a]
+
+    text = cli.canonical_json({"a": arr})
+    assert text == cli.canonical_json({"a": nested(arr)})
+    assert "[-0, 1e-300]" in text and "[4.9406564584124654e-324, 2]" in text
+    for bad in (np.nan, np.inf, -np.inf):
+        for part in (0, 1):
+            broken = arr.copy()
+            broken.reshape(-1).view(float)[2 + part] = bad
+            with pytest.raises(ValueError, match="finite"):
+                cli.canonical_json(broken)
+
+
 def bfield_doc(order=2):
     return {
         "schema": 1,

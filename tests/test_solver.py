@@ -341,7 +341,8 @@ def test_bfield_run_compensates_every_order(pair, bfield_report):
     for j in range(1, 4):
         term = report.b.term(j)
         assert term.is_real(1e-11)
-        leak = term.map_values(lambda c: sol.anticommutant_part(pair.J1, c)).coeff_norm()
+        # the part anticommuting with J1
+        leak = term.map_values(lambda c: 0.5 * (c + pair.J1 @ c @ pair.J1)).coeff_norm()
         assert leak < 1e-10 * max(1.0, term.coeff_norm())
 
 
@@ -368,6 +369,15 @@ def test_conjugated_route_matches_direct(pair, bfield_family, bfield_report):
 
 # ---------------------------------------------------------------------------
 # the series exponential against the operator-series route
+
+
+def spin_terms(family):
+    """Per-order spin images of a family's coefficients, as operator fields."""
+    n = cl.spinor_dim(family.torus_dim)
+    return [
+        t.map_values(cl.spin_lie_action) if t.coeffs else gf.FourierOperatorField(family.torus_dim, n)
+        for t in family.terms
+    ]
 
 
 def _op_series_mul(A, B, order_cap):
@@ -404,7 +414,7 @@ def _op_series_product(factors, order_cap, *, spin, invert=False):
     out = [gf.FourierOperatorField(m, dim) for _ in range(order_cap + 1)]
     out[0] = gf.FourierOperatorField.identity(m, dim)
     for f in reversed(factors) if invert else factors:
-        X = f.spin_terms() if spin else f.padded(order_cap)
+        X = spin_terms(f) if spin else f.padded(order_cap)
         out = _op_series_mul(out, _op_series_exp([-1.0 * x for x in X] if invert else X, order_cap), order_cap)
     return out
 
@@ -678,19 +688,14 @@ def test_verification_rejects_points_of_wrong_dimension(bfield_report):
 
 
 T8_TOL_ORDER = 1e-9
+T8_COEFFS = ([0.0, 0.3, -0.2, 0.1, 0.0, 0.2, 0.0, -0.1], [0.15, 0.0, 0.1, -0.25, 0.1, 0.0, -0.05, 0.0])
 
 
 @pytest.fixture(scope="module")
 def t8_report():
     """Flat Kahler T^8, one exact-b-field family whose one-form sits at e_0
     and e_1 + e_2 (the acceptance shape), order cap 1."""
-    return exact_bfield_report(
-        8,
-        1,
-        [0.0, 0.3, -0.2, 0.1, 0.0, 0.2, 0.0, -0.1],
-        [0.15, 0.0, 0.1, -0.25, 0.1, 0.0, -0.05, 0.0],
-        tol_order=T8_TOL_ORDER,
-    )
+    return exact_bfield_report(8, 1, *T8_COEFFS, tol_order=T8_TOL_ORDER)
 
 
 def test_run_deformation_t8(t8_report):
@@ -709,3 +714,87 @@ def test_verification_at_t8(t8_report):
     v2 = sol.verify_gk_at_t(t8_report, 5e-3, count=2, seed=0)
     assert v1["metric_positive"] and v2["metric_positive"]
     assert 3.0 <= v1["derivative_sup"] / v2["derivative_sup"] <= 5.0
+
+
+def test_run_deformation_t8_order4():
+    """T^8 at order cap 4, the exact-b-field family shape of the benchmark
+    verified at t = 0.1: halving the parameter divides the defect by about
+    2^5, inside the band of acceptance test 7."""
+    report = exact_bfield_report(8, 4, *T8_COEFFS)
+    assert report.ok and len(report.support) == 41
+    assert max(report.residual_norms) <= 1e-12 * report.psi_norm
+    v1 = sol.verify_gk_at_t(report, 0.1, count=2, seed=0)
+    v2 = sol.verify_gk_at_t(report, 0.05, count=2, seed=0)
+    assert v1["metric_positive"] and v2["metric_positive"]
+    assert 24.0 <= v1["derivative_sup"] / v2["derivative_sup"] <= 40.0
+
+
+# ---------------------------------------------------------------------------
+# the carried series against from-scratch dict-keyed expansions
+
+
+def _dict_exp_apply(X, Y, act, order_cap):
+    """``exp(X_t) Y_t`` re-expanded from order 0 over dict-keyed fields:
+    ``term_j = (1/j) act(X, term_{j-1})`` from ``term_0 = Y``."""
+
+    def zero():
+        return type(Y[0])(Y[0].torus_dim, Y[0].value_dim)
+
+    term = [Y[k] if k < len(Y) else zero() for k in range(order_cap + 1)]
+    out = list(term)
+    for j in range(1, order_cap + 1):
+        nxt = [zero() for _ in range(order_cap + 1)]
+        for i in range(1, min(len(X), order_cap + 1)):
+            for k in range(order_cap + 1 - i):
+                if X[i].coeffs and term[k].coeffs:
+                    nxt[i + k] = nxt[i + k] + act(X[i], term[k])
+        term = [(1.0 / j) * f for f in nxt]
+        out = [a + b for a, b in zip(out, term)]
+    return out
+
+
+def _bracket(x, y):
+    return x @ y - y @ x
+
+
+@pytest.mark.parametrize("m, order_cap", [(4, 8), (6, 5)], ids=["m4-k8", "m6-k5"])
+def test_carried_series_matches_dict_expansion(m, order_cap):
+    """The series run_deformation carries column by column equals
+    ``exp(a) exp(b) psi`` expanded from scratch with the final ``b``."""
+    report = exact_bfield_report(m, order_cap, *(M4_COEFFS if m == 4 else M6_COEFFS))
+    want = [report.psi0]
+    for f in reversed(report.factors + [report.b]):
+        want = _dict_exp_apply(spin_terms(f), want, gf.FourierOperatorField.act, order_cap)
+    assert want[order_cap].coeff_norm() > 1e-10 * report.psi_norm
+    for j in range(order_cap + 1):
+        assert (report.psi_series.term(j) - want[j]).coeff_norm() <= 1e-14 * report.psi_norm, j
+
+
+def test_extraction_matches_from_scratch_route(pair):
+    """Carried extraction equals re-expanding the partial family at every order.
+
+    The target conjugates J by a family with commuting parts, so every
+    order of the transverse family is nonzero."""
+    order_cap = 5
+    J = pair.J1
+    e = np.eye(4, dtype=int)
+    family = random_family(np.random.default_rng(7), 4, [(1, tuple(e[0])), (2, tuple(e[1] + e[2]))])
+    J0 = gf.FourierOperatorField.constant(4, J.astype(complex))
+    target = _dict_exp_apply(family.terms, [J0], _bracket, order_cap)
+    want = [None]
+    for j in range(1, order_cap + 1):
+        partial = _dict_exp_apply(sol.SeriesSoField(4, want, check=False).terms, [J0], _bracket, j)
+        want.append((target[j] - partial[j]).map_values(lambda c: -0.5 * (c @ J)).prune(0.0))
+    got = sol.extract_transverse_family(J, target, order_cap)
+    for j in range(1, order_cap + 1):
+        assert want[j].coeff_norm() > 1.0
+        assert (got.term(j) - want[j]).coeff_norm() <= 1e-14 * want[j].coeff_norm(), j
+
+
+def test_series_term_leaving_the_support_raises(pair, bfield_family):
+    """A support closed only to order 1 cannot hold the order-2 column."""
+    bg = gh.TorusBackground(pair, sol.support_closure([bfield_family], 1, 4))
+    psi0 = pair.canonical_generator(2)
+    assert sol.order_residual(1, bfield_family, None, bg, psi0).rho_norm > 1e-3
+    with pytest.raises(ValueError, match="leaves the support"):
+        sol.order_residual(2, bfield_family, None, bg, psi0)
