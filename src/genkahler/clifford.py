@@ -16,7 +16,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 #: Largest supported number of torus/vector-space dimensions.  Everything is
 #: dense, so spinor spaces have dimension 2**m and so-elements act on R^{2m};
@@ -28,8 +27,6 @@ __all__ = [
     "spinor_dim",
     "degrees",
     "form_vector",
-    "subset_label",
-    "format_form",
     "pairing_matrix",
     "natural_pairing",
     "wedge_sign_table",
@@ -122,25 +119,6 @@ def form_vector(m: int, components: dict[tuple[int, ...], complex]) -> np.ndarra
     return out
 
 
-def subset_label(index: int) -> str:
-    """Human-readable monomial for a subset index, e.g. ``dx1^dx3``."""
-    if index == 0:
-        return "1"
-    return "^".join(f"dx{i + 1}" for i in range(index.bit_length()) if index >> i & 1)
-
-
-def format_form(phi: np.ndarray, tol: float = 1e-12) -> str:
-    """Render a form vector as a short monomial sum (for logs and debugging)."""
-    phi = np.asarray(phi, dtype=complex)
-    _infer_m_from_spinor(phi)
-    parts = []
-    for idx in np.flatnonzero(np.abs(phi) > tol):
-        c = phi[idx]
-        c_str = f"{c.real:+.6g}" if abs(c.imag) < tol else f"+({c:.6g})"
-        parts.append(f"{c_str}*{subset_label(int(idx))}")
-    return " ".join(parts) if parts else "0"
-
-
 @lru_cache(maxsize=None)
 def pairing_matrix(m: int) -> np.ndarray:
     """Gram matrix of the split-signature pairing on R^{2m} (the 1/2 convention)."""
@@ -185,34 +163,24 @@ def wedge_sign_table(m: int) -> np.ndarray:
 
 def wedge(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Wedge product of two form vectors."""
-    f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    m = _infer_m_from_spinor(f)
-    if g.shape != f.shape:
+    if g.shape != np.shape(f):
         raise ValueError("wedge operands must share a dimension")
-    table = wedge_sign_table(m)
-    out = np.zeros_like(f)
-    for I in np.flatnonzero(f):
-        row = table[I]
-        for J in np.flatnonzero(g):
-            s = row[J]
-            if s:
-                out[I | J] += s * f[I] * g[J]
-    return out
+    return wedge_operator(f) @ g
 
 
 def wedge_operator(phi: np.ndarray) -> np.ndarray:
-    """Matrix of ``psi -> phi ^ psi``."""
+    """Matrix of ``psi -> phi ^ psi``: entry ``(I|J, J)`` is ``t[I, J] phi[I]``.
+
+    For a fixed column ``J`` the disjoint ``I`` have distinct unions ``I|J``,
+    so the matrix is one scatter over the nonzero signs."""
     phi = np.asarray(phi, dtype=complex)
     m = _infer_m_from_spinor(phi)
     n = spinor_dim(m)
     table = wedge_sign_table(m)
+    I, J = np.nonzero(table)
     M = np.zeros((n, n), dtype=complex)
-    for I in np.flatnonzero(phi):
-        row = table[I]
-        for J in range(n):
-            if row[J]:
-                M[I | J, J] += row[J] * phi[I]
+    M[I | J, J] = table[I, J] * phi[I]
     return M
 
 
@@ -339,15 +307,7 @@ def clifford_act(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     m = _infer_m_from_spinor(phi)
     if v.shape != (2 * m,):
         raise ValueError(f"vector shape {v.shape} does not match spinor dim {phi.shape}")
-    W = wedge_matrices(m)
-    C = contraction_matrices(m)
-    out = np.zeros_like(phi)
-    for j in range(m):
-        if v[j]:
-            out += v[j] * (C[j] @ phi)
-        if v[m + j]:
-            out += v[m + j] * (W[j] @ phi)
-    return out
+    return clifford_matrices(v) @ phi
 
 
 def so_residual(alpha: np.ndarray) -> float:
@@ -498,11 +458,43 @@ def spin_lie_action(alpha: np.ndarray) -> np.ndarray:
     return out.reshape(n, n)
 
 
+def _one_norms(a: np.ndarray) -> np.ndarray:
+    """Largest absolute column sum of each matrix of a stack ``(..., n, n)``."""
+    return np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a stack ``(..., n, n)`` by scaling and squaring.
+
+    Each matrix is scaled by ``2**-s`` to 1-norm below 1/2, its Taylor series
+    is summed until a term is below roundoff of the sum (the terms fall at
+    least like ``2**-j / j!``), and the sum is squared ``s`` times (Higham,
+    SIAM J. Matrix Anal. Appl. 26 (2005)).  Raises ``ValueError`` when an
+    entry or the 1-norm is not finite.
+    """
+    a = np.asarray(a)
+    norm = _one_norms(a)
+    if not np.isfinite(norm).all():
+        raise ValueError("matrix exponential of a non-finite matrix")
+    # norm < 2**e, so norm / 2**(e + 1) < 1/2
+    squarings = np.where(norm > 0.5, np.frexp(norm)[1] + 1, 0)
+    x = a / np.ldexp(1.0, squarings)[..., None, None]
+    out = np.eye(a.shape[-1]) + x
+    term, j = x, 1
+    while (_one_norms(term) > np.finfo(float).eps * _one_norms(out)).any():
+        j += 1
+        term = (term @ x) / j
+        out = out + term
+    for step in range(int(squarings.max(initial=0))):
+        out = np.where((squarings > step)[..., None, None], out @ out, out)
+    return out
+
+
 def spin_group_exp(alpha: np.ndarray) -> np.ndarray:
     """Exponential of the spinor representation, ``expm(spin_lie_action(alpha))``."""
-    return scipy.linalg.expm(spin_lie_action(alpha))
+    return _expm(spin_lie_action(alpha))
 
 
 def so_exp(alpha: np.ndarray) -> np.ndarray:
     """Exponential of an so(m,m) element (an orthogonal transformation of R^{2m})."""
-    return scipy.linalg.expm(require_so(alpha))
+    return _expm(require_so(alpha))

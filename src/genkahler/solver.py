@@ -27,9 +27,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .clifford import (
+    _expm,
     pairing_matrix,
     so_residual,
     so_from_pair,
@@ -683,16 +683,11 @@ def solve_phi(
     return phi, info
 
 
-def _beta_basis(pair: HermitianPair) -> tuple[list[np.ndarray], np.ndarray]:
-    """so-basis of ``V_-^{1,0} (x) V_+^{0,1}`` and its spinor representations."""
+def _beta_basis(pair: HermitianPair) -> np.ndarray:
+    """so-basis of ``V_-^{1,0} (x) V_+^{0,1}``, stacked ``(n*n, 2m, 2m)``."""
     lm = pair.sector_frame(False, True)
     lp = pair.sector_frame(True, False)
-    basis = []
-    for i in range(lm.shape[1]):
-        for j in range(lp.shape[1]):
-            basis.append(so_from_pair(lm[:, i], lp[:, j]))
-    spins = np.stack([spin_lie_action(alpha) for alpha in basis])
-    return basis, spins
+    return np.stack([so_from_pair(lm[:, i], lp[:, j]) for i in range(lm.shape[1]) for j in range(lp.shape[1])])
 
 
 def beta_from_phi(
@@ -716,9 +711,8 @@ def beta_from_phi(
         seed = psi[(0,) * psi.torus_dim]
     else:
         seed = np.asarray(psi, dtype=complex)
-    basis, spins = _beta_basis(pair)
-    basis_stack = np.stack(basis)
-    M = np.column_stack([S @ seed for S in spins])
+    basis = _beta_basis(pair)
+    M = np.column_stack([spin_lie_action(alpha) @ seed for alpha in basis])
     sv = np.linalg.svd(M, compute_uv=False)
     if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
         raise ValueError("seed spinor gives a singular correction system")
@@ -730,7 +724,7 @@ def beta_from_phi(
         resid = float(np.linalg.norm(M @ c - v))
         if _exceeds(resid, tol * max(float(np.linalg.norm(v)), 1e-300)):
             raise ValueError(f"potential at frequency {k} is not in the correction range ({resid:.3e})")
-        out.coeffs[k] = np.tensordot(c, basis_stack, axes=(0, 0))
+        out.coeffs[k] = np.tensordot(c, basis, axes=(0, 0))
     return out.prune(0.0)
 
 
@@ -1003,7 +997,7 @@ def verify_gk_at_t(
     grads = [f.evaluate_gradient(t, points) for f in families]
 
     # orthogonal side, stacked over the points
-    exps = [scipy.linalg.expm(v) for v in vals]
+    exps = [_expm(v) for v in vals]
     E_no_b = np.eye(2 * m, dtype=complex)
     for ex in exps[:-1]:
         E_no_b = E_no_b @ ex

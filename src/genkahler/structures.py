@@ -9,19 +9,15 @@ form space by joint eigenvalues and a distinguished star operator.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
-import scipy.linalg
 
 from genkahler.clifford import (
     _check_m,
     chevalley_gram,
     clifford_matrices,
-    clifford_vector_matrix,
     pairing_matrix,
-    require_so,
-    so_exp,
     spinor_dim,
 )
 
@@ -73,17 +69,12 @@ def standard_complex_structure(m: int) -> np.ndarray:
     m = _check_m(m)
     if m % 2:
         raise ValueError("a complex structure needs an even dimension")
-    block = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return scipy.linalg.block_diag(*([block] * (m // 2)))
+    return np.kron(np.eye(m // 2), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def standard_symplectic_form(m: int) -> np.ndarray:
     """Coefficients of dx1^dx2 + dx3^dx4 + ...: ``w[i,j] = w(d_i, d_j)``."""
-    m = _check_m(m)
-    if m % 2:
-        raise ValueError("a symplectic form needs an even dimension")
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return scipy.linalg.block_diag(*([block] * (m // 2)))
+    return -standard_complex_structure(m)
 
 
 def complex_structure_gcs(J_base: np.ndarray) -> np.ndarray:
@@ -114,6 +105,11 @@ def symplectic_gcs(omega: np.ndarray) -> np.ndarray:
     return out
 
 
+def _clifford_product(frame: np.ndarray) -> np.ndarray:
+    """``cl(f_1) @ cl(f_2) @ ... @ cl(f_k)`` over the columns of ``frame``."""
+    return reduce(np.matmul, clifford_matrices(frame.T))
+
+
 def _graded_projectors(L: np.ndarray, Lbar: np.ndarray, steps, top, gram: np.ndarray | None = None) -> dict:
     """Projectors onto the label spaces of the Clifford words on a pure spinor.
 
@@ -130,10 +126,7 @@ def _graded_projectors(L: np.ndarray, Lbar: np.ndarray, steps, top, gram: np.nda
     pieces at m = 8 (3.5e-10 absolute on a random pair), the solve keeps it
     below 1e-15.
     """
-    word = clifford_matrices(L.T)
-    M = word[0]
-    for C in word[1:]:
-        M = M @ C
+    M = _clifford_product(L)
     rho = M[:, np.argmax(np.linalg.norm(M, axis=0))]
     V, labels = rho[:, None], np.array([top])
     for C, step in zip(clifford_matrices(Lbar.T), steps):
@@ -145,9 +138,9 @@ def _graded_projectors(L: np.ndarray, Lbar: np.ndarray, steps, top, gram: np.nda
         H = V.conj().T @ gram
         V_inv = np.linalg.solve(H @ V, H)
     out = {}
-    for label in np.unique(labels, axis=0):
+    for label in sorted(set(map(tuple, labels.tolist()))):
         cols = (labels == label).all(axis=1)
-        out[tuple(int(v) for v in label)] = V[:, cols] @ V_inv[cols]
+        out[label] = V[:, cols] @ V_inv[cols]
     return out
 
 
@@ -178,21 +171,18 @@ def volume_spin_element(J: np.ndarray, projectors: dict[int, np.ndarray] | None 
     return sum((1j**k) * Pk for k, Pk in sorted(projectors.items()))
 
 
-def canonical_generator(
-    J: np.ndarray, tol: float = 1e-8, projectors: dict[int, np.ndarray] | None = None
-) -> np.ndarray:
+def canonical_generator(J: np.ndarray, projectors: dict[int, np.ndarray] | None = None) -> np.ndarray:
     """Generator of the top eigenlevel line, scaled so max|coeff| = 1.
 
     Deterministic: picks the largest column of the top-level projector and
     divides by its largest entry (first index on ties).  ``projectors`` are
-    the eigenlevel projectors of ``J`` if already at hand.
+    the eigenlevel projectors of ``J`` if already at hand.  The projector is
+    idempotent, so its trace is its rank and must be one.
     """
     if projectors is None:
         projectors = iso_projectors(J)
-    n = max(projectors)
-    Pn = projectors[n]
-    sv = np.linalg.svd(Pn, compute_uv=False)
-    if sv[0] < tol or (len(sv) > 1 and sv[1] > 0.5):
+    Pn = projectors[max(projectors)]
+    if abs(np.trace(Pn) - 1) > 0.5:
         raise ValueError("top eigenlevel is not a line")
     col = int(np.argmax(np.linalg.norm(Pn, axis=0)))
     v = Pn[:, col]
@@ -278,38 +268,25 @@ def hodge_star(
     """Spinor star operator of a metric (+ optional b-field) and orientation.
 
     Minus the Clifford product of a pairing-orthonormal frame of the +1
-    eigenspace of the generalized metric, last frame vector acting first.
+    eigenspace of the generalized metric, first frame vector acting first.
     The result only depends on the frame through its orientation.
     """
     F = _metric_frame(metric, b_field, orientation)
-    m = F.shape[1]
-    M = np.eye(spinor_dim(m), dtype=complex)
-    for i in range(m):
-        M = clifford_vector_matrix(F[:, i]) @ M
-    return -M
+    return -_clifford_product(F[:, ::-1])
 
 
 def _complex_orientation_sign(j: np.ndarray) -> int:
-    """Orientation sign of frames ``(v1, j v1, v2, j v2, ...)`` for an
-    orthogonal complex structure ``j`` on R^m, relative to the standard one."""
+    """Orientation sign of frames ``(v1, j v1, v2, j v2, ...)`` for a complex
+    structure ``j`` on R^m, relative to the standard one.
+
+    A +i eigenvector is ``w = v - i j v``, so ``(Re w, -Im w) = (v, j v)``;
+    over a frame of the +i eigenspace the sign does not depend on the frame,
+    since a complex change of frame scales the determinant by ``|det|^2``.
+    """
     j = np.asarray(j)
     m = j.shape[0]
-    cols: list[np.ndarray] = []
-    for i in range(m):
-        if len(cols) == m:
-            break
-        cand = np.zeros(m)
-        cand[i] = 1.0
-        if cols:
-            Cmat = np.column_stack(cols)
-            cand = cand - Cmat @ (Cmat.T @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm < 1e-8:
-            continue
-        v = cand / nrm
-        cols.append(v)
-        cols.append(j @ v)
-    det = np.linalg.det(np.column_stack(cols))
+    w = _projector_column_space(0.5 * (np.eye(m) - 1j * j), m // 2)
+    det = np.linalg.det(np.stack([w.real, -w.imag], axis=-1).reshape(m, m))
     return 1 if det > 0 else -1
 
 
@@ -434,12 +411,6 @@ class HermitianPair:
         """Orthonormal frame of the rank-n image of ``sector_projector``."""
         return _projector_column_space(self.sector_projector(plus, holo), self.n)
 
-    def conjugate(self, alpha: np.ndarray) -> "HermitianPair":
-        """Transport the whole pair by the exponential of an so(m,m) element."""
-        E = so_exp(require_so(alpha))
-        Einv = np.linalg.inv(E)
-        return HermitianPair((E @ self.J1 @ Einv).real, (E @ self.J2 @ Einv).real, tol=self.tol)
-
     def canonical_generator(self, which: int = 2) -> np.ndarray:
         if which == 2:
             return canonical_generator(self.J2, projectors=self.proj2)
@@ -473,8 +444,7 @@ def random_hermitian_pair(rng: np.random.Generator, m: int, b_scale: float = 1.0
     def random_orthogonal_complex_structure() -> np.ndarray:
         Q, R = np.linalg.qr(rng.normal(size=(m, m)))
         Q = Q * np.sign(np.diag(R))
-        K = scipy.linalg.block_diag(*([np.array([[0.0, -1.0], [1.0, 0.0]])] * (m // 2)))
-        return Q @ K @ Q.T
+        return Q @ standard_complex_structure(m) @ Q.T
 
     j_p = random_orthogonal_complex_structure()
     j_m = random_orthogonal_complex_structure()

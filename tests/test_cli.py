@@ -358,6 +358,13 @@ def test_console_module_entry():
     assert "result: ok" in proc.stdout
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is a test-only dependency; the command line must run without it."""
+    code = "import sys, genkahler.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "genkahler.cli imported scipy"
+
+
 def readme_config():
     """The config example of README.md (its first JSON block)."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

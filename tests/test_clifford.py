@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,9 +108,13 @@ def test_clifford_relation():
         cw = cl.clifford_vector_matrix(w)
         rhs = 2.0 * cl.natural_pairing(v, w) * np.eye(1 << m)
         np.testing.assert_allclose(cv @ cw + cw @ cv, rhs, atol=1e-12)
-        np.testing.assert_allclose(
-            cl.clifford_act(v, w_phi := rng.normal(size=1 << m) + 0j), cv @ w_phi
+        # oracle: contraction by the vector part plus wedge by the covector part
+        ladders = sum(
+            v[j] * C + v[m + j] * W
+            for j, (C, W) in enumerate(zip(cl.contraction_matrices(m), cl.wedge_matrices(m)))
         )
+        phi = rng.normal(size=1 << m) + 0j
+        np.testing.assert_allclose(cl.clifford_act(v, phi), ladders @ phi, atol=1e-12)
 
 
 def test_pairing_matrix_values():
@@ -314,12 +319,36 @@ def test_group_exp_equivariance():
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_expm_matches_scipy_on_so_stacks(m):
+    rng = np.random.default_rng(40 + m)
+    alphas = np.stack([cl.random_so_element(rng, m) + 1j * cl.random_so_element(rng, m) for _ in range(6)])
+    norms = np.abs(alphas).sum(axis=-2).max(axis=-1)
+    # three below 1/2 (no squaring) and three above 4 (squared)
+    scale = np.array([0.1, 0.25, 0.45, 4.5, 8.0, 20.0]) / norms
+    stack = scale[:, None, None] * alphas
+    got = cl._expm(stack)
+    assert got.shape == stack.shape
+    for a, e in zip(stack, got):
+        want = scipy.linalg.expm(a)
+        assert np.linalg.norm(e - want) <= 1e-13 * max(1.0, np.abs(a).sum(axis=0).max()) * np.linalg.norm(want)
+
+
+def test_expm_matches_scipy_on_spin_image_and_rejects_non_finite():
+    S = cl.spin_lie_action(0.5 * cl.random_so_element(np.random.default_rng(3), 8))
+    assert S.shape == (256, 256) and np.abs(S).sum(axis=0).max() > 4
+    want = scipy.linalg.expm(S)
+    assert np.linalg.norm(cl._expm(S) - want) <= 1e-13 * np.linalg.norm(want)
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.zeros((2, 4, 4))
+        a[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            cl._expm(a)
+
+
 def test_degree_component_and_labels():
     m = 3
     phi = cl.form_vector(m, {(): 2.0, (1, 3): -1.0})
     np.testing.assert_allclose(
         np.where(cl.degrees(m) == 2, phi, 0.0), cl.form_vector(m, {(1, 3): -1.0})
     )
-    assert cl.subset_label(0) == "1"
-    assert cl.subset_label(0b101) == "dx1^dx3"
-    assert "dx1^dx3" in cl.format_form(phi)

@@ -280,12 +280,13 @@ def test_solve_phi_routes_agree_and_reproduce(pair, bfield_family):
 def test_beta_from_phi_roundtrip_and_errors(pair):
     rng = np.random.default_rng(9)
     psi0 = pair.canonical_generator(2)
-    basis, spins = sol._beta_basis(pair)
+    basis = sol._beta_basis(pair)
     coeff = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+    images = np.stack([cl.spin_lie_action(alpha) @ psi0 for alpha in basis])
     phi = gf.FourierField(4, 16)
-    phi.coeffs[(1, 0, 0, 0)] = np.tensordot(coeff, np.stack([S @ psi0 for S in spins]), axes=(0, 0))
+    phi.coeffs[(1, 0, 0, 0)] = np.tensordot(coeff, images, axes=(0, 0))
     beta = sol.beta_from_phi(phi, psi0, pair)
-    want = np.tensordot(coeff, np.stack(basis), axes=(0, 0))
+    want = np.tensordot(coeff, basis, axes=(0, 0))
     np.testing.assert_allclose(beta[(1, 0, 0, 0)], want, atol=1e-12)
 
     with pytest.raises(ValueError, match="not in the correction range"):

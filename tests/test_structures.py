@@ -32,6 +32,12 @@ def test_complex_type_canonical_line():
     J = gs.complex_structure_gcs(gs.standard_complex_structure(2))
     gen = gs.canonical_generator(J)
     np.testing.assert_allclose(gen, cl.form_vector(2, {(1,): 1.0, (2,): 1j}), atol=1e-12)
+    # the top-level projector must have rank (trace) one
+    levels = gs.iso_projectors(J)
+    top = max(levels)
+    for bad in (0 * levels[top], levels[top] + levels[top - 1]):
+        with pytest.raises(ValueError, match="not a line"):
+            gs.canonical_generator(J, projectors={**levels, top: bad})
 
 
 def test_symplectic_canonical_line_is_exp_i_omega():
@@ -269,15 +275,6 @@ def test_sector_frames_shift_bigrading_random_pair():
         image = Cv @ Ppq
         target = pair.projector(p + 1, q + 1)
         np.testing.assert_allclose(target @ image, image, atol=1e-7)
-
-
-def test_pair_conjugation_transports_metric():
-    rng = np.random.default_rng(21)
-    pair = gs.standard_kahler_pair(2)
-    alpha = 0.2 * cl.random_so_element(rng, 2)
-    moved = pair.conjugate(alpha)
-    E = cl.so_exp(alpha)
-    np.testing.assert_allclose(moved.G, (E @ pair.G @ np.linalg.inv(E)).real, atol=1e-10)
 
 
 def test_random_pairs_validate():
