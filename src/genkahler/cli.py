@@ -631,8 +631,7 @@ def _series_record(report: sol.SolutionReport) -> dict:
         ]
         betas.append({"order": j, "modes": modes})
     psi = []
-    for j in range(report.order_cap + 1):
-        term = report.psi_series.term(j)
+    for j, term in enumerate(report.psi_series):
         modes = [
             {"frequency": list(k), "vector": v}
             for k, v in sorted(term.coeffs.items())

@@ -39,7 +39,7 @@ __all__ = [
     "three_form_spinor",
     "require_three_form",
     "twisted_derivative",
-    "derivative_block",
+    "derivative_rows",
     "one_form_differential",
     "courant_bracket",
     "dual_l_frames",
@@ -313,16 +313,17 @@ def three_form_spinor(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def derivative_block(k, m: int, h: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of the twisted derivative on the frequency-k coefficient:
-    ``i sum_j k_j dx_j ^ .`` plus wedging by the three-form."""
-    W = wedge_matrices(m)
-    out = np.zeros((spinor_dim(m), spinor_dim(m)), dtype=complex)
-    for j, kj in enumerate(k):
-        if kj:
-            out += 1j * kj * W[j]
+def derivative_rows(freqs: np.ndarray, rows: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+    """Twisted derivative of stacked coefficients: ``i sum_j k_j dx_j ^ v``
+    plus ``H ^ v`` for every row ``v`` of ``rows`` and ``k`` the matching row
+    of the ``(S, m)`` frequency matrix ``freqs``.  The wedges act as the
+    cached real matrices, one product per torus direction."""
+    out = np.zeros(rows.shape, dtype=complex)
+    coeff = 1j * freqs
+    for j, W in enumerate(wedge_matrices(freqs.shape[1])):
+        out += coeff[:, j, None] * (rows @ W.T)
     if h is not None:
-        out = out + wedge_operator(three_form_spinor(h))
+        out += rows @ wedge_operator(three_form_spinor(h)).T
     return out
 
 
@@ -332,8 +333,9 @@ def twisted_derivative(phi: FourierField, h: np.ndarray | None = None) -> Fourie
     if phi.value_dim != spinor_dim(m):
         raise ValueError("field values are not forms on the torus")
     out = FourierField(m, phi.value_dim)
-    for k, c in sorted(phi.coeffs.items()):
-        out.coeffs[k] = derivative_block(k, m, h) @ c
+    if phi.coeffs:
+        keys, rows = zip(*sorted(phi.coeffs.items()))
+        out.coeffs = dict(zip(keys, derivative_rows(np.array(keys, dtype=float), np.array(rows), h)))
     return out
 
 

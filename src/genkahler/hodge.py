@@ -3,12 +3,14 @@
 Because the background pair, b-field and twisting three-form are constant on
 the torus, every operator of interest (twisted derivative, its graded
 components, their adjoints, Laplacians and Green operators) is block-diagonal
-over frequencies.  A :class:`BlockOperator` holds its ``n x n`` blocks
-(``n = 2**m``) as one ``(S, n, n)`` array over a :class:`Support` of ``S``
-sorted frequencies and refuses to act outside it.  Every operation is one
-batched numpy call on that array: sums and scalar multiples on the stack,
-products as one batched ``matmul``, adjoints with one factorization of the
-Gram matrix for all blocks.
+over frequencies.  A spinor field is packed as one ``(S, n)`` array over a
+:class:`Support` of ``S`` sorted frequencies (``n = 2**m``; row ``s`` holds
+the coefficient of frequency ``s``), and a :class:`BlockOperator` holds its
+``n x n`` blocks as one ``(S, n, n)`` array over the same support.  Every
+operation is one batched numpy call: an operator acts on a packed field by
+one batched ``matmul``, the inner product is one ``vdot``, sums and scalar
+multiples work on the stack, products are one batched ``matmul`` and
+adjoints use one factorization of the Gram matrix for all blocks.
 
 Untwisted, Gualtieri's identities (*Generalized Kahler geometry*, CMP 331
 (2014), arXiv:1007.3485) give the graded structure in closed form: the
@@ -31,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from genkahler.clifford import chevalley_gram, clifford_matrices, spinor_dim, wedge_matrices, wedge_operator
-from genkahler.fields import FourierField, three_form_spinor
+from genkahler.fields import FourierOperatorField, derivative_rows, three_form_spinor
 from genkahler.structures import HermitianPair
 
 __all__ = [
@@ -95,6 +97,34 @@ class Support(tuple):
             self._shifts[p] = rows
         return rows
 
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        """The frequencies as one read-only float ``(S, m)`` matrix."""
+        freqs = np.array(self, dtype=float).reshape(len(self), len(self[0]) if self else 0)
+        freqs.setflags(write=False)
+        return freqs
+
+    def pack(self, field) -> np.ndarray:
+        """Coefficients of a Fourier field as one ``(S, *value shape)`` array
+        over the support; a frequency outside it raises."""
+        shape = (field.value_dim,) * (2 if isinstance(field, FourierOperatorField) else 1)
+        out = np.zeros((len(self), *shape), dtype=complex)
+        for k, c in field.coeffs.items():
+            row = self.index.get(k)
+            if row is None:
+                raise ValueError(f"frequency {k} lies outside the support")
+            out[row] = c
+        return out
+
+    def unpack(self, arr: np.ndarray | None, cls, torus_dim: int, value_dim: int):
+        """The Fourier field (``cls``) of a packed array, keyed by its nonzero
+        rows; None stands for the zero field."""
+        out = cls(torus_dim, value_dim)
+        if arr is not None:
+            rows = np.flatnonzero(arr.reshape(len(arr), -1).any(axis=1))
+            out.coeffs = dict(zip((self[r] for r in rows), arr[rows]))
+        return out
+
 
 class BlockOperator:
     """Frequency-diagonal operator on spinor fields over a fixed support.
@@ -103,11 +133,11 @@ class BlockOperator:
     maps each of them to its row, and ``stack`` is one complex ``(S, n, n)``
     array holding the block of row ``s`` at ``stack[s]`` (a zero block where
     none was given).  Results of the algebra share the support and index of
-    their operands.
+    their operands.  The operator acts on fields packed over its support.
     """
 
-    def __init__(self, torus_dim: int, value_dim: int, support, blocks=None, label: str = ""):
-        self.torus_dim, self.value_dim, self.label = int(torus_dim), int(value_dim), label
+    def __init__(self, torus_dim: int, value_dim: int, support, blocks=None):
+        self.torus_dim, self.value_dim = int(torus_dim), int(value_dim)
         n = self.value_dim
         self.support = Support(support)
         self.index = self.support.index
@@ -122,20 +152,20 @@ class BlockOperator:
             self.stack[self.index[key]] = B
 
     @classmethod
-    def identity(cls, torus_dim: int, value_dim: int, support, label: str = "Id") -> "BlockOperator":
-        return cls.from_constant(torus_dim, support, np.eye(value_dim), label=label)
+    def identity(cls, torus_dim: int, value_dim: int, support) -> "BlockOperator":
+        return cls.from_constant(torus_dim, support, np.eye(value_dim))
 
     @classmethod
-    def from_constant(cls, torus_dim: int, support, matrix, label: str = "") -> "BlockOperator":
+    def from_constant(cls, torus_dim: int, support, matrix) -> "BlockOperator":
         matrix = np.asarray(matrix, dtype=complex)
-        op = cls(torus_dim, matrix.shape[0], support, label=label)
+        op = cls(torus_dim, matrix.shape[0], support)
         op.stack[:] = matrix
         return op
 
-    def _like(self, stack: np.ndarray, label: str = "") -> "BlockOperator":
+    def _like(self, stack: np.ndarray) -> "BlockOperator":
         """An operator over the same support holding ``stack`` (not copied)."""
         out = copy.copy(self)
-        out.stack, out.label = stack, label
+        out.stack = stack
         return out
 
     @property
@@ -160,24 +190,16 @@ class BlockOperator:
             raise ValueError("block operators live over different supports")
         return other.stack
 
-    def act(self, field: FourierField) -> FourierField:
-        if field.torus_dim != self.torus_dim or field.value_dim != self.value_dim:
-            raise ValueError("field shape does not match operator")
-        keys = sorted(field.coeffs)
-        rows = [self.index.get(k) for k in keys]
-        if None in rows:
-            raise ValueError(f"field frequency {keys[rows.index(None)]} outside operator support")
-        out = FourierField(self.torus_dim, self.value_dim)
-        if keys:
-            vecs = np.stack([field.coeffs[k] for k in keys])[:, :, None]
-            out.coeffs = dict(zip(keys, np.matmul(self.stack[rows], vecs)[:, :, 0]))
-        return out
+    def act(self, rows: np.ndarray) -> np.ndarray:
+        """The operator on a field packed as ``(S, n)`` over its support."""
+        if np.shape(rows) != self.stack.shape[:2]:
+            raise ValueError(f"packed field of shape {np.shape(rows)} does not match the operator")
+        return np.matmul(self.stack, rows[:, :, None])[:, :, 0]
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):
             return NotImplemented
-        label = f"{self.label}*{other.label}" if self.label or other.label else ""
-        return self._like(np.matmul(self.stack, self._matching(other)), label)
+        return self._like(np.matmul(self.stack, self._matching(other)))
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         return self._like(self.stack + self._matching(other))
@@ -186,7 +208,7 @@ class BlockOperator:
         return self._like(self.stack - self._matching(other))
 
     def __mul__(self, scalar):
-        return self._like(complex(scalar) * self.stack, self.label)
+        return self._like(complex(scalar) * self.stack)
 
     __rmul__ = __mul__
 
@@ -229,18 +251,13 @@ def _as_gram(pair_or_gram) -> np.ndarray:
     return np.asarray(pair_or_gram, dtype=float)
 
 
-def l2_inner(f: FourierField, g: FourierField, pair_or_gram) -> complex:
-    """Hermitian inner product, conjugate-linear in the second argument."""
-    A = _as_gram(pair_or_gram)
-    total = 0.0
-    for k, fk in f.coeffs.items():
-        gk = g.coeffs.get(k)
-        if gk is not None:
-            total = total + gk.conj() @ A @ fk
-    return complex(total)
+def l2_inner(f: np.ndarray, g: np.ndarray, pair_or_gram) -> complex:
+    """Hermitian inner product of two fields packed over one support,
+    conjugate-linear in the second argument."""
+    return complex(np.vdot(g, f @ _as_gram(pair_or_gram).T))
 
 
-def l2_norm(f: FourierField, pair_or_gram) -> float:
+def l2_norm(f: np.ndarray, pair_or_gram) -> float:
     return float(np.sqrt(max(l2_inner(f, f, pair_or_gram).real, 0.0)))
 
 
@@ -253,28 +270,25 @@ def adjoint(op: BlockOperator, pair_or_gram) -> BlockOperator:
     work = np.conj(op.stack)
     rhs = np.matmul(work.transpose(0, 2, 1), A)
     np.matmul(np.linalg.inv(A), rhs, out=work)
-    return op._like(work, f"{op.label}*")
+    return op._like(work)
 
 
 # ---------------------------------------------------------------------------
 # the twisted derivative and its graded components
 
 
-def _affine_stack(support: tuple, terms: np.ndarray, constant: bool) -> np.ndarray:
+def _affine_stack(support: Support, terms: np.ndarray, constant: bool) -> np.ndarray:
     """``i sum_j k_j terms[j] (+ terms[-1])`` for every frequency ``k``, as one GEMM."""
-    freqs = np.array(support, dtype=float).reshape(len(support), len(terms) - constant)
-    coeff = 1j * freqs
+    coeff = 1j * support.frequencies.reshape(len(support), len(terms) - constant)
     if constant:
-        coeff = np.concatenate([coeff, np.ones((len(freqs), 1))], axis=1)
+        coeff = np.concatenate([coeff, np.ones((len(support), 1))], axis=1)
     n = terms.shape[-1]
     return (coeff @ terms.reshape(len(terms), n * n)).reshape(len(support), n, n)
 
 
-def derivative_operator(
-    torus_dim: int, support, h: np.ndarray | None = None, label: str = "dH"
-) -> BlockOperator:
+def derivative_operator(torus_dim: int, support, h: np.ndarray | None = None) -> BlockOperator:
     """Twisted derivative ``i sum_j k_j W_j + H^`` (``W_j`` the wedge by ``dx_{j+1}``)."""
-    op = BlockOperator(torus_dim, spinor_dim(torus_dim), support, label=label)
+    op = BlockOperator(torus_dim, spinor_dim(torus_dim), support)
     terms = np.stack(wedge_matrices(torus_dim)).astype(complex)
     if h is not None:
         terms = np.concatenate([terms, wedge_operator(three_form_spinor(h))[None]])
@@ -304,7 +318,7 @@ def component_operator(
     dp, dq = shift
     m = pair.m
     n = spinor_dim(m)
-    out = BlockOperator(m, n, support, label=f"dH[{dp},{dq}]")
+    out = BlockOperator(m, n, support)
     if abs(dp) == abs(dq) == 1:
         terms = clifford_matrices(pair.sector_projector(dp * dq > 0, dp > 0)[:, m:].T)
     else:
@@ -321,7 +335,7 @@ def laplacian(op: BlockOperator, pair_or_gram) -> BlockOperator:
     star = adjoint(op, pair_or_gram).stack
     lap = np.matmul(op.stack, star)
     lap += np.matmul(star, op.stack)
-    return op._like(lap, f"Lap({op.label})")
+    return op._like(lap)
 
 
 def green_operator(lap: BlockOperator, pair_or_gram, rcond: float = 1e-10) -> BlockOperator:
@@ -351,7 +365,7 @@ def green_operator(lap: BlockOperator, pair_or_gram, rcond: float = 1e-10) -> Bl
     np.matmul(work, U.transpose(0, 2, 1), out=herm)
     np.matmul(T_inv, herm, out=work)
     np.matmul(work, T, out=herm)
-    return lap._like(herm, f"Green({lap.label})")
+    return lap._like(herm)
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +380,13 @@ class TorusBackground:
     the harmonic projector.  Untwisted, ``4 Lap_{delta+}(k) = |k|^2_{g^-1}
     Id`` (Gualtieri, CMP 331 (2014)): the Green operator is ``4/|k|^2_{g^-1}``
     off ``k = 0`` and zero there, the harmonic projector the identity at
-    ``k = 0``.  Twisted, both come from the computed Laplacian.
+    ``k = 0``.  Twisted, both come from the computed Laplacian.  Fields are packed over
+    the background's support.
     """
 
-    def __init__(self, pair: HermitianPair, support, h: np.ndarray | None = None, rcond: float = 1e-10):
+    def __init__(self, pair: HermitianPair, support, h: np.ndarray | None = None):
         self.pair = pair
         self.h = h
-        self.rcond = rcond
         self.support = Support(support)
 
     @cached_property
@@ -394,34 +408,33 @@ class TorusBackground:
     def laplace(self) -> BlockOperator:
         return laplacian(self.components["delta+"], self.gram)
 
-    def _scalar(self, of_k2, label: str) -> BlockOperator:
+    def _scalar(self, of_k2) -> BlockOperator:
         """The operator ``of_k2(|k|^2_{g^-1}) Id`` on the block of every ``k``."""
         m = self.pair.m
-        k = np.array(self.support, dtype=float).reshape(len(self.support), m)
+        k = self.support.frequencies.reshape(len(self.support), m)
         k2 = np.einsum("si,ij,sj->s", k, np.linalg.inv(self.pair.metric), k)
-        op = BlockOperator(m, spinor_dim(m), self.support, label=label)
+        op = BlockOperator(m, spinor_dim(m), self.support)
         op.stack = of_k2(k2)[:, None, None] * np.eye(op.value_dim, dtype=complex)
         return op
 
     @cached_property
     def green(self) -> BlockOperator:
         if self.h is not None:
-            return green_operator(self.laplace, self.gram, rcond=self.rcond)
-        return self._scalar(lambda k2: np.divide(4.0, k2, out=np.zeros_like(k2), where=k2 > 0), "Green")
+            return green_operator(self.laplace, self.gram)
+        return self._scalar(lambda k2: np.divide(4.0, k2, out=np.zeros_like(k2), where=k2 > 0))
 
     @cached_property
     def harmonic(self) -> BlockOperator:
         if self.h is not None:
             lap = self.laplace
-            out = BlockOperator.identity(lap.torus_dim, lap.value_dim, lap.support) - lap @ self.green
-            out.label = "harmonic"
-            return out
-        return self._scalar(lambda k2: (k2 == 0).astype(float), "harmonic")
+            return BlockOperator.identity(lap.torus_dim, lap.value_dim, lap.support) - lap @ self.green
+        return self._scalar(lambda k2: (k2 == 0).astype(float))
 
-    def inner(self, f: FourierField, g: FourierField) -> complex:
-        return l2_inner(f, g, self.gram)
+    def differentiate(self, rows: np.ndarray) -> np.ndarray:
+        """The twisted derivative of a field packed over the support."""
+        return derivative_rows(self.support.frequencies, rows, self.h)
 
-    def norm(self, f: FourierField) -> float:
+    def norm(self, f: np.ndarray) -> float:
         return l2_norm(f, self.gram)
 
     def adjoint(self, op: BlockOperator) -> BlockOperator:

@@ -40,7 +40,7 @@ from .clifford import (
 from .fields import (
     FourierField,
     FourierOperatorField,
-    twisted_derivative,
+    derivative_rows,
     uniform_points,
 )
 from .hodge import Support, TorusBackground
@@ -49,13 +49,13 @@ from .structures import HermitianPair
 __all__ = [
     "IntegrabilityError",
     "SeriesSoField",
-    "SeriesSpinorField",
     "series_exp_action",
     "support_closure",
     "first_structure_defects",
     "OrderData",
     "order_residual",
     "solve_phi",
+    "CorrectionSystem",
     "beta_from_phi",
     "SolutionReport",
     "run_deformation",
@@ -102,11 +102,11 @@ class SeriesSoField:
     """Polynomial family ``t -> so(m,m)-valued field`` vanishing at t = 0.
 
     ``terms[j]`` is the coefficient of ``t**j``; the order-0 term must be
-    zero so the family is the identity at t = 0.  Unless ``require_real``
-    is switched off, every coefficient must describe a real field.
+    zero so the family is the identity at t = 0, and every coefficient
+    must describe a real field.
     """
 
-    def __init__(self, torus_dim: int, terms, *, require_real: bool = True, tol: float = 1e-9, check: bool = True):
+    def __init__(self, torus_dim: int, terms, *, tol: float = 1e-9, check: bool = True):
         self.torus_dim = int(torus_dim)
         self.value_dim = 2 * self.torus_dim
         self.terms = [_as_operator_term(self.torus_dim, self.value_dim, t) for t in terms]
@@ -120,7 +120,7 @@ class SeriesSoField:
                 for k, c in term.coeffs.items():
                     if _exceeds(so_residual(c), tol * max(1.0, float(np.linalg.norm(c)))):
                         raise ValueError(f"order-{j} coefficient at {k} is not in so(m,m)")
-                if require_real and not term.is_real(tol):
+                if not term.is_real(tol):
                     raise ValueError(f"order-{j} term is not a real field")
 
     # -- constructors
@@ -220,60 +220,8 @@ def _stack(field: FourierOperatorField) -> tuple[list, np.ndarray] | None:
     return freqs, np.stack([field.coeffs[p] for p in freqs])
 
 
-class SeriesSpinorField:
-    """Polynomial family ``t -> spinor-valued field``; terms[j] goes with t**j."""
-
-    def __init__(self, torus_dim: int, terms):
-        self.torus_dim = int(torus_dim)
-        self.value_dim = spinor_dim(self.torus_dim)
-        self.terms: list[FourierField] = []
-        for t in terms:
-            if not isinstance(t, FourierField):
-                t = FourierField.constant(self.torus_dim, np.asarray(t, dtype=complex))
-            if t.value_dim != self.value_dim:
-                raise ValueError("series terms must be spinor-valued")
-            self.terms.append(t.copy())
-
-    @property
-    def order_cap(self) -> int:
-        return len(self.terms) - 1
-
-    def term(self, j: int) -> FourierField:
-        if 0 <= j < len(self.terms):
-            return self.terms[j]
-        return FourierField(self.torus_dim, self.value_dim)
-
-    def evaluate(self, t: float, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((points.shape[0], self.value_dim), dtype=complex)
-        for j, term in enumerate(self.terms):
-            if term.coeffs:
-                out += (t ** j) * term.evaluate(points)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # the series exponential
-
-
-def _packed(support: Support, field, shape: tuple[int, ...]) -> np.ndarray:
-    """Coefficients of a Fourier field as one ``(S, *shape)`` array over the support."""
-    out = np.zeros((len(support), *shape), dtype=complex)
-    for k, c in field.coeffs.items():
-        row = support.index.get(k)
-        if row is None:
-            raise ValueError(f"frequency {k} lies outside the series support")
-        out[row] = c
-    return out
-
-
-def _unpacked(support: Support, arr: np.ndarray | None, cls, torus_dim: int, value_dim: int):
-    """The Fourier field (``cls``) of a packed array, keyed by its nonzero rows."""
-    out = cls(torus_dim, value_dim)
-    if arr is not None:
-        rows = np.flatnonzero(arr.reshape(len(arr), -1).any(axis=1))
-        out.coeffs = dict(zip((support[r] for r in rows), arr[rows]))
-    return out
 
 
 def _sum(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
@@ -441,16 +389,17 @@ def _series_support(factors: list[SeriesSoField], seed: FourierField, order_cap:
     return Support(tuple(a + b for a, b in zip(k, q)) for k in reach for q in shifts)
 
 
-def _spinor_series(support: Support, factors: list[SeriesSoField], seed: FourierField, order_cap: int) -> _SeriesExp:
-    source = [_packed(support, seed, (seed.value_dim,))]
-    return _SeriesExp(support, [f.spin_stacks() for f in factors], source, order_cap)
+def _spinor_series(support: Support, factors: list[SeriesSoField], seed: np.ndarray, order_cap: int) -> _SeriesExp:
+    """The series engine of the factors acting on a seed packed over the support."""
+    return _SeriesExp(support, [f.spin_stacks() for f in factors], [seed], order_cap)
 
 
-def _spinor_fields(support: Support, columns: list, torus_dim: int) -> list[FourierField]:
-    return [_unpacked(support, c, FourierField, torus_dim, spinor_dim(torus_dim)) for c in columns]
+def _spinor_fields(support: Support, columns: list) -> list[FourierField]:
+    torus_dim = len(support[0])
+    return [support.unpack(c, FourierField, torus_dim, spinor_dim(torus_dim)) for c in columns]
 
 
-def series_exp_action(a, b, psi, order_cap: int) -> SeriesSpinorField:
+def series_exp_action(a, b, psi, order_cap: int) -> list[FourierField]:
     """Series coefficients of ``exp(a_t) exp(b_t) psi`` up to the order cap.
 
     ``a`` may be a single family or a sequence of factor families composed
@@ -464,8 +413,7 @@ def series_exp_action(a, b, psi, order_cap: int) -> SeriesSpinorField:
     torus_dim = factors[0].torus_dim
     seed = _seed_field(torus_dim, psi)
     support = _series_support(factors, seed, order_cap)
-    columns = _spinor_series(support, factors, seed, order_cap).fill_all()
-    return SeriesSpinorField(torus_dim, _spinor_fields(support, columns, torus_dim))
+    return _spinor_fields(support, _spinor_series(support, factors, support.pack(seed), order_cap).fill_all())
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +472,9 @@ def first_structure_defects(a, pair: HermitianPair, order_cap: int) -> list[floa
     order j means the deformed first structure fails to be integrable at
     that order, which breaks the induction hypothesis.
     """
-    moved = conjugated_residual_series(a, None, pair.canonical_generator(1), order_cap)
+    _, moved = _conjugated_residual_columns(a, None, pair.canonical_generator(1), order_cap)
     P_good = pair.proj1[pair.n - 1]
-    return [q.map_values(lambda v: v - P_good @ v).coeff_norm() for q in moved.terms]
+    return [0.0 if q is None else float(np.linalg.norm(q - q @ P_good.T)) for q in moved]
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +483,12 @@ def first_structure_defects(a, pair: HermitianPair, order_cap: int) -> list[floa
 
 @dataclass
 class OrderData:
-    """Obstruction at one order, its corner components and closedness data."""
+    """Obstruction at one order, its corner components and closedness data;
+    ``rho`` and the components are packed over the background's support."""
 
     order: int
-    rho: FourierField
-    components: dict[tuple[int, int], FourierField]
+    rho: np.ndarray
+    components: dict[tuple[int, int], np.ndarray]
     outside_norm: float
     component_closed: dict[str, float]
     cross_sum: float
@@ -568,45 +517,42 @@ def order_residual(
     psi,
     *,
     tol: float = 1e-10,
-    check: bool = True,
 ) -> OrderData:
     """Obstruction with the trial order-``order`` correction set to zero.
 
     Returns the order-``order`` coefficient of ``d^H exp(a_t) exp(b_{<order})
     psi`` together with its four corner components, the norm outside those
     corners, and the closedness checks that the corner structure demands.
-    With ``check`` on, violations raise distinct ValueErrors.
+    Violations raise distinct ValueErrors.
     """
     if order < 1:
         raise ValueError("orders start at 1")
-    torus_dim = background.pair.m
-    seed = _seed_field(torus_dim, psi)
+    support = background.support
+    seed = support.pack(_seed_field(background.pair.m, psi))
     scale = max(background.norm(seed), 1e-300)
     factors = _factor_list(a) + _factor_list(b.truncate(order - 1) if b is not None else None)
     if not factors:
         raise ValueError("need at least one series family")
-    columns = _spinor_series(background.support, factors, seed, order).fill_all()
-    derivs = [twisted_derivative(f, background.h) for f in _spinor_fields(background.support, columns, torus_dim)]
-    if check:
-        bad = [j for j in range(order) if _exceeds(background.norm(derivs[j]), tol * scale)]
-        if bad:
-            raise ValueError(f"residual below order {order} is nonzero at orders {bad}")
-    return _obstruction(order, derivs[order], background, scale, tol=tol, check=check)
+    columns = _spinor_series(support, factors, seed, order).fill_all()
+    derivs = [background.differentiate(_dense(c, seed)) for c in columns]
+    bad = [j for j in range(order) if _exceeds(background.norm(derivs[j]), tol * scale)]
+    if bad:
+        raise ValueError(f"residual below order {order} is nonzero at orders {bad}")
+    return _obstruction(order, derivs[order], background, scale, tol=tol)
 
 
-def _obstruction(order: int, rho: FourierField, background: TorusBackground, scale: float, *, tol: float, check: bool) -> OrderData:
-    """Corner components of the order-``order`` obstruction and their checks."""
+def _dense(column: np.ndarray | None, like: np.ndarray) -> np.ndarray:
+    """A packed series column, zeros (shaped like ``like``) where it vanishes."""
+    return np.zeros_like(like) if column is None else column
+
+
+def _obstruction(order: int, rho: np.ndarray, background: TorusBackground, scale: float, *, tol: float) -> OrderData:
+    """Corner components of the packed order-``order`` obstruction and their checks."""
     pair = background.pair
     n = pair.n
-    comps = {}
-    for p, q in _corner_keys(n):
-        proj = pair.projector(p, q)
-        comps[(p, q)] = rho.map_values(lambda v, proj=proj: proj @ v)
-    inside = FourierField(pair.m, rho.value_dim)
-    for f in comps.values():
-        inside = inside + f
-    outside_norm = background.norm(rho - inside)
-    if check and _exceeds(outside_norm, tol * scale):
+    comps = {key: rho @ pair.projector(*key).T for key in _corner_keys(n)}
+    outside_norm = background.norm(rho - sum(comps.values()))
+    if _exceeds(outside_norm, tol * scale):
         raise ValueError(f"order-{order} obstruction leaks outside the four corners ({outside_norm:.3e})")
 
     ops = background.components
@@ -614,10 +560,9 @@ def _obstruction(order: int, rho: FourierField, background: TorusBackground, sca
         name: background.norm(ops[name].act(comps[corner]))
         for name, corner in _annihilating_arrows(n).items()
     }
-    if check:
-        bad_ops = {k: v for k, v in closed.items() if _exceeds(v, tol * scale)}
-        if bad_ops:
-            raise ValueError(f"corner components are not closed under their outgoing arrows: {bad_ops}")
+    bad_ops = {k: v for k, v in closed.items() if _exceeds(v, tol * scale)}
+    if bad_ops:
+        raise ValueError(f"corner components are not closed under their outgoing arrows: {bad_ops}")
 
     cross = (
         ops["delta-"].act(comps[(-1, n - 1)])
@@ -626,7 +571,7 @@ def _obstruction(order: int, rho: FourierField, background: TorusBackground, sca
         + ops["delta_bar+"].act(comps[(1, n - 1)])
     )
     cross_sum = background.norm(cross)
-    if check and _exceeds(cross_sum, tol * scale):
+    if _exceeds(cross_sum, tol * scale):
         raise ValueError(f"mixed corner sum does not cancel ({cross_sum:.3e})")
 
     return OrderData(
@@ -646,41 +591,41 @@ def solve_phi(
     *,
     tol_agree: float = 1e-10,
     tol_exact: float = 1e-9,
-    check: bool = True,
 ) -> tuple[FourierField, dict[str, float]]:
     """Potential ``phi`` in ``U^{0,n-2}`` with ``d^H phi = rho``.
 
     Both Green-operator expressions (through the lower arrows into the
     middle space and the negated upper ones) are computed; they must agree,
     and the recovered potential must reproduce the obstruction exactly.
+    The work is on packed arrays; ``phi`` is returned as a Fourier field.
     """
     pair = background.pair
     n = pair.n
     ops = background.components
     G = background.green
-    route_down = ops["delta-"].act(data.components[(-1, n - 1)]) + ops["delta_bar-"].act(data.components[(1, n - 3)])
-    route_up = ops["delta+"].act(data.components[(-1, n - 3)]) + ops["delta_bar+"].act(data.components[(1, n - 1)])
-    phi_a = G.act(route_down)
-    phi_b = -1.0 * G.act(route_up)
+    corner = data.components
+    route_down = ops["delta-"].act(corner[(-1, n - 1)]) + ops["delta_bar-"].act(corner[(1, n - 3)])
+    route_up = ops["delta+"].act(corner[(-1, n - 3)]) + ops["delta_bar+"].act(corner[(1, n - 1)])
+    phi = G.act(route_down)
+    phi_b = -G.act(route_up)
 
     scale = max(data.rho_norm, 1e-300)
-    agreement = background.norm(phi_a - phi_b)
-    phi = phi_a
-    exactness = background.norm(twisted_derivative(phi, background.h) - data.rho)
-    off_grade = background.norm(phi - phi.map_values(lambda v: pair.projector(0, n - 2) @ v))
+    agreement = background.norm(phi - phi_b)
+    exactness = background.norm(background.differentiate(phi) - data.rho)
+    off_grade = background.norm(phi - phi @ pair.projector(0, n - 2).T)
     info = {
         "phi_norm": background.norm(phi),
         "phi_agreement": agreement,
         "phi_exactness": exactness,
         "phi_off_grade": off_grade,
     }
-    if check and _exceeds(agreement, tol_agree * scale):
+    if _exceeds(agreement, tol_agree * scale):
         raise ValueError(f"the two potential expressions disagree ({agreement:.3e})")
-    if check and _exceeds(exactness, tol_exact * scale):
+    if _exceeds(exactness, tol_exact * scale):
         raise ValueError(f"potential does not reproduce the obstruction ({exactness:.3e})")
-    if check and _exceeds(off_grade, tol_agree * scale):
+    if _exceeds(off_grade, tol_agree * scale):
         raise ValueError(f"potential leaves the middle component ({off_grade:.3e})")
-    return phi, info
+    return background.support.unpack(phi, FourierField, pair.m, phi.shape[1]), info
 
 
 def _beta_basis(pair: HermitianPair) -> np.ndarray:
@@ -690,42 +635,52 @@ def _beta_basis(pair: HermitianPair) -> np.ndarray:
     return np.stack([so_from_pair(lm[:, i], lp[:, j]) for i in range(lm.shape[1]) for j in range(lp.shape[1])])
 
 
-def beta_from_phi(
-    phi: FourierField,
-    psi,
-    pair: HermitianPair,
-    *,
-    tol: float = 1e-8,
-) -> FourierOperatorField:
-    """so-valued field ``beta`` with ``beta . psi = phi``.
+class CorrectionSystem:
+    """The map ``c -> spin(sum_i c_i alpha_i) psi`` for a constant seed.
 
-    ``beta`` takes values in the span of products of the minus-holomorphic
-    with the plus-antiholomorphic frame, the unique sector that maps the
-    top antiholomorphic line onto ``U^{0,n-2}``.  The (constant) seed must
-    be a single spinor; each frequency of ``phi`` is solved independently
-    and an unrepresentable or rank-deficient system raises.
+    The ``alpha_i`` (``basis``) span ``V_-^{1,0} (x) V_+^{0,1}``, the unique
+    sector that maps the top antiholomorphic line onto ``U^{0,n-2}``.
+    ``images`` holds the columns ``spin(alpha_i) psi`` and ``pinv`` its
+    pseudo-inverse.  Built once per seed; a seed that is not a single
+    constant spinor, or a rank-deficient system, raises.
     """
-    if isinstance(psi, FourierField):
-        if len(psi.coeffs) != 1 or (0,) * psi.torus_dim not in psi.coeffs:
-            raise ValueError("the seed spinor must be constant")
-        seed = psi[(0,) * psi.torus_dim]
-    else:
-        seed = np.asarray(psi, dtype=complex)
-    basis = _beta_basis(pair)
-    M = np.column_stack([spin_lie_action(alpha) @ seed for alpha in basis])
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
-        raise ValueError("seed spinor gives a singular correction system")
-    pinv = np.linalg.pinv(M, rcond=1e-12)
 
-    out = FourierOperatorField(pair.m, 2 * pair.m)
-    for k, v in sorted(phi.coeffs.items()):
-        c = pinv @ v
-        resid = float(np.linalg.norm(M @ c - v))
-        if _exceeds(resid, tol * max(float(np.linalg.norm(v)), 1e-300)):
-            raise ValueError(f"potential at frequency {k} is not in the correction range ({resid:.3e})")
-        out.coeffs[k] = np.tensordot(c, basis, axes=(0, 0))
-    return out.prune(0.0)
+    def __init__(self, psi, pair: HermitianPair):
+        if isinstance(psi, FourierField):
+            if len(psi.coeffs) != 1 or (0,) * psi.torus_dim not in psi.coeffs:
+                raise ValueError("the seed spinor must be constant")
+            psi = psi[(0,) * psi.torus_dim]
+        self.seed = np.asarray(psi, dtype=complex)
+        self.basis = _beta_basis(pair)
+        self.images = np.column_stack([spin_lie_action(alpha) @ self.seed for alpha in self.basis])
+        sv = np.linalg.svd(self.images, compute_uv=False)
+        if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
+            raise ValueError("seed spinor gives a singular correction system")
+        self.pinv = np.linalg.pinv(self.images, rcond=1e-12)
+
+
+def beta_from_phi(phi: FourierField, system: CorrectionSystem, *, tol: float = 1e-8) -> FourierOperatorField:
+    """so-valued field ``beta`` with ``beta . psi = phi`` in the sector of the system.
+
+    All frequencies of ``phi`` are solved by one product with the
+    pseudo-inverse; a frequency whose potential lies outside the range of
+    the system raises, naming the first such frequency.
+    """
+    out = FourierOperatorField(phi.torus_dim, system.basis.shape[-1])
+    if not phi.coeffs:
+        return out
+    keys, rows = zip(*sorted(phi.coeffs.items()))
+    V = np.array(rows)
+    C = V @ system.pinv.T
+    resid = np.linalg.norm(C @ system.images.T - V, axis=1)
+    bad = np.flatnonzero(~(resid <= tol * np.maximum(np.linalg.norm(V, axis=1), 1e-300)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"potential at frequency {keys[k]} is not in the correction range ({resid[k]:.3e})")
+    basis = system.basis
+    betas = (C @ basis.reshape(len(basis), -1)).reshape(len(keys), *basis.shape[1:])
+    out.coeffs = {keys[r]: betas[r] for r in np.flatnonzero(betas.reshape(len(keys), -1).any(axis=1))}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +708,7 @@ class SolutionReport:
     precondition_defects: list[float]
     residual_norms: list[float]
     support: tuple
-    psi_series: SeriesSpinorField
+    psi_series: list[FourierField]
     ok: bool
     order_wall_ms: list[float] = field(default_factory=list)
 
@@ -787,6 +742,32 @@ class SolutionReport:
         }
 
 
+def _real_spin_stack(beta: FourierOperatorField, seed: np.ndarray, support: Support) -> tuple[tuple[list, np.ndarray] | None, np.ndarray]:
+    """Spin images of ``beta + conj(beta)`` (frequencies and read-only stack,
+    or None) and ``spin(beta) seed`` packed over the support.
+
+    Each coefficient of ``beta`` goes through the spin action once: the
+    action commutes with complex conjugation, so the image at ``p`` is
+    ``spin(beta_p) + conj(spin(beta_-p))``, formed in place pair by pair
+    (``p = 0`` pairs with itself)."""
+    acted = np.zeros((len(support), seed.size), dtype=complex)
+    if not beta.coeffs:
+        return None, acted
+    freqs = sorted(set(beta.coeffs) | {tuple(-v for v in p) for p in beta.coeffs})
+    row = {p: r for r, p in enumerate(freqs)}
+    n = spinor_dim(beta.torus_dim)
+    mats = np.zeros((len(freqs), n, n), dtype=complex)
+    for p, c in beta.coeffs.items():
+        mats[row[p]] = spin_lie_action(c)
+    acted[[support.index[p] for p in freqs]] = mats @ seed
+    for p, r in row.items():
+        q = row[tuple(-v for v in p)]
+        if r <= q:
+            mats[[r, q]] += mats[[q, r]].conj()
+    mats.setflags(write=False)
+    return (freqs, mats), acted
+
+
 def run_deformation(
     a,
     pair: HermitianPair,
@@ -813,11 +794,12 @@ def run_deformation(
     seed = _seed_field(torus_dim, psi if psi is not None else pair.canonical_generator(2))
     support = _series_support(factors, seed, order_cap)
     background = TorusBackground(pair, support)
-    psi_norm = background.norm(seed)
+    seed_rows = support.pack(seed)
+    psi_norm = background.norm(seed_rows)
     if not 0 < psi_norm < np.inf:
         raise ValueError(f"seed spinor norm {psi_norm:.3e} is zero or not finite")
 
-    seed_closed = background.norm(twisted_derivative(seed))
+    seed_closed = background.norm(background.differentiate(seed_rows))
     if _exceeds(seed_closed, tol_checks * psi_norm):
         raise IntegrabilityError(f"seed spinor is not closed ({seed_closed:.3e})", order=0)
 
@@ -830,41 +812,39 @@ def run_deformation(
             raise IntegrabilityError(
                 f"deformed first structure loses integrability at order {j} ({d:.3e})", order=j
             )
+    system = CorrectionSystem(seed, pair)
 
     b = SeriesSoField.zero(torus_dim)
     betas: list[FourierOperatorField] = []
     beta_norms, rho_norms, phi_infos = [], [], []
     closed_list, cross_list, outside_list, grading_list = [], [], [], []
     wall_ms: list[float] = []
-    n = pair.n
-    mid_proj = pair.projector(0, n - 2)
+    mid_proj = pair.projector(0, pair.n - 2)
 
     # the series exp(a_t) exp(b_t) psi is carried forward one column per
     # order: column k is built with b_k = 0, and b_k then adds spin(b_k) psi
-    engine = _spinor_series(support, factors + [b], seed, order_cap)
-    psi_terms = _spinor_fields(support, [engine.fill(0)], torus_dim)
-    residual_norms = [background.norm(twisted_derivative(psi_terms[0]))]
+    engine = _spinor_series(support, factors + [b], seed_rows, order_cap)
+    columns = [engine.fill(0)]
+    residual_norms = [seed_closed]
 
     for order in range(1, order_cap + 1):
         t0 = time.perf_counter()
         bad = [j for j in range(order) if _exceeds(residual_norms[j], tol_checks * psi_norm)]
         if bad:
             raise ValueError(f"residual below order {order} is nonzero at orders {bad}")
-        trial = _spinor_fields(support, [engine.fill(order)], torus_dim)[0]
-        data = _obstruction(order, twisted_derivative(trial), background, psi_norm, tol=tol_checks, check=True)
-        phi, info = solve_phi(data, background, tol_agree=tol_checks, tol_exact=tol_order, check=True)
-        beta = beta_from_phi(-1.0 * phi, seed, pair)
+        rho = background.differentiate(_dense(engine.fill(order), seed_rows))
+        data = _obstruction(order, rho, background, psi_norm, tol=tol_checks)
+        phi, info = solve_phi(data, background, tol_agree=tol_checks, tol_exact=tol_order)
+        beta = -beta_from_phi(phi, system)
 
-        acted = beta.map_values(spin_lie_action).act(seed) if beta.coeffs else FourierField(torus_dim, seed.value_dim)
-        grading = background.norm(acted - acted.map_values(lambda v: mid_proj @ v))
+        spins, acted = _real_spin_stack(beta, system.seed, support)
+        grading = background.norm(acted - acted @ mid_proj.T)
         if _exceeds(grading, tol_checks * psi_norm):
             raise ValueError(f"order-{order} correction acts outside the middle component ({grading:.3e})")
 
-        b_k = beta + beta.conj()
-        b = b.with_term(order, b_k)
-        column = engine.extend(len(factors), order, _spin_stack(b_k))
-        psi_terms += _spinor_fields(support, [column], torus_dim)
-        residual_norms.append(background.norm(twisted_derivative(psi_terms[-1])))
+        b = b.with_term(order, beta + beta.conj())
+        columns.append(engine.extend(len(factors), order, spins))
+        residual_norms.append(background.norm(background.differentiate(_dense(columns[-1], seed_rows))))
         betas.append(beta)
         beta_norms.append(beta.coeff_norm())
         rho_norms.append(data.rho_norm)
@@ -875,7 +855,6 @@ def run_deformation(
         grading_list.append(grading)
         wall_ms.append(1e3 * (time.perf_counter() - t0))
 
-    psi_series = SeriesSpinorField(torus_dim, psi_terms)
     bad = [j for j in range(1, order_cap + 1) if _exceeds(residual_norms[j], tol_order * psi_norm)]
     report = SolutionReport(
         pair=pair,
@@ -895,7 +874,7 @@ def run_deformation(
         precondition_defects=defects,
         residual_norms=residual_norms,
         support=support,
-        psi_series=psi_series,
+        psi_series=_spinor_fields(support, columns),
         ok=not bad,
         order_wall_ms=wall_ms,
     )
@@ -1056,7 +1035,7 @@ def verify_gk_at_t(
 # cross-check route and input families
 
 
-def conjugated_residual_series(a, b, psi, order_cap: int) -> SeriesSpinorField:
+def conjugated_residual_series(a, b, psi, order_cap: int) -> list[FourierField]:
     """Coefficients of ``exp(-b) exp(-a) d exp(a) exp(b) psi``.
 
     Independent route to the per-order obstruction: as long as the residual
@@ -1064,17 +1043,20 @@ def conjugated_residual_series(a, b, psi, order_cap: int) -> SeriesSpinorField:
     one.  The series of ``series_exp_action`` is differentiated termwise, then
     the factors act again left to right with negated spin terms.
     """
+    return _spinor_fields(*_conjugated_residual_columns(a, b, psi, order_cap))
+
+
+def _conjugated_residual_columns(a, b, psi, order_cap: int) -> tuple[Support, list]:
+    """The support and packed columns of ``conjugated_residual_series``."""
     factors = _factor_list(a) + _factor_list(b)
     if not factors:
         raise ValueError("need at least one series family")
-    torus_dim = factors[0].torus_dim
-    seed = _seed_field(torus_dim, psi)
+    seed = _seed_field(factors[0].torus_dim, psi)
     support = _series_support(factors, seed, order_cap)
-    moved = _spinor_fields(support, _spinor_series(support, factors, seed, order_cap).fill_all(), torus_dim)
-    derivs = [_packed(support, twisted_derivative(f), (seed.value_dim,)) for f in moved]
+    moved = _spinor_series(support, factors, support.pack(seed), order_cap).fill_all()
+    derivs = [None if c is None else derivative_rows(support.frequencies, c) for c in moved]
     inverse = [[None if x is None else (x[0], -x[1]) for x in f.spin_stacks()] for f in reversed(factors)]
-    columns = _SeriesExp(support, inverse, derivs, order_cap).fill_all()
-    return SeriesSpinorField(torus_dim, _spinor_fields(support, columns, torus_dim))
+    return support, _SeriesExp(support, inverse, derivs, order_cap).fill_all()
 
 
 def conjugated_structure_series(generator: FourierOperatorField, J: np.ndarray, order_cap: int) -> list[FourierOperatorField]:
@@ -1095,12 +1077,11 @@ def structure_series_of_family(a, J: np.ndarray, order_cap: int) -> list[Fourier
     support = Support(support_closure(factors, order_cap, torus_dim))
     source = _structure_source(support, J, torus_dim)
     columns = _SeriesExp(support, [[_stack(t) for t in f.terms] for f in factors], [source], order_cap, bracket=True).fill_all()
-    return [_unpacked(support, c, FourierOperatorField, torus_dim, source.shape[-1]) for c in columns]
+    return [support.unpack(c, FourierOperatorField, torus_dim, source.shape[-1]) for c in columns]
 
 
 def _structure_source(support: Support, J: np.ndarray, torus_dim: int) -> np.ndarray:
-    J = np.asarray(J, dtype=complex)
-    return _packed(support, FourierOperatorField.constant(torus_dim, J), J.shape)
+    return support.pack(FourierOperatorField.constant(torus_dim, J))
 
 
 def commutant_part(J: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -1134,7 +1115,7 @@ def extract_transverse_family(
     engine.fill(0)
     terms: list[FourierOperatorField | None] = [None]
     for j in range(1, order_cap + 1):
-        D = _packed(support, target[j], J.shape)
+        D = support.pack(target[j])
         partial = engine.fill(j)
         if partial is not None:
             D -= partial
@@ -1145,7 +1126,7 @@ def extract_transverse_family(
             raise ValueError(
                 f"order-{j} structure coefficient has a commutant component ({obstruction:.3e})"
             )
-        a_j = _unpacked(support, -0.5 * (D @ J), FourierOperatorField, torus_dim, J.shape[0])
+        a_j = support.unpack(-0.5 * (D @ J), FourierOperatorField, torus_dim, J.shape[0])
         for k, c in a_j.coeffs.items():
             if _exceeds(so_residual(c), tol * max(1.0, float(np.linalg.norm(c)))):
                 raise ValueError(f"extracted order-{j} exponent at {k} leaves so(m,m)")

@@ -19,14 +19,29 @@ def t4():
     return gh.TorusBackground(pair, gf.frequencies_box(4, 1))
 
 
+def derivative_block(k, m, h=None):
+    """Dense matrix of the twisted derivative on the frequency-k coefficient,
+    ``i sum_j k_j dx_j ^ .`` plus wedging by the three-form, built term by term."""
+    W = cl.wedge_matrices(m)
+    out = np.zeros((cl.spinor_dim(m), cl.spinor_dim(m)), dtype=complex)
+    for j, kj in enumerate(k):
+        if kj:
+            out += 1j * kj * W[j]
+    if h is not None:
+        out = out + cl.wedge_operator(gf.three_form_spinor(h))
+    return out
+
+
 def test_block_operator_support_discipline():
     support = [(0, 0), (1, 0)]
     op = gh.BlockOperator.identity(2, 4, support)
     f = gf.FourierField(2, 4, {(0, 0): np.ones(4)})
-    np.testing.assert_allclose(op.act(f)[(0, 0)], np.ones(4))
+    np.testing.assert_allclose(op.act(op.support.pack(f))[0], np.ones(4))
     outside = gf.FourierField(2, 4, {(0, 1): np.ones(4)})
     with pytest.raises(ValueError):
-        op.act(outside)
+        op.act(op.support.pack(outside))
+    with pytest.raises(ValueError):
+        op.act(np.ones((3, 4)))
     with pytest.raises(ValueError):
         op[(0, 1)]
     with pytest.raises(ValueError):
@@ -68,16 +83,16 @@ def test_gram_properties():
 
 def test_l2_inner_parseval_orthogonality(t2):
     c = cl.form_vector(2, {(1,): 1.0})
-    f = gf.FourierField(2, 4, {(1, 0): c})
-    g = gf.FourierField(2, 4, {(0, 1): c})
+    f = t2.support.pack(gf.FourierField(2, 4, {(1, 0): c}))
+    g = t2.support.pack(gf.FourierField(2, 4, {(0, 1): c}))
     assert gh.l2_inner(f, g, t2.gram) == 0
     assert gh.l2_inner(f, f, t2.gram).real > 0
 
 
 def test_l2_inner_hermitian_and_positive(t2):
     rng = np.random.default_rng(2)
-    f = gf.random_field(rng, 2, 4, gf.frequencies_box(2, 1))
-    g = gf.random_field(rng, 2, 4, gf.frequencies_box(2, 1))
+    f = t2.support.pack(gf.random_field(rng, 2, 4, gf.frequencies_box(2, 1)))
+    g = t2.support.pack(gf.random_field(rng, 2, 4, gf.frequencies_box(2, 1)))
     hfg = gh.l2_inner(f, g, t2.gram)
     hgf = gh.l2_inner(g, f, t2.gram)
     assert hgf == pytest.approx(np.conj(hfg), abs=1e-12)
@@ -87,7 +102,7 @@ def test_l2_inner_hermitian_and_positive(t2):
 
 def test_flat_plane_generator_norm(t2):
     # |exp(i omega)|^2 = 2 on the flat Kahler plane (hand-computed)
-    w = gf.FourierField.constant(2, cl.form_vector(2, {(): 1.0, (1, 2): 1j}))
+    w = t2.support.pack(gf.FourierField.constant(2, cl.form_vector(2, {(): 1.0, (1, 2): 1j})))
     assert gh.l2_inner(w, w, t2.gram).real == pytest.approx(2.0, abs=1e-13)
     assert gh.l2_norm(w, t2.gram) == pytest.approx(np.sqrt(2.0), abs=1e-13)
 
@@ -114,7 +129,7 @@ def projector_sum_component(shift, grading, m, support, h=None):
     dp, dq = shift
     out = {}
     for k in support:
-        Dk = gf.derivative_block(k, m, h)
+        Dk = derivative_block(k, m, h)
         out[tuple(k)] = sum(
             grading[(p + dp, q + dq)] @ Dk @ Ppq for (p, q), Ppq in grading.items() if (p + dp, q + dq) in grading
         )
@@ -153,7 +168,43 @@ def test_component_operator_matches_projector_sum(m, twisted, lagrange_bigrading
             assert np.linalg.norm(new[shift][k] - B) <= 1e-10 * scale, (shift, k)
     derivative = gh.derivative_operator(m, support, h)
     for k in support:
-        assert np.linalg.norm(derivative[k] - gf.derivative_block(k, m, h)) <= 1e-10 * scale, k
+        assert np.linalg.norm(derivative[k] - derivative_block(k, m, h)) <= 1e-10 * scale, k
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_packed_derivative_matches_derivative_block_t8(twisted):
+    """The stacked-row derivative (background, fields route and the packed
+    rows of ``twisted_derivative``) against the dense block per frequency."""
+    rng = np.random.default_rng(80 + twisted)
+    m = 8
+    h = random_three_form(rng, m) if twisted else None
+    support = gh.Support(small_support(m) + [(1, -1, 0, 2, 0, 0, 1, 0)])
+    rows = rng.normal(size=(len(support), 2**m)) + 1j * rng.normal(size=(len(support), 2**m))
+    bg = gh.TorusBackground(gs.standard_kahler_pair(m), support, h)
+    packed = bg.differentiate(rows)
+    field = gf.twisted_derivative(support.unpack(rows, gf.FourierField, m, 2**m), h)
+    np.testing.assert_array_equal(support.pack(field), packed)
+    for s, k in enumerate(support):
+        want = derivative_block(k, m, h) @ rows[s]
+        assert np.linalg.norm(packed[s] - want) <= 1e-13 * np.linalg.norm(want), k
+
+
+def test_packed_act_and_norm_match_per_frequency_loop():
+    """Batched act, inner product and norm on a Gram matrix far from orthonormal."""
+    rng = np.random.default_rng(90)
+    pair = gs.random_hermitian_pair(rng, 4, b_scale=0.7)
+    gram = gh.l2_gram(pair)
+    assert np.linalg.norm(gram - np.eye(16)) > 1.0
+    op = gh.component_operator((1, 1), pair, gf.frequencies_box(4, 1))
+    f, g = (rng.normal(size=(len(op.support), 16)) + 1j * rng.normal(size=(len(op.support), 16)) for _ in range(2))
+    acted = op.act(f)
+    for s, k in enumerate(op.support):
+        np.testing.assert_allclose(acted[s], op[k] @ f[s], rtol=1e-13, atol=1e-13 * np.linalg.norm(acted))
+    want = sum(g[s].conj() @ gram @ f[s] for s in range(len(f)))
+    assert gh.l2_inner(f, g, gram) == pytest.approx(want, rel=1e-13)
+    norm = np.sqrt(sum((f[s].conj() @ gram @ f[s]).real for s in range(len(f))))
+    assert gh.l2_norm(f, gram) == pytest.approx(norm, rel=1e-13)
+    assert gh.l2_norm(f, pair) == pytest.approx(norm, rel=1e-13)
 
 
 def test_component_operator_matches_projector_sum_t8(lagrange_bigrading):
@@ -169,7 +220,7 @@ def test_component_operator_matches_projector_sum_t8(lagrange_bigrading):
 def test_component_operator_all_shifts_t8_bfield(bfield_t8):
     pair, grading = bfield_t8
     k = (1, -1, 0, 2, 0, 0, 1, 0)
-    scale = np.linalg.norm(gf.derivative_block(k, 8))
+    scale = np.linalg.norm(derivative_block(k, 8))
     for shift in gh.DELTA_SHIFTS.values():
         new = gh.component_operator(shift, pair, [(0,) * 8, k])
         ref = projector_sum_component(shift, grading, 8, [k])[k]
@@ -206,8 +257,8 @@ def test_zero_frequency_blocks_vanish_without_twist(t4):
 
 def test_adjoint_defining_property(t4):
     rng = np.random.default_rng(3)
-    f = gf.random_field(rng, 4, 16, gf.frequencies_box(4, 1))
-    g = gf.random_field(rng, 4, 16, gf.frequencies_box(4, 1))
+    f = t4.support.pack(gf.random_field(rng, 4, 16, gf.frequencies_box(4, 1)))
+    g = t4.support.pack(gf.random_field(rng, 4, 16, gf.frequencies_box(4, 1)))
     op = t4.components["delta+"]
     star = t4.adjoint(op)
     lhs = gh.l2_inner(op.act(f), g, t4.gram)
@@ -261,10 +312,10 @@ def test_laplacian_self_adjoint_psd_and_preserves_grading(t4):
 
 def test_green_inverts_laplacian_off_kernel(t4):
     rng = np.random.default_rng(5)
-    raw = gf.random_field(rng, 4, 16, gf.frequencies_box(4, 1))
+    raw = t4.support.pack(gf.random_field(rng, 4, 16, gf.frequencies_box(4, 1)))
     rho = t4.derivative.act(raw)  # exact, hence orthogonal to harmonics
     back = t4.laplace.act(t4.green.act(rho))
-    assert (back - rho).coeff_norm() < 1e-10 * max(1.0, rho.coeff_norm())
+    assert np.linalg.norm(back - rho) < 1e-10 * max(1.0, np.linalg.norm(rho))
     # G commutes with the Laplacian and the grading projectors
     assert (t4.green @ t4.laplace - t4.laplace @ t4.green).coeff_norm() < 1e-9
     for (p, q), Ppq in t4.pair.bigrading.items():
@@ -280,9 +331,9 @@ def test_green_same_for_all_components(t4):
 
 
 def test_green_kills_harmonics(t4):
-    psi = gf.FourierField.constant(4, t4.pair.canonical_generator())
-    assert t4.green.act(psi).coeff_norm() < 1e-12
-    assert (t4.harmonic.act(psi) - psi).coeff_norm() < 1e-12
+    psi = t4.support.pack(gf.FourierField.constant(4, t4.pair.canonical_generator()))
+    assert np.linalg.norm(t4.green.act(psi)) < 1e-12
+    assert np.linalg.norm(t4.harmonic.act(psi) - psi) < 1e-12
 
 
 def test_harmonic_projector_properties(t4):
