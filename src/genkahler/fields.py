@@ -229,11 +229,6 @@ class FourierOperatorField:
         dim = next(iter(items.values())).shape[0] if items else self.value_dim
         return FourierOperatorField(self.torus_dim, dim, items)
 
-    def prune(self, tol: float = 1e-14) -> "FourierOperatorField":
-        out = FourierOperatorField(self.torus_dim, self.value_dim)
-        out.coeffs = {k: c.copy() for k, c in self.coeffs.items() if np.linalg.norm(c) > tol}
-        return out
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros((points.shape[0], self.value_dim, self.value_dim), dtype=complex)

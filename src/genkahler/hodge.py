@@ -2,21 +2,22 @@
 
 Because the background pair, b-field and twisting three-form are constant on
 the torus, every operator of interest (twisted derivative, its graded
-components, their adjoints, Laplacians and Green operators) is block-diagonal
-over frequencies.  A spinor field is packed as one ``(S, n)`` array over a
-:class:`Support` of ``S`` sorted frequencies (``n = 2**m``; row ``s`` holds
-the coefficient of frequency ``s``), and a :class:`BlockOperator` holds its
-``n x n`` blocks as one ``(S, n, n)`` array over the same support.  Every
-operation is one batched numpy call: an operator acts on a packed field by
-one batched ``matmul``, the inner product is one ``vdot``, sums and scalar
-multiples work on the stack, products are one batched ``matmul`` and
-adjoints use one factorization of the Gram matrix for all blocks.
+components, their adjoints and Laplacians) is block-diagonal over
+frequencies, and its block is a polynomial of degree at most 2 in
+``kappa = i k``.  A :class:`BlockOperator` stores the coefficient matrices of
+that polynomial (m or m+1 of them for the derivative and its components), so
+products, sums and adjoints work on a few ``n x n`` matrices and an identity
+checked on the coefficients holds at every frequency in ``Z^m``.  A spinor
+field is packed as one ``(S, n)`` array over a :class:`Support` of ``S``
+sorted frequencies (``n = 2**m``; row ``s`` holds the coefficient of
+frequency ``s``); an operator acts on it by one GEMM and the inner product is
+one ``vdot``.  Per-frequency blocks are only ever an evaluation.
 
 Untwisted, Gualtieri's identities (*Generalized Kahler geometry*, CMP 331
 (2014), arXiv:1007.3485) give the graded structure in closed form: the
 components are Clifford actions ``delta_s(k) = i cl(pi_s k)`` and
-``4 Lap_{delta+}(k) = |k|^2_{g^-1} Id``.  ``laplacian`` and the batched
-``eigh`` of ``green_operator`` serve the twisted case and cross-checks.
+``4 Lap_{delta+}(k) = |k|^2_{g^-1} Id``, so the Green operator is the scalar
+``4/|k|^2_{g^-1}`` off ``k = 0``.
 
 The inner product is ``h(f, g) = sum_k (f_k, star conj(g_k))_Ch`` with the
 star taken in the standard torus orientation; this is the unique placement of
@@ -26,8 +27,8 @@ components comes out right (shipped as a test on the flat Kahler plane).
 
 from __future__ import annotations
 
-import copy
 import itertools
+from collections.abc import Mapping
 from functools import cached_property
 
 import numpy as np
@@ -129,86 +130,107 @@ class Support(tuple):
 class BlockOperator:
     """Frequency-diagonal operator on spinor fields over a fixed support.
 
-    ``support`` is the :class:`Support` of the ``S`` frequencies, ``index``
-    maps each of them to its row, and ``stack`` is one complex ``(S, n, n)``
-    array holding the block of row ``s`` at ``stack[s]`` (a zero block where
-    none was given).  Results of the algebra share the support and index of
-    their operands.  The operator acts on fields packed over its support.
+    The block at frequency ``k`` is a polynomial in ``kappa = i k``,
+    ``sum_t kappa^exponents[t] coeffs[t]``: ``exponents`` is a ``(T, m)``
+    table of distinct nonnegative integer exponents and ``coeffs`` the
+    ``(T, n, n)`` stack of coefficient matrices (terms with equal exponents
+    are merged on construction).  The algebra works on the coefficients, so
+    an identity whose coefficients vanish holds at every ``k`` in ``Z^m``.
+    Blocks at the ``S`` frequencies of ``support`` (``stack``, ``blocks``,
+    ``op[k]``) are only an evaluation; the operator acts on fields packed
+    over the support.
     """
 
-    def __init__(self, torus_dim: int, value_dim: int, support, blocks=None):
-        self.torus_dim, self.value_dim = int(torus_dim), int(value_dim)
-        n = self.value_dim
+    def __init__(self, support, exponents, coeffs):
+        exponents = np.asarray(exponents, dtype=int)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if exponents.ndim != 2 or coeffs.ndim != 3 or coeffs.shape != (len(exponents), coeffs.shape[1], coeffs.shape[1]):
+            raise ValueError(f"exponents {exponents.shape} and coefficients {coeffs.shape} do not match")
         self.support = Support(support)
-        self.index = self.support.index
-        self.stack = np.zeros((len(self.support), n, n), dtype=complex)
-        for k, B in (blocks or {}).items():
-            key = tuple(int(v) for v in k)
-            if key not in self.index:
-                raise ValueError(f"block frequency {key} outside declared support")
-            B = np.asarray(B, dtype=complex)
-            if B.shape != (n, n):
-                raise ValueError(f"block shape {B.shape} != square {n}")
-            self.stack[self.index[key]] = B
+        self.torus_dim, self.value_dim = exponents.shape[1], coeffs.shape[2]
+        if self.support and len(self.support[0]) != self.torus_dim:
+            raise ValueError("support frequencies do not match the torus dimension")
+        # one 0/1 matrix sums the coefficients of equal exponents
+        self.exponents, inverse = np.unique(exponents, axis=0, return_inverse=True)
+        merge = np.zeros((len(self.exponents), len(coeffs)))
+        merge[inverse.reshape(-1), np.arange(len(coeffs))] = 1.0
+        n = self.value_dim
+        self.coeffs = (merge @ coeffs.reshape(len(coeffs), n * n)).reshape(-1, n, n)
 
-    @classmethod
-    def identity(cls, torus_dim: int, value_dim: int, support) -> "BlockOperator":
-        return cls.from_constant(torus_dim, support, np.eye(value_dim))
+    def _kappa_powers(self, freqs: np.ndarray) -> np.ndarray:
+        """``kappa^e`` for every row ``k`` of ``freqs`` and every exponent ``e``, ``(F, T)``."""
+        real = np.prod(freqs[:, None, :] ** self.exponents[None], axis=2)
+        # powers of i from a table, so they are exact
+        return real * np.array([1, 1j, -1, -1j])[self.exponents.sum(axis=1) % 4]
 
-    @classmethod
-    def from_constant(cls, torus_dim: int, support, matrix) -> "BlockOperator":
-        matrix = np.asarray(matrix, dtype=complex)
-        op = cls(torus_dim, matrix.shape[0], support)
-        op.stack[:] = matrix
-        return op
-
-    def _like(self, stack: np.ndarray) -> "BlockOperator":
-        """An operator over the same support holding ``stack`` (not copied)."""
-        out = copy.copy(self)
-        out.stack = stack
-        return out
+    def _evaluate(self, freqs: np.ndarray) -> np.ndarray:
+        """The blocks at the rows of ``freqs``, one ``(F, n, n)`` array."""
+        n = self.value_dim
+        return (self._kappa_powers(freqs) @ self.coeffs.reshape(-1, n * n)).reshape(-1, n, n)
 
     @property
-    def blocks(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Frequency-keyed views into ``stack``."""
-        return dict(zip(self.support, self.stack))
+    def stack(self) -> np.ndarray:
+        """The ``(S, n, n)`` blocks over the support, row ``s`` at ``stack[s]``."""
+        return self._evaluate(self.support.frequencies)
+
+    @property
+    def blocks(self) -> Mapping:
+        """Frequency-keyed blocks, each evaluated when looked up."""
+        return _Blocks(self)
 
     def __getitem__(self, k) -> np.ndarray:
         key = tuple(int(v) for v in k)
-        row = self.index.get(key)
-        if row is None:
+        if key not in self.support.index:
             raise ValueError(f"frequency {key} outside operator support")
-        return self.stack[row]
+        return self._evaluate(np.array([key], dtype=float))[0]
 
-    def _matching(self, other: "BlockOperator") -> np.ndarray:
-        """The stack of ``other``, which must live over the same support."""
+    @cached_property
+    def _support_powers(self) -> np.ndarray:
+        return self._kappa_powers(self.support.frequencies)
+
+    @cached_property
+    def _stacked(self) -> np.ndarray:
+        """The transposed coefficients stacked into one ``(T n, n)`` matrix."""
+        return self.coeffs.transpose(0, 2, 1).reshape(-1, self.value_dim)
+
+    def act(self, rows: np.ndarray) -> np.ndarray:
+        """The operator on a field packed as ``(S, n)`` over its support: the
+        kappa-weighted rows ``(S, T n)`` times the stacked coefficients."""
+        shape = (len(self.support), self.value_dim)
+        if np.shape(rows) != shape:
+            raise ValueError(f"packed field of shape {np.shape(rows)} does not match the operator")
+        weighted = self._support_powers[:, :, None] * rows[:, None, :]
+        return weighted.reshape(shape[0], -1) @ self._stacked
+
+    def _matching(self, other: "BlockOperator") -> "BlockOperator":
+        """``other``, which must live over the same support."""
         if (
             other.torus_dim != self.torus_dim
             or other.value_dim != self.value_dim
             or (other.support is not self.support and other.support != self.support)
         ):
             raise ValueError("block operators live over different supports")
-        return other.stack
-
-    def act(self, rows: np.ndarray) -> np.ndarray:
-        """The operator on a field packed as ``(S, n)`` over its support."""
-        if np.shape(rows) != self.stack.shape[:2]:
-            raise ValueError(f"packed field of shape {np.shape(rows)} does not match the operator")
-        return np.matmul(self.stack, rows[:, :, None])[:, :, 0]
+        return other
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if not isinstance(other, BlockOperator):
             return NotImplemented
-        return self._like(np.matmul(self.stack, self._matching(other)))
+        other = self._matching(other)
+        exponents = self.exponents[:, None] + other.exponents[None]
+        coeffs = np.matmul(self.coeffs[:, None], other.coeffs[None])
+        n = self.value_dim
+        return BlockOperator(self.support, exponents.reshape(-1, self.torus_dim), coeffs.reshape(-1, n, n))
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        return self._like(self.stack + self._matching(other))
+        other = self._matching(other)
+        exponents = np.concatenate([self.exponents, other.exponents])
+        return BlockOperator(self.support, exponents, np.concatenate([self.coeffs, other.coeffs]))
 
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return self._like(self.stack - self._matching(other))
+        return self + (-other)
 
     def __mul__(self, scalar):
-        return self._like(complex(scalar) * self.stack)
+        return BlockOperator(self.support, self.exponents, complex(scalar) * self.coeffs)
 
     __rmul__ = __mul__
 
@@ -216,7 +238,26 @@ class BlockOperator:
         return self * (-1.0)
 
     def coeff_norm(self) -> float:
-        return float(np.linalg.norm(self.stack))
+        """Frobenius norm of the coefficients."""
+        return float(np.linalg.norm(self.coeffs))
+
+
+class _Blocks(Mapping):
+    """The blocks of ``op`` keyed by frequency, evaluated one lookup at a time."""
+
+    def __init__(self, op: BlockOperator):
+        self._op = op
+
+    def __getitem__(self, k) -> np.ndarray:
+        if tuple(k) not in self._op.support.index:
+            raise KeyError(k)
+        return self._op[k]
+
+    def __iter__(self):
+        return iter(self._op.support)
+
+    def __len__(self) -> int:
+        return len(self._op.support)
 
 
 # ---------------------------------------------------------------------------
@@ -262,38 +303,30 @@ def l2_norm(f: np.ndarray, pair_or_gram) -> float:
 
 
 def adjoint(op: BlockOperator, pair_or_gram) -> BlockOperator:
-    """Adjoint for ``h``: the block ``A^-1 B^H A`` at every frequency.
-
-    The Gram matrix ``A`` is factorized once (as its inverse) for all blocks.
-    """
+    """Adjoint for ``h``: the coefficient ``(-1)^deg A^-1 C^H A`` of every
+    term, since ``conj(kappa) = -kappa``.  ``A^-1`` is formed once."""
     A = _as_gram(pair_or_gram)
-    work = np.conj(op.stack)
-    rhs = np.matmul(work.transpose(0, 2, 1), A)
-    np.matmul(np.linalg.inv(A), rhs, out=work)
-    return op._like(work)
+    star = np.linalg.inv(A) @ np.conj(op.coeffs).transpose(0, 2, 1) @ A
+    sign = (-1.0) ** op.exponents.sum(axis=1)
+    return BlockOperator(op.support, op.exponents, sign[:, None, None] * star)
 
 
 # ---------------------------------------------------------------------------
 # the twisted derivative and its graded components
 
 
-def _affine_stack(support: Support, terms: np.ndarray, constant: bool) -> np.ndarray:
-    """``i sum_j k_j terms[j] (+ terms[-1])`` for every frequency ``k``, as one GEMM."""
-    coeff = 1j * support.frequencies.reshape(len(support), len(terms) - constant)
-    if constant:
-        coeff = np.concatenate([coeff, np.ones((len(support), 1))], axis=1)
-    n = terms.shape[-1]
-    return (coeff @ terms.reshape(len(terms), n * n)).reshape(len(support), n, n)
+def _affine(support, linear: np.ndarray, constant: np.ndarray | None) -> BlockOperator:
+    """``sum_j kappa_j linear[j] (+ constant)``: m (+1) coefficients."""
+    m = len(linear)
+    if constant is None:
+        return BlockOperator(support, np.eye(m, dtype=int), linear)
+    return BlockOperator(support, np.eye(m + 1, m, dtype=int), np.concatenate([linear, constant[None]]))
 
 
 def derivative_operator(torus_dim: int, support, h: np.ndarray | None = None) -> BlockOperator:
-    """Twisted derivative ``i sum_j k_j W_j + H^`` (``W_j`` the wedge by ``dx_{j+1}``)."""
-    op = BlockOperator(torus_dim, spinor_dim(torus_dim), support)
-    terms = np.stack(wedge_matrices(torus_dim)).astype(complex)
-    if h is not None:
-        terms = np.concatenate([terms, wedge_operator(three_form_spinor(h))[None]])
-    op.stack = _affine_stack(op.support, terms, h is not None)
-    return op
+    """Twisted derivative ``sum_j kappa_j W_j + H^`` (``W_j`` the wedge by ``dx_{j+1}``)."""
+    constant = None if h is None else wedge_operator(three_form_spinor(h))
+    return _affine(support, np.stack(wedge_matrices(torus_dim)), constant)
 
 
 def component_operator(
@@ -304,13 +337,13 @@ def component_operator(
 ) -> BlockOperator:
     """Graded component of the twisted derivative for one (dp, dq) shift.
 
-    Affine in the frequency: the block at ``k`` is ``i sum_j k_j C_j + C_H``.
-    ``i sum_j k_j dx_j^`` is the Clifford action of the covector ``k``, and
+    Affine in the frequency: ``sum_j kappa_j C_j + C_H``.
+    ``sum_j kappa_j dx_j^`` is the Clifford action of the covector ``k``, and
     that of a vector in the sector ``pi_s = (1 - i dp J1)/2 (1 + dp dq G)/2``
     shifts every ``U^{p,q}`` by exactly ``(dp, dq)`` (Gualtieri, CMP 331
     (2014)).  So ``C_j = cl(pi_s dx_j)`` for the level-one shifts and 0 for
     the +-3 shifts; ``C_H`` (only with ``h``) is the bigrading sum
-    ``sum_{(p,q)} P_{p+dp,q+dq} H^ P_{pq}``.  The stack is one GEMM.
+    ``sum_{(p,q)} P_{p+dp,q+dq} H^ P_{pq}``.
     """
     shift = (int(shift[0]), int(shift[1]))
     if shift not in COMPONENT_SHIFTS:
@@ -318,54 +351,33 @@ def component_operator(
     dp, dq = shift
     m = pair.m
     n = spinor_dim(m)
-    out = BlockOperator(m, n, support)
     if abs(dp) == abs(dq) == 1:
-        terms = clifford_matrices(pair.sector_projector(dp * dq > 0, dp > 0)[:, m:].T)
+        linear = clifford_matrices(pair.sector_projector(dp * dq > 0, dp > 0)[:, m:].T)
     else:
-        terms = np.zeros((m, n, n), dtype=complex)
+        linear = np.zeros((m, n, n), dtype=complex)
+    C_H = None
     if h is not None:
         Hw, grading = wedge_operator(three_form_spinor(h)), pair.bigrading
-        C_H = sum(grading[(p + dp, q + dq)] @ Hw @ P for (p, q), P in grading.items() if (p + dp, q + dq) in grading)
-        terms = np.concatenate([terms, np.broadcast_to(C_H, (1, n, n))])  # C_H is 0 when no level is shifted
-    out.stack = _affine_stack(out.support, terms, h is not None)
-    return out
+        # zero when no level is shifted
+        C_H = sum(
+            (grading[(p + dp, q + dq)] @ Hw @ P for (p, q), P in grading.items() if (p + dp, q + dq) in grading),
+            np.zeros((n, n)),
+        )
+    return _affine(support, linear, C_H)
 
 
 def laplacian(op: BlockOperator, pair_or_gram) -> BlockOperator:
-    star = adjoint(op, pair_or_gram).stack
-    lap = np.matmul(op.stack, star)
-    lap += np.matmul(star, op.stack)
-    return op._like(lap)
+    star = adjoint(op, pair_or_gram)
+    return op @ star + star @ op
 
 
-def green_operator(lap: BlockOperator, pair_or_gram, rcond: float = 1e-10) -> BlockOperator:
-    """Inverse of a Laplacian on the orthogonal complement of its kernel.
-
-    With ``A = L L^T`` and ``T = L^T``, every block is transported to
-    ``T D T^-1``, where the inner product is standard, and replaced by its
-    hermitian part.  One batched ``eigh`` diagonalizes all of them; in each
-    block the eigenvalues at most ``rcond`` times that block's largest
-    modulus count as kernel (all of them in a zero block, which maps to
-    zero) and the rest are inverted before transporting back.
-    """
-    A = _as_gram(pair_or_gram)
-    T = np.linalg.cholesky(A).T
-    T_inv = np.linalg.inv(T)
-    work = np.matmul(T, lap.stack)
-    herm = np.matmul(work, T_inv)
-    # hermitian part in place: symmetric real part, antisymmetric imaginary part
-    np.add(herm.real, herm.real.transpose(0, 2, 1), out=herm.real)
-    np.subtract(herm.imag, herm.imag.transpose(0, 2, 1), out=herm.imag)
-    herm *= 0.5
-    w, U = np.linalg.eigh(herm)
-    keep = np.abs(w) > rcond * np.abs(w).max(axis=1, initial=0.0, keepdims=True)
-    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
-    np.multiply(U, inv_w[:, None, :], out=work)
-    np.conj(U, out=U)
-    np.matmul(work, U.transpose(0, 2, 1), out=herm)
-    np.matmul(T_inv, herm, out=work)
-    np.matmul(work, T, out=herm)
-    return lap._like(herm)
+def green_operator(pair: HermitianPair, support) -> np.ndarray:
+    """Green operator of the untwisted Laplacian, one scalar per row of
+    ``support``: ``4 Lap_{delta+}(k) = |k|^2_{g^-1} Id`` (Gualtieri, CMP 331
+    (2014)), so it is ``4/|k|^2_{g^-1}`` off ``k = 0`` and zero there."""
+    k = Support(support).frequencies
+    k2 = np.einsum("si,ij,sj->s", k, np.linalg.inv(pair.metric), k)
+    return np.divide(4.0, k2, out=np.zeros_like(k2), where=k2 > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +388,10 @@ class TorusBackground:
     """Constant generalized Kahler background over one :class:`Support`.
 
     Caches the Gram matrix, the twisted derivative, its four components, the
-    reference Laplacian (of the (+1,+1) component), its Green operator and
-    the harmonic projector.  Untwisted, ``4 Lap_{delta+}(k) = |k|^2_{g^-1}
-    Id`` (Gualtieri, CMP 331 (2014)): the Green operator is ``4/|k|^2_{g^-1}``
-    off ``k = 0`` and zero there, the harmonic projector the identity at
-    ``k = 0``.  Twisted, both come from the computed Laplacian.  Fields are packed over
-    the background's support.
+    reference Laplacian (of the (+1,+1) component) and the Green operator as
+    one scalar per row.  Fields are packed over the background's support.  A
+    nonzero constant twist is never integrable, so a twisted background has
+    no Green operator.
     """
 
     def __init__(self, pair: HermitianPair, support, h: np.ndarray | None = None):
@@ -408,27 +418,11 @@ class TorusBackground:
     def laplace(self) -> BlockOperator:
         return laplacian(self.components["delta+"], self.gram)
 
-    def _scalar(self, of_k2) -> BlockOperator:
-        """The operator ``of_k2(|k|^2_{g^-1}) Id`` on the block of every ``k``."""
-        m = self.pair.m
-        k = self.support.frequencies.reshape(len(self.support), m)
-        k2 = np.einsum("si,ij,sj->s", k, np.linalg.inv(self.pair.metric), k)
-        op = BlockOperator(m, spinor_dim(m), self.support)
-        op.stack = of_k2(k2)[:, None, None] * np.eye(op.value_dim, dtype=complex)
-        return op
-
     @cached_property
-    def green(self) -> BlockOperator:
-        if self.h is not None:
-            return green_operator(self.laplace, self.gram)
-        return self._scalar(lambda k2: np.divide(4.0, k2, out=np.zeros_like(k2), where=k2 > 0))
-
-    @cached_property
-    def harmonic(self) -> BlockOperator:
-        if self.h is not None:
-            lap = self.laplace
-            return BlockOperator.identity(lap.torus_dim, lap.value_dim, lap.support) - lap @ self.green
-        return self._scalar(lambda k2: (k2 == 0).astype(float))
+    def green(self) -> np.ndarray:
+        if self.h is not None and np.any(self.h):
+            raise ValueError("a twisted background is not generalized Kahler and has no Green operator")
+        return green_operator(self.pair, self.support)
 
     def differentiate(self, rows: np.ndarray) -> np.ndarray:
         """The twisted derivative of a field packed over the support."""

@@ -484,11 +484,14 @@ def first_structure_defects(a, pair: HermitianPair, order_cap: int) -> list[floa
 @dataclass
 class OrderData:
     """Obstruction at one order, its corner components and closedness data;
-    ``rho`` and the components are packed over the background's support."""
+    ``rho``, the components and ``routes`` (the lower and the upper arrows
+    into the middle space, applied to the corners and summed; the mixed
+    corner sum is their total) are packed over the background's support."""
 
     order: int
     rho: np.ndarray
     components: dict[tuple[int, int], np.ndarray]
+    routes: tuple[np.ndarray, np.ndarray]
     outside_norm: float
     component_closed: dict[str, float]
     cross_sum: float
@@ -564,13 +567,9 @@ def _obstruction(order: int, rho: np.ndarray, background: TorusBackground, scale
     if bad_ops:
         raise ValueError(f"corner components are not closed under their outgoing arrows: {bad_ops}")
 
-    cross = (
-        ops["delta-"].act(comps[(-1, n - 1)])
-        + ops["delta_bar-"].act(comps[(1, n - 3)])
-        + ops["delta+"].act(comps[(-1, n - 3)])
-        + ops["delta_bar+"].act(comps[(1, n - 1)])
-    )
-    cross_sum = background.norm(cross)
+    route_down = ops["delta-"].act(comps[(-1, n - 1)]) + ops["delta_bar-"].act(comps[(1, n - 3)])
+    route_up = ops["delta+"].act(comps[(-1, n - 3)]) + ops["delta_bar+"].act(comps[(1, n - 1)])
+    cross_sum = background.norm(route_down + route_up)
     if _exceeds(cross_sum, tol * scale):
         raise ValueError(f"mixed corner sum does not cancel ({cross_sum:.3e})")
 
@@ -578,6 +577,7 @@ def _obstruction(order: int, rho: np.ndarray, background: TorusBackground, scale
         order=order,
         rho=rho,
         components=comps,
+        routes=(route_down, route_up),
         outside_norm=outside_norm,
         component_closed=closed,
         cross_sum=cross_sum,
@@ -594,20 +594,17 @@ def solve_phi(
 ) -> tuple[FourierField, dict[str, float]]:
     """Potential ``phi`` in ``U^{0,n-2}`` with ``d^H phi = rho``.
 
-    Both Green-operator expressions (through the lower arrows into the
-    middle space and the negated upper ones) are computed; they must agree,
+    Both Green-operator expressions (on the lower arrows into the middle
+    space and on the negated upper ones, ``data.routes``) are formed; they must agree,
     and the recovered potential must reproduce the obstruction exactly.
     The work is on packed arrays; ``phi`` is returned as a Fourier field.
     """
     pair = background.pair
     n = pair.n
-    ops = background.components
     G = background.green
-    corner = data.components
-    route_down = ops["delta-"].act(corner[(-1, n - 1)]) + ops["delta_bar-"].act(corner[(1, n - 3)])
-    route_up = ops["delta+"].act(corner[(-1, n - 3)]) + ops["delta_bar+"].act(corner[(1, n - 1)])
-    phi = G.act(route_down)
-    phi_b = -G.act(route_up)
+    route_down, route_up = data.routes
+    phi = G[:, None] * route_down
+    phi_b = -G[:, None] * route_up
 
     scale = max(data.rho_norm, 1e-300)
     agreement = background.norm(phi - phi_b)
@@ -908,15 +905,15 @@ def _exp_jet(S: np.ndarray, G: np.ndarray, v: np.ndarray, D: np.ndarray) -> tupl
     if not np.isfinite(norm):
         raise ValueError("jet exponential needs a finite exponent")
     steps = max(1, int(np.ceil(norm)))
-    S, G = S / steps, G / steps
     m = G.shape[0]
     x = np.vstack([D, v[None]])
     for _ in range(steps):
         acc, term = x, x
         for k in range(1, _JET_TERM_CAP + 1):
+            # the step's 1/steps is applied to the vectors, so no scaled copy of S or G is made
             nxt = term @ S.T
             nxt[:m] += G @ term[m]
-            term = nxt / k
+            term = nxt / (k * steps)
             acc = acc + term
             if np.abs(term).sum() <= np.finfo(float).eps * np.abs(acc).sum():
                 break
@@ -1007,11 +1004,13 @@ def verify_gk_at_t(
     psi0 = report.psi0[(0,) * m]
     derivative_sup = 0.0
     psi_sup = 0.0
+    G = np.empty((m, psi0.size, psi0.size), dtype=complex)  # one buffer for every point and factor
     for p in range(points.shape[0]):
         v, D = psi0, np.zeros((m, psi0.size), dtype=complex)
         for f in reversed(range(len(families))):
             S = spin_lie_action(vals[f][p])
-            G = np.stack([spin_lie_action(grads[f][d][p]) for d in range(m)])
+            for d in range(m):
+                G[d] = spin_lie_action(grads[f][d][p])
             v, D = _exp_jet(S, G, v, D)
         psi_sup = max(psi_sup, float(np.linalg.norm(v)))
         dpsi = np.einsum("dij,dj->i", W, D)

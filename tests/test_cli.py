@@ -1,6 +1,7 @@
 """End-to-end checks of the command line driver: exit codes, report
 artifacts, and determinism."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -266,6 +267,71 @@ def test_verify_hodge_twisted_background_reports_torsion(tmp_path, capsys):
     assert info["second_structure_torsion"] > 1e-3
     names = {c["name"] for c in report["checks"]}
     assert names == {"component_sum_reproduces_derivative"}
+
+
+def run_verify_hodge(tmp_path, capsys, doc):
+    code = cli.main(["verify-hodge", "--config", write_config(tmp_path, doc), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == (0 if report["ok"] else 1)
+    return report
+
+
+def j_invariant(rng, m, symmetric):
+    """A random symmetric positive (or antisymmetric) matrix ``A`` with
+    ``J^T A J = A`` for the standard complex structure ``J``."""
+    J = gs.standard_complex_structure(m)
+    a = rng.normal(size=(m, m))
+    a = a @ a.T / m + 0.5 * np.eye(m) if symmetric else a - a.T
+    return 0.5 * (a + J.T @ a @ J)
+
+
+def test_verify_hodge_checks_do_not_depend_on_the_box(tmp_path, capsys):
+    """The identities are checked on coefficients, so they hold at every
+    frequency: the box is echoed but changes nothing, even at a size whose
+    frequencies could never be enumerated."""
+    metric = j_invariant(np.random.default_rng(3), 4, True)
+    base = {"schema": 1, "dimension": 4, "background": {"kind": "kaehler", "metric": metric.tolist()}}
+    reports = {box: run_verify_hodge(tmp_path, capsys, {**base, "frequency_box": box}) for box in (1, 3, 10**6)}
+    for box, report in reports.items():
+        assert report["ok"] is True and report["frequency_box"] == box
+        assert report["checks"] == reports[1]["checks"]
+        assert report["info"] == reports[1]["info"]
+    assert len(reports[1]["checks"]) == 11
+
+
+def test_verify_hodge_explicit_bfield_background_t6(tmp_path, capsys):
+    """Every splitting identity holds on an explicit T^6 background with a
+    non-identity metric and a nonzero b-field, both J-invariant."""
+    rng = np.random.default_rng(6)
+    b_field = j_invariant(rng, 6, False)
+    assert np.linalg.norm(b_field) > 0.5
+    background = {
+        "kind": "explicit",
+        "metric": j_invariant(rng, 6, True).tolist(),
+        "b_field": b_field.tolist(),
+        "base_complex": gs.standard_complex_structure(6).tolist(),
+    }
+    report = run_verify_hodge(tmp_path, capsys, {"schema": 1, "dimension": 6, "background": background})
+    assert report["ok"] is True and report["info"]["background_integrable"] is True
+    assert len(report["checks"]) == 11
+    assert all(c["pass"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_verify_hodge_constant_three_forms_are_not_integrable(tmp_path, capsys, m):
+    """A nonzero constant twist is never integrable on a flat torus, which is
+    why the library has no twisted Green operator."""
+    rng = np.random.default_rng(30 + m)
+    triples = list(itertools.combinations(range(m), 3))
+    for _ in range(3):
+        values = rng.normal(size=len(triples))
+        values /= np.linalg.norm(values)
+        twist = [[*t, float(v)] for t, v in zip(triples, values)]
+        report = run_verify_hodge(tmp_path, capsys, {"schema": 1, "dimension": m, "twist": twist})
+        info = report["info"]
+        assert info["background_integrable"] is False
+        assert max(info["first_structure_torsion"], info["second_structure_torsion"]) > 1e-2
+        assert [c["name"] for c in report["checks"]] == ["component_sum_reproduces_derivative"]
 
 
 def test_deform_trivial_bivector_all_orders_vanish(tmp_path, capsys):

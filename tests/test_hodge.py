@@ -32,9 +32,15 @@ def derivative_block(k, m, h=None):
     return out
 
 
+def constant_operator(support, matrix):
+    """The operator whose block is ``matrix`` at every frequency."""
+    m = len(next(iter(support)))
+    return gh.BlockOperator(support, np.zeros((1, m), dtype=int), np.asarray(matrix)[None])
+
+
 def test_block_operator_support_discipline():
     support = [(0, 0), (1, 0)]
-    op = gh.BlockOperator.identity(2, 4, support)
+    op = constant_operator(support, np.eye(4))
     f = gf.FourierField(2, 4, {(0, 0): np.ones(4)})
     np.testing.assert_allclose(op.act(op.support.pack(f))[0], np.ones(4))
     outside = gf.FourierField(2, 4, {(0, 1): np.ones(4)})
@@ -44,22 +50,40 @@ def test_block_operator_support_discipline():
         op.act(np.ones((3, 4)))
     with pytest.raises(ValueError):
         op[(0, 1)]
+    assert (0, 1) not in op.blocks and (1, 0) in op.blocks
     with pytest.raises(ValueError):
-        gh.BlockOperator(2, 4, support, blocks={(5, 5): np.eye(4)})
-    other = gh.BlockOperator.identity(2, 4, [(0, 0)])
+        gh.BlockOperator(support, np.zeros((2, 2), dtype=int), np.eye(4)[None])
+    with pytest.raises(ValueError):
+        gh.BlockOperator([(0, 0, 0)], np.zeros((1, 2), dtype=int), np.eye(4)[None])
+    other = constant_operator([(0, 0)], np.eye(4))
     with pytest.raises(ValueError):
         op @ other
 
 
 def test_block_operator_arithmetic():
-    support = [(0,), (1,), (-1,)]
+    """Coefficient algebra against the evaluated blocks, which are checked
+    against ``sum_e (i k)^e C_e`` term by term."""
+    support = [(0, 0), (1, 0), (-1, 2), (2, -3)]
     rng = np.random.default_rng(0)
-    A = gh.BlockOperator(1, 2, support, {k: rng.normal(size=(2, 2)) for k in support})
-    B = gh.BlockOperator(1, 2, support, {k: rng.normal(size=(2, 2)) for k in support})
-    k = (1,)
-    np.testing.assert_allclose((A @ B)[k], A[k] @ B[k])
-    np.testing.assert_allclose((A + 2.0 * B - A)[k], 2.0 * B[k])
-    np.testing.assert_allclose((-A)[k], -A[k])
+    a_exps = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+    b_exps = [(0, 0), (0, 1), (0, 2)]
+    a_coeffs, b_coeffs = (rng.normal(size=(len(e), 3, 3, 2)) @ [1, 1j] for e in (a_exps, b_exps))
+    A = gh.BlockOperator(support, a_exps, a_coeffs)
+    B = gh.BlockOperator(support, b_exps, b_coeffs)
+    for k in support:
+        want = sum((1j * k[0]) ** e[0] * (1j * k[1]) ** e[1] * C for e, C in zip(a_exps, a_coeffs))
+        np.testing.assert_allclose(A[k], want, rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose((A @ B)[k], A[k] @ B[k], rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose((A + 2.0 * B - A)[k], 2.0 * B[k], rtol=1e-13, atol=1e-12)
+        np.testing.assert_allclose((-A)[k], -A[k])
+    np.testing.assert_allclose(A.stack, [A[k] for k in A.support], rtol=1e-15, atol=0)
+    # products merge equal exponents: the 15 products give 11 distinct monomials
+    assert len((A @ B).exponents) == 11
+    # equal exponents given at construction are merged, and sums cancel exactly
+    merged = gh.BlockOperator(support, [(1, 0), (1, 0)], a_coeffs[:2])
+    np.testing.assert_array_equal(merged.exponents, [(1, 0)])
+    np.testing.assert_array_equal(merged.coeffs[0], a_coeffs[0] + a_coeffs[1])
+    assert (A - A).coeff_norm() == 0
 
 
 def test_gram_properties():
@@ -173,8 +197,9 @@ def test_component_operator_matches_projector_sum(m, twisted, lagrange_bigrading
 
 @pytest.mark.parametrize("twisted", [False, True])
 def test_packed_derivative_matches_derivative_block_t8(twisted):
-    """The stacked-row derivative (background, fields route and the packed
-    rows of ``twisted_derivative``) against the dense block per frequency."""
+    """The stacked-row derivative (background, fields route, the packed rows
+    of ``twisted_derivative`` and the coefficient operator) against the dense
+    block per frequency."""
     rng = np.random.default_rng(80 + twisted)
     m = 8
     h = random_three_form(rng, m) if twisted else None
@@ -184,6 +209,12 @@ def test_packed_derivative_matches_derivative_block_t8(twisted):
     packed = bg.differentiate(rows)
     field = gf.twisted_derivative(support.unpack(rows, gf.FourierField, m, 2**m), h)
     np.testing.assert_array_equal(support.pack(field), packed)
+    # the coefficient operator acting by one GEMM
+    acted = gh.derivative_operator(m, support, h).act(rows)
+    assert np.linalg.norm(acted - packed) <= 1e-13 * np.linalg.norm(packed)
+    if twisted:
+        with pytest.raises(ValueError, match="no Green operator"):
+            bg.green
     for s, k in enumerate(support):
         want = derivative_block(k, m, h) @ rows[s]
         assert np.linalg.norm(packed[s] - want) <= 1e-13 * np.linalg.norm(want), k
@@ -291,8 +322,11 @@ def test_laplacian_identities(t4):
     laps = {name: gh.laplacian(op, t4.gram) for name, op in t4.components.items()}
     for name, lap in laps.items():
         assert (lap_d - 4.0 * lap).coeff_norm() < 1e-9, name
-    zero = gh.BlockOperator(4, 16, t4.support)
+    zero = gh.BlockOperator(t4.support, np.zeros((0, 4), dtype=int), np.zeros((0, 16, 16)))
     assert gh.laplacian(zero, t4.gram).coeff_norm() == 0
+    # the closed form 4 Lap(k) = |k|^2_{g^-1} Id at every frequency of the support
+    k2 = np.sum(t4.support.frequencies**2, axis=1)
+    np.testing.assert_allclose(4.0 * t4.laplace.stack, k2[:, None, None] * np.eye(16), atol=1e-12)
 
 
 def test_laplacian_self_adjoint_psd_and_preserves_grading(t4):
@@ -314,36 +348,44 @@ def test_green_inverts_laplacian_off_kernel(t4):
     rng = np.random.default_rng(5)
     raw = t4.support.pack(gf.random_field(rng, 4, 16, gf.frequencies_box(4, 1)))
     rho = t4.derivative.act(raw)  # exact, hence orthogonal to harmonics
-    back = t4.laplace.act(t4.green.act(rho))
+    np.testing.assert_allclose(rho, t4.differentiate(raw), atol=1e-13)
+    back = t4.laplace.act(t4.green[:, None] * rho)
     assert np.linalg.norm(back - rho) < 1e-10 * max(1.0, np.linalg.norm(rho))
-    # G commutes with the Laplacian and the grading projectors
-    assert (t4.green @ t4.laplace - t4.laplace @ t4.green).coeff_norm() < 1e-9
-    for (p, q), Ppq in t4.pair.bigrading.items():
-        Pop = gh.BlockOperator.from_constant(4, t4.support, Ppq)
-        assert (t4.green @ Pop - Pop @ t4.green).coeff_norm() < 1e-9
+    # the scalar Green operator inverts every Laplacian block off k = 0
+    inverted = t4.green[:, None, None] * t4.laplace.stack
+    off_kernel = np.array([any(k) for k in t4.support])
+    np.testing.assert_allclose(inverted[off_kernel], np.eye(16)[None].repeat(off_kernel.sum(), 0), atol=1e-12)
+    assert not inverted[~off_kernel].any()
 
 
 def test_green_same_for_all_components(t4):
     for name in ("delta-", "delta_bar+", "delta_bar-"):
         lap = gh.laplacian(t4.components[name], t4.gram)
-        G = gh.green_operator(lap, t4.gram)
-        assert (G - t4.green).coeff_norm() < 1e-8
+        assert_blocks_close(scalar_blocks(t4.support, t4.green, 16), oracle_green(lap, t4.gram))
 
 
 def test_green_kills_harmonics(t4):
     psi = t4.support.pack(gf.FourierField.constant(4, t4.pair.canonical_generator()))
-    assert np.linalg.norm(t4.green.act(psi)) < 1e-12
-    assert np.linalg.norm(t4.harmonic.act(psi) - psi) < 1e-12
+    assert np.linalg.norm(t4.green[:, None] * psi) < 1e-12
+    # the harmonic part psi - Lap G psi is psi itself
+    harmonic = psi - t4.laplace.act(t4.green[:, None] * psi)
+    assert np.linalg.norm(harmonic - psi) < 1e-12
 
 
 def test_harmonic_projector_properties(t4):
-    harm = t4.harmonic
-    alt = gh.BlockOperator.identity(4, 16, t4.support) - t4.green @ t4.laplace
-    assert (harm - alt).coeff_norm() < 1e-9
-    assert (harm @ harm - harm).coeff_norm() < 1e-9
+    """``I - G Lap``, evaluated per block, is the identity at ``k = 0`` and zero
+    elsewhere, as for the oracle Green operator; it is idempotent and
+    commutes with the grading."""
+    lap = t4.laplace.stack
+    harm = np.eye(16) - t4.green[:, None, None] * lap
+    oracle = oracle_green(t4.laplace, t4.gram)
+    alt = np.stack([np.eye(16) - oracle[k] @ L for k, L in zip(t4.support, lap)])
+    assert np.linalg.norm(harm - alt) < 1e-9
+    assert np.linalg.norm(harm @ harm - harm) < 1e-9
+    indicator = np.array([not any(k) for k in t4.support], dtype=float)
+    np.testing.assert_allclose(harm, indicator[:, None, None] * np.eye(16), atol=1e-12)
     for (p, q), Ppq in t4.pair.bigrading.items():
-        Pop = gh.BlockOperator.from_constant(4, t4.support, Ppq)
-        assert (harm @ Pop - Pop @ harm).coeff_norm() < 1e-9
+        assert np.linalg.norm(harm @ Ppq - Ppq @ harm) < 1e-9
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -354,15 +396,14 @@ def test_scalar_green_matches_operator_route(m):
     bg = gh.TorusBackground(pair, support)
     zero = (0,) * m
     assert zero in bg.support
+    indicator = np.array([k == zero for k in bg.support], dtype=float)
     for name in gh.DELTA_SHIFTS:
         lap = gh.laplacian(bg.components[name], bg.gram)
-        green = gh.green_operator(lap, bg.gram)
-        scale = green.coeff_norm()
-        assert (bg.green - green).coeff_norm() <= 1e-10 * scale, name
-        harmonic = gh.BlockOperator.identity(m, 2**m, support) - lap @ green
-        assert (harmonic - bg.harmonic).coeff_norm() <= 1e-10 * np.sqrt(len(support)), name
-    assert np.linalg.norm(bg.green[zero]) == 0
-    np.testing.assert_array_equal(bg.harmonic[zero], np.eye(2**m))
+        green = oracle_green(lap, bg.gram)
+        assert_blocks_close(scalar_blocks(bg.support, bg.green, 2**m), green)
+        harmonic = np.stack([np.eye(2**m) - lap[k] @ green[k] for k in bg.support])
+        np.testing.assert_allclose(harmonic, indicator[:, None, None] * np.eye(2**m), atol=1e-10)
+    assert bg.green[bg.support.index[zero]] == 0
 
 
 def oracle_adjoint(op, gram):
@@ -387,19 +428,29 @@ def oracle_green(lap, gram, rcond=1e-10):
 
 
 def assert_blocks_close(op, ref):
+    """An operator's evaluated blocks (or a frequency-keyed dict) against the reference blocks."""
+    got = op.blocks if isinstance(op, gh.BlockOperator) else op
     scale = max(np.linalg.norm(B) for B in ref.values())
-    assert set(op.blocks) == set(ref)
+    assert set(got) == set(ref)
     for k, B in ref.items():
-        assert np.linalg.norm(op[k] - B) <= 1e-10 * max(scale, 1e-300), k
+        assert np.linalg.norm(got[k] - B) <= 1e-10 * max(scale, 1e-300), k
 
 
-def assert_matches_oracle(op, gram):
-    """Batched adjoint, Laplacian and Green operator against the per-block route."""
+def scalar_blocks(support, scalars, n):
+    """Frequency-keyed blocks ``scalars[s] Id`` of a per-row scalar operator."""
+    return {k: c * np.eye(n) for k, c in zip(support, scalars)}
+
+
+def assert_matches_oracle(op, gram, pair=None):
+    """Adjoint and Laplacian, evaluated per frequency, against the per-block
+    route; with an untwisted ``pair``, also the closed-form Green operator."""
     ref_star = oracle_adjoint(op, gram)
     assert_blocks_close(gh.adjoint(op, gram), ref_star)
     lap = gh.laplacian(op, gram)
     assert_blocks_close(lap, {k: op[k] @ S + S @ op[k] for k, S in ref_star.items()})
-    assert_blocks_close(gh.green_operator(lap, gram), oracle_green(lap, gram))
+    if pair is not None:
+        green = gh.green_operator(pair, op.support)
+        assert_blocks_close(scalar_blocks(op.support, green, op.value_dim), oracle_green(lap, gram))
 
 
 @pytest.mark.parametrize("twisted", [False, True])
@@ -412,27 +463,22 @@ def test_batched_algebra_matches_per_block_oracle(m, twisted):
     support = gf.frequencies_box(4, 1) if m == 4 else small_support(m)
     gram = gh.l2_gram(pair)
     for shift in ((1, 1), (-1, 1)):
-        assert_matches_oracle(gh.component_operator(shift, pair, support, h), gram)
+        assert_matches_oracle(gh.component_operator(shift, pair, support, h), gram, None if twisted else pair)
 
 
 def test_green_oracle_all_kernel_block(t4):
     # at k = 0 the untwisted derivative vanishes: the whole block is kernel
     op = gh.component_operator((1, 1), t4.pair, [(0, 0, 0, 0), (1, 0, 0, 0)])
     assert np.linalg.norm(op[(0, 0, 0, 0)]) < 1e-14
-    assert_matches_oracle(op, t4.gram)
-    green = gh.green_operator(gh.laplacian(op, t4.gram), t4.gram)
-    assert np.linalg.norm(green[(0, 0, 0, 0)]) < 1e-12
-
-
-def test_green_oracle_cut_is_per_block(t4):
-    # Laplacian blocks 1e12 apart: a cut relative to the largest block overall
-    # would drop the small block entirely
-    op = gh.component_operator((1, 1), t4.pair, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    op.stack[1] *= 1e-6
-    assert_matches_oracle(op, t4.gram)
+    assert_matches_oracle(op, t4.gram, t4.pair)
+    green = gh.green_operator(t4.pair, op.support)
+    assert green[op.support.index[(0, 0, 0, 0)]] == 0
+    assert np.linalg.norm(oracle_green(gh.laplacian(op, t4.gram), t4.gram)[(0, 0, 0, 0)]) < 1e-12
 
 
 def test_zero_operator_matches_oracle(t4):
-    zero = gh.BlockOperator(4, 16, t4.support)
+    zero = gh.BlockOperator(t4.support, np.zeros((0, 4), dtype=int), np.zeros((0, 16, 16)))
     assert_matches_oracle(zero, t4.gram)
-    assert gh.green_operator(gh.laplacian(zero, t4.gram), t4.gram).coeff_norm() == 0
+    lap = gh.laplacian(zero, t4.gram)
+    assert lap.coeff_norm() == 0 and not lap.stack.any()
+    assert not any(B.any() for B in oracle_green(lap, t4.gram).values())

@@ -750,6 +750,22 @@ def test_run_deformation_t8_order4():
     assert 24.0 <= v1["derivative_sup"] / v2["derivative_sup"] <= 40.0
 
 
+def test_run_deformation_t8_builds_no_per_frequency_blocks(monkeypatch):
+    """Every operator of the deform path acts from its coefficients: with the
+    per-frequency evaluation of ``BlockOperator`` made to raise, T^8 at order
+    cap 2 (the benchmark's deform-m8-k2 shape) still solves."""
+
+    def refuse(self, freqs):
+        raise AssertionError("per-frequency blocks evaluated on the deform path")
+
+    monkeypatch.setattr(gh.BlockOperator, "_evaluate", refuse)
+    report = exact_bfield_report(8, 2, *T8_COEFFS)
+    assert report.ok and len(report.support) == 13
+    assert max(report.residual_norms) <= 1e-12 * report.psi_norm
+    with pytest.raises(AssertionError):
+        gh.component_operator((1, 1), report.pair, report.support).stack
+
+
 # ---------------------------------------------------------------------------
 # the carried series against from-scratch dict-keyed expansions
 
@@ -805,7 +821,9 @@ def test_extraction_matches_from_scratch_route(pair):
     want = [None]
     for j in range(1, order_cap + 1):
         partial = _dict_exp_apply(sol.SeriesSoField(4, want, check=False).terms, [J0], _bracket, j)
-        want.append((target[j] - partial[j]).map_values(lambda c: -0.5 * (c @ J)).prune(0.0))
+        term = (target[j] - partial[j]).map_values(lambda c: -0.5 * (c @ J))
+        term.coeffs = {k: c for k, c in term.coeffs.items() if c.any()}
+        want.append(term)
     got = sol.extract_transverse_family(J, target, order_cap)
     for j in range(1, order_cap + 1):
         assert want[j].coeff_norm() > 1.0
