@@ -264,14 +264,37 @@ def contraction_matrices(m: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
+def _ladder_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather form of the 2m Clifford ladders: ``source[j, i] = i ^ 2**j``
+    and ``signs[w, j, i]``, the sign with which the contraction (w = 0) or
+    wedge (w = 1) by ``dx_{j+1}`` sends ``source[j, i]`` to ``i``, 0 where
+    it does not.  Shapes ``(m, 2**m)`` and ``(2, m, 2**m)``."""
+    m = _check_m(m)
+    n = spinor_dim(m)
+    wedge = np.array([False, True])[:, None, None]
+    bit = np.arange(m, dtype=np.uint64)[None, :, None]
+    ok, image, sign = _ladder_step(wedge, bit, np.arange(n, dtype=np.uint64)[None, None, :])
+    image = np.broadcast_to(image, ok.shape).astype(np.intp)
+    signs = np.zeros(ok.shape)
+    np.put_along_axis(signs, image, np.where(ok, sign, 0), axis=2)
+    # the flip is an involution, so the image of i is also its source
+    source = image[0]
+    for arr in (source, signs):
+        arr.setflags(write=False)
+    return source, signs
+
+
+@lru_cache(maxsize=None)
 def _clifford_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzero entries of the ladders ``cl(e_r)`` (contraction for r < m, wedge
     after): flat ``(row * 2**m + col)`` positions, the coordinate ``r`` of each
-    and its sign.  No two ladders share a position, so every Clifford matrix
-    is one scatter of ``m * 2**m`` entries."""
-    ladders = np.stack(contraction_matrices(m) + wedge_matrices(m))
-    coord, row, col = np.nonzero(ladders)
-    tables = (row * spinor_dim(m) + col, coord, ladders[coord, row, col])
+    and its sign, ordered by ``r`` and then by row.  No two ladders share a
+    position, so every Clifford matrix is one scatter of ``m * 2**m`` entries."""
+    source, signs = _ladder_tables(m)
+    signs = signs.reshape(2 * m, -1)
+    coord, row = np.nonzero(signs)
+    col = source[coord % m, row]
+    tables = (row * spinor_dim(m) + col, coord, signs[coord, row])
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -300,14 +323,37 @@ def clifford_vector_matrix(v: np.ndarray) -> np.ndarray:
     return clifford_matrices(v)
 
 
+def _ladder_weights(vectors: np.ndarray) -> np.ndarray:
+    """Gather weights ``(..., m, 2**m)`` of the Clifford actions of a stack of
+    vectors ``(..., 2m)``: ``X_j`` times the contraction signs plus ``xi_j``
+    times the wedge signs."""
+    v = np.asarray(vectors, dtype=complex)
+    m = _check_m(v.shape[-1] // 2)
+    _, signs = _ladder_tables(m)
+    return np.einsum("...wj,wji->...ji", v.reshape(v.shape[:-1] + (2, m)), signs)
+
+
+def _ladder_gather(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``out[..., i] = sum_j weights[..., j, i] rows[..., i ^ 2**j]``: the
+    Clifford actions whose ``_ladder_weights`` are given, on rows ``(..., n)``."""
+    source, _ = _ladder_tables(weights.shape[-2])
+    return np.einsum("...ji,...ji->...i", weights, np.take(rows, source, axis=-1))
+
+
 def clifford_act(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Apply the Clifford action of ``v`` in R^{2m} to a form vector."""
+    """Apply the Clifford action of ``v`` in R^{2m} to a form vector.
+
+    Vectors ``(..., 2m)`` and form vectors ``(..., 2**m)`` broadcast against
+    each other.  Each ladder is a signed bit flip, so the action is m signed
+    gathers ``phi[..., i ^ 2**j]`` weighted by the coordinates of ``v``; no
+    ``2**m x 2**m`` matrix is formed.
+    """
     v = np.asarray(v, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
     m = _infer_m_from_spinor(phi)
-    if v.shape != (2 * m,):
+    if v.ndim == 0 or v.shape[-1] != 2 * m:
         raise ValueError(f"vector shape {v.shape} does not match spinor dim {phi.shape}")
-    return clifford_matrices(v) @ phi
+    return _ladder_gather(_ladder_weights(v), phi)
 
 
 def so_residual(alpha: np.ndarray) -> float:

@@ -20,12 +20,12 @@ from collections.abc import Mapping
 import numpy as np
 
 from genkahler.clifford import (
+    clifford_act,
     clifford_vector_matrix,
     natural_pairing,
     pairing_matrix,
     spinor_dim,
     two_form_spinor,
-    wedge_matrices,
     wedge_operator,
 )
 from genkahler.structures import iso_projectors, l_frame, require_gcs
@@ -311,12 +311,10 @@ def three_form_spinor(h: np.ndarray) -> np.ndarray:
 def derivative_rows(freqs: np.ndarray, rows: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
     """Twisted derivative of stacked coefficients: ``i sum_j k_j dx_j ^ v``
     plus ``H ^ v`` for every row ``v`` of ``rows`` and ``k`` the matching row
-    of the ``(S, m)`` frequency matrix ``freqs``.  The wedges act as the
-    cached real matrices, one product per torus direction."""
-    out = np.zeros(rows.shape, dtype=complex)
-    coeff = 1j * freqs
-    for j, W in enumerate(wedge_matrices(freqs.shape[1])):
-        out += coeff[:, j, None] * (rows @ W.T)
+    of the ``(S, m)`` frequency matrix ``freqs``.  The derivative is the
+    Clifford action of the covector ``(0; i k)``, m signed gathers per row;
+    the twist is one product."""
+    out = clifford_act(np.concatenate([np.zeros_like(freqs), freqs], axis=1) * 1j, rows)
     if h is not None:
         out += rows @ wedge_operator(three_form_spinor(h)).T
     return out

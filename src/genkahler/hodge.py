@@ -17,7 +17,12 @@ Untwisted, Gualtieri's identities (*Generalized Kahler geometry*, CMP 331
 (2014), arXiv:1007.3485) give the graded structure in closed form: the
 components are Clifford actions ``delta_s(k) = i cl(pi_s k)`` and
 ``4 Lap_{delta+}(k) = |k|^2_{g^-1} Id``, so the Green operator is the scalar
-``4/|k|^2_{g^-1}`` off ``k = 0``.
+``4/|k|^2_{g^-1}`` off ``k = 0``.  A Clifford action is a weighted sum of the
+2m ladders, which are signed bit flips, so :class:`TorusBackground` applies
+the untwisted components to packed rows as signed gathers weighted by the
+per-row vectors ``i pi_s k`` and builds no coefficient matrices; the
+:class:`BlockOperator` algebra serves the operator identities and the
+twisted components.
 
 The inner product is ``h(f, g) = sum_k (f_k, star conj(g_k))_Ch`` with the
 star taken in the standard torus orientation; this is the unique placement of
@@ -33,6 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
+from genkahler.clifford import _ladder_gather, _ladder_weights
 from genkahler.clifford import chevalley_gram, clifford_matrices, spinor_dim, wedge_matrices, wedge_operator
 from genkahler.fields import FourierOperatorField, derivative_rows, three_form_spinor
 from genkahler.structures import HermitianPair
@@ -329,6 +335,13 @@ def derivative_operator(torus_dim: int, support, h: np.ndarray | None = None) ->
     return _affine(support, np.stack(wedge_matrices(torus_dim)), constant)
 
 
+def _sector_covectors(pair: HermitianPair, shift: tuple[int, int]) -> np.ndarray:
+    """``pi_s dx_j`` for the sector ``pi_s`` of a level-one shift, as the
+    columns of a ``(2m, m)`` matrix."""
+    dp, dq = shift
+    return pair.sector_projector(dp * dq > 0, dp > 0)[:, pair.m :]
+
+
 def component_operator(
     shift: tuple[int, int],
     pair: HermitianPair,
@@ -352,7 +365,7 @@ def component_operator(
     m = pair.m
     n = spinor_dim(m)
     if abs(dp) == abs(dq) == 1:
-        linear = clifford_matrices(pair.sector_projector(dp * dq > 0, dp > 0)[:, m:].T)
+        linear = clifford_matrices(_sector_covectors(pair, shift).T)
     else:
         linear = np.zeros((m, n, n), dtype=complex)
     C_H = None
@@ -387,11 +400,14 @@ def green_operator(pair: HermitianPair, support) -> np.ndarray:
 class TorusBackground:
     """Constant generalized Kahler background over one :class:`Support`.
 
-    Caches the Gram matrix, the twisted derivative, its four components, the
-    reference Laplacian (of the (+1,+1) component) and the Green operator as
-    one scalar per row.  Fields are packed over the background's support.  A
-    nonzero constant twist is never integrable, so a twisted background has
-    no Green operator.
+    Caches the Gram matrix, the ladder gather weights of the four untwisted
+    components (folded once from the per-row vectors ``i pi_s k``; see
+    ``apply``) and the Green operator as one scalar per row.  The coefficient
+    operators of the twisted derivative, its four components and the
+    reference Laplacian (of the (+1,+1) component) are built on first use.
+    Fields are packed over the background's support.  A nonzero constant
+    twist is never integrable, so a twisted background has no Green operator
+    and its components act only through ``components``.
     """
 
     def __init__(self, pair: HermitianPair, support, h: np.ndarray | None = None):
@@ -413,6 +429,25 @@ class TorusBackground:
             name: component_operator(shift, self.pair, self.support, self.h)
             for name, shift in DELTA_SHIFTS.items()
         }
+
+    @cached_property
+    def _component_weights(self) -> dict[str, np.ndarray]:
+        """Ladder gather weights ``(S, m, n)`` of each untwisted component,
+        whose block at ``k`` is the Clifford action of ``i pi_s k``."""
+        kappa = 1j * self.support.frequencies
+        return {
+            name: _ladder_weights(kappa @ _sector_covectors(self.pair, shift).T)
+            for name, shift in DELTA_SHIFTS.items()
+        }
+
+    def apply(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """The untwisted component ``name`` on a field packed over the
+        support, as one gather-and-sum over the 2m Clifford ladders."""
+        if self.h is not None and np.any(self.h):
+            raise ValueError("a twisted background applies its components through `components`")
+        if np.shape(rows) != (len(self.support), spinor_dim(self.pair.m)):
+            raise ValueError(f"packed field of shape {np.shape(rows)} does not match the background")
+        return _ladder_gather(self._component_weights[name], rows)
 
     @cached_property
     def laplace(self) -> BlockOperator:

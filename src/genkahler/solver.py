@@ -30,12 +30,12 @@ import numpy as np
 
 from .clifford import (
     _expm,
+    clifford_act,
     pairing_matrix,
     so_residual,
     so_from_pair,
     spin_lie_action,
     spinor_dim,
-    wedge_matrices,
 )
 from .fields import (
     FourierField,
@@ -558,17 +558,17 @@ def _obstruction(order: int, rho: np.ndarray, background: TorusBackground, scale
     if _exceeds(outside_norm, tol * scale):
         raise ValueError(f"order-{order} obstruction leaks outside the four corners ({outside_norm:.3e})")
 
-    ops = background.components
+    apply = background.apply
     closed = {
-        name: background.norm(ops[name].act(comps[corner]))
+        name: background.norm(apply(name, comps[corner]))
         for name, corner in _annihilating_arrows(n).items()
     }
     bad_ops = {k: v for k, v in closed.items() if _exceeds(v, tol * scale)}
     if bad_ops:
         raise ValueError(f"corner components are not closed under their outgoing arrows: {bad_ops}")
 
-    route_down = ops["delta-"].act(comps[(-1, n - 1)]) + ops["delta_bar-"].act(comps[(1, n - 3)])
-    route_up = ops["delta+"].act(comps[(-1, n - 3)]) + ops["delta_bar+"].act(comps[(1, n - 1)])
+    route_down = apply("delta-", comps[(-1, n - 1)]) + apply("delta_bar-", comps[(1, n - 3)])
+    route_up = apply("delta+", comps[(-1, n - 3)]) + apply("delta_bar+", comps[(1, n - 1)])
     cross_sum = background.norm(route_down + route_up)
     if _exceeds(cross_sum, tol * scale):
         raise ValueError(f"mixed corner sum does not cancel ({cross_sum:.3e})")
@@ -1000,7 +1000,7 @@ def verify_gk_at_t(
     min_eig = float(np.linalg.eigvalsh(0.5 * (Msym + Msym.swapaxes(-1, -2))).min())
 
     # spinor side, one point at a time
-    W = wedge_matrices(m)
+    wedges = np.eye(2 * m)[m:]  # (0; dx_d), whose Clifford actions are the wedges
     psi0 = report.psi0[(0,) * m]
     derivative_sup = 0.0
     psi_sup = 0.0
@@ -1013,7 +1013,7 @@ def verify_gk_at_t(
                 G[d] = spin_lie_action(grads[f][d][p])
             v, D = _exp_jet(S, G, v, D)
         psi_sup = max(psi_sup, float(np.linalg.norm(v)))
-        dpsi = np.einsum("dij,dj->i", W, D)
+        dpsi = clifford_act(wedges, D).sum(axis=0)
         derivative_sup = max(derivative_sup, float(np.linalg.norm(dpsi)))
 
     return {

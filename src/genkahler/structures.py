@@ -393,8 +393,10 @@ class HermitianPair:
         return self._levels(1)
 
     def projector(self, p: int, q: int) -> np.ndarray:
-        zero = np.zeros((spinor_dim(self.m), spinor_dim(self.m)), dtype=complex)
-        return self.bigrading.get((p, q), zero)
+        P = self.bigrading.get((p, q))
+        if P is None:
+            P = np.zeros((spinor_dim(self.m), spinor_dim(self.m)), dtype=complex)
+        return P
 
     def component(self, phi: np.ndarray, p: int, q: int) -> np.ndarray:
         return self.projector(p, q) @ np.asarray(phi, dtype=complex)

@@ -117,6 +117,34 @@ def test_clifford_relation():
         np.testing.assert_allclose(cl.clifford_act(v, phi), ladders @ phi, atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_stacked_clifford_act_matches_matrices(m):
+    """A stack of vectors acts on a stack of rows, row by row, as the dense
+    Clifford matrices do; a single vector broadcasts over the rows."""
+    rng = np.random.default_rng(40 + m)
+    rows = 9
+    v = rng.normal(size=(rows, 2 * m)) + 1j * rng.normal(size=(rows, 2 * m))
+    x = rng.normal(size=(rows, 1 << m)) + 1j * rng.normal(size=(rows, 1 << m))
+    got = cl.clifford_act(v, x)
+    want = np.stack([cl.clifford_matrices(v[s]) @ x[s] for s in range(rows)])
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    np.testing.assert_allclose(cl.clifford_act(v[0], x), x @ cl.clifford_matrices(v[0]).T, rtol=1e-13, atol=1e-13)
+    with pytest.raises(ValueError):
+        cl.clifford_act(v[:, :-2], x)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_clifford_table_equals_stacked_ladders(m):
+    """The scatter table built from the ladder steps is entry for entry the
+    one read off the stacked dense ladders."""
+    ladders = np.stack(cl.contraction_matrices(m) + cl.wedge_matrices(m))
+    coord, row, col = np.nonzero(ladders)
+    want = (row * cl.spinor_dim(m) + col, coord, ladders[coord, row, col])
+    for got, ref in zip(cl._clifford_table(m), want):
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got, ref)
+
+
 def test_pairing_matrix_values():
     P = cl.pairing_matrix(2)
     d1 = np.array([1.0, 0, 0, 0])

@@ -220,6 +220,50 @@ def test_packed_derivative_matches_derivative_block_t8(twisted):
         assert np.linalg.norm(packed[s] - want) <= 1e-13 * np.linalg.norm(want), k
 
 
+def wedge_matrix_derivative_rows(freqs, rows, h=None):
+    """``derivative_rows`` by the dense wedge matrices, one product per torus
+    direction, plus the twist as one product."""
+    out = np.zeros(rows.shape, dtype=complex)
+    for j, W in enumerate(cl.wedge_matrices(freqs.shape[1])):
+        out += 1j * freqs[:, j, None] * (rows @ W.T)
+    if h is not None:
+        out += rows @ cl.wedge_operator(gf.three_form_spinor(h)).T
+    return out
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("m", [4, 8])
+def test_derivative_rows_matches_wedge_matrix_route(m, twisted):
+    rng = np.random.default_rng(60 + m + twisted)
+    h = random_three_form(rng, m) if twisted else None
+    freqs = gh.Support(small_support(m) + [tuple(rng.integers(-3, 4, size=m))]).frequencies
+    rows = rng.normal(size=(len(freqs), 2**m)) + 1j * rng.normal(size=(len(freqs), 2**m))
+    want = wedge_matrix_derivative_rows(freqs, rows, h)
+    got = gf.derivative_rows(freqs, rows, h)
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m, kind", [(4, "random"), (6, "random"), (8, "flat")])
+def test_background_apply_matches_component_operator(m, kind):
+    """The ladder-gather action of each untwisted component against its
+    coefficient operator acting by one GEMM."""
+    rng = np.random.default_rng(70 + m)
+    pair = gs.random_hermitian_pair(rng, m, b_scale=0.7) if kind == "random" else gs.standard_kahler_pair(m)
+    support = gh.Support(gf.frequencies_box(4, 1) if m == 4 else small_support(m))
+    bg = gh.TorusBackground(pair, support)
+    rows = rng.normal(size=(len(support), 2**m)) + 1j * rng.normal(size=(len(support), 2**m))
+    for name, shift in gh.DELTA_SHIFTS.items():
+        want = gh.component_operator(shift, pair, support).act(rows)
+        got = bg.apply(name, rows)
+        assert np.linalg.norm(want) > 1.0
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
+    with pytest.raises(ValueError, match="does not match"):
+        bg.apply("delta+", rows[1:])
+    twisted = gh.TorusBackground(pair, support, random_three_form(rng, m))
+    with pytest.raises(ValueError, match="twisted"):
+        twisted.apply("delta+", rows)
+
+
 def test_packed_act_and_norm_match_per_frequency_loop():
     """Batched act, inner product and norm on a Gram matrix far from orthonormal."""
     rng = np.random.default_rng(90)

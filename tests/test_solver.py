@@ -1,6 +1,8 @@
 """Order-by-order deformation solver: series algebra, per-order solves,
 input-family preconditions and finite-parameter verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -45,17 +47,22 @@ def gauge_family(pair, rng):
     return sol.SeriesSoField(4, [None, gauge_term])
 
 
-def exact_bfield_report(m, order_cap, coeff_a, coeff_b, extra=(), pair=None, **kw):
-    """Run on ``pair`` (default the flat Kahler T^m) for the one-form with a
-    cosine mode at e_0 and a sine mode at e_1 + e_2, composed with ``extra``
-    factor families."""
-    pair_m = gs.standard_kahler_pair(m) if pair is None else pair
+def exact_bfield_family(m, order_cap, coeff_a, coeff_b, pair):
+    """Transverse family of the one-form with a cosine mode at e_0 and a sine
+    mode at e_1 + e_2 on ``pair``."""
     xi = gf.FourierField(m, m)
     symmetric_mode(xi, (1,) + (0,) * (m - 1), 0.5 * np.asarray(coeff_a))
     symmetric_mode(xi, (0, 1, 1) + (0,) * (m - 3), 0.5j * np.asarray(coeff_b))
     C = gf.one_form_differential(xi).map_values(cl.two_form_so)
-    target = sol.conjugated_structure_series(C, pair_m.J1, order_cap)
-    family = sol.extract_transverse_family(pair_m.J1, target, order_cap)
+    target = sol.conjugated_structure_series(C, pair.J1, order_cap)
+    return sol.extract_transverse_family(pair.J1, target, order_cap)
+
+
+def exact_bfield_report(m, order_cap, coeff_a, coeff_b, extra=(), pair=None, **kw):
+    """Run on ``pair`` (default the flat Kahler T^m) for ``exact_bfield_family``
+    composed with ``extra`` factor families."""
+    pair_m = gs.standard_kahler_pair(m) if pair is None else pair
+    family = exact_bfield_family(m, order_cap, coeff_a, coeff_b, pair_m)
     return sol.run_deformation([family, *extra], pair_m, order_cap=order_cap, **kw)
 
 
@@ -751,19 +758,35 @@ def test_run_deformation_t8_order4():
 
 
 def test_run_deformation_t8_builds_no_per_frequency_blocks(monkeypatch):
-    """Every operator of the deform path acts from its coefficients: with the
-    per-frequency evaluation of ``BlockOperator`` made to raise, T^8 at order
-    cap 2 (the benchmark's deform-m8-k2 shape) still solves."""
+    """The deform path applies every operator by ladder gathers: with
+    ``BlockOperator`` construction made to raise and the dense ladder caches
+    emptied, T^8 at order cap 2 (the benchmark's deform-m8-k2 shape) solves
+    and verifies, leaves those caches empty and allocates under 40 MB above
+    its start while solving."""
 
-    def refuse(self, freqs):
-        raise AssertionError("per-frequency blocks evaluated on the deform path")
+    def refuse(self, *args):
+        raise AssertionError("block operator built on the deform path")
 
-    monkeypatch.setattr(gh.BlockOperator, "_evaluate", refuse)
-    report = exact_bfield_report(8, 2, *T8_COEFFS)
+    pair = gs.standard_kahler_pair(8)
+    family = exact_bfield_family(8, 2, *T8_COEFFS, pair)
+    monkeypatch.setattr(gh.BlockOperator, "__init__", refuse)
+    dense_ladders = (cl.wedge_matrices, cl.contraction_matrices)
+    for cache in dense_ladders:
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = sol.run_deformation([family], pair, order_cap=2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
     assert report.ok and len(report.support) == 13
     assert max(report.residual_norms) <= 1e-12 * report.psi_norm
+    sol.verify_gk_at_t(report, 0.01, count=2)
+    assert [cache.cache_info().currsize for cache in dense_ladders] == [0, 0]
+    assert peak < 40e6, f"run_deformation peaked {peak / 1e6:.1f} MB above its start"
     with pytest.raises(AssertionError):
-        gh.component_operator((1, 1), report.pair, report.support).stack
+        gh.component_operator((1, 1), report.pair, report.support)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,20 @@ def test_sector_frames_shift_bigrading():
                 np.testing.assert_allclose(target @ image, image, atol=1e-8)
 
 
+def test_projector_allocates_only_on_a_missing_label(monkeypatch):
+    pair = gs.standard_kahler_pair(4)
+    grading = pair.bigrading
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("zero matrix allocated for an existing label")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gs.np, "zeros", refuse)
+        assert all(pair.projector(*key) is P for key, P in grading.items())
+    missing = pair.projector(5, 5)
+    assert missing.shape == (16, 16) and not missing.any()
+
+
 def test_sector_frames_shift_bigrading_random_pair():
     rng = np.random.default_rng(77)
     pair = gs.random_hermitian_pair(rng, 4)
