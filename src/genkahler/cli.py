@@ -205,7 +205,8 @@ def build_twist(doc: dict, m: int) -> np.ndarray | None:
             ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1),
         ):
             h[perm] += sign * value
-    return h
+    # rows that cancel leave no twist
+    return h if np.any(h) else None
 
 
 def build_background(doc: dict, m: int) -> gs.HermitianPair:
@@ -659,7 +660,7 @@ def cmd_deform(args) -> int:
     if m % 2:
         raise ConfigError("deform needs an even dimension")
     h = build_twist(doc, m)
-    if h is not None and np.any(h):
+    if h is not None:
         raise ConfigError(
             "deform needs a zero twist: a constant generalized Kahler pair on a flat torus "
             "has H = 0 (d^c_+ omega_+ = H = -d^c_- omega_-, and constant forms have d^c omega = 0)"

@@ -238,17 +238,14 @@ def _ladder_step(wedge, bit, idx: np.ndarray):
 
 
 def _ladder_matrices(m: int, wedge: bool) -> tuple[np.ndarray, ...]:
+    """Dense ladders, read-only: the Clifford matrices of the unit covectors
+    (wedge) or vectors (contraction); + 0.0 clears the -0.0 they get where
+    the other ladders sit."""
     m = _check_m(m)
-    n = spinor_dim(m)
-    idx = np.arange(n, dtype=np.uint64)
-    out = []
-    for i in range(m):
-        ok, image, sign = _ladder_step(wedge, np.uint64(i), idx)
-        M = np.zeros((n, n))
-        M[image[ok].astype(np.int64), idx[ok].astype(np.int64)] = sign[ok]
+    out = tuple(M.real + 0.0 for M in clifford_matrices(np.eye(2 * m)[m:] if wedge else np.eye(2 * m)[:m]))
+    for M in out:
         M.setflags(write=False)
-        out.append(M)
-    return tuple(out)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -20,12 +20,12 @@ from collections.abc import Mapping
 import numpy as np
 
 from genkahler.clifford import (
-    clifford_act,
+    _ladder_gather,
+    _ladder_tables,
     clifford_vector_matrix,
     natural_pairing,
     pairing_matrix,
     spinor_dim,
-    two_form_spinor,
     wedge_operator,
 )
 from genkahler.structures import iso_projectors, l_frame, require_gcs
@@ -57,127 +57,124 @@ def _freq_key(k, torus_dim: int) -> Frequency:
     return key
 
 
-class FourierField:
-    """Vector-valued trigonometric polynomial ``sum_k c_k exp(i <k, x>)``."""
+class _FourierContainer:
+    """Dict of coefficients keyed by frequency, with the linear structure both
+    field classes share; a subclass fixes the shape in ``coeff_shape``."""
 
     def __init__(self, torus_dim: int, value_dim: int, coeffs: Mapping | None = None):
         self.torus_dim = int(torus_dim)
         self.value_dim = int(value_dim)
         self.coeffs: dict[Frequency, np.ndarray] = {}
+        shape = self.coeff_shape(self.value_dim)
         for k, c in (coeffs or {}).items():
             c = np.asarray(c, dtype=complex)
-            if c.shape != (self.value_dim,):
-                raise ValueError(f"coefficient shape {c.shape} != ({self.value_dim},)")
+            if c.shape != shape:
+                raise ValueError(f"coefficient shape {c.shape} != {shape}")
             self.coeffs[_freq_key(k, self.torus_dim)] = c.copy()
 
     @classmethod
-    def constant(cls, torus_dim: int, value) -> "FourierField":
+    def constant(cls, torus_dim: int, value):
         value = np.asarray(value, dtype=complex)
         return cls(torus_dim, value.shape[0], {(0,) * torus_dim: value})
 
-    def copy(self) -> "FourierField":
-        return FourierField(self.torus_dim, self.value_dim, self.coeffs)
+    def _like(self, coeffs: dict):
+        """Field of the same class and shape holding ``coeffs`` as given."""
+        out = type(self)(self.torus_dim, self.value_dim)
+        out.coeffs = coeffs
+        return out
+
+    def copy(self):
+        return type(self)(self.torus_dim, self.value_dim, self.coeffs)
 
     def support(self) -> list[Frequency]:
         return sorted(self.coeffs)
 
-    def __getitem__(self, k) -> np.ndarray:
-        return self.coeffs.get(_freq_key(k, self.torus_dim), np.zeros(self.value_dim, dtype=complex))
+    def stacked(self) -> tuple[list[Frequency], np.ndarray]:
+        """Sorted frequencies and their coefficients stacked into one
+        ``(P, *coefficient shape)`` array (``P = 0`` for the zero field)."""
+        freqs = sorted(self.coeffs)
+        out = np.empty((len(freqs), *self.coeff_shape(self.value_dim)), dtype=complex)
+        for a, p in enumerate(freqs):
+            out[a] = self.coeffs[p]
+        return freqs, out
 
-    def _binary(self, other: "FourierField", sign: float) -> "FourierField":
-        if (other.torus_dim, other.value_dim) != (self.torus_dim, self.value_dim):
+    def __getitem__(self, k) -> np.ndarray:
+        c = self.coeffs.get(_freq_key(k, self.torus_dim))
+        return np.zeros(self.coeff_shape(self.value_dim), dtype=complex) if c is None else c
+
+    def _binary(self, other, sign: float):
+        if type(other) is not type(self) or (other.torus_dim, other.value_dim) != (self.torus_dim, self.value_dim):
             raise ValueError("field shapes do not match")
         out = self.copy()
         for k, c in other.coeffs.items():
             out.coeffs[k] = out.coeffs.get(k, 0.0) + sign * c
         return out
 
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
-
-    def __mul__(self, scalar):
-        out = FourierField(self.torus_dim, self.value_dim)
-        out.coeffs = {k: complex(scalar) * c for k, c in self.coeffs.items()}
-        return out
-
-    __rmul__ = __mul__
+    def _scaled(self, scalar):
+        return self._like({k: complex(scalar) * c for k, c in self.coeffs.items()})
 
     def __neg__(self):
         return self * (-1.0)
 
-    def conj(self) -> "FourierField":
+    def conj(self):
         """Complex conjugate of the function (frequencies flip sign)."""
-        out = FourierField(self.torus_dim, self.value_dim)
-        out.coeffs = {tuple(-v for v in k): c.conj() for k, c in self.coeffs.items()}
-        return out
+        return self._like({tuple(-v for v in k): c.conj() for k, c in self.coeffs.items()})
 
-    def map_values(self, func) -> "FourierField":
+    def map_values(self, func):
+        """Field of ``func`` applied to every coefficient; the value dimension
+        is read off the image of a zero coefficient when there is none."""
         items = {k: np.asarray(func(c), dtype=complex) for k, c in sorted(self.coeffs.items())}
-        dim = next(iter(items.values())).shape[0] if items else self.value_dim
-        return FourierField(self.torus_dim, dim, items)
+        probe = next(iter(items.values())) if items else np.asarray(func(np.zeros(self.coeff_shape(self.value_dim))))
+        return type(self)(self.torus_dim, probe.shape[0], items)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((points.shape[0], self.value_dim), dtype=complex)
+        shape = self.coeff_shape(self.value_dim)
+        out = np.zeros((points.shape[0], *shape), dtype=complex)
         for k, c in sorted(self.coeffs.items()):
             phase = np.exp(1j * points @ np.asarray(k, dtype=float))
-            out += phase[:, None] * c
+            out += phase.reshape(-1, *(1,) * len(shape)) * c
         return out
 
     def coeff_norm(self) -> float:
         """L2 norm of the coefficient data; equals the L2(T^m) norm by Parseval."""
-        if not self.coeffs:
-            return 0.0
-        return float(np.sqrt(sum(np.vdot(c, c).real for c in self.coeffs.values())))
+        return float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.coeffs.values())))
 
     def is_real(self, tol: float = 1e-12) -> bool:
         return (self - self.conj()).coeff_norm() <= tol * max(1.0, self.coeff_norm())
 
 
-class FourierOperatorField:
+class FourierField(_FourierContainer):
+    """Vector-valued trigonometric polynomial ``sum_k c_k exp(i <k, x>)``."""
+
+    @staticmethod
+    def coeff_shape(value_dim: int) -> tuple[int, ...]:
+        return (value_dim,)
+
+    # the arithmetic entry points live in each class's own namespace, where
+    # tools that wrap methods by name look for them
+    def __add__(self, other):
+        return self._binary(other, 1.0)
+
+    def __sub__(self, other):
+        return self._binary(other, -1.0)
+
+    def __mul__(self, scalar):
+        return self._scaled(scalar)
+
+    __rmul__ = __mul__
+
+
+class FourierOperatorField(_FourierContainer):
     """Matrix-valued trigonometric polynomial; composes and acts by convolution."""
 
-    def __init__(self, torus_dim: int, value_dim: int, coeffs: Mapping | None = None):
-        self.torus_dim = int(torus_dim)
-        self.value_dim = int(value_dim)
-        self.coeffs: dict[Frequency, np.ndarray] = {}
-        for k, c in (coeffs or {}).items():
-            c = np.asarray(c, dtype=complex)
-            if c.shape != (self.value_dim, self.value_dim):
-                raise ValueError(f"coefficient shape {c.shape} != square {self.value_dim}")
-            self.coeffs[_freq_key(k, self.torus_dim)] = c.copy()
-
-    @classmethod
-    def constant(cls, torus_dim: int, value) -> "FourierOperatorField":
-        value = np.asarray(value, dtype=complex)
-        return cls(torus_dim, value.shape[0], {(0,) * torus_dim: value})
+    @staticmethod
+    def coeff_shape(value_dim: int) -> tuple[int, ...]:
+        return (value_dim, value_dim)
 
     @classmethod
     def identity(cls, torus_dim: int, value_dim: int) -> "FourierOperatorField":
         return cls.constant(torus_dim, np.eye(value_dim))
-
-    def copy(self) -> "FourierOperatorField":
-        return FourierOperatorField(self.torus_dim, self.value_dim, self.coeffs)
-
-    def support(self) -> list[Frequency]:
-        return sorted(self.coeffs)
-
-    def __getitem__(self, k) -> np.ndarray:
-        key = _freq_key(k, self.torus_dim)
-        if key in self.coeffs:
-            return self.coeffs[key]
-        return np.zeros((self.value_dim, self.value_dim), dtype=complex)
-
-    def _binary(self, other, sign: float) -> "FourierOperatorField":
-        if (other.torus_dim, other.value_dim) != (self.torus_dim, self.value_dim):
-            raise ValueError("operator field shapes do not match")
-        out = self.copy()
-        for k, c in other.coeffs.items():
-            out.coeffs[k] = out.coeffs.get(k, 0.0) + sign * c
-        return out
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -186,21 +183,14 @@ class FourierOperatorField:
         return self._binary(other, -1.0)
 
     def __mul__(self, scalar):
-        out = FourierOperatorField(self.torus_dim, self.value_dim)
-        out.coeffs = {k: complex(scalar) * c for k, c in self.coeffs.items()}
-        return out
+        return self._scaled(scalar)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __matmul__(self, other: "FourierOperatorField") -> "FourierOperatorField":
-        if not isinstance(other, FourierOperatorField):
-            return NotImplemented
+    def _convolve(self, other, out):
+        """Add ``A_p B_q`` at ``p + q`` into ``out`` for every pair of coefficients."""
         if (other.torus_dim, other.value_dim) != (self.torus_dim, self.value_dim):
-            raise ValueError("operator field shapes do not match")
-        out = FourierOperatorField(self.torus_dim, self.value_dim)
+            raise ValueError("operator and field shapes do not match")
         for p, A in sorted(self.coeffs.items()):
             for q, B in sorted(other.coeffs.items()):
                 key = tuple(pi + qi for pi, qi in zip(p, q))
@@ -208,42 +198,13 @@ class FourierOperatorField:
                 out.coeffs[key] = A @ B if acc is None else acc + A @ B
         return out
 
+    def __matmul__(self, other: "FourierOperatorField") -> "FourierOperatorField":
+        if not isinstance(other, FourierOperatorField):
+            return NotImplemented
+        return self._convolve(other, self._like({}))
+
     def act(self, field: FourierField) -> FourierField:
-        if field.torus_dim != self.torus_dim or field.value_dim != self.value_dim:
-            raise ValueError("operator and field shapes do not match")
-        out = FourierField(self.torus_dim, self.value_dim)
-        for p, A in sorted(self.coeffs.items()):
-            for q, c in sorted(field.coeffs.items()):
-                key = tuple(pi + qi for pi, qi in zip(p, q))
-                acc = out.coeffs.get(key)
-                out.coeffs[key] = A @ c if acc is None else acc + A @ c
-        return out
-
-    def conj(self) -> "FourierOperatorField":
-        out = FourierOperatorField(self.torus_dim, self.value_dim)
-        out.coeffs = {tuple(-v for v in k): c.conj() for k, c in self.coeffs.items()}
-        return out
-
-    def map_values(self, func) -> "FourierOperatorField":
-        items = {k: np.asarray(func(c), dtype=complex) for k, c in sorted(self.coeffs.items())}
-        dim = next(iter(items.values())).shape[0] if items else self.value_dim
-        return FourierOperatorField(self.torus_dim, dim, items)
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((points.shape[0], self.value_dim, self.value_dim), dtype=complex)
-        for k, c in sorted(self.coeffs.items()):
-            phase = np.exp(1j * points @ np.asarray(k, dtype=float))
-            out += phase[:, None, None] * c
-        return out
-
-    def coeff_norm(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.coeffs.values())))
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return (self - self.conj()).coeff_norm() <= tol * max(1.0, self.coeff_norm())
+        return self._convolve(field, field._like({}))
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +272,10 @@ def three_form_spinor(h: np.ndarray) -> np.ndarray:
 def derivative_rows(freqs: np.ndarray, rows: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
     """Twisted derivative of stacked coefficients: ``i sum_j k_j dx_j ^ v``
     plus ``H ^ v`` for every row ``v`` of ``rows`` and ``k`` the matching row
-    of the ``(S, m)`` frequency matrix ``freqs``.  The derivative is the
-    Clifford action of the covector ``(0; i k)``, m signed gathers per row;
-    the twist is one product."""
-    out = clifford_act(np.concatenate([np.zeros_like(freqs), freqs], axis=1) * 1j, rows)
+    of the ``(S, m)`` frequency matrix ``freqs``.  The derivative is m
+    signed gathers per row, weighted by ``i k`` and the wedge signs; the
+    twist is one product."""
+    out = _ladder_gather(1j * freqs[:, :, None] * _ladder_tables(freqs.shape[1])[1][1], rows)
     if h is not None:
         out += rows @ wedge_operator(three_form_spinor(h)).T
     return out
@@ -327,8 +288,8 @@ def twisted_derivative(phi: FourierField, h: np.ndarray | None = None) -> Fourie
         raise ValueError("field values are not forms on the torus")
     out = FourierField(m, phi.value_dim)
     if phi.coeffs:
-        keys, rows = zip(*sorted(phi.coeffs.items()))
-        out.coeffs = dict(zip(keys, derivative_rows(np.array(keys, dtype=float), np.array(rows), h)))
+        keys, rows = phi.stacked()
+        out.coeffs = dict(zip(keys, derivative_rows(np.array(keys, dtype=float), rows, h)))
     return out
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from genkahler.clifford import _ladder_gather, _ladder_weights
 from genkahler.clifford import chevalley_gram, clifford_matrices, spinor_dim, wedge_matrices, wedge_operator
-from genkahler.fields import FourierOperatorField, derivative_rows, three_form_spinor
+from genkahler.fields import derivative_rows, three_form_spinor
 from genkahler.structures import HermitianPair
 
 __all__ = [
@@ -114,13 +114,12 @@ class Support(tuple):
     def pack(self, field) -> np.ndarray:
         """Coefficients of a Fourier field as one ``(S, *value shape)`` array
         over the support; a frequency outside it raises."""
-        shape = (field.value_dim,) * (2 if isinstance(field, FourierOperatorField) else 1)
-        out = np.zeros((len(self), *shape), dtype=complex)
-        for k, c in field.coeffs.items():
-            row = self.index.get(k)
-            if row is None:
-                raise ValueError(f"frequency {k} lies outside the support")
-            out[row] = c
+        freqs, coeffs = field.stacked()
+        rows = [self.index.get(k, -1) for k in freqs]
+        if -1 in rows:
+            raise ValueError(f"frequency {freqs[rows.index(-1)]} lies outside the support")
+        out = np.zeros((len(self), *coeffs.shape[1:]), dtype=complex)
+        out[rows] = coeffs
         return out
 
     def unpack(self, arr: np.ndarray | None, cls, torus_dim: int, value_dim: int):

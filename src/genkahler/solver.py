@@ -203,21 +203,18 @@ def _spin_stack(field: FourierOperatorField) -> tuple[list, np.ndarray] | None:
     """Frequencies and read-only stacked spin images of an so-valued field; None if zero."""
     if not field.coeffs:
         return None
-    freqs = sorted(field.coeffs)
+    freqs, coeffs = field.stacked()
     n = spinor_dim(field.torus_dim)
     mats = np.empty((len(freqs), n, n), dtype=complex)
-    for a, p in enumerate(freqs):
-        mats[a] = spin_lie_action(field.coeffs[p])
+    for a, c in enumerate(coeffs):
+        mats[a] = spin_lie_action(c)
     mats.setflags(write=False)
     return freqs, mats
 
 
 def _stack(field: FourierOperatorField) -> tuple[list, np.ndarray] | None:
     """Frequencies and stacked coefficients of an operator field; None if zero."""
-    if not field.coeffs:
-        return None
-    freqs = sorted(field.coeffs)
-    return freqs, np.stack([field.coeffs[p] for p in freqs])
+    return field.stacked() if field.coeffs else None
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +663,7 @@ def beta_from_phi(phi: FourierField, system: CorrectionSystem, *, tol: float = 1
     out = FourierOperatorField(phi.torus_dim, system.basis.shape[-1])
     if not phi.coeffs:
         return out
-    keys, rows = zip(*sorted(phi.coeffs.items()))
-    V = np.array(rows)
+    keys, V = phi.stacked()
     C = V @ system.pinv.T
     resid = np.linalg.norm(C @ system.images.T - V, axis=1)
     bad = np.flatnonzero(~(resid <= tol * np.maximum(np.linalg.norm(V, axis=1), 1e-300)))

@@ -269,6 +269,19 @@ def test_verify_hodge_twisted_background_reports_torsion(tmp_path, capsys):
     assert names == {"component_sum_reproduces_derivative"}
 
 
+def test_verify_hodge_twist_that_cancels_is_no_twist(tmp_path, capsys):
+    """Rows that cancel (a permuted triple with the same value) give no
+    twist: the report says null and runs every untwisted check."""
+    reports = {}
+    for label, twist in (("none", []), ("cancelling", [[0, 1, 2, 0.5], [1, 0, 2, 0.5]])):
+        cfg = write_config(tmp_path, {"schema": 1, "dimension": 4, "twist": twist})
+        assert cli.main(["verify-hodge", "--config", cfg, "--json"]) == 0
+        reports[label] = json.loads(capsys.readouterr().out)
+    assert reports["cancelling"]["twist"] is None
+    names = [[c["name"] for c in r["checks"]] for r in reports.values()]
+    assert names[0] == names[1] and len(names[0]) == 11
+
+
 def run_verify_hodge(tmp_path, capsys, doc):
     code = cli.main(["verify-hodge", "--config", write_config(tmp_path, doc), "--json"])
     report = json.loads(capsys.readouterr().out)

@@ -86,6 +86,27 @@ def test_operator_field_map_values_changes_dimension():
     np.testing.assert_allclose(lifted[(1, 0)][0b11, 0], 1.0)
 
 
+def test_map_values_on_the_zero_field_changes_dimension():
+    """An empty field gets the image dimension of a zero coefficient, so the
+    lifted zero operator still acts on spinor fields."""
+    lifted = gf.FourierOperatorField(4, 8).map_values(cl.spin_lie_action)
+    assert lifted.value_dim == 16 and not lifted.coeffs
+    spinor = gf.random_field(np.random.default_rng(4), 4, 16)
+    assert lifted.act(spinor).coeff_norm() == 0.0
+    assert gf.FourierField(2, 3).map_values(lambda c: np.append(c, 0.0)).value_dim == 4
+
+
+def test_stacked_is_sorted_and_shaped():
+    rng = np.random.default_rng(5)
+    f = gf.random_field(rng, 2, 3, [(1, 0), (-1, 1), (0, 0)])
+    freqs, rows = f.stacked()
+    assert freqs == f.support() == [(-1, 1), (0, 0), (1, 0)]
+    np.testing.assert_array_equal(rows, [f[k] for k in freqs])
+    assert gf.FourierOperatorField(2, 3).stacked()[1].shape == (0, 3, 3)
+    with pytest.raises(ValueError, match="shapes do not match"):
+        gf.FourierOperatorField.identity(2, 3) + gf.FourierField(2, 3)
+
+
 def test_three_form_validation():
     with pytest.raises(ValueError):
         gf.require_three_form(np.ones((3, 3, 3)), 3)
