@@ -10,9 +10,10 @@ Three subcommands:
   deformation family, verify the result at a finite parameter, and write
   the series and residual artifacts.
 
-Exit codes: 0 all checks pass, 1 identity/residual failure, 2 precondition
-failure, 64 usage or config error.  Reports are deterministic for a fixed
-seed and config; wall-clock timings only ever appear in the residual CSV.
+Exit codes: 0 all checks pass, 1 identity/residual or finite-t verification
+failure, 2 precondition failure, 64 usage or config error.  Reports are
+deterministic for a fixed seed and config; wall-clock timings only ever
+appear in the residual CSV.
 """
 
 from __future__ import annotations
@@ -646,12 +647,21 @@ def _series_record(report: sol.SolutionReport) -> dict:
 
 def _residual_csv(report: sol.SolutionReport) -> str:
     lines = ["order,residual_norm,beta_norm,wall_ms"]
-    for j in range(1, report.order_cap + 1):
-        wall = report.order_wall_ms[j - 1] if j - 1 < len(report.order_wall_ms) else 0.0
-        lines.append(
-            f"{j},{report.residual_norms[j]:.17g},{report.beta_norms[j - 1]:.17g},{wall:.3f}"
-        )
+    for rec, wall in zip(report.orders, report.order_wall_ms):
+        j = rec["order"]
+        lines.append(f"{j},{report.residual_norms[j]:.17g},{rec['beta_norm']:.17g},{wall:.3f}")
     return "\n".join(lines) + "\n"
+
+
+def _deform_failure(args, kind: str, message: str, code: int, **extra) -> int:
+    """Write the report of a deform run that failed and return its exit code."""
+    _emit(
+        {"schema": SCHEMA, "suite": "deform", "ok": False, "error": message, **extra},
+        ["suite: deform", f"{kind} failure: {message}", "result: FAILED"],
+        args.out,
+        args.json,
+    )
+    return code
 
 
 def cmd_deform(args) -> int:
@@ -688,24 +698,20 @@ def cmd_deform(args) -> int:
             tol_checks=tols["tol_checks"],
         )
     except sol.IntegrabilityError as exc:
-        _emit(
-            {"schema": SCHEMA, "suite": "deform", "ok": False, "error": str(exc), "failed_order": exc.order},
-            ["suite: deform", f"precondition failure: {exc}", "result: FAILED"],
-            args.out,
-            args.json,
-        )
-        return 2
+        return _deform_failure(args, "precondition", str(exc), 2, failed_order=exc.order)
     except ValueError as exc:
-        _emit(
-            {"schema": SCHEMA, "suite": "deform", "ok": False, "error": str(exc)},
-            ["suite: deform", f"identity failure: {exc}", "result: FAILED"],
-            args.out,
-            args.json,
-        )
-        return 1
+        return _deform_failure(args, "identity", str(exc), 1)
 
-    check_full = sol.verify_gk_at_t(report, verify_t, count=verify_points, seed=args.seed)
-    check_half = sol.verify_gk_at_t(report, 0.5 * verify_t, count=verify_points, seed=args.seed)
+    try:
+        check_full, check_half = [
+            sol.verify_gk_at_t(report, t, count=verify_points, seed=args.seed) for t in (verify_t, 0.5 * verify_t)
+        ]
+    except ValueError as exc:
+        return _deform_failure(args, "verification", str(exc), 1)
+    for check in (check_full, check_half):
+        if not check["metric_positive"]:
+            message = f"induced metric is not positive at t={check['t']:g} (min eig {check['metric_min_eig']:.3e})"
+            return _deform_failure(args, "verification", message, 1)
     ratio = None
     if check_half["derivative_sup"] > 0:
         ratio = check_full["derivative_sup"] / check_half["derivative_sup"]
@@ -730,10 +736,10 @@ def cmd_deform(args) -> int:
     lines = [f"suite: deform (dimension {m}, order cap {order_cap})"]
     lines.append(f"seed-spinor norm: {report.psi_norm:.6g} (scale {scale.real:+.3g}{scale.imag:+.3g}i)")
     lines.append(f"support: {len(report.support)} frequencies")
-    for j in range(1, order_cap + 1):
+    for rec in report.orders:
         lines.append(
-            f"PASS order {j}: obstruction {report.rho_norms[j-1]:.3e} "
-            f"correction {report.beta_norms[j-1]:.3e} residual {report.residual_norms[j]:.3e}"
+            f"PASS order {rec['order']}: obstruction {rec['rho_norm']:.3e} "
+            f"correction {rec['beta_norm']:.3e} residual {report.residual_norms[rec['order']]:.3e}"
         )
     lines.append(
         f"verification at t={verify_t:g}: min metric eig {check_full['metric_min_eig']:.6g}, "

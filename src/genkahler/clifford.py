@@ -37,7 +37,6 @@ __all__ = [
     "chevalley_pairing",
     "chevalley_symmetry_sign",
     "wedge_matrices",
-    "contraction_matrices",
     "clifford_matrices",
     "clifford_vector_matrix",
     "clifford_act",
@@ -237,27 +236,16 @@ def _ladder_step(wedge, bit, idx: np.ndarray):
     return has != wedge, idx ^ (one << bit), 1 - 2 * (below % 2)
 
 
-def _ladder_matrices(m: int, wedge: bool) -> tuple[np.ndarray, ...]:
-    """Dense ladders, read-only: the Clifford matrices of the unit covectors
-    (wedge) or vectors (contraction); + 0.0 clears the -0.0 they get where
-    the other ladders sit."""
+@lru_cache(maxsize=None)
+def wedge_matrices(m: int) -> tuple[np.ndarray, ...]:
+    """Matrices of ``dx_{i+1} ^ .`` for i = 0..m-1, each ``(2**m, 2**m)`` and
+    read-only: the Clifford matrices of the unit covectors; + 0.0 clears the
+    -0.0 they get where the contractions sit."""
     m = _check_m(m)
-    out = tuple(M.real + 0.0 for M in clifford_matrices(np.eye(2 * m)[m:] if wedge else np.eye(2 * m)[:m]))
+    out = tuple(M.real + 0.0 for M in clifford_matrices(np.eye(2 * m)[m:]))
     for M in out:
         M.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=None)
-def wedge_matrices(m: int) -> tuple[np.ndarray, ...]:
-    """Matrices of ``dx_{i+1} ^ .`` for i = 0..m-1, each ``(2**m, 2**m)``."""
-    return _ladder_matrices(m, wedge=True)
-
-
-@lru_cache(maxsize=None)
-def contraction_matrices(m: int) -> tuple[np.ndarray, ...]:
-    """Matrices of contraction by ``d/dx_{i+1}`` (so ``i_X dx_j = delta_ij``)."""
-    return _ladder_matrices(m, wedge=False)
 
 
 @lru_cache(maxsize=None)

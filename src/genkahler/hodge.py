@@ -33,7 +33,6 @@ components comes out right (shipped as a test on the flat Kahler plane).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from functools import cached_property
 
 import numpy as np
@@ -179,9 +178,9 @@ class BlockOperator:
         return self._evaluate(self.support.frequencies)
 
     @property
-    def blocks(self) -> Mapping:
-        """Frequency-keyed blocks, each evaluated when looked up."""
-        return _Blocks(self)
+    def blocks(self) -> dict[tuple[int, ...], np.ndarray]:
+        """The blocks over the support keyed by frequency."""
+        return dict(zip(self.support, self.stack))
 
     def __getitem__(self, k) -> np.ndarray:
         key = tuple(int(v) for v in k)
@@ -247,24 +246,6 @@ class BlockOperator:
         return float(np.linalg.norm(self.coeffs))
 
 
-class _Blocks(Mapping):
-    """The blocks of ``op`` keyed by frequency, evaluated one lookup at a time."""
-
-    def __init__(self, op: BlockOperator):
-        self._op = op
-
-    def __getitem__(self, k) -> np.ndarray:
-        if tuple(k) not in self._op.support.index:
-            raise KeyError(k)
-        return self._op[k]
-
-    def __iter__(self):
-        return iter(self._op.support)
-
-    def __len__(self) -> int:
-        return len(self._op.support)
-
-
 # ---------------------------------------------------------------------------
 # inner product and adjoints
 
@@ -291,27 +272,20 @@ def l2_gram(pair: HermitianPair) -> np.ndarray:
     return A
 
 
-def _as_gram(pair_or_gram) -> np.ndarray:
-    if isinstance(pair_or_gram, HermitianPair):
-        return l2_gram(pair_or_gram)
-    return np.asarray(pair_or_gram, dtype=float)
-
-
-def l2_inner(f: np.ndarray, g: np.ndarray, pair_or_gram) -> complex:
+def l2_inner(f: np.ndarray, g: np.ndarray, gram: np.ndarray) -> complex:
     """Hermitian inner product of two fields packed over one support,
-    conjugate-linear in the second argument."""
-    return complex(np.vdot(g, f @ _as_gram(pair_or_gram).T))
+    conjugate-linear in the second argument; ``gram`` is ``l2_gram``."""
+    return complex(np.vdot(g, f @ gram.T))
 
 
-def l2_norm(f: np.ndarray, pair_or_gram) -> float:
-    return float(np.sqrt(max(l2_inner(f, f, pair_or_gram).real, 0.0)))
+def l2_norm(f: np.ndarray, gram: np.ndarray) -> float:
+    return float(np.sqrt(max(l2_inner(f, f, gram).real, 0.0)))
 
 
-def adjoint(op: BlockOperator, pair_or_gram) -> BlockOperator:
+def adjoint(op: BlockOperator, gram: np.ndarray) -> BlockOperator:
     """Adjoint for ``h``: the coefficient ``(-1)^deg A^-1 C^H A`` of every
-    term, since ``conj(kappa) = -kappa``.  ``A^-1`` is formed once."""
-    A = _as_gram(pair_or_gram)
-    star = np.linalg.inv(A) @ np.conj(op.coeffs).transpose(0, 2, 1) @ A
+    term (``A = gram``), since ``conj(kappa) = -kappa``.  ``A^-1`` is formed once."""
+    star = np.linalg.inv(gram) @ np.conj(op.coeffs).transpose(0, 2, 1) @ gram
     sign = (-1.0) ** op.exponents.sum(axis=1)
     return BlockOperator(op.support, op.exponents, sign[:, None, None] * star)
 
@@ -378,8 +352,8 @@ def component_operator(
     return _affine(support, linear, C_H)
 
 
-def laplacian(op: BlockOperator, pair_or_gram) -> BlockOperator:
-    star = adjoint(op, pair_or_gram)
+def laplacian(op: BlockOperator, gram: np.ndarray) -> BlockOperator:
+    star = adjoint(op, gram)
     return op @ star + star @ op
 
 
@@ -402,8 +376,8 @@ class TorusBackground:
     Caches the Gram matrix, the ladder gather weights of the four untwisted
     components (folded once from the per-row vectors ``i pi_s k``; see
     ``apply``) and the Green operator as one scalar per row.  The coefficient
-    operators of the twisted derivative, its four components and the
-    reference Laplacian (of the (+1,+1) component) are built on first use.
+    operators of the twisted derivative and its four components are built
+    on first use.
     Fields are packed over the background's support.  A nonzero constant
     twist is never integrable, so a twisted background has no Green operator
     and its components act only through ``components``.
@@ -447,10 +421,6 @@ class TorusBackground:
         if np.shape(rows) != (len(self.support), spinor_dim(self.pair.m)):
             raise ValueError(f"packed field of shape {np.shape(rows)} does not match the background")
         return _ladder_gather(self._component_weights[name], rows)
-
-    @cached_property
-    def laplace(self) -> BlockOperator:
-        return laplacian(self.components["delta+"], self.gram)
 
     @cached_property
     def green(self) -> np.ndarray:

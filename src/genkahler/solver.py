@@ -126,10 +126,6 @@ class SeriesSoField:
     # -- constructors
 
     @classmethod
-    def zero(cls, torus_dim: int) -> "SeriesSoField":
-        return cls(torus_dim, [None], check=False)
-
-    @classmethod
     def linear(cls, torus_dim: int, term, **kw) -> "SeriesSoField":
         """Family ``t * term`` for a single so-valued field or matrix."""
         return cls(torus_dim, [None, term], **kw)
@@ -150,14 +146,6 @@ class SeriesSoField:
 
     def truncate(self, order_cap: int) -> "SeriesSoField":
         return SeriesSoField(self.torus_dim, self.padded(max(order_cap, 0)), check=False)
-
-    def with_term(self, order: int, term: FourierOperatorField) -> "SeriesSoField":
-        terms = self.padded(max(order, self.order_cap))
-        terms[order] = terms[order] + term
-        return SeriesSoField(self.torus_dim, terms, check=False)
-
-    def conj(self) -> "SeriesSoField":
-        return SeriesSoField(self.torus_dim, [t.conj() for t in self.terms], check=False)
 
     def weighted_support(self) -> list[tuple[int, tuple[int, ...]]]:
         """Pairs (order, frequency) over all nonzero coefficients."""
@@ -682,7 +670,13 @@ def beta_from_phi(phi: FourierField, system: CorrectionSystem, *, tol: float = 1
 
 @dataclass
 class SolutionReport:
-    """Everything the induction produced, plus the data needed to verify it."""
+    """Everything the induction produced, plus the data needed to verify it.
+
+    ``orders[k - 1]`` is order k's record: its obstruction, correction and
+    check figures under the keys ``as_dict`` writes for that order.
+    ``residual_norms[k]`` is the residual after order k, with the seed's at
+    index 0, and ``order_wall_ms[k - 1]`` the wall time of order k.
+    """
 
     pair: HermitianPair
     order_cap: int
@@ -691,47 +685,25 @@ class SolutionReport:
     factors: list[SeriesSoField]
     b: SeriesSoField
     betas: list[FourierOperatorField]
-    beta_norms: list[float]
-    rho_norms: list[float]
-    phi_info: list[dict[str, float]]
-    component_closed: list[dict[str, float]]
-    cross_sums: list[float]
-    outside_norms: list[float]
-    grading_defects: list[float]
+    orders: list[dict]
     precondition_defects: list[float]
     residual_norms: list[float]
     support: tuple
     psi_series: list[FourierField]
-    ok: bool
     order_wall_ms: list[float] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         """JSON-ready summary; deliberately excludes timings and raw arrays."""
-        orders = []
-        for j in range(1, self.order_cap + 1):
-            i = j - 1
-            orders.append(
-                {
-                    "order": j,
-                    "rho_norm": self.rho_norms[i],
-                    "beta_norm": self.beta_norms[i],
-                    "outside_norm": self.outside_norms[i],
-                    "cross_sum": self.cross_sums[i],
-                    "component_closed": dict(self.component_closed[i]),
-                    "grading_defect": self.grading_defects[i],
-                    **self.phi_info[i],
-                    "residual_norm": self.residual_norms[j],
-                }
-            )
         return {
             "torus_dim": self.pair.m,
             "order_cap": self.order_cap,
             "psi_norm": self.psi_norm,
             "support_size": len(self.support),
             "precondition_defects": list(self.precondition_defects),
-            "orders": orders,
+            "orders": [{**rec, "residual_norm": self.residual_norms[rec["order"]]} for rec in self.orders],
             "residual_norms": list(self.residual_norms),
-            "ok": bool(self.ok),
+            # a report exists only for a run whose every order closed
+            "ok": True,
         }
 
 
@@ -807,16 +779,14 @@ def run_deformation(
             )
     system = CorrectionSystem(seed, pair)
 
-    b = SeriesSoField.zero(torus_dim)
     betas: list[FourierOperatorField] = []
-    beta_norms, rho_norms, phi_infos = [], [], []
-    closed_list, cross_list, outside_list, grading_list = [], [], [], []
+    orders: list[dict] = []
     wall_ms: list[float] = []
     mid_proj = pair.projector(0, pair.n - 2)
 
     # the series exp(a_t) exp(b_t) psi is carried forward one column per
     # order: column k is built with b_k = 0, and b_k then adds spin(b_k) psi
-    engine = _spinor_series(support, factors + [b], seed_rows, order_cap)
+    engine = _SeriesExp(support, [f.spin_stacks() for f in factors] + [[]], [seed_rows], order_cap)
     columns = [engine.fill(0)]
     residual_norms = [seed_closed]
 
@@ -835,48 +805,44 @@ def run_deformation(
         if _exceeds(grading, tol_checks * psi_norm):
             raise ValueError(f"order-{order} correction acts outside the middle component ({grading:.3e})")
 
-        b = b.with_term(order, beta + beta.conj())
         columns.append(engine.extend(len(factors), order, spins))
         residual_norms.append(background.norm(background.differentiate(_dense(columns[-1], seed_rows))))
         betas.append(beta)
-        beta_norms.append(beta.coeff_norm())
-        rho_norms.append(data.rho_norm)
-        phi_infos.append(info)
-        closed_list.append(data.component_closed)
-        cross_list.append(data.cross_sum)
-        outside_list.append(data.outside_norm)
-        grading_list.append(grading)
+        orders.append(
+            {
+                "order": order,
+                "rho_norm": data.rho_norm,
+                "beta_norm": beta.coeff_norm(),
+                "outside_norm": data.outside_norm,
+                "cross_sum": data.cross_sum,
+                "component_closed": data.component_closed,
+                "grading_defect": grading,
+                **info,
+            }
+        )
         wall_ms.append(1e3 * (time.perf_counter() - t0))
 
     bad = [j for j in range(1, order_cap + 1) if _exceeds(residual_norms[j], tol_order * psi_norm)]
-    report = SolutionReport(
-        pair=pair,
-        order_cap=order_cap,
-        psi0=seed,
-        psi_norm=psi_norm,
-        factors=factors,
-        b=b,
-        betas=betas,
-        beta_norms=beta_norms,
-        rho_norms=rho_norms,
-        phi_info=phi_infos,
-        component_closed=closed_list,
-        cross_sums=cross_list,
-        outside_norms=outside_list,
-        grading_defects=grading_list,
-        precondition_defects=defects,
-        residual_norms=residual_norms,
-        support=support,
-        psi_series=_spinor_fields(support, columns),
-        ok=not bad,
-        order_wall_ms=wall_ms,
-    )
     if bad:
         raise ValueError(
             f"compensated residuals stay above tolerance at orders {bad}: "
             + ", ".join(f"{residual_norms[j]:.3e}" for j in bad)
         )
-    return report
+    return SolutionReport(
+        pair=pair,
+        order_cap=order_cap,
+        psi0=seed,
+        psi_norm=psi_norm,
+        factors=factors,
+        b=SeriesSoField(torus_dim, [None] + [beta + beta.conj() for beta in betas], check=False),
+        betas=betas,
+        orders=orders,
+        precondition_defects=defects,
+        residual_norms=residual_norms,
+        support=support,
+        psi_series=_spinor_fields(support, columns),
+        order_wall_ms=wall_ms,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -917,6 +883,14 @@ def _exp_jet(S: np.ndarray, G: np.ndarray, v: np.ndarray, D: np.ndarray) -> tupl
             raise ValueError(f"jet exponential did not converge in {_JET_TERM_CAP} terms")
         x = acc
     return x[m], x[:m]
+
+
+def _pairing_inverse(F: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of maps that preserve the pairing ``P``: ``K F^T K``
+    with ``K = 2 P``, which swaps the two halves of ``R^{2m}``, so no inverse
+    is solved for and an overflowed map stays a non-finite one."""
+    swap = np.roll(np.arange(F.shape[-1]), F.shape[-1] // 2)
+    return F.swapaxes(-1, -2)[..., swap[:, None], swap]
 
 
 def _stacked_norm(X: np.ndarray) -> float:
@@ -974,10 +948,12 @@ def verify_gk_at_t(
     for ex in exps[:-1]:
         E_no_b = E_no_b @ ex
     E = E_no_b @ exps[-1]
-    Einv = np.linalg.inv(E)
+    Einv = _pairing_inverse(E)
     J1t = (E @ pair.J1 @ Einv).real
     J2t = (E @ pair.J2 @ Einv).real
-    J1_only_a = (E_no_b @ pair.J1 @ np.linalg.inv(E_no_b)).real
+    J1_only_a = (E_no_b @ pair.J1 @ _pairing_inverse(E_no_b)).real
+    if not all(np.isfinite(J).all() for J in (J1t, J2t, J1_only_a)):
+        raise ValueError(f"the transported structures at t={t:g} are not finite")
 
     eye = np.eye(2 * m)
     P = pairing_matrix(m)

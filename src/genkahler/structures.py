@@ -398,9 +398,6 @@ class HermitianPair:
             P = np.zeros((spinor_dim(self.m), spinor_dim(self.m)), dtype=complex)
         return P
 
-    def component(self, phi: np.ndarray, p: int, q: int) -> np.ndarray:
-        return self.projector(p, q) @ np.asarray(phi, dtype=complex)
-
     def sector_projector(self, plus: bool, holo: bool) -> np.ndarray:
         """``(1 - i s_h J1)/2 (1 + s_p G)/2``, onto the +-1 eigenspace of the
         product within the (anti)holomorphic eigenspace of the first structure."""

@@ -455,3 +455,37 @@ def test_readme_config_example_runs(tmp_path, capsys, argv):
     path = write_config(tmp_path, readme_config())
     assert cli.main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 0
     assert "result: ok" in capsys.readouterr().out
+
+
+def overflow_doc(c):
+    """m=4, order 2, verified at t = 1 with one-form modes of size ``c``."""
+    modes = [{"frequency": [1, 0, 0, 0], "cos": [0, c, -c, c]}, {"frequency": [0, 1, 1, 0], "sin": [c, 0, c, -c]}]
+    return {
+        "schema": 1,
+        "dimension": 4,
+        "order": 2,
+        "verify_t": 1.0,
+        "deformation": [{"kind": "exact-b-field", "one_form": modes}],
+    }
+
+
+@pytest.mark.parametrize(
+    "c, message",
+    [(3, None), (30, "induced metric is not positive at t=1"), (300, "the transported structures at t=1 are not finite")],
+)
+def test_deform_verification_failure_exits_1(tmp_path, c, message):
+    """The solve passes at every size; at c = 30 the induced metric at t = 1
+    is indefinite and at c = 300 the exponentials overflow.  Both end in a
+    verification failure report, not a traceback or ``result: ok``."""
+    out = tmp_path / "run"
+    argv = ["deform", "--config", write_config(tmp_path, overflow_doc(c)), "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "genkahler.cli", *argv], capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr
+    report = json.loads((out / "report.json").read_text())
+    if message is None:
+        assert proc.returncode == 0 and report["ok"] is True
+        assert "result: ok" in proc.stdout
+    else:
+        assert proc.returncode == 1 and report["ok"] is False
+        assert f"verification failure: {message}" in proc.stdout
+        assert message in report["error"]

@@ -14,6 +14,11 @@ def rand_vec(rng, m, complex_=True):
     return v
 
 
+def contractions(m):
+    """Dense contractions by ``d/dx_{i+1}``: the Clifford matrices of the unit vectors."""
+    return cl.clifford_matrices(np.eye(2 * m)[:m]).real
+
+
 def test_dimension_guard():
     with pytest.raises(ValueError):
         cl.spinor_dim(0)
@@ -73,7 +78,7 @@ def test_wedge_matrices_match_wedge():
     rng = np.random.default_rng(3)
     m = 4
     W = cl.wedge_matrices(m)
-    C = cl.contraction_matrices(m)
+    C = contractions(m)
     phi = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
     for i in range(m):
         dxi = cl.form_vector(m, {(i + 1,): 1})
@@ -87,7 +92,7 @@ def test_wedge_matrices_match_wedge():
 def test_wedge_contraction_anticommutators():
     m = 3
     W = cl.wedge_matrices(m)
-    C = cl.contraction_matrices(m)
+    C = contractions(m)
     eye = np.eye(1 << m)
     for i in range(m):
         for j in range(m):
@@ -111,7 +116,7 @@ def test_clifford_relation():
         # oracle: contraction by the vector part plus wedge by the covector part
         ladders = sum(
             v[j] * C + v[m + j] * W
-            for j, (C, W) in enumerate(zip(cl.contraction_matrices(m), cl.wedge_matrices(m)))
+            for j, (C, W) in enumerate(zip(contractions(m), cl.wedge_matrices(m)))
         )
         phi = rng.normal(size=1 << m) + 0j
         np.testing.assert_allclose(cl.clifford_act(v, phi), ladders @ phi, atol=1e-12)
@@ -137,7 +142,7 @@ def test_stacked_clifford_act_matches_matrices(m):
 def test_clifford_table_equals_stacked_ladders(m):
     """The scatter table built from the ladder steps is entry for entry the
     one read off the stacked dense ladders."""
-    ladders = np.stack(cl.contraction_matrices(m) + cl.wedge_matrices(m))
+    ladders = np.concatenate([contractions(m), np.stack(cl.wedge_matrices(m))])
     coord, row, col = np.nonzero(ladders)
     want = (row * cl.spinor_dim(m) + col, coord, ladders[coord, row, col])
     for got, ref in zip(cl._clifford_table(m), want):
@@ -234,7 +239,7 @@ def spin_commutator_sum(alpha):
     alpha = cl.require_so(alpha)
     m = alpha.shape[0] // 2
     W = cl.wedge_matrices(m)
-    C = cl.contraction_matrices(m)
+    C = contractions(m)
     out = np.zeros((1 << m, 1 << m), dtype=complex)
     for i in range(m):
         a_vec = cl.clifford_vector_matrix(alpha[:, i])

@@ -19,6 +19,12 @@ def t4():
     return gh.TorusBackground(pair, gf.frequencies_box(4, 1))
 
 
+@pytest.fixture(scope="module")
+def lap4(t4):
+    """The Laplacian of the (+1,+1) component of ``t4``."""
+    return gh.laplacian(t4.components["delta+"], t4.gram)
+
+
 def derivative_block(k, m, h=None):
     """Dense matrix of the twisted derivative on the frequency-k coefficient,
     ``i sum_j k_j dx_j ^ .`` plus wedging by the three-form, built term by term."""
@@ -279,7 +285,6 @@ def test_packed_act_and_norm_match_per_frequency_loop():
     assert gh.l2_inner(f, g, gram) == pytest.approx(want, rel=1e-13)
     norm = np.sqrt(sum((f[s].conj() @ gram @ f[s]).real for s in range(len(f))))
     assert gh.l2_norm(f, gram) == pytest.approx(norm, rel=1e-13)
-    assert gh.l2_norm(f, pair) == pytest.approx(norm, rel=1e-13)
 
 
 def test_component_operator_matches_projector_sum_t8(lagrange_bigrading):
@@ -361,7 +366,7 @@ def test_adjoint_sign_pattern_random_constant_pair():
     assert (bg.adjoint(comp["delta-"]) - comp["delta_bar-"]).coeff_norm() < 1e-8 * scale
 
 
-def test_laplacian_identities(t4):
+def test_laplacian_identities(t4, lap4):
     lap_d = gh.laplacian(t4.derivative, t4.gram)
     laps = {name: gh.laplacian(op, t4.gram) for name, op in t4.components.items()}
     for name, lap in laps.items():
@@ -370,33 +375,32 @@ def test_laplacian_identities(t4):
     assert gh.laplacian(zero, t4.gram).coeff_norm() == 0
     # the closed form 4 Lap(k) = |k|^2_{g^-1} Id at every frequency of the support
     k2 = np.sum(t4.support.frequencies**2, axis=1)
-    np.testing.assert_allclose(4.0 * t4.laplace.stack, k2[:, None, None] * np.eye(16), atol=1e-12)
+    np.testing.assert_allclose(4.0 * lap4.stack, k2[:, None, None] * np.eye(16), atol=1e-12)
 
 
-def test_laplacian_self_adjoint_psd_and_preserves_grading(t4):
-    lap = t4.laplace
-    star = t4.adjoint(lap)
-    assert (star - lap).coeff_norm() < 1e-9
+def test_laplacian_self_adjoint_psd_and_preserves_grading(t4, lap4):
+    star = t4.adjoint(lap4)
+    assert (star - lap4).coeff_norm() < 1e-9
     L = np.linalg.cholesky(t4.gram)
     T = L.T
     Tinv = np.linalg.inv(T)
     for k in [(0, 0, 0, 0), (1, 0, 0, 0), (1, -1, 0, 1)]:
-        Dp = T @ lap[k] @ Tinv
+        Dp = T @ lap4[k] @ Tinv
         assert np.min(np.linalg.eigvalsh(0.5 * (Dp + Dp.conj().T))) > -1e-10
     for (p, q), Ppq in t4.pair.bigrading.items():
         for k in [(1, 0, 0, 0), (0, 1, -1, 0)]:
-            np.testing.assert_allclose(lap[k] @ Ppq, Ppq @ lap[k], atol=1e-9)
+            np.testing.assert_allclose(lap4[k] @ Ppq, Ppq @ lap4[k], atol=1e-9)
 
 
-def test_green_inverts_laplacian_off_kernel(t4):
+def test_green_inverts_laplacian_off_kernel(t4, lap4):
     rng = np.random.default_rng(5)
     raw = t4.support.pack(gf.random_field(rng, 4, 16, gf.frequencies_box(4, 1)))
     rho = t4.derivative.act(raw)  # exact, hence orthogonal to harmonics
     np.testing.assert_allclose(rho, t4.differentiate(raw), atol=1e-13)
-    back = t4.laplace.act(t4.green[:, None] * rho)
+    back = lap4.act(t4.green[:, None] * rho)
     assert np.linalg.norm(back - rho) < 1e-10 * max(1.0, np.linalg.norm(rho))
     # the scalar Green operator inverts every Laplacian block off k = 0
-    inverted = t4.green[:, None, None] * t4.laplace.stack
+    inverted = t4.green[:, None, None] * lap4.stack
     off_kernel = np.array([any(k) for k in t4.support])
     np.testing.assert_allclose(inverted[off_kernel], np.eye(16)[None].repeat(off_kernel.sum(), 0), atol=1e-12)
     assert not inverted[~off_kernel].any()
@@ -408,21 +412,21 @@ def test_green_same_for_all_components(t4):
         assert_blocks_close(scalar_blocks(t4.support, t4.green, 16), oracle_green(lap, t4.gram))
 
 
-def test_green_kills_harmonics(t4):
+def test_green_kills_harmonics(t4, lap4):
     psi = t4.support.pack(gf.FourierField.constant(4, t4.pair.canonical_generator()))
     assert np.linalg.norm(t4.green[:, None] * psi) < 1e-12
     # the harmonic part psi - Lap G psi is psi itself
-    harmonic = psi - t4.laplace.act(t4.green[:, None] * psi)
+    harmonic = psi - lap4.act(t4.green[:, None] * psi)
     assert np.linalg.norm(harmonic - psi) < 1e-12
 
 
-def test_harmonic_projector_properties(t4):
+def test_harmonic_projector_properties(t4, lap4):
     """``I - G Lap``, evaluated per block, is the identity at ``k = 0`` and zero
     elsewhere, as for the oracle Green operator; it is idempotent and
     commutes with the grading."""
-    lap = t4.laplace.stack
+    lap = lap4.stack
     harm = np.eye(16) - t4.green[:, None, None] * lap
-    oracle = oracle_green(t4.laplace, t4.gram)
+    oracle = oracle_green(lap4, t4.gram)
     alt = np.stack([np.eye(16) - oracle[k] @ L for k, L in zip(t4.support, lap)])
     assert np.linalg.norm(harm - alt) < 1e-9
     assert np.linalg.norm(harm @ harm - harm) < 1e-9

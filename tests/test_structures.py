@@ -231,7 +231,7 @@ def test_hermitian_pair_bigrading_dimensions_t4():
     np.testing.assert_allclose(total, np.eye(16), atol=1e-9)
     rng = np.random.default_rng(0)
     phi = rng.normal(size=16) + 1j * rng.normal(size=16)
-    recon = sum(pair.component(phi, p, q) for (p, q) in pair.bigrading)
+    recon = sum(pair.projector(p, q) @ phi for (p, q) in pair.bigrading)
     np.testing.assert_allclose(recon, phi, atol=1e-9)
 
 
