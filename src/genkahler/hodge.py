@@ -140,9 +140,9 @@ class BlockOperator:
     ``(T, n, n)`` stack of coefficient matrices (terms with equal exponents
     are merged on construction).  The algebra works on the coefficients, so
     an identity whose coefficients vanish holds at every ``k`` in ``Z^m``.
-    Blocks at the ``S`` frequencies of ``support`` (``stack``, ``blocks``,
-    ``op[k]``) are only an evaluation; the operator acts on fields packed
-    over the support.
+    Blocks at the ``S`` frequencies of ``support`` (``stack``, ``blocks``)
+    are only an evaluation; the operator acts on fields packed over the
+    support.
     """
 
     def __init__(self, support, exponents, coeffs):
@@ -181,12 +181,6 @@ class BlockOperator:
     def blocks(self) -> dict[tuple[int, ...], np.ndarray]:
         """The blocks over the support keyed by frequency."""
         return dict(zip(self.support, self.stack))
-
-    def __getitem__(self, k) -> np.ndarray:
-        key = tuple(int(v) for v in k)
-        if key not in self.support.index:
-            raise ValueError(f"frequency {key} outside operator support")
-        return self._evaluate(np.array([key], dtype=float))[0]
 
     @cached_property
     def _support_powers(self) -> np.ndarray:

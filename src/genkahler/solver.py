@@ -384,6 +384,17 @@ def _spinor_fields(support: Support, columns: list) -> list[FourierField]:
     return [support.unpack(c, FourierField, torus_dim, spinor_dim(torus_dim)) for c in columns]
 
 
+def _seeded_series(a, b, psi, order_cap: int) -> tuple[list[SeriesSoField], Support, list]:
+    """The factors of ``a`` then ``b``, the support of ``exp(a_t) exp(b_t) psi``
+    up to the cap and its packed columns."""
+    factors = _factor_list(a) + _factor_list(b)
+    if not factors:
+        raise ValueError("need at least one series family")
+    seed = _seed_field(factors[0].torus_dim, psi)
+    support = _series_support(factors, seed, order_cap)
+    return factors, support, _spinor_series(support, factors, support.pack(seed), order_cap).fill_all()
+
+
 def series_exp_action(a, b, psi, order_cap: int) -> list[FourierField]:
     """Series coefficients of ``exp(a_t) exp(b_t) psi`` up to the order cap.
 
@@ -392,13 +403,7 @@ def series_exp_action(a, b, psi, order_cap: int) -> list[FourierField]:
     The factors act on the spinor series one at a time, right to left, each
     as the series exponential of its spin representation.
     """
-    factors = _factor_list(a) + _factor_list(b)
-    if not factors:
-        raise ValueError("need at least one series family")
-    torus_dim = factors[0].torus_dim
-    seed = _seed_field(torus_dim, psi)
-    support = _series_support(factors, seed, order_cap)
-    return _spinor_fields(support, _spinor_series(support, factors, support.pack(seed), order_cap).fill_all())
+    return _spinor_fields(*_seeded_series(a, b, psi, order_cap)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -707,32 +712,6 @@ class SolutionReport:
         }
 
 
-def _real_spin_stack(beta: FourierOperatorField, seed: np.ndarray, support: Support) -> tuple[tuple[list, np.ndarray] | None, np.ndarray]:
-    """Spin images of ``beta + conj(beta)`` (frequencies and read-only stack,
-    or None) and ``spin(beta) seed`` packed over the support.
-
-    Each coefficient of ``beta`` goes through the spin action once: the
-    action commutes with complex conjugation, so the image at ``p`` is
-    ``spin(beta_p) + conj(spin(beta_-p))``, formed in place pair by pair
-    (``p = 0`` pairs with itself)."""
-    acted = np.zeros((len(support), seed.size), dtype=complex)
-    if not beta.coeffs:
-        return None, acted
-    freqs = sorted(set(beta.coeffs) | {tuple(-v for v in p) for p in beta.coeffs})
-    row = {p: r for r, p in enumerate(freqs)}
-    n = spinor_dim(beta.torus_dim)
-    mats = np.zeros((len(freqs), n, n), dtype=complex)
-    for p, c in beta.coeffs.items():
-        mats[row[p]] = spin_lie_action(c)
-    acted[[support.index[p] for p in freqs]] = mats @ seed
-    for p, r in row.items():
-        q = row[tuple(-v for v in p)]
-        if r <= q:
-            mats[[r, q]] += mats[[q, r]].conj()
-    mats.setflags(write=False)
-    return (freqs, mats), acted
-
-
 def run_deformation(
     a,
     pair: HermitianPair,
@@ -780,6 +759,7 @@ def run_deformation(
     system = CorrectionSystem(seed, pair)
 
     betas: list[FourierOperatorField] = []
+    b_terms: list[FourierOperatorField | None] = [None]
     orders: list[dict] = []
     wall_ms: list[float] = []
     mid_proj = pair.projector(0, pair.n - 2)
@@ -799,8 +779,14 @@ def run_deformation(
         data = _obstruction(order, rho, background, psi_norm, tol=tol_checks)
         phi, info = solve_phi(data, background, tol_agree=tol_checks, tol_exact=tol_order)
         beta = -beta_from_phi(phi, system)
-
-        spins, acted = _real_spin_stack(beta, system.seed, support)
+        # the real term b_k = beta + conj(beta); conj(beta) lies in
+        # V_-^{0,1} (x) V_+^{1,0} and annihilates psi, so spin(b_k) psi is
+        # both spin(beta) psi and the increment the engine adds to column k
+        b_k = beta + beta.conj()
+        spins = _spin_stack(b_k)
+        acted = np.zeros_like(seed_rows)
+        if spins is not None:
+            acted[[support.index[p] for p in spins[0]]] = spins[1] @ system.seed
         grading = background.norm(acted - acted @ mid_proj.T)
         if _exceeds(grading, tol_checks * psi_norm):
             raise ValueError(f"order-{order} correction acts outside the middle component ({grading:.3e})")
@@ -808,6 +794,7 @@ def run_deformation(
         columns.append(engine.extend(len(factors), order, spins))
         residual_norms.append(background.norm(background.differentiate(_dense(columns[-1], seed_rows))))
         betas.append(beta)
+        b_terms.append(b_k)
         orders.append(
             {
                 "order": order,
@@ -834,7 +821,7 @@ def run_deformation(
         psi0=seed,
         psi_norm=psi_norm,
         factors=factors,
-        b=SeriesSoField(torus_dim, [None] + [beta + beta.conj() for beta in betas], check=False),
+        b=SeriesSoField(torus_dim, b_terms, check=False),
         betas=betas,
         orders=orders,
         precondition_defects=defects,
@@ -912,7 +899,8 @@ def verify_gk_at_t(
     family included), verifies the structure axioms, their commutation, the
     positivity of the induced metric, and measures the sup of the exterior
     derivative of the transported spinor over the sample, which should
-    scale like t**(order_cap + 1).
+    scale like t**(order_cap + 1).  Non-finite structures or a metric that
+    is not positive raise ValueError before the spinor side runs.
 
     The orthogonal side (2m x 2m) is batched over the points.  The spinor
     side forms no 2^m x 2^m exponential: with ``S = spin(alpha_f(x))`` and
@@ -942,34 +930,39 @@ def verify_gk_at_t(
     vals = [f.evaluate(t, points) for f in families]
     grads = [f.evaluate_gradient(t, points) for f in families]
 
-    # orthogonal side, stacked over the points
-    exps = [_expm(v) for v in vals]
-    E_no_b = np.eye(2 * m, dtype=complex)
-    for ex in exps[:-1]:
-        E_no_b = E_no_b @ ex
-    E = E_no_b @ exps[-1]
-    Einv = _pairing_inverse(E)
-    J1t = (E @ pair.J1 @ Einv).real
-    J2t = (E @ pair.J2 @ Einv).real
-    J1_only_a = (E_no_b @ pair.J1 @ _pairing_inverse(E_no_b)).real
-    if not all(np.isfinite(J).all() for J in (J1t, J2t, J1_only_a)):
-        raise ValueError(f"the transported structures at t={t:g} are not finite")
+    # orthogonal side, stacked over the points; an overflow here ends in the
+    # finite or the metric check, so numpy is not asked to warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        exps = [_expm(v) for v in vals]
+        E_no_b = np.eye(2 * m, dtype=complex)
+        for ex in exps[:-1]:
+            E_no_b = E_no_b @ ex
+        E = E_no_b @ exps[-1]
+        Einv = _pairing_inverse(E)
+        J1t = (E @ pair.J1 @ Einv).real
+        J2t = (E @ pair.J2 @ Einv).real
+        J1_only_a = (E_no_b @ pair.J1 @ _pairing_inverse(E_no_b)).real
+        if not all(np.isfinite(J).all() for J in (J1t, J2t, J1_only_a)):
+            raise ValueError(f"the transported structures at t={t:g} are not finite")
 
-    eye = np.eye(2 * m)
-    P = pairing_matrix(m)
-    PJ1, PJ2 = P @ J1t, P @ J2t
-    Gt = -J1t @ J2t
-    Msym = P @ Gt
-    structure_residual = max(
-        _stacked_norm(J1t @ J1t + eye),
-        _stacked_norm(J2t @ J2t + eye),
-        _stacked_norm(PJ1 + PJ1.swapaxes(-1, -2)),
-        _stacked_norm(PJ2 + PJ2.swapaxes(-1, -2)),
-    )
-    commutation = _stacked_norm(J1t @ J2t - J2t @ J1t)
-    involution = _stacked_norm(Gt @ Gt - eye)
-    stabilizer_defect = _stacked_norm(J1t - J1_only_a)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (Msym + Msym.swapaxes(-1, -2))).min())
+        eye = np.eye(2 * m)
+        P = pairing_matrix(m)
+        PJ1, PJ2 = P @ J1t, P @ J2t
+        Gt = -J1t @ J2t
+        Msym = P @ Gt
+        min_eig = float(np.linalg.eigvalsh(0.5 * (Msym + Msym.swapaxes(-1, -2))).min())
+        # an indefinite metric fails the check whatever the spinor side gives
+        if not min_eig > 0:
+            raise ValueError(f"induced metric is not positive at t={t:g} (min eig {min_eig:.3e})")
+        structure_residual = max(
+            _stacked_norm(J1t @ J1t + eye),
+            _stacked_norm(J2t @ J2t + eye),
+            _stacked_norm(PJ1 + PJ1.swapaxes(-1, -2)),
+            _stacked_norm(PJ2 + PJ2.swapaxes(-1, -2)),
+        )
+        commutation = _stacked_norm(J1t @ J2t - J2t @ J1t)
+        involution = _stacked_norm(Gt @ Gt - eye)
+        stabilizer_defect = _stacked_norm(J1t - J1_only_a)
 
     # spinor side, one point at a time
     wedges = np.eye(2 * m)[m:]  # (0; dx_d), whose Clifford actions are the wedges
@@ -996,7 +989,7 @@ def verify_gk_at_t(
         "involution": involution,
         "stabilizer_defect": stabilizer_defect,
         "metric_min_eig": min_eig,
-        "metric_positive": bool(min_eig > 0),
+        "metric_positive": True,
         "derivative_sup": derivative_sup,
         "psi_sup": psi_sup,
     }
@@ -1019,12 +1012,7 @@ def conjugated_residual_series(a, b, psi, order_cap: int) -> list[FourierField]:
 
 def _conjugated_residual_columns(a, b, psi, order_cap: int) -> tuple[Support, list]:
     """The support and packed columns of ``conjugated_residual_series``."""
-    factors = _factor_list(a) + _factor_list(b)
-    if not factors:
-        raise ValueError("need at least one series family")
-    seed = _seed_field(factors[0].torus_dim, psi)
-    support = _series_support(factors, seed, order_cap)
-    moved = _spinor_series(support, factors, support.pack(seed), order_cap).fill_all()
+    factors, support, moved = _seeded_series(a, b, psi, order_cap)
     derivs = [None if c is None else derivative_rows(support.frequencies, c) for c in moved]
     inverse = [[None if x is None else (x[0], -x[1]) for x in f.spin_stacks()] for f in reversed(factors)]
     return support, _SeriesExp(support, inverse, derivs, order_cap).fill_all()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import genkahler.clifford as cl
+import genkahler.solver as sol
 import genkahler.structures as gs
 from genkahler import cli
 
@@ -476,11 +477,13 @@ def overflow_doc(c):
 def test_deform_verification_failure_exits_1(tmp_path, c, message):
     """The solve passes at every size; at c = 30 the induced metric at t = 1
     is indefinite and at c = 300 the exponentials overflow.  Both end in a
-    verification failure report, not a traceback or ``result: ok``."""
+    verification failure report, not a traceback, a numpy warning or
+    ``result: ok``."""
     out = tmp_path / "run"
     argv = ["deform", "--config", write_config(tmp_path, overflow_doc(c)), "--out", str(out)]
     proc = subprocess.run([sys.executable, "-m", "genkahler.cli", *argv], capture_output=True, text=True)
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     report = json.loads((out / "report.json").read_text())
     if message is None:
         assert proc.returncode == 0 and report["ok"] is True
@@ -489,3 +492,19 @@ def test_deform_verification_failure_exits_1(tmp_path, c, message):
         assert proc.returncode == 1 and report["ok"] is False
         assert f"verification failure: {message}" in proc.stdout
         assert message in report["error"]
+
+
+def test_indefinite_metric_stops_verification_before_the_spinor_side(monkeypatch):
+    """At c = 30 the metric at t = 1 is indefinite: the verification fails on
+    the orthogonal side without running a single spinor jet."""
+    doc = overflow_doc(30)
+    pair = cli.build_background(doc, 4)
+    seed, _ = cli.build_seed(doc, pair)
+    report = sol.run_deformation(cli.build_deformation(doc, pair, 2), pair, order_cap=2, psi=seed)
+
+    def refuse(*args, **kw):
+        raise AssertionError("the spinor side ran")
+
+    monkeypatch.setattr(sol, "_exp_jet", refuse)
+    with pytest.raises(ValueError, match="induced metric is not positive at t=1 "):
+        sol.verify_gk_at_t(report, 1.0)

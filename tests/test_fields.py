@@ -74,7 +74,7 @@ def test_operator_field_acts_pointwise():
     np.testing.assert_allclose(
         (A @ B).evaluate(pts), np.einsum("pij,pjk->pik", Av, B.evaluate(pts)), atol=1e-12
     )
-    eye = gf.FourierOperatorField.identity(2, 3)
+    eye = gf.FourierOperatorField.constant(2, np.eye(3))
     np.testing.assert_allclose((eye @ A).evaluate(pts), Av, atol=1e-12)
 
 
@@ -104,7 +104,7 @@ def test_stacked_is_sorted_and_shaped():
     np.testing.assert_array_equal(rows, [f[k] for k in freqs])
     assert gf.FourierOperatorField(2, 3).stacked()[1].shape == (0, 3, 3)
     with pytest.raises(ValueError, match="shapes do not match"):
-        gf.FourierOperatorField.identity(2, 3) + gf.FourierField(2, 3)
+        gf.FourierOperatorField.constant(2, np.eye(3)) + gf.FourierField(2, 3)
 
 
 def test_three_form_validation():

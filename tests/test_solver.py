@@ -323,6 +323,30 @@ def test_grading_check_scales_with_a_small_seed(pair, bfield_family, bfield_repo
         sol.run_deformation(bfield_family, pair, order_cap=3, psi=seed)
 
 
+@pytest.mark.parametrize("m", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["flat", "random"])
+def test_conjugate_correction_annihilates_the_seed(m, kind):
+    """conj(beta) lies in V_-^{0,1} (x) V_+^{1,0} and kills the seed, so the
+    real term beta + conj(beta) acts on it as beta does."""
+    rng = np.random.default_rng(40 + m)
+    pair = gs.standard_kahler_pair(m) if kind == "flat" else gs.random_hermitian_pair(rng, m)
+    basis = sol._beta_basis(pair)
+    beta = np.tensordot(rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis)), basis, axes=1)
+    psi = pair.canonical_generator(2)
+    acted = np.linalg.norm(cl.spin_lie_action(beta) @ psi)
+    assert acted > 0
+    assert np.linalg.norm(cl.spin_lie_action(beta.conj()) @ psi) <= 1e-13 * acted
+
+
+def test_report_b_holds_the_real_terms(bfield_report):
+    assert bfield_report.b.order_cap == len(bfield_report.betas)
+    for k, beta in enumerate(bfield_report.betas, start=1):
+        want, got = beta + beta.conj(), bfield_report.b.term(k).coeffs
+        assert set(got) == set(want.coeffs)
+        for p, c in want.coeffs.items():
+            np.testing.assert_array_equal(got[p], c)
+
+
 def test_constant_poisson_needs_no_correction(pair):
     fam = sol.SeriesSoField.linear(4, holomorphic_bivector_exponent(pair))
     report = sol.run_deformation(fam, pair, order_cap=4)
@@ -405,7 +429,7 @@ def _op_series_exp(X, order_cap):
     """Exponential of an operator series with X[0] = 0, truncated at the cap."""
     torus_dim, dim = X[0].torus_dim, X[0].value_dim
     out = [gf.FourierOperatorField(torus_dim, dim) for _ in range(order_cap + 1)]
-    out[0] = gf.FourierOperatorField.identity(torus_dim, dim)
+    out[0] = gf.FourierOperatorField.constant(torus_dim, np.eye(dim))
     term = list(out)
     for j in range(1, order_cap + 1):
         term = [(1.0 / j) * f for f in _op_series_mul(term, X, order_cap)]
@@ -421,7 +445,7 @@ def _op_series_product(factors, order_cap, *, spin, invert=False):
     m = factors[0].torus_dim
     dim = cl.spinor_dim(m) if spin else 2 * m
     out = [gf.FourierOperatorField(m, dim) for _ in range(order_cap + 1)]
-    out[0] = gf.FourierOperatorField.identity(m, dim)
+    out[0] = gf.FourierOperatorField.constant(m, np.eye(dim))
     for f in reversed(factors) if invert else factors:
         X = spin_terms(f) if spin else f.padded(order_cap)
         out = _op_series_mul(out, _op_series_exp([-1.0 * x for x in X] if invert else X, order_cap), order_cap)
