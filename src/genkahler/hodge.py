@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from genkahler.clifford import _ladder_gather, _ladder_weights
-from genkahler.clifford import chevalley_gram, clifford_matrices, spinor_dim, wedge_matrices, wedge_operator
+from genkahler.clifford import clifford_matrices, spinor_dim, wedge_matrices, wedge_operator
 from genkahler.fields import derivative_rows, three_form_spinor
 from genkahler.structures import HermitianPair
 
@@ -250,10 +250,9 @@ def l2_gram(pair: HermitianPair) -> np.ndarray:
     Real, symmetric and positive definite; raises ``ValueError`` otherwise
     (that signals an inner-product construction bug, not bad user data).
     """
-    # the pair's star is taken in its own orientation; -1 negates one frame
-    # vector and with it the star
-    star = pair.orientation * pair.star
-    A = (chevalley_gram(pair.m) @ star).T
+    # the pair forms ``+-(C star)^T`` once: its star is taken in its own
+    # orientation, and -1 negates one frame vector and with it the star
+    A = pair.star_gram
     if np.linalg.norm(A.imag) > 1e-12 * np.linalg.norm(A.real):
         raise ValueError("Gram matrix is not real")
     A = A.real

@@ -320,6 +320,12 @@ class _SeriesExp:
                 total = _sum(total, col)
             self.out[f][n] = total
         self.filled = n + 1
+        if n == self.order_cap:
+            # no column is left to fill: release the coefficients and the
+            # higher terms, which only ``fill`` reads
+            self.X = [[None] * (n + 1) for _ in self.X]
+            for terms in self.terms:
+                terms[1:] = [[None] * (n + 1) for _ in terms[1:]]
         return self.out[0][n]
 
     def extend(self, f: int, i: int, stack: tuple[list, np.ndarray] | None) -> np.ndarray | None:
@@ -463,8 +469,7 @@ def first_structure_defects(a, pair: HermitianPair, order_cap: int) -> list[floa
     that order, which breaks the induction hypothesis.
     """
     _, moved = _conjugated_residual_columns(a, None, pair.canonical_generator(1), order_cap)
-    P_good = pair.proj1[pair.n - 1]
-    return [0.0 if q is None else float(np.linalg.norm(q - q @ P_good.T)) for q in moved]
+    return [0.0 if q is None else float(np.linalg.norm(q - pair.project(q, p=pair.n - 1))) for q in moved]
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +548,7 @@ def _obstruction(order: int, rho: np.ndarray, background: TorusBackground, scale
     """Corner components of the packed order-``order`` obstruction and their checks."""
     pair = background.pair
     n = pair.n
-    comps = {key: rho @ pair.projector(*key).T for key in _corner_keys(n)}
+    comps = {key: pair.project(rho, *key) for key in _corner_keys(n)}
     outside_norm = background.norm(rho - sum(comps.values()))
     if _exceeds(outside_norm, tol * scale):
         raise ValueError(f"order-{order} obstruction leaks outside the four corners ({outside_norm:.3e})")
@@ -599,7 +604,7 @@ def solve_phi(
     scale = max(data.rho_norm, 1e-300)
     agreement = background.norm(phi - phi_b)
     exactness = background.norm(background.differentiate(phi) - data.rho)
-    off_grade = background.norm(phi - phi @ pair.projector(0, n - 2).T)
+    off_grade = background.norm(phi - pair.project(phi, 0, n - 2))
     info = {
         "phi_norm": background.norm(phi),
         "phi_agreement": agreement,
@@ -762,7 +767,6 @@ def run_deformation(
     b_terms: list[FourierOperatorField | None] = [None]
     orders: list[dict] = []
     wall_ms: list[float] = []
-    mid_proj = pair.projector(0, pair.n - 2)
 
     # the series exp(a_t) exp(b_t) psi is carried forward one column per
     # order: column k is built with b_k = 0, and b_k then adds spin(b_k) psi
@@ -787,7 +791,7 @@ def run_deformation(
         acted = np.zeros_like(seed_rows)
         if spins is not None:
             acted[[support.index[p] for p in spins[0]]] = spins[1] @ system.seed
-        grading = background.norm(acted - acted @ mid_proj.T)
+        grading = background.norm(acted - pair.project(acted, 0, pair.n - 2))
         if _exceeds(grading, tol_checks * psi_norm):
             raise ValueError(f"order-{order} correction acts outside the middle component ({grading:.3e})")
 

@@ -110,15 +110,18 @@ def _clifford_product(frame: np.ndarray) -> np.ndarray:
     return reduce(np.matmul, clifford_matrices(frame.T))
 
 
-def _graded_projectors(L: np.ndarray, Lbar: np.ndarray, steps, top, gram: np.ndarray | None = None) -> dict:
-    """Projectors onto the label spaces of the Clifford words on a pure spinor.
+def _word_basis(
+    L: np.ndarray, Lbar: np.ndarray, steps, top, gram: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Clifford words on a pure spinor, their inverse and their labels.
 
     ``L`` frames (columns) a maximal isotropic subspace, ``Lbar`` a
     complement.  The pure spinor ``rho`` of ``L`` spans the common kernel of
     ``cl(L)``, the image of the rank-one ``cl(l_1) ... cl(l_m)``.  The words
-    ``cl(lbar_I) rho`` over subsets ``I`` form a basis ``V``, the word of
-    ``I`` labelled ``top + sum_{i in I} steps[i]``; label ``s`` projects by
-    ``V_s (V^-1)_s``.
+    ``cl(lbar_I) rho`` over subsets ``I`` form a basis ``V`` (normalised
+    columns), the word of ``I`` labelled ``top + sum_{i in I} steps[i]``
+    (one row of ``labels`` per word); label ``s`` projects by
+    ``V[:, s] V^-1[s]``.
     Given a ``gram`` A making the words orthogonal, ``V^-1 = (V^H A V)^-1
     V^H A`` is solved from a nearly diagonal matrix.  In exact arithmetic any
     A with ``V^H A V`` invertible gives the same result; in floating point a
@@ -137,6 +140,11 @@ def _graded_projectors(L: np.ndarray, Lbar: np.ndarray, steps, top, gram: np.nda
     else:
         H = V.conj().T @ gram
         V_inv = np.linalg.solve(H @ V, H)
+    return V, V_inv, labels
+
+
+def _label_projectors(V: np.ndarray, V_inv: np.ndarray, labels: np.ndarray) -> dict:
+    """``V[:, s] V^-1[s]`` for every label ``s`` of a word basis."""
     out = {}
     for label in sorted(set(map(tuple, labels.tolist()))):
         cols = (labels == label).all(axis=1)
@@ -157,7 +165,7 @@ def iso_projectors(J: np.ndarray, tol: float = 1e-9) -> dict[int, np.ndarray]:
     if m % 2:
         raise ValueError("the eigenlevel grading needs an even dimension")
     L = _projector_column_space(0.5 * (np.eye(2 * m) - 1j * J), m)
-    levels = _graded_projectors(L, L.conj(), [(-1,)] * m, (m // 2,))
+    levels = _label_projectors(*_word_basis(L, L.conj(), [(-1,)] * m, (m // 2,)))
     return {k: P for (k,), P in levels.items()}
 
 
@@ -293,6 +301,9 @@ def _complex_orientation_sign(j: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # Hermitian pairs
 
+#: ``i**k`` for ``k mod 4``.
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
 
 class HermitianPair:
     """Two commuting generalized complex structures with positive product.
@@ -300,6 +311,11 @@ class HermitianPair:
     The constructor validates every defining identity and the compatibility
     of the induced star operator with the two spin-volume elements; it raises
     ``ValueError`` when any of them fails.
+    The bigrading is kept as one word basis (``_word_basis``): the words
+    ``V``, their inverse and one ``(p, q)`` label per word.  ``project``
+    applies a label's or a level's projector to rows through the basis; the
+    dense projectors (``bigrading``, ``proj1``, ``proj2``, ``projector``)
+    are formed only when asked for.
     """
 
     def __init__(self, J1: np.ndarray, J2: np.ndarray, tol: float = 1e-9):
@@ -348,16 +364,43 @@ class HermitianPair:
     # -- derived data
 
     def _check_star(self) -> None:
+        """Star, its Gram matrix, the word basis, and the star against the
+        product of the spin volume elements, ``V diag(i^{p+q}) V^-1``."""
         F = _metric_frame(self.metric, self.b_field, 1)
         j_plus = F.T @ pairing_matrix(self.m) @ self.J1 @ F
         if np.linalg.norm(j_plus @ j_plus + np.eye(self.m)) > 1e-8:
             raise ValueError("first structure does not restrict to the +1 eigenspace")
         self.orientation = _complex_orientation_sign(j_plus.real)
         self.star = hodge_star(self.metric, self.b_field, self.orientation)
-        vol = volume_spin_element(self.J1, self.proj1) @ volume_spin_element(self.J2, self.proj2)
+        # C couples each subset I only with its complement n - 1 - I, so C star
+        # is a signed row gather; the orientation sign is that of hodge.l2_gram
+        signs = chevalley_gram(self.m)[:, ::-1].diagonal()
+        self.star_gram = (signs[:, None] * (self.orientation * self.star)[::-1]).T
+        n = self.n
+        L = np.hstack([self.sector_frame(True, True), self.sector_frame(False, True)])
+        Lbar = np.hstack([self.sector_frame(True, False), self.sector_frame(False, False)])
+        self._V, self._V_inv, self._labels = _word_basis(
+            L, Lbar, [(-1, -1)] * n + [(-1, 1)] * n, (n, 0), self.star_gram
+        )
+        vol = (self._V * _QUARTER_TURNS[self._labels.sum(axis=1) % 4]) @ self._V_inv
         res = np.linalg.norm(self.star + vol)
         if res > max(self.tol, 1e-8) * np.linalg.norm(self.star):
             raise ValueError(f"star does not match the spin volume elements (residual {res:.3e})")
+
+    def _words(self, p: int | None, q: int | None) -> np.ndarray:
+        """Mask of the words labelled ``(p, q)``; an omitted index matches any."""
+        s = np.ones(len(self._labels), dtype=bool)
+        for axis, k in enumerate((p, q)):
+            if k is not None:
+                s &= self._labels[:, axis] == k
+        return s
+
+    def project(self, rows: np.ndarray, p: int | None = None, q: int | None = None) -> np.ndarray:
+        """``rows @ P.T`` for the projector ``P`` onto ``U^{p,q}``, or with
+        ``q`` (``p``) omitted onto level ``p`` of the first (level ``q`` of
+        the second) structure, as two thin products through the word basis."""
+        s = self._words(p, q)
+        return (rows @ self._V_inv[s].T) @ self._V[:, s].T
 
     @cached_property
     def bigrading(self) -> dict[tuple[int, int], np.ndarray]:
@@ -368,28 +411,22 @@ class HermitianPair:
         V_-^{1,0}`` spans ``U^{n,0}``, and vectors of ``V_+^{0,1}`` and
         ``V_-^{0,1}`` shift (p, q) by (-1, -1) and (-1, +1), so the words with
         ``a`` and ``b`` letters from their frames span ``U^{n-a-b, b-a}``.
-        These are orthogonal for the pair's L2 Gram matrix ``+-(C star)^T``.
+        These are orthogonal for the pair's L2 Gram matrix ``star_gram``.
         """
-        n = self.n
-        L = np.hstack([self.sector_frame(True, True), self.sector_frame(False, True)])
-        Lbar = np.hstack([self.sector_frame(True, False), self.sector_frame(False, False)])
-        gram = (chevalley_gram(self.m) @ self.star).T
-        return _graded_projectors(L, Lbar, [(-1, -1)] * n + [(-1, 1)] * n, (n, 0), gram)
+        return _label_projectors(self._V, self._V_inv, self._labels)
 
     def _levels(self, axis: int) -> dict[int, np.ndarray]:
-        out: dict[int, np.ndarray] = {}
-        for key, P in self.bigrading.items():
-            out[key[axis]] = out.get(key[axis], 0) + P
-        return dict(sorted(out.items()))
+        levels = _label_projectors(self._V, self._V_inv, self._labels[:, [axis]])
+        return {k: P for (k,), P in levels.items()}
 
     @cached_property
     def proj1(self) -> dict[int, np.ndarray]:
-        """Eigenlevel projectors of the first structure: bigrading sums over q."""
+        """Eigenlevel projectors of the first structure (the p of the bigrading)."""
         return self._levels(0)
 
     @cached_property
     def proj2(self) -> dict[int, np.ndarray]:
-        """Eigenlevel projectors of the second structure: bigrading sums over p."""
+        """Eigenlevel projectors of the second structure (the q of the bigrading)."""
         return self._levels(1)
 
     def projector(self, p: int, q: int) -> np.ndarray:
@@ -411,9 +448,10 @@ class HermitianPair:
         return _projector_column_space(self.sector_projector(plus, holo), self.n)
 
     def canonical_generator(self, which: int = 2) -> np.ndarray:
-        if which == 2:
-            return canonical_generator(self.J2, projectors=self.proj2)
-        return canonical_generator(self.J1, projectors=self.proj1)
+        """``canonical_generator`` of one structure from the rank-one
+        projector of its top level, the one word labelled (n, 0) or (0, n)."""
+        J, s = (self.J2, self._words(None, self.n)) if which == 2 else (self.J1, self._words(self.n, None))
+        return canonical_generator(J, projectors={self.n: self._V[:, s] @ self._V_inv[s]})
 
 
 def standard_kahler_pair(m: int) -> HermitianPair:

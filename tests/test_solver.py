@@ -786,31 +786,34 @@ def test_run_deformation_t8_order4():
 
 
 def test_run_deformation_t8_builds_no_per_frequency_blocks(monkeypatch):
-    """The deform path applies every operator by ladder gathers: with
-    ``BlockOperator`` construction made to raise and the dense wedge ladder
-    cache emptied, T^8 at order cap 2 (the benchmark's deform-m8-k2 shape) solves
-    and verifies, leaves that cache empty and allocates under 40 MB above
-    its start while solving."""
+    """The deform path applies every operator by ladder gathers and every
+    grading projector through the pair's word basis: with ``BlockOperator``
+    construction made to raise and the dense wedge ladder cache emptied,
+    T^8 at order cap 2 (the benchmark's deform-m8-k2 shape) builds its pair,
+    solves and verifies, leaves that cache empty, forms none of the pair's
+    dense projectors and allocates under 35 MB above its start in all
+    (about 26 MB; 70 MB with 43 dense projectors held by the pair)."""
 
     def refuse(self, *args):
         raise AssertionError("block operator built on the deform path")
 
-    pair = gs.standard_kahler_pair(8)
-    family = exact_bfield_family(8, 2, *T8_COEFFS, pair)
     monkeypatch.setattr(gh.BlockOperator, "__init__", refuse)
     cl.wedge_matrices.cache_clear()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
+        pair = gs.standard_kahler_pair(8)
+        family = exact_bfield_family(8, 2, *T8_COEFFS, pair)
         report = sol.run_deformation([family], pair, order_cap=2)
+        sol.verify_gk_at_t(report, 0.01, count=2)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert len(report.support) == 13
     assert max(report.residual_norms) <= 1e-12 * report.psi_norm
-    sol.verify_gk_at_t(report, 0.01, count=2)
     assert cl.wedge_matrices.cache_info().currsize == 0
-    assert peak < 40e6, f"run_deformation peaked {peak / 1e6:.1f} MB above its start"
+    assert peak < 35e6, f"pair, solve and verification peaked {peak / 1e6:.1f} MB above their start"
+    assert not {"bigrading", "proj1", "proj2"} & set(vars(pair))
     with pytest.raises(AssertionError):
         gh.component_operator((1, 1), report.pair, report.support)
 

@@ -280,6 +280,35 @@ def test_projector_allocates_only_on_a_missing_label(monkeypatch):
     assert missing.shape == (16, 16) and not missing.any()
 
 
+def _assert_row_action_matches_projectors(pair):
+    rng = np.random.default_rng(pair.m)
+    rows = rng.normal(size=(3, 2**pair.m)) + 1j * rng.normal(size=(3, 2**pair.m))
+    for (p, q), P in pair.bigrading.items():
+        assert_close_rel(pair.project(rows, p, q), rows @ P.T, 1e-12)
+    for k, P in pair.proj1.items():
+        assert_close_rel(pair.project(rows, p=k), rows @ P.T, 1e-12)
+    for k, P in pair.proj2.items():
+        assert_close_rel(pair.project(rows, q=k), rows @ P.T, 1e-12)
+    assert not pair.project(rows, pair.n, pair.n).any()
+
+
+@pytest.mark.parametrize("kind", ["complex", "symplectic", "bfield"])
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_row_action_matches_dense_projectors(m, kind):
+    _assert_row_action_matches_projectors(typed_pair(kind, m))
+
+
+def test_row_action_matches_dense_projectors_t8(bfield_t8):
+    _assert_row_action_matches_projectors(bfield_t8[0])
+
+
+def test_pair_rejects_a_star_that_misses_the_volume_elements(monkeypatch):
+    star = gs.hodge_star
+    monkeypatch.setattr(gs, "hodge_star", lambda *args: -star(*args))
+    with pytest.raises(ValueError, match="star does not match the spin volume elements"):
+        gs.standard_kahler_pair(4)
+
+
 def test_sector_frames_shift_bigrading_random_pair():
     rng = np.random.default_rng(77)
     pair = gs.random_hermitian_pair(rng, 4)
