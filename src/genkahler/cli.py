@@ -265,6 +265,15 @@ def build_seed(doc: dict, pair: gs.HermitianPair) -> tuple[np.ndarray, complex]:
     return seed, scale
 
 
+def _mode_frequency(mode: dict, m: int) -> tuple[int, ...]:
+    """The frequency of a config mode.  The solver computes with frequencies
+    as floats, which hold every integer up to 2**53 exactly."""
+    k = mode["frequency"]
+    if not (isinstance(k, list) and len(k) == m and all(_is_int(v) and abs(v) <= 2**53 for v in k)):
+        raise ConfigError(f"mode frequency must be {m} integers of at most 2**53 in absolute value")
+    return tuple(k)
+
+
 def _one_form_from_modes(modes, m: int) -> gf.FourierField:
     xi = gf.FourierField(m, m)
     if not isinstance(modes, list) or not modes:
@@ -273,15 +282,12 @@ def _one_form_from_modes(modes, m: int) -> gf.FourierField:
         if not isinstance(mode, dict):
             raise ConfigError("one_form modes must be objects")
         _require_keys(mode, {"frequency", "cos", "sin"}, {"frequency"}, "one_form mode")
-        k = mode["frequency"]
-        if not (isinstance(k, list) and len(k) == m and all(_is_int(v) for v in k)):
-            raise ConfigError(f"mode frequency must be {m} integers")
-        if not any(k):
+        key = _mode_frequency(mode, m)
+        if not any(key):
             raise ConfigError("one_form modes need a nonzero frequency")
         cosv = _real_array(mode.get("cos", [0.0] * m), (m,), "one_form mode cos")
         sinv = _real_array(mode.get("sin", [0.0] * m), (m,), "one_form mode sin")
-        key = tuple(k)
-        mirror = tuple(-v for v in k)
+        mirror = tuple(-v for v in key)
         xi.coeffs[key] = xi[key] + 0.5 * (cosv - 1j * sinv)
         xi.coeffs[mirror] = xi[mirror] + 0.5 * (cosv + 1j * sinv)
     return xi
@@ -299,13 +305,11 @@ def _series_from_doc(terms, m: int) -> sol.SeriesSoField:
             if not isinstance(mode, dict):
                 raise ConfigError("explicit-series modes must be objects")
             _require_keys(mode, {"frequency", "real", "imag"}, {"frequency", "real"}, "series mode")
-            k = mode["frequency"]
-            if not (isinstance(k, list) and len(k) == m and all(_is_int(v) for v in k)):
-                raise ConfigError(f"mode frequency must be {m} integers")
+            key = _mode_frequency(mode, m)
             mat = _real_array(mode["real"], (2 * m, 2 * m), "series mode real").astype(complex)
             if "imag" in mode:
                 mat = mat + 1j * _real_array(mode["imag"], (2 * m, 2 * m), "series mode imag")
-            term.coeffs[tuple(k)] = term[tuple(k)] + mat
+            term.coeffs[key] = term[key] + mat
         parsed.append(term)
     try:
         return sol.SeriesSoField(m, parsed)
@@ -628,20 +632,13 @@ def cmd_verify_hodge(args) -> int:
 
 
 def _series_record(report: sol.SolutionReport) -> dict:
-    betas = []
-    for j, beta in enumerate(report.betas, start=1):
-        modes = [
-            {"frequency": list(k), "matrix": v}
-            for k, v in sorted(beta.coeffs.items())
+    def orders(fields, start: int, name: str) -> list[dict]:
+        return [
+            {"order": j, "modes": [{"frequency": list(k), name: v} for k, v in sorted(f.coeffs.items())]}
+            for j, f in enumerate(fields, start=start)
         ]
-        betas.append({"order": j, "modes": modes})
-    psi = []
-    for j, term in enumerate(report.psi_series):
-        modes = [
-            {"frequency": list(k), "vector": v}
-            for k, v in sorted(term.coeffs.items())
-        ]
-        psi.append({"order": j, "modes": modes})
+
+    betas, psi = orders(report.betas, 1, "matrix"), orders(report.psi_series, 0, "vector")
     return {"schema": SCHEMA, "order_cap": report.order_cap, "betas": betas, "psi": psi}
 
 

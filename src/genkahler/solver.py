@@ -32,7 +32,6 @@ from .clifford import (
     _expm,
     clifford_act,
     pairing_matrix,
-    so_residual,
     so_from_pair,
     spin_lie_action,
     spinor_dim,
@@ -86,123 +85,137 @@ def _exceeds(value: float, bound: float) -> bool:
 # ---------------------------------------------------------------------------
 # series containers
 
+# one order of a family: its sorted frequencies and their (P, 2m, 2m) matrices
+_Stack = tuple[list, np.ndarray]
 
-def _as_operator_term(torus_dim: int, value_dim: int, term) -> FourierOperatorField:
-    if term is None:
-        return FourierOperatorField(torus_dim, value_dim)
+
+def _term_stack(torus_dim: int, term) -> _Stack | None:
+    """One order given as None, a constant matrix or an operator field, as a stack."""
     if isinstance(term, FourierOperatorField):
-        return term.copy()
+        return term.stacked() if term.coeffs else None
+    if term is None:
+        return None
     mat = np.asarray(term, dtype=complex)
-    if mat.shape != (value_dim, value_dim):
-        raise ValueError(f"constant term shape {mat.shape} != ({value_dim}, {value_dim})")
-    return FourierOperatorField.constant(torus_dim, mat)
+    if mat.shape != (2 * torus_dim, 2 * torus_dim):
+        raise ValueError(f"constant term shape {mat.shape} != ({2 * torus_dim}, {2 * torus_dim})")
+    return [(0,) * torus_dim], mat[None].copy()
+
+
+def _first_outside_so(stack: _Stack, tol: float):
+    """The first frequency whose matrix ``a`` has ``||(P a)^T + P a|| >
+    tol * max(1, ||a||)`` (or NaN), None when every one is in so(m,m)."""
+    freqs, mats = stack
+    Pa = pairing_matrix(mats.shape[-1] // 2) @ mats
+    residual = np.linalg.norm(Pa + Pa.swapaxes(-1, -2), axis=(-2, -1))
+    bad = np.flatnonzero(~(residual <= tol * np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))))
+    return freqs[bad[0]] if bad.size else None
+
+
+def _is_real(stack: _Stack, tol: float) -> bool:
+    """``||f - conj f|| <= tol * max(1, ||f||)``.  On the sorted support closed
+    under ``k -> -k``, the mirror of row r is row S - 1 - r."""
+    freqs, mats = stack
+    support = Support(freqs + [tuple(-v for v in k) for k in freqs])
+    field = np.zeros((len(support), *mats.shape[1:]), dtype=complex)
+    field[[support.index[k] for k in freqs]] = mats
+    return bool(np.linalg.norm(field - field[::-1].conj()) <= tol * max(1.0, np.linalg.norm(mats)))
 
 
 class SeriesSoField:
     """Polynomial family ``t -> so(m,m)-valued field`` vanishing at t = 0.
 
-    ``terms[j]`` is the coefficient of ``t**j``; the order-0 term must be
-    zero so the family is the identity at t = 0, and every coefficient
-    must describe a real field.
+    ``stacks[j]``, the coefficient of ``t**j``, is its sorted frequencies and
+    their ``(P, 2m, 2m)`` matrices, or None where it vanishes; ``term(j)`` is
+    its Fourier-field view.  The constructor takes None, a constant matrix
+    or an operator field per order, and checks that the order-0 term
+    vanishes, so the family is the identity at t = 0, and that every
+    coefficient is in so(m,m) and describes a real field.
     """
 
-    def __init__(self, torus_dim: int, terms, *, tol: float = 1e-9, check: bool = True):
+    def __init__(self, torus_dim: int, terms):
+        stacks = [_term_stack(int(torus_dim), t) for t in terms]
+        if stacks and stacks[0] is not None and _exceeds(float(np.linalg.norm(stacks[0][1])), 1e-9):
+            raise ValueError("series family does not vanish at t = 0")
+        for j, stack in enumerate(stacks):
+            k = None if stack is None else _first_outside_so(stack, 1e-9)
+            if k is not None:
+                raise ValueError(f"order-{j} coefficient at {k} is not in so(m,m)")
+            if stack is not None and not _is_real(stack, 1e-9):
+                raise ValueError(f"order-{j} term is not a real field")
         self.torus_dim = int(torus_dim)
         self.value_dim = 2 * self.torus_dim
-        self.terms = [_as_operator_term(self.torus_dim, self.value_dim, t) for t in terms]
-        if not self.terms:
-            self.terms = [FourierOperatorField(self.torus_dim, self.value_dim)]
-        self._spin_stacks: list[tuple[list, np.ndarray] | None] | None = None
-        if check:
-            if _exceeds(self.terms[0].coeff_norm(), tol):
-                raise ValueError("series family does not vanish at t = 0")
-            for j, term in enumerate(self.terms):
-                for k, c in term.coeffs.items():
-                    if _exceeds(so_residual(c), tol * max(1.0, float(np.linalg.norm(c)))):
-                        raise ValueError(f"order-{j} coefficient at {k} is not in so(m,m)")
-                if not term.is_real(tol):
-                    raise ValueError(f"order-{j} term is not a real field")
-
-    # -- constructors
+        self.stacks: list[_Stack | None] = stacks or [None]
+        self._spin_stacks: list[_Stack | None] | None = None
 
     @classmethod
-    def linear(cls, torus_dim: int, term, **kw) -> "SeriesSoField":
-        """Family ``t * term`` for a single so-valued field or matrix."""
-        return cls(torus_dim, [None, term], **kw)
+    def _packed(cls, torus_dim: int, stacks: list) -> "SeriesSoField":
+        """Family of already-checked stacks, held as given: the empty family
+        passes the checks trivially and takes the stacks."""
+        out = cls(torus_dim, [])
+        out.stacks = list(stacks) or [None]
+        return out
 
-    # -- basic structure
+    @classmethod
+    def linear(cls, torus_dim: int, term) -> "SeriesSoField":
+        """Family ``t * term`` for a single so-valued field or matrix."""
+        return cls(torus_dim, [None, term])
 
     @property
     def order_cap(self) -> int:
-        return len(self.terms) - 1
+        return len(self.stacks) - 1
 
     def term(self, j: int) -> FourierOperatorField:
-        if 0 <= j < len(self.terms):
-            return self.terms[j]
-        return FourierOperatorField(self.torus_dim, self.value_dim)
-
-    def padded(self, order_cap: int) -> list[FourierOperatorField]:
-        return [self.term(j) for j in range(order_cap + 1)]
+        """The order-j coefficient as a Fourier field (zero beyond the cap)."""
+        stack = self.stacks[j] if 0 <= j < len(self.stacks) else None
+        return FourierOperatorField(self.torus_dim, self.value_dim, {} if stack is None else dict(zip(*stack)))
 
     def truncate(self, order_cap: int) -> "SeriesSoField":
-        return SeriesSoField(self.torus_dim, self.padded(max(order_cap, 0)), check=False)
+        cap = max(order_cap, 0) + 1
+        return SeriesSoField._packed(self.torus_dim, self.stacks[:cap] + [None] * (cap - len(self.stacks)))
 
     def weighted_support(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Pairs (order, frequency) over all nonzero coefficients."""
-        out = []
-        for j, t in enumerate(self.terms):
-            out.extend((j, k) for k in sorted(t.coeffs))
-        return out
-
-    # -- evaluation
+        """Pairs (order, frequency) over all listed coefficients."""
+        return [(j, k) for j, stack in enumerate(self.stacks) if stack is not None for k in stack[0]]
 
     def evaluate(self, t: float, points: np.ndarray) -> np.ndarray:
+        """Values at the points, shape (N, 2m, 2m): per order, one product of
+        the phases ``exp(i <k, x>)`` with the stacked matrices."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((points.shape[0], self.value_dim, self.value_dim), dtype=complex)
-        for j, term in enumerate(self.terms):
-            if term.coeffs:
-                out += (t ** j) * term.evaluate(points)
+        out = np.zeros((len(points), self.value_dim, self.value_dim), dtype=complex)
+        for j, stack in enumerate(self.stacks):
+            if stack is not None:
+                out += t**j * np.tensordot(np.exp(1j * points @ np.array(stack[0], dtype=float).T), stack[1], 1)
         return out
 
     def evaluate_gradient(self, t: float, points: np.ndarray) -> np.ndarray:
-        """Partial derivatives in the torus directions, shape (m, N, 2m, 2m)."""
+        """Partial derivatives in the torus directions, shape (m, N, 2m, 2m):
+        per order, one product of the phases times ``i k_d`` with the matrices."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((self.torus_dim, points.shape[0], self.value_dim, self.value_dim), dtype=complex)
-        for j, term in enumerate(self.terms):
-            for k, c in sorted(term.coeffs.items()):
-                phase = (t ** j) * np.exp(1j * points @ np.asarray(k, dtype=float))
-                for d, kd in enumerate(k):
-                    if kd:
-                        out[d] += (1j * kd) * phase[:, None, None] * c
+        out = np.zeros((self.torus_dim, len(points), self.value_dim, self.value_dim), dtype=complex)
+        for j, stack in enumerate(self.stacks):
+            if stack is not None:
+                k = np.array(stack[0], dtype=float)
+                out += t**j * np.tensordot(1j * k.T[:, None] * np.exp(1j * points @ k.T), stack[1], 1)
         return out
 
-    def spin_stacks(self) -> list[tuple[list, np.ndarray] | None]:
-        """Per order, the frequencies and stacked spin images of the coefficients.
-
-        Computed on the first call and kept read-only: a family's terms are
-        not changed after construction (every method above returns a new one).
-        """
+    def spin_stacks(self) -> list[_Stack | None]:
+        """Per order, the frequencies and read-only spin images of the
+        coefficients, computed on the first call: a family's stacks are not
+        changed after construction (every method above returns a new one)."""
         if self._spin_stacks is None:
-            self._spin_stacks = [_spin_stack(t) for t in self.terms]
+            self._spin_stacks = [None if s is None else _spin_stack(s) for s in self.stacks]
         return self._spin_stacks
 
 
-def _spin_stack(field: FourierOperatorField) -> tuple[list, np.ndarray] | None:
-    """Frequencies and read-only stacked spin images of an so-valued field; None if zero."""
-    if not field.coeffs:
-        return None
-    freqs, coeffs = field.stacked()
-    n = spinor_dim(field.torus_dim)
+def _spin_stack(stack: _Stack) -> _Stack:
+    """Frequencies and read-only stacked spin images of an so-valued stack."""
+    freqs, coeffs = stack
+    n = spinor_dim(coeffs.shape[-1] // 2)
     mats = np.empty((len(freqs), n, n), dtype=complex)
     for a, c in enumerate(coeffs):
         mats[a] = spin_lie_action(c)
     mats.setflags(write=False)
     return freqs, mats
-
-
-def _stack(field: FourierOperatorField) -> tuple[list, np.ndarray] | None:
-    """Frequencies and stacked coefficients of an operator field; None if zero."""
-    return field.stacked() if field.coeffs else None
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +277,7 @@ class _SeriesExp:
         ]
         self.filled = 0
 
-    def _set(self, f: int, i: int, stack: tuple[list, np.ndarray] | None) -> None:
+    def _set(self, f: int, i: int, stack: _Stack | None) -> None:
         if stack is not None:
             self.X[f][i] = _Coefficient(self.support, *stack)
 
@@ -328,7 +341,7 @@ class _SeriesExp:
                 terms[1:] = [[None] * (n + 1) for _ in terms[1:]]
         return self.out[0][n]
 
-    def extend(self, f: int, i: int, stack: tuple[list, np.ndarray] | None) -> np.ndarray | None:
+    def extend(self, f: int, i: int, stack: _Stack | None) -> np.ndarray | None:
         """Give factor f its order-i coefficient once column i is the last filled.
 
         The change to column i is ``X^f_i term_0[0]``: it joins ``term_1[i]``
@@ -420,16 +433,14 @@ def support_closure(sources, order_cap: int, torus_dim: int) -> tuple:
     """Frequencies reachable by order-weighted sums of source frequencies.
 
     ``sources``: series families (their order-j coefficients count j toward
-    the budget), plain fields (weight 1 per coefficient), or explicit
-    ``(weight, frequency)`` pairs.  The zero frequency is always included;
-    the result bounds the support of every series term up to the cap.
+    the budget) or explicit ``(weight, frequency)`` pairs.  The zero
+    frequency is always included; the result bounds the support of every
+    series term up to the cap.
     """
     weighted: list[tuple[int, tuple[int, ...]]] = []
     for src in sources:
         if isinstance(src, SeriesSoField):
             weighted.extend(src.weighted_support())
-        elif isinstance(src, (FourierField, FourierOperatorField)):
-            weighted.extend((1, k) for k in src.support())
         else:
             w, k = src
             weighted.append((int(w), tuple(int(v) for v in k)))
@@ -764,7 +775,7 @@ def run_deformation(
     system = CorrectionSystem(seed, pair)
 
     betas: list[FourierOperatorField] = []
-    b_terms: list[FourierOperatorField | None] = [None]
+    b_stacks: list[_Stack | None] = [None]
     orders: list[dict] = []
     wall_ms: list[float] = []
 
@@ -786,8 +797,8 @@ def run_deformation(
         # the real term b_k = beta + conj(beta); conj(beta) lies in
         # V_-^{0,1} (x) V_+^{1,0} and annihilates psi, so spin(b_k) psi is
         # both spin(beta) psi and the increment the engine adds to column k
-        b_k = beta + beta.conj()
-        spins = _spin_stack(b_k)
+        stack = _term_stack(torus_dim, beta + beta.conj())
+        spins = None if stack is None else _spin_stack(stack)
         acted = np.zeros_like(seed_rows)
         if spins is not None:
             acted[[support.index[p] for p in spins[0]]] = spins[1] @ system.seed
@@ -798,7 +809,7 @@ def run_deformation(
         columns.append(engine.extend(len(factors), order, spins))
         residual_norms.append(background.norm(background.differentiate(_dense(columns[-1], seed_rows))))
         betas.append(beta)
-        b_terms.append(b_k)
+        b_stacks.append(stack)
         orders.append(
             {
                 "order": order,
@@ -825,7 +836,7 @@ def run_deformation(
         psi0=seed,
         psi_norm=psi_norm,
         factors=factors,
-        b=SeriesSoField(torus_dim, b_terms, check=False),
+        b=SeriesSoField._packed(torus_dim, b_stacks),
         betas=betas,
         orders=orders,
         precondition_defects=defects,
@@ -1024,7 +1035,8 @@ def _conjugated_residual_columns(a, b, psi, order_cap: int) -> tuple[Support, li
 
 def conjugated_structure_series(generator: FourierOperatorField, J: np.ndarray, order_cap: int) -> list[FourierOperatorField]:
     """Coefficients of ``exp(t C) J exp(-t C)``: iterated brackets over j factorial."""
-    return structure_series_of_family(SeriesSoField.linear(generator.torus_dim, generator, check=False), J, order_cap)
+    m = generator.torus_dim
+    return structure_series_of_family(SeriesSoField._packed(m, [None, _term_stack(m, generator)]), J, order_cap)
 
 
 def structure_series_of_family(a, J: np.ndarray, order_cap: int) -> list[FourierOperatorField]:
@@ -1038,13 +1050,9 @@ def structure_series_of_family(a, J: np.ndarray, order_cap: int) -> list[Fourier
         raise ValueError("need at least one series family")
     torus_dim = factors[0].torus_dim
     support = Support(support_closure(factors, order_cap, torus_dim))
-    source = _structure_source(support, J, torus_dim)
-    columns = _SeriesExp(support, [[_stack(t) for t in f.terms] for f in factors], [source], order_cap, bracket=True).fill_all()
+    source = support.pack(FourierOperatorField.constant(torus_dim, J))
+    columns = _SeriesExp(support, [f.stacks for f in factors], [source], order_cap, bracket=True).fill_all()
     return [support.unpack(c, FourierOperatorField, torus_dim, source.shape[-1]) for c in columns]
-
-
-def _structure_source(support: Support, J: np.ndarray, torus_dim: int) -> np.ndarray:
-    return support.pack(FourierOperatorField.constant(torus_dim, J))
 
 
 def commutant_part(J: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -1071,12 +1079,12 @@ def extract_transverse_family(
     torus_dim = target[0].torus_dim
     weighted = [(j, k) for j in range(1, order_cap + 1) for k in target[j].coeffs]
     support = Support(support_closure(weighted, order_cap, torus_dim))
-    source = _structure_source(support, J, torus_dim)
+    source = support.pack(FourierOperatorField.constant(torus_dim, J))
     # the series exp(a_t) J exp(-a_t) is carried forward: column j is built
     # with a_j = 0, and a_j then adds its order-j correction [a_j, J]
     engine = _SeriesExp(support, [[]], [source], order_cap, bracket=True)
     engine.fill(0)
-    terms: list[FourierOperatorField | None] = [None]
+    stacks: list[_Stack | None] = [None]
     for j in range(1, order_cap + 1):
         D = support.pack(target[j])
         partial = engine.fill(j)
@@ -1089,10 +1097,11 @@ def extract_transverse_family(
             raise ValueError(
                 f"order-{j} structure coefficient has a commutant component ({obstruction:.3e})"
             )
-        a_j = support.unpack(-0.5 * (D @ J), FourierOperatorField, torus_dim, J.shape[0])
-        for k, c in a_j.coeffs.items():
-            if _exceeds(so_residual(c), tol * max(1.0, float(np.linalg.norm(c)))):
-                raise ValueError(f"extracted order-{j} exponent at {k} leaves so(m,m)")
-        terms.append(a_j)
-        engine.extend(0, j, _stack(a_j))
-    return SeriesSoField(torus_dim, terms, check=False)
+        a_j = -0.5 * (D @ J)
+        k = _first_outside_so((support, a_j), tol)
+        if k is not None:
+            raise ValueError(f"extracted order-{j} exponent at {k} leaves so(m,m)")
+        rows = np.flatnonzero(a_j.reshape(len(a_j), -1).any(axis=1))
+        stacks.append(([support[r] for r in rows], a_j[rows]) if rows.size else None)
+        engine.extend(0, j, stacks[-1])
+    return SeriesSoField._packed(torus_dim, stacks)

@@ -18,7 +18,6 @@ from genkahler.clifford import (
     chevalley_gram,
     clifford_matrices,
     pairing_matrix,
-    spinor_dim,
 )
 
 __all__ = [
@@ -428,12 +427,6 @@ class HermitianPair:
     def proj2(self) -> dict[int, np.ndarray]:
         """Eigenlevel projectors of the second structure (the q of the bigrading)."""
         return self._levels(1)
-
-    def projector(self, p: int, q: int) -> np.ndarray:
-        P = self.bigrading.get((p, q))
-        if P is None:
-            P = np.zeros((spinor_dim(self.m), spinor_dim(self.m)), dtype=complex)
-        return P
 
     def sector_projector(self, plus: bool, holo: bool) -> np.ndarray:
         """``(1 - i s_h J1)/2 (1 + s_p G)/2``, onto the +-1 eigenspace of the

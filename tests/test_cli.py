@@ -198,6 +198,58 @@ def test_deform_rejects_a_one_form_whose_norm_overflows(tmp_path, capsys):
     assert "too large" in captured.err and "result: ok" not in captured.out
 
 
+def frequency_doc(kind, k):
+    """m=4, order 2, one mode of ``kind`` at the frequency ``k e_0``."""
+    if kind == "exact-b-field":
+        item = {"kind": kind, "one_form": [{"frequency": [k, 0, 0, 0], "cos": [0.0, 0.3, -0.2, 0.1]}]}
+    else:
+        item = {"kind": kind, "terms": [[{"frequency": [k, 0, 0, 0], "real": np.zeros((8, 8)).tolist()}]]}
+    return {"schema": 1, "dimension": 4, "order": 2, "deformation": [item]}
+
+
+@pytest.mark.parametrize("k", [10**400, 2**53 + 1, -(2**53) - 1], ids=["1e400", "2^53+1", "-2^53-1"])
+@pytest.mark.parametrize("kind", ["exact-b-field", "explicit-series"])
+def test_deform_rejects_a_frequency_that_is_not_exact_as_a_float(tmp_path, capsys, kind, k):
+    """The solver holds frequencies as floats: an entry beyond 2**53 is a
+    config error, not an OverflowError traceback or a rounded frequency."""
+    assert cli.main(["deform", "--config", write_config(tmp_path, frequency_doc(kind, k))]) == 64
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "2**53" in captured.err
+    assert "result: ok" not in captured.out
+
+
+def test_deform_accepts_a_frequency_of_2_to_the_53(tmp_path, capsys):
+    assert cli.main(["deform", "--config", write_config(tmp_path, frequency_doc("explicit-series", 2**53))]) == 0
+    assert "result: ok" in capsys.readouterr().out
+
+
+def test_deform_on_a_symplectic_type_first_structure(tmp_path, capsys):
+    """An explicit background whose first structure is of symplectic type
+    (identity metric, standard form) under a two-mode exact b-field: every
+    order is corrected, and halving t divides the defect by about 2^5,
+    inside the band of acceptance test 7."""
+    doc = {
+        **bfield_doc(order=4),
+        "verify_t": 0.05,
+        "verify_points": 16,
+        "background": {
+            "kind": "explicit",
+            "metric": np.eye(4).tolist(),
+            "symplectic_form": gs.standard_symplectic_form(4).tolist(),
+        },
+    }
+    doc["deformation"][0]["one_form"] = [
+        {"frequency": [1, 0, 0, 0], "cos": [0.0, 0.3, -0.2, 0.1]},
+        {"frequency": [0, 1, 1, 0], "sin": [0.15, 0.0, 0.1, -0.25]},
+    ]
+    assert cli.main(["deform", "--config", write_config(tmp_path, doc), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is True
+    assert all(rec["beta_norm"] > 1e-5 for rec in report["orders"])
+    assert report["verification"]["expected_ratio"] == 32
+    assert 24.0 <= report["verification"]["halving_ratio"] <= 40.0
+
+
 @pytest.mark.parametrize("mode", [[], ["--json"], ["--out", "OUT"]], ids=["text", "json", "out"])
 def test_deform_rejects_an_overflowing_seed_scale(tmp_path, capsys, mode):
     doc = {**bfield_doc(), "seed_spinor": {"scale": 1e300}}

@@ -155,15 +155,58 @@ def test_factor_order_is_left_to_right(pair):
 def test_series_family_validation():
     rng = np.random.default_rng(1)
     alpha = cl.random_so_element(rng, 4)
-    with pytest.raises(ValueError):
-        sol.SeriesSoField(4, [alpha])  # does not vanish at t = 0
-    with pytest.raises(ValueError):
-        sol.SeriesSoField(4, [None, np.eye(8)])  # not so(m,m)
-    with pytest.raises(ValueError):
-        sol.SeriesSoField(4, [None, 1j * alpha])  # not a real field
+    with pytest.raises(ValueError, match="does not vanish at t = 0"):
+        sol.SeriesSoField(4, [alpha])
+    with pytest.raises(ValueError, match=r"order-1 coefficient at \(0, 0, 0, 0\) is not in so\(m,m\)"):
+        sol.SeriesSoField(4, [None, np.eye(8)])
+    with pytest.raises(ValueError, match="order-1 term is not a real field"):
+        sol.SeriesSoField(4, [None, 1j * alpha])
     fam = sol.SeriesSoField(4, [None, alpha, 0.5 * alpha])
     assert fam.order_cap == 2
     assert fam.truncate(1).term(2).coeff_norm() == 0.0
+
+
+def test_series_family_round_trips_its_terms():
+    """``term(j)`` gives back the dict input, an explicitly listed zero
+    coefficient included, and that coefficient still counts toward the
+    frequency support."""
+    rng = np.random.default_rng(5)
+    field = gf.FourierOperatorField(4, 8)
+    symmetric_mode(field, (1, 0, 0, 0), 0.3 * cl.random_so_element(rng, 4))
+    zero = (0, 0, 1, 0)
+    field.coeffs[zero] = np.zeros((8, 8), dtype=complex)
+    field.coeffs[(0, 0, -1, 0)] = np.zeros((8, 8), dtype=complex)
+    fam = sol.SeriesSoField(4, [None, field, None])
+    assert fam.order_cap == 2 and fam.stacks[2] is None
+    got = fam.term(1)
+    assert set(got.coeffs) == set(field.coeffs)
+    for k, c in field.coeffs.items():
+        np.testing.assert_array_equal(got.coeffs[k], c)
+    assert not fam.term(2).coeffs and not fam.term(5).coeffs
+    assert (1, zero) in fam.weighted_support()
+    pairs = [(1, k) for k in field.coeffs]
+    assert sol.support_closure([fam], 3, 4) == sol.support_closure(pairs, 3, 4)
+    assert len(sol.support_closure([fam], 3, 4)) > len(sol.support_closure(pairs[:2], 3, 4))
+
+
+def test_series_family_evaluation_matches_per_frequency_sums():
+    """``evaluate`` and ``evaluate_gradient`` against a loop over the
+    frequencies of every order."""
+    rng = np.random.default_rng(6)
+    e = np.eye(4, dtype=int)
+    fam = random_family(rng, 4, [(1, tuple(e[0])), (1, (0,) * 4), (2, tuple(e[1] + e[2])), (3, tuple(e[3] - e[0]))])
+    t, points = 0.7, gf.uniform_points(rng, 9, 4)
+    want = np.zeros((9, 8, 8), dtype=complex)
+    want_grad = np.zeros((4, 9, 8, 8), dtype=complex)
+    for j in range(fam.order_cap + 1):
+        for k, c in fam.term(j).coeffs.items():
+            phase = t**j * np.exp(1j * points @ np.asarray(k, dtype=float))
+            want += phase[:, None, None] * c
+            for d in range(4):
+                want_grad[d] += 1j * k[d] * phase[:, None, None] * c
+    for got, ref in ((fam.evaluate(t, points), want), (fam.evaluate_gradient(t, points), want_grad)):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_support_closure_counts():
@@ -404,12 +447,17 @@ def test_conjugated_route_matches_direct(pair, bfield_family, bfield_report):
 # the series exponential against the operator-series route
 
 
+def family_terms(family, order_cap=None):
+    """A family's coefficients up to the cap (default its own), as operator fields."""
+    return [family.term(j) for j in range((family.order_cap if order_cap is None else order_cap) + 1)]
+
+
 def spin_terms(family):
     """Per-order spin images of a family's coefficients, as operator fields."""
     n = cl.spinor_dim(family.torus_dim)
     return [
         t.map_values(cl.spin_lie_action) if t.coeffs else gf.FourierOperatorField(family.torus_dim, n)
-        for t in family.terms
+        for t in family_terms(family)
     ]
 
 
@@ -447,7 +495,7 @@ def _op_series_product(factors, order_cap, *, spin, invert=False):
     out = [gf.FourierOperatorField(m, dim) for _ in range(order_cap + 1)]
     out[0] = gf.FourierOperatorField.constant(m, np.eye(dim))
     for f in reversed(factors) if invert else factors:
-        X = spin_terms(f) if spin else f.padded(order_cap)
+        X = spin_terms(f) if spin else family_terms(f, order_cap)
         out = _op_series_mul(out, _op_series_exp([-1.0 * x for x in X] if invert else X, order_cap), order_cap)
     return out
 
@@ -869,10 +917,10 @@ def test_extraction_matches_from_scratch_route(pair):
     e = np.eye(4, dtype=int)
     family = random_family(np.random.default_rng(7), 4, [(1, tuple(e[0])), (2, tuple(e[1] + e[2]))])
     J0 = gf.FourierOperatorField.constant(4, J.astype(complex))
-    target = _dict_exp_apply(family.terms, [J0], _bracket, order_cap)
+    target = _dict_exp_apply(family_terms(family), [J0], _bracket, order_cap)
     want = [None]
     for j in range(1, order_cap + 1):
-        partial = _dict_exp_apply(sol.SeriesSoField(4, want, check=False).terms, [J0], _bracket, j)
+        partial = _dict_exp_apply(want, [J0], _bracket, j)
         term = (target[j] - partial[j]).map_values(lambda c: -0.5 * (c @ J))
         term.coeffs = {k: c for k, c in term.coeffs.items() if c.any()}
         want.append(term)

@@ -231,7 +231,7 @@ def test_hermitian_pair_bigrading_dimensions_t4():
     np.testing.assert_allclose(total, np.eye(16), atol=1e-9)
     rng = np.random.default_rng(0)
     phi = rng.normal(size=16) + 1j * rng.normal(size=16)
-    recon = sum(pair.projector(p, q) @ phi for (p, q) in pair.bigrading)
+    recon = sum(pair.project(phi[None], p, q)[0] for (p, q) in pair.bigrading)
     np.testing.assert_allclose(recon, phi, atol=1e-9)
 
 
@@ -262,22 +262,8 @@ def test_sector_frames_shift_bigrading():
             Cv = cl.clifford_vector_matrix(frame[:, a])
             for (p, q), Ppq in pair.bigrading.items():
                 image = Cv @ Ppq
-                target = pair.projector(p + dp, q + dq)
-                np.testing.assert_allclose(target @ image, image, atol=1e-8)
-
-
-def test_projector_allocates_only_on_a_missing_label(monkeypatch):
-    pair = gs.standard_kahler_pair(4)
-    grading = pair.bigrading
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("zero matrix allocated for an existing label")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(gs.np, "zeros", refuse)
-        assert all(pair.projector(*key) is P for key, P in grading.items())
-    missing = pair.projector(5, 5)
-    assert missing.shape == (16, 16) and not missing.any()
+                target = pair.project(image.T, p + dp, q + dq).T
+                np.testing.assert_allclose(target, image, atol=1e-8)
 
 
 def _assert_row_action_matches_projectors(pair):
@@ -316,8 +302,8 @@ def test_sector_frames_shift_bigrading_random_pair():
     Cv = cl.clifford_vector_matrix(frame[:, 0])
     for (p, q), Ppq in pair.bigrading.items():
         image = Cv @ Ppq
-        target = pair.projector(p + 1, q + 1)
-        np.testing.assert_allclose(target @ image, image, atol=1e-7)
+        target = pair.project(image.T, p + 1, q + 1).T
+        np.testing.assert_allclose(target, image, atol=1e-7)
 
 
 def test_random_pairs_validate():
