@@ -201,11 +201,15 @@ def build_twist(doc: dict, m: int) -> np.ndarray | None:
         if any(not _is_int(i) or not 0 <= i < m for i in idx) or len(set(idx)) != 3:
             raise ConfigError(f"twist axes {idx} must be three distinct integers below {m}")
         value = float(_real_array(value, (), "twist value"))
-        for perm, sign in (
-            ((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
-            ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1),
-        ):
-            h[perm] += sign * value
+        # an overflowed sum is rejected below, so numpy is not asked to warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            for perm, sign in (
+                ((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
+                ((b, a, c), -1), ((a, c, b), -1), ((c, b, a), -1),
+            ):
+                h[perm] += sign * value
+    if not np.isfinite(h).all():
+        raise ConfigError("twist rows add up to a three-form that is not finite")
     # rows that cancel leave no twist
     return h if np.any(h) else None
 
@@ -234,11 +238,10 @@ def build_background(doc: dict, m: int) -> gs.HermitianPair:
         has_symplectic = "symplectic_form" in block
         if has_complex == has_symplectic:
             raise ConfigError("explicit backgrounds need exactly one of base_complex or symplectic_form")
-        if has_complex:
-            J1 = gs.complex_structure_gcs(_real_array(block["base_complex"], (m, m), "background.base_complex"))
-        else:
-            J1 = gs.symplectic_gcs(_real_array(block["symplectic_form"], (m, m), "background.symplectic_form"))
+        key = "base_complex" if has_complex else "symplectic_form"
+        coeffs = _real_array(block[key], (m, m), f"background.{key}")
         try:
+            J1 = gs.complex_structure_gcs(coeffs) if has_complex else gs.symplectic_gcs(coeffs)
             return gs.HermitianPair.from_metric(J1, metric, b_field)
         except ValueError as exc:
             raise ConfigError(f"background is not a valid pair: {exc}") from exc

@@ -322,7 +322,8 @@ def component_operator(
     shifts every ``U^{p,q}`` by exactly ``(dp, dq)`` (Gualtieri, CMP 331
     (2014)).  So ``C_j = cl(pi_s dx_j)`` for the level-one shifts and 0 for
     the +-3 shifts; ``C_H`` (only with ``h``) is the bigrading sum
-    ``sum_{(p,q)} P_{p+dp,q+dq} H^ P_{pq}``.
+    ``sum_{(p,q)} P_{p+dp,q+dq} H^ P_{pq}``, formed through the pair's word
+    basis (``HermitianPair.shift_part``).
     """
     shift = (int(shift[0]), int(shift[1]))
     if shift not in COMPONENT_SHIFTS:
@@ -334,14 +335,7 @@ def component_operator(
         linear = clifford_matrices(_sector_covectors(pair, shift).T)
     else:
         linear = np.zeros((m, n, n), dtype=complex)
-    C_H = None
-    if h is not None:
-        Hw, grading = wedge_operator(three_form_spinor(h)), pair.bigrading
-        # zero when no level is shifted
-        C_H = sum(
-            (grading[(p + dp, q + dq)] @ Hw @ P for (p, q), P in grading.items() if (p + dp, q + dq) in grading),
-            np.zeros((n, n)),
-        )
+    C_H = None if h is None else pair.shift_part(wedge_operator(three_form_spinor(h)), shift)
     return _affine(support, linear, C_H)
 
 

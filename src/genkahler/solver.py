@@ -30,6 +30,7 @@ import numpy as np
 
 from .clifford import (
     _expm,
+    _in_so,
     clifford_act,
     pairing_matrix,
     so_from_pair,
@@ -102,12 +103,10 @@ def _term_stack(torus_dim: int, term) -> _Stack | None:
 
 
 def _first_outside_so(stack: _Stack, tol: float):
-    """The first frequency whose matrix ``a`` has ``||(P a)^T + P a|| >
-    tol * max(1, ||a||)`` (or NaN), None when every one is in so(m,m)."""
+    """The first frequency whose matrix fails ``clifford._in_so`` at ``tol``,
+    None when every one is in so(m,m)."""
     freqs, mats = stack
-    Pa = pairing_matrix(mats.shape[-1] // 2) @ mats
-    residual = np.linalg.norm(Pa + Pa.swapaxes(-1, -2), axis=(-2, -1))
-    bad = np.flatnonzero(~(residual <= tol * np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))))
+    bad = np.flatnonzero(~_in_so(mats, tol))
     return freqs[bad[0]] if bad.size else None
 
 
@@ -388,7 +387,7 @@ def _seed_field(torus_dim: int, psi) -> FourierField:
 def _series_support(factors: list[SeriesSoField], seed: FourierField, order_cap: int) -> Support:
     """Frequencies of every coefficient of the factors applied to the seed up
     to the cap: the seed's frequencies shifted by the factors' closure."""
-    reach = support_closure(factors, order_cap, seed.torus_dim)
+    reach = support_closure([p for f in factors for p in f.weighted_support()], order_cap, seed.torus_dim)
     shifts = seed.support() or [(0,) * seed.torus_dim]
     return Support(tuple(a + b for a, b in zip(k, q)) for k in reach for q in shifts)
 
@@ -429,41 +428,21 @@ def series_exp_action(a, b, psi, order_cap: int) -> list[FourierField]:
 # frequency bookkeeping
 
 
-def support_closure(sources, order_cap: int, torus_dim: int) -> tuple:
-    """Frequencies reachable by order-weighted sums of source frequencies.
+def support_closure(weighted, order_cap: int, torus_dim: int) -> tuple:
+    """Sorted frequencies reachable as sums of ``(weight, frequency)`` steps
+    of total weight at most the cap, such as a family's ``weighted_support``.
 
-    ``sources``: series families (their order-j coefficients count j toward
-    the budget) or explicit ``(weight, frequency)`` pairs.  The zero
-    frequency is always included; the result bounds the support of every
+    Steps of weight below 1 are ignored.  ``reach[c]``, the sums of weight
+    at most c, is ``reach[c - 1]`` and every ``reach[c - w] + k``; the zero
+    frequency is always included.  The result bounds the support of every
     series term up to the cap.
     """
-    weighted: list[tuple[int, tuple[int, ...]]] = []
-    for src in sources:
-        if isinstance(src, SeriesSoField):
-            weighted.extend(src.weighted_support())
-        else:
-            w, k = src
-            weighted.append((int(w), tuple(int(v) for v in k)))
-    weighted = [(w, k) for w, k in weighted if 1 <= w <= order_cap and any(k)]
-
-    zero = (0,) * torus_dim
-    best = {zero: 0}
-    for _ in range(order_cap):
-        updates = {}
-        for freq, used in best.items():
-            for w, k in weighted:
-                cost = used + w
-                if cost > order_cap:
-                    continue
-                tgt = tuple(f + v for f, v in zip(freq, k))
-                if cost < best.get(tgt, order_cap + 1) and cost < updates.get(tgt, order_cap + 1):
-                    updates[tgt] = cost
-        if not updates:
-            break
-        for k, c in updates.items():
-            if c < best.get(k, order_cap + 1):
-                best[k] = c
-    return tuple(sorted(best))
+    steps = [(int(w), tuple(int(v) for v in k)) for w, k in weighted if 1 <= w <= order_cap]
+    reach = [{(0,) * torus_dim}]
+    for c in range(1, order_cap + 1):
+        moved = ({tuple(a + b for a, b in zip(f, k)) for f in reach[c - w]} for w, k in steps if w <= c)
+        reach.append(reach[c - 1].union(*moved))
+    return tuple(sorted(reach[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -518,21 +497,13 @@ def _annihilating_arrows(n: int) -> dict[str, tuple[int, int]]:
     }
 
 
-def order_residual(
-    order: int,
-    a,
-    b: SeriesSoField | None,
-    background: TorusBackground,
-    psi,
-    *,
-    tol: float = 1e-10,
-) -> OrderData:
+def order_residual(order: int, a, b: SeriesSoField | None, background: TorusBackground, psi) -> OrderData:
     """Obstruction with the trial order-``order`` correction set to zero.
 
     Returns the order-``order`` coefficient of ``d^H exp(a_t) exp(b_{<order})
     psi`` together with its four corner components, the norm outside those
     corners, and the closedness checks that the corner structure demands.
-    Violations raise distinct ValueErrors.
+    Violations, beyond 1e-10 of the seed norm, raise distinct ValueErrors.
     """
     if order < 1:
         raise ValueError("orders start at 1")
@@ -544,10 +515,10 @@ def order_residual(
         raise ValueError("need at least one series family")
     columns = _spinor_series(support, factors, seed, order).fill_all()
     derivs = [background.differentiate(_dense(c, seed)) for c in columns]
-    bad = [j for j in range(order) if _exceeds(background.norm(derivs[j]), tol * scale)]
+    bad = [j for j in range(order) if _exceeds(background.norm(derivs[j]), 1e-10 * scale)]
     if bad:
         raise ValueError(f"residual below order {order} is nonzero at orders {bad}")
-    return _obstruction(order, derivs[order], background, scale, tol=tol)
+    return _obstruction(order, derivs[order], background, scale, tol=1e-10)
 
 
 def _dense(column: np.ndarray | None, like: np.ndarray) -> np.ndarray:
@@ -662,12 +633,13 @@ class CorrectionSystem:
         self.pinv = np.linalg.pinv(self.images, rcond=1e-12)
 
 
-def beta_from_phi(phi: FourierField, system: CorrectionSystem, *, tol: float = 1e-8) -> FourierOperatorField:
+def beta_from_phi(phi: FourierField, system: CorrectionSystem) -> FourierOperatorField:
     """so-valued field ``beta`` with ``beta . psi = phi`` in the sector of the system.
 
     All frequencies of ``phi`` are solved by one product with the
     pseudo-inverse; a frequency whose potential lies outside the range of
-    the system raises, naming the first such frequency.
+    the system (beyond 1e-8 of its norm) raises, naming the first such
+    frequency.
     """
     out = FourierOperatorField(phi.torus_dim, system.basis.shape[-1])
     if not phi.coeffs:
@@ -675,7 +647,7 @@ def beta_from_phi(phi: FourierField, system: CorrectionSystem, *, tol: float = 1
     keys, V = phi.stacked()
     C = V @ system.pinv.T
     resid = np.linalg.norm(C @ system.images.T - V, axis=1)
-    bad = np.flatnonzero(~(resid <= tol * np.maximum(np.linalg.norm(V, axis=1), 1e-300)))
+    bad = np.flatnonzero(~(resid <= 1e-8 * np.maximum(np.linalg.norm(V, axis=1), 1e-300)))
     if bad.size:
         k = bad[0]
         raise ValueError(f"potential at frequency {keys[k]} is not in the correction range ({resid[k]:.3e})")
@@ -900,15 +872,8 @@ def _stacked_norm(X: np.ndarray) -> float:
     return float(np.linalg.norm(X, axis=(-2, -1)).max())
 
 
-def verify_gk_at_t(
-    report: SolutionReport,
-    t: float,
-    *,
-    count: int = 16,
-    seed: int = 0,
-    points: np.ndarray | None = None,
-) -> dict[str, float]:
-    """Check the deformed pair at a finite parameter on a sample grid.
+def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: int = 0) -> dict[str, float]:
+    """Check the deformed pair at ``count`` uniform points drawn from ``seed``.
 
     Conjugates both structures by the pointwise exponentials (compensating
     family included), verifies the structure axioms, their commutation, the
@@ -932,15 +897,9 @@ def verify_gk_at_t(
     """
     pair = report.pair
     m = pair.m
-    if points is None:
-        if count < 1:
-            raise ValueError("verification needs at least one sample point")
-        points = uniform_points(np.random.default_rng(seed), count, m)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] == 0:
+    if count < 1:
         raise ValueError("verification needs at least one sample point")
-    if points.ndim != 2 or points.shape[1] != m:
-        raise ValueError(f"sample points must have {m} coordinates, got shape {points.shape}")
+    points = uniform_points(np.random.default_rng(seed), count, m)
     families = list(report.factors) + [report.b]
     vals = [f.evaluate(t, points) for f in families]
     grads = [f.evaluate_gradient(t, points) for f in families]
@@ -985,7 +944,7 @@ def verify_gk_at_t(
     derivative_sup = 0.0
     psi_sup = 0.0
     G = np.empty((m, psi0.size, psi0.size), dtype=complex)  # one buffer for every point and factor
-    for p in range(points.shape[0]):
+    for p in range(count):
         v, D = psi0, np.zeros((m, psi0.size), dtype=complex)
         for f in reversed(range(len(families))):
             S = spin_lie_action(vals[f][p])
@@ -998,7 +957,7 @@ def verify_gk_at_t(
 
     return {
         "t": float(t),
-        "points": int(points.shape[0]),
+        "points": int(count),
         "structure_residual": structure_residual,
         "commutation": commutation,
         "involution": involution,
@@ -1049,7 +1008,7 @@ def structure_series_of_family(a, J: np.ndarray, order_cap: int) -> list[Fourier
     if not factors:
         raise ValueError("need at least one series family")
     torus_dim = factors[0].torus_dim
-    support = Support(support_closure(factors, order_cap, torus_dim))
+    support = Support(support_closure([p for f in factors for p in f.weighted_support()], order_cap, torus_dim))
     source = support.pack(FourierOperatorField.constant(torus_dim, J))
     columns = _SeriesExp(support, [f.stacks for f in factors], [source], order_cap, bracket=True).fill_all()
     return [support.unpack(c, FourierOperatorField, torus_dim, source.shape[-1]) for c in columns]
@@ -1060,20 +1019,15 @@ def commutant_part(J: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return 0.5 * (alpha - J @ alpha @ J)
 
 
-def extract_transverse_family(
-    J: np.ndarray,
-    target: list[FourierOperatorField],
-    order_cap: int,
-    *,
-    tol: float = 1e-8,
-) -> SeriesSoField:
+def extract_transverse_family(J: np.ndarray, target: list[FourierOperatorField], order_cap: int) -> SeriesSoField:
     """Exponents anticommuting with ``J`` that reproduce a structure series.
 
     ``target[j]`` are the coefficients of a conjugated-structure family with
     ``target[0] = J``.  Solving order by order, the order-j update is fixed
     by ``[a_j, J] = D_j`` with ``D_j`` the yet-unmatched coefficient, which
     requires ``D_j`` to anticommute with ``J``; a commutant component above
-    tolerance means the input series is not such a family and raises.
+    1e-8 of ``max(1, ||D_j||)`` means the input series is not such a family
+    and raises, and so does an exponent outside so(m,m) at that tolerance.
     """
     J = np.asarray(J, dtype=float)
     torus_dim = target[0].torus_dim
@@ -1093,12 +1047,12 @@ def extract_transverse_family(
         if not np.isfinite(D).all():
             raise ValueError(f"order-{j} structure coefficient is not finite")
         obstruction = float(np.linalg.norm(commutant_part(J, D)))
-        if _exceeds(obstruction, tol * max(1.0, float(np.linalg.norm(D)))):
+        if _exceeds(obstruction, 1e-8 * max(1.0, float(np.linalg.norm(D)))):
             raise ValueError(
                 f"order-{j} structure coefficient has a commutant component ({obstruction:.3e})"
             )
         a_j = -0.5 * (D @ J)
-        k = _first_outside_so((support, a_j), tol)
+        k = _first_outside_so((support, a_j), 1e-8)
         if k is not None:
             raise ValueError(f"extracted order-{j} exponent at {k} leaves so(m,m)")
         rows = np.flatnonzero(a_j.reshape(len(a_j), -1).any(axis=1))

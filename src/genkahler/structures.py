@@ -53,12 +53,16 @@ def gcs_residual(J: np.ndarray) -> float:
     return float(np.linalg.norm(J @ J + eye) + np.linalg.norm(J.T @ P @ J - P))
 
 
-def require_gcs(J: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+#: Absolute tolerance of the structure and pair identities.
+_TOL = 1e-9
+
+
+def require_gcs(J: np.ndarray) -> np.ndarray:
     J = np.asarray(J, dtype=complex)
     if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2:
         raise ValueError(f"expected a 2m x 2m matrix, got {J.shape}")
     res = gcs_residual(J)
-    if res > tol:
+    if res > _TOL:
         raise ValueError(f"not a generalized complex structure (residual {res:.3e})")
     return J
 
@@ -151,7 +155,7 @@ def _label_projectors(V: np.ndarray, V_inv: np.ndarray, labels: np.ndarray) -> d
     return out
 
 
-def iso_projectors(J: np.ndarray, tol: float = 1e-9) -> dict[int, np.ndarray]:
+def iso_projectors(J: np.ndarray) -> dict[int, np.ndarray]:
     """Projectors onto the eigenlevels of the spin action of ``J``.
 
     The spin action has spectrum ``i*k`` for ``k = -m/2 .. m/2``.  The pure
@@ -159,7 +163,7 @@ def iso_projectors(J: np.ndarray, tol: float = 1e-9) -> dict[int, np.ndarray]:
     vector of ``conj(L)`` lowers the level by one, so the words with ``|I|``
     letters span level ``n - |I|`` (Gualtieri, Ann. of Math. 174 (2011)).
     """
-    J = require_gcs(J, tol=tol)
+    J = require_gcs(J)
     m = J.shape[0] // 2
     if m % 2:
         raise ValueError("the eigenlevel grading needs an even dimension")
@@ -312,21 +316,22 @@ class HermitianPair:
     ``ValueError`` when any of them fails.
     The bigrading is kept as one word basis (``_word_basis``): the words
     ``V``, their inverse and one ``(p, q)`` label per word.  ``project``
-    applies a label's or a level's projector to rows through the basis; the
-    dense projectors (``bigrading``, ``proj1``, ``proj2``, ``projector``)
-    are formed only when asked for.
+    applies a label's or a level's projector to rows and ``shift_part``
+    takes the part of an operator that shifts every label by one amount,
+    both through the basis; the dense projectors (``bigrading``, ``proj1``,
+    ``proj2``) are formed only when asked for.
     """
 
-    def __init__(self, J1: np.ndarray, J2: np.ndarray, tol: float = 1e-9):
-        J1 = require_gcs(J1, tol=tol)
-        J2 = require_gcs(J2, tol=tol)
+    def __init__(self, J1: np.ndarray, J2: np.ndarray):
+        J1 = require_gcs(J1)
+        J2 = require_gcs(J2)
         m = J1.shape[0] // 2
         if m % 2:
             raise ValueError("Hermitian pairs need an even dimension")
-        if np.linalg.norm(J1 @ J2 - J2 @ J1) > tol:
+        if np.linalg.norm(J1 @ J2 - J2 @ J1) > _TOL:
             raise ValueError("structures do not commute")
         G = -J1 @ J2
-        if np.linalg.norm(G @ G - np.eye(2 * m)) > tol:
+        if np.linalg.norm(G @ G - np.eye(2 * m)) > _TOL:
             raise ValueError("product of the pair is not an involution")
         M = pairing_matrix(m) @ G
         M = 0.5 * (M + M.T)
@@ -337,28 +342,25 @@ class HermitianPair:
         self.G = G.real
         self.m = m
         self.n = m // 2
-        self.tol = tol
         self.metric, self.b_field = metric_from_generalized(G)
         self._check_star()
 
     # -- construction helpers
 
     @classmethod
-    def from_metric(
-        cls, J1: np.ndarray, metric: np.ndarray, b_field: np.ndarray | None = None, tol: float = 1e-9
-    ) -> "HermitianPair":
+    def from_metric(cls, J1: np.ndarray, metric: np.ndarray, b_field: np.ndarray | None = None) -> "HermitianPair":
         G = generalized_metric(metric, b_field)
         J1 = np.asarray(J1, dtype=float)
-        if np.linalg.norm(G @ J1 - J1 @ G) > tol:
+        if np.linalg.norm(G @ J1 - J1 @ G) > _TOL:
             raise ValueError("structure does not commute with the metric")
-        return cls(J1, G @ J1, tol=tol)
+        return cls(J1, G @ J1)
 
     @classmethod
-    def from_kahler(cls, J_base: np.ndarray, metric: np.ndarray | None = None, tol: float = 1e-9) -> "HermitianPair":
+    def from_kahler(cls, J_base: np.ndarray, metric: np.ndarray | None = None) -> "HermitianPair":
         """Pair of a base complex structure and a compatible metric (no b-field)."""
         J_base = np.asarray(J_base, dtype=float)
         g = np.eye(J_base.shape[0]) if metric is None else np.asarray(metric, dtype=float)
-        return cls.from_metric(complex_structure_gcs(J_base), g, tol=tol)
+        return cls.from_metric(complex_structure_gcs(J_base), g)
 
     # -- derived data
 
@@ -383,7 +385,7 @@ class HermitianPair:
         )
         vol = (self._V * _QUARTER_TURNS[self._labels.sum(axis=1) % 4]) @ self._V_inv
         res = np.linalg.norm(self.star + vol)
-        if res > max(self.tol, 1e-8) * np.linalg.norm(self.star):
+        if res > 1e-8 * np.linalg.norm(self.star):
             raise ValueError(f"star does not match the spin volume elements (residual {res:.3e})")
 
     def _words(self, p: int | None, q: int | None) -> np.ndarray:
@@ -400,6 +402,14 @@ class HermitianPair:
         the second) structure, as two thin products through the word basis."""
         s = self._words(p, q)
         return (rows @ self._V_inv[s].T) @ self._V[:, s].T
+
+    def shift_part(self, op: np.ndarray, shift: tuple[int, int]) -> np.ndarray:
+        """``sum_{(p,q)} P_{p+dp,q+dq} op P_{pq}``, the part of ``op`` that moves
+        each ``U^{p,q}`` by ``shift = (dp, dq)``, as ``V (moves * (V^-1 op V))
+        V^-1`` with ``moves[s, t]`` true when word s is labelled word t's
+        label plus the shift."""
+        moves = (self._labels[:, None] == self._labels[None] + np.asarray(shift)).all(axis=-1)
+        return self._V @ (moves * (self._V_inv @ op @ self._V)) @ self._V_inv
 
     @cached_property
     def bigrading(self) -> dict[tuple[int, int], np.ndarray]:

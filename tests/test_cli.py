@@ -5,6 +5,7 @@ import itertools
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,32 @@ def test_deform_rejects_hostile_values(tmp_path, capsys, doc):
     code = cli.main(["deform", "--config", write_config(tmp_path, doc)])
     assert code == 64
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-hodge", "deform"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("symplectic_form", np.zeros((4, 4)).tolist()),
+        ("symplectic_form", np.kron(np.eye(2), [[0, 1], [1, 0]]).tolist()),
+        ("base_complex", np.eye(4).tolist()),
+    ],
+    ids=["zero-symplectic", "symmetric-symplectic", "identity-complex"],
+)
+def test_explicit_background_that_is_not_a_structure_exits_64(tmp_path, capsys, command, key, value):
+    base = bfield_doc() if command == "deform" else {"schema": 1, "dimension": 4}
+    doc = {**base, "background": {"kind": "explicit", "metric": np.eye(4).tolist(), key: value}}
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 64
+    captured = capsys.readouterr()
+    assert "config error: background is not a valid pair" in captured.err and captured.out == ""
+
+
+def test_verify_hodge_rejects_twist_rows_that_overflow(tmp_path, capsys):
+    doc = {"schema": 1, "dimension": 4, "twist": [[0, 1, 2, 1e308], [0, 1, 2, 1e308]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify-hodge", "--config", write_config(tmp_path, doc)]) == 64
+    assert "twist rows add up to a three-form that is not finite" in capsys.readouterr().err
 
 
 def test_deform_rejects_a_one_form_whose_norm_overflows(tmp_path, capsys):

@@ -219,6 +219,15 @@ def test_so_block_roundtrip_and_validation():
         cl.so_from_blocks(m, two_form=np.eye(m))
 
 
+def test_nan_matrix_is_not_in_so():
+    """A NaN residual fails the so(m,m) check rather than passing it."""
+    nan = np.full((4, 4), np.nan)
+    with pytest.raises(ValueError, match="not skew"):
+        cl.require_so(nan)
+    with pytest.raises(ValueError, match="not skew"):
+        cl.spin_lie_action(nan)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_spin_action_equivariance(seed):
