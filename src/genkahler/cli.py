@@ -210,6 +210,12 @@ def build_twist(doc: dict, m: int) -> np.ndarray | None:
                 h[perm] += sign * value
     if not np.isfinite(h).all():
         raise ConfigError("twist rows add up to a three-form that is not finite")
+    # the operator norms square the entries: a three-form whose norm
+    # overflows is rejected here, before any operator is built from it
+    with np.errstate(over="ignore"):
+        size = np.linalg.norm(h)
+    if not np.isfinite(size):
+        raise ConfigError("twist is too large: the norm of its three-form is not finite")
     # rows that cancel leave no twist
     return h if np.any(h) else None
 
@@ -526,6 +532,8 @@ def cmd_verify_hodge(args) -> int:
 
     D = bg.derivative
     scale = D.coeff_norm()
+    if not np.isfinite(scale):
+        raise ConfigError("twist is too large: the norm of the twisted derivative is not finite")
     checks: list[dict] = []
     info: dict[str, object] = {}
 
@@ -549,6 +557,9 @@ def cmd_verify_hodge(args) -> int:
             level_one = comp if level_one is None else level_one + comp
         else:
             norm = comp.coeff_norm()
+            # max(0.0, nan) is 0.0: a NaN level would read as integrable
+            if not np.isfinite(norm):
+                raise ConfigError("twist is too large: a torsion level of the background is not finite")
             if abs(shift[0]) == 3:
                 torsion_first = max(torsion_first, norm)
             if abs(shift[1]) == 3:

@@ -30,11 +30,14 @@ import numpy as np
 
 from .clifford import (
     _expm,
+    _flip_column_sums,
     _in_so,
     clifford_act,
     pairing_matrix,
     so_from_pair,
-    spin_lie_action,
+    spin_flip_apply,
+    spin_flip_dense,
+    spin_flip_weights,
     spinor_dim,
 )
 from .fields import (
@@ -207,12 +210,10 @@ class SeriesSoField:
 
 
 def _spin_stack(stack: _Stack) -> _Stack:
-    """Frequencies and read-only stacked spin images of an so-valued stack."""
+    """Frequencies and read-only stacked spin images of an so-valued stack,
+    densified from one batched ``spin_flip_weights`` call."""
     freqs, coeffs = stack
-    n = spinor_dim(coeffs.shape[-1] // 2)
-    mats = np.empty((len(freqs), n, n), dtype=complex)
-    for a, c in enumerate(coeffs):
-        mats[a] = spin_lie_action(c)
+    mats = spin_flip_dense(spin_flip_weights(coeffs))
     mats.setflags(write=False)
     return freqs, mats
 
@@ -614,9 +615,10 @@ class CorrectionSystem:
 
     The ``alpha_i`` (``basis``) span ``V_-^{1,0} (x) V_+^{0,1}``, the unique
     sector that maps the top antiholomorphic line onto ``U^{0,n-2}``.
-    ``images`` holds the columns ``spin(alpha_i) psi`` and ``pinv`` its
-    pseudo-inverse.  Built once per seed; a seed that is not a single
-    constant spinor, or a rank-deficient system, raises.
+    ``images`` holds the columns ``spin(alpha_i) psi``, gathered from one
+    ``spin_flip_weights`` call, and ``pinv`` its pseudo-inverse.  Built once
+    per seed; a seed that is not a single constant spinor, or a
+    rank-deficient system, raises.
     """
 
     def __init__(self, psi, pair: HermitianPair):
@@ -626,7 +628,7 @@ class CorrectionSystem:
             psi = psi[(0,) * psi.torus_dim]
         self.seed = np.asarray(psi, dtype=complex)
         self.basis = _beta_basis(pair)
-        self.images = np.column_stack([spin_lie_action(alpha) @ self.seed for alpha in self.basis])
+        self.images = spin_flip_apply(spin_flip_weights(self.basis), self.seed).T
         sv = np.linalg.svd(self.images, compute_uv=False)
         if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
             raise ValueError("seed spinor gives a singular correction system")
@@ -829,26 +831,32 @@ def run_deformation(
 _JET_TERM_CAP = 40
 
 
-def _exp_jet(S: np.ndarray, G: np.ndarray, v: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One factor applied to a first-order jet: ``(exp(S) v, exp(S) D_d + L(S, G_d) v)``.
 
-    ``G`` stacks the directional derivatives ``G_d`` of the exponent and
-    ``D`` the matching jet components.  This is ``exp([[S, G_d], [0, S]])``
-    acting on ``[D_d; v]``, summed as a Taylor series on vectors after
-    splitting into equal steps of 1-norm at most one.
+    ``W`` stacks the flip-mask weights (``clifford.spin_flip_weights``) of
+    the exponent ``S`` and then of its m directional derivatives ``G_d``;
+    ``D`` holds the matching jet components.  This is ``exp([[S, G_d], [0,
+    S]])`` acting on ``[D_d; v]``, summed as a Taylor series on vectors after
+    splitting into equal steps of 1-norm at most one; the 1-norms are the
+    largest column sums of the weights.  ``S`` is densified and applied to
+    the m + 1 rows by one product; the ``G_d`` act on ``v``'s row by one
+    gather, so no dense ``G_d`` is formed.
     """
-    norm = np.abs(S).sum(axis=0).max() + np.abs(G).sum(axis=1).max(axis=1).sum()
+    norms = _flip_column_sums(W).max(axis=-1)
+    norm = norms[0] + norms[1:].sum()
     if not np.isfinite(norm):
         raise ValueError("jet exponential needs a finite exponent")
     steps = max(1, int(np.ceil(norm)))
-    m = G.shape[0]
+    m = len(W) - 1
+    S, G = spin_flip_dense(W[0]), W[1:]
     x = np.vstack([D, v[None]])
     for _ in range(steps):
         acc, term = x, x
         for k in range(1, _JET_TERM_CAP + 1):
             # the step's 1/steps is applied to the vectors, so no scaled copy of S or G is made
             nxt = term @ S.T
-            nxt[:m] += G @ term[m]
+            nxt[:m] += spin_flip_apply(G, term[m])
             term = nxt / (k * steps)
             acc = acc + term
             if np.abs(term).sum() <= np.finfo(float).eps * np.abs(acc).sum():
@@ -891,9 +899,12 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
     Factors are applied right to left from ``(psi0, 0)``.  The action is a
     Taylor series on vectors after splitting into ``ceil(|S|_1 + sum_d
     |G_d|_1)`` steps of 1-norm at most one (Al-Mohy & Higham, SISC 2011).
-    Points are processed one at a time, so memory holds one point's m + 1
-    spin matrices per family whatever the sample size.  Then
-    ``psi_t = v`` and ``d psi_t = sum_d dx_d ^ D_d``.
+    Per point and family, one ``spin_flip_weights`` call gives ``S`` and
+    the ``G_d`` as flip-mask weights (``_exp_jet``): only ``S`` is made
+    dense, and the ``G_d`` act by one gather.  Points are processed one at a
+    time, so memory holds one point's m + 1 weight stacks and one dense
+    ``S`` (about 2 MB at m = 8) whatever the sample size.  Then ``psi_t =
+    v`` and ``d psi_t = sum_d dx_d ^ D_d``.
     """
     pair = report.pair
     m = pair.m
@@ -943,14 +954,11 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
     psi0 = report.psi0[(0,) * m]
     derivative_sup = 0.0
     psi_sup = 0.0
-    G = np.empty((m, psi0.size, psi0.size), dtype=complex)  # one buffer for every point and factor
     for p in range(count):
         v, D = psi0, np.zeros((m, psi0.size), dtype=complex)
         for f in reversed(range(len(families))):
-            S = spin_lie_action(vals[f][p])
-            for d in range(m):
-                G[d] = spin_lie_action(grads[f][d][p])
-            v, D = _exp_jet(S, G, v, D)
+            W = spin_flip_weights(np.concatenate([vals[f][p][None], grads[f][:, p]]))
+            v, D = _exp_jet(W, v, D)
         psi_sup = max(psi_sup, float(np.linalg.norm(v)))
         dpsi = clifford_act(wedges, D).sum(axis=0)
         derivative_sup = max(derivative_sup, float(np.linalg.norm(dpsi)))

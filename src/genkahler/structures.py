@@ -9,15 +9,17 @@ form space by joint eigenvalues and a distinguished star operator.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
 from genkahler.clifford import (
     _check_m,
+    _ladder_tables,
+    _ladder_weights,
     chevalley_gram,
-    clifford_matrices,
     pairing_matrix,
+    spinor_dim,
 )
 
 __all__ = [
@@ -108,9 +110,32 @@ def symplectic_gcs(omega: np.ndarray) -> np.ndarray:
     return out
 
 
+def _act_on_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The Clifford action whose ``_ladder_weights`` ``(m, 2**m)`` are given
+    on each row of ``rows``: a sum of one signed gather per ladder with a
+    nonzero weight (``clifford_act`` takes all m at once, an m-fold larger
+    temporary).  Some weight must be nonzero."""
+    source, _ = _ladder_tables(len(weights))
+    first, *rest = np.flatnonzero(weights.any(axis=1))
+    out = weights[first] * rows[..., source[first]]
+    for j in rest:
+        out += weights[j] * rows[..., source[j]]
+    return out
+
+
 def _clifford_product(frame: np.ndarray) -> np.ndarray:
-    """``cl(f_1) @ cl(f_2) @ ... @ cl(f_k)`` over the columns of ``frame``."""
-    return reduce(np.matmul, clifford_matrices(frame.T))
+    """``cl(f_1) @ cl(f_2) @ ... @ cl(f_k)`` over the columns of ``frame``.
+
+    The factors multiply the identity from the right, left one first.  The
+    contraction and the wedge by one coordinate are each other's transpose,
+    so the rows of ``X cl(v)`` are ``cl(v') X[r]`` with the halves of ``v``
+    swapped in ``v'``; a diagonal metric's frame uses one ladder per factor.
+    """
+    m = frame.shape[0] // 2
+    out = np.eye(spinor_dim(m), dtype=complex)
+    for weights in _ladder_weights(np.roll(frame, m, axis=0).T):
+        out = _act_on_rows(weights, out)
+    return out
 
 
 def _word_basis(
@@ -135,8 +160,8 @@ def _word_basis(
     M = _clifford_product(L)
     rho = M[:, np.argmax(np.linalg.norm(M, axis=0))]
     V, labels = rho[:, None], np.array([top])
-    for C, step in zip(clifford_matrices(Lbar.T), steps):
-        V, labels = np.hstack([V, C @ V]), np.concatenate([labels, labels + step])
+    for weights, step in zip(_ladder_weights(Lbar.T), steps):
+        V, labels = np.hstack([V, _act_on_rows(weights, V.T).T]), np.concatenate([labels, labels + step])
     V /= np.linalg.norm(V, axis=0)
     if gram is None:
         V_inv = np.linalg.inv(V)

@@ -211,6 +211,18 @@ def test_verify_hodge_rejects_twist_rows_that_overflow(tmp_path, capsys):
     assert "twist rows add up to a three-form that is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", [4, 8])
+def test_verify_hodge_rejects_a_twist_whose_norm_overflows(tmp_path, capsys, m):
+    """One finite row of 1e308: the three-form's norm overflows, which used
+    to give NaN torsion levels read as integrable and eleven NaN checks."""
+    doc = {"schema": 1, "dimension": m, "twist": [[0, 1, 2, 1e308]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify-hodge", "--config", write_config(tmp_path, doc)]) == 64
+    captured = capsys.readouterr()
+    assert "config error: twist is too large" in captured.err and captured.out == ""
+
+
 def test_deform_rejects_a_one_form_whose_norm_overflows(tmp_path, capsys):
     # dx1^dx2 is (1,1) for the standard complex structure, so this family is
     # the identity at any size; at 1e200 its norm is not representable

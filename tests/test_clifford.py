@@ -266,6 +266,69 @@ def test_spin_action_matches_commutator_sum(m):
         assert diff <= 1e-13 * max(1.0, np.linalg.norm(alpha))
 
 
+def scatter_spin_action(alpha):
+    """Reference spin image: one scatter-add over the sparse generator table."""
+    m = alpha.shape[-1] // 2
+    out_index, coef_index, value = cl._spin_action_table(m)
+    out = np.zeros(4**m, dtype=complex)
+    np.add.at(out, out_index, alpha.ravel()[coef_index] * value)
+    return out.reshape(1 << m, 1 << m)
+
+
+def random_so_stack(rng, m, shape):
+    count = int(np.prod(shape))
+    alphas = [cl.random_so_element(rng, m) + 1j * cl.random_so_element(rng, m) for _ in range(count)]
+    return np.reshape(alphas, shape + (2 * m, 2 * m))
+
+
+@pytest.mark.parametrize("m", range(1, cl.MAX_DIM + 1))
+def test_flip_weights_densify_to_the_spin_action(m):
+    """Batched weights, F = 1 + m(m-1)/2 per element, and
+    ``spin_lie_action`` of each element match the table scatter."""
+    rng = np.random.default_rng(200 + m)
+    alphas = random_so_stack(rng, m, (2, 3))
+    weights = cl.spin_flip_weights(alphas)
+    assert weights.shape == (2, 3, 1 + m * (m - 1) // 2, 1 << m)
+    dense = cl.spin_flip_dense(weights)
+    for idx in np.ndindex(2, 3):
+        want = scatter_spin_action(alphas[idx])
+        for got in (dense[idx], cl.spin_lie_action(alphas[idx])):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m", range(1, cl.MAX_DIM + 1))
+def test_flip_gather_matches_dense_product(m):
+    """The gather applies any weights (not only spin images) as the dense
+    product does, with weights and vectors broadcast against each other;
+    the column sums are those of the dense matrices."""
+    rng = np.random.default_rng(300 + m)
+    n, flips = 1 << m, 1 + m * (m - 1) // 2
+    weights = rng.normal(size=(3, 1, flips, n)) + 1j * rng.normal(size=(3, 1, flips, n))
+    x = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    dense = cl.spin_flip_dense(weights)
+    want = np.einsum("...ij,...j->...i", dense, x)
+    got = cl.spin_flip_apply(weights, x)
+    assert got.shape == (3, 4, n)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    np.testing.assert_allclose(cl._flip_column_sums(weights), np.abs(dense).sum(axis=-2), rtol=1e-14)
+
+
+def test_flip_weights_reject_nan_and_non_so():
+    """One bad element of a stack fails the whole call with the message of
+    ``spin_lie_action``; so do a NaN matrix and a shape that is not 2m x 2m."""
+    rng = np.random.default_rng(9)
+    alphas = random_so_stack(rng, 3, (4,))
+    for bad in (np.full((6, 6), np.nan), np.eye(6)):
+        stack = alphas.copy()
+        stack[2] = bad
+        with pytest.raises(ValueError, match="not skew for the split pairing"):
+            cl.spin_flip_weights(stack)
+        with pytest.raises(ValueError, match="not skew for the split pairing"):
+            cl.spin_lie_action(bad)
+    with pytest.raises(ValueError):
+        cl.spin_flip_weights(np.zeros((3, 5, 5)))
+
+
 def test_spin_action_equivariance_m8():
     rng = np.random.default_rng(8)
     m = 8

@@ -747,19 +747,22 @@ def test_verification_matches_dense_exponential_route(build, t, count):
 
 @pytest.mark.parametrize("size", [0.01, 1.0, 20.0])
 def test_exp_jet_matches_frechet_derivative(size):
-    """The vector jet reproduces expm and expm_frechet; size 20 takes 20 steps."""
+    """The vector jet reproduces expm and expm_frechet of the densified
+    weights; size 20 takes 20 steps."""
     rng = np.random.default_rng(int(100 * size))
-    n, m = 16, 3
+    m = 3
+    flips, n = 7, 16  # the flip masks of spinor dimension 16
 
     def cplx(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    S = cplx(n, n)
-    S *= size / np.abs(S).sum(axis=0).max()
-    G = cplx(m, n, n)
-    G *= 0.5 * size / np.abs(G).sum(axis=1).max()
+    W = cplx(1 + m, flips, n)
+    dense = cl.spin_flip_dense(W)
+    W[0] *= size / np.abs(dense[0]).sum(axis=0).max()
+    W[1:] *= 0.5 * size / np.abs(dense[1:]).sum(axis=1).max()
+    S, G = cl.spin_flip_dense(W[0]), cl.spin_flip_dense(W[1:])
     v, D = cplx(n), cplx(m, n)
-    got_v, got_D = sol._exp_jet(S, G, v, D)
+    got_v, got_D = sol._exp_jet(W, v, D)
     E = scipy.linalg.expm(S)
     want_v = E @ v
     want_D = np.stack([E @ D[d] + scipy.linalg.expm_frechet(S, G[d], compute_expm=False) @ v for d in range(m)])
@@ -776,9 +779,10 @@ def test_pairing_inverse_matches_linalg_inverse(m):
 
 
 def test_exp_jet_rejects_non_finite_exponent():
-    S = np.full((4, 4), np.nan)
+    W = np.zeros((2, 2, 4), dtype=complex)  # spinor dimension 4 has two flip masks
+    W[0] = np.nan
     with pytest.raises(ValueError, match="finite exponent"):
-        sol._exp_jet(S, np.zeros((1, 4, 4)), np.ones(4, dtype=complex), np.zeros((1, 4), dtype=complex))
+        sol._exp_jet(W, np.ones(4, dtype=complex), np.zeros((1, 4), dtype=complex))
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -829,6 +833,44 @@ def test_verification_at_t8(t8_report):
     v2 = sol.verify_gk_at_t(t8_report, 5e-3, count=2, seed=0)
     assert v1["metric_positive"] and v2["metric_positive"]
     assert 3.0 <= v1["derivative_sup"] / v2["derivative_sup"] <= 5.0
+
+
+def test_verification_at_t8_densifies_one_exponent_per_point_and_family(t8_report, monkeypatch):
+    """The verifier makes only the exponent ``S`` of each point and family
+    dense and applies the m gradients ``G_d`` as flip-mask gathers: its own
+    peak stays under 5 MB (about 2.7 MB; 13.9 MB with m dense gradient
+    images per point), and 16 points peak no higher than 2 plus twice the
+    values and gradients of both families at the 14 extra points, since
+    points are processed one at a time."""
+    m = 8
+    dense_shapes = []
+    densify = sol.spin_flip_dense
+
+    def record(weights):
+        dense_shapes.append(weights.shape)
+        return densify(weights)
+
+    def refuse(*args):
+        raise AssertionError("dense spin image built by the verifier")
+
+    monkeypatch.setattr(sol, "spin_flip_dense", record)
+    monkeypatch.setattr(cl, "spin_lie_action", refuse)
+    sol.verify_gk_at_t(t8_report, 1e-2, count=2, seed=0)  # builds the cached tables
+    peaks = {}
+    for count in (2, 16):
+        dense_shapes.clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sol.verify_gk_at_t(t8_report, 1e-2, count=count, seed=0)
+            peaks[count] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # one S per point and family, each one flip-mask stack (F, 2**m)
+        assert dense_shapes == [(29, 256)] * (2 * count)
+    assert peaks[2] < 5e6, f"verification peaked {peaks[2] / 1e6:.1f} MB above its start"
+    samples = 2 * 14 * 2 * (m + 1) * (2 * m) ** 2 * 16
+    assert peaks[16] <= peaks[2] + samples, f"{peaks[16] / 1e6:.2f} MB at 16 points, {peaks[2] / 1e6:.2f} MB at 2"
 
 
 def test_run_deformation_t8_order4():

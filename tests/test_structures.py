@@ -1,3 +1,6 @@
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -192,6 +195,54 @@ def test_hodge_star_squares_to_sign():
         # involution up to sign because the frame product squares to a scalar
         np.testing.assert_allclose(np.abs(np.linalg.det(sq)), 1.0, rtol=1e-8)
         np.testing.assert_allclose(sq @ sq, np.eye(1 << m), atol=1e-8)
+
+
+def dense_clifford_product(frame):
+    """Reference route: the product of the dense Clifford matrices of the
+    frame's columns, left to right."""
+    return reduce(np.matmul, cl.clifford_matrices(frame.T))
+
+
+@pytest.mark.parametrize("m", range(2, cl.MAX_DIM + 1))
+def test_clifford_product_matches_dense_matrices(m):
+    rng = np.random.default_rng(50 + m)
+    frame = rng.normal(size=(2 * m, m)) + 1j * rng.normal(size=(2 * m, m))
+    want = dense_clifford_product(frame)
+    assert np.linalg.norm(gs._clifford_product(frame) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_hodge_star_of_a_diagonal_metric_is_the_dense_product_bitwise(m):
+    """One ladder per factor: every entry is the same product of the same
+    coordinates as in the dense route, in the same order."""
+    rng = np.random.default_rng(60 + m)
+    g = np.diag(rng.uniform(0.3, 3.0, size=m))
+    for orientation in (1, -1):
+        frame = gs._metric_frame(g, None, orientation)
+        assert np.array_equal(gs.hodge_star(g, orientation=orientation), -dense_clifford_product(frame[:, ::-1]))
+
+
+def test_pairs_build_without_clifford_matrices(monkeypatch):
+    """The pair forms no dense Clifford matrix or stack of them: with the
+    dense route made to raise, the flat T^8 pair and a random b-field pair
+    on T^6 build, and the T^8 pair peaks under 10 MB above its start (about
+    7.4 MB; 15.8 MB with the dense products)."""
+
+    def refuse(*args):
+        raise AssertionError("dense Clifford matrices built for a pair")
+
+    monkeypatch.setattr(cl, "clifford_matrices", refuse)
+    monkeypatch.setattr(gs, "clifford_matrices", refuse, raising=False)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pair = gs.standard_kahler_pair(8)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, f"the T^8 pair peaked {peak / 1e6:.1f} MB above its start"
+    assert pair.orientation == 1
+    gs.random_hermitian_pair(np.random.default_rng(6), 6)
 
 
 def test_star_positivity_random_metrics():
