@@ -51,15 +51,15 @@ def _format_float(x: float) -> str:
 
 
 def _complex_array(arr: np.ndarray) -> str:
-    """Nested lists of a nonempty complex array, each entry an [re, im] pair."""
+    """Nested lists of a nonempty complex array, each entry an [re, im] pair:
+    one ``%`` format pass over a template nested by the array's shape."""
     parts = np.ascontiguousarray(arr).view(float).ravel()
     if not np.isfinite(parts).all():
         raise ValueError("reports must contain finite numbers")
-    text = [format(x, ".17g") for x in parts.tolist()]
-    items = [f"[{re}, {im}]" for re, im in zip(text[0::2], text[1::2])]
-    for size in reversed(arr.shape[1:]):
-        items = ["[" + ", ".join(items[i : i + size]) + "]" for i in range(0, len(items), size)]
-    return "[" + ", ".join(items) + "]"
+    template = "[%.17g, %.17g]"
+    for size in reversed(arr.shape):
+        template = "[" + ", ".join([template] * size) + "]"
+    return template % tuple(parts.tolist())
 
 
 def canonical_json(obj) -> str:
@@ -274,12 +274,21 @@ def build_seed(doc: dict, pair: gs.HermitianPair) -> tuple[np.ndarray, complex]:
     return seed, scale
 
 
+#: Largest |k_i| of a config mode.  Each order multiplies the obstruction by
+#: about |k|**2 times the mode's size, and its roundoff then exceeds the
+#: solver's checks, which are relative to the seed norm: one exact-b-field
+#: mode k e_0 with coefficients (0, 0.3, -0.2, 0.1) on T^4 solves to order 2
+#: up to |k| = 114 and fails above.  Below the bound a large or high-order
+#: family can still fail those checks (exit 1).
+MAX_FREQUENCY = 64
+
+
 def _mode_frequency(mode: dict, m: int) -> tuple[int, ...]:
-    """The frequency of a config mode.  The solver computes with frequencies
-    as floats, which hold every integer up to 2**53 exactly."""
+    """The frequency of a config mode, integers of at most ``MAX_FREQUENCY``
+    in absolute value."""
     k = mode["frequency"]
-    if not (isinstance(k, list) and len(k) == m and all(_is_int(v) and abs(v) <= 2**53 for v in k)):
-        raise ConfigError(f"mode frequency must be {m} integers of at most 2**53 in absolute value")
+    if not (isinstance(k, list) and len(k) == m and all(_is_int(v) and abs(v) <= MAX_FREQUENCY for v in k)):
+        raise ConfigError(f"mode frequency must be {m} integers of at most {MAX_FREQUENCY} in absolute value")
     return tuple(k)
 
 
@@ -768,6 +777,17 @@ def cmd_deform(args) -> int:
 # entry point
 
 
+def _seed_arg(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as ``numpy.random.default_rng`` takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit with 64, not argparse's 2
         self.print_usage(sys.stderr)
@@ -779,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     va = sub.add_parser("verify-algebra", help="seeded random checks of the Clifford/spin layer")
-    va.add_argument("--seed", type=int, default=0)
+    va.add_argument("--seed", type=_seed_arg, default=0)
     va.add_argument("--n-max", type=int, default=3, help="largest torus dimension to draw")
     va.add_argument("--trials", type=int, default=200)
     va.add_argument("--tol", type=float, default=1e-9)
@@ -803,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     df.add_argument("--config", type=str, required=True)
     df.add_argument("--order", type=int, default=None, help="override the config order cap")
     df.add_argument("--tol", type=float, default=None, help="override the config tolerances")
-    df.add_argument("--seed", type=int, default=0, help="sample-point seed for verification")
+    df.add_argument("--seed", type=_seed_arg, default=0, help="sample-point seed for verification (non-negative)")
     df.add_argument("--out", type=str, default=None)
     df.add_argument("--json", action="store_true")
     df.set_defaults(func=cmd_deform)

@@ -554,6 +554,21 @@ def spin_flip_apply(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...fi,...fi->...i", weights, np.take(x, source, axis=-1))
 
 
+def _spin_flip_outer(entry_weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``out[a, s] = sum_f W[a, f] * x[s, . ^ f]``, ``(P, r, 2**m)``: every
+    operator of the flip-mask weights ``W`` ``(P, F, 2**m)`` on every row of
+    ``x`` ``(r, 2**m)``, as ``spin_flip_apply(W[:, None], x[None])`` gives it.
+
+    The weights come per entry, ``entry_weights[i] = W[:, :, i]``
+    ``(2**m, P, F)``.  Entry i of every image is then one ``(P, F) @ (F, r)``
+    product with the gathered ``x[s, i ^ f]``, so the whole action is one
+    batched matrix product; the result is a transposed view of it.
+    """
+    source = _spin_flip_table(_infer_m_from_spinor(x))[0]
+    gathered = np.ascontiguousarray(x.T)[source.T]  # (2**m, F, r)
+    return (entry_weights @ gathered).transpose(1, 2, 0)
+
+
 def _flip_column_sums(weights: np.ndarray) -> np.ndarray:
     """Absolute column sums ``(..., 2**m)`` of the operators of flip-mask
     weights ``(..., F, 2**m)``: column j holds ``W[..., f, j ^ f]``."""

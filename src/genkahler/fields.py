@@ -15,6 +15,7 @@ a constant closed three-form.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Mapping
 
 import numpy as np
@@ -213,8 +214,72 @@ def frequencies_box(torus_dim: int, max_norm: int) -> list[Frequency]:
     return sorted(itertools.product(rng, repeat=torus_dim))
 
 
-def uniform_points(rng: np.random.Generator, count: int, torus_dim: int) -> np.ndarray:
-    return rng.uniform(0.0, 2.0 * np.pi, size=(count, torus_dim))
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_words(seed: int) -> list[int]:
+    """``numpy.random.SeedSequence(seed).generate_state(4, np.uint64)`` on
+    Python ints: the seed's 32-bit words hashed into a pool of four, mixed,
+    and hashed out as eight 32-bit words paired little-endian."""
+    words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931E8875) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const, state = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> 16))
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def uniform_points(seed: int, count: int, torus_dim: int) -> np.ndarray:
+    """``count`` points of ``[0, 2pi)^torus_dim``, bit for bit those of
+    ``numpy.random.default_rng(seed).uniform(0, 2pi, (count, torus_dim))``.
+
+    The generator is reproduced on Python ints (SeedSequence, then PCG64
+    with its XSL-RR output), so drawing points does not import
+    ``numpy.random`` and the hashing modules it loads.  The seed must be a
+    non-negative integer, as for numpy.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    s0, s1, i0, i1 = _seed_sequence_words(seed)
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    # seeding: one step from state 0 gives inc; add the initial state, step again
+    state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+    two_pi = 2.0 * np.pi
+    out = []
+    for _ in range(count * torus_dim):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        word, rot = ((state >> 64) ^ state) & _MASK64, state >> 122
+        word = (word >> rot | word << (-rot & 63)) & _MASK64
+        out.append(0.0 + two_pi * ((word >> 11) * 2.0**-53))
+    return np.array(out, dtype=float).reshape(count, torus_dim)
 
 
 def random_field(

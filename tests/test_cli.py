@@ -45,6 +45,29 @@ def test_canonical_json_complex_arrays_match_nested_lists(shape):
                 cli.canonical_json(broken)
 
 
+def _per_float_complex_array(arr):
+    """The per-float writer ``canonical_json`` used before its one-pass
+    template: every float formatted alone, then joined level by level."""
+    text = [format(x, ".17g") for x in np.ascontiguousarray(arr).view(float).ravel().tolist()]
+    items = [f"[{re}, {im}]" for re, im in zip(text[0::2], text[1::2])]
+    for size in reversed(arr.shape[1:]):
+        items = ["[" + ", ".join(items[i : i + size]) + "]" for i in range(0, len(items), size)]
+    return "[" + ", ".join(items) + "]"
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 4), (2, 3, 4)])
+def test_canonical_json_complex_arrays_match_per_float_writer(shape):
+    """Byte for byte the old per-float output, on random entries mixed with
+    -0.0, subnormals and +-1e308."""
+    rng = np.random.default_rng(len(shape))
+    parts = rng.normal(size=2 * int(np.prod(shape))) * 10.0 ** rng.integers(-20, 20, size=2 * int(np.prod(shape)))
+    specials = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1]
+    parts[: len(specials)] = specials[: len(parts)]
+    rng.shuffle(parts)
+    arr = parts.view(complex).reshape(shape)
+    assert cli.canonical_json(arr) == _per_float_complex_array(arr) + "\n"
+
+
 def bfield_doc(order=2):
     return {
         "schema": 1,
@@ -253,13 +276,50 @@ def test_deform_rejects_a_frequency_that_is_not_exact_as_a_float(tmp_path, capsy
     config error, not an OverflowError traceback or a rounded frequency."""
     assert cli.main(["deform", "--config", write_config(tmp_path, frequency_doc(kind, k))]) == 64
     captured = capsys.readouterr()
-    assert "config error" in captured.err and "2**53" in captured.err
+    assert "config error" in captured.err and f"at most {cli.MAX_FREQUENCY}" in captured.err
     assert "result: ok" not in captured.out
 
 
-def test_deform_accepts_a_frequency_of_2_to_the_53(tmp_path, capsys):
-    assert cli.main(["deform", "--config", write_config(tmp_path, frequency_doc("explicit-series", 2**53))]) == 0
+def test_deform_accepts_a_frequency_at_the_bound(tmp_path, capsys):
+    assert cli.main(["deform", "--config", write_config(tmp_path, frequency_doc("explicit-series", cli.MAX_FREQUENCY))]) == 0
     assert "result: ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["exact-b-field", "explicit-series"])
+def test_deform_frequency_bound_has_two_sides(tmp_path, capsys, monkeypatch, kind):
+    """At the bound an exact-b-field mode still solves (this shape solves up
+    to |k| = 114 at order 2); one above it, and at 2**40, where the solver
+    would fail late with an order-1 identity failure, both kinds are config
+    errors raised before the solver runs."""
+    assert cli.main(["deform", "--config", write_config(tmp_path, frequency_doc(kind, cli.MAX_FREQUENCY))]) == 0
+    assert "result: ok" in capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solver ran on a config with an unresolvable frequency")
+
+    monkeypatch.setattr(sol, "run_deformation", refuse)
+    for k in (cli.MAX_FREQUENCY + 1, -cli.MAX_FREQUENCY - 1, 2**40):
+        assert cli.main(["deform", "--config", write_config(tmp_path, frequency_doc(kind, k))]) == 64
+        assert f"at most {cli.MAX_FREQUENCY} in absolute value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["deform", "verify-algebra"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    """numpy's generator and ``uniform_points`` take only non-negative
+    seeds: a negative ``--seed`` exits 64 with a message before any work."""
+
+    def refuse(args):
+        raise AssertionError("a command ran with a negative seed")
+
+    monkeypatch.setattr(cli, "cmd_deform", refuse)
+    monkeypatch.setattr(cli, "cmd_verify_algebra", refuse)
+    argv = [command, "--seed", "-1"]
+    if command == "deform":
+        argv += ["--config", write_config(tmp_path, bfield_doc())]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 64
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_deform_on_a_symplectic_type_first_structure(tmp_path, capsys):
@@ -534,6 +594,20 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, genkahler.cli; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "genkahler.cli imported scipy"
+
+
+def test_deform_loads_no_numpy_random(tmp_path):
+    """The verification points come from ``uniform_points``, so a deform
+    run imports neither ``numpy.random`` nor the OpenSSL hashing it loads."""
+    config = write_config(tmp_path, bfield_doc())
+    code = (
+        "import sys\n"
+        "from genkahler import cli\n"
+        f"assert cli.main(['deform', '--config', {config!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "sys.exit(' '.join(sorted({'numpy.random', '_hashlib'} & set(sys.modules))) or None)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def readme_config():

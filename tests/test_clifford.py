@@ -313,6 +313,22 @@ def test_flip_gather_matches_dense_product(m):
     np.testing.assert_allclose(cl._flip_column_sums(weights), np.abs(dense).sum(axis=-2), rtol=1e-14)
 
 
+@pytest.mark.parametrize("m", range(1, cl.MAX_DIM + 1))
+def test_flip_outer_matches_broadcast_gather(m):
+    """Per-entry weights applied to every row at once equal the gather
+    broadcast over (operator, row) pairs and the dense spin images."""
+    rng = np.random.default_rng(400 + m)
+    alphas = random_so_stack(rng, m, (3,))
+    weights = cl.spin_flip_weights(alphas)
+    x = rng.normal(size=(5, 1 << m)) + 1j * rng.normal(size=(5, 1 << m))
+    got = cl._spin_flip_outer(np.ascontiguousarray(weights.transpose(2, 0, 1)), x)
+    assert got.shape == (3, 5, 1 << m)
+    want = cl.spin_flip_apply(weights[:, None], x[None])
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    dense = np.stack([cl.spin_lie_action(a) @ x.T for a in alphas]).transpose(0, 2, 1)
+    assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
+
+
 def test_flip_weights_reject_nan_and_non_so():
     """One bad element of a stack fails the whole call with the message of
     ``spin_lie_action``; so do a NaN matrix and a shape that is not 2m x 2m."""

@@ -26,12 +26,35 @@ def test_field_arithmetic_and_evaluation():
     rng = np.random.default_rng(0)
     f = gf.random_field(rng, 2, 3, gf.frequencies_box(2, 1))
     g = gf.random_field(rng, 2, 3, gf.frequencies_box(2, 1))
-    pts = gf.uniform_points(rng, 7, 2)
+    pts = gf.uniform_points(0, 7, 2)
     np.testing.assert_allclose(
         (f + 2.0 * g).evaluate(pts), f.evaluate(pts) + 2.0 * g.evaluate(pts), atol=1e-12
     )
     np.testing.assert_allclose((f - f).evaluate(pts), np.zeros((7, 3)), atol=1e-12)
     np.testing.assert_allclose(f.conj().evaluate(pts), f.evaluate(pts).conj(), atol=1e-12)
+
+
+UNIFORM_SEEDS = [*range(40), 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1, 2**64, 2**64 + 3,
+                 2**96 + 5, 2**127, 2**128 + 7, 10**30, 10**40, 12345678901234567890, 987654321]
+
+
+@pytest.mark.parametrize("shape", [(16, 4), (2, 8), (16, 6), (1, 1), (7, 3), (0, 4)])
+def test_uniform_points_match_numpy_default_rng(shape):
+    """Bit for bit the points of ``numpy.random.default_rng(seed).uniform``
+    on 55 seeds of one to five 32-bit words."""
+    assert len(UNIFORM_SEEDS) == 55
+    for seed in UNIFORM_SEEDS:
+        want = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, shape)
+        got = gf.uniform_points(seed, *shape)
+        assert got.shape == shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), seed
+
+
+def test_uniform_points_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        gf.uniform_points(-1, 2, 2)
+    with pytest.raises(TypeError):
+        gf.uniform_points(1.5, 2, 2)
 
 
 def test_field_parseval_on_grid():
@@ -50,7 +73,7 @@ def test_real_fields():
     rng = np.random.default_rng(2)
     f = gf.random_field(rng, 3, 4, real=True)
     assert f.is_real()
-    pts = gf.uniform_points(rng, 5, 3)
+    pts = gf.uniform_points(2, 5, 3)
     assert np.abs(f.evaluate(pts).imag).max() < 1e-12
     assert not gf.random_field(rng, 3, 4).is_real()
 
@@ -64,7 +87,7 @@ def test_operator_field_acts_pointwise():
     for k in [(1, 1), (-1, 0)]:
         B.coeffs[k] = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     f = gf.random_field(rng, 2, 3)
-    pts = gf.uniform_points(rng, 6, 2)
+    pts = gf.uniform_points(3, 6, 2)
     Av = A.evaluate(pts)
     np.testing.assert_allclose(
         A.act(f).evaluate(pts),

@@ -125,7 +125,7 @@ def test_series_action_matches_pointwise_exponentials(pair):
     series = sol.series_exp_action(A, B, psi0, 3)
 
     t = 1e-3
-    pts = gf.uniform_points(rng, 5, 4)
+    pts = gf.uniform_points(3, 5, 4)
     va, vb = A.evaluate(t, pts), B.evaluate(t, pts)
     exact = np.stack(
         [
@@ -198,7 +198,7 @@ def test_series_family_evaluation_matches_per_frequency_sums():
     rng = np.random.default_rng(6)
     e = np.eye(4, dtype=int)
     fam = random_family(rng, 4, [(1, tuple(e[0])), (1, (0,) * 4), (2, tuple(e[1] + e[2])), (3, tuple(e[3] - e[0]))])
-    t, points = 0.7, gf.uniform_points(rng, 9, 4)
+    t, points = 0.7, gf.uniform_points(6, 9, 4)
     want = np.zeros((9, 8, 8), dtype=complex)
     want_grad = np.zeros((4, 9, 8, 8), dtype=complex)
     for j in range(fam.order_cap + 1):
@@ -653,7 +653,7 @@ def _oracle_verify_gk_at_t(report, t, *, count=16, seed=0):
     pair = report.pair
     m = pair.m
     dim = cl.spinor_dim(m)
-    points = gf.uniform_points(np.random.default_rng(seed), count, m)
+    points = gf.uniform_points(seed, count, m)
     families = list(report.factors) + [report.b]
     vals = [f.evaluate(t, points) for f in families]
     grads = [f.evaluate_gradient(t, points) for f in families]
@@ -917,6 +917,43 @@ def test_run_deformation_t8_builds_no_per_frequency_blocks(monkeypatch):
     assert not {"bigrading", "proj1", "proj2"} & set(vars(pair))
     with pytest.raises(AssertionError):
         gh.component_operator((1, 1), report.pair, report.support)
+
+
+def test_run_deformation_t8_holds_spin_images_as_flip_weights(monkeypatch):
+    """The deform path makes no dense spin-image stack: at T^8, order cap 2
+    (the benchmark's deform-m8-k2 shape), pair, solve and verification
+    densify only single ``(F, 2**m)`` weight stacks, the verifier's exponent
+    of each point and family, never call ``spin_lie_action``, and peak under
+    18 MB above their start (about 13 MB; 27 MB with dense images in the
+    series engine)."""
+    densified = []
+
+    def single(weights):
+        densified.append(weights.shape)
+        assert weights.shape == (29, 256), f"dense spin images of shape {weights.shape}"
+        return cl.spin_flip_dense(weights)
+
+    def refuse(*args):
+        raise AssertionError("spin_lie_action called on the deform path")
+
+    monkeypatch.setattr(sol, "spin_flip_dense", single)
+    monkeypatch.setattr(cl, "spin_lie_action", refuse)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pair = gs.standard_kahler_pair(8)
+        family = exact_bfield_family(8, 2, *T8_COEFFS, pair)
+        report = sol.run_deformation([family], pair, order_cap=2)
+        sol.verify_gk_at_t(report, 0.01, count=2)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert max(report.residual_norms) <= 1e-12 * report.psi_norm
+    assert len(densified) == 2 * 2  # two points, the family and b
+    for stacks in (family.spin_stacks(), report.b.spin_stacks()):
+        for freqs, weights in filter(None, stacks):
+            assert weights.shape == (len(freqs), 29, 256) and not weights.flags.writeable
+    assert peak < 18e6, f"pair, solve and verification peaked {peak / 1e6:.1f} MB above their start"
 
 
 # ---------------------------------------------------------------------------
