@@ -282,6 +282,12 @@ def build_seed(doc: dict, pair: gs.HermitianPair) -> tuple[np.ndarray, complex]:
 #: family can still fail those checks (exit 1).
 MAX_FREQUENCY = 64
 
+#: Largest ``verify_points``.  The verifier holds the m + 1 values and
+#: derivatives of every family at every point: 36 MB per family at m = 8 and
+#: this bound, with a 100 MB peak while they are formed.  A larger sample
+#: would run out of memory only after the whole solve.
+MAX_VERIFY_POINTS = 1024
+
 
 def _mode_frequency(mode: dict, m: int) -> tuple[int, ...]:
     """The frequency of a config mode, integers of at most ``MAX_FREQUENCY``
@@ -431,7 +437,7 @@ def cmd_verify_algebra(args) -> int:
     rng = np.random.default_rng(args.seed)
     n_max = args.n_max
     trials = args.trials
-    tol = args.tol
+    tol = _positive_number(args.tol, "--tol")
     if n_max < 1 or n_max > cl.MAX_DIM:
         raise ConfigError(f"--n-max must be in 1..{cl.MAX_DIM}")
     if trials < 0:
@@ -701,8 +707,8 @@ def cmd_deform(args) -> int:
     tols = _tolerances(doc, args.tol)
     verify_t = _positive_number(doc.get("verify_t", 1e-2), "verify_t", upper=1.0)
     verify_points = doc.get("verify_points", 16)
-    if not _is_int(verify_points) or verify_points < 1:
-        raise ConfigError("verify_points must be a positive integer")
+    if not _is_int(verify_points) or not 1 <= verify_points <= MAX_VERIFY_POINTS:
+        raise ConfigError(f"verify_points must be an integer in 1..{MAX_VERIFY_POINTS}")
 
     pair = build_background(doc, m)
     seed_spinor, scale = build_seed(doc, pair)

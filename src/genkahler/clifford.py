@@ -25,11 +25,8 @@ MAX_DIM = 8
 __all__ = [
     "MAX_DIM",
     "spinor_dim",
-    "degrees",
-    "form_vector",
     "pairing_matrix",
     "natural_pairing",
-    "wedge_sign_table",
     "wedge",
     "wedge_operator",
     "transpose_form",
@@ -42,14 +39,11 @@ __all__ = [
     "clifford_act",
     "so_residual",
     "require_so",
-    "so_from_blocks",
     "so_from_pair",
     "two_form_so",
     "bivector_so",
-    "two_form_spinor",
     "random_so_element",
     "spin_flip_weights",
-    "spin_flip_apply",
     "spin_flip_dense",
     "spin_lie_action",
     "spin_group_exp",
@@ -88,36 +82,6 @@ def degrees(m: int) -> np.ndarray:
     """Form degree (bit count) of every subset index, shape ``(2**m,)``."""
     out = np.bitwise_count(np.arange(spinor_dim(m), dtype=np.uint64)).astype(np.int64)
     out.setflags(write=False)
-    return out
-
-
-def form_vector(m: int, components: dict[tuple[int, ...], complex]) -> np.ndarray:
-    """Build a form vector from ``{(i1, .., ik): coeff}`` with 1-based indices.
-
-    Index tuples may come in any order; odd permutations flip the sign.
-    ``()`` is the constant term.
-
-    >>> form_vector(2, {(): 1.0, (2, 1): 3.0})  # 1 - 3 dx1^dx2
-    array([ 1.+0.j,  0.+0.j,  0.+0.j, -3.+0.j])
-    """
-    m = _check_m(m)
-    out = np.zeros(spinor_dim(m), dtype=complex)
-    for idxs, coeff in components.items():
-        if len(set(idxs)) != len(idxs):
-            raise ValueError(f"repeated index in {idxs}")
-        if idxs and not all(1 <= i <= m for i in idxs):
-            raise ValueError(f"indices {idxs} out of range 1..{m}")
-        # parity of the permutation sorting idxs ascending
-        sign = 1
-        idx_list = list(idxs)
-        for a in range(len(idx_list)):
-            for b in range(a + 1, len(idx_list)):
-                if idx_list[a] > idx_list[b]:
-                    sign = -sign
-        bits = 0
-        for i in idxs:
-            bits |= 1 << (i - 1)
-        out[bits] += sign * coeff
     return out
 
 
@@ -272,31 +236,15 @@ def _ladder_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     return source, signs
 
 
-@lru_cache(maxsize=None)
-def _clifford_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero entries of the ladders ``cl(e_r)`` (contraction for r < m, wedge
-    after): flat ``(row * 2**m + col)`` positions, the coordinate ``r`` of each
-    and its sign, ordered by ``r`` and then by row.  No two ladders share a
-    position, so every Clifford matrix is one scatter of ``m * 2**m`` entries."""
-    source, signs = _ladder_tables(m)
-    signs = signs.reshape(2 * m, -1)
-    coord, row = np.nonzero(signs)
-    col = source[coord % m, row]
-    tables = (row * spinor_dim(m) + col, coord, signs[coord, row])
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables
-
-
 def clifford_matrices(vectors: np.ndarray) -> np.ndarray:
-    """Clifford actions of a stack of vectors, ``(..., 2m) -> (..., 2**m, 2**m)``."""
-    v = np.asarray(vectors, dtype=complex)
-    m = _check_m(v.shape[-1] // 2)
-    n = spinor_dim(m)
-    pos, coord, sign = _clifford_table(m)
-    out = np.zeros(v.shape[:-1] + (n * n,), dtype=complex)
-    out[..., pos] = v[..., coord] * sign
-    return out.reshape(v.shape[:-1] + (n, n))
+    """Clifford actions of a stack of vectors, ``(..., 2m) -> (..., 2**m,
+    2**m)``: the dense image of their ``_ladder_weights``, entry ``(i, i ^
+    2**j)`` being ``W[..., j, i]`` and every other entry zero."""
+    weights = _ladder_weights(vectors)
+    m, n = weights.shape[-2:]
+    out = np.zeros(weights.shape[:-2] + (n * n,), dtype=complex)
+    out[..., np.arange(n) * n + _ladder_tables(m)[0]] = weights
+    return out.reshape(weights.shape[:-2] + (n, n))
 
 
 def clifford_vector_matrix(v: np.ndarray) -> np.ndarray:
@@ -323,9 +271,19 @@ def _ladder_weights(vectors: np.ndarray) -> np.ndarray:
 
 def _ladder_gather(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``out[..., i] = sum_j weights[..., j, i] rows[..., i ^ 2**j]``: the
-    Clifford actions whose ``_ladder_weights`` are given, on rows ``(..., n)``."""
-    source, _ = _ladder_tables(weights.shape[-2])
-    return np.einsum("...ji,...ji->...i", weights, np.take(rows, source, axis=-1))
+    Clifford actions whose ``_ladder_weights`` are given, on rows ``(..., n)``
+    broadcast against them.  One signed gather per ladder with a nonzero
+    weight, so no ``(..., m, n)`` temporary is formed."""
+    m, n = weights.shape[-2:]
+    source, _ = _ladder_tables(m)
+    used = np.flatnonzero(weights.reshape(-1, m, n).any(axis=(0, 2)))
+    if not used.size:
+        return np.zeros(np.broadcast_shapes(weights.shape[:-2] + (n,), rows.shape), dtype=complex)
+    first, *rest = used
+    out = weights[..., first, :] * rows[..., source[first]]
+    for j in rest:
+        out += weights[..., j, :] * rows[..., source[j]]
+    return out
 
 
 def clifford_act(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -426,17 +384,6 @@ def bivector_so(bivector: np.ndarray) -> np.ndarray:
     return so_from_blocks(bivector.shape[0], bivector=bivector)
 
 
-def two_form_spinor(two_form: np.ndarray) -> np.ndarray:
-    """The 2-form ``sum_{i<j} B[i,j] dx_{i+1} ^ dx_{j+1}`` as a form vector."""
-    B = np.asarray(two_form, dtype=complex)
-    m = _check_m(B.shape[0])
-    out = np.zeros(spinor_dim(m), dtype=complex)
-    for i in range(m):
-        for j in range(i + 1, m):
-            out[(1 << i) | (1 << j)] = B[i, j]
-    return out
-
-
 def random_so_element(rng: np.random.Generator, m: int, scale: float = 1.0) -> np.ndarray:
     """Draw a real so(m,m) element with entries of the given scale."""
     m = _check_m(m)
@@ -449,71 +396,51 @@ def random_so_element(rng: np.random.Generator, m: int, scale: float = 1.0) -> n
     return (Pinv @ K).astype(complex)
 
 
-def _spin_action_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sparse images ``T[r, c] = [B_r, D_c] / 4`` of the matrix units of so(m,m).
+@lru_cache(maxsize=None)
+def _spin_flip_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flip-mask tables of the spin images ``T[r, c] = [B_r, D_c] / 4`` of
+    the matrix units of so(m,m).
 
     ``B_r = cl(e_r)`` (contraction for r < m, wedge after) and ``D_c`` is the
-    wedge for c < m and the contraction after.  Each image is a signed partial
-    permutation: ``B_r D_c`` and ``D_c B_r`` send a subset ``I`` to the same
-    ``I ^ bit(r) ^ bit(c)``.  Returns flat ``(row * 2**m + col)`` indices into
-    the spinor matrix, flat ``(r * 2m + c)`` indices into ``alpha`` and the
-    values ``(+-1/4, +-1/2)``; ``_spin_flip_table`` caches them by mask.
+    wedge for c < m and the contraction after.  ``B_r D_c`` and ``D_c B_r``
+    both send a subset ``I`` to ``I ^ f`` with ``f = bit(r % m) ^ bit(c %
+    m)``, so spin images only have entries ``(i, i ^ f)`` for the F = 1 +
+    m(m-1)/2 masks f with no or two bits.  Returns ``source[f, i] = i ^ f``
+    ``(F, 2**m)``; ``coef[f]``, the flat indices ``r * 2m + c`` into
+    ``alpha`` whose ``T[r, c]`` is nonzero and has mask f, ascending and
+    padded with index 0 to a common length K; ``values[f, k, i]``, the
+    coefficient ``(+-1/4, +-1/2)`` of ``alpha.flat[coef[f, k]]`` at entry
+    ``(i, i ^ f)`` (zero on the padding), ``(F, K, 2**m)``; and the flat
+    positions ``i * 2**m + (i ^ f)`` of those entries in a dense matrix.
     """
     m = _check_m(m)
     n = spinor_dim(m)
-    two_m = np.arange(2 * m, dtype=np.uint64)
-    b_wedge, b_bit = (two_m >= m)[:, None, None], (two_m % np.uint64(m))[:, None, None]
-    d_wedge, d_bit = (two_m < m)[None, :, None], (two_m % np.uint64(m))[None, :, None]
+    coord = np.arange(2 * m)
+    bit = coord % m
+    b_ladder = ((coord >= m)[:, None, None], bit.astype(np.uint64)[:, None, None])
+    d_ladder = ((coord < m)[None, :, None], bit.astype(np.uint64)[None, :, None])
     idx = np.arange(n, dtype=np.uint64)[None, None, :]
 
     def product(first, second):
         ok1, mid, s1 = _ladder_step(*first, idx)
-        ok2, image, s2 = _ladder_step(*second, mid)
-        return np.where(ok1 & ok2, s1 * s2, 0), image
+        ok2, _, s2 = _ladder_step(*second, mid)
+        return np.where(ok1 & ok2, s1 * s2, 0)
 
-    bd, image = product((d_wedge, d_bit), (b_wedge, b_bit))
-    db, _ = product((b_wedge, b_bit), (d_wedge, d_bit))
-    value = 0.25 * (bd - db)
-    r, c, col = np.nonzero(value)
-    return image[r, c, col].astype(np.int64) * n + col, r * (2 * m) + c, value[r, c, col]
-
-
-@lru_cache(maxsize=None)
-def _spin_flip_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flip-mask form of ``_spin_action_table``.
-
-    Every ``T[r, c]`` moves a subset ``I`` to ``I ^ bit(r) ^ bit(c)``, so
-    spin images only have entries ``(i, i ^ f)`` for the F = 1 + m(m-1)/2
-    masks f with no or two bits.  Returns ``source[f, i] = i ^ f``
-    ``(F, 2**m)``; ``coef[f]``, the flat indices into ``alpha`` that reach
-    mask f, padded with index 0 to a common length K; ``values[f, k, i]``,
-    the coefficient of ``alpha.flat[coef[f, k]]`` at entry ``(i, i ^ f)``
-    (zero on the padding), ``(F, K, 2**m)``; and the flat positions
-    ``i * 2**m + (i ^ f)`` of those entries in a dense matrix.
-    """
-    m = _check_m(m)
-    n = spinor_dim(m)
-    out_index, coef_index, value = _spin_action_table(m)
-    row = out_index // n
-    flips = row ^ (out_index % n)
+    # value[r, c, j]: the coefficient with which T[r, c] sends subset j to j ^ f
+    value = 0.25 * (product(d_ladder, b_ladder) - product(b_ladder, d_ladder))
+    r, c = np.nonzero(value.any(axis=2))
+    flips = (1 << bit[r]) ^ (1 << bit[c])
     present = np.zeros(n, dtype=bool)
     present[flips] = True
     masks = np.flatnonzero(present)
-    mask_index = np.zeros(n, dtype=np.intp)
-    mask_index[masks] = np.arange(len(masks))
-    f = mask_index[flips]
-    reach = np.zeros((len(masks), 4 * m * m), dtype=bool)
-    reach[f, coef_index] = True
-    # the alpha entries that reach each mask, numbered from 0 within it
-    entries = [np.flatnonzero(r) for r in reach]
-    coef = np.zeros((len(masks), max(map(len, entries))), dtype=np.intp)
-    rank = np.zeros(reach.shape, dtype=np.intp)
-    for g, e in enumerate(entries):
-        coef[g, : len(e)] = e
-        rank[g, e] = np.arange(len(e))
-    values = np.zeros(coef.shape + (n,), dtype=complex)
-    values[f, rank[f, coef_index], row] = value
+    reach = [np.flatnonzero(flips == f) for f in masks]
     source = np.arange(n) ^ masks[:, None]
+    coef = np.zeros((len(masks), max(map(len, reach))), dtype=np.intp)
+    values = np.zeros(coef.shape + (n,), dtype=complex)
+    for g, e in enumerate(reach):
+        coef[g, : len(e)] = r[e] * (2 * m) + c[e]
+        # entry i of the image reads subset i ^ f
+        values[g, : len(e)] = value[r[e], c[e]][:, source[g]]
     tables = (source, coef, values, np.arange(n) * n + source)
     for arr in tables:
         arr.setflags(write=False)
@@ -546,23 +473,16 @@ def spin_flip_weights(alphas: np.ndarray) -> np.ndarray:
     return weights.reshape(alphas.shape[:-2] + weights.shape[1:])
 
 
-def spin_flip_apply(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``out[..., i] = sum_f W[..., f, i] x[..., i ^ f]``: the operators whose
-    flip-mask weights ``(..., F, 2**m)`` are given, on form vectors
-    ``(..., 2**m)``; the two broadcast against each other."""
-    source = _spin_flip_table(_infer_m_from_spinor(weights))[0]
-    return np.einsum("...fi,...fi->...i", weights, np.take(x, source, axis=-1))
-
-
 def _spin_flip_outer(entry_weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``out[a, s] = sum_f W[a, f] * x[s, . ^ f]``, ``(P, r, 2**m)``: every
-    operator of the flip-mask weights ``W`` ``(P, F, 2**m)`` on every row of
-    ``x`` ``(r, 2**m)``, as ``spin_flip_apply(W[:, None], x[None])`` gives it.
+    """``out[a, s, i] = sum_f W[a, f, i] * x[s, i ^ f]``, ``(P, r, 2**m)``:
+    every operator of the flip-mask weights ``W`` ``(P, F, 2**m)`` on every
+    row of ``x`` ``(r, 2**m)``.  The one applier of flip-mask weights.
 
     The weights come per entry, ``entry_weights[i] = W[:, :, i]``
-    ``(2**m, P, F)``.  Entry i of every image is then one ``(P, F) @ (F, r)``
-    product with the gathered ``x[s, i ^ f]``, so the whole action is one
-    batched matrix product; the result is a transposed view of it.
+    ``(2**m, P, F)``, a layout a caller that applies one stack many times
+    keeps.  Entry i of every image is then one ``(P, F) @ (F, r)`` product
+    with the gathered ``x[s, i ^ f]``, so the whole action is one batched
+    matrix product; the result is a transposed view of it.
     """
     source = _spin_flip_table(_infer_m_from_spinor(x))[0]
     gathered = np.ascontiguousarray(x.T)[source.T]  # (2**m, F, r)

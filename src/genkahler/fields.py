@@ -38,13 +38,9 @@ __all__ = [
     "uniform_points",
     "random_field",
     "three_form_spinor",
-    "require_three_form",
     "twisted_derivative",
     "derivative_rows",
     "one_form_differential",
-    "courant_bracket",
-    "dual_l_frames",
-    "nijenhuis_tensor",
     "torsion_clifford_element",
 ]
 
@@ -128,21 +124,9 @@ class _FourierContainer:
         probe = next(iter(items.values())) if items else np.asarray(func(np.zeros(self.coeff_shape(self.value_dim))))
         return type(self)(self.torus_dim, probe.shape[0], items)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        shape = self.coeff_shape(self.value_dim)
-        out = np.zeros((points.shape[0], *shape), dtype=complex)
-        for k, c in sorted(self.coeffs.items()):
-            phase = np.exp(1j * points @ np.asarray(k, dtype=float))
-            out += phase.reshape(-1, *(1,) * len(shape)) * c
-        return out
-
     def coeff_norm(self) -> float:
         """L2 norm of the coefficient data; equals the L2(T^m) norm by Parseval."""
         return float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.coeffs.values())))
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return (self - self.conj()).coeff_norm() <= tol * max(1.0, self.coeff_norm())
 
 
 class FourierField(_FourierContainer):

@@ -48,10 +48,8 @@ __all__ = [
     "Support",
     "BlockOperator",
     "l2_gram",
-    "l2_inner",
     "l2_norm",
     "adjoint",
-    "derivative_operator",
     "component_operator",
     "laplacian",
     "green_operator",

@@ -36,7 +36,6 @@ from .clifford import (
     clifford_act,
     pairing_matrix,
     so_from_pair,
-    spin_flip_apply,
     spin_flip_dense,
     spin_flip_weights,
     spinor_dim,
@@ -64,7 +63,6 @@ __all__ = [
     "SolutionReport",
     "run_deformation",
     "verify_gk_at_t",
-    "conjugated_residual_series",
     "conjugated_structure_series",
     "structure_series_of_family",
     "extract_transverse_family",
@@ -180,26 +178,21 @@ class SeriesSoField:
         """Pairs (order, frequency) over all listed coefficients."""
         return [(j, k) for j, stack in enumerate(self.stacks) if stack is not None for k in stack[0]]
 
-    def evaluate(self, t: float, points: np.ndarray) -> np.ndarray:
-        """Values at the points, shape (N, 2m, 2m): per order, one product of
-        the phases ``exp(i <k, x>)`` with the stacked matrices."""
+    def jet(self, t: float, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values ``(N, 2m, 2m)`` at the points and partial derivatives in the
+        torus directions ``(m, N, 2m, 2m)``: per order, one phase matrix
+        ``exp(i <k, x>)`` and its products, alone and times ``i k_d``, with
+        the stacked matrices."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((len(points), self.value_dim, self.value_dim), dtype=complex)
-        for j, stack in enumerate(self.stacks):
-            if stack is not None:
-                out += t**j * np.tensordot(np.exp(1j * points @ np.array(stack[0], dtype=float).T), stack[1], 1)
-        return out
-
-    def evaluate_gradient(self, t: float, points: np.ndarray) -> np.ndarray:
-        """Partial derivatives in the torus directions, shape (m, N, 2m, 2m):
-        per order, one product of the phases times ``i k_d`` with the matrices."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((self.torus_dim, len(points), self.value_dim, self.value_dim), dtype=complex)
+        values = np.zeros((len(points), self.value_dim, self.value_dim), dtype=complex)
+        grads = np.zeros((self.torus_dim, *values.shape), dtype=complex)
         for j, stack in enumerate(self.stacks):
             if stack is not None:
                 k = np.array(stack[0], dtype=float)
-                out += t**j * np.tensordot(1j * k.T[:, None] * np.exp(1j * points @ k.T), stack[1], 1)
-        return out
+                phase = np.exp(1j * points @ k.T)
+                values += t**j * np.tensordot(phase, stack[1], 1)
+                grads += t**j * np.tensordot(1j * k.T[:, None] * phase, stack[1], 1)
+        return values, grads
 
     def spin_stacks(self) -> list[_Stack | None]:
         """Per order, the frequencies and read-only spin images of the
@@ -467,13 +460,17 @@ def first_structure_defects(a, pair: HermitianPair, order_cap: int) -> list[floa
     """Per-order norm of the part of ``exp(-a) d exp(a) gen`` outside the
     level just below the top of the first structure's grading.
 
-    ``gen`` is the canonical top-level generator of the first structure and
-    the series is ``conjugated_residual_series`` of it.  A nonzero value at
-    order j means the deformed first structure fails to be integrable at
-    that order, which breaks the induction hypothesis.
+    ``gen`` is the canonical top-level generator of the first structure.
+    The series of ``exp(a) gen`` is differentiated termwise, then the
+    factors act again left to right with negated spin terms.  A nonzero
+    value at order j means the deformed first structure fails to be
+    integrable at that order, which breaks the induction hypothesis.
     """
-    _, moved = _conjugated_residual_columns(a, None, pair.canonical_generator(1), order_cap)
-    return [0.0 if q is None else float(np.linalg.norm(q - pair.project(q, p=pair.n - 1))) for q in moved]
+    factors, support, moved = _seeded_series(a, None, pair.canonical_generator(1), order_cap)
+    derivs = [None if c is None else derivative_rows(support.frequencies, c) for c in moved]
+    inverse = [[None if x is None else (x[0], -x[1]) for x in f.spin_stacks()] for f in reversed(factors)]
+    columns = _SeriesExp(support, inverse, derivs, order_cap).fill_all()
+    return [0.0 if q is None else float(np.linalg.norm(q - pair.project(q, p=pair.n - 1))) for q in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +638,10 @@ class CorrectionSystem:
             psi = psi[(0,) * psi.torus_dim]
         self.seed = np.asarray(psi, dtype=complex)
         self.basis = _beta_basis(pair)
-        self.images = spin_flip_apply(spin_flip_weights(self.basis), self.seed).T
+        # applied once, so the per-entry layout stays a view: a copy would
+        # only raise the peak (1.9 MB at m = 8)
+        weights = spin_flip_weights(self.basis).transpose(2, 0, 1)
+        self.images = _spin_flip_outer(weights, self.seed[None])[:, 0].T
         sv = np.linalg.svd(self.images, compute_uv=False)
         if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
             raise ValueError("seed spinor gives a singular correction system")
@@ -788,7 +788,8 @@ def run_deformation(
         spins = None if stack is None else _spin_stack(stack)
         acted = np.zeros_like(seed_rows)
         if spins is not None:
-            acted[[support.index[p] for p in spins[0]]] = spin_flip_apply(spins[1], system.seed)
+            weights = spins[1].transpose(2, 0, 1)
+            acted[[support.index[p] for p in spins[0]]] = _spin_flip_outer(weights, system.seed[None])[:, 0]
         grading = background.norm(acted - pair.project(acted, 0, pair.n - 2))
         if _exceeds(grading, tol_checks * psi_norm):
             raise ValueError(f"order-{order} correction acts outside the middle component ({grading:.3e})")
@@ -862,14 +863,15 @@ def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, n
         raise ValueError("jet exponential needs a finite exponent")
     steps = max(1, int(np.ceil(norm)))
     m = len(W) - 1
-    S, G = spin_flip_dense(W[0]), W[1:]
+    # S dense, the G_d per entry, the layout of the flip applier
+    S, G = spin_flip_dense(W[0]), np.ascontiguousarray(W[1:].transpose(2, 0, 1))
     x = np.vstack([D, v[None]])
     for _ in range(steps):
         acc, term = x, x
         for k in range(1, _JET_TERM_CAP + 1):
             # the step's 1/steps is applied to the vectors, so no scaled copy of S or G is made
             nxt = term @ S.T
-            nxt[:m] += spin_flip_apply(G, term[m])
+            nxt[:m] += _spin_flip_outer(G, term[m:])[:, 0]
             term = nxt / (k * steps)
             acc = acc + term
             if np.abs(term).sum() <= np.finfo(float).eps * np.abs(acc).sum():
@@ -925,8 +927,7 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
         raise ValueError("verification needs at least one sample point")
     points = uniform_points(seed, count, m)
     families = list(report.factors) + [report.b]
-    vals = [f.evaluate(t, points) for f in families]
-    grads = [f.evaluate_gradient(t, points) for f in families]
+    vals, grads = zip(*(f.jet(t, points) for f in families))
 
     # orthogonal side, stacked over the points; an overflow here ends in the
     # finite or the metric check, so numpy is not asked to warn about it
@@ -991,26 +992,7 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
 
 
 # ---------------------------------------------------------------------------
-# cross-check route and input families
-
-
-def conjugated_residual_series(a, b, psi, order_cap: int) -> list[FourierField]:
-    """Coefficients of ``exp(-b) exp(-a) d exp(a) exp(b) psi``.
-
-    Independent route to the per-order obstruction: as long as the residual
-    vanishes below a given order, its coefficient there matches the direct
-    one.  The series of ``series_exp_action`` is differentiated termwise, then
-    the factors act again left to right with negated spin terms.
-    """
-    return _spinor_fields(*_conjugated_residual_columns(a, b, psi, order_cap))
-
-
-def _conjugated_residual_columns(a, b, psi, order_cap: int) -> tuple[Support, list]:
-    """The support and packed columns of ``conjugated_residual_series``."""
-    factors, support, moved = _seeded_series(a, b, psi, order_cap)
-    derivs = [None if c is None else derivative_rows(support.frequencies, c) for c in moved]
-    inverse = [[None if x is None else (x[0], -x[1]) for x in f.spin_stacks()] for f in reversed(factors)]
-    return support, _SeriesExp(support, inverse, derivs, order_cap).fill_all()
+# input families
 
 
 def conjugated_structure_series(generator: FourierOperatorField, J: np.ndarray, order_cap: int) -> list[FourierOperatorField]:

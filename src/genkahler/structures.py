@@ -15,7 +15,7 @@ import numpy as np
 
 from genkahler.clifford import (
     _check_m,
-    _ladder_tables,
+    _ladder_gather,
     _ladder_weights,
     chevalley_gram,
     pairing_matrix,
@@ -23,7 +23,6 @@ from genkahler.clifford import (
 )
 
 __all__ = [
-    "gcs_residual",
     "require_gcs",
     "standard_complex_structure",
     "standard_symplectic_form",
@@ -33,8 +32,6 @@ __all__ = [
     "volume_spin_element",
     "canonical_generator",
     "l_frame",
-    "generalized_metric",
-    "metric_from_generalized",
     "hodge_star",
     "HermitianPair",
     "standard_kahler_pair",
@@ -110,19 +107,6 @@ def symplectic_gcs(omega: np.ndarray) -> np.ndarray:
     return out
 
 
-def _act_on_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The Clifford action whose ``_ladder_weights`` ``(m, 2**m)`` are given
-    on each row of ``rows``: a sum of one signed gather per ladder with a
-    nonzero weight (``clifford_act`` takes all m at once, an m-fold larger
-    temporary).  Some weight must be nonzero."""
-    source, _ = _ladder_tables(len(weights))
-    first, *rest = np.flatnonzero(weights.any(axis=1))
-    out = weights[first] * rows[..., source[first]]
-    for j in rest:
-        out += weights[j] * rows[..., source[j]]
-    return out
-
-
 def _clifford_product(frame: np.ndarray) -> np.ndarray:
     """``cl(f_1) @ cl(f_2) @ ... @ cl(f_k)`` over the columns of ``frame``.
 
@@ -134,7 +118,7 @@ def _clifford_product(frame: np.ndarray) -> np.ndarray:
     m = frame.shape[0] // 2
     out = np.eye(spinor_dim(m), dtype=complex)
     for weights in _ladder_weights(np.roll(frame, m, axis=0).T):
-        out = _act_on_rows(weights, out)
+        out = _ladder_gather(weights, out)
     return out
 
 
@@ -161,7 +145,7 @@ def _word_basis(
     rho = M[:, np.argmax(np.linalg.norm(M, axis=0))]
     V, labels = rho[:, None], np.array([top])
     for weights, step in zip(_ladder_weights(Lbar.T), steps):
-        V, labels = np.hstack([V, _act_on_rows(weights, V.T).T]), np.concatenate([labels, labels + step])
+        V, labels = np.hstack([V, _ladder_gather(weights, V.T).T]), np.concatenate([labels, labels + step])
     V /= np.linalg.norm(V, axis=0)
     if gram is None:
         V_inv = np.linalg.inv(V)

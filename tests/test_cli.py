@@ -380,6 +380,39 @@ def test_deform_rejects_bad_tol_override(tmp_path, capsys):
     assert "--tol must" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_verify_algebra_rejects_bad_tol(capsys, tol):
+    """``--tol`` goes through the check that deform and verify-hodge use:
+    exit 64 with a message, not exit 1 with every check marked FAIL."""
+    assert cli.main(["verify-algebra", "--trials", "1", "--tol", tol]) == 64
+    captured = capsys.readouterr()
+    assert "--tol must" in captured.err and captured.out == ""
+
+
+class _Accepted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "count, accepted", [(cli.MAX_VERIFY_POINTS, True), (cli.MAX_VERIFY_POINTS + 1, False), (10**9, False)]
+)
+def test_deform_bounds_verify_points(tmp_path, capsys, monkeypatch, count, accepted):
+    """``verify_points`` up to ``MAX_VERIFY_POINTS`` passes validation, and a
+    larger value exits 64 before any work: the background is never built."""
+
+    def reached(doc, m):
+        raise _Accepted
+
+    monkeypatch.setattr(cli, "build_background", reached)
+    cfg = write_config(tmp_path, {**bfield_doc(), "verify_points": count})
+    if accepted:
+        with pytest.raises(_Accepted):
+            cli.main(["deform", "--config", cfg])
+    else:
+        assert cli.main(["deform", "--config", cfg]) == 64
+        assert f"verify_points must be an integer in 1..{cli.MAX_VERIFY_POINTS}" in capsys.readouterr().err
+
+
 def test_verify_hodge_rejects_boolean_frequency_box(tmp_path, capsys):
     doc = {"schema": 1, "dimension": 2, "frequency_box": True}
     code = cli.main(["verify-hodge", "--config", write_config(tmp_path, doc)])

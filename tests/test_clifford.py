@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genkahler import clifford as cl
+from oracles import form_vector, spin_flip_apply, two_form_spinor
 
 
 def rand_vec(rng, m, complex_=True):
@@ -28,26 +29,26 @@ def test_dimension_guard():
 
 
 def test_form_vector_orders_and_signs():
-    f = cl.form_vector(2, {(2, 1): 1.0})
-    g = cl.form_vector(2, {(1, 2): -1.0})
+    f = form_vector(2, {(2, 1): 1.0})
+    g = form_vector(2, {(1, 2): -1.0})
     np.testing.assert_allclose(f, g)
     with pytest.raises(ValueError):
-        cl.form_vector(2, {(1, 1): 1.0})
+        form_vector(2, {(1, 1): 1.0})
     with pytest.raises(ValueError):
-        cl.form_vector(2, {(3,): 1.0})
+        form_vector(2, {(3,): 1.0})
 
 
 def test_wedge_frozen_signs():
     m = 3
-    dx1 = cl.form_vector(m, {(1,): 1})
-    dx2 = cl.form_vector(m, {(2,): 1})
-    dx3 = cl.form_vector(m, {(3,): 1})
-    np.testing.assert_allclose(cl.wedge(dx2, dx1), cl.form_vector(m, {(1, 2): -1}))
+    dx1 = form_vector(m, {(1,): 1})
+    dx2 = form_vector(m, {(2,): 1})
+    dx3 = form_vector(m, {(3,): 1})
+    np.testing.assert_allclose(cl.wedge(dx2, dx1), form_vector(m, {(1, 2): -1}))
     np.testing.assert_allclose(
-        cl.wedge(cl.wedge(dx1, dx2), dx3), cl.form_vector(m, {(1, 2, 3): 1})
+        cl.wedge(cl.wedge(dx1, dx2), dx3), form_vector(m, {(1, 2, 3): 1})
     )
     np.testing.assert_allclose(
-        cl.wedge(dx3, cl.form_vector(m, {(1, 2): 1})), cl.form_vector(m, {(1, 2, 3): 1})
+        cl.wedge(dx3, form_vector(m, {(1, 2): 1})), form_vector(m, {(1, 2, 3): 1})
     )
     # dx1 ^ dx1 = 0
     assert np.all(cl.wedge(dx1, dx1) == 0)
@@ -81,12 +82,12 @@ def test_wedge_matrices_match_wedge():
     C = contractions(m)
     phi = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
     for i in range(m):
-        dxi = cl.form_vector(m, {(i + 1,): 1})
+        dxi = form_vector(m, {(i + 1,): 1})
         np.testing.assert_allclose(W[i] @ phi, cl.wedge(dxi, phi), atol=1e-12)
     # contraction anti-derivation basics: i_1 (dx1^dx2) = dx2, i_2 (dx1^dx2) = -dx1
-    dx12 = cl.form_vector(m, {(1, 2): 1})
-    np.testing.assert_allclose(C[0] @ dx12, cl.form_vector(m, {(2,): 1}))
-    np.testing.assert_allclose(C[1] @ dx12, cl.form_vector(m, {(1,): -1}))
+    dx12 = form_vector(m, {(1, 2): 1})
+    np.testing.assert_allclose(C[0] @ dx12, form_vector(m, {(2,): 1}))
+    np.testing.assert_allclose(C[1] @ dx12, form_vector(m, {(1,): -1}))
 
 
 def test_wedge_contraction_anticommutators():
@@ -134,20 +135,35 @@ def test_stacked_clifford_act_matches_matrices(m):
     want = np.stack([cl.clifford_matrices(v[s]) @ x[s] for s in range(rows)])
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
     np.testing.assert_allclose(cl.clifford_act(v[0], x), x @ cl.clifford_matrices(v[0]).T, rtol=1e-13, atol=1e-13)
+    # a ladder with no weight in the whole stack is skipped; no weight at all gives zeros
+    v[:, [0, m]] = 0
+    want = np.stack([cl.clifford_matrices(v[s]) @ x[s] for s in range(rows)])
+    assert np.linalg.norm(cl.clifford_act(v, x) - want) <= 1e-14 * np.linalg.norm(want)
+    assert np.array_equal(cl.clifford_act(np.zeros(2 * m), x), np.zeros_like(x))
     with pytest.raises(ValueError):
         cl.clifford_act(v[:, :-2], x)
 
 
+def loop_ladders(m):
+    """Dense contractions by ``d/dx_{j+1}``, then wedges by ``dx_{j+1}``,
+    entry by entry: both carry the sign of the bits below j."""
+    n = 1 << m
+    out = np.zeros((2 * m, n, n))
+    for j in range(m):
+        for I in range(n):
+            sign = (-1) ** bin(I & ((1 << j) - 1)).count("1")
+            if I >> j & 1:
+                out[j, I ^ (1 << j), I] = sign
+            else:
+                out[m + j, I | (1 << j), I] = sign
+    return out
+
+
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_clifford_table_equals_stacked_ladders(m):
-    """The scatter table built from the ladder steps is entry for entry the
-    one read off the stacked dense ladders."""
-    ladders = np.concatenate([contractions(m), np.stack(cl.wedge_matrices(m))])
-    coord, row, col = np.nonzero(ladders)
-    want = (row * cl.spinor_dim(m) + col, coord, ladders[coord, row, col])
-    for got, ref in zip(cl._clifford_table(m), want):
-        assert got.shape == ref.shape
-        np.testing.assert_array_equal(got, ref)
+    """The dense Clifford matrices of the unit vectors, scattered from the
+    ladder tables, are entry for entry the ladders built one subset at a time."""
+    assert np.array_equal(cl.clifford_matrices(np.eye(2 * m)), loop_ladders(m))
 
 
 def test_pairing_matrix_values():
@@ -162,10 +178,10 @@ def test_pairing_matrix_values():
 
 def test_chevalley_frozen_values_m2():
     m = 2
-    one = cl.form_vector(m, {(): 1})
-    dx1 = cl.form_vector(m, {(1,): 1})
-    dx2 = cl.form_vector(m, {(2,): 1})
-    dx12 = cl.form_vector(m, {(1, 2): 1})
+    one = form_vector(m, {(): 1})
+    dx1 = form_vector(m, {(1,): 1})
+    dx2 = form_vector(m, {(2,): 1})
+    dx12 = form_vector(m, {(1, 2): 1})
     assert cl.chevalley_pairing(one, dx12) == pytest.approx(1.0)
     assert cl.chevalley_pairing(dx12, one) == pytest.approx(-1.0)
     assert cl.chevalley_pairing(dx1, dx2) == pytest.approx(-1.0)
@@ -266,10 +282,68 @@ def test_spin_action_matches_commutator_sum(m):
         assert diff <= 1e-13 * max(1.0, np.linalg.norm(alpha))
 
 
+def two_stage_spin_table(m):
+    """Sparse images ``T[r, c] = [B_r, D_c] / 4`` of the matrix units of
+    so(m,m) as triplets: flat ``(row * 2**m + col)`` indices into the spinor
+    matrix, flat ``(r * 2m + c)`` indices into ``alpha`` and the values."""
+    n = 1 << m
+    two_m = np.arange(2 * m, dtype=np.uint64)
+    b_wedge, b_bit = (two_m >= m)[:, None, None], (two_m % np.uint64(m))[:, None, None]
+    d_wedge, d_bit = (two_m < m)[None, :, None], (two_m % np.uint64(m))[None, :, None]
+    idx = np.arange(n, dtype=np.uint64)[None, None, :]
+
+    def product(first, second):
+        ok1, mid, s1 = cl._ladder_step(*first, idx)
+        ok2, image, s2 = cl._ladder_step(*second, mid)
+        return np.where(ok1 & ok2, s1 * s2, 0), image
+
+    bd, image = product((d_wedge, d_bit), (b_wedge, b_bit))
+    db, _ = product((b_wedge, b_bit), (d_wedge, d_bit))
+    value = 0.25 * (bd - db)
+    r, c, col = np.nonzero(value)
+    return image[r, c, col].astype(np.int64) * n + col, r * (2 * m) + c, value[r, c, col]
+
+
+def two_stage_flip_table(m):
+    """The flip-mask tables regrouped from ``two_stage_spin_table``'s triplets."""
+    n = 1 << m
+    out_index, coef_index, value = two_stage_spin_table(m)
+    row = out_index // n
+    flips = row ^ (out_index % n)
+    present = np.zeros(n, dtype=bool)
+    present[flips] = True
+    masks = np.flatnonzero(present)
+    mask_index = np.zeros(n, dtype=np.intp)
+    mask_index[masks] = np.arange(len(masks))
+    f = mask_index[flips]
+    reach = np.zeros((len(masks), 4 * m * m), dtype=bool)
+    reach[f, coef_index] = True
+    entries = [np.flatnonzero(r) for r in reach]
+    coef = np.zeros((len(masks), max(map(len, entries))), dtype=np.intp)
+    rank = np.zeros(reach.shape, dtype=np.intp)
+    for g, e in enumerate(entries):
+        coef[g, : len(e)] = e
+        rank[g, e] = np.arange(len(e))
+    values = np.zeros(coef.shape + (n,), dtype=complex)
+    values[f, rank[f, coef_index], row] = value
+    source = np.arange(n) ^ masks[:, None]
+    return source, coef, values, np.arange(n) * n + source
+
+
+@pytest.mark.parametrize("m", range(1, cl.MAX_DIM + 1))
+def test_flip_table_matches_two_stage_builder(m):
+    """The one-stage table is bit-identical to the triplets regrouped by
+    mask, so every spin weight is too."""
+    for got, want in zip(cl._spin_flip_table(m), two_stage_flip_table(m), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+
+
 def scatter_spin_action(alpha):
     """Reference spin image: one scatter-add over the sparse generator table."""
     m = alpha.shape[-1] // 2
-    out_index, coef_index, value = cl._spin_action_table(m)
+    out_index, coef_index, value = two_stage_spin_table(m)
     out = np.zeros(4**m, dtype=complex)
     np.add.at(out, out_index, alpha.ravel()[coef_index] * value)
     return out.reshape(1 << m, 1 << m)
@@ -307,7 +381,7 @@ def test_flip_gather_matches_dense_product(m):
     x = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
     dense = cl.spin_flip_dense(weights)
     want = np.einsum("...ij,...j->...i", dense, x)
-    got = cl.spin_flip_apply(weights, x)
+    got = spin_flip_apply(weights, x)
     assert got.shape == (3, 4, n)
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
     np.testing.assert_allclose(cl._flip_column_sums(weights), np.abs(dense).sum(axis=-2), rtol=1e-14)
@@ -323,7 +397,7 @@ def test_flip_outer_matches_broadcast_gather(m):
     x = rng.normal(size=(5, 1 << m)) + 1j * rng.normal(size=(5, 1 << m))
     got = cl._spin_flip_outer(np.ascontiguousarray(weights.transpose(2, 0, 1)), x)
     assert got.shape == (3, 5, 1 << m)
-    want = cl.spin_flip_apply(weights[:, None], x[None])
+    want = spin_flip_apply(weights[:, None], x[None])
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
     dense = np.stack([cl.spin_lie_action(a) @ x.T for a in alphas]).transpose(0, 2, 1)
     assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
@@ -370,18 +444,18 @@ def test_spin_action_two_form_is_wedge():
     m = 4
     Bc = rng.normal(size=(m, m))
     Bc = Bc - Bc.T
-    two = cl.two_form_spinor(Bc)
+    two = two_form_spinor(Bc)
     act = cl.spin_lie_action(cl.two_form_so(Bc))
     phi = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
     np.testing.assert_allclose(act @ phi, cl.wedge(two, phi), atol=1e-12)
     ebx = cl.spin_group_exp(cl.two_form_so(Bc))
     series = (
-        cl.form_vector(m, {(): 1.0})
+        form_vector(m, {(): 1.0})
         + two
         + 0.5 * cl.wedge(two, two)
         + cl.wedge(two, cl.wedge(two, two)) / 6.0
     )
-    np.testing.assert_allclose(ebx @ cl.form_vector(m, {(): 1.0}), series, atol=1e-12)
+    np.testing.assert_allclose(ebx @ form_vector(m, {(): 1.0}), series, atol=1e-12)
 
 
 def test_spin_action_bivector_is_double_contraction():
@@ -396,11 +470,11 @@ def test_spin_action_endo_block():
     # diag(A, -A^T) acts as tr(A)/2 minus sum_ij A_ij dx_j ^ i_{d_i}
     A = np.diag([1.0, -1.0])
     act = cl.spin_lie_action(cl.so_from_blocks(2, endo=A))
-    dx1 = cl.form_vector(2, {(1,): 1})
-    dx2 = cl.form_vector(2, {(2,): 1})
+    dx1 = form_vector(2, {(1,): 1})
+    dx2 = form_vector(2, {(2,): 1})
     np.testing.assert_allclose(act @ dx1, -dx1, atol=1e-14)
     np.testing.assert_allclose(act @ dx2, dx2, atol=1e-14)
-    np.testing.assert_allclose(act @ cl.form_vector(2, {(): 1}), 0 * dx1, atol=1e-14)
+    np.testing.assert_allclose(act @ form_vector(2, {(): 1}), 0 * dx1, atol=1e-14)
 
     # identity endo: scalar part tr/2 = 1 minus the degree operator
     act_id = cl.spin_lie_action(cl.so_from_blocks(2, endo=np.eye(2)))
@@ -469,7 +543,7 @@ def test_expm_matches_scipy_on_spin_image_and_rejects_non_finite():
 
 def test_degree_component_and_labels():
     m = 3
-    phi = cl.form_vector(m, {(): 2.0, (1, 3): -1.0})
+    phi = form_vector(m, {(): 2.0, (1, 3): -1.0})
     np.testing.assert_allclose(
-        np.where(cl.degrees(m) == 2, phi, 0.0), cl.form_vector(m, {(1, 3): -1.0})
+        np.where(cl.degrees(m) == 2, phi, 0.0), form_vector(m, {(1, 3): -1.0})
     )
