@@ -284,9 +284,14 @@ MAX_FREQUENCY = 64
 
 #: Largest ``verify_points``.  The verifier holds the m + 1 values and
 #: derivatives of every family at every point: 36 MB per family at m = 8 and
-#: this bound, with a 100 MB peak while they are formed.  A larger sample
+#: this bound, with a 46 MB peak while they are formed.  A larger sample
 #: would run out of memory only after the whole solve.
 MAX_VERIFY_POINTS = 1024
+
+#: Largest ``verify-algebra --trials``.  A trial costs about 50 ms at
+#: ``--n-max 8``, so this bound runs for about ten minutes; above it a
+#: mistyped count would run for days to years.
+MAX_TRIALS = 10_000
 
 
 def _mode_frequency(mode: dict, m: int) -> tuple[int, ...]:
@@ -440,8 +445,8 @@ def cmd_verify_algebra(args) -> int:
     tol = _positive_number(args.tol, "--tol")
     if n_max < 1 or n_max > cl.MAX_DIM:
         raise ConfigError(f"--n-max must be in 1..{cl.MAX_DIM}")
-    if trials < 0:
-        raise ConfigError("--trials must be nonnegative")
+    if not 0 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"--trials must be in 0..{MAX_TRIALS}")
 
     dims = list(range(1, n_max + 1))
     even_dims = [m for m in dims if m % 2 == 0]

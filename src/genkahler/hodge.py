@@ -72,6 +72,17 @@ COMPONENT_SHIFTS: tuple[tuple[int, int], ...] = tuple(
 )
 
 
+def _sorted_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lexicographic order of the rows of an integer ``(R, m)`` table
+    (first column primary, equal rows kept in their given order) and the
+    start of each group of equal rows within that order."""
+    order = np.lexsort(table.T[::-1])
+    ordered = table[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.flatnonzero(first)
+
+
 class Support(tuple):
     """Sorted distinct integer frequencies and their row index; sorted once,
     since a ``Support`` given where a support is expected is used as it is."""
@@ -134,10 +145,12 @@ class BlockOperator:
 
     The block at frequency ``k`` is a polynomial in ``kappa = i k``,
     ``sum_t kappa^exponents[t] coeffs[t]``: ``exponents`` is a ``(T, m)``
-    table of distinct nonnegative integer exponents and ``coeffs`` the
-    ``(T, n, n)`` stack of coefficient matrices (terms with equal exponents
-    are merged on construction).  The algebra works on the coefficients, so
-    an identity whose coefficients vanish holds at every ``k`` in ``Z^m``.
+    table of distinct nonnegative integer exponents in lexicographic order
+    and ``coeffs`` the ``(T, n, n)`` stack of coefficient matrices.  The
+    constructor sorts the given rows once (``_sorted_rows``) and sums the
+    coefficients of equal exponents by one ``np.add.reduceat``.  The algebra
+    works on the coefficients, so an identity whose coefficients vanish
+    holds at every ``k`` in ``Z^m``.
     Blocks at the ``S`` frequencies of ``support`` (``stack``, ``blocks``)
     are only an evaluation; the operator acts on fields packed over the
     support.
@@ -152,12 +165,10 @@ class BlockOperator:
         self.torus_dim, self.value_dim = exponents.shape[1], coeffs.shape[2]
         if self.support and len(self.support[0]) != self.torus_dim:
             raise ValueError("support frequencies do not match the torus dimension")
-        # one 0/1 matrix sums the coefficients of equal exponents
-        self.exponents, inverse = np.unique(exponents, axis=0, return_inverse=True)
-        merge = np.zeros((len(self.exponents), len(coeffs)))
-        merge[inverse.reshape(-1), np.arange(len(coeffs))] = 1.0
-        n = self.value_dim
-        self.coeffs = (merge @ coeffs.reshape(len(coeffs), n * n)).reshape(-1, n, n)
+        order, starts = _sorted_rows(exponents)
+        self.exponents = exponents[order[starts]]
+        coeffs = coeffs[order]
+        self.coeffs = coeffs if len(starts) == len(order) else np.add.reduceat(coeffs, starts)
 
     def _kappa_powers(self, freqs: np.ndarray) -> np.ndarray:
         """``kappa^e`` for every row ``k`` of ``freqs`` and every exponent ``e``, ``(F, T)``."""

@@ -46,7 +46,7 @@ from .fields import (
     derivative_rows,
     uniform_points,
 )
-from .hodge import Support, TorusBackground
+from .hodge import Support, TorusBackground, _sorted_rows
 from .structures import HermitianPair
 
 __all__ = [
@@ -182,7 +182,9 @@ class SeriesSoField:
         """Values ``(N, 2m, 2m)`` at the points and partial derivatives in the
         torus directions ``(m, N, 2m, 2m)``: per order, one phase matrix
         ``exp(i <k, x>)`` and its products, alone and times ``i k_d``, with
-        the stacked matrices."""
+        the stacked matrices.  The products are formed one direction at a
+        time, so the largest temporary is ``(N, 2m, 2m)``, not the size of
+        the gradients."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         values = np.zeros((len(points), self.value_dim, self.value_dim), dtype=complex)
         grads = np.zeros((self.torus_dim, *values.shape), dtype=complex)
@@ -191,7 +193,8 @@ class SeriesSoField:
                 k = np.array(stack[0], dtype=float)
                 phase = np.exp(1j * points @ k.T)
                 values += t**j * np.tensordot(phase, stack[1], 1)
-                grads += t**j * np.tensordot(1j * k.T[:, None] * phase, stack[1], 1)
+                for d in range(self.torus_dim):
+                    grads[d] += t**j * np.tensordot(1j * k[:, d] * phase, stack[1], 1)
         return values, grads
 
     def spin_stacks(self) -> list[_Stack | None]:
@@ -435,21 +438,39 @@ def series_exp_action(a, b, psi, order_cap: int) -> list[FourierField]:
 # frequency bookkeeping
 
 
+def _shifted_rows(table: np.ndarray, steps: list) -> np.ndarray:
+    """Every row of an int64 ``(R, m)`` table plus every step (lists of
+    Python ints), ``(R * len(steps), m)``; a sum outside int64 raises
+    ``ValueError`` instead of wrapping."""
+    lo, hi = table.min(axis=0).tolist(), table.max(axis=0).tolist()
+    limits = np.iinfo(np.int64)
+    for low, high, column in zip(lo, hi, zip(*steps)):
+        if high + max(column) > limits.max or low + min(column) < limits.min:
+            raise ValueError("frequency sums of the closure steps leave the int64 range")
+    return (table[:, None] + np.array(steps, dtype=np.int64)).reshape(-1, table.shape[1])
+
+
 def support_closure(weighted, order_cap: int, torus_dim: int) -> tuple:
     """Sorted frequencies reachable as sums of ``(weight, frequency)`` steps
     of total weight at most the cap, such as a family's ``weighted_support``.
 
     Steps of weight below 1 are ignored.  ``reach[c]``, the sums of weight
-    at most c, is ``reach[c - 1]`` and every ``reach[c - w] + k``; the zero
-    frequency is always included.  The result bounds the support of every
-    series term up to the cap.
+    at most c, is ``reach[c - 1]`` and every ``reach[c - w] + k``, held as
+    an ``(R, m)`` int64 table whose rows are made distinct by one sort
+    (``hodge._sorted_rows``); the zero frequency is always included.  A sum
+    outside int64 raises ``ValueError``.  The result bounds the support of
+    every series term up to the cap.
     """
-    steps = [(int(w), tuple(int(v) for v in k)) for w, k in weighted if 1 <= w <= order_cap]
-    reach = [{(0,) * torus_dim}]
+    steps: dict[int, list] = {}
+    for w, k in weighted:
+        if 1 <= w <= order_cap:
+            steps.setdefault(int(w), []).append([int(v) for v in k])
+    reach = [np.zeros((1, torus_dim), dtype=np.int64)]
     for c in range(1, order_cap + 1):
-        moved = ({tuple(a + b for a, b in zip(f, k)) for f in reach[c - w]} for w, k in steps if w <= c)
-        reach.append(reach[c - 1].union(*moved))
-    return tuple(sorted(reach[-1]))
+        table = np.concatenate([reach[c - 1]] + [_shifted_rows(reach[c - w], ks) for w, ks in steps.items() if w <= c])
+        order, starts = _sorted_rows(table)
+        reach.append(table[order[starts]])
+    return tuple(map(tuple, reach[-1].tolist()))
 
 
 # ---------------------------------------------------------------------------

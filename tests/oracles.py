@@ -82,3 +82,42 @@ def conjugated_residual_series(a, b, psi, order_cap):
     derivs = [None if c is None else derivative_rows(support.frequencies, c) for c in moved]
     inverse = [[None if x is None else (x[0], -x[1]) for x in f.spin_stacks()] for f in reversed(factors)]
     return sol._spinor_fields(support, sol._SeriesExp(support, inverse, derivs, order_cap).fill_all())
+
+
+def merged_exponents(exponents, coeffs):
+    """The distinct exponent rows of ``np.unique(axis=0)`` and their summed
+    coefficients, through one 0/1 merge matrix."""
+    exponents = np.asarray(exponents, dtype=int)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    unique, inverse = np.unique(exponents, axis=0, return_inverse=True)
+    merge = np.zeros((len(unique), len(coeffs)))
+    merge[inverse.reshape(-1), np.arange(len(coeffs))] = 1.0
+    n = coeffs.shape[-1]
+    return unique, (merge @ coeffs.reshape(len(coeffs), n * n)).reshape(-1, n, n)
+
+
+def set_support_closure(weighted, order_cap, torus_dim):
+    """``support_closure`` by recursion over Python sets of tuples:
+    ``reach[c] = reach[c - 1] | {f + k for f in reach[c - w]}``."""
+    steps = [(int(w), tuple(int(v) for v in k)) for w, k in weighted if 1 <= w <= order_cap]
+    reach = [{(0,) * torus_dim}]
+    for c in range(1, order_cap + 1):
+        moved = ({tuple(a + b for a, b in zip(f, k)) for f in reach[c - w]} for w, k in steps if w <= c)
+        reach.append(reach[c - 1].union(*moved))
+    return tuple(sorted(reach[-1]))
+
+
+def series_jet(family, t, points):
+    """``SeriesSoField.jet`` with the gradient products of all directions
+    formed at once, ``(m, N, 2m, 2m)`` per order."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n = family.value_dim
+    values = np.zeros((len(points), n, n), dtype=complex)
+    grads = np.zeros((family.torus_dim, *values.shape), dtype=complex)
+    for j, stack in enumerate(family.stacks):
+        if stack is not None:
+            k = np.array(stack[0], dtype=float)
+            phase = np.exp(1j * points @ k.T)
+            values += t**j * np.tensordot(phase, stack[1], 1)
+            grads += t**j * np.tensordot(1j * k.T[:, None] * phase, stack[1], 1)
+    return values, grads

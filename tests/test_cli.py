@@ -413,6 +413,28 @@ def test_deform_bounds_verify_points(tmp_path, capsys, monkeypatch, count, accep
         assert f"verify_points must be an integer in 1..{cli.MAX_VERIFY_POINTS}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "trials, accepted", [(cli.MAX_TRIALS, True), (cli.MAX_TRIALS + 1, False), (10**9, False), (-1, False)]
+)
+def test_verify_algebra_bounds_trials(capsys, monkeypatch, trials, accepted):
+    """``--trials`` up to ``MAX_TRIALS`` reaches the trial loop, and a count
+    outside 0..MAX_TRIALS exits 64 before the first trial; the loop is
+    stubbed, so no trial runs."""
+
+    def reached(rng, m):
+        raise _Accepted
+
+    monkeypatch.setattr(cli, "_random_vector", reached)
+    argv = ["verify-algebra", "--trials", str(trials)]
+    if accepted:
+        with pytest.raises(_Accepted):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 64
+        captured = capsys.readouterr()
+        assert f"--trials must be in 0..{cli.MAX_TRIALS}" in captured.err and captured.out == ""
+
+
 def test_verify_hodge_rejects_boolean_frequency_box(tmp_path, capsys):
     doc = {"schema": 1, "dimension": 2, "frequency_box": True}
     code = cli.main(["verify-hodge", "--config", write_config(tmp_path, doc)])

@@ -5,7 +5,7 @@ from genkahler import clifford as cl
 from genkahler import fields as gf
 from genkahler import hodge as gh
 from genkahler import structures as gs
-from oracles import form_vector
+from oracles import form_vector, merged_exponents
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +92,27 @@ def test_block_operator_arithmetic():
     np.testing.assert_array_equal(merged.exponents, [(1, 0)])
     np.testing.assert_array_equal(merged.coeffs[0], a_coeffs[0] + a_coeffs[1])
     assert (A - A).coeff_norm() == 0
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_block_operator_merge_matches_unique_oracle(m):
+    """The sorted-row merge against ``np.unique(axis=0)`` and a 0/1 merge
+    matrix: random tables with duplicates, an empty table, one row and all
+    rows equal give the same exponents in the same order and the same sums."""
+    rng = np.random.default_rng(m)
+    tables = [
+        rng.integers(0, 3, size=(40, m)),
+        np.zeros((0, m), dtype=int),
+        rng.integers(0, 3, size=(1, m)),
+        np.repeat(rng.integers(0, 3, size=(1, m)), 6, axis=0),
+    ]
+    for exponents in tables:
+        coeffs = rng.normal(size=(len(exponents), 2, 2, 2)) @ [1, 1j]
+        op = gh.BlockOperator([(0,) * m], exponents, coeffs)
+        want_exponents, want_coeffs = merged_exponents(exponents, coeffs)
+        assert op.exponents.shape == want_exponents.shape and op.coeffs.shape == want_coeffs.shape
+        np.testing.assert_array_equal(op.exponents, want_exponents)
+        assert np.abs(op.coeffs - want_coeffs).max(initial=0.0) <= 1e-15 * max(1.0, np.abs(want_coeffs).max(initial=0.0))
 
 
 def test_gram_properties():

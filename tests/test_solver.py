@@ -15,7 +15,7 @@ import genkahler.fields as gf
 import genkahler.hodge as gh
 import genkahler.solver as sol
 import genkahler.structures as gs
-from oracles import conjugated_residual_series, field_values, is_real
+from oracles import conjugated_residual_series, field_values, is_real, series_jet, set_support_closure
 
 
 def symmetric_mode(field_like, k, value):
@@ -213,6 +213,38 @@ def test_series_family_evaluation_matches_per_frequency_sums():
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_series_family_jet_matches_oracle(m):
+    """``jet`` forms its gradient products one direction at a time; values
+    and gradients match the all-directions products."""
+    rng = np.random.default_rng(m)
+    e = np.eye(m, dtype=int)
+    fam = random_family(rng, m, [(1, tuple(e[0])), (1, (0,) * m), (2, tuple(e[1] - e[0])), (3, tuple(e[-1]))])
+    t, points = 0.7, gf.uniform_points(m, 9, m)
+    for got, want in zip(fam.jet(t, points), series_jet(fam, t, points)):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_series_family_jet_memory_at_m8():
+    """At m = 8 and 1,024 points one ``jet`` call peaks under 1.5 times its
+    result (2.8 times with the gradient products of all directions at once)."""
+    rng = np.random.default_rng(8)
+    e = np.eye(8, dtype=int)
+    fam = random_family(rng, 8, [(1, tuple(e[0])), (2, tuple(e[1] + e[2]))])
+    points = gf.uniform_points(0, 1024, 8)
+    fam.jet(0.1, points[:2])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        values, grads = fam.jet(0.1, points)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    size = values.nbytes + grads.nbytes
+    assert peak < 1.5 * size, f"jet peaked at {peak / 1e6:.1f} MB for a {size / 1e6:.1f} MB result"
+
+
 def test_support_closure_counts():
     base = [(1, (1, 0, 0, 0)), (1, (-1, 0, 0, 0)), (1, (0, 1, 0, 0)), (1, (0, -1, 0, 0))]
     assert len(sol.support_closure(base, 4, 4)) == 41
@@ -236,7 +268,27 @@ def test_support_closure_matches_enumeration(data):
         for combo in itertools.combinations_with_replacement(usable, size):
             if sum(w for w, _ in combo) <= cap:
                 want.add(tuple(int(sum(c)) for c in zip((0,) * m, *(k for _, k in combo))))
-    assert sol.support_closure(steps, cap, m) == tuple(sorted(want))
+    assert sol.support_closure(steps, cap, m) == tuple(sorted(want)) == set_support_closure(steps, cap, m)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_support_closure_matches_set_oracle(m):
+    """The sorted-row closure against the set recursion up to the largest
+    order cap, with steps of weight 0 and above the cap among random ones."""
+    rng = np.random.default_rng(m)
+    for cap in (1, 4, sol.MAX_ORDER):
+        weights = [0, cap + 1, *rng.integers(1, cap + 1, size=3)]
+        steps = [(w, tuple(rng.integers(-3, 4, size=m).tolist())) for w in weights]
+        assert sol.support_closure(steps, cap, m) == set_support_closure(steps, cap, m)
+
+
+def test_support_closure_rejects_sums_outside_int64():
+    """A sum that leaves int64 raises instead of wrapping; one that reaches
+    the end of the range exactly is kept."""
+    for steps, cap in (([(1, (2**62, 0))], 2), ([(1, (0, -(2**62) - 1))], 2), ([(1, (2**63, 0))], 1)):
+        with pytest.raises(ValueError, match="int64"):
+            sol.support_closure(steps, cap, 2)
+    assert sol.support_closure([(1, (-(2**62),))], 2, 1) == ((-(2**63),), (-(2**62),), (0,))
 
 
 # ---------------------------------------------------------------------------
