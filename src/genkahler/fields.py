@@ -7,9 +7,9 @@ or matrices (:class:`FourierOperatorField`); operator fields compose and act
 by coefficient convolution.
 
 The module also provides the geometry that lives naturally on fields: the
-twisted exterior derivative, the (non-skew) bracket of sections of the
-doubled bundle, and the integrability torsion of a constant structure against
-a constant closed three-form.
+twisted exterior derivative, and the integrability torsion of a constant
+structure against a constant closed three-form, in the closed form the
+twisted bracket takes on constant sections.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from genkahler.clifford import (
     _ladder_gather,
     _ladder_tables,
     clifford_vector_matrix,
-    natural_pairing,
     pairing_matrix,
     spinor_dim,
     wedge_operator,
@@ -351,41 +350,7 @@ def one_form_differential(xi: FourierField) -> FourierOperatorField:
 
 
 # ---------------------------------------------------------------------------
-# bracket and torsion
-
-
-def courant_bracket(e1: FourierField, e2: FourierField, h: np.ndarray | None = None) -> FourierField:
-    """Non-skew bracket of sections of the doubled bundle, twisted by ``h``.
-
-    Acts as the Lie derivative along the first argument's vector part on the
-    second argument, minus contraction of the first's one-form differential,
-    plus the three-form contracted with both vector parts.
-    """
-    if e1.torus_dim != e2.torus_dim or e1.value_dim != e2.value_dim:
-        raise ValueError("bracket operands must match")
-    m = e1.torus_dim
-    if e1.value_dim != 2 * m:
-        raise ValueError("bracket needs sections of the doubled bundle")
-    if h is not None:
-        h = require_three_form(h, m)
-    out = FourierField(m, 2 * m)
-    for k, u in sorted(e1.coeffs.items()):
-        kv = np.asarray(k, dtype=float)
-        X, xi = u[:m], u[m:]
-        for l, v in sorted(e2.coeffs.items()):
-            lv = np.asarray(l, dtype=float)
-            Y, eta = v[:m], v[m:]
-            lX = lv @ X
-            kY = kv @ Y
-            vec = 1j * (lX * Y - kY * X)
-            cov = 1j * (lX * eta + (eta @ X) * kv - kY * xi + (xi @ Y) * kv)
-            if h is not None:
-                cov = cov - np.einsum("abj,a,b->j", h, X, Y)
-            key = tuple(ki + li for ki, li in zip(k, l))
-            acc = out.coeffs.get(key)
-            contrib = np.concatenate([vec, cov])
-            out.coeffs[key] = contrib if acc is None else acc + contrib
-    return out
+# torsion
 
 
 def dual_l_frames(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -401,19 +366,16 @@ def dual_l_frames(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def nijenhuis_tensor(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
     """Torsion ``N[a,b,c] = -2 <[[lbar_a, lbar_b]], lbar_c>`` of a constant
-    structure against a constant three-form, on the conjugate eigenframe."""
+    structure against a constant three-form, on the conjugate eigenframe.
+
+    On constant sections the twisted bracket is ``-H(X, Y, .)``, so ``N[a,
+    b, c] = H(X_a, X_b, X_c)`` over the vector parts ``X`` of ``lbar``.
+    """
     J = require_gcs(J)
     m = J.shape[0] // 2
-    _, lbar = dual_l_frames(J)
-    sections = [FourierField.constant(m, lbar[:, a]) for a in range(m)]
-    N = np.zeros((m, m, m), dtype=complex)
-    zero = (0,) * m
-    for a in range(m):
-        for b in range(m):
-            br = courant_bracket(sections[a], sections[b], h)[zero]
-            for c in range(m):
-                N[a, b, c] = -2.0 * natural_pairing(br, lbar[:, c])
-    return N
+    X = dual_l_frames(J)[1][:m]
+    h = np.zeros((m,) * 3) if h is None else require_three_form(h, m)
+    return np.einsum("abc,ai,bj,ck->ijk", h, X, X, X)
 
 
 def torsion_clifford_element(J: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:

@@ -76,56 +76,70 @@ def _sorted_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lexicographic order of the rows of an integer ``(R, m)`` table
     (first column primary, equal rows kept in their given order) and the
     start of each group of equal rows within that order."""
-    order = np.lexsort(table.T[::-1])
+    order = np.lexsort(table.T[::-1]) if table.size else np.arange(0)
     ordered = table[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return order, np.flatnonzero(first)
 
 
+def _frequency_table(frequencies) -> np.ndarray:
+    """Integer frequencies, an ndarray converted whole, as a new int64 ``(R, m)``
+    table (``(0, 0)`` for none); one outside int64 raises ``ValueError``."""
+    try:
+        table = np.array(frequencies if isinstance(frequencies, np.ndarray) else list(frequencies), dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError("a frequency does not fit in int64") from exc
+    return table if table.size else table.reshape(0, 0)
+
+
+def _shifted_rows(table: np.ndarray, steps) -> np.ndarray:
+    """Every row of an int64 ``(R, m)`` table plus every step, with the rows
+    plus step ``a`` in block ``a``: the one place frequencies are added.  A
+    sum outside int64 raises ``ValueError`` instead of wrapping."""
+    steps = _frequency_table(steps)
+    limits = np.iinfo(np.int64)
+    ends = zip(*(x.tolist() for x in (table.min(axis=0), table.max(axis=0), steps.min(axis=0), steps.max(axis=0))))
+    if any(low + bottom < limits.min or high + top > limits.max for low, high, bottom, top in ends):
+        raise ValueError("frequency sums leave the int64 range")
+    return (steps[:, None] + table[None]).reshape(-1, table.shape[1])
+
+
 class Support(tuple):
-    """Sorted distinct integer frequencies and their row index; sorted once,
-    since a ``Support`` given where a support is expected is used as it is."""
+    """Distinct integer frequencies in lexicographic order: a tuple of tuples over
+    one read-only int64 ``(S, m)`` ``table`` sorted once by ``_sorted_rows``, and
+    its float copy ``frequencies``; a ``Support`` given is used as it is."""
 
     def __new__(cls, frequencies):
         if isinstance(frequencies, Support):
             return frequencies
-        return super().__new__(cls, sorted({tuple(int(v) for v in k) for k in frequencies}))
+        table = _frequency_table(frequencies)
+        order, starts = _sorted_rows(table)
+        table = table[order[starts]]
+        out = super().__new__(cls, map(tuple, table.tolist()))
+        out.table, out.frequencies = table, table.astype(float)
+        table.setflags(write=False)
+        out.frequencies.setflags(write=False)
+        return out
 
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {k: row for row, k in enumerate(self)}
-
-    @cached_property
-    def _shifts(self) -> dict[tuple[int, ...], np.ndarray]:
-        return {}
-
-    def shifted(self, p) -> np.ndarray:
-        """Row of ``k + p`` for the frequency ``k`` of every row, -1 where that
-        leaves the support; one lookup table per shift, cached."""
-        p = tuple(int(v) for v in p)
-        rows = self._shifts.get(p)
-        if rows is None:
-            columns = [[k[d] + p[d] for k in self] for d in range(len(p))]
-            rows = np.array([self.index.get(k, -1) for k in zip(*columns)], dtype=np.intp)
-            rows.setflags(write=False)
-            self._shifts[p] = rows
-        return rows
-
-    @cached_property
-    def frequencies(self) -> np.ndarray:
-        """The frequencies as one read-only float ``(S, m)`` matrix."""
-        freqs = np.array(self, dtype=float).reshape(len(self), len(self[0]) if self else 0)
-        freqs.setflags(write=False)
-        return freqs
+    def rows(self, keys) -> np.ndarray:
+        """The row of every key frequency, -1 where it is absent: one
+        ``_sorted_rows`` pass over the table and the keys, in which each
+        support row comes first in its run of equal rows."""
+        keys = _frequency_table(keys).reshape(-1, self.table.shape[1])
+        order, starts = _sorted_rows(np.concatenate([self.table, keys]))
+        head = order[starts]
+        out = np.empty(len(order), dtype=np.intp)
+        out[order] = np.repeat(np.where(head < len(self), head, -1), np.diff(starts, append=len(order)))
+        return out[len(self) :]
 
     def pack(self, field) -> np.ndarray:
         """Coefficients of a Fourier field as one ``(S, *value shape)`` array
         over the support; a frequency outside it raises."""
         freqs, coeffs = field.stacked()
-        rows = [self.index.get(k, -1) for k in freqs]
-        if -1 in rows:
-            raise ValueError(f"frequency {freqs[rows.index(-1)]} lies outside the support")
+        rows = self.rows(freqs)
+        if (rows < 0).any():
+            raise ValueError(f"frequency {freqs[np.argmin(rows)]} lies outside the support")
         out = np.zeros((len(self), *coeffs.shape[1:]), dtype=complex)
         out[rows] = coeffs
         return out

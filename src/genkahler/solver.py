@@ -46,7 +46,7 @@ from .fields import (
     derivative_rows,
     uniform_points,
 )
-from .hodge import Support, TorusBackground, _sorted_rows
+from .hodge import Support, TorusBackground, _frequency_table, _shifted_rows
 from .structures import HermitianPair
 
 __all__ = [
@@ -116,9 +116,12 @@ def _is_real(stack: _Stack, tol: float) -> bool:
     """``||f - conj f|| <= tol * max(1, ||f||)``.  On the sorted support closed
     under ``k -> -k``, the mirror of row r is row S - 1 - r."""
     freqs, mats = stack
-    support = Support(freqs + [tuple(-v for v in k) for k in freqs])
+    table = _frequency_table(freqs)
+    if (table == np.iinfo(np.int64).min).any():
+        raise ValueError("a frequency of -2**63 has no mirror in int64")
+    support = Support(np.concatenate([table, -table]))
     field = np.zeros((len(support), *mats.shape[1:]), dtype=complex)
-    field[[support.index[k] for k in freqs]] = mats
+    field[support.rows(table)] = mats
     return bool(np.linalg.norm(field - field[::-1].conj()) <= tol * max(1.0, np.linalg.norm(mats)))
 
 
@@ -242,22 +245,22 @@ class _Coefficient:
     def __init__(self, support: Support, freqs: list, mats: np.ndarray, bracket: bool):
         self.freqs = freqs
         self.mats = mats if bracket else np.ascontiguousarray(mats.transpose(2, 0, 1))
-        self.rows = np.stack([support.shifted(p) for p in freqs])
+        self.rows = support.rows(_shifted_rows(support.table, freqs)).reshape(len(freqs), -1)
 
 
 class _SeriesExp:
     """``exp(X^1_t) ... exp(X^F_t)`` applied to a series ``Y_t``, one power of t at a time.
 
     Every coefficient is a packed ``(S, *shape)`` array over one
-    :class:`~genkahler.hodge.Support` (rows from ``Support.index``), or None
-    where it vanishes.  A factor coefficient ``X_i`` is given per frequency
-    as the flip-mask weights of its spin image (``SeriesSoField.spin_stacks``)
-    and acts on spinor columns by the flip gather; with ``bracket`` it is
-    given as so(m,m) matrices and acts on operator columns by ``[x, y] = x y
-    - y x``.  Per call, the nonzero rows of the column are gathered, acted
-    on by all frequencies of ``X_i`` in one batched product
+    :class:`~genkahler.hodge.Support`, or None where it vanishes.  A factor
+    coefficient ``X_i`` is given per frequency as the flip-mask weights of
+    its spin image (``SeriesSoField.spin_stacks``) and acts on spinor
+    columns by the flip gather; with ``bracket`` it is given as so(m,m)
+    matrices and acts on operator columns by ``[x, y] = x y - y x``.  Per
+    call, the nonzero rows of the column are gathered, acted on by all
+    frequencies of ``X_i`` in one batched product
     (``clifford._spin_flip_outer`` on spinors), and summed into their rows
-    of the cached shift tables.  A nonzero row that a shift would take
+    of the coefficient's shift table.  A nonzero row that a shift would take
     outside the support raises ``ValueError``.
 
     Factor f turns its input ``term_0`` (the output of factor f + 1, or
@@ -355,17 +358,18 @@ class _SeriesExp:
 
         The change to column i is ``X^f_i term_0[0]``: it joins ``term_1[i]``
         of factor f and the input and output of every factor left of it.
-        Returns the updated column i.
+        Returns that change, None when it vanishes.
         """
         if i != self.filled - 1 or i < 1 or self.X[f][i] is not None:
             raise ValueError(f"order-{i} coefficient cannot be added after {self.filled} columns")
         self._set(f, i, stack)
-        if self.X[f][i] is not None and self.terms[f][0][0] is not None:
-            delta = self._apply([(self.X[f][i], self.terms[f][0][0])])
-            self.terms[f][1][i] = _sum(self.terms[f][1][i], delta)
-            for g in range(f, -1, -1):
-                self.out[g][i] = _sum(self.out[g][i], delta)
-        return self.out[0][i]
+        if self.X[f][i] is None or self.terms[f][0][0] is None:
+            return None
+        delta = self._apply([(self.X[f][i], self.terms[f][0][0])])
+        self.terms[f][1][i] = _sum(self.terms[f][1][i], delta)
+        for g in range(f, -1, -1):
+            self.out[g][i] = _sum(self.out[g][i], delta)
+        return delta
 
     def fill_all(self) -> list:
         """Fill the remaining columns; returns every column of the output."""
@@ -398,8 +402,7 @@ def _series_support(factors: list[SeriesSoField], seed: FourierField, order_cap:
     """Frequencies of every coefficient of the factors applied to the seed up
     to the cap: the seed's frequencies shifted by the factors' closure."""
     reach = support_closure([p for f in factors for p in f.weighted_support()], order_cap, seed.torus_dim)
-    shifts = seed.support() or [(0,) * seed.torus_dim]
-    return Support(tuple(a + b for a, b in zip(k, q)) for k in reach for q in shifts)
+    return Support(_shifted_rows(reach.table, seed.support() or [(0,) * seed.torus_dim]))
 
 
 def _spinor_series(support: Support, factors: list[SeriesSoField], seed: np.ndarray, order_cap: int) -> _SeriesExp:
@@ -438,39 +441,25 @@ def series_exp_action(a, b, psi, order_cap: int) -> list[FourierField]:
 # frequency bookkeeping
 
 
-def _shifted_rows(table: np.ndarray, steps: list) -> np.ndarray:
-    """Every row of an int64 ``(R, m)`` table plus every step (lists of
-    Python ints), ``(R * len(steps), m)``; a sum outside int64 raises
-    ``ValueError`` instead of wrapping."""
-    lo, hi = table.min(axis=0).tolist(), table.max(axis=0).tolist()
-    limits = np.iinfo(np.int64)
-    for low, high, column in zip(lo, hi, zip(*steps)):
-        if high + max(column) > limits.max or low + min(column) < limits.min:
-            raise ValueError("frequency sums of the closure steps leave the int64 range")
-    return (table[:, None] + np.array(steps, dtype=np.int64)).reshape(-1, table.shape[1])
+def support_closure(weighted, order_cap: int, torus_dim: int) -> Support:
+    """The :class:`~genkahler.hodge.Support` of the sums of ``(weight,
+    frequency)`` steps of total weight at most the cap, such as a family's
+    ``weighted_support``; steps of weight below 1 are ignored.
 
-
-def support_closure(weighted, order_cap: int, torus_dim: int) -> tuple:
-    """Sorted frequencies reachable as sums of ``(weight, frequency)`` steps
-    of total weight at most the cap, such as a family's ``weighted_support``.
-
-    Steps of weight below 1 are ignored.  ``reach[c]``, the sums of weight
-    at most c, is ``reach[c - 1]`` and every ``reach[c - w] + k``, held as
-    an ``(R, m)`` int64 table whose rows are made distinct by one sort
-    (``hodge._sorted_rows``); the zero frequency is always included.  A sum
-    outside int64 raises ``ValueError``.  The result bounds the support of
-    every series term up to the cap.
+    ``reach[c]``, the sums of weight at most c, is the ``Support`` of
+    ``reach[c - 1]`` and every ``reach[c - w] + k`` (``hodge._shifted_rows``,
+    which raises on a sum outside int64), from the zero frequency.  The
+    result bounds the support of every series term up to the cap.
     """
     steps: dict[int, list] = {}
     for w, k in weighted:
         if 1 <= w <= order_cap:
-            steps.setdefault(int(w), []).append([int(v) for v in k])
-    reach = [np.zeros((1, torus_dim), dtype=np.int64)]
+            steps.setdefault(int(w), []).append(k)
+    reach = [Support(np.zeros((1, torus_dim), dtype=np.int64))]
     for c in range(1, order_cap + 1):
-        table = np.concatenate([reach[c - 1]] + [_shifted_rows(reach[c - w], ks) for w, ks in steps.items() if w <= c])
-        order, starts = _sorted_rows(table)
-        reach.append(table[order[starts]])
-    return tuple(map(tuple, reach[-1].tolist()))
+        moved = [_shifted_rows(reach[c - w].table, ks) for w, ks in steps.items() if w <= c]
+        reach.append(Support(np.concatenate([reach[c - 1].table, *moved])))
+    return reach[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +779,7 @@ def run_deformation(
     # the series exp(a_t) exp(b_t) psi is carried forward one column per
     # order: column k is built with b_k = 0, and b_k then adds spin(b_k) psi
     engine = _SeriesExp(support, [f.spin_stacks() for f in factors] + [[]], [seed_rows], order_cap)
-    columns = [engine.fill(0)]
+    engine.fill(0)
     residual_norms = [seed_closed]
 
     for order in range(1, order_cap + 1):
@@ -803,20 +792,15 @@ def run_deformation(
         phi, info = solve_phi(data, background, tol_agree=tol_checks, tol_exact=tol_order)
         beta = -beta_from_phi(phi, system)
         # the real term b_k = beta + conj(beta); conj(beta) lies in
-        # V_-^{0,1} (x) V_+^{1,0} and annihilates psi, so spin(b_k) psi is
-        # both spin(beta) psi and the increment the engine adds to column k
+        # V_-^{0,1} (x) V_+^{1,0} and annihilates psi, so the increment
+        # spin(b_k) psi the engine adds to column k is spin(beta) psi
         stack = _term_stack(torus_dim, beta + beta.conj())
-        spins = None if stack is None else _spin_stack(stack)
-        acted = np.zeros_like(seed_rows)
-        if spins is not None:
-            weights = spins[1].transpose(2, 0, 1)
-            acted[[support.index[p] for p in spins[0]]] = _spin_flip_outer(weights, system.seed[None])[:, 0]
+        acted = _dense(engine.extend(len(factors), order, None if stack is None else _spin_stack(stack)), seed_rows)
         grading = background.norm(acted - pair.project(acted, 0, pair.n - 2))
         if _exceeds(grading, tol_checks * psi_norm):
             raise ValueError(f"order-{order} correction acts outside the middle component ({grading:.3e})")
 
-        columns.append(engine.extend(len(factors), order, spins))
-        residual_norms.append(background.norm(background.differentiate(_dense(columns[-1], seed_rows))))
+        residual_norms.append(background.norm(background.differentiate(_dense(engine.out[0][order], seed_rows))))
         betas.append(beta)
         b_stacks.append(stack)
         orders.append(
@@ -851,7 +835,7 @@ def run_deformation(
         precondition_defects=defects,
         residual_norms=residual_norms,
         support=support,
-        psi_series=_spinor_fields(support, columns),
+        psi_series=_spinor_fields(support, engine.out[0]),
         order_wall_ms=wall_ms,
     )
 
@@ -864,6 +848,11 @@ def run_deformation(
 # 1-norm at most one, so roundoff is reached after about 18 terms; hitting
 # the cap means the terms stopped decreasing (NaN or overflow inside the sum).
 _JET_TERM_CAP = 40
+
+# Steps allowed per point and family: the count grows with the exponent's
+# 1-norm, so a large valid family could run for days.  The tests need at most
+# 50, and one exact-b-field mode at |k| = 64 verified at t = 1 needs 1,177.
+_JET_STEP_CAP = 15_000
 
 
 def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -883,6 +872,8 @@ def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, n
     if not np.isfinite(norm):
         raise ValueError("jet exponential needs a finite exponent")
     steps = max(1, int(np.ceil(norm)))
+    if steps > _JET_STEP_CAP:
+        raise ValueError(f"jet exponential needs {steps} steps, above the cap of {_JET_STEP_CAP}")
     m = len(W) - 1
     # S dense, the G_d per entry, the layout of the flip applier
     S, G = spin_flip_dense(W[0]), np.ascontiguousarray(W[1:].transpose(2, 0, 1))
@@ -934,13 +925,13 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
     ``exp([[S, G_d], [0, S]])`` on ``[D_d; v]`` (Van Loan, IEEE TAC 1978).
     Factors are applied right to left from ``(psi0, 0)``.  The action is a
     Taylor series on vectors after splitting into ``ceil(|S|_1 + sum_d
-    |G_d|_1)`` steps of 1-norm at most one (Al-Mohy & Higham, SISC 2011).
-    Per point and family, one ``spin_flip_weights`` call gives ``S`` and
-    the ``G_d`` as flip-mask weights (``_exp_jet``): only ``S`` is made
-    dense, and the ``G_d`` act by one gather.  Points are processed one at a
-    time, so memory holds one point's m + 1 weight stacks and one dense
-    ``S`` (about 2 MB at m = 8) whatever the sample size.  Then ``psi_t =
-    v`` and ``d psi_t = sum_d dx_d ^ D_d``.
+    |G_d|_1)`` steps of 1-norm at most one (Al-Mohy & Higham, SISC 2011),
+    at most ``_JET_STEP_CAP``.  Per point and family, one ``spin_flip_weights``
+    call gives ``S`` and the ``G_d`` as flip-mask weights (``_exp_jet``):
+    only ``S`` is made dense, and the ``G_d`` act by one gather.  Points are
+    processed one at a time, so the spinor side holds one point's m + 1
+    weight stacks and one dense ``S`` (about 2 MB at m = 8) whatever the
+    sample size.  Then ``psi_t = v`` and ``d psi_t = sum_d dx_d ^ D_d``.
     """
     pair = report.pair
     m = pair.m
@@ -1032,7 +1023,7 @@ def structure_series_of_family(a, J: np.ndarray, order_cap: int) -> list[Fourier
     if not factors:
         raise ValueError("need at least one series family")
     torus_dim = factors[0].torus_dim
-    support = Support(support_closure([p for f in factors for p in f.weighted_support()], order_cap, torus_dim))
+    support = support_closure([p for f in factors for p in f.weighted_support()], order_cap, torus_dim)
     source = support.pack(FourierOperatorField.constant(torus_dim, J))
     columns = _SeriesExp(support, [f.stacks for f in factors], [source], order_cap, bracket=True).fill_all()
     return [support.unpack(c, FourierOperatorField, torus_dim, source.shape[-1]) for c in columns]
@@ -1056,7 +1047,7 @@ def extract_transverse_family(J: np.ndarray, target: list[FourierOperatorField],
     J = np.asarray(J, dtype=float)
     torus_dim = target[0].torus_dim
     weighted = [(j, k) for j in range(1, order_cap + 1) for k in target[j].coeffs]
-    support = Support(support_closure(weighted, order_cap, torus_dim))
+    support = support_closure(weighted, order_cap, torus_dim)
     source = support.pack(FourierOperatorField.constant(torus_dim, J))
     # the series exp(a_t) J exp(-a_t) is carried forward: column j is built
     # with a_j = 0, and a_j then adds its order-j correction [a_j, J]

@@ -9,7 +9,8 @@ import numpy as np
 
 from genkahler import clifford as cl
 from genkahler import solver as sol
-from genkahler.fields import derivative_rows
+from genkahler.fields import FourierField, derivative_rows, dual_l_frames, require_three_form
+from genkahler.structures import require_gcs
 
 
 def form_vector(m, components):
@@ -121,3 +122,75 @@ def series_jet(family, t, points):
             values += t**j * np.tensordot(phase, stack[1], 1)
             grads += t**j * np.tensordot(1j * k.T[:, None] * phase, stack[1], 1)
     return values, grads
+
+
+def courant_bracket(e1: FourierField, e2: FourierField, h: np.ndarray | None = None) -> FourierField:
+    """Non-skew bracket of sections of the doubled bundle, twisted by ``h``.
+
+    Acts as the Lie derivative along the first argument's vector part on the
+    second argument, minus contraction of the first's one-form differential,
+    plus the three-form contracted with both vector parts.
+    """
+    if e1.torus_dim != e2.torus_dim or e1.value_dim != e2.value_dim:
+        raise ValueError("bracket operands must match")
+    m = e1.torus_dim
+    if e1.value_dim != 2 * m:
+        raise ValueError("bracket needs sections of the doubled bundle")
+    if h is not None:
+        h = require_three_form(h, m)
+    out = FourierField(m, 2 * m)
+    for k, u in sorted(e1.coeffs.items()):
+        kv = np.asarray(k, dtype=float)
+        X, xi = u[:m], u[m:]
+        for l, v in sorted(e2.coeffs.items()):
+            lv = np.asarray(l, dtype=float)
+            Y, eta = v[:m], v[m:]
+            lX = lv @ X
+            kY = kv @ Y
+            vec = 1j * (lX * Y - kY * X)
+            cov = 1j * (lX * eta + (eta @ X) * kv - kY * xi + (xi @ Y) * kv)
+            if h is not None:
+                cov = cov - np.einsum("abj,a,b->j", h, X, Y)
+            key = tuple(ki + li for ki, li in zip(k, l))
+            acc = out.coeffs.get(key)
+            contrib = np.concatenate([vec, cov])
+            out.coeffs[key] = contrib if acc is None else acc + contrib
+    return out
+
+
+def bracket_nijenhuis(J, h=None):
+    """``fields.nijenhuis_tensor`` through the bracket: ``N[a, b, c] = -2
+    <[[lbar_a, lbar_b]], lbar_c>`` over the constant sections ``lbar_a``."""
+    J = require_gcs(J)
+    m = J.shape[0] // 2
+    _, lbar = dual_l_frames(J)
+    sections = [FourierField.constant(m, lbar[:, a]) for a in range(m)]
+    N = np.zeros((m, m, m), dtype=complex)
+    zero = (0,) * m
+    for a in range(m):
+        for b in range(m):
+            br = courant_bracket(sections[a], sections[b], h)[zero]
+            for c in range(m):
+                N[a, b, c] = -2.0 * cl.natural_pairing(br, lbar[:, c])
+    return N
+
+
+def set_support(frequencies):
+    """``hodge.Support`` as a sorted set of tuples of Python ints."""
+    return tuple(sorted({tuple(int(v) for v in k) for k in frequencies}))
+
+
+def dict_shifted(support, p):
+    """The row of ``k + p`` for every frequency ``k`` of the support, -1
+    outside it, by one dict lookup per row."""
+    index = {k: row for row, k in enumerate(support)}
+    return np.array([index.get(tuple(a + b for a, b in zip(k, p)), -1) for k in support], dtype=np.intp)
+
+
+def dict_pack(support, field):
+    """``Support.pack`` by one dict lookup per frequency of the field."""
+    index = {k: row for row, k in enumerate(support)}
+    freqs, coeffs = field.stacked()
+    out = np.zeros((len(support), *coeffs.shape[1:]), dtype=complex)
+    out[[index[k] for k in freqs]] = coeffs
+    return out

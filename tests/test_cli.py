@@ -714,6 +714,34 @@ def test_deform_verification_failure_exits_1(tmp_path, c, message):
         assert message in report["error"]
 
 
+def test_deform_stops_a_large_rotation_at_the_jet_step_cap(tmp_path):
+    """The constant rotation ``[[A, 0], [0, A]]``, ``A = 1e12 J``, keeps the
+    pair and solves; verifying it would take about 9 days per point.  It
+    ends within seconds in a verification failure that names the step count
+    and the cap, with no traceback."""
+    rotation = np.kron(np.eye(2), 1e12 * gs.standard_complex_structure(4))
+    doc = {
+        "schema": 1,
+        "dimension": 4,
+        "order": 1,
+        "verify_points": 1,
+        "deformation": [{"kind": "explicit-series", "terms": [[{"frequency": [0, 0, 0, 0], "real": rotation.tolist()}]]}],
+    }
+    argv = ["deform", "--config", write_config(tmp_path, doc)]
+    proc = subprocess.run([sys.executable, "-m", "genkahler.cli", *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert f"verification failure: jet exponential needs 20000000000 steps, above the cap of {sol._JET_STEP_CAP}" in proc.stdout
+
+
+def test_deform_at_the_frequency_bound_verifies_at_t_1(tmp_path, capsys):
+    """One exact-b-field mode at ``|k| = cli.MAX_FREQUENCY`` verified at t = 1
+    needs about 1,200 jet steps per point, well under the cap."""
+    doc = frequency_doc("exact-b-field", cli.MAX_FREQUENCY)
+    doc.update({"order": 1, "verify_t": 1.0, "verify_points": 4})
+    assert cli.main(["deform", "--config", write_config(tmp_path, doc)]) == 0
+    assert "result: ok" in capsys.readouterr().out
+
+
 def test_indefinite_metric_stops_verification_before_the_spinor_side(monkeypatch):
     """At c = 30 the metric at t = 1 is indefinite: the verification fails on
     the orthogonal side without running a single spinor jet."""

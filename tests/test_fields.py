@@ -6,7 +6,7 @@ import pytest
 from genkahler import clifford as cl
 from genkahler import fields as gf
 from genkahler import structures as gs
-from oracles import field_values, form_vector, is_real, two_form_spinor
+from oracles import bracket_nijenhuis, courant_bracket, field_values, form_vector, is_real, two_form_spinor
 
 
 def antisymmetrize3(m, entries):
@@ -175,7 +175,7 @@ def test_bracket_frozen_h_term():
     H = antisymmetrize3(m, {(0, 1, 2): 1.0})
     d1 = gf.FourierField.constant(m, np.array([1, 0, 0, 0, 0, 0], dtype=complex))
     d2 = gf.FourierField.constant(m, np.array([0, 1, 0, 0, 0, 0], dtype=complex))
-    br = gf.courant_bracket(d1, d2, H)
+    br = courant_bracket(d1, d2, H)
     np.testing.assert_allclose(br[(0, 0, 0)], [0, 0, 0, 0, 0, -1.0])
 
 
@@ -184,7 +184,7 @@ def test_bracket_symmetrization_is_exact_differential():
     m = 3
     a = gf.random_field(rng, m, 2 * m, gf.frequencies_box(m, 1))
     b = gf.random_field(rng, m, 2 * m, gf.frequencies_box(m, 1))
-    sym = gf.courant_bracket(a, b) + gf.courant_bracket(b, a)
+    sym = courant_bracket(a, b) + courant_bracket(b, a)
     # <a, b> as a scalar field, then twice its differential
     P = cl.pairing_matrix(m)
     pairing = gf.FourierField(m, 1)
@@ -206,9 +206,9 @@ def test_bracket_leibniz_identity(h_t4):
     a = gf.random_field(rng, m, 2 * m, freqs)
     b = gf.random_field(rng, m, 2 * m, freqs)
     c = gf.random_field(rng, m, 2 * m, freqs)
-    lhs = gf.courant_bracket(a, gf.courant_bracket(b, c, h_t4), h_t4)
-    rhs = gf.courant_bracket(gf.courant_bracket(a, b, h_t4), c, h_t4) + gf.courant_bracket(
-        b, gf.courant_bracket(a, c, h_t4), h_t4
+    lhs = courant_bracket(a, courant_bracket(b, c, h_t4), h_t4)
+    rhs = courant_bracket(courant_bracket(a, b, h_t4), c, h_t4) + courant_bracket(
+        b, courant_bracket(a, c, h_t4), h_t4
     )
     assert (lhs - rhs).coeff_norm() < 1e-10 * max(1.0, lhs.coeff_norm())
 
@@ -218,12 +218,16 @@ def test_nijenhuis_antisymmetric_and_oracle(h_t4):
     N = gf.nijenhuis_tensor(J, h_t4)
     for perm, sgn in (((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 0, 1), 1)):
         np.testing.assert_allclose(np.transpose(N, perm), sgn * N, atol=1e-12)
-    # independent oracle: contract the three-form with the vector parts
-    _, lbar = gf.dual_l_frames(J)
-    Xs = lbar[:4, :]
-    np.testing.assert_allclose(
-        N, np.einsum("abc,ai,bj,ck->ijk", h_t4, Xs, Xs, Xs), atol=1e-12
-    )
+    # the closed form against the bracket route, also on random pairs and
+    # random three-forms
+    np.testing.assert_allclose(N, bracket_nijenhuis(J, h_t4), atol=1e-12)
+    rng = np.random.default_rng(10)
+    for m in (2, 4, 6):
+        pair = gs.random_hermitian_pair(rng, m)
+        h = antisymmetrize3(m, {abc: rng.normal() for abc in itertools.combinations(range(m), 3)})
+        for J in (pair.J1, pair.J2):
+            want = bracket_nijenhuis(J, h)
+            assert np.linalg.norm(gf.nijenhuis_tensor(J, h) - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
 
 def _torsion_operator(J, h):

@@ -5,7 +5,7 @@ from genkahler import clifford as cl
 from genkahler import fields as gf
 from genkahler import hodge as gh
 from genkahler import structures as gs
-from oracles import form_vector, merged_exponents
+from oracles import dict_pack, dict_shifted, form_vector, merged_exponents, set_support
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +346,47 @@ def test_support_is_deduplicated_once(t4):
     assert gh.derivative_operator(4, bg.support).support is bg.support
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_support_table_is_the_sorted_set_and_looks_rows_up(m):
+    """A support holds the rows and order of ``sorted(set(...))`` in its
+    int64 table, from tuples with duplicates and negative entries, numpy-int
+    tuples, an ndarray, one row or none; ``rows``, ``pack`` and the shift
+    tables match dict lookups, for absent and repeated keys too."""
+    rng = np.random.default_rng(m)
+    freqs = [tuple(rng.integers(-3, 4, size=m).tolist()) for _ in range(30)]
+    freqs += freqs[:10]
+    for given in (freqs, [tuple(np.int64(v) for v in k) for k in freqs], np.array(freqs), freqs[:1], []):
+        support, want = gh.Support(given), set_support(given)
+        assert support == want and all(type(v) is int for k in support for v in k)
+        assert support.table.dtype == np.int64 and support.table.tolist() == [list(k) for k in want]
+        assert not support.table.flags.writeable
+    support = gh.Support(freqs)
+    index = {k: row for row, k in enumerate(support)}
+    absent = [tuple(rng.integers(4, 6, size=m).tolist()) for _ in range(5)]
+    keys = absent + list(support)[::-1] + absent[:2] + list(support)[:3]
+    assert support.rows(np.array(keys, dtype=np.int64)).tolist() == [index.get(k, -1) for k in keys]
+    for p in [(0,) * m, freqs[0], absent[0]]:
+        got = support.rows(gh._shifted_rows(support.table, [p]))
+        np.testing.assert_array_equal(got, dict_shifted(support, p))
+    field = gf.random_field(rng, m, 2, freqs[::3])
+    np.testing.assert_array_equal(support.pack(field), dict_pack(support, field))
+
+
+def test_support_rejects_frequencies_outside_int64():
+    for freqs in ([(2**63,)], [(0, -(2**63) - 1)]):
+        with pytest.raises(ValueError, match="int64"):
+            gh.Support(freqs)
+    assert gh.Support([(-(2**63),), (2**63 - 1,)]).table.tolist() == [[-(2**63)], [2**63 - 1]]
+    # a shift reaching the ends of the range exactly is kept, one past them raises
+    table = np.array([[-1], [0]], dtype=np.int64)
+    assert gh._shifted_rows(table, [(2**63 - 1,), (-(2**63) + 1,)]).tolist() == [
+        [2**63 - 2], [2**63 - 1], [-(2**63)], [-(2**63) + 1]
+    ]
+    for rows, step in ((table, (-(2**63),)), (table + 2, (2**63 - 2,)), (table, (2**63,))):
+        with pytest.raises(ValueError, match="int64"):
+            gh._shifted_rows(rows, [(0,), step])
+
+
 def test_components_sum_to_derivative(t4):
     total = None
     for op in t4.components.values():
@@ -476,7 +517,7 @@ def test_scalar_green_matches_operator_route(m):
         assert_blocks_close(scalar_blocks(bg.support, bg.green, 2**m), green)
         harmonic = np.eye(2**m) - lap.stack @ np.stack([green[k] for k in bg.support])
         np.testing.assert_allclose(harmonic, indicator[:, None, None] * np.eye(2**m), atol=1e-10)
-    assert bg.green[bg.support.index[zero]] == 0
+    assert bg.green[bg.support.index(zero)] == 0
 
 
 def oracle_adjoint(op, gram):
@@ -546,7 +587,7 @@ def test_green_oracle_all_kernel_block(t4):
     assert np.linalg.norm(op.blocks[(0, 0, 0, 0)]) < 1e-14
     assert_matches_oracle(op, t4.gram, t4.pair)
     green = gh.green_operator(t4.pair, op.support)
-    assert green[op.support.index[(0, 0, 0, 0)]] == 0
+    assert green[op.support.index((0, 0, 0, 0))] == 0
     assert np.linalg.norm(oracle_green(gh.laplacian(op, t4.gram), t4.gram)[(0, 0, 0, 0)]) < 1e-12
 
 

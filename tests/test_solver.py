@@ -2,7 +2,10 @@
 input-family preconditions and finite-parameter verification."""
 
 import itertools
+import sys
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,8 @@ import genkahler.fields as gf
 import genkahler.hodge as gh
 import genkahler.solver as sol
 import genkahler.structures as gs
-from oracles import conjugated_residual_series, field_values, is_real, series_jet, set_support_closure
+from genkahler import cli
+from oracles import conjugated_residual_series, dict_shifted, field_values, is_real, series_jet, set_support_closure
 
 
 def symmetric_mode(field_like, k, value):
@@ -279,7 +283,8 @@ def test_support_closure_matches_set_oracle(m):
     for cap in (1, 4, sol.MAX_ORDER):
         weights = [0, cap + 1, *rng.integers(1, cap + 1, size=3)]
         steps = [(w, tuple(rng.integers(-3, 4, size=m).tolist())) for w in weights]
-        assert sol.support_closure(steps, cap, m) == set_support_closure(steps, cap, m)
+        closure = sol.support_closure(steps, cap, m)
+        assert isinstance(closure, gh.Support) and closure == set_support_closure(steps, cap, m)
 
 
 def test_support_closure_rejects_sums_outside_int64():
@@ -289,6 +294,39 @@ def test_support_closure_rejects_sums_outside_int64():
         with pytest.raises(ValueError, match="int64"):
             sol.support_closure(steps, cap, 2)
     assert sol.support_closure([(1, (-(2**62),))], 2, 1) == ((-(2**63),), (-(2**62),), (0,))
+    # the engine forms its shift sums the same way
+    with pytest.raises(ValueError, match="int64"):
+        sol._Coefficient(gh.Support([(0,), (2**62,)]), [(2**62,)], np.zeros((1, 2, 2)), True)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.mark.parametrize("name", ["deform-m4-k8", "deform-m8-k2", "deform-m6-k5-blas2"])
+def test_coefficient_shift_tables_match_per_shift_lookups(name, monkeypatch):
+    """Every coefficient the engines of a benchmark deform build, the
+    corrections included, holds the shift tables of one dict lookup per
+    row and shift."""
+    # executed from source, so no bytecode is written next to the benchmark;
+    # its dataclass needs the module registered
+    workloads = types.ModuleType("_perfbench_workloads")
+    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), workloads.__dict__)
+    doc = workloads.make_config(workloads.WORKLOADS[name], 0)
+    m, order = doc["dimension"], doc["order"]
+    made = []
+    init = sol._Coefficient.__init__
+
+    def record(self, support, *args):
+        init(self, support, *args)
+        made.append((support, self))
+
+    monkeypatch.setattr(sol._Coefficient, "__init__", record)
+    pair = cli.build_background(doc, m)
+    sol.run_deformation(cli.build_deformation(doc, pair, order), pair, order_cap=order)
+    assert len(made) > order
+    for support, x in made:
+        np.testing.assert_array_equal(x.rows, np.stack([dict_shifted(support, p) for p in x.freqs]))
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +873,43 @@ def test_exp_jet_rejects_non_finite_exponent():
     W[0] = np.nan
     with pytest.raises(ValueError, match="finite exponent"):
         sol._exp_jet(W, np.ones(4, dtype=complex), np.zeros((1, 4), dtype=complex))
+
+
+def test_exp_jet_step_cap_stops_a_large_rotation_before_any_step(monkeypatch):
+    """The constant rotation ``[[A, 0], [0, A]]``, ``A = 1e12 J``, keeps the
+    pair, so the solve passes; its jet exponential would take 2e10 steps per
+    point.  It raises naming the count and the cap before it densifies an
+    exponent, so before any step."""
+    pair = gs.standard_kahler_pair(4)
+    rotation = sol.SeriesSoField.linear(4, np.kron(np.eye(2), 1e12 * gs.standard_complex_structure(4)))
+    report = sol.run_deformation(rotation, pair, order_cap=1)
+    message = rf"needs 20000000000 steps, above the cap of {sol._JET_STEP_CAP}"
+    with pytest.raises(ValueError, match=message):
+        sol.verify_gk_at_t(report, 1e-2, count=1)
+
+    def refuse(*args, **kw):
+        raise AssertionError("the jet exponential took a step")
+
+    monkeypatch.setattr(sol, "spin_flip_dense", refuse)
+    values, grads = rotation.jet(1e-2, np.zeros((1, 4)))
+    W = cl.spin_flip_weights(np.concatenate([values, grads[:, 0]]))
+    with pytest.raises(ValueError, match=message):
+        sol._exp_jet(W, report.psi0[(0,) * 4], np.zeros((4, 16), dtype=complex))
+
+
+def test_exp_jet_step_cap_has_tenfold_headroom(monkeypatch):
+    """One exact-b-field mode at ``|k| = cli.MAX_FREQUENCY`` verified at t = 1
+    over 16 points needs 1,177 steps; it still verifies with a tenth of the cap."""
+    doc = {
+        "schema": 1,
+        "dimension": 4,
+        "order": 1,
+        "deformation": [{"kind": "exact-b-field", "one_form": [{"frequency": [cli.MAX_FREQUENCY, 0, 0, 0], "cos": [0.0, 0.3, -0.2, 0.1]}]}],
+    }
+    pair = cli.build_background(doc, 4)
+    report = sol.run_deformation(cli.build_deformation(doc, pair, 1), pair, order_cap=1)
+    monkeypatch.setattr(sol, "_JET_STEP_CAP", sol._JET_STEP_CAP // 10)
+    assert sol.verify_gk_at_t(report, 1.0, count=16, seed=0)["metric_positive"]
 
 
 @pytest.mark.parametrize("m", [4, 6])
