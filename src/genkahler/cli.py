@@ -322,7 +322,8 @@ def _one_form_from_modes(modes, m: int) -> gf.FourierField:
     return xi
 
 
-def _series_from_doc(terms, m: int) -> sol.SeriesSoField:
+def _series_terms(terms, m: int) -> list[gf.FourierOperatorField | None]:
+    """The per-order operator fields of an ``explicit-series`` primitive."""
     if not isinstance(terms, list) or not terms:
         raise ConfigError("explicit-series needs a non-empty list of per-order term lists")
     parsed = [None]
@@ -340,10 +341,7 @@ def _series_from_doc(terms, m: int) -> sol.SeriesSoField:
                 mat = mat + 1j * _real_array(mode["imag"], (2 * m, 2 * m), "series mode imag")
             term.coeffs[key] = term[key] + mat
         parsed.append(term)
-    try:
-        return sol.SeriesSoField(m, parsed)
-    except ValueError as exc:
-        raise ConfigError(f"explicit-series is not a valid family: {exc}") from exc
+    return parsed
 
 
 def build_deformation(doc: dict, pair: gs.HermitianPair, order_cap: int) -> list[sol.SeriesSoField]:
@@ -356,38 +354,44 @@ def build_deformation(doc: dict, pair: gs.HermitianPair, order_cap: int) -> list
         if not isinstance(item, dict) or "kind" not in item:
             raise ConfigError("each deformation primitive must be an object with a 'kind'")
         kind = item["kind"]
-        if kind == "constant-bivector":
-            _require_keys(item, {"kind", "vectors", "scale"}, {"kind", "vectors"}, "constant-bivector")
-            idx = item["vectors"]
-            n = m // 2
-            if not (isinstance(idx, list) and len(idx) == 2 and all(_is_int(i) and 0 <= i < n for i in idx)):
-                raise ConfigError(f"constant-bivector vectors must be two indices below {n}")
-            if idx[0] == idx[1]:
-                raise ConfigError("constant-bivector vectors must be distinct")
-            base = -pair.J1[:m, :m]
-            u = np.linalg.svd(0.5 * (np.eye(m) - 1j * base))[0][:, :n]
-            biv = np.outer(u[:, idx[0]], u[:, idx[1]]) - np.outer(u[:, idx[1]], u[:, idx[0]])
-            scale = float(_real_array(item.get("scale", 1.0), (), "constant-bivector scale"))
-            alpha = scale * cl.bivector_so((biv + biv.conj()).real)
-            factors.append(sol.SeriesSoField.linear(m, alpha))
-        elif kind == "exact-b-field":
-            _require_keys(item, {"kind", "one_form"}, {"kind", "one_form"}, "exact-b-field")
-            xi = _one_form_from_modes(item["one_form"], m)
-            with np.errstate(over="ignore"):  # an overflowing norm is reported below
-                generator = gf.one_form_differential(xi).map_values(cl.two_form_so)
-                norm = generator.coeff_norm()
-            if not np.isfinite(norm):
-                raise ConfigError("exact-b-field one_form is too large: the norm of its differential overflows")
-            target = sol.conjugated_structure_series(generator, pair.J1, order_cap)
-            try:
+        # the order-j terms of the family, or of its generator for an
+        # exact-b-field; an overflowing norm is reported below, before the
+        # family's so(m,m) checks would warn about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind == "constant-bivector":
+                _require_keys(item, {"kind", "vectors", "scale"}, {"kind", "vectors"}, "constant-bivector")
+                idx = item["vectors"]
+                n = m // 2
+                if not (isinstance(idx, list) and len(idx) == 2 and all(_is_int(i) and 0 <= i < n for i in idx)):
+                    raise ConfigError(f"constant-bivector vectors must be two indices below {n}")
+                if idx[0] == idx[1]:
+                    raise ConfigError("constant-bivector vectors must be distinct")
+                base = -pair.J1[:m, :m]
+                u = np.linalg.svd(0.5 * (np.eye(m) - 1j * base))[0][:, :n]
+                biv = np.outer(u[:, idx[0]], u[:, idx[1]]) - np.outer(u[:, idx[1]], u[:, idx[0]])
+                scale = float(_real_array(item.get("scale", 1.0), (), "constant-bivector scale"))
+                alpha = scale * cl.bivector_so((biv + biv.conj()).real)
+                terms = [None, gf.FourierOperatorField.constant(m, alpha)]
+            elif kind == "exact-b-field":
+                _require_keys(item, {"kind", "one_form"}, {"kind", "one_form"}, "exact-b-field")
+                xi = _one_form_from_modes(item["one_form"], m)
+                terms = [None, gf.one_form_differential(xi).map_values(cl.two_form_so)]
+            elif kind == "explicit-series":
+                _require_keys(item, {"kind", "terms"}, {"kind", "terms"}, "explicit-series")
+                terms = _series_terms(item["terms"], m)
+            else:
+                raise ConfigError(f"unknown deformation kind {kind!r}")
+            norm = sum(term.coeff_norm() for term in terms if term is not None)
+        if not np.isfinite(norm):
+            raise ConfigError(f"{kind} is too large: the norm of its coefficients overflows")
+        try:
+            if kind == "exact-b-field":
+                target = sol.conjugated_structure_series(terms[1], pair.J1, order_cap)
                 factors.append(sol.extract_transverse_family(pair.J1, target, order_cap))
-            except ValueError as exc:
-                raise ConfigError(f"exact-b-field family extraction failed: {exc}") from exc
-        elif kind == "explicit-series":
-            _require_keys(item, {"kind", "terms"}, {"kind", "terms"}, "explicit-series")
-            factors.append(_series_from_doc(item["terms"], m))
-        else:
-            raise ConfigError(f"unknown deformation kind {kind!r}")
+            else:
+                factors.append(sol.SeriesSoField(m, terms))
+        except ValueError as exc:
+            raise ConfigError(f"{kind} is not a valid family: {exc}") from exc
     return factors
 
 
@@ -548,9 +552,9 @@ def cmd_verify_hodge(args) -> int:
     # coefficients, so it holds at every frequency and the box (echoed in the
     # report) does not change the checks; the support is only where an
     # operator would be evaluated
-    bg = gh.TorusBackground(pair, [(0,) * m], h)
+    support = gh.Support([(0,) * m])
 
-    D = bg.derivative
+    D = gh.derivative_operator(m, support, h)
     scale = D.coeff_norm()
     if not np.isfinite(scale):
         raise ConfigError("twist is too large: the norm of the twisted derivative is not finite")
@@ -560,20 +564,21 @@ def cmd_verify_hodge(args) -> int:
     def add(name: str, value: float, tol_here: float = tol) -> None:
         checks.append({"name": name, "max_residual": float(value), "tol": tol_here, "pass": bool(value <= tol_here)})
 
-    # every graded shift, split into the level-one part (cached on the
-    # background) and the torsion part; untwisted, the +-3 components are
-    # zero, so they are not built and the torsion levels stay 0
-    delta_ops = {shift: bg.components[name] for name, shift in gh.DELTA_SHIFTS.items()}
+    # every graded shift, split into the level-one part, whose four components
+    # are kept, and the torsion part, each dropped once its norm is read (at
+    # T^8 a component holds 9 MB of coefficients); untwisted, the +-3
+    # components are zero, so they are not built and the torsion levels stay 0
+    comps = {shift: gh.component_operator(shift, pair, support, h) for shift in gh.DELTA_SHIFTS.values()}
     level_one = None
     torsion_first = 0.0
     torsion_second = 0.0
     full = None
     for shift in gh.COMPONENT_SHIFTS:
-        if shift not in delta_ops and h is None:
+        if shift not in comps and h is None:
             continue
-        comp = delta_ops[shift] if shift in delta_ops else gh.component_operator(shift, pair, bg.support, h)
+        comp = comps[shift] if shift in comps else gh.component_operator(shift, pair, support, h)
         full = comp if full is None else full + comp
-        if abs(shift[0]) == 1 and abs(shift[1]) == 1:
+        if shift in comps:
             level_one = comp if level_one is None else level_one + comp
         else:
             norm = comp.coeff_norm()
@@ -592,7 +597,8 @@ def cmd_verify_hodge(args) -> int:
 
     if integrable:
         add("level_one_components_suffice", _operator_residual(D - level_one, scale))
-        ops = bg.components
+        ops = {name: comps[shift] for name, shift in gh.DELTA_SHIFTS.items()}
+        gram = gh.l2_gram(pair)
         dplus, dminus = ops["delta+"], ops["delta-"]
         dbplus, dbminus = ops["delta_bar+"], ops["delta_bar-"]
         sq = max(
@@ -612,11 +618,11 @@ def cmd_verify_hodge(args) -> int:
         )
         add("mixed_anticommutators_cancel", mixed)
 
-        add("plus_adjoint_is_minus_conjugate", _operator_residual(bg.adjoint(dplus) + dbplus, scale))
-        add("minus_adjoint_is_plus_conjugate", _operator_residual(bg.adjoint(dminus) - dbminus, scale))
+        add("plus_adjoint_is_minus_conjugate", _operator_residual(gh.adjoint(dplus, gram) + dbplus, scale))
+        add("minus_adjoint_is_plus_conjugate", _operator_residual(gh.adjoint(dminus, gram) - dbminus, scale))
 
-        lap_full = gh.laplacian(D, bg.gram)
-        laps = {name: gh.laplacian(op, bg.gram) for name, op in ops.items()}
+        lap_full = gh.laplacian(D, gram)
+        laps = {name: gh.laplacian(op, gram) for name, op in ops.items()}
         ratios = [_operator_residual(lap_full - 4.0 * lap, scale**2) for lap in laps.values()]
         add("full_laplacian_is_four_times_each", max(ratios))
 
@@ -627,11 +633,11 @@ def cmd_verify_hodge(args) -> int:
         n = lap.value_dim
         lap_scale = lap.coeff_norm()
         traces = np.trace(lap.coeffs, axis1=1, axis2=2)
-        scalar = gh.BlockOperator(bg.support, lap.exponents, traces[:, None, None] / n * np.eye(n))
+        scalar = gh.BlockOperator(support, lap.exponents, traces[:, None, None] / n * np.eye(n))
         add("green_commutes_with_laplacian", _operator_residual(lap - scalar, lap_scale))
         units = np.eye(m, dtype=int)
         quadratic = (units[:, None] + units[None]).reshape(-1, m)
-        closed = gh.BlockOperator(bg.support, quadratic, -0.25 * np.linalg.inv(pair.metric).reshape(-1, 1, 1) * np.eye(n))
+        closed = gh.BlockOperator(support, quadratic, -0.25 * np.linalg.inv(pair.metric).reshape(-1, 1, 1) * np.eye(n))
         add("green_plus_harmonic_resolve_identity", _operator_residual(lap - closed, lap_scale))
         gaps = [_operator_residual(other - lap, lap_scale) for other in laps.values()]
         add("green_agrees_across_components", max(gaps))

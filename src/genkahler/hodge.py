@@ -10,19 +10,20 @@ products, sums and adjoints work on a few ``n x n`` matrices and an identity
 checked on the coefficients holds at every frequency in ``Z^m``.  A spinor
 field is packed as one ``(S, n)`` array over a :class:`Support` of ``S``
 sorted frequencies (``n = 2**m``; row ``s`` holds the coefficient of
-frequency ``s``); an operator acts on it by one GEMM and the inner product is
-one ``vdot``.  Per-frequency blocks are only ever an evaluation.
+frequency ``s``); an operator acts on it through the blocks it evaluates
+there, and the inner product is one ``vdot``.
 
 Untwisted, Gualtieri's identities (*Generalized Kahler geometry*, CMP 331
 (2014), arXiv:1007.3485) give the graded structure in closed form: the
 components are Clifford actions ``delta_s(k) = i cl(pi_s k)`` and
 ``4 Lap_{delta+}(k) = |k|^2_{g^-1} Id``, so the Green operator is the scalar
 ``4/|k|^2_{g^-1}`` off ``k = 0``.  A Clifford action is a weighted sum of the
-2m ladders, which are signed bit flips, so :class:`TorusBackground` applies
-the untwisted components to packed rows as signed gathers weighted by the
-per-row vectors ``i pi_s k`` and builds no coefficient matrices; the
-:class:`BlockOperator` algebra serves the operator identities and the
-twisted components.
+2m ladders, which are signed bit flips, so :class:`TorusBackground`, the
+untwisted background the solver works on, applies the components to packed
+rows as signed gathers weighted by the per-row vectors ``i pi_s k`` and
+builds no coefficient matrices.  The :class:`BlockOperator` algebra
+(``derivative_operator``, ``component_operator``, ``adjoint``) serves the
+operator identities; ``verify-hodge`` builds it itself, twisted or not.
 
 The inner product is ``h(f, g) = sum_k (f_k, star conj(g_k))_Ch`` with the
 star taken in the standard torus orientation; this is the unique placement of
@@ -50,6 +51,7 @@ __all__ = [
     "l2_gram",
     "l2_norm",
     "adjoint",
+    "derivative_operator",
     "component_operator",
     "laplacian",
     "green_operator",
@@ -166,8 +168,8 @@ class BlockOperator:
     works on the coefficients, so an identity whose coefficients vanish
     holds at every ``k`` in ``Z^m``.
     Blocks at the ``S`` frequencies of ``support`` (``stack``, ``blocks``)
-    are only an evaluation; the operator acts on fields packed over the
-    support.
+    are only an evaluation, and ``act`` applies them to a field packed over
+    the support.
     """
 
     def __init__(self, support, exponents, coeffs):
@@ -205,23 +207,12 @@ class BlockOperator:
         """The blocks over the support keyed by frequency."""
         return dict(zip(self.support, self.stack))
 
-    @cached_property
-    def _support_powers(self) -> np.ndarray:
-        return self._kappa_powers(self.support.frequencies)
-
-    @cached_property
-    def _stacked(self) -> np.ndarray:
-        """The transposed coefficients stacked into one ``(T n, n)`` matrix."""
-        return self.coeffs.transpose(0, 2, 1).reshape(-1, self.value_dim)
-
     def act(self, rows: np.ndarray) -> np.ndarray:
-        """The operator on a field packed as ``(S, n)`` over its support: the
-        kappa-weighted rows ``(S, T n)`` times the stacked coefficients."""
-        shape = (len(self.support), self.value_dim)
-        if np.shape(rows) != shape:
+        """The operator on a field packed as ``(S, n)`` over its support:
+        each row times its block of ``stack``."""
+        if np.shape(rows) != (len(self.support), self.value_dim):
             raise ValueError(f"packed field of shape {np.shape(rows)} does not match the operator")
-        weighted = self._support_powers[:, :, None] * rows[:, None, :]
-        return weighted.reshape(shape[0], -1) @ self._stacked
+        return np.matmul(self.stack, rows[:, :, None])[:, :, 0]
 
     def _matching(self, other: "BlockOperator") -> "BlockOperator":
         """``other``, which must live over the same support."""
@@ -383,19 +374,17 @@ def green_operator(pair: HermitianPair, support) -> np.ndarray:
 class TorusBackground:
     """Constant generalized Kahler background over one :class:`Support`.
 
-    Caches the Gram matrix, the ladder gather weights of the four untwisted
-    components (folded once from the per-row vectors ``i pi_s k``; see
-    ``apply``) and the Green operator as one scalar per row.  The coefficient
-    operators of the twisted derivative and its four components are built
-    on first use.
-    Fields are packed over the background's support.  A nonzero constant
-    twist is never integrable, so a twisted background has no Green operator
-    and its components act only through ``components``.
+    Untwisted: a constant generalized Kahler pair on a flat torus has
+    ``H = 0`` (Gualtieri, CMP 331 (2014)).  Caches the Gram matrix, the
+    ladder gather weights of the four components (folded once from the
+    per-row vectors ``i pi_s k``; see ``apply``) and the Green operator as
+    one scalar per row.  The coefficient operators of the derivative and its
+    four components are built on first use.  Fields are packed over the
+    background's support.
     """
 
-    def __init__(self, pair: HermitianPair, support, h: np.ndarray | None = None):
+    def __init__(self, pair: HermitianPair, support):
         self.pair = pair
-        self.h = h
         self.support = Support(support)
 
     @cached_property
@@ -404,19 +393,19 @@ class TorusBackground:
 
     @cached_property
     def derivative(self) -> BlockOperator:
-        return derivative_operator(self.pair.m, self.support, self.h)
+        return derivative_operator(self.pair.m, self.support)
 
     @cached_property
     def components(self) -> dict[str, BlockOperator]:
         return {
-            name: component_operator(shift, self.pair, self.support, self.h)
+            name: component_operator(shift, self.pair, self.support)
             for name, shift in DELTA_SHIFTS.items()
         }
 
     @cached_property
     def _component_weights(self) -> dict[str, np.ndarray]:
-        """Ladder gather weights ``(S, m, n)`` of each untwisted component,
-        whose block at ``k`` is the Clifford action of ``i pi_s k``."""
+        """Ladder gather weights ``(S, m, n)`` of each component, whose
+        block at ``k`` is the Clifford action of ``i pi_s k``."""
         kappa = 1j * self.support.frequencies
         return {
             name: _ladder_weights(kappa @ _sector_covectors(self.pair, shift).T)
@@ -424,23 +413,19 @@ class TorusBackground:
         }
 
     def apply(self, name: str, rows: np.ndarray) -> np.ndarray:
-        """The untwisted component ``name`` on a field packed over the
-        support, as one gather-and-sum over the 2m Clifford ladders."""
-        if self.h is not None and np.any(self.h):
-            raise ValueError("a twisted background applies its components through `components`")
+        """The component ``name`` on a field packed over the support, as one
+        gather-and-sum over the 2m Clifford ladders."""
         if np.shape(rows) != (len(self.support), spinor_dim(self.pair.m)):
             raise ValueError(f"packed field of shape {np.shape(rows)} does not match the background")
         return _ladder_gather(self._component_weights[name], rows)
 
     @cached_property
     def green(self) -> np.ndarray:
-        if self.h is not None and np.any(self.h):
-            raise ValueError("a twisted background is not generalized Kahler and has no Green operator")
         return green_operator(self.pair, self.support)
 
     def differentiate(self, rows: np.ndarray) -> np.ndarray:
-        """The twisted derivative of a field packed over the support."""
-        return derivative_rows(self.support.frequencies, rows, self.h)
+        """The exterior derivative of a field packed over the support."""
+        return derivative_rows(self.support.frequencies, rows)
 
     def norm(self, f: np.ndarray) -> float:
         return l2_norm(f, self.gram)

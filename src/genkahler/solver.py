@@ -849,14 +849,16 @@ def run_deformation(
 # the cap means the terms stopped decreasing (NaN or overflow inside the sum).
 _JET_TERM_CAP = 40
 
-# Steps allowed per point and family: the count grows with the exponent's
-# 1-norm, so a large valid family could run for days.  The tests need at most
-# 50, and one exact-b-field mode at |k| = 64 verified at t = 1 needs 1,177.
-_JET_STEP_CAP = 15_000
+# Steps allowed in one verify_gk_at_t call, summed over its points and
+# families: the count grows with the exponents' 1-norms, so a large valid
+# family could run for days.  One exact-b-field mode at |k| = 64 verified at
+# t = 1 over 16 points takes 18,567 steps (at most 1,177 in one call).
+_JET_STEP_BUDGET = 200_000
 
 
-def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One factor applied to a first-order jet: ``(exp(S) v, exp(S) D_d + L(S, G_d) v)``.
+def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """One factor applied to a first-order jet: ``(exp(S) v, exp(S) D_d + L(S, G_d) v)``
+    and the number of steps it took.
 
     ``W`` stacks the flip-mask weights (``clifford.spin_flip_weights``) of
     the exponent ``S`` and then of its m directional derivatives ``G_d``;
@@ -865,15 +867,16 @@ def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, n
     splitting into equal steps of 1-norm at most one; the 1-norms are the
     largest column sums of the weights.  ``S`` is densified and applied to
     the m + 1 rows by one product; the ``G_d`` act on ``v``'s row by one
-    gather, so no dense ``G_d`` is formed.
+    gather, so no dense ``G_d`` is formed.  More steps than ``budget`` raise
+    before the first step.
     """
     norms = _flip_column_sums(W).max(axis=-1)
     norm = norms[0] + norms[1:].sum()
     if not np.isfinite(norm):
         raise ValueError("jet exponential needs a finite exponent")
     steps = max(1, int(np.ceil(norm)))
-    if steps > _JET_STEP_CAP:
-        raise ValueError(f"jet exponential needs {steps} steps, above the cap of {_JET_STEP_CAP}")
+    if steps > budget:
+        raise ValueError(f"jet exponential needs {steps} steps, above the {budget} left of the budget of {_JET_STEP_BUDGET}")
     m = len(W) - 1
     # S dense, the G_d per entry, the layout of the flip applier
     S, G = spin_flip_dense(W[0]), np.ascontiguousarray(W[1:].transpose(2, 0, 1))
@@ -891,7 +894,7 @@ def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, n
         else:
             raise ValueError(f"jet exponential did not converge in {_JET_TERM_CAP} terms")
         x = acc
-    return x[m], x[:m]
+    return x[m], x[:m], steps
 
 
 def _pairing_inverse(F: np.ndarray) -> np.ndarray:
@@ -926,9 +929,11 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
     Factors are applied right to left from ``(psi0, 0)``.  The action is a
     Taylor series on vectors after splitting into ``ceil(|S|_1 + sum_d
     |G_d|_1)`` steps of 1-norm at most one (Al-Mohy & Higham, SISC 2011),
-    at most ``_JET_STEP_CAP``.  Per point and family, one ``spin_flip_weights``
-    call gives ``S`` and the ``G_d`` as flip-mask weights (``_exp_jet``):
-    only ``S`` is made dense, and the ``G_d`` act by one gather.  Points are
+    at most ``_JET_STEP_BUDGET`` summed over the call's points and families,
+    checked before each factor's first step.  Per point and family, one
+    ``spin_flip_weights`` call gives ``S`` and the ``G_d`` as flip-mask
+    weights (``_exp_jet``): only ``S`` is made dense, and the ``G_d`` act by
+    one gather.  Points are
     processed one at a time, so the spinor side holds one point's m + 1
     weight stacks and one dense ``S`` (about 2 MB at m = 8) whatever the
     sample size.  Then ``psi_t = v`` and ``d psi_t = sum_d dx_d ^ D_d``.
@@ -980,11 +985,13 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
     psi0 = report.psi0[(0,) * m]
     derivative_sup = 0.0
     psi_sup = 0.0
+    budget = _JET_STEP_BUDGET
     for p in range(count):
         v, D = psi0, np.zeros((m, psi0.size), dtype=complex)
         for f in reversed(range(len(families))):
             W = spin_flip_weights(np.concatenate([vals[f][p][None], grads[f][:, p]]))
-            v, D = _exp_jet(W, v, D)
+            v, D, steps = _exp_jet(W, v, D, budget)
+            budget -= steps
         psi_sup = max(psi_sup, float(np.linalg.norm(v)))
         dpsi = clifford_act(wedges, D).sum(axis=0)
         derivative_sup = max(derivative_sup, float(np.linalg.norm(dpsi)))

@@ -3,6 +3,7 @@ artifacts, and determinism."""
 
 import itertools
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -258,6 +259,30 @@ def test_deform_rejects_a_one_form_whose_norm_overflows(tmp_path, capsys):
     assert cli.main(["deform", "--config", write_config(tmp_path, doc)]) == 64
     captured = capsys.readouterr()
     assert "too large" in captured.err and "result: ok" not in captured.out
+
+
+HUGE_ROTATION = np.kron(np.eye(2), 1e300 * gs.standard_complex_structure(4)).tolist()
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        {"kind": "constant-bivector", "vectors": [0, 1], "scale": 1e300},
+        {"kind": "exact-b-field", "one_form": [{"frequency": [1, 0, 0, 0], "cos": [0, 1e300, 0, 0]}]},
+        {"kind": "explicit-series", "terms": [[{"frequency": [0, 0, 0, 0], "real": HUGE_ROTATION}]]},
+    ],
+    ids=lambda item: item["kind"],
+)
+def test_deform_rejects_a_family_whose_norm_overflows(tmp_path, item):
+    """A family whose coefficient norm overflows is a config error naming its
+    kind, raised before the family's so(m,m) checks would warn: exit 64 with
+    no traceback and no numpy warning."""
+    doc = {"schema": 1, "dimension": 4, "order": 1, "deformation": [item]}
+    argv = ["deform", "--config", write_config(tmp_path, doc)]
+    proc = subprocess.run([sys.executable, "-m", "genkahler.cli", *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert f"config error: {item['kind']} is too large" in proc.stderr
 
 
 def frequency_doc(kind, k):
@@ -718,7 +743,7 @@ def test_deform_stops_a_large_rotation_at_the_jet_step_cap(tmp_path):
     """The constant rotation ``[[A, 0], [0, A]]``, ``A = 1e12 J``, keeps the
     pair and solves; verifying it would take about 9 days per point.  It
     ends within seconds in a verification failure that names the step count
-    and the cap, with no traceback."""
+    and the budget, with no traceback."""
     rotation = np.kron(np.eye(2), 1e12 * gs.standard_complex_structure(4))
     doc = {
         "schema": 1,
@@ -730,12 +755,13 @@ def test_deform_stops_a_large_rotation_at_the_jet_step_cap(tmp_path):
     argv = ["deform", "--config", write_config(tmp_path, doc)]
     proc = subprocess.run([sys.executable, "-m", "genkahler.cli", *argv], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
-    assert f"verification failure: jet exponential needs 20000000000 steps, above the cap of {sol._JET_STEP_CAP}" in proc.stdout
+    message = rf"verification failure: jet exponential needs 20000000000 steps, above the \d+ left of the budget of {sol._JET_STEP_BUDGET}\n"
+    assert re.search(message, proc.stdout)
 
 
 def test_deform_at_the_frequency_bound_verifies_at_t_1(tmp_path, capsys):
     """One exact-b-field mode at ``|k| = cli.MAX_FREQUENCY`` verified at t = 1
-    needs about 1,200 jet steps per point, well under the cap."""
+    needs about 1,200 jet steps per point, well under the budget."""
     doc = frequency_doc("exact-b-field", cli.MAX_FREQUENCY)
     doc.update({"order": 1, "verify_t": 1.0, "verify_points": 4})
     assert cli.main(["deform", "--config", write_config(tmp_path, doc)]) == 0

@@ -2,6 +2,8 @@
 input-family preconditions and finite-parameter verification."""
 
 import itertools
+import json
+import re
 import sys
 import tracemalloc
 import types
@@ -299,20 +301,27 @@ def test_support_closure_rejects_sums_outside_int64():
         sol._Coefficient(gh.Support([(0,), (2**62,)]), [(2**62,)], np.zeros((1, 2, 2)), True)
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DEFORM_WORKLOADS = ["deform-m4-k8", "deform-m8-k2", "deform-m6-k5-blas2"]
 
 
-@pytest.mark.parametrize("name", ["deform-m4-k8", "deform-m8-k2", "deform-m6-k5-blas2"])
-def test_coefficient_shift_tables_match_per_shift_lookups(name, monkeypatch):
-    """Every coefficient the engines of a benchmark deform build, the
-    corrections included, holds the shift tables of one dict lookup per
-    row and shift."""
+def workload_config(name, monkeypatch):
+    """The seed-0 config of a benchmark workload."""
     # executed from source, so no bytecode is written next to the benchmark;
     # its dataclass needs the module registered
     workloads = types.ModuleType("_perfbench_workloads")
     monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
-    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), workloads.__dict__)
-    doc = workloads.make_config(workloads.WORKLOADS[name], 0)
+    source = PERFBENCH / "workloads.py"
+    exec(compile(source.read_text(encoding="utf-8"), str(source), "exec"), workloads.__dict__)
+    return workloads.make_config(workloads.WORKLOADS[name], 0)
+
+
+@pytest.mark.parametrize("name", DEFORM_WORKLOADS)
+def test_coefficient_shift_tables_match_per_shift_lookups(name, monkeypatch):
+    """Every coefficient the engines of a benchmark deform build, the
+    corrections included, holds the shift tables of one dict lookup per
+    row and shift."""
+    doc = workload_config(name, monkeypatch)
     m, order = doc["dimension"], doc["order"]
     made = []
     init = sol._Coefficient.__init__
@@ -327,6 +336,26 @@ def test_coefficient_shift_tables_match_per_shift_lookups(name, monkeypatch):
     assert len(made) > order
     for support, x in made:
         np.testing.assert_array_equal(x.rows, np.stack([dict_shifted(support, p) for p in x.freqs]))
+
+
+@pytest.mark.parametrize("name", DEFORM_WORKLOADS)
+def test_deform_workloads_reproduce_the_benchmark_reference(name, monkeypatch, tmp_path):
+    """A seed-0 deform of each benchmark workload reproduces the norms of
+    ``perfbench/reference.json`` to roundoff (1e-12 relative), far inside
+    the benchmark gate's 1e-8, so a refactor that moves them shows here."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workload_config(name, monkeypatch)), encoding="utf-8")
+    assert cli.main(["deform", "--config", str(config), "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    want = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))["workloads"][name]
+    got = {
+        "psi_norm": report["psi_norm"],
+        "rho_norms": [o["rho_norm"] for o in report["orders"]],
+        "beta_norms": [o["beta_norm"] for o in report["orders"]],
+    }
+    assert set(want) == set(got)
+    for key in want:
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=0, err_msg=key)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +434,7 @@ def test_extraction_reproduces_structure_series(pair):
 
 def test_order_residual_corner_structure(pair, bfield_family):
     support = sol.support_closure(bfield_family.weighted_support(), 3, 4)
-    bg = gh.TorusBackground(pair, support, None)
+    bg = gh.TorusBackground(pair, support)
     psi0 = pair.canonical_generator(2)
     data = sol.order_residual(1, bfield_family, None, bg, psi0)
     assert data.rho_norm > 1e-3
@@ -420,7 +449,7 @@ def test_order_residual_corner_structure(pair, bfield_family):
 
 def test_order_residual_rejects_missing_lower_orders(pair, bfield_family):
     support = sol.support_closure(bfield_family.weighted_support(), 3, 4)
-    bg = gh.TorusBackground(pair, support, None)
+    bg = gh.TorusBackground(pair, support)
     psi0 = pair.canonical_generator(2)
     with pytest.raises(ValueError, match="below order"):
         sol.order_residual(2, bfield_family, None, bg, psi0)
@@ -428,7 +457,7 @@ def test_order_residual_rejects_missing_lower_orders(pair, bfield_family):
 
 def test_solve_phi_routes_agree_and_reproduce(pair, bfield_family):
     support = sol.support_closure(bfield_family.weighted_support(), 3, 4)
-    bg = gh.TorusBackground(pair, support, None)
+    bg = gh.TorusBackground(pair, support)
     psi0 = pair.canonical_generator(2)
     data = sol.order_residual(1, bfield_family, None, bg, psi0)
     phi, info = sol.solve_phi(data, bg)
@@ -547,7 +576,7 @@ def test_report_dict_is_json_friendly(bfield_report):
 def test_conjugated_route_matches_direct(pair, bfield_family, bfield_report):
     """Independent conjugated expansion gives the same order-2 obstruction."""
     support = bfield_report.support
-    bg = gh.TorusBackground(pair, support, None)
+    bg = gh.TorusBackground(pair, support)
     b_low = bfield_report.b.truncate(1)
     data = sol.order_residual(2, bfield_family, b_low, bg, bfield_report.psi0)
     other = conjugated_residual_series(bfield_family, b_low, bfield_report.psi0, 2)
@@ -852,7 +881,7 @@ def test_exp_jet_matches_frechet_derivative(size):
     W[1:] *= 0.5 * size / np.abs(dense[1:]).sum(axis=1).max()
     S, G = cl.spin_flip_dense(W[0]), cl.spin_flip_dense(W[1:])
     v, D = cplx(n), cplx(m, n)
-    got_v, got_D = sol._exp_jet(W, v, D)
+    got_v, got_D, _ = sol._exp_jet(W, v, D, sol._JET_STEP_BUDGET)
     E = scipy.linalg.expm(S)
     want_v = E @ v
     want_D = np.stack([E @ D[d] + scipy.linalg.expm_frechet(S, G[d], compute_expm=False) @ v for d in range(m)])
@@ -872,18 +901,19 @@ def test_exp_jet_rejects_non_finite_exponent():
     W = np.zeros((2, 2, 4), dtype=complex)  # spinor dimension 4 has two flip masks
     W[0] = np.nan
     with pytest.raises(ValueError, match="finite exponent"):
-        sol._exp_jet(W, np.ones(4, dtype=complex), np.zeros((1, 4), dtype=complex))
+        sol._exp_jet(W, np.ones(4, dtype=complex), np.zeros((1, 4), dtype=complex), sol._JET_STEP_BUDGET)
 
 
 def test_exp_jet_step_cap_stops_a_large_rotation_before_any_step(monkeypatch):
     """The constant rotation ``[[A, 0], [0, A]]``, ``A = 1e12 J``, keeps the
     pair, so the solve passes; its jet exponential would take 2e10 steps per
-    point.  It raises naming the count and the cap before it densifies an
+    point.  It raises naming the count and the budget before it densifies an
     exponent, so before any step."""
     pair = gs.standard_kahler_pair(4)
     rotation = sol.SeriesSoField.linear(4, np.kron(np.eye(2), 1e12 * gs.standard_complex_structure(4)))
     report = sol.run_deformation(rotation, pair, order_cap=1)
-    message = rf"needs 20000000000 steps, above the cap of {sol._JET_STEP_CAP}"
+    budget = sol._JET_STEP_BUDGET
+    message = rf"needs 20000000000 steps, above the \d+ left of the budget of {budget}"
     with pytest.raises(ValueError, match=message):
         sol.verify_gk_at_t(report, 1e-2, count=1)
 
@@ -894,12 +924,11 @@ def test_exp_jet_step_cap_stops_a_large_rotation_before_any_step(monkeypatch):
     values, grads = rotation.jet(1e-2, np.zeros((1, 4)))
     W = cl.spin_flip_weights(np.concatenate([values, grads[:, 0]]))
     with pytest.raises(ValueError, match=message):
-        sol._exp_jet(W, report.psi0[(0,) * 4], np.zeros((4, 16), dtype=complex))
+        sol._exp_jet(W, report.psi0[(0,) * 4], np.zeros((4, 16), dtype=complex), budget)
 
 
-def test_exp_jet_step_cap_has_tenfold_headroom(monkeypatch):
-    """One exact-b-field mode at ``|k| = cli.MAX_FREQUENCY`` verified at t = 1
-    over 16 points needs 1,177 steps; it still verifies with a tenth of the cap."""
+def frequency_bound_report():
+    """One exact-b-field mode at ``|k| = cli.MAX_FREQUENCY``, solved to order 1."""
     doc = {
         "schema": 1,
         "dimension": 4,
@@ -907,9 +936,38 @@ def test_exp_jet_step_cap_has_tenfold_headroom(monkeypatch):
         "deformation": [{"kind": "exact-b-field", "one_form": [{"frequency": [cli.MAX_FREQUENCY, 0, 0, 0], "cos": [0.0, 0.3, -0.2, 0.1]}]}],
     }
     pair = cli.build_background(doc, 4)
-    report = sol.run_deformation(cli.build_deformation(doc, pair, 1), pair, order_cap=1)
-    monkeypatch.setattr(sol, "_JET_STEP_CAP", sol._JET_STEP_CAP // 10)
+    return sol.run_deformation(cli.build_deformation(doc, pair, 1), pair, order_cap=1)
+
+
+def test_exp_jet_step_cap_has_tenfold_headroom(monkeypatch):
+    """The family at the frequency bound verified at t = 1 over 16 points
+    takes 18,567 steps; it still verifies with a tenth of the budget."""
+    report = frequency_bound_report()
+    monkeypatch.setattr(sol, "_JET_STEP_BUDGET", sol._JET_STEP_BUDGET // 10)
     assert sol.verify_gk_at_t(report, 1.0, count=16, seed=0)["metric_positive"]
+
+
+def test_jet_step_budget_bounds_the_sum_over_points_and_families(monkeypatch):
+    """Each jet call of the family at the frequency bound takes at most 1,177
+    steps, under the 15,000 a single call was once allowed, but its 16
+    points take 18,567 in all.  With a budget of 10,000 the verification
+    raises before the first call whose steps would exceed what is left."""
+    report = frequency_bound_report()
+    taken = []
+    exp_jet = sol._exp_jet
+
+    def counted(W, v, D, budget):
+        out = exp_jet(W, v, D, budget)
+        taken.append(out[2])
+        return out
+
+    monkeypatch.setattr(sol, "_exp_jet", counted)
+    monkeypatch.setattr(sol, "_JET_STEP_BUDGET", 10_000)
+    with pytest.raises(ValueError, match="left of the budget of 10000") as err:
+        sol.verify_gk_at_t(report, 1.0, count=16, seed=0)
+    needed, left = map(int, re.search(r"needs (\d+) steps, above the (\d+) left", str(err.value)).groups())
+    assert max(taken) < 15_000 and len(taken) > 16
+    assert left == 10_000 - sum(taken) and needed > left
 
 
 @pytest.mark.parametrize("m", [4, 6])
