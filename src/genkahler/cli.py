@@ -19,7 +19,9 @@ appear in the residual CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -564,31 +566,28 @@ def cmd_verify_hodge(args) -> int:
     def add(name: str, value: float, tol_here: float = tol) -> None:
         checks.append({"name": name, "max_residual": float(value), "tol": tol_here, "pass": bool(value <= tol_here)})
 
-    # every graded shift, split into the level-one part, whose four components
-    # are kept, and the torsion part, each dropped once its norm is read (at
-    # T^8 a component holds 9 MB of coefficients); untwisted, the +-3
-    # components are zero, so they are not built and the torsion levels stay 0
+    # every graded shift: the level-one part, whose four components are kept,
+    # plus the torsion part, each dropped once its norm is read (at T^8 a
+    # component holds 9 MB of coefficients); untwisted, the +-3 components are
+    # zero, so they are not built and the torsion levels stay 0
     comps = {shift: gh.component_operator(shift, pair, support, h) for shift in gh.DELTA_SHIFTS.values()}
-    level_one = None
+    level_one = functools.reduce(operator.add, comps.values())
+    full = level_one
     torsion_first = 0.0
     torsion_second = 0.0
-    full = None
     for shift in gh.COMPONENT_SHIFTS:
-        if shift not in comps and h is None:
+        if shift in comps or h is None:
             continue
-        comp = comps[shift] if shift in comps else gh.component_operator(shift, pair, support, h)
-        full = comp if full is None else full + comp
-        if shift in comps:
-            level_one = comp if level_one is None else level_one + comp
-        else:
-            norm = comp.coeff_norm()
-            # max(0.0, nan) is 0.0: a NaN level would read as integrable
-            if not np.isfinite(norm):
-                raise ConfigError("twist is too large: a torsion level of the background is not finite")
-            if abs(shift[0]) == 3:
-                torsion_first = max(torsion_first, norm)
-            if abs(shift[1]) == 3:
-                torsion_second = max(torsion_second, norm)
+        comp = gh.component_operator(shift, pair, support, h)
+        full = full + comp
+        norm = comp.coeff_norm()
+        # max(0.0, nan) is 0.0: a NaN level would read as integrable
+        if not np.isfinite(norm):
+            raise ConfigError("twist is too large: a torsion level of the background is not finite")
+        if abs(shift[0]) == 3:
+            torsion_first = max(torsion_first, norm)
+        if abs(shift[1]) == 3:
+            torsion_second = max(torsion_second, norm)
     add("component_sum_reproduces_derivative", _operator_residual(D - full, scale))
     info["first_structure_torsion"] = torsion_first / max(scale, 1e-300)
     info["second_structure_torsion"] = torsion_second / max(scale, 1e-300)
@@ -596,51 +595,54 @@ def cmd_verify_hodge(args) -> int:
     info["background_integrable"] = bool(integrable)
 
     if integrable:
-        add("level_one_components_suffice", _operator_residual(D - level_one, scale))
+        level_one_gap = _operator_residual(D - level_one, scale)
+        add("level_one_components_suffice", level_one_gap)
         ops = {name: comps[shift] for name, shift in gh.DELTA_SHIFTS.items()}
         gram = gh.l2_gram(pair)
-        dplus, dminus = ops["delta+"], ops["delta-"]
-        dbplus, dbminus = ops["delta_bar+"], ops["delta_bar-"]
-        sq = max(
-            _operator_residual(dplus @ dplus, scale**2),
-            _operator_residual(dminus @ dminus, scale**2),
-            _operator_residual(dbplus @ dbplus, scale**2),
-            _operator_residual(dbminus @ dbminus, scale**2),
-        )
-        add("component_squares_vanish", sq)
-        anti = max(
-            _operator_residual(dplus @ dminus + dminus @ dplus, scale**2),
-            _operator_residual(dplus @ dbminus + dbminus @ dplus, scale**2),
-        )
-        add("opposite_components_anticommute", anti)
-        mixed = _operator_residual(
-            (dplus @ dbplus + dbplus @ dplus) + (dminus @ dbminus + dbminus @ dminus), scale**2
-        )
-        add("mixed_anticommutators_cancel", mixed)
+        plus_adjoint = _operator_residual(gh.adjoint(ops["delta+"], gram) + ops["delta_bar+"], scale)
+        minus_adjoint = _operator_residual(gh.adjoint(ops["delta-"], gram) - ops["delta_bar-"], scale)
 
-        add("plus_adjoint_is_minus_conjugate", _operator_residual(gh.adjoint(dplus, gram) + dbplus, scale))
-        add("minus_adjoint_is_plus_conjugate", _operator_residual(gh.adjoint(dminus, gram) - dbminus, scale))
+        # every product of two components has a closed form, which holds when
+        # cl is a Clifford representation: that residual, exact on the 2m
+        # ladders, is folded into every closed-form check, and the adjoint
+        # residuals into every check that uses the adjoint relations
+        anti = gh.anticommutators(pair, ops)
+        ladder = cl.clifford_relation_residual(m)
+        adjoints = (plus_adjoint, minus_adjoint)
 
-        lap_full = gh.laplacian(D, gram)
-        laps = {name: gh.laplacian(op, gram) for name, op in ops.items()}
-        ratios = [_operator_residual(lap_full - 4.0 * lap, scale**2) for lap in laps.values()]
+        def closed(op: gh.ScalarQuadratic, scale_here: float, *folded: float) -> float:
+            return max(op.coeff_norm() / max(scale_here, 1e-300), ladder, *folded)
+
+        add("component_squares_vanish", max(closed(0.5 * anti[name, name], scale**2) for name in ops))
+        add(
+            "opposite_components_anticommute",
+            max(closed(anti["delta+", other], scale**2) for other in ("delta-", "delta_bar-")),
+        )
+        mixed = anti["delta+", "delta_bar+"] + anti["delta-", "delta_bar-"]
+        add("mixed_anticommutators_cancel", closed(mixed, scale**2))
+        add("plus_adjoint_is_minus_conjugate", plus_adjoint)
+        add("minus_adjoint_is_plus_conjugate", minus_adjoint)
+
+        # the adjoint relations make delta+* = -delta_bar+ and delta-* =
+        # delta_bar-, so Lap(delta+) = Lap(delta_bar+) = -{delta+, delta_bar+},
+        # Lap(delta-) = Lap(delta_bar-) = {delta-, delta_bar-}, and D* is the
+        # signed sum of the components, whose plain sum is D up to the
+        # level-one gap
+        laps = {"delta+": -anti["delta+", "delta_bar+"], "delta-": anti["delta-", "delta_bar-"]}
+        sign = {"delta+": -1.0, "delta-": 1.0, "delta_bar+": -1.0, "delta_bar-": 1.0}
+        lap_full = functools.reduce(operator.add, (sign[b] * anti[a, b] for a in ops for b in ops))
+        ratios = [closed(lap_full - 4.0 * lap, scale**2, level_one_gap, *adjoints) for lap in laps.values()]
         add("full_laplacian_is_four_times_each", max(ratios))
 
         # the Green operator is the scalar 4/|k|^2_{g^-1} off k = 0: exact when
         # Lap(delta+) is scalar, equals that closed form (whose kappa_j kappa_l
         # coefficients are -g^{jl}/4 Id) and is shared by all four components
         lap = laps["delta+"]
-        n = lap.value_dim
         lap_scale = lap.coeff_norm()
-        traces = np.trace(lap.coeffs, axis1=1, axis2=2)
-        scalar = gh.BlockOperator(support, lap.exponents, traces[:, None, None] / n * np.eye(n))
-        add("green_commutes_with_laplacian", _operator_residual(lap - scalar, lap_scale))
-        units = np.eye(m, dtype=int)
-        quadratic = (units[:, None] + units[None]).reshape(-1, m)
-        closed = gh.BlockOperator(support, quadratic, -0.25 * np.linalg.inv(pair.metric).reshape(-1, 1, 1) * np.eye(n))
-        add("green_plus_harmonic_resolve_identity", _operator_residual(lap - closed, lap_scale))
-        gaps = [_operator_residual(other - lap, lap_scale) for other in laps.values()]
-        add("green_agrees_across_components", max(gaps))
+        add("green_commutes_with_laplacian", max(lap.scalar_defect() / max(lap_scale, 1e-300), ladder, *adjoints))
+        harmonic = gh.ScalarQuadratic(-0.25 * np.linalg.inv(pair.metric), np.zeros_like(lap.lower))
+        add("green_plus_harmonic_resolve_identity", closed(lap - harmonic, lap_scale, *adjoints))
+        add("green_agrees_across_components", closed(laps["delta-"] - lap, lap_scale, *adjoints))
     else:
         info["skipped_checks"] = "background not generalized Kahler: splitting identities not applicable"
 

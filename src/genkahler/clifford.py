@@ -36,6 +36,7 @@ __all__ = [
     "wedge_matrices",
     "clifford_matrices",
     "clifford_vector_matrix",
+    "clifford_relation_residual",
     "clifford_act",
     "so_residual",
     "require_so",
@@ -284,6 +285,25 @@ def _ladder_gather(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for j in rest:
         out += weights[..., j, :] * rows[..., source[j]]
     return out
+
+
+def clifford_relation_residual(m: int) -> float:
+    """Largest entry of ``{cl(e_r), cl(e_s)} - 2 <e_r, e_s> Id`` over all
+    (2m)^2 pairs of unit vectors, exact from the ladder tables.
+
+    ``cl(e_r)`` is the one ladder ``j_r = r mod m`` of ``_ladder_weights``,
+    ``x -> w_r * x[i ^ 2**j_r]``, so the row ``i`` of ``cl(e_r) cl(e_s)``
+    holds ``w_r[i] w_s[i ^ 2**j_r]`` in the column ``i ^ 2**j_r ^ 2**j_s``
+    (the diagonal exactly when ``j_r = j_s``) and nothing else.  Zero for a
+    Clifford representation, which ``cl`` must be for every product of
+    Clifford actions to have its closed form."""
+    m = _check_m(m)
+    source, _ = _ladder_tables(m)
+    ladder = np.arange(2 * m) % m
+    w = _ladder_weights(np.eye(2 * m))[np.arange(2 * m), ladder]
+    product = w[:, None] * w[:, source[ladder]].transpose(1, 0, 2)
+    anti = product + product.transpose(1, 0, 2)
+    return float(np.abs(anti - 2.0 * pairing_matrix(m)[:, :, None]).max())
 
 
 def clifford_act(v: np.ndarray, phi: np.ndarray) -> np.ndarray:

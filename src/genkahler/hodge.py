@@ -23,7 +23,11 @@ untwisted background the solver works on, applies the components to packed
 rows as signed gathers weighted by the per-row vectors ``i pi_s k`` and
 builds no coefficient matrices.  The :class:`BlockOperator` algebra
 (``derivative_operator``, ``component_operator``, ``adjoint``) serves the
-operator identities; ``verify-hodge`` builds it itself, twisted or not.
+operator identities; ``verify-hodge`` builds it itself, twisted or not, but
+multiplies no two of its operators: since ``{cl(u), cl(v)} = 2 <u, v> Id``,
+every anticommutator of two components is a :class:`ScalarQuadratic`, an
+``m x m`` pairing matrix of the sector covectors times the identity plus,
+under a twist, lower-degree terms from the constants (``anticommutators``).
 
 The inner product is ``h(f, g) = sum_k (f_k, star conj(g_k))_Ch`` with the
 star taken in the standard torus orientation; this is the unique placement of
@@ -39,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from genkahler.clifford import _ladder_gather, _ladder_weights
-from genkahler.clifford import clifford_matrices, spinor_dim, wedge_matrices, wedge_operator
+from genkahler.clifford import clifford_matrices, pairing_matrix, spinor_dim, wedge_matrices, wedge_operator
 from genkahler.fields import derivative_rows, three_form_spinor
 from genkahler.structures import HermitianPair
 
@@ -54,6 +58,8 @@ __all__ = [
     "derivative_operator",
     "component_operator",
     "laplacian",
+    "ScalarQuadratic",
+    "anticommutators",
     "green_operator",
     "TorusBackground",
 ]
@@ -286,7 +292,11 @@ def l2_inner(f: np.ndarray, g: np.ndarray, gram: np.ndarray) -> complex:
 
 
 def l2_norm(f: np.ndarray, gram: np.ndarray) -> float:
-    return float(np.sqrt(max(l2_inner(f, f, gram).real, 0.0)))
+    """``sqrt(h(f, f))`` as one real product: ``gram`` is real and symmetric,
+    so ``Re(f^H A f) = x.A x + y.A y`` for ``f = x + i y``, with the real and
+    imaginary rows stacked (a complex product would upcast ``A``)."""
+    x = np.concatenate([f.real, f.imag])
+    return float(np.sqrt(max(np.vdot(x, x @ gram), 0.0)))
 
 
 def adjoint(op: BlockOperator, gram: np.ndarray) -> BlockOperator:
@@ -356,6 +366,87 @@ def component_operator(
 def laplacian(op: BlockOperator, gram: np.ndarray) -> BlockOperator:
     star = adjoint(op, gram)
     return op @ star + star @ op
+
+
+class ScalarQuadratic:
+    """Frequency-diagonal operator whose block at ``k`` is
+    ``sum_{j,l} kappa_j kappa_l quadratic[j, l] Id + sum_j kappa_j lower[j]
+    + lower[m]``: a scalar quadratic part, an ``(m, m)`` matrix, and an
+    ``(m + 1, n, n)`` stack of lower-degree coefficients, ``(0, n, n)`` when
+    there are none.  The form every anticommutator of two level-one components
+    takes (``anticommutators``)."""
+
+    def __init__(self, quadratic: np.ndarray, lower: np.ndarray):
+        self.quadratic, self.lower = quadratic, lower
+
+    def __add__(self, other: "ScalarQuadratic") -> "ScalarQuadratic":
+        return ScalarQuadratic(self.quadratic + other.quadratic, self.lower + other.lower)
+
+    def __sub__(self, other: "ScalarQuadratic") -> "ScalarQuadratic":
+        return self + (-other)
+
+    def __mul__(self, scalar) -> "ScalarQuadratic":
+        return ScalarQuadratic(scalar * self.quadratic, scalar * self.lower)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "ScalarQuadratic":
+        return self * -1.0
+
+    def coeff_norm(self) -> float:
+        """``BlockOperator.coeff_norm`` of the same operator: the merged
+        ``kappa_j kappa_l`` coefficient is ``(q_jl + q_lj) Id`` for j < l."""
+        q = self.quadratic
+        n = self.lower.shape[-1]
+        merged = np.triu(q + q.T, 1) + np.diag(np.diag(q))
+        return float(np.hypot(np.sqrt(n) * np.linalg.norm(merged), np.linalg.norm(self.lower)))
+
+    def scalar_defect(self) -> float:
+        """Frobenius norm of the traceless part of the coefficients (the
+        quadratic part is scalar)."""
+        n = self.lower.shape[-1]
+        trace = np.trace(self.lower, axis1=1, axis2=2)
+        return float(np.linalg.norm(self.lower - trace[:, None, None] / n * np.eye(n)))
+
+
+def _affine_parts(op: BlockOperator) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``(m, n, n)`` linear coefficients, ``kappa_j``'s at ``j``, and the
+    constant of an affine operator with a constant term; None without one."""
+    # the zero exponent sorts first
+    if op.exponents[0].any():
+        return None
+    linear = np.empty((op.torus_dim, op.value_dim, op.value_dim), dtype=complex)
+    linear[op.exponents[1:].argmax(axis=1)] = op.coeffs[1:]
+    return linear, op.coeffs[0]
+
+
+def anticommutators(
+    pair: HermitianPair, components: dict[str, BlockOperator]
+) -> dict[tuple[str, str], ScalarQuadratic]:
+    """``{delta_a, delta_b}`` for every ordered pair of named level-one
+    components (``DELTA_SHIFTS`` names), in closed form.
+
+    The linear coefficients are Clifford actions ``cl(w_j)`` of the sector
+    covectors, and ``{cl(u), cl(v)} = 2 <u, v> Id`` for a Clifford
+    representation (``clifford_relation_residual``), so the quadratic part is
+    ``P + P^T`` with ``P_jl = <w^a_j, w^b_l>``.  With a twist the components
+    have constants ``C_H`` (read off ``components``), which add the
+    ``kappa_j`` coefficients ``{C^a_j, C^b_H} + {C^a_H, C^b_j}`` and the
+    constant ``{C^a_H, C^b_H}``, formed as ``n x n`` products."""
+    pairing = pairing_matrix(pair.m)
+    n = spinor_dim(pair.m)
+    covectors = {name: _sector_covectors(pair, DELTA_SHIFTS[name]) for name in components}
+    parts = {name: _affine_parts(op) for name, op in components.items()}
+    out = {}
+    for a, b in itertools.combinations_with_replacement(components, 2):
+        P = covectors[a].T @ pairing @ covectors[b]
+        if parts[a] is None:
+            lower = np.zeros((0, n, n), dtype=complex)
+        else:
+            (la, ca), (lb, cb) = parts[a], parts[b]
+            lower = np.concatenate([la @ cb + cb @ la + ca @ lb + lb @ ca, (ca @ cb + cb @ ca)[None]])
+        out[a, b] = out[b, a] = ScalarQuadratic(P + P.T, lower)
+    return out
 
 
 def green_operator(pair: HermitianPair, support) -> np.ndarray:

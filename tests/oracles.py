@@ -8,6 +8,7 @@ test data; no path of the library or the command line needs them.
 import numpy as np
 
 from genkahler import clifford as cl
+from genkahler import hodge as gh
 from genkahler import solver as sol
 from genkahler.fields import FourierField, derivative_rows, dual_l_frames, require_three_form
 from genkahler.structures import require_gcs
@@ -194,3 +195,50 @@ def dict_pack(support, field):
     out = np.zeros((len(support), *coeffs.shape[1:]), dtype=complex)
     out[[index[k] for k in freqs]] = coeffs
     return out
+
+
+def dense_splitting_residuals(pair, h=None):
+    """The residuals of ``verify-hodge``'s splitting checks on an integrable
+    background by dense coefficient products (``BlockOperator.__matmul__``
+    and ``hodge.laplacian``), each over the scale the command divides by, and
+    for each the ratio of that divisor to the derivative's coefficient norm
+    to the power of the operator's degree (1 but for the Green checks, which
+    divide by the norm of Lap(delta+))."""
+    m = pair.m
+    support = gh.Support([(0,) * m])
+    D = gh.derivative_operator(m, support, h)
+    scale = D.coeff_norm()
+    ops = {name: gh.component_operator(shift, pair, support, h) for name, shift in gh.DELTA_SHIFTS.items()}
+    gram = gh.l2_gram(pair)
+
+    def residual(op, scale_here):
+        return op.coeff_norm() / max(scale_here, 1e-300)
+
+    dplus, dminus, dbplus, dbminus = ops.values()
+    out = {
+        "component_squares_vanish": max(residual(op @ op, scale**2) for op in ops.values()),
+        "opposite_components_anticommute": max(
+            residual(dplus @ other + other @ dplus, scale**2) for other in (dminus, dbminus)
+        ),
+        "mixed_anticommutators_cancel": residual(
+            (dplus @ dbplus + dbplus @ dplus) + (dminus @ dbminus + dbminus @ dminus), scale**2
+        ),
+        "plus_adjoint_is_minus_conjugate": residual(gh.adjoint(dplus, gram) + dbplus, scale),
+        "minus_adjoint_is_plus_conjugate": residual(gh.adjoint(dminus, gram) - dbminus, scale),
+    }
+    lap_full = gh.laplacian(D, gram)
+    laps = {name: gh.laplacian(op, gram) for name, op in ops.items()}
+    out["full_laplacian_is_four_times_each"] = max(residual(lap_full - 4.0 * lap, scale**2) for lap in laps.values())
+    lap = laps["delta+"]
+    n = lap.value_dim
+    lap_scale = lap.coeff_norm()
+    traces = np.trace(lap.coeffs, axis1=1, axis2=2)
+    scalar = gh.BlockOperator(support, lap.exponents, traces[:, None, None] / n * np.eye(n))
+    out["green_commutes_with_laplacian"] = residual(lap - scalar, lap_scale)
+    units = np.eye(m, dtype=int)
+    quadratic = (units[:, None] + units[None]).reshape(-1, m)
+    closed = gh.BlockOperator(support, quadratic, -0.25 * np.linalg.inv(pair.metric).reshape(-1, 1, 1) * np.eye(n))
+    out["green_plus_harmonic_resolve_identity"] = residual(lap - closed, lap_scale)
+    out["green_agrees_across_components"] = max(residual(other - lap, lap_scale) for other in laps.values())
+    units = {name: lap_scale / scale**2 if name.startswith("green") else 1.0 for name in out}
+    return out, units

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import genkahler.clifford as cl
+import genkahler.hodge as gh
 import genkahler.solver as sol
 import genkahler.structures as gs
 from genkahler import cli
+from oracles import dense_splitting_residuals
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -544,19 +546,23 @@ def test_verify_hodge_checks_do_not_depend_on_the_box(tmp_path, capsys):
     assert len(reports[1]["checks"]) == 11
 
 
-def test_verify_hodge_explicit_bfield_background_t6(tmp_path, capsys):
-    """Every splitting identity holds on an explicit T^6 background with a
-    non-identity metric and a nonzero b-field, both J-invariant."""
+def bfield_background_t6():
+    """An explicit T^6 background with a non-identity metric and a nonzero
+    b-field, both J-invariant."""
     rng = np.random.default_rng(6)
     b_field = j_invariant(rng, 6, False)
     assert np.linalg.norm(b_field) > 0.5
-    background = {
+    return {
         "kind": "explicit",
         "metric": j_invariant(rng, 6, True).tolist(),
         "b_field": b_field.tolist(),
         "base_complex": gs.standard_complex_structure(6).tolist(),
     }
-    report = run_verify_hodge(tmp_path, capsys, {"schema": 1, "dimension": 6, "background": background})
+
+
+def test_verify_hodge_explicit_bfield_background_t6(tmp_path, capsys):
+    """Every splitting identity holds on an explicit T^6 b-field background."""
+    report = run_verify_hodge(tmp_path, capsys, {"schema": 1, "dimension": 6, "background": bfield_background_t6()})
     assert report["ok"] is True and report["info"]["background_integrable"] is True
     assert len(report["checks"]) == 11
     assert all(c["pass"] for c in report["checks"])
@@ -577,6 +583,149 @@ def test_verify_hodge_constant_three_forms_are_not_integrable(tmp_path, capsys, 
         assert info["background_integrable"] is False
         assert max(info["first_structure_torsion"], info["second_structure_torsion"]) > 1e-2
         assert [c["name"] for c in report["checks"]] == ["component_sum_reproduces_derivative"]
+
+
+TINY_TWIST = [[0, 1, 2, 1e-13]]
+
+
+def verify_hodge_on(tmp_path, capsys, monkeypatch, pair, twist=None):
+    """``verify-hodge --json`` on a given pair (and twist) and its report."""
+    monkeypatch.setattr(cli, "build_background", lambda doc, m: pair)
+    doc = {"schema": 1, "dimension": pair.m, **({"twist": twist} if twist else {})}
+    return run_verify_hodge(tmp_path, capsys, doc)
+
+
+def splitting_pairs(m):
+    """A Kahler pair with a J-invariant metric, a b-field pair and a random pair."""
+    rng = np.random.default_rng(70 + m)
+    J = gs.standard_complex_structure(m)
+    bfield = gs.HermitianPair.from_metric(
+        gs.complex_structure_gcs(J), j_invariant(rng, m, True), j_invariant(rng, m, False)
+    )
+    return {
+        "kaehler": gs.HermitianPair.from_kahler(J, j_invariant(rng, m, True)),
+        "bfield": bfield,
+        "random": gs.random_hermitian_pair(rng, m),
+    }
+
+
+def assert_matches_dense_oracle(pair, report, h=None):
+    """Every splitting residual of the report equals the dense route's to 1e-13
+    of the residual's scale: the derivative's coefficient norm to the power of
+    the operator's degree in it (a Green residual is divided by the norm of
+    Lap(delta+), so it is first put back in units of that scale squared)."""
+    residuals, units = dense_splitting_residuals(pair, h)
+    got = {c["name"]: c["max_residual"] for c in report["checks"]}
+    for name, want in residuals.items():
+        assert abs(got[name] - want) * units[name] <= 1e-13, (name, got[name], want)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_verify_hodge_closed_form_matches_dense_oracle(tmp_path, capsys, monkeypatch, m):
+    """The closed-form splitting checks reproduce the dense coefficient
+    products on Kahler, b-field and random pairs, untwisted and, from T^4 on,
+    with a twist of 1e-13, which passes the torsion test."""
+    for label, pair in splitting_pairs(m).items():
+        for twist in [None] + ([TINY_TWIST] if m >= 4 else []):
+            report = verify_hodge_on(tmp_path, capsys, monkeypatch, pair, twist)
+            assert report["info"]["background_integrable"] is True, label
+            assert len(report["checks"]) == 11 and report["ok"] is True, label
+            assert_matches_dense_oracle(pair, report, cli.build_twist({"twist": twist}, m) if twist else None)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_verify_hodge_tiny_twist_keeps_the_lower_degree_terms(tmp_path, capsys, m):
+    """A twist of 1e-13 on the default background is integrable at the
+    tolerance: the constant terms of the components enter every product, and
+    the closed form carries them (their products are nonzero at 1e-14)."""
+    report = run_verify_hodge(tmp_path, capsys, {"schema": 1, "dimension": m, "twist": TINY_TWIST})
+    assert report["info"]["background_integrable"] is True
+    assert len(report["checks"]) == 11 and all(c["pass"] for c in report["checks"])
+    got = {c["name"]: c["max_residual"] for c in report["checks"]}
+    assert got["green_commutes_with_laplacian"] > 1e-15
+    pair = gs.HermitianPair.from_kahler(gs.standard_complex_structure(m), np.eye(m))
+    assert_matches_dense_oracle(pair, report, cli.build_twist({"twist": TINY_TWIST}, m))
+
+
+CLOSED_FORM_CHECKS = [
+    "component_squares_vanish",
+    "opposite_components_anticommute",
+    "mixed_anticommutators_cancel",
+    "full_laplacian_is_four_times_each",
+    "green_commutes_with_laplacian",
+    "green_plus_harmonic_resolve_identity",
+    "green_agrees_across_components",
+]
+
+
+def failed_checks(report):
+    return {c["name"] for c in report["checks"] if not c["pass"]}
+
+
+def test_verify_hodge_closed_form_sees_a_broken_clifford_ladder(tmp_path, capsys, monkeypatch):
+    """One flipped ladder sign makes cl no Clifford representation; the
+    closed forms assume one, so every closed-form check fails."""
+    pair = gs.HermitianPair.from_kahler(gs.standard_complex_structure(4), np.eye(4))
+    tables = cl._ladder_tables
+    source, signs = tables(4)
+    bad = signs.copy()
+    bad[1, 2, np.flatnonzero(bad[1, 2])[0]] *= -1
+    monkeypatch.setattr(cl, "_ladder_tables", lambda m: (source, bad) if m == 4 else tables(m))
+    report = verify_hodge_on(tmp_path, capsys, monkeypatch, pair)
+    assert report["ok"] is False
+    assert failed_checks(report) >= set(CLOSED_FORM_CHECKS)
+
+
+def test_verify_hodge_closed_form_sees_a_corrupted_component(tmp_path, capsys, monkeypatch):
+    """One wrong coefficient of delta_bar+ breaks its adjoint relation, and
+    the Laplacian and Green checks, which use that relation, fail with it."""
+    build = gh.component_operator
+
+    def corrupted(shift, pair, support, h=None):
+        op = build(shift, pair, support, h)
+        if tuple(shift) == (-1, -1):
+            op.coeffs[0, 0, 1] += 1e-3
+        return op
+
+    monkeypatch.setattr(gh, "component_operator", corrupted)
+    report = run_verify_hodge(tmp_path, capsys, {"schema": 1, "dimension": 4})
+    assert failed_checks(report) >= {
+        "plus_adjoint_is_minus_conjugate",
+        "full_laplacian_is_four_times_each",
+        "green_commutes_with_laplacian",
+        "green_plus_harmonic_resolve_identity",
+        "green_agrees_across_components",
+    }
+
+
+def test_verify_hodge_forms_no_dense_product(tmp_path, capsys, monkeypatch):
+    """verify-hodge multiplies no coefficient operators, on the benchmark's
+    T^4 shape and on a T^6 b-field background, and an untwisted T^8 run at
+    frequency_box 2 passes all eleven checks; the counters do count, as the
+    dense oracle shows."""
+    calls = {"matmul": 0, "laplacian": 0}
+    matmul, laplacian = gh.BlockOperator.__matmul__, gh.laplacian
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(gh.BlockOperator, "__matmul__", counted("matmul", matmul))
+    monkeypatch.setattr(gh, "laplacian", counted("laplacian", laplacian))
+    metric = j_invariant(np.random.default_rng(4), 4, True)
+    background = {"kind": "kaehler", "metric": metric.tolist()}
+    shape = {"schema": 1, "dimension": 4, "frequency_box": 3, "background": background}
+    assert run_verify_hodge(tmp_path, capsys, shape)["ok"] is True
+    bfield = {"schema": 1, "dimension": 6, "background": bfield_background_t6()}
+    assert run_verify_hodge(tmp_path, capsys, bfield)["ok"] is True
+    report = run_verify_hodge(tmp_path, capsys, {"schema": 1, "dimension": 8, "frequency_box": 2})
+    assert len(report["checks"]) == 11 and all(c["pass"] for c in report["checks"])
+    assert calls == {"matmul": 0, "laplacian": 0}
+    dense_splitting_residuals(splitting_pairs(2)["random"])
+    assert calls["matmul"] > 0 and calls["laplacian"] > 0
 
 
 def test_deform_trivial_bivector_all_orders_vanish(tmp_path, capsys):

@@ -166,6 +166,30 @@ def test_clifford_table_equals_stacked_ladders(m):
     assert np.array_equal(cl.clifford_matrices(np.eye(2 * m)), loop_ladders(m))
 
 
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_clifford_relation_residual_matches_dense_anticommutators(m, monkeypatch):
+    """The ladder check is the largest entry of the dense anticommutators of
+    the unit vectors' Clifford matrices minus their pairing: 0 on the tables,
+    and the same defect on a table with one sign flipped."""
+
+    def dense_residual():
+        C = cl.clifford_matrices(np.eye(2 * m))
+        anti = C[:, None] @ C[None] + C[None] @ C[:, None]
+        return np.abs(anti - 2.0 * cl.pairing_matrix(m)[:, :, None, None] * np.eye(1 << m)).max()
+
+    assert cl.clifford_relation_residual(m) == dense_residual() == 0
+    source, signs = cl._ladder_tables(m)
+    bad = signs.copy()
+    i = np.flatnonzero(bad[1, m - 1])[0]
+    bad[1, m - 1, i] *= -1
+    monkeypatch.setattr(cl, "_ladder_tables", lambda k: (source, bad))
+    assert cl.clifford_relation_residual(m) == dense_residual() == 2.0
+
+
+def test_clifford_relation_residual_vanishes_at_every_dimension():
+    assert [cl.clifford_relation_residual(m) for m in range(1, cl.MAX_DIM + 1)] == [0.0] * cl.MAX_DIM
+
+
 def test_pairing_matrix_values():
     P = cl.pairing_matrix(2)
     d1 = np.array([1.0, 0, 0, 0])

@@ -593,3 +593,40 @@ def test_zero_operator_matches_oracle(t4):
     lap = gh.laplacian(zero, t4.gram)
     assert lap.coeff_norm() == 0 and not lap.stack.any()
     assert not any(B.any() for B in oracle_green(lap, t4.gram).values())
+
+
+def scalar_quadratic_operator(support, poly):
+    """The block operator of a ``ScalarQuadratic``: its ``kappa_j kappa_l``
+    terms, then its ``kappa_j`` and constant ones."""
+    m, n = len(poly.quadratic), poly.lower.shape[-1]
+    units = np.eye(m, dtype=int)
+    exponents = [(units[:, None] + units[None]).reshape(-1, m), np.eye(m + 1, m, dtype=int)[: len(poly.lower)]]
+    coeffs = [poly.quadratic.reshape(-1, 1, 1) * np.eye(n), poly.lower]
+    return gh.BlockOperator(support, np.concatenate(exponents), np.concatenate(coeffs))
+
+
+@pytest.mark.parametrize("m,twisted", [(2, False), (4, False), (4, True), (6, False), (6, True)])
+def test_anticommutators_match_dense_products(m, twisted):
+    """Every closed-form anticommutator of two level-one components is the
+    dense product's operator coefficient by coefficient, also under a twist
+    of order one, whose lower-degree terms are as large as the rest; its
+    norm and scalar defect are the dense operator's."""
+    rng = np.random.default_rng(80 + m + twisted)
+    pair = gs.random_hermitian_pair(rng, m)
+    h = random_three_form(rng, m) if twisted else None
+    support = gh.Support([(0,) * m])
+    ops = {name: gh.component_operator(shift, pair, support, h) for name, shift in gh.DELTA_SHIFTS.items()}
+    anti = gh.anticommutators(pair, ops)
+    n = 2**m
+    defects = []
+    for a in ops:
+        for b in ops:
+            dense = ops[a] @ ops[b] + ops[b] @ ops[a]
+            closed = anti[a, b]
+            size = ops[a].coeff_norm() * ops[b].coeff_norm()
+            assert (dense - scalar_quadratic_operator(support, closed)).coeff_norm() <= 1e-13 * size
+            assert closed.coeff_norm() == pytest.approx(dense.coeff_norm(), rel=1e-13, abs=1e-13 * size)
+            traceless = dense.coeffs - np.trace(dense.coeffs, axis1=1, axis2=2)[:, None, None] / n * np.eye(n)
+            assert closed.scalar_defect() == pytest.approx(np.linalg.norm(traceless), rel=1e-13, abs=1e-13 * size)
+            defects.append(closed.scalar_defect() / size)
+    assert (max(defects) > 1e-3) == twisted
