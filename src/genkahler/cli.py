@@ -46,53 +46,89 @@ class ConfigError(ValueError):
 # canonical serialization
 
 
-def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("reports must contain finite numbers")
-    return format(float(x), ".17g")
+# floats formatted together, and filled into the text by one ``%``
+_FLOAT_BATCH = 4096
 
 
-def _complex_array(arr: np.ndarray) -> str:
-    """Nested lists of a nonempty complex array, each entry an [re, im] pair:
-    one ``%`` format pass over a template nested by the array's shape."""
-    parts = np.ascontiguousarray(arr).view(float).ravel()
-    if not np.isfinite(parts).all():
-        raise ValueError("reports must contain finite numbers")
-    template = "[%.17g, %.17g]"
-    for size in reversed(arr.shape):
+@functools.lru_cache
+def _array_template(shape: tuple[int, ...]) -> str:
+    """Nested lists of ``[%s, %s]`` pairs for a complex array of ``shape``."""
+    template = "[%s, %s]"
+    for size in reversed(shape):
         template = "[" + ", ".join([template] * size) + "]"
-    return template % tuple(parts.tolist())
+    return template
+
+
+def _float_texts(floats: np.ndarray) -> tuple[str, ...]:
+    """``format(x, ".17g")`` of every float: one ``%.17g`` pass over the
+    distinct magnitudes (bit patterns with the sign cleared, so ``-0.0``
+    gives ``-0``), then ``-`` before the negative ones."""
+    if not np.isfinite(floats).all():
+        raise ValueError("reports must contain finite numbers")
+    magnitudes, index = np.unique(np.abs(floats).view(np.uint64), return_inverse=True)
+    texts = ("%.17g " * len(magnitudes) % tuple(magnitudes.view(float).tolist())).split()
+    table = np.array(texts + ["-" + x for x in texts], dtype=object)
+    return tuple(table[index + len(texts) * np.signbit(floats)])
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, 17-significant-digit floats,
-    complex numbers as [re, im] pairs."""
+    complex numbers as [re, im] pairs.
 
-    def emit(v) -> str:
-        if v is None:
-            return "null"
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, (float, np.floating)):
-            return _format_float(float(v))
-        if isinstance(v, (complex, np.complexfloating)):
-            return f"[{_format_float(v.real)}, {_format_float(v.imag)}]"
-        if isinstance(v, str):
-            return json.dumps(v)
-        if isinstance(v, np.ndarray):
-            if v.dtype == complex and v.ndim and v.size:
-                return _complex_array(v)
-            return emit(v.tolist())
-        if isinstance(v, (list, tuple)):
-            return "[" + ", ".join(emit(x) for x in v) + "]"
+    The walk writes a ``%`` template, a literal ``%`` doubled and ``%s`` in
+    place of each float, and queues the floats.  Once ``_FLOAT_BATCH`` are
+    queued, the template so far is filled with their ``_float_texts``."""
+    parts, queued, done = [], [], []
+    pending = 0
+
+    def flush() -> None:
+        nonlocal pending
+        done.append("".join(parts) % _float_texts(np.concatenate(queued) if queued else np.zeros(0)))
+        parts.clear()
+        queued.clear()
+        pending = 0
+
+    def queue(template: str, floats: np.ndarray) -> None:
+        nonlocal pending
+        parts.append(template)
+        queued.append(floats)
+        pending += len(floats)
+        if pending >= _FLOAT_BATCH:
+            flush()
+
+    def emit(v) -> None:
         if isinstance(v, dict):
-            items = sorted(v.items(), key=lambda kv: str(kv[0]))
-            return "{" + ", ".join(f"{json.dumps(str(k))}: {emit(val)}" for k, val in items) + "}"
-        raise TypeError(f"cannot serialize {type(v)!r}")
+            parts.append("{")
+            for i, (key, val) in enumerate(sorted(v.items(), key=lambda kv: str(kv[0]))):
+                parts.append((", " if i else "") + json.dumps(str(key)).replace("%", "%%") + ": ")
+                emit(val)
+            parts.append("}")
+        elif isinstance(v, (list, tuple)):
+            parts.append("[")
+            for i, x in enumerate(v):
+                parts.append(", " if i else "")
+                emit(x)
+            parts.append("]")
+        elif isinstance(v, np.ndarray) and v.dtype == complex and v.ndim and v.size:
+            queue(_array_template(v.shape), np.ascontiguousarray(v).view(float).ravel())
+        elif isinstance(v, np.ndarray):
+            emit(v.tolist())
+        elif v is None or isinstance(v, bool):
+            parts.append(json.dumps(v))
+        elif isinstance(v, (int, np.integer)):
+            parts.append(str(int(v)))
+        elif isinstance(v, (float, np.floating)):
+            queue("%s", np.array([v], dtype=float))
+        elif isinstance(v, (complex, np.complexfloating)):
+            queue("[%s, %s]", np.array([v.real, v.imag], dtype=float))
+        elif isinstance(v, str):
+            parts.append(json.dumps(v).replace("%", "%%"))
+        else:
+            raise TypeError(f"cannot serialize {type(v)!r}")
 
-    return emit(obj) + "\n"
+    emit(obj)
+    flush()
+    return "".join(done) + "\n"
 
 
 # ---------------------------------------------------------------------------

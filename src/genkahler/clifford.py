@@ -496,17 +496,18 @@ def spin_flip_weights(alphas: np.ndarray) -> np.ndarray:
 def _spin_flip_outer(entry_weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``out[a, s, i] = sum_f W[a, f, i] * x[s, i ^ f]``, ``(P, r, 2**m)``:
     every operator of the flip-mask weights ``W`` ``(P, F, 2**m)`` on every
-    row of ``x`` ``(r, 2**m)``.  The one applier of flip-mask weights.
+    row of ``x`` ``(r, 2**m)``, with leading batch axes broadcast.  The one
+    applier of flip-mask weights.
 
-    The weights come per entry, ``entry_weights[i] = W[:, :, i]``
-    ``(2**m, P, F)``, a layout a caller that applies one stack many times
-    keeps.  Entry i of every image is then one ``(P, F) @ (F, r)`` product
-    with the gathered ``x[s, i ^ f]``, so the whole action is one batched
-    matrix product; the result is a transposed view of it.
+    The weights come per entry, ``entry_weights[..., i, :, :] = W[..., :,
+    :, i]`` ``(..., 2**m, P, F)``, a layout a caller that applies one stack
+    many times keeps.  Entry i of every image is then one ``(P, F) @ (F, r)``
+    product with the gathered ``x[s, i ^ f]``, so the whole action is one
+    batched matrix product; the result is a transposed view of it.
     """
     source = _spin_flip_table(_infer_m_from_spinor(x))[0]
-    gathered = np.ascontiguousarray(x.T)[source.T]  # (2**m, F, r)
-    return (entry_weights @ gathered).transpose(1, 2, 0)
+    gathered = np.ascontiguousarray(x.swapaxes(-1, -2))[..., source.T, :]  # (..., 2**m, F, r)
+    return np.moveaxis(entry_weights @ gathered, -3, -1)
 
 
 def _flip_column_sums(weights: np.ndarray) -> np.ndarray:

@@ -169,10 +169,10 @@ class BlockOperator:
     ``sum_t kappa^exponents[t] coeffs[t]``: ``exponents`` is a ``(T, m)``
     table of distinct nonnegative integer exponents in lexicographic order
     and ``coeffs`` the ``(T, n, n)`` stack of coefficient matrices.  The
-    constructor sorts the given rows once (``_sorted_rows``) and sums the
-    coefficients of equal exponents by one ``np.add.reduceat``.  The algebra
-    works on the coefficients, so an identity whose coefficients vanish
-    holds at every ``k`` in ``Z^m``.
+    constructor sorts the given rows once (``_sorted_rows``) and adds the
+    coefficients of equal exponents slice by slice, in their sorted order.
+    The algebra works on the coefficients, so an identity whose
+    coefficients vanish holds at every ``k`` in ``Z^m``.
     Blocks at the ``S`` frequencies of ``support`` (``stack``, ``blocks``)
     are only an evaluation, and ``act`` applies them to a field packed over
     the support.
@@ -189,8 +189,11 @@ class BlockOperator:
             raise ValueError("support frequencies do not match the torus dimension")
         order, starts = _sorted_rows(exponents)
         self.exponents = exponents[order[starts]]
-        coeffs = coeffs[order]
-        self.coeffs = coeffs if len(starts) == len(order) else np.add.reduceat(coeffs, starts)
+        self.coeffs = coeffs[order[starts]]
+        first = np.zeros(len(order), dtype=bool)
+        first[starts] = True
+        for group, row in zip(np.cumsum(first)[~first] - 1, order[~first]):
+            self.coeffs[group] += coeffs[row]
 
     def _kappa_powers(self, freqs: np.ndarray) -> np.ndarray:
         """``kappa^e`` for every row ``k`` of ``freqs`` and every exponent ``e``, ``(F, T)``."""

@@ -852,49 +852,61 @@ _JET_TERM_CAP = 40
 # Steps allowed in one verify_gk_at_t call, summed over its points and
 # families: the count grows with the exponents' 1-norms, so a large valid
 # family could run for days.  One exact-b-field mode at |k| = 64 verified at
-# t = 1 over 16 points takes 18,567 steps (at most 1,177 in one call).
+# t = 1 over 16 points takes 18,567 steps (at most 1,177 for one point).
 _JET_STEP_BUDGET = 200_000
+
+# Dense exponent entries one chunk of verification points holds: 64 points
+# at m = 4, 4 at m = 6 and 1 at m = 8.
+_JET_CHUNK_ENTRIES = 16_384
 
 
 def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """One factor applied to a first-order jet: ``(exp(S) v, exp(S) D_d + L(S, G_d) v)``
-    and the number of steps it took.
+    """One factor applied to the first-order jets of a chunk of B points:
+    ``(exp(S) v, exp(S) D_d + L(S, G_d) v)`` per point, and the steps taken.
 
-    ``W`` stacks the flip-mask weights (``clifford.spin_flip_weights``) of
-    the exponent ``S`` and then of its m directional derivatives ``G_d``;
-    ``D`` holds the matching jet components.  This is ``exp([[S, G_d], [0,
-    S]])`` acting on ``[D_d; v]``, summed as a Taylor series on vectors after
-    splitting into equal steps of 1-norm at most one; the 1-norms are the
-    largest column sums of the weights.  ``S`` is densified and applied to
-    the m + 1 rows by one product; the ``G_d`` act on ``v``'s row by one
-    gather, so no dense ``G_d`` is formed.  More steps than ``budget`` raise
+    ``W`` ``(B, m + 1, F, 2**m)`` holds each point's flip-mask weights of
+    ``S`` and of its m directional derivatives ``G_d``; ``v`` ``(B, 2**m)``
+    and ``D`` ``(B, m, 2**m)`` the jets.  ``exp([[S, G_d], [0, S]])`` acts on
+    ``[D_d; v]`` as a Taylor series on vectors in equal steps of 1-norm at
+    most one, the 1-norms being the largest column sums of the weights.  One
+    batched loop drops the points whose steps are done and the terms of the
+    points that converged.  ``S`` is dense, applied to the ``(B, 2**m, m +
+    1)`` layout by one batched product; the ``G_d`` act on ``v``'s column per
+    entry (``_spin_flip_outer``).  More steps in all than ``budget`` raise
     before the first step.
     """
     norms = _flip_column_sums(W).max(axis=-1)
-    norm = norms[0] + norms[1:].sum()
-    if not np.isfinite(norm):
+    norm = norms[:, 0] + norms[:, 1:].sum(axis=1)
+    if not np.isfinite(norm).all():
         raise ValueError("jet exponential needs a finite exponent")
-    steps = max(1, int(np.ceil(norm)))
-    if steps > budget:
-        raise ValueError(f"jet exponential needs {steps} steps, above the {budget} left of the budget of {_JET_STEP_BUDGET}")
-    m = len(W) - 1
-    # S dense, the G_d per entry, the layout of the flip applier
-    S, G = spin_flip_dense(W[0]), np.ascontiguousarray(W[1:].transpose(2, 0, 1))
-    x = np.vstack([D, v[None]])
-    for _ in range(steps):
-        acc, term = x, x
+    steps = np.maximum(1.0, np.ceil(norm))
+    total = int(steps.sum())
+    if total > budget:
+        raise ValueError(f"jet exponential needs {total} steps, above the {budget} left of the budget of {_JET_STEP_BUDGET}")
+    m = W.shape[1] - 1
+    S, G = spin_flip_dense(W[:, 0]), np.ascontiguousarray(W[:, 1:].transpose(0, 3, 1, 2))
+    x = np.ascontiguousarray(np.concatenate([D, v[:, None]], axis=1).transpose(0, 2, 1))
+    live = np.arange(len(x))  # the points still stepping, whose rows S and G hold
+    for i in range(int(steps.max())):
+        if steps[live].min() <= i:
+            keep = steps[live] > i
+            live, S, G = live[keep], S[keep], G[keep]
+        # the step's 1/steps is applied to the vectors, so no scaled copy of S or G is made
+        scale = steps[live, None, None]
+        acc = term = x[live]
         for k in range(1, _JET_TERM_CAP + 1):
-            # the step's 1/steps is applied to the vectors, so no scaled copy of S or G is made
-            nxt = term @ S.T
-            nxt[:m] += _spin_flip_outer(G, term[m:])[:, 0]
-            term = nxt / (k * steps)
+            nxt = S @ term
+            nxt[..., :m] += _spin_flip_outer(G, term[:, None, :, m])[:, :, 0].swapaxes(1, 2)
+            term = nxt / (k * scale)
             acc = acc + term
-            if np.abs(term).sum() <= np.finfo(float).eps * np.abs(acc).sum():
+            done = np.abs(term).sum(axis=(1, 2)) <= np.finfo(float).eps * np.abs(acc).sum(axis=(1, 2))
+            if done.all():
                 break
+            term[done] = 0.0  # a converged point adds no further terms
         else:
             raise ValueError(f"jet exponential did not converge in {_JET_TERM_CAP} terms")
-        x = acc
-    return x[m], x[:m], steps
+        x[live] = acc
+    return x[..., m], x[..., :m].swapaxes(1, 2), total
 
 
 def _pairing_inverse(F: np.ndarray) -> np.ndarray:
@@ -930,13 +942,12 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
     Taylor series on vectors after splitting into ``ceil(|S|_1 + sum_d
     |G_d|_1)`` steps of 1-norm at most one (Al-Mohy & Higham, SISC 2011),
     at most ``_JET_STEP_BUDGET`` summed over the call's points and families,
-    checked before each factor's first step.  Per point and family, one
-    ``spin_flip_weights`` call gives ``S`` and the ``G_d`` as flip-mask
-    weights (``_exp_jet``): only ``S`` is made dense, and the ``G_d`` act by
-    one gather.  Points are
-    processed one at a time, so the spinor side holds one point's m + 1
-    weight stacks and one dense ``S`` (about 2 MB at m = 8) whatever the
-    sample size.  Then ``psi_t = v`` and ``d psi_t = sum_d dx_d ^ D_d``.
+    checked before each chunk's first step.  Points go in chunks of
+    ``max(1, _JET_CHUNK_ENTRIES // 4**m)``; per chunk and family, one
+    ``spin_flip_weights`` call and one batched Taylor loop (``_exp_jet``)
+    densify only the ``S``, so the spinor side holds one chunk's weights and
+    dense ``S`` (about 2 MB at m = 8) whatever the sample size.  Then
+    ``psi_t = v`` and ``d psi_t = sum_d dx_d ^ D_d``.
     """
     pair = report.pair
     m = pair.m
@@ -980,21 +991,23 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
         involution = _stacked_norm(Gt @ Gt - eye)
         stabilizer_defect = _stacked_norm(J1t - J1_only_a)
 
-    # spinor side, one point at a time
+    # spinor side, in chunks of points
     wedges = np.eye(2 * m)[m:]  # (0; dx_d), whose Clifford actions are the wedges
     psi0 = report.psi0[(0,) * m]
+    chunk = max(1, _JET_CHUNK_ENTRIES // psi0.size**2)
     derivative_sup = 0.0
     psi_sup = 0.0
     budget = _JET_STEP_BUDGET
-    for p in range(count):
-        v, D = psi0, np.zeros((m, psi0.size), dtype=complex)
+    for part in (slice(lo, lo + chunk) for lo in range(0, count, chunk)):
+        v = np.broadcast_to(psi0, (len(points[part]), psi0.size))
+        D = np.zeros((len(v), m, psi0.size), dtype=complex)
         for f in reversed(range(len(families))):
-            W = spin_flip_weights(np.concatenate([vals[f][p][None], grads[f][:, p]]))
+            W = spin_flip_weights(np.concatenate([vals[f][part, None], grads[f][:, part].swapaxes(0, 1)], axis=1))
             v, D, steps = _exp_jet(W, v, D, budget)
             budget -= steps
-        psi_sup = max(psi_sup, float(np.linalg.norm(v)))
-        dpsi = clifford_act(wedges, D).sum(axis=0)
-        derivative_sup = max(derivative_sup, float(np.linalg.norm(dpsi)))
+        psi_sup = max(psi_sup, float(np.linalg.norm(v, axis=-1).max()))
+        dpsi = clifford_act(wedges, D).sum(axis=-2)
+        derivative_sup = max(derivative_sup, float(np.linalg.norm(dpsi, axis=-1).max()))
 
     return {
         "t": float(t),

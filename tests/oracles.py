@@ -5,13 +5,32 @@ quantity the library computes another way, or a convenience for writing
 test data; no path of the library or the command line needs them.
 """
 
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 
 from genkahler import clifford as cl
 from genkahler import hodge as gh
 from genkahler import solver as sol
-from genkahler.fields import FourierField, derivative_rows, dual_l_frames, require_three_form
+from genkahler.fields import FourierField, derivative_rows, dual_l_frames, require_three_form, uniform_points
 from genkahler.structures import require_gcs
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DEFORM_WORKLOADS = ["deform-m4-k8", "deform-m8-k2", "deform-m6-k5-blas2"]
+
+
+def workload_config(name, monkeypatch):
+    """The seed-0 config of a benchmark workload."""
+    # executed from source, so no bytecode is written next to the benchmark;
+    # its dataclass needs the module registered
+    workloads = types.ModuleType("_perfbench_workloads")
+    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
+    source = PERFBENCH / "workloads.py"
+    exec(compile(source.read_text(encoding="utf-8"), str(source), "exec"), workloads.__dict__)
+    return workloads.make_config(workloads.WORKLOADS[name], 0)
 
 
 def form_vector(m, components):
@@ -123,6 +142,89 @@ def series_jet(family, t, points):
             values += t**j * np.tensordot(phase, stack[1], 1)
             grads += t**j * np.tensordot(1j * k.T[:, None] * phase, stack[1], 1)
     return values, grads
+
+
+def per_point_exp_jet(W, v, D, budget):
+    """``solver._exp_jet`` for one point: ``W`` ``(m + 1, F, 2**m)``, ``v``
+    ``(2**m,)`` and ``D`` ``(m, 2**m)``, one Taylor loop over ``x = [D; v]``
+    with the ``G_d`` applied to ``v``'s row by one gather; returns
+    ``(v, D, steps)``."""
+    norms = cl._flip_column_sums(W).max(axis=-1)
+    norm = norms[0] + norms[1:].sum()
+    if not np.isfinite(norm):
+        raise ValueError("jet exponential needs a finite exponent")
+    steps = max(1, int(np.ceil(norm)))
+    if steps > budget:
+        raise ValueError(f"jet exponential needs {steps} steps, above the {budget} left of the budget of {sol._JET_STEP_BUDGET}")
+    m = len(W) - 1
+    S, G = cl.spin_flip_dense(W[0]), np.ascontiguousarray(W[1:].transpose(2, 0, 1))
+    x = np.vstack([D, v[None]])
+    for _ in range(steps):
+        acc, term = x, x
+        for k in range(1, sol._JET_TERM_CAP + 1):
+            nxt = term @ S.T
+            nxt[:m] += cl._spin_flip_outer(G, term[m:])[:, 0]
+            term = nxt / (k * steps)
+            acc = acc + term
+            if np.abs(term).sum() <= np.finfo(float).eps * np.abs(acc).sum():
+                break
+        else:
+            raise ValueError(f"jet exponential did not converge in {sol._JET_TERM_CAP} terms")
+        x = acc
+    return x[m], x[:m], steps
+
+
+def per_point_verify_gk_at_t(report, t, *, count=16, seed=0):
+    """``solver.verify_gk_at_t`` with its spinor side run one point and one
+    family at a time (``per_point_exp_jet``), under the same step budget."""
+    pair = report.pair
+    m = pair.m
+    points = uniform_points(seed, count, m)
+    families = list(report.factors) + [report.b]
+    vals, grads = zip(*(f.jet(t, points) for f in families))
+    exps = [cl._expm(v) for v in vals]
+    E_no_b = np.eye(2 * m, dtype=complex)
+    for ex in exps[:-1]:
+        E_no_b = E_no_b @ ex
+    E = E_no_b @ exps[-1]
+    Einv = sol._pairing_inverse(E)
+    J1t = (E @ pair.J1 @ Einv).real
+    J2t = (E @ pair.J2 @ Einv).real
+    J1_only_a = (E_no_b @ pair.J1 @ sol._pairing_inverse(E_no_b)).real
+    eye = np.eye(2 * m)
+    P = cl.pairing_matrix(m)
+    PJ1, PJ2 = P @ J1t, P @ J2t
+    Gt = -J1t @ J2t
+    Msym = P @ Gt
+    out = {
+        "t": float(t),
+        "points": int(count),
+        "structure_residual": max(
+            sol._stacked_norm(J1t @ J1t + eye),
+            sol._stacked_norm(J2t @ J2t + eye),
+            sol._stacked_norm(PJ1 + PJ1.swapaxes(-1, -2)),
+            sol._stacked_norm(PJ2 + PJ2.swapaxes(-1, -2)),
+        ),
+        "commutation": sol._stacked_norm(J1t @ J2t - J2t @ J1t),
+        "involution": sol._stacked_norm(Gt @ Gt - eye),
+        "stabilizer_defect": sol._stacked_norm(J1t - J1_only_a),
+        "metric_min_eig": float(np.linalg.eigvalsh(0.5 * (Msym + Msym.swapaxes(-1, -2))).min()),
+        "metric_positive": True,
+        "derivative_sup": 0.0,
+        "psi_sup": 0.0,
+    }
+    wedges = np.eye(2 * m)[m:]
+    psi0 = report.psi0[(0,) * m]
+    budget = sol._JET_STEP_BUDGET
+    for p in range(count):
+        v, D = psi0, np.zeros((m, psi0.size), dtype=complex)
+        for f in reversed(range(len(families))):
+            W = cl.spin_flip_weights(np.concatenate([vals[f][p][None], grads[f][:, p]]))
+            v, D, steps = per_point_exp_jet(W, v, D, budget)
+            budget -= steps
+        out["psi_sup"] = max(out["psi_sup"], float(np.linalg.norm(v)))
+        out["derivative_sup"] = max(out["derivative_sup"], float(np.linalg.norm(cl.clifford_act(wedges, D).sum(axis=0))))
+    return out
 
 
 def courant_bracket(e1: FourierField, e2: FourierField, h: np.ndarray | None = None) -> FourierField:

@@ -17,7 +17,7 @@ import genkahler.hodge as gh
 import genkahler.solver as sol
 import genkahler.structures as gs
 from genkahler import cli
-from oracles import dense_splitting_residuals
+from oracles import DEFORM_WORKLOADS, dense_splitting_residuals, workload_config
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -69,6 +69,75 @@ def test_canonical_json_complex_arrays_match_per_float_writer(shape):
     rng.shuffle(parts)
     arr = parts.view(complex).reshape(shape)
     assert cli.canonical_json(arr) == _per_float_complex_array(arr) + "\n"
+
+
+def _per_float_json(v):
+    """``canonical_json``'s recursive walk as it was before batching, with
+    every float formatted alone (``_per_float_complex_array`` for arrays)."""
+    if isinstance(v, dict):
+        items = sorted(v.items(), key=lambda kv: str(kv[0]))
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_per_float_json(x)}" for k, x in items) + "}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(map(_per_float_json, v)) + "]"
+    if isinstance(v, np.ndarray) and v.dtype == complex and v.ndim and v.size:
+        return _per_float_complex_array(v)
+    if isinstance(v, np.ndarray):
+        return _per_float_json(v.tolist())
+    if isinstance(v, complex):
+        return f"[{format(v.real, '.17g')}, {format(v.imag, '.17g')}]"
+    return format(v, ".17g") if isinstance(v, float) else json.dumps(v)
+
+
+@pytest.mark.parametrize("name", DEFORM_WORKLOADS)
+def test_series_records_match_per_float_writer(name, monkeypatch):
+    """The series record of each benchmark deform config, at its own order
+    cap (several batches of floats each), is written byte for byte as the
+    per-float writer writes it."""
+    doc = workload_config(name, monkeypatch)
+    m, order = doc["dimension"], doc["order"]
+    pair = cli.build_background(doc, m)
+    seed, _ = cli.build_seed(doc, pair)
+    record = cli._series_record(sol.run_deformation(cli.build_deformation(doc, pair, order), pair, order_cap=order, psi=seed))
+    assert cli.canonical_json(record) == _per_float_json(record) + "\n"
+
+
+def test_canonical_json_batches_match_per_float_writer():
+    """Across batches: +-0.0 and +-x in one batch, subnormals, +-1e308,
+    integral floats, an array straddling the end of a batch and one longer
+    than a batch, scalars between arrays, and keys and strings holding
+    ``%``.  A non-finite float in a later batch or alone keeps the message."""
+    rng = np.random.default_rng(11)
+    specials = [0.0, -0.0, 0.1, -0.1, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e308, -1e308, 2.0, -3.0, 1e16, 123456789.0]
+
+    def floats(count):
+        parts = rng.normal(size=count) * 10.0 ** rng.integers(-20, 20, size=count)
+        parts[: len(specials)] = specials
+        rng.shuffle(parts)
+        return parts
+
+    batch = cli._FLOAT_BATCH
+    doc = {
+        "100% %s": "50% of %d, %%",
+        "arrays": [
+            floats(batch - 100).view(complex),  # ends 100 floats before the batch is full
+            floats(2 * 120).view(complex).reshape(3, 2, 20),  # straddles the end of the batch
+            floats(2 * batch + 6).view(complex).reshape(-1, 1),  # longer than a batch
+            [2.0, -0.0, complex(1.0, -0.0), "%", None, True, 7],
+            floats(len(specials)).view(complex),
+        ],
+    }
+    text = cli.canonical_json(doc)
+    assert text == _per_float_json(doc) + "\n"
+    assert '"100% %s": "50% of %d, %%"' in text and "[2, -0, [1, -0], " in text
+    message = "^reports must contain finite numbers$"
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = {"a": doc["arrays"][:3]}
+        broken["a"][2] = broken["a"][2].copy()
+        broken["a"][2].reshape(-1).view(float)[batch + 1] = bad
+        with pytest.raises(ValueError, match=message):
+            cli.canonical_json(broken)
+        with pytest.raises(ValueError, match=message):
+            cli.canonical_json({"x": [1.0, bad]})
 
 
 def bfield_doc(order=2):

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -98,7 +101,8 @@ def test_block_operator_arithmetic():
 def test_block_operator_merge_matches_unique_oracle(m):
     """The sorted-row merge against ``np.unique(axis=0)`` and a 0/1 merge
     matrix: random tables with duplicates, an empty table, one row and all
-    rows equal give the same exponents in the same order and the same sums."""
+    rows equal give the same exponents in the same order and the same sums,
+    bit for bit those of adding each group's slices in order."""
     rng = np.random.default_rng(m)
     tables = [
         rng.integers(0, 3, size=(40, m)),
@@ -113,6 +117,9 @@ def test_block_operator_merge_matches_unique_oracle(m):
         assert op.exponents.shape == want_exponents.shape and op.coeffs.shape == want_coeffs.shape
         np.testing.assert_array_equal(op.exponents, want_exponents)
         assert np.abs(op.coeffs - want_coeffs).max(initial=0.0) <= 1e-15 * max(1.0, np.abs(want_coeffs).max(initial=0.0))
+        order, starts = gh._sorted_rows(exponents)
+        for coeff, group in zip(op.coeffs, np.split(coeffs[order], starts[1:])):
+            np.testing.assert_array_equal(coeff, functools.reduce(operator.add, group))
 
 
 def test_gram_properties():

@@ -4,10 +4,7 @@ input-family preconditions and finite-parameter verification."""
 import itertools
 import json
 import re
-import sys
 import tracemalloc
-import types
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +18,19 @@ import genkahler.hodge as gh
 import genkahler.solver as sol
 import genkahler.structures as gs
 from genkahler import cli
-from oracles import conjugated_residual_series, dict_shifted, field_values, is_real, series_jet, set_support_closure
+from oracles import (
+    DEFORM_WORKLOADS,
+    PERFBENCH,
+    conjugated_residual_series,
+    dict_shifted,
+    field_values,
+    is_real,
+    per_point_exp_jet,
+    per_point_verify_gk_at_t,
+    series_jet,
+    set_support_closure,
+    workload_config,
+)
 
 
 def symmetric_mode(field_like, k, value):
@@ -299,21 +308,6 @@ def test_support_closure_rejects_sums_outside_int64():
     # the engine forms its shift sums the same way
     with pytest.raises(ValueError, match="int64"):
         sol._Coefficient(gh.Support([(0,), (2**62,)]), [(2**62,)], np.zeros((1, 2, 2)), True)
-
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-DEFORM_WORKLOADS = ["deform-m4-k8", "deform-m8-k2", "deform-m6-k5-blas2"]
-
-
-def workload_config(name, monkeypatch):
-    """The seed-0 config of a benchmark workload."""
-    # executed from source, so no bytecode is written next to the benchmark;
-    # its dataclass needs the module registered
-    workloads = types.ModuleType("_perfbench_workloads")
-    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
-    source = PERFBENCH / "workloads.py"
-    exec(compile(source.read_text(encoding="utf-8"), str(source), "exec"), workloads.__dict__)
-    return workloads.make_config(workloads.WORKLOADS[name], 0)
 
 
 @pytest.mark.parametrize("name", DEFORM_WORKLOADS)
@@ -864,10 +858,105 @@ def test_verification_matches_dense_exponential_route(build, t, count):
         assert abs(got["derivative_sup"] - want["derivative_sup"]) <= slack
 
 
+def symplectic_type_report():
+    """The two-mode exact b-field of the CLI tests at order 3 on the explicit
+    T^4 background of symplectic type (identity metric, standard form)."""
+    doc = {
+        "schema": 1,
+        "dimension": 4,
+        "background": {"kind": "explicit", "metric": np.eye(4).tolist(), "symplectic_form": gs.standard_symplectic_form(4).tolist()},
+        "deformation": [
+            {
+                "kind": "exact-b-field",
+                "one_form": [
+                    {"frequency": [1, 0, 0, 0], "cos": list(M4_COEFFS[0])},
+                    {"frequency": [0, 1, 1, 0], "sin": list(M4_COEFFS[1])},
+                ],
+            }
+        ],
+    }
+    pair = cli.build_background(doc, 4)
+    seed, _ = cli.build_seed(doc, pair)
+    return sol.run_deformation(cli.build_deformation(doc, pair, 3), pair, order_cap=3, psi=seed)
+
+
+def random_pair_report(m):
+    """The exact-b-field family on the random b-field pair of
+    ``random_hermitian_pair(default_rng(0), m)``, order cap 3 (1 at m = 8)."""
+    pair = gs.random_hermitian_pair(np.random.default_rng(0), m)
+    coeffs = {4: M4_COEFFS, 6: M6_COEFFS, 8: T8_COEFFS}[m]
+    return exact_bfield_report(m, 1 if m == 8 else 3, *coeffs, pair=pair)
+
+
+@pytest.mark.parametrize(
+    "m, build, t",
+    [
+        (4, lambda: exact_bfield_report(4, 4, *M4_COEFFS), 5e-2),
+        (4, lambda: random_pair_report(4), 5e-2),
+        (4, symplectic_type_report, 5e-2),
+        (6, lambda: exact_bfield_report(6, 3, *M6_COEFFS), 1e-1),
+        (6, lambda: random_pair_report(6), 5e-2),
+        (8, lambda: exact_bfield_report(8, 1, *T8_COEFFS), 1e-2),
+        (8, lambda: random_pair_report(8), 1e-2),
+    ],
+    ids=["kahler-m4", "random-pair-m4", "symplectic-type-m4", "kahler-m6", "random-pair-m6", "kahler-m8", "random-pair-m8"],
+)
+def test_chunked_verification_matches_per_point_oracle(m, build, t):
+    """Chunks of 1, chunk - 1, chunk and chunk + 1 points give the figures of
+    the per-point route: the orthogonal side's exactly, the spinor sups to
+    1e-9 relative or 1e-15 psi_norm absolute (below the roundoff floor)."""
+    report = build()
+    chunk = max(1, sol._JET_CHUNK_ENTRIES // 4**m)
+    for count in sorted({c for c in (1, chunk - 1, chunk, chunk + 1) if c >= 1}):
+        got = sol.verify_gk_at_t(report, t, count=count, seed=3)
+        want = per_point_verify_gk_at_t(report, t, count=count, seed=3)
+        assert got.keys() == want.keys()
+        for key in got.keys() - {"derivative_sup", "psi_sup"}:
+            assert got[key] == want[key], (count, key)
+        for key in ("derivative_sup", "psi_sup"):
+            assert abs(got[key] - want[key]) <= max(1e-9 * want[key], 1e-15 * report.psi_norm), (count, key)
+        assert want["derivative_sup"] > 1e-15 * report.psi_norm
+
+
+def test_verification_memory_at_m6(monkeypatch):
+    """At m = 6 a chunk holds 4 points: the spinor side densifies one
+    ``(4, F, 2**m)`` stack per chunk and family.  Its own peak stays under
+    2 MB (about 1.6 MB), and 16 points peak no higher than 4 plus three
+    times the values and gradients of both families at the 12 extra points
+    (about 2.3 MB; 6.3 MB with all 16 points in one chunk)."""
+    m = 6
+    report = exact_bfield_report(m, 3, *M6_COEFFS)
+    dense_shapes = []
+    densify = sol.spin_flip_dense
+
+    def record(weights):
+        dense_shapes.append(weights.shape)
+        return densify(weights)
+
+    monkeypatch.setattr(sol, "spin_flip_dense", record)
+    sol.verify_gk_at_t(report, 1e-1, count=4, seed=0)  # builds the cached tables
+    peaks = {}
+    for count in (4, 16):
+        dense_shapes.clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sol.verify_gk_at_t(report, 1e-1, count=count, seed=0)
+            peaks[count] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert dense_shapes == [(4, 16, 64)] * (2 * count // 4)
+    assert peaks[4] < 2e6, f"verification peaked {peaks[4] / 1e6:.1f} MB above its start"
+    samples = 3 * 12 * 2 * (m + 1) * (2 * m) ** 2 * 16
+    assert peaks[16] <= peaks[4] + samples, f"{peaks[16] / 1e6:.2f} MB at 16 points, {peaks[4] / 1e6:.2f} MB at 4"
+
+
 @pytest.mark.parametrize("size", [0.01, 1.0, 20.0])
 def test_exp_jet_matches_frechet_derivative(size):
-    """The vector jet reproduces expm and expm_frechet of the densified
-    weights; size 20 takes 20 steps."""
+    """The vector jets of a batch reproduce expm and expm_frechet of the
+    densified weights point by point.  The points have sizes ``size``,
+    ``size / 4`` and 0.01, so at size 20 they take different step counts,
+    which sum to the count returned."""
     rng = np.random.default_rng(int(100 * size))
     m = 3
     flips, n = 7, 16  # the flip masks of spinor dimension 16
@@ -875,18 +964,22 @@ def test_exp_jet_matches_frechet_derivative(size):
     def cplx(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    W = cplx(1 + m, flips, n)
-    dense = cl.spin_flip_dense(W)
-    W[0] *= size / np.abs(dense[0]).sum(axis=0).max()
-    W[1:] *= 0.5 * size / np.abs(dense[1:]).sum(axis=1).max()
-    S, G = cl.spin_flip_dense(W[0]), cl.spin_flip_dense(W[1:])
-    v, D = cplx(n), cplx(m, n)
-    got_v, got_D, _ = sol._exp_jet(W, v, D, sol._JET_STEP_BUDGET)
-    E = scipy.linalg.expm(S)
-    want_v = E @ v
-    want_D = np.stack([E @ D[d] + scipy.linalg.expm_frechet(S, G[d], compute_expm=False) @ v for d in range(m)])
-    assert np.linalg.norm(got_v - want_v) <= 1e-12 * np.linalg.norm(want_v)
-    assert np.linalg.norm(got_D - want_D) <= 1e-12 * np.linalg.norm(want_D)
+    sizes = [size, size / 4, 0.01]
+    W = cplx(len(sizes), 1 + m, flips, n)
+    for w, point_size in zip(W, sizes):
+        dense = cl.spin_flip_dense(w)
+        w[0] *= point_size / np.abs(dense[0]).sum(axis=0).max()
+        w[1:] *= 0.5 * point_size / np.abs(dense[1:]).sum(axis=1).max()
+    v, D = cplx(len(sizes), n), cplx(len(sizes), m, n)
+    got_v, got_D, steps = sol._exp_jet(W, v, D, sol._JET_STEP_BUDGET)
+    assert steps == sum(per_point_exp_jet(W[b], v[b], D[b], sol._JET_STEP_BUDGET)[2] for b in range(len(sizes)))
+    for b in range(len(sizes)):
+        S, G = cl.spin_flip_dense(W[b, 0]), cl.spin_flip_dense(W[b, 1:])
+        E = scipy.linalg.expm(S)
+        want_v = E @ v[b]
+        want_D = np.stack([E @ D[b, d] + scipy.linalg.expm_frechet(S, G[d], compute_expm=False) @ v[b] for d in range(m)])
+        assert np.linalg.norm(got_v[b] - want_v) <= 1e-12 * np.linalg.norm(want_v)
+        assert np.linalg.norm(got_D[b] - want_D) <= 1e-12 * np.linalg.norm(want_D)
 
 
 @pytest.mark.parametrize("m", [2, 4, 8])
@@ -898,10 +991,10 @@ def test_pairing_inverse_matches_linalg_inverse(m):
 
 
 def test_exp_jet_rejects_non_finite_exponent():
-    W = np.zeros((2, 2, 4), dtype=complex)  # spinor dimension 4 has two flip masks
-    W[0] = np.nan
+    W = np.zeros((2, 2, 2, 4), dtype=complex)  # spinor dimension 4 has two flip masks
+    W[1, 0] = np.nan  # the second point of the batch
     with pytest.raises(ValueError, match="finite exponent"):
-        sol._exp_jet(W, np.ones(4, dtype=complex), np.zeros((1, 4), dtype=complex), sol._JET_STEP_BUDGET)
+        sol._exp_jet(W, np.ones((2, 4), dtype=complex), np.zeros((2, 1, 4), dtype=complex), sol._JET_STEP_BUDGET)
 
 
 def test_exp_jet_step_cap_stops_a_large_rotation_before_any_step(monkeypatch):
@@ -924,7 +1017,7 @@ def test_exp_jet_step_cap_stops_a_large_rotation_before_any_step(monkeypatch):
     values, grads = rotation.jet(1e-2, np.zeros((1, 4)))
     W = cl.spin_flip_weights(np.concatenate([values, grads[:, 0]]))
     with pytest.raises(ValueError, match=message):
-        sol._exp_jet(W, report.psi0[(0,) * 4], np.zeros((4, 16), dtype=complex), budget)
+        sol._exp_jet(W[None], report.psi0[(0,) * 4][None], np.zeros((1, 4, 16), dtype=complex), budget)
 
 
 def frequency_bound_report():
@@ -947,12 +1040,13 @@ def test_exp_jet_step_cap_has_tenfold_headroom(monkeypatch):
     assert sol.verify_gk_at_t(report, 1.0, count=16, seed=0)["metric_positive"]
 
 
-def test_jet_step_budget_bounds_the_sum_over_points_and_families(monkeypatch):
-    """Each jet call of the family at the frequency bound takes at most 1,177
-    steps, under the 15,000 a single call was once allowed, but its 16
-    points take 18,567 in all.  With a budget of 10,000 the verification
-    raises before the first call whose steps would exceed what is left."""
+def budget_failure(monkeypatch, chunk_entries):
+    """Verify the family at the frequency bound at t = 1 over 16 points with
+    a step budget of 10,000 and chunks of ``chunk_entries`` dense entries:
+    the steps of every jet call that ran, and the steps needed and left that
+    the error names."""
     report = frequency_bound_report()
+    monkeypatch.setattr(sol, "_JET_CHUNK_ENTRIES", chunk_entries)
     taken = []
     exp_jet = sol._exp_jet
 
@@ -966,7 +1060,26 @@ def test_jet_step_budget_bounds_the_sum_over_points_and_families(monkeypatch):
     with pytest.raises(ValueError, match="left of the budget of 10000") as err:
         sol.verify_gk_at_t(report, 1.0, count=16, seed=0)
     needed, left = map(int, re.search(r"needs (\d+) steps, above the (\d+) left", str(err.value)).groups())
+    return taken, needed, left
+
+
+def test_jet_step_budget_bounds_the_sum_over_points_and_families(monkeypatch):
+    """Each jet call of the family at the frequency bound with one point per
+    chunk takes at most 1,177 steps, under the 15,000 a single call was once
+    allowed, but its 16 points take 18,567 in all.  With a budget of 10,000
+    the verification raises before the first call whose steps would exceed
+    what is left."""
+    taken, needed, left = budget_failure(monkeypatch, 1)
     assert max(taken) < 15_000 and len(taken) > 16
+    assert left == 10_000 - sum(taken) and needed > left
+
+
+def test_jet_step_budget_is_checked_per_chunk(monkeypatch):
+    """With the default chunk, all 16 points at m = 4, the first family's
+    chunk takes its steps and the second family's chunk, which needs more
+    than is left, raises before its first step."""
+    taken, needed, left = budget_failure(monkeypatch, sol._JET_CHUNK_ENTRIES)
+    assert len(taken) == 1
     assert left == 10_000 - sum(taken) and needed > left
 
 
@@ -1026,7 +1139,7 @@ def test_verification_at_t8_densifies_one_exponent_per_point_and_family(t8_repor
     peak stays under 5 MB (about 2.7 MB; 13.9 MB with m dense gradient
     images per point), and 16 points peak no higher than 2 plus twice the
     values and gradients of both families at the 14 extra points, since
-    points are processed one at a time."""
+    at m = 8 a chunk of points holds one point."""
     m = 8
     dense_shapes = []
     densify = sol.spin_flip_dense
@@ -1051,8 +1164,8 @@ def test_verification_at_t8_densifies_one_exponent_per_point_and_family(t8_repor
             peaks[count] = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # one S per point and family, each one flip-mask stack (F, 2**m)
-        assert dense_shapes == [(29, 256)] * (2 * count)
+        # one S per chunk and family; at m = 8 a chunk is one point, (1, F, 2**m)
+        assert dense_shapes == [(1, 29, 256)] * (2 * count)
     assert peaks[2] < 5e6, f"verification peaked {peaks[2] / 1e6:.1f} MB above its start"
     samples = 2 * 14 * 2 * (m + 1) * (2 * m) ** 2 * 16
     assert peaks[16] <= peaks[2] + samples, f"{peaks[16] / 1e6:.2f} MB at 16 points, {peaks[2] / 1e6:.2f} MB at 2"
@@ -1107,15 +1220,16 @@ def test_run_deformation_t8_builds_no_per_frequency_blocks(monkeypatch):
 def test_run_deformation_t8_holds_spin_images_as_flip_weights(monkeypatch):
     """The deform path makes no dense spin-image stack: at T^8, order cap 2
     (the benchmark's deform-m8-k2 shape), pair, solve and verification
-    densify only single ``(F, 2**m)`` weight stacks, the verifier's exponent
-    of each point and family, never call ``spin_lie_action``, and peak under
+    densify only one-point ``(1, F, 2**m)`` weight stacks, the verifier's
+    exponent of each chunk (one point at m = 8) and family, never call
+    ``spin_lie_action``, and peak under
     18 MB above their start (about 13 MB; 27 MB with dense images in the
     series engine)."""
     densified = []
 
     def single(weights):
         densified.append(weights.shape)
-        assert weights.shape == (29, 256), f"dense spin images of shape {weights.shape}"
+        assert weights.shape == (1, 29, 256), f"dense spin images of shape {weights.shape}"
         return cl.spin_flip_dense(weights)
 
     def refuse(*args):
