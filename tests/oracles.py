@@ -299,8 +299,14 @@ def dict_pack(support, field):
     return out
 
 
-def dense_splitting_residuals(pair, h=None):
-    """The residuals of ``verify-hodge``'s splitting checks on an integrable
+def l2_inner(f, g, gram):
+    """Hermitian inner product of two fields packed over one support,
+    conjugate-linear in the second argument; ``gram`` is ``hodge.l2_gram``."""
+    return complex(np.vdot(g, f @ gram.T))
+
+
+def dense_splitting_residuals(pair):
+    """The residuals of ``verify-hodge``'s splitting checks on an untwisted
     background by dense coefficient products (``BlockOperator.__matmul__``
     and ``hodge.laplacian``), each over the scale the command divides by, and
     for each the ratio of that divisor to the derivative's coefficient norm
@@ -308,9 +314,9 @@ def dense_splitting_residuals(pair, h=None):
     divide by the norm of Lap(delta+))."""
     m = pair.m
     support = gh.Support([(0,) * m])
-    D = gh.derivative_operator(m, support, h)
+    D = gh.derivative_operator(m, support)
     scale = D.coeff_norm()
-    ops = {name: gh.component_operator(shift, pair, support, h) for name, shift in gh.DELTA_SHIFTS.items()}
+    ops = {name: gh.component_operator(shift, pair, support) for name, shift in gh.DELTA_SHIFTS.items()}
     gram = gh.l2_gram(pair)
 
     def residual(op, scale_here):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import genkahler.clifford as cl
+import genkahler.fields as gf
 import genkahler.hodge as gh
 import genkahler.solver as sol
 import genkahler.structures as gs
@@ -678,12 +679,12 @@ def splitting_pairs(m):
     }
 
 
-def assert_matches_dense_oracle(pair, report, h=None):
+def assert_matches_dense_oracle(pair, report):
     """Every splitting residual of the report equals the dense route's to 1e-13
     of the residual's scale: the derivative's coefficient norm to the power of
     the operator's degree in it (a Green residual is divided by the norm of
     Lap(delta+), so it is first put back in units of that scale squared)."""
-    residuals, units = dense_splitting_residuals(pair, h)
+    residuals, units = dense_splitting_residuals(pair)
     got = {c["name"]: c["max_residual"] for c in report["checks"]}
     for name, want in residuals.items():
         assert abs(got[name] - want) * units[name] <= 1e-13, (name, got[name], want)
@@ -692,28 +693,50 @@ def assert_matches_dense_oracle(pair, report, h=None):
 @pytest.mark.parametrize("m", [2, 4, 6])
 def test_verify_hodge_closed_form_matches_dense_oracle(tmp_path, capsys, monkeypatch, m):
     """The closed-form splitting checks reproduce the dense coefficient
-    products on Kahler, b-field and random pairs, untwisted and, from T^4 on,
-    with a twist of 1e-13, which passes the torsion test."""
+    products on Kahler, b-field and random pairs."""
     for label, pair in splitting_pairs(m).items():
-        for twist in [None] + ([TINY_TWIST] if m >= 4 else []):
-            report = verify_hodge_on(tmp_path, capsys, monkeypatch, pair, twist)
-            assert report["info"]["background_integrable"] is True, label
-            assert len(report["checks"]) == 11 and report["ok"] is True, label
-            assert_matches_dense_oracle(pair, report, cli.build_twist({"twist": twist}, m) if twist else None)
+        report = verify_hodge_on(tmp_path, capsys, monkeypatch, pair)
+        assert report["info"]["background_integrable"] is True, label
+        assert len(report["checks"]) == 11 and report["ok"] is True, label
+        assert_matches_dense_oracle(pair, report)
 
 
 @pytest.mark.parametrize("m", [4, 6])
-def test_verify_hodge_tiny_twist_keeps_the_lower_degree_terms(tmp_path, capsys, m):
-    """A twist of 1e-13 on the default background is integrable at the
-    tolerance: the constant terms of the components enter every product, and
-    the closed form carries them (their products are nonzero at 1e-14)."""
-    report = run_verify_hodge(tmp_path, capsys, {"schema": 1, "dimension": m, "twist": TINY_TWIST})
-    assert report["info"]["background_integrable"] is True
-    assert len(report["checks"]) == 11 and all(c["pass"] for c in report["checks"])
-    got = {c["name"]: c["max_residual"] for c in report["checks"]}
-    assert got["green_commutes_with_laplacian"] > 1e-15
-    pair = gs.HermitianPair.from_kahler(gs.standard_complex_structure(m), np.eye(m))
-    assert_matches_dense_oracle(pair, report, cli.build_twist({"twist": TINY_TWIST}, m))
+def test_verify_hodge_tiny_twist_is_not_integrable(tmp_path, capsys, m):
+    """verify-hodge decides integrability as deform does: a twist of 1e-13,
+    whose torsion levels lie far below the tolerance, is still a nonzero
+    twist, so only the component sum is checked; deform rejects the same
+    rows with its H = 0 message."""
+    doc = {"schema": 1, "dimension": m, "twist": TINY_TWIST}
+    report = run_verify_hodge(tmp_path, capsys, doc)
+    info = report["info"]
+    assert report["ok"] is True and info["background_integrable"] is False
+    assert [c["name"] for c in report["checks"]] == ["component_sum_reproduces_derivative"]
+    assert 0 < max(info["first_structure_torsion"], info["second_structure_torsion"]) < report["tol"]
+    assert cli.main(["deform", "--config", write_config(tmp_path, doc)]) == 64
+    captured = capsys.readouterr()
+    assert "zero twist" in captured.err and "H = 0" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_torsion_parts_determine_the_three_form(m):
+    """The map from a constant three-form H to the stacked +-3 shift parts
+    of its wedge is injective, well away from roundoff, on every pair of
+    ``splitting_pairs``: a twist whose torsion levels pass the tolerance is
+    roundoff, so deciding integrability by H = 0 loses no background.  The
+    wedge by a unit basis three-form has Frobenius norm sqrt(n/8), and the
+    smallest singular value (0.198 at least on these pairs) is kept above
+    0.1 of that."""
+    n = cl.spinor_dim(m)
+    torsion = [shift for shift in gh.COMPONENT_SHIFTS if 3 in map(abs, shift)]
+    for label, pair in splitting_pairs(m).items():
+        columns = []
+        for triple in itertools.combinations(range(m), 3):
+            h = cli.build_twist({"twist": [[*triple, 1.0]]}, m)
+            wedge = cl.wedge_operator(gf.three_form_spinor(h))
+            columns.append(np.concatenate([pair.shift_part(wedge, shift).ravel() for shift in torsion]))
+        smallest = np.linalg.svd(np.array(columns).T, compute_uv=False).min()
+        assert smallest >= 0.1 * np.sqrt(n / 8), (label, smallest)
 
 
 CLOSED_FORM_CHECKS = [
