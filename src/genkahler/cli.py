@@ -263,33 +263,34 @@ def build_background(doc: dict, m: int) -> gs.HermitianPair:
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("background must be an object with a 'kind'")
     kind = block["kind"]
+    b_field = None
     if kind == "kaehler":
         _require_keys(block, {"kind", "metric"}, {"kind"}, "background")
         if m % 2:
             raise ConfigError("kaehler backgrounds need an even dimension")
         metric = _real_array(block["metric"], (m, m), "background.metric") if "metric" in block else np.eye(m)
-        try:
-            return gs.HermitianPair.from_kahler(gs.standard_complex_structure(m), metric)
-        except ValueError as exc:
-            raise ConfigError(f"background is not a valid pair: {exc}") from exc
-    if kind == "explicit":
+        structure, coeffs = gs.complex_structure_gcs, gs.standard_complex_structure(m)
+    elif kind == "explicit":
         _require_keys(
             block, {"kind", "metric", "b_field", "base_complex", "symplectic_form"}, {"kind", "metric"}, "background"
         )
         metric = _real_array(block["metric"], (m, m), "background.metric")
         b_field = _real_array(block["b_field"], (m, m), "background.b_field") if "b_field" in block else None
         has_complex = "base_complex" in block
-        has_symplectic = "symplectic_form" in block
-        if has_complex == has_symplectic:
+        if has_complex == ("symplectic_form" in block):
             raise ConfigError("explicit backgrounds need exactly one of base_complex or symplectic_form")
         key = "base_complex" if has_complex else "symplectic_form"
         coeffs = _real_array(block[key], (m, m), f"background.{key}")
-        try:
-            J1 = gs.complex_structure_gcs(coeffs) if has_complex else gs.symplectic_gcs(coeffs)
-            return gs.HermitianPair.from_metric(J1, metric, b_field)
-        except ValueError as exc:
-            raise ConfigError(f"background is not a valid pair: {exc}") from exc
-    raise ConfigError(f"unknown background kind {kind!r}")
+        structure = gs.complex_structure_gcs if has_complex else gs.symplectic_gcs
+    else:
+        raise ConfigError(f"unknown background kind {kind!r}")
+    # entries of hostile scale overflow inside the construction, and its
+    # checks fail on the resulting inf or NaN, so numpy is not asked to warn
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return gs.HermitianPair.from_metric(structure(coeffs), metric, b_field)
+    except ValueError as exc:
+        raise ConfigError(f"background is not a valid pair: {exc}") from exc
 
 
 def build_seed(doc: dict, pair: gs.HermitianPair) -> tuple[np.ndarray, complex]:
@@ -592,10 +593,28 @@ def cmd_verify_hodge(args) -> int:
     # operator would be evaluated
     support = gh.Support([(0,) * m])
 
-    D = gh.derivative_operator(m, support, h)
+    D = gh.derivative_operator(m, support)
+    # the four level-one components of the untwisted derivative, which sum to it
+    comps = {shift: gh.component_operator(shift, pair, support) for shift in gh.DELTA_SHIFTS.values()}
+    gap = (D - functools.reduce(operator.add, comps.values())).coeff_norm()
     scale = D.coeff_norm()
-    if not np.isfinite(scale):
-        raise ConfigError("twist is too large: the norm of the twisted derivative is not finite")
+    torsion = [0.0, 0.0]
+    if h is not None:
+        # a constant twist adds the constant H^ to D, and each of its 16
+        # graded parts is a constant: the torsion levels are the largest
+        # parts with a +-3 first or second index, and the component sum
+        # reproduces D + H^ up to the level-one gap and that of the parts
+        Hw = cl.wedge_operator(gf.three_form_spinor(h))
+        # an overflowed norm is rejected here, so numpy is not asked to warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = float(np.hypot(scale, np.linalg.norm(Hw)))
+            if not np.isfinite(scale):
+                raise ConfigError("twist is too large: the norm of the twisted derivative is not finite")
+            parts = {shift: pair.shift_part(Hw, shift) for shift in gh.COMPONENT_SHIFTS}
+            torsion = [float(np.max([np.linalg.norm(p) for s, p in parts.items() if abs(s[i]) == 3])) for i in (0, 1)]
+        if not np.isfinite(torsion).all():
+            raise ConfigError("twist is too large: a torsion level of the background is not finite")
+        gap = float(np.hypot(gap, np.linalg.norm(Hw - sum(parts.values()))))
     checks: list[dict] = []
     info: dict[str, object] = {}
 
@@ -606,32 +625,10 @@ def cmd_verify_hodge(args) -> int:
     # generalized Kahler pair on a flat torus has H = 0, so a nonzero twist,
     # however small, keeps only its torsion levels and the component sum
     integrable = h is None
-    # every graded shift: the level-one part, whose four components are kept,
-    # plus the torsion part, each dropped once its norm is read (at T^8 a
-    # component holds 9 MB of coefficients); untwisted, the +-3 components are
-    # zero, so they are not built and the torsion levels stay 0
-    comps = {shift: gh.component_operator(shift, pair, support, h) for shift in gh.DELTA_SHIFTS.values()}
-    level_one = functools.reduce(operator.add, comps.values())
-    full = level_one
-    torsion_first = 0.0
-    torsion_second = 0.0
-    for shift in gh.COMPONENT_SHIFTS:
-        if shift in comps or integrable:
-            continue
-        comp = gh.component_operator(shift, pair, support, h)
-        full = full + comp
-        norm = comp.coeff_norm()
-        # max(0.0, nan) is 0.0: a NaN level would be reported as 0
-        if not np.isfinite(norm):
-            raise ConfigError("twist is too large: a torsion level of the background is not finite")
-        if abs(shift[0]) == 3:
-            torsion_first = max(torsion_first, norm)
-        if abs(shift[1]) == 3:
-            torsion_second = max(torsion_second, norm)
-    component_sum = _operator_residual(D - full, scale)
+    component_sum = gap / max(scale, 1e-300)
     add("component_sum_reproduces_derivative", component_sum)
-    info["first_structure_torsion"] = torsion_first / max(scale, 1e-300)
-    info["second_structure_torsion"] = torsion_second / max(scale, 1e-300)
+    info["first_structure_torsion"] = torsion[0] / max(scale, 1e-300)
+    info["second_structure_torsion"] = torsion[1] / max(scale, 1e-300)
     info["background_integrable"] = integrable
 
     if integrable:

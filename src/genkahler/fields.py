@@ -313,16 +313,12 @@ def three_form_spinor(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def derivative_rows(freqs: np.ndarray, rows: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
-    """Twisted derivative of stacked coefficients: ``i sum_j k_j dx_j ^ v``
-    plus ``H ^ v`` for every row ``v`` of ``rows`` and ``k`` the matching row
-    of the ``(S, m)`` frequency matrix ``freqs``.  The derivative is m
-    signed gathers per row, weighted by ``i k`` and the wedge signs; the
-    twist is one product."""
-    out = _ladder_gather(1j * freqs[:, :, None] * _ladder_tables(freqs.shape[1])[1][1], rows)
-    if h is not None:
-        out += rows @ wedge_operator(three_form_spinor(h)).T
-    return out
+def derivative_rows(freqs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Exterior derivative of stacked coefficients: ``i sum_j k_j dx_j ^ v``
+    for every row ``v`` of ``rows`` and ``k`` the matching row of the
+    ``(S, m)`` frequency matrix ``freqs``, as m signed gathers per row,
+    weighted by ``i k`` and the wedge signs."""
+    return _ladder_gather(1j * freqs[:, :, None] * _ladder_tables(freqs.shape[1])[1][1], rows)
 
 
 def twisted_derivative(phi: FourierField, h: np.ndarray | None = None) -> FourierField:
@@ -333,7 +329,10 @@ def twisted_derivative(phi: FourierField, h: np.ndarray | None = None) -> Fourie
     out = FourierField(m, phi.value_dim)
     if phi.coeffs:
         keys, rows = phi.stacked()
-        out.coeffs = dict(zip(keys, derivative_rows(np.array(keys, dtype=float), rows, h)))
+        derivs = derivative_rows(np.array(keys, dtype=float), rows)
+        if h is not None:
+            derivs += rows @ wedge_operator(three_form_spinor(h)).T
+        out.coeffs = dict(zip(keys, derivs))
     return out
 
 

@@ -1,34 +1,36 @@
 """L2 theory for form fields over a constant generalized Kahler background.
 
-Because the background pair, b-field and twisting three-form are constant on
-the torus, every operator of interest (twisted derivative, its graded
-components, their adjoints and Laplacians) is block-diagonal over
-frequencies, and its block is a polynomial of degree at most 2 in
-``kappa = i k``.  A :class:`BlockOperator` stores the coefficient matrices of
-that polynomial (m or m+1 of them for the derivative and its components), so
-products, sums and adjoints work on a few ``n x n`` matrices and an identity
-checked on the coefficients holds at every frequency in ``Z^m``.  A spinor
-field is packed as one ``(S, n)`` array over a :class:`Support` of ``S``
-sorted frequencies (``n = 2**m``; row ``s`` holds the coefficient of
-frequency ``s``); an operator acts on it through the blocks it evaluates
-there, and the inner product is one ``vdot``.
+Because the background pair and b-field are constant on the torus, every
+operator of interest (the exterior derivative, its graded components, their
+adjoints and Laplacians) is block-diagonal over frequencies, and its block is
+a polynomial of degree at most 2 in ``kappa = i k``.  A :class:`BlockOperator`
+stores the coefficient matrices of that polynomial (m of them for the
+derivative and its components), so products, sums and adjoints work on a few
+``n x n`` matrices and an identity checked on the coefficients holds at every
+frequency in ``Z^m``.  A spinor field is packed as one ``(S, n)`` array over
+a :class:`Support` of ``S`` sorted frequencies (``n = 2**m``; row ``s`` holds
+the coefficient of frequency ``s``); an operator acts on it through the
+blocks it evaluates there, and the inner product is one ``vdot``.
 
-Untwisted, Gualtieri's identities (*Generalized Kahler geometry*, CMP 331
-(2014), arXiv:1007.3485) give the graded structure in closed form: the
+No operator here takes a twist.  A constant generalized Kahler pair on a
+flat torus has ``H = 0`` (Gualtieri, *Generalized Kahler geometry*, CMP 331
+(2014), arXiv:1007.3485); a constant twist adds only the constant matrix
+``H^`` to the derivative, and its graded parts are the constants
+``HermitianPair.shift_part(H^, shift)``, which ``verify-hodge`` reads.
+Gualtieri's identities give the graded structure in closed form: the
 components are Clifford actions ``delta_s(k) = i cl(pi_s k)`` and
 ``4 Lap_{delta+}(k) = |k|^2_{g^-1} Id``, so the Green operator is the scalar
 ``4/|k|^2_{g^-1}`` off ``k = 0``.  A Clifford action is a weighted sum of the
 2m ladders, which are signed bit flips, so :class:`TorusBackground`, the
-untwisted background the solver works on, applies the components to packed
-rows as signed gathers weighted by the per-row vectors ``i pi_s k`` and
-builds no coefficient matrices.  The :class:`BlockOperator` algebra
+background the solver works on, applies the components to packed rows as
+signed gathers weighted by the per-row vectors ``i pi_s k`` and builds no
+coefficient matrices.  The :class:`BlockOperator` algebra
 (``derivative_operator``, ``component_operator``, ``adjoint``) serves the
-operator identities; ``verify-hodge`` builds it itself, twisted or not, but
-checks the splitting identities only untwisted (a nonzero constant twist is
-never integrable) and there multiplies no two of its operators: since
-``{cl(u), cl(v)} = 2 <u, v> Id``, every anticommutator of two components is
-an ``m x m`` pairing matrix of the sector covectors times the identity
-(``anticommutators``, ``scalar_quadratic_norm``).
+operator identities; ``verify-hodge`` builds it itself and multiplies no two
+of its operators: since ``{cl(u), cl(v)} = 2 <u, v> Id``, every
+anticommutator of two components is an ``m x m`` pairing matrix of the
+sector covectors times the identity (``anticommutators``,
+``scalar_quadratic_norm``).
 
 The inner product is ``h(f, g) = sum_k (f_k, star conj(g_k))_Ch`` with the
 star taken in the standard torus orientation; this is the unique placement of
@@ -44,8 +46,8 @@ from functools import cached_property
 import numpy as np
 
 from genkahler.clifford import _ladder_gather, _ladder_weights
-from genkahler.clifford import clifford_matrices, pairing_matrix, spinor_dim, wedge_matrices, wedge_operator
-from genkahler.fields import derivative_rows, three_form_spinor
+from genkahler.clifford import clifford_matrices, pairing_matrix, spinor_dim, wedge_matrices
+from genkahler.fields import derivative_rows
 from genkahler.structures import HermitianPair
 
 __all__ = [
@@ -65,7 +67,7 @@ __all__ = [
     "TorusBackground",
 ]
 
-#: The four level-(+-1) shifts of the twisted derivative on an integrable
+#: The four level-(+-1) shifts of the derivative on a generalized Kahler
 #: background and their conventional names.
 DELTA_SHIFTS: dict[str, tuple[int, int]] = {
     "delta+": (1, 1),
@@ -306,21 +308,12 @@ def adjoint(op: BlockOperator, gram: np.ndarray) -> BlockOperator:
 
 
 # ---------------------------------------------------------------------------
-# the twisted derivative and its graded components
+# the derivative and its graded components
 
 
-def _affine(support, linear: np.ndarray, constant: np.ndarray | None) -> BlockOperator:
-    """``sum_j kappa_j linear[j] (+ constant)``: m (+1) coefficients."""
-    m = len(linear)
-    if constant is None:
-        return BlockOperator(support, np.eye(m, dtype=int), linear)
-    return BlockOperator(support, np.eye(m + 1, m, dtype=int), np.concatenate([linear, constant[None]]))
-
-
-def derivative_operator(torus_dim: int, support, h: np.ndarray | None = None) -> BlockOperator:
-    """Twisted derivative ``sum_j kappa_j W_j + H^`` (``W_j`` the wedge by ``dx_{j+1}``)."""
-    constant = None if h is None else wedge_operator(three_form_spinor(h))
-    return _affine(support, np.stack(wedge_matrices(torus_dim)), constant)
+def derivative_operator(torus_dim: int, support) -> BlockOperator:
+    """Exterior derivative ``sum_j kappa_j W_j`` (``W_j`` the wedge by ``dx_{j+1}``)."""
+    return BlockOperator(support, np.eye(torus_dim, dtype=int), np.stack(wedge_matrices(torus_dim)))
 
 
 def _sector_covectors(pair: HermitianPair, shift: tuple[int, int]) -> np.ndarray:
@@ -330,35 +323,23 @@ def _sector_covectors(pair: HermitianPair, shift: tuple[int, int]) -> np.ndarray
     return pair.sector_projector(dp * dq > 0, dp > 0)[:, pair.m :]
 
 
-def component_operator(
-    shift: tuple[int, int],
-    pair: HermitianPair,
-    support,
-    h: np.ndarray | None = None,
-) -> BlockOperator:
-    """Graded component of the twisted derivative for one (dp, dq) shift.
+def component_operator(shift: tuple[int, int], pair: HermitianPair, support) -> BlockOperator:
+    """Graded component of the exterior derivative for one level-one
+    (dp, dq) shift of ``DELTA_SHIFTS``; any other label raises ``ValueError``.
 
-    Affine in the frequency: ``sum_j kappa_j C_j + C_H``.
+    Linear in the frequency: ``sum_j kappa_j C_j``.
     ``sum_j kappa_j dx_j^`` is the Clifford action of the covector ``k``, and
     that of a vector in the sector ``pi_s = (1 - i dp J1)/2 (1 + dp dq G)/2``
     shifts every ``U^{p,q}`` by exactly ``(dp, dq)`` (Gualtieri, CMP 331
-    (2014)).  So ``C_j = cl(pi_s dx_j)`` for the level-one shifts and 0 for
-    the +-3 shifts; ``C_H`` (only with ``h``) is the bigrading sum
-    ``sum_{(p,q)} P_{p+dp,q+dq} H^ P_{pq}``, formed through the pair's word
-    basis (``HermitianPair.shift_part``).
+    (2014)), so ``C_j = cl(pi_s dx_j)``.  The +-3 shifts of the untwisted
+    derivative vanish; those of a twist are the constants
+    ``HermitianPair.shift_part(H^, shift)``.
     """
     shift = (int(shift[0]), int(shift[1]))
-    if shift not in COMPONENT_SHIFTS:
+    if shift not in DELTA_SHIFTS.values():
         raise ValueError(f"unsupported shift label {shift}")
-    dp, dq = shift
-    m = pair.m
-    n = spinor_dim(m)
-    if abs(dp) == abs(dq) == 1:
-        linear = clifford_matrices(_sector_covectors(pair, shift).T)
-    else:
-        linear = np.zeros((m, n, n), dtype=complex)
-    C_H = None if h is None else pair.shift_part(wedge_operator(three_form_spinor(h)), shift)
-    return _affine(support, linear, C_H)
+    linear = clifford_matrices(_sector_covectors(pair, shift).T)
+    return BlockOperator(support, np.eye(pair.m, dtype=int), linear)
 
 
 def laplacian(op: BlockOperator, gram: np.ndarray) -> BlockOperator:

@@ -52,7 +52,8 @@ def gcs_residual(J: np.ndarray) -> float:
     return float(np.linalg.norm(J @ J + eye) + np.linalg.norm(J.T @ P @ J - P))
 
 
-#: Absolute tolerance of the structure and pair identities.
+#: Absolute tolerance of the structure and pair identities; every check
+#: fails on a NaN residual (``not res <= _TOL``), so an overflow never passes.
 _TOL = 1e-9
 
 
@@ -61,7 +62,7 @@ def require_gcs(J: np.ndarray) -> np.ndarray:
     if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2:
         raise ValueError(f"expected a 2m x 2m matrix, got {J.shape}")
     res = gcs_residual(J)
-    if res > _TOL:
+    if not res <= _TOL:
         raise ValueError(f"not a generalized complex structure (residual {res:.3e})")
     return J
 
@@ -337,10 +338,10 @@ class HermitianPair:
         m = J1.shape[0] // 2
         if m % 2:
             raise ValueError("Hermitian pairs need an even dimension")
-        if np.linalg.norm(J1 @ J2 - J2 @ J1) > _TOL:
+        if not np.linalg.norm(J1 @ J2 - J2 @ J1) <= _TOL:
             raise ValueError("structures do not commute")
         G = -J1 @ J2
-        if np.linalg.norm(G @ G - np.eye(2 * m)) > _TOL:
+        if not np.linalg.norm(G @ G - np.eye(2 * m)) <= _TOL:
             raise ValueError("product of the pair is not an involution")
         M = pairing_matrix(m) @ G
         M = 0.5 * (M + M.T)
@@ -360,7 +361,7 @@ class HermitianPair:
     def from_metric(cls, J1: np.ndarray, metric: np.ndarray, b_field: np.ndarray | None = None) -> "HermitianPair":
         G = generalized_metric(metric, b_field)
         J1 = np.asarray(J1, dtype=float)
-        if np.linalg.norm(G @ J1 - J1 @ G) > _TOL:
+        if not np.linalg.norm(G @ J1 - J1 @ G) <= _TOL:
             raise ValueError("structure does not commute with the metric")
         return cls(J1, G @ J1)
 

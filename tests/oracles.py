@@ -14,7 +14,14 @@ import numpy as np
 from genkahler import clifford as cl
 from genkahler import hodge as gh
 from genkahler import solver as sol
-from genkahler.fields import FourierField, derivative_rows, dual_l_frames, require_three_form, uniform_points
+from genkahler.fields import (
+    FourierField,
+    derivative_rows,
+    dual_l_frames,
+    require_three_form,
+    three_form_spinor,
+    uniform_points,
+)
 from genkahler.structures import require_gcs
 
 
@@ -303,6 +310,38 @@ def l2_inner(f, g, gram):
     """Hermitian inner product of two fields packed over one support,
     conjugate-linear in the second argument; ``gram`` is ``hodge.l2_gram``."""
     return complex(np.vdot(g, f @ gram.T))
+
+
+def with_constant(op, constant):
+    """``op`` plus the operator whose block is ``constant`` at every frequency:
+    with a linear ``op``, a mixed-degree (affine) operator."""
+    zero = np.zeros((1, op.torus_dim), dtype=int)
+    return op + gh.BlockOperator(op.support, zero, np.asarray(constant)[None])
+
+
+def affine_twist_residuals(pair, h):
+    """``verify-hodge``'s component sum and torsion levels on a twisted
+    background by affine coefficient operators: the twisted derivative
+    ``sum_j kappa_j W_j + H^`` and all 16 graded components, each a
+    ``BlockOperator`` with m linear coefficients (zero for the +-3 shifts)
+    and the constant part ``shift_part(H^, shift)``, summed and normed over
+    all their coefficients; each over the derivative's coefficient norm."""
+    m = pair.m
+    support = gh.Support([(0,) * m])
+    wedge = cl.wedge_operator(three_form_spinor(h))
+    D = with_constant(gh.derivative_operator(m, support), wedge)
+    zero = gh.BlockOperator(support, np.eye(m, dtype=int), np.zeros((m, *wedge.shape)))
+    full = None
+    levels = [0.0, 0.0]
+    for shift in gh.COMPONENT_SHIFTS:
+        linear = gh.component_operator(shift, pair, support) if shift in gh.DELTA_SHIFTS.values() else zero
+        comp = with_constant(linear, pair.shift_part(wedge, shift))
+        full = comp if full is None else full + comp
+        for axis in (0, 1):
+            if abs(shift[axis]) == 3:
+                levels[axis] = max(levels[axis], comp.coeff_norm())
+    scale = D.coeff_norm()
+    return (D - full).coeff_norm() / scale, levels[0] / scale, levels[1] / scale
 
 
 def dense_splitting_residuals(pair):

@@ -18,7 +18,7 @@ import genkahler.hodge as gh
 import genkahler.solver as sol
 import genkahler.structures as gs
 from genkahler import cli
-from oracles import DEFORM_WORKLOADS, dense_splitting_residuals, workload_config
+from oracles import DEFORM_WORKLOADS, affine_twist_residuals, dense_splitting_residuals, workload_config
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -297,6 +297,42 @@ def test_explicit_background_that_is_not_a_structure_exits_64(tmp_path, capsys, 
     assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 64
     captured = capsys.readouterr()
     assert "config error: background is not a valid pair" in captured.err and captured.out == ""
+
+
+def _hostile_background(kind, value):
+    """A T^4 background whose entries overflow or underflow inside the pair
+    construction."""
+    if kind == "kaehler":
+        return {"kind": "kaehler", "metric": (value * np.eye(4)).tolist()}
+    if kind == "b_field":
+        b_field = np.zeros((4, 4))
+        b_field[0, 1], b_field[1, 0] = value, -value
+        return {
+            "kind": "explicit",
+            "metric": np.eye(4).tolist(),
+            "b_field": b_field.tolist(),
+            "base_complex": gs.standard_complex_structure(4).tolist(),
+        }
+    symplectic_form = value * gs.standard_symplectic_form(4)
+    return {"kind": "explicit", "metric": np.eye(4).tolist(), "symplectic_form": symplectic_form.tolist()}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["verify-hodge", "deform"])
+@pytest.mark.parametrize(
+    "kind, value",
+    [("kaehler", 1e200), ("kaehler", 1e-200), ("b_field", 1e150), ("b_field", 1e200), ("symplectic_form", 1e-300)],
+)
+def test_background_of_hostile_scale_exits_64_without_warnings(tmp_path, capsys, command, kind, value):
+    """Such a background fails the pair's own checks, an overflowed (NaN)
+    residual included, with a config error and no numpy warning, which would
+    otherwise be raised here as an error."""
+    base = bfield_doc() if command == "deform" else {"schema": 1, "dimension": 4}
+    doc = {**base, "background": _hostile_background(kind, value)}
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 64
+    captured = capsys.readouterr()
+    assert "config error: background is not a valid pair" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_verify_hodge_rejects_twist_rows_that_overflow(tmp_path, capsys):
@@ -719,6 +755,30 @@ def test_verify_hodge_tiny_twist_is_not_integrable(tmp_path, capsys, m):
 
 
 @pytest.mark.parametrize("m", [4, 6])
+def test_verify_hodge_twisted_levels_match_affine_operators(tmp_path, capsys, monkeypatch, m):
+    """On a twisted background the report's component sum and torsion levels,
+    read from the constant graded parts of H^, match the affine coefficient
+    operators of the twisted derivative and its 16 components to 1e-13 of
+    the derivative's norm, and the levels to 1e-13 relative, on every pair
+    of ``splitting_pairs`` with an order-one random three-form and with a
+    twist of 1e-13."""
+    rng = np.random.default_rng(90 + m)
+    triples = list(itertools.combinations(range(m), 3))
+    random_twist = [[*t, float(v)] for t, v in zip(triples, rng.normal(size=len(triples)))]
+    for label, pair in splitting_pairs(m).items():
+        for twist in (random_twist, TINY_TWIST):
+            report = verify_hodge_on(tmp_path, capsys, monkeypatch, pair, twist)
+            info = report["info"]
+            assert info["background_integrable"] is False, label
+            assert [c["name"] for c in report["checks"]] == ["component_sum_reproduces_derivative"]
+            component_sum, first, second = affine_twist_residuals(pair, cli.build_twist({"twist": twist}, m))
+            assert abs(report["checks"][0]["max_residual"] - component_sum) <= 1e-13, label
+            for got, want in ((info["first_structure_torsion"], first), (info["second_structure_torsion"], second)):
+                assert abs(got - want) <= 1e-13 * want, (label, got, want)
+            assert second > 1e-2 if twist is random_twist else 0 < second < 1e-12, (label, second)
+
+
+@pytest.mark.parametrize("m", [4, 6])
 def test_torsion_parts_determine_the_three_form(m):
     """The map from a constant three-form H to the stacked +-3 shift parts
     of its wedge is injective, well away from roundoff, on every pair of
@@ -773,8 +833,8 @@ def test_verify_hodge_closed_form_sees_a_corrupted_component(tmp_path, capsys, m
     the Laplacian and Green checks, which use that relation, fail with it."""
     build = gh.component_operator
 
-    def corrupted(shift, pair, support, h=None):
-        op = build(shift, pair, support, h)
+    def corrupted(shift, pair, support):
+        op = build(shift, pair, support)
         if tuple(shift) == (-1, -1):
             op.coeffs[0, 0, 1] += 1e-3
         return op

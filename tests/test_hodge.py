@@ -8,7 +8,7 @@ from genkahler import clifford as cl
 from genkahler import fields as gf
 from genkahler import hodge as gh
 from genkahler import structures as gs
-from oracles import dict_pack, dict_shifted, form_vector, l2_inner, merged_exponents, set_support
+from oracles import dict_pack, dict_shifted, form_vector, l2_inner, merged_exponents, set_support, with_constant
 
 
 @pytest.fixture(scope="module")
@@ -167,19 +167,23 @@ def test_flat_plane_generator_norm(t2):
     assert gh.l2_norm(w, t2.gram) == pytest.approx(np.sqrt(2.0), abs=1e-13)
 
 
-def test_component_shift_labels(t4):
-    with pytest.raises(ValueError):
-        gh.component_operator((2, 0), t4.pair, t4.support)
-    with pytest.raises(ValueError):
-        gh.component_operator((0, 0), t4.pair, t4.support)
-    # untwisted, the twelve torsion-type (+-3) shifts are exactly zero, which
-    # is why verify-hodge does not build them without a twist
+def test_component_shift_labels(t4, lagrange_bigrading):
+    """Only the four level-one shifts are components: the twelve torsion-type
+    (+-3) shifts raise like any other label, since their projector sums of
+    the dense untwisted derivative vanish (the Lagrange oracle, on a Kahler
+    and a b-field pair)."""
     torsion = [s for s in gh.COMPONENT_SHIFTS if s not in gh.DELTA_SHIFTS.values()]
     assert len(torsion) == 12
+    for shift in [(2, 0), (0, 0), *torsion]:
+        with pytest.raises(ValueError, match="unsupported shift label"):
+            gh.component_operator(shift, t4.pair, t4.support)
+    scale = max(np.linalg.norm(derivative_block(k, 4)) for k in t4.support)
     bfield_pair = gs.random_hermitian_pair(np.random.default_rng(12), 4, b_scale=0.7)
     for pair in (t4.pair, bfield_pair):
+        grading = lagrange_bigrading(pair)
         for shift in torsion:
-            assert not gh.component_operator(shift, pair, t4.support).stack.any(), shift
+            ref = projector_sum_component(shift, grading, 4, t4.support)
+            assert max(np.linalg.norm(B) for B in ref.values()) <= 1e-10 * scale, shift
 
 
 def projector_sum_component(shift, grading, m, support, h=None):
@@ -212,48 +216,69 @@ def small_support(m):
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("m", [4, 6])
 def test_component_operator_matches_projector_sum(m, twisted, lagrange_bigrading):
+    """Untwisted, each level-one component and the derivative against the
+    Lagrange projector sums of the dense derivative blocks.  Twisted, the
+    oracle's block at k = 0 is exactly H^, and its 16 projector sums are the
+    constant parts ``shift_part(H^, shift)`` that verify-hodge reads, which
+    add up to H^."""
     rng = np.random.default_rng(40 + m + twisted)
     pair = gs.random_hermitian_pair(rng, m, b_scale=0.7)
     assert np.linalg.norm(pair.b_field) > 0.1
-    h = random_three_form(rng, m) if twisted else None
-    support = gf.frequencies_box(4, 1) if m == 4 else small_support(m)
     grading = lagrange_bigrading(pair)
-    new = {shift: gh.component_operator(shift, pair, support, h) for shift in gh.COMPONENT_SHIFTS}
-    ref = {shift: projector_sum_component(shift, grading, m, support, h) for shift in gh.COMPONENT_SHIFTS}
+    if twisted:
+        zero = (0,) * m
+        h = random_three_form(rng, m)
+        wedge = cl.wedge_operator(gf.three_form_spinor(h))
+        np.testing.assert_array_equal(derivative_block(zero, m, h), wedge)
+        scale = np.linalg.norm(wedge)
+        assert scale > 0.5
+        parts = {shift: pair.shift_part(wedge, shift) for shift in gh.COMPONENT_SHIFTS}
+        for shift, part in parts.items():
+            ref = projector_sum_component(shift, grading, m, [zero], h)[zero]
+            assert np.linalg.norm(part - ref) <= 1e-10 * scale, shift
+        assert np.linalg.norm(sum(parts.values()) - wedge) <= 1e-13 * scale
+        assert max(np.linalg.norm(parts[s]) for s in gh.COMPONENT_SHIFTS if 3 in map(abs, s)) > 1e-2 * scale
+        return
+    support = gf.frequencies_box(4, 1) if m == 4 else small_support(m)
+    new = {shift: gh.component_operator(shift, pair, support) for shift in gh.DELTA_SHIFTS.values()}
+    ref = {shift: projector_sum_component(shift, grading, m, support) for shift in new}
     scale = max(np.linalg.norm(B) for blocks in ref.values() for B in blocks.values())
     assert scale > 1.0
-    for shift in gh.COMPONENT_SHIFTS:
+    for shift in new:
         blocks = new[shift].blocks
         assert set(blocks) == set(ref[shift])
         for k, B in ref[shift].items():
             assert np.linalg.norm(blocks[k] - B) <= 1e-10 * scale, (shift, k)
-    derivative = gh.derivative_operator(m, support, h).blocks
+    derivative = gh.derivative_operator(m, support).blocks
     for k in support:
-        assert np.linalg.norm(derivative[k] - derivative_block(k, m, h)) <= 1e-10 * scale, k
+        assert np.linalg.norm(derivative[k] - derivative_block(k, m)) <= 1e-10 * scale, k
 
 
 @pytest.mark.parametrize("twisted", [False, True])
 def test_packed_derivative_matches_derivative_block_t8(twisted):
     """The stacked-row derivative (``derivative_rows``, the untwisted
-    background, fields route, the packed rows of ``twisted_derivative`` and
-    the coefficient operator) against the dense block per frequency."""
+    background and the coefficient operator) against the dense block per
+    frequency, and the packed rows of ``twisted_derivative``, the one route
+    that takes a twist, against the dense twisted block."""
     rng = np.random.default_rng(80 + twisted)
     m = 8
     h = random_three_form(rng, m) if twisted else None
     support = gh.Support(small_support(m) + [(1, -1, 0, 2, 0, 0, 1, 0)])
     rows = rng.normal(size=(len(support), 2**m)) + 1j * rng.normal(size=(len(support), 2**m))
-    packed = gf.derivative_rows(support.frequencies, rows, h)
-    if not twisted:
-        bg = gh.TorusBackground(gs.standard_kahler_pair(m), support)
-        np.testing.assert_array_equal(bg.differentiate(rows), packed)
-    field = gf.twisted_derivative(support.unpack(rows, gf.FourierField, m, 2**m), h)
-    np.testing.assert_array_equal(support.pack(field), packed)
+    packed = gf.derivative_rows(support.frequencies, rows)
+    bg = gh.TorusBackground(gs.standard_kahler_pair(m), support)
+    np.testing.assert_array_equal(bg.differentiate(rows), packed)
     # the coefficient operator acting through its blocks
-    acted = gh.derivative_operator(m, support, h).act(rows)
+    acted = gh.derivative_operator(m, support).act(rows)
     assert np.linalg.norm(acted - packed) <= 1e-13 * np.linalg.norm(packed)
+    field = support.pack(gf.twisted_derivative(support.unpack(rows, gf.FourierField, m, 2**m), h))
+    if not twisted:
+        np.testing.assert_array_equal(field, packed)
     for s, k in enumerate(support):
-        want = derivative_block(k, m, h) @ rows[s]
+        want = derivative_block(k, m) @ rows[s]
         assert np.linalg.norm(packed[s] - want) <= 1e-13 * np.linalg.norm(want), k
+        want = derivative_block(k, m, h) @ rows[s]
+        assert np.linalg.norm(field[s] - want) <= 1e-13 * np.linalg.norm(want), k
 
 
 def wedge_matrix_derivative_rows(freqs, rows, h=None):
@@ -270,12 +295,18 @@ def wedge_matrix_derivative_rows(freqs, rows, h=None):
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("m", [4, 8])
 def test_derivative_rows_matches_wedge_matrix_route(m, twisted):
+    """``derivative_rows``, and with a twist the packed rows of
+    ``twisted_derivative``, against the dense wedge matrices."""
     rng = np.random.default_rng(60 + m + twisted)
     h = random_three_form(rng, m) if twisted else None
-    freqs = gh.Support(small_support(m) + [tuple(rng.integers(-3, 4, size=m))]).frequencies
+    support = gh.Support(small_support(m) + [tuple(rng.integers(-3, 4, size=m))])
+    freqs = support.frequencies
     rows = rng.normal(size=(len(freqs), 2**m)) + 1j * rng.normal(size=(len(freqs), 2**m))
     want = wedge_matrix_derivative_rows(freqs, rows, h)
-    got = gf.derivative_rows(freqs, rows, h)
+    if twisted:
+        got = support.pack(gf.twisted_derivative(support.unpack(rows, gf.FourierField, m, 2**m), h))
+    else:
+        got = gf.derivative_rows(freqs, rows)
     assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
 
 
@@ -574,6 +605,8 @@ def assert_matches_oracle(op, gram, pair=None):
 @pytest.mark.parametrize("twisted", [False, True])
 @pytest.mark.parametrize("m", [4, 6])
 def test_batched_algebra_matches_per_block_oracle(m, twisted):
+    """Untwisted components, and with a twist the mixed-degree operators of
+    a component plus the constant graded part of ``H^``."""
     rng = np.random.default_rng(60 + m + twisted)
     pair = gs.random_hermitian_pair(rng, m, b_scale=0.7)
     assert np.linalg.norm(pair.b_field) > 0.1
@@ -581,7 +614,11 @@ def test_batched_algebra_matches_per_block_oracle(m, twisted):
     support = gf.frequencies_box(4, 1) if m == 4 else small_support(m)
     gram = gh.l2_gram(pair)
     for shift in ((1, 1), (-1, 1)):
-        assert_matches_oracle(gh.component_operator(shift, pair, support, h), gram, None if twisted else pair)
+        op = gh.component_operator(shift, pair, support)
+        if twisted:
+            op = with_constant(op, pair.shift_part(cl.wedge_operator(gf.three_form_spinor(h)), shift))
+            assert len(op.exponents) == m + 1
+        assert_matches_oracle(op, gram, None if twisted else pair)
 
 
 def test_green_oracle_all_kernel_block(t4):
@@ -621,7 +658,10 @@ def test_anticommutators_match_dense_products(m, twisted):
     pair = gs.random_hermitian_pair(rng, m)
     h = random_three_form(rng, m) if twisted else None
     support = gh.Support([(0,) * m])
-    ops = {name: gh.component_operator(shift, pair, support, h) for name, shift in gh.DELTA_SHIFTS.items()}
+    ops = {name: gh.component_operator(shift, pair, support) for name, shift in gh.DELTA_SHIFTS.items()}
+    if twisted:
+        wedge = cl.wedge_operator(gf.three_form_spinor(h))
+        ops = {name: with_constant(ops[name], pair.shift_part(wedge, gh.DELTA_SHIFTS[name])) for name in ops}
     anti = gh.anticommutators(pair)
     n = 2**m
     gaps = []

@@ -21,6 +21,21 @@ def test_require_gcs_rejects_non_structures():
     assert gs.gcs_residual(J) < 1e-14
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_structure_checks_fail_on_nan():
+    """A NaN residual fails the absolute checks (``nan > tol`` would pass):
+    a NaN entry in a structure, and a b-field whose generalized metric is NaN."""
+    J = gs.complex_structure_gcs(gs.standard_complex_structure(4))
+    bad = J.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="residual nan"):
+        gs.require_gcs(bad)
+    b_field = np.zeros((4, 4))
+    b_field[0, 1], b_field[1, 0] = np.nan, -np.nan
+    with pytest.raises(ValueError, match="does not commute with the metric"):
+        gs.HermitianPair.from_metric(J, np.eye(4), b_field)
+
+
 def test_standard_blocks():
     J = gs.standard_complex_structure(4)
     np.testing.assert_allclose(J @ J, -np.eye(4))
