@@ -96,13 +96,18 @@ def canonical_json(obj) -> str:
         if pending >= _FLOAT_BATCH:
             flush()
 
+    keys: dict[str, str] = {}  # the written text of each dict key met so far
+
     def emit(v) -> None:
         if isinstance(v, dict):
             parts.append("{")
             for i, (key, val) in enumerate(sorted(v.items(), key=lambda kv: str(kv[0]))):
-                parts.append((", " if i else "") + json.dumps(str(key)).replace("%", "%%") + ": ")
+                text = keys.get(name := str(key)) or keys.setdefault(name, json.dumps(name).replace("%", "%%") + ": ")
+                parts.append((", " if i else "") + text)
                 emit(val)
             parts.append("}")
+        elif isinstance(v, (list, tuple)) and all(type(x) is int for x in v):
+            parts.append("[" + ", ".join(map(str, v)) + "]")  # a frequency, in one piece
         elif isinstance(v, (list, tuple)):
             parts.append("[")
             for i, x in enumerate(v):
@@ -594,9 +599,11 @@ def cmd_verify_hodge(args) -> int:
     support = gh.Support([(0,) * m])
 
     D = gh.derivative_operator(m, support)
-    # the four level-one components of the untwisted derivative, which sum to it
+    # the four level-one components of the untwisted derivative, which sum to
+    # it; all five are linear, sum_j kappa_j C_j over the same exponent
+    # table, so the gap is taken on their (m, n, n) coefficient stacks
     comps = {shift: gh.component_operator(shift, pair, support) for shift in gh.DELTA_SHIFTS.values()}
-    gap = (D - functools.reduce(operator.add, comps.values())).coeff_norm()
+    gap = float(np.linalg.norm(D.coeffs - sum(op.coeffs for op in comps.values())))
     scale = D.coeff_norm()
     torsion = [0.0, 0.0]
     if h is not None:
@@ -610,7 +617,7 @@ def cmd_verify_hodge(args) -> int:
             scale = float(np.hypot(scale, np.linalg.norm(Hw)))
             if not np.isfinite(scale):
                 raise ConfigError("twist is too large: the norm of the twisted derivative is not finite")
-            parts = {shift: pair.shift_part(Hw, shift) for shift in gh.COMPONENT_SHIFTS}
+            parts = pair.shift_parts(Hw, gh.COMPONENT_SHIFTS)
             torsion = [float(np.max([np.linalg.norm(p) for s, p in parts.items() if abs(s[i]) == 3])) for i in (0, 1)]
         if not np.isfinite(torsion).all():
             raise ConfigError("twist is too large: a torsion level of the background is not finite")

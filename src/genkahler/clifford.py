@@ -87,6 +87,16 @@ def degrees(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _parity_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the even and of the odd forms on R^m.  Each Clifford action
+    flips the parity, so a spin image is zero off the two parity blocks."""
+    out = np.flatnonzero(degrees(m) % 2 == 0), np.flatnonzero(degrees(m) % 2)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def pairing_matrix(m: int) -> np.ndarray:
     """Gram matrix of the split-signature pairing on R^{2m} (the 1/2 convention)."""
     m = _check_m(m)
@@ -167,17 +177,19 @@ def chevalley_gram(m: int) -> np.ndarray:
     """Matrix ``C`` with ``pairing(f, g) = f @ C @ g`` (bilinear, no conjugation).
 
     The pairing is minus the top coefficient of ``f ^ reverse(g)``; it couples
-    each subset with its complement only.
+    each subset ``I`` with its complement ``J`` only, with the reversal sign
+    of ``J`` and the ``wedge_sign_table`` entry ``(I, J)``, whose shuffle
+    exponent is formed here for those n pairs alone.
     """
     m = _check_m(m)
     n = spinor_dim(m)
-    table = wedge_sign_table(m)
-    deg = degrees(m)
+    idx = np.arange(n, dtype=np.uint64)
+    J = idx ^ np.uint64(n - 1)
+    one = np.uint64(1)
+    exponent = sum(((J >> np.uint64(j)) & one) * np.bitwise_count(idx >> np.uint64(j + 1)) for j in range(m))
+    signs = 1 - 2 * (exponent % 2).astype(np.int64)
     C = np.zeros((n, n))
-    full = n - 1
-    for I in range(n):
-        J = full ^ I
-        C[I, J] = -_REVERSAL[deg[J] % 4] * table[I, J]
+    C[idx.astype(np.intp), J.astype(np.intp)] = -_REVERSAL[degrees(m)[J] % 4] * signs
     C.setflags(write=False)
     return C
 
@@ -493,7 +505,7 @@ def spin_flip_weights(alphas: np.ndarray) -> np.ndarray:
     return weights.reshape(alphas.shape[:-2] + weights.shape[1:])
 
 
-def _spin_flip_outer(entry_weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _spin_flip_outer(entry_weights: np.ndarray, x: np.ndarray, entries: np.ndarray | None = None) -> np.ndarray:
     """``out[a, s, i] = sum_f W[a, f, i] * x[s, i ^ f]``, ``(P, r, 2**m)``:
     every operator of the flip-mask weights ``W`` ``(P, F, 2**m)`` on every
     row of ``x`` ``(r, 2**m)``, with leading batch axes broadcast.  The one
@@ -503,10 +515,13 @@ def _spin_flip_outer(entry_weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     :, i]`` ``(..., 2**m, P, F)``, a layout a caller that applies one stack
     many times keeps.  Entry i of every image is then one ``(P, F) @ (F, r)``
     product with the gathered ``x[s, i ^ f]``, so the whole action is one
-    batched matrix product; the result is a transposed view of it.
+    batched matrix product; the result is a transposed view of it.  Given
+    ``entries``, only those entries of the images are formed, from the
+    weights of those entries alone.
     """
-    source = _spin_flip_table(_infer_m_from_spinor(x))[0]
-    gathered = np.ascontiguousarray(x.swapaxes(-1, -2))[..., source.T, :]  # (..., 2**m, F, r)
+    source = _spin_flip_table(_infer_m_from_spinor(x))[0].T
+    source = source if entries is None else source[entries]
+    gathered = np.ascontiguousarray(x.swapaxes(-1, -2))[..., source, :]  # (..., entries, F, r)
     return np.moveaxis(entry_weights @ gathered, -3, -1)
 
 
@@ -518,14 +533,33 @@ def _flip_column_sums(weights: np.ndarray) -> np.ndarray:
     return np.take(flat, np.arange(len(source))[:, None] * source.shape[1] + source, axis=-1).sum(axis=-2)
 
 
-def spin_flip_dense(weights: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _parity_block_positions(m: int) -> np.ndarray:
+    """The flat positions ``(F, 2**m)`` of the entries ``(i, i ^ f)`` of
+    flip-mask weights in the two parity blocks ``(2, 2**(m-1), 2**(m-1))``:
+    block ``i``'s parity, row and column ``i`` and ``i ^ f`` counted within
+    the forms of that parity (``_parity_rows``)."""
+    n = spinor_dim(m)
+    half = np.empty(n, dtype=np.intp)
+    for rows in _parity_rows(m):
+        half[rows] = np.arange(n // 2)
+    out = ((degrees(m) % 2) * (n // 2) + half) * (n // 2) + half[_spin_flip_table(m)[0]]
+    out.setflags(write=False)
+    return out
+
+
+def spin_flip_dense(weights: np.ndarray, blocks: bool = False) -> np.ndarray:
     """The dense matrices ``(..., 2**m, 2**m)`` of flip-mask weights: entry
-    ``(i, i ^ f)`` is ``W[..., f, i]`` and every other entry is zero."""
+    ``(i, i ^ f)`` is ``W[..., f, i]`` and every other entry is zero.  Every
+    mask has an even number of bits, so the matrices keep form parity; with
+    ``blocks`` only their even and odd diagonal blocks are formed, ``(...,
+    2, 2**(m-1), 2**(m-1))`` on the forms of ``_parity_rows``."""
     n = weights.shape[-1]
-    positions = _spin_flip_table(_infer_m_from_spinor(weights))[3]
-    out = np.zeros(weights.shape[:-2] + (n * n,), dtype=complex)
+    m = _infer_m_from_spinor(weights)
+    positions, shape = (_parity_block_positions(m), (2, n // 2, n // 2)) if blocks else (_spin_flip_table(m)[3], (n, n))
+    out = np.zeros(weights.shape[:-2] + (np.prod(shape),), dtype=complex)
     out[..., positions] = weights
-    return out.reshape(weights.shape[:-2] + (n, n))
+    return out.reshape(weights.shape[:-2] + shape)
 
 
 def spin_lie_action(alpha: np.ndarray) -> np.ndarray:

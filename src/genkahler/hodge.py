@@ -16,7 +16,7 @@ No operator here takes a twist.  A constant generalized Kahler pair on a
 flat torus has ``H = 0`` (Gualtieri, *Generalized Kahler geometry*, CMP 331
 (2014), arXiv:1007.3485); a constant twist adds only the constant matrix
 ``H^`` to the derivative, and its graded parts are the constants
-``HermitianPair.shift_part(H^, shift)``, which ``verify-hodge`` reads.
+``HermitianPair.shift_parts(H^, shifts)``, which ``verify-hodge`` reads.
 Gualtieri's identities give the graded structure in closed form: the
 components are Clifford actions ``delta_s(k) = i cl(pi_s k)`` and
 ``4 Lap_{delta+}(k) = |k|^2_{g^-1} Id``, so the Green operator is the scalar
@@ -333,7 +333,7 @@ def component_operator(shift: tuple[int, int], pair: HermitianPair, support) -> 
     shifts every ``U^{p,q}`` by exactly ``(dp, dq)`` (Gualtieri, CMP 331
     (2014)), so ``C_j = cl(pi_s dx_j)``.  The +-3 shifts of the untwisted
     derivative vanish; those of a twist are the constants
-    ``HermitianPair.shift_part(H^, shift)``.
+    ``HermitianPair.shift_parts(H^, shifts)``.
     """
     shift = (int(shift[0]), int(shift[1]))
     if shift not in DELTA_SHIFTS.values():

@@ -32,6 +32,7 @@ from .clifford import (
     _expm,
     _flip_column_sums,
     _in_so,
+    _parity_rows,
     _spin_flip_outer,
     clifford_act,
     pairing_matrix,
@@ -870,10 +871,13 @@ def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray, budget: int) -> tuple[
     ``[D_d; v]`` as a Taylor series on vectors in equal steps of 1-norm at
     most one, the 1-norms being the largest column sums of the weights.  One
     batched loop drops the points whose steps are done and the terms of the
-    points that converged.  ``S`` is dense, applied to the ``(B, 2**m, m +
-    1)`` layout by one batched product; the ``G_d`` act on ``v``'s column per
-    entry (``_spin_flip_outer``).  More steps in all than ``budget`` raise
-    before the first step.
+    points that converged.  A spin image keeps form parity, so the step
+    works on the two parity halves of the ``(B, 2**m, m + 1)`` layout: ``S``
+    is dense on its half, applied by one batched product, and the ``G_d``
+    act on ``v``'s column per entry of the half (``_spin_flip_outer``).  A
+    half whose input is exactly zero is skipped, which leaves a quarter of
+    the dense flops on jets of one parity, as a pure spinor's are.  More
+    steps in all than ``budget`` raise before the first step.
     """
     norms = _flip_column_sums(W).max(axis=-1)
     norm = norms[:, 0] + norms[:, 1:].sum(axis=1)
@@ -884,19 +888,27 @@ def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray, budget: int) -> tuple[
     if total > budget:
         raise ValueError(f"jet exponential needs {total} steps, above the {budget} left of the budget of {_JET_STEP_BUDGET}")
     m = W.shape[1] - 1
-    S, G = spin_flip_dense(W[:, 0]), np.ascontiguousarray(W[:, 1:].transpose(0, 3, 1, 2))
+    S, G = spin_flip_dense(W[:, 0], blocks=True), W[:, 1:].transpose(0, 3, 1, 2)
+    parities = _parity_rows(W.shape[-1].bit_length() - 1)
+    halves = [(r, S[:, e], np.ascontiguousarray(G[:, r])) for e, r in enumerate(parities)]
     x = np.ascontiguousarray(np.concatenate([D, v[:, None]], axis=1).transpose(0, 2, 1))
-    live = np.arange(len(x))  # the points still stepping, whose rows S and G hold
+    live = np.arange(len(x))  # the points still stepping, whose rows the halves hold
     for i in range(int(steps.max())):
         if steps[live].min() <= i:
             keep = steps[live] > i
-            live, S, G = live[keep], S[keep], G[keep]
+            live = live[keep]
+            halves = [(r, Sr[keep], Gr[keep]) for r, Sr, Gr in halves]
         # the step's 1/steps is applied to the vectors, so no scaled copy of S or G is made
         scale = steps[live, None, None]
         acc = term = x[live]
         for k in range(1, _JET_TERM_CAP + 1):
-            nxt = S @ term
-            nxt[..., :m] += _spin_flip_outer(G, term[:, None, :, m])[:, :, 0].swapaxes(1, 2)
+            nxt = np.zeros_like(term)
+            for r, Sr, Gr in halves:
+                rows = term[:, r]
+                if rows.any():
+                    rows = Sr @ rows
+                    rows[..., :m] += _spin_flip_outer(Gr, term[:, None, :, m], r)[:, :, 0].swapaxes(1, 2)
+                    nxt[:, r] = rows
             term = nxt / (k * scale)
             acc = acc + term
             done = np.abs(term).sum(axis=(1, 2)) <= np.finfo(float).eps * np.abs(acc).sum(axis=(1, 2))
@@ -945,8 +957,9 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
     checked before each chunk's first step.  Points go in chunks of
     ``max(1, _JET_CHUNK_ENTRIES // 4**m)``; per chunk and family, one
     ``spin_flip_weights`` call and one batched Taylor loop (``_exp_jet``)
-    densify only the ``S``, so the spinor side holds one chunk's weights and
-    dense ``S`` (about 2 MB at m = 8) whatever the sample size.  Then
+    densify only the two parity blocks of ``S``, so the spinor side holds
+    one chunk's weights and those blocks (about 2 MB at m = 8) whatever the
+    sample size.  Then
     ``psi_t = v`` and ``d psi_t = sum_d dx_d ^ D_d``.
     """
     pair = report.pair

@@ -17,6 +17,7 @@ from genkahler.clifford import (
     _check_m,
     _ladder_gather,
     _ladder_weights,
+    _parity_rows,
     chevalley_gram,
     pairing_matrix,
     spinor_dim,
@@ -123,37 +124,78 @@ def _clifford_product(frame: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pure_spinor(L: np.ndarray) -> np.ndarray:
+    """The largest column of the rank-one ``cl(l_1) ... cl(l_m) = c rho (C
+    rho)^T`` of a maximal isotropic ``L`` (columns), ``rho`` its pure spinor.
+    ``C`` pairs each subset with its complement, and by Cartan's relation
+    ``|rho_J|^2`` is proportional to ``|det L[R_J]|`` over the rows ``R_J =
+    {i not in J} + {m + i: i in J}``; so the column, the complement of the
+    largest minor, is formed by m vector gathers on one unit vector."""
+    m = L.shape[0] // 2
+    n = spinor_dim(m)
+    bits = (np.arange(n)[:, None] >> np.arange(m)) & 1
+    rho = np.zeros(n, dtype=complex)
+    rho[(n - 1) ^ np.argmax(np.abs(np.linalg.det(L[np.arange(m) + m * bits])))] = 1.0
+    for weights in _ladder_weights(L.T)[::-1]:
+        rho = _ladder_gather(weights, rho)
+    return rho
+
+
+#: Largest ``|E_ij / d_i|`` of ``V^H A V = D + E`` (``D`` diagonal) that a
+#: word basis accepts: orthogonal words give roundoff (below 2e-14 on random
+#: pairs at m = 8), and the Neumann term that ``_gram_inverse`` drops is at
+#: most ``(2^(m-1) * 1e-10)^2``, below 2e-16 relative.
+_ORTHOGONALITY_TOL = 1e-10
+
+
+def _gram_inverse(V: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """``(V^H A V)^-1 V^H A`` for words ``V`` orthogonal for the Gram ``A``
+    as ``D^-1 H - D^-1 E D^-1 H``, ``H = V^H A``: the diagonal inverse and
+    one Neumann term.  Raises ``ValueError`` above ``_ORTHOGONALITY_TOL``."""
+    H = V.conj().T @ gram
+    E = H @ V
+    d = E.diagonal().copy()
+    E /= d[:, None]
+    np.fill_diagonal(E, 0.0)
+    worst = np.abs(E).max()
+    if not worst <= _ORTHOGONALITY_TOL:
+        raise ValueError(f"the words are not orthogonal for the Gram matrix (off-diagonal {worst:.3e})")
+    H /= d[:, None]
+    return H - E @ H
+
+
 def _word_basis(
     L: np.ndarray, Lbar: np.ndarray, steps, top, gram: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Clifford words on a pure spinor, their inverse and their labels.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """The Clifford words on a pure spinor, their inverse, labels and blocks.
 
     ``L`` frames (columns) a maximal isotropic subspace, ``Lbar`` a
-    complement.  The pure spinor ``rho`` of ``L`` spans the common kernel of
-    ``cl(L)``, the image of the rank-one ``cl(l_1) ... cl(l_m)``.  The words
-    ``cl(lbar_I) rho`` over subsets ``I`` form a basis ``V`` (normalised
-    columns), the word of ``I`` labelled ``top + sum_{i in I} steps[i]``
-    (one row of ``labels`` per word); label ``s`` projects by
-    ``V[:, s] V^-1[s]``.
-    Given a ``gram`` A making the words orthogonal, ``V^-1 = (V^H A V)^-1
-    V^H A`` is solved from a nearly diagonal matrix.  In exact arithmetic any
-    A with ``V^H A V`` invertible gives the same result; in floating point a
-    plain ``inv(V)`` loses idempotency to about 1e-13 of the size of the
-    pieces at m = 8 (3.5e-10 absolute on a random pair), the solve keeps it
-    below 1e-15.
+    complement.  The words ``cl(lbar_I) rho`` on the pure spinor of ``L``
+    (``_pure_spinor``) over subsets ``I`` form a basis ``V`` (normalised
+    columns), the word of ``I`` labelled ``top + sum_{i in I} steps[i]``;
+    label ``s`` projects by ``V[:, s] V^-1[s]``.  ``rho`` has one form
+    parity and each letter flips it, so ``V`` is exactly zero off two
+    blocks, listed as ``(rows, words, V block, V^-1 block)``, and ``V^-1``
+    is formed per block.  Given a ``gram`` A for which the words are
+    orthogonal, that is ``(V^H A V)^-1 V^H A`` (``_gram_inverse``).  A plain
+    ``inv(V)`` loses idempotency to about 1e-13 of the size of the pieces at
+    m = 8 (3.5e-10 absolute on a random pair), the Gram route keeps it near
+    1e-15.
     """
-    M = _clifford_product(L)
-    rho = M[:, np.argmax(np.linalg.norm(M, axis=0))]
+    rho = _pure_spinor(L)
     V, labels = rho[:, None], np.array([top])
     for weights, step in zip(_ladder_weights(Lbar.T), steps):
         V, labels = np.hstack([V, _ladder_gather(weights, V.T).T]), np.concatenate([labels, labels + step])
     V /= np.linalg.norm(V, axis=0)
-    if gram is None:
-        V_inv = np.linalg.inv(V)
-    else:
-        H = V.conj().T @ gram
-        V_inv = np.linalg.solve(H @ V, H)
-    return V, V_inv, labels
+    rows = _parity_rows(L.shape[0] // 2)
+    odd = int(np.abs(rho[rows[1]]).max() > 0)
+    V_inv = np.zeros_like(V)
+    blocks = []
+    for r, w in zip(rows, rows[odd:] + rows[:odd]):
+        Vb = V[r[:, None], w]
+        V_inv[w[:, None], r] = Xb = np.linalg.inv(Vb) if gram is None else _gram_inverse(Vb, gram[r[:, None], r])
+        blocks.append((r, w, Vb, Xb))
+    return V, V_inv, labels, blocks
 
 
 def _label_projectors(V: np.ndarray, V_inv: np.ndarray, labels: np.ndarray) -> dict:
@@ -178,7 +220,7 @@ def iso_projectors(J: np.ndarray) -> dict[int, np.ndarray]:
     if m % 2:
         raise ValueError("the eigenlevel grading needs an even dimension")
     L = _projector_column_space(0.5 * (np.eye(2 * m) - 1j * J), m)
-    levels = _label_projectors(*_word_basis(L, L.conj(), [(-1,)] * m, (m // 2,)))
+    levels = _label_projectors(*_word_basis(L, L.conj(), [(-1,)] * m, (m // 2,))[:3])
     return {k: P for (k,), P in levels.items()}
 
 
@@ -196,19 +238,23 @@ def canonical_generator(J: np.ndarray, projectors: dict[int, np.ndarray] | None 
     """Generator of the top eigenlevel line, scaled so max|coeff| = 1.
 
     Deterministic: picks the largest column of the top-level projector and
-    divides by its largest entry (first index on ties).  ``projectors`` are
-    the eigenlevel projectors of ``J`` if already at hand.  The projector is
-    idempotent, so its trace is its rank and must be one.
+    divides by its largest entry (``_over_first_largest``).  ``projectors``
+    are the eigenlevel projectors of ``J`` if already at hand.  The projector
+    is idempotent, so its trace is its rank and must be one.
     """
     if projectors is None:
         projectors = iso_projectors(J)
     Pn = projectors[max(projectors)]
     if abs(np.trace(Pn) - 1) > 0.5:
         raise ValueError("top eigenlevel is not a line")
-    col = int(np.argmax(np.linalg.norm(Pn, axis=0)))
-    v = Pn[:, col]
-    piv = int(np.argmax(np.abs(v)))
-    return v / v[piv]
+    return _over_first_largest(Pn[:, int(np.argmax(np.linalg.norm(Pn, axis=0)))])
+
+
+def _over_first_largest(v: np.ndarray) -> np.ndarray:
+    """``v`` over its first entry within 1e-9 of the largest, so that entries
+    equal in exact arithmetic tie whatever their rounding."""
+    size = np.abs(v)
+    return v / v[int(np.argmax(size >= (1 - 1e-9) * size.max()))]
 
 
 def _projector_column_space(Pmat: np.ndarray, rank: int) -> np.ndarray:
@@ -325,10 +371,11 @@ class HermitianPair:
     of the induced star operator with the two spin-volume elements; it raises
     ``ValueError`` when any of them fails.
     The bigrading is kept as one word basis (``_word_basis``): the words
-    ``V``, their inverse and one ``(p, q)`` label per word.  ``project``
-    applies a label's or a level's projector to rows and ``shift_part``
-    takes the part of an operator that shifts every label by one amount,
-    both through the basis; the dense projectors (``bigrading``, ``proj1``,
+    ``V``, their inverse, one ``(p, q)`` label per word and the (rows,
+    words) index pairs of its two parity blocks.  ``project`` applies a
+    label's or a level's projector to rows and ``shift_parts`` takes the
+    parts of an operator that shift every label by one amount, both through
+    the basis; the dense projectors (``bigrading``, ``proj1``,
     ``proj2``) are formed only when asked for.
     """
 
@@ -390,12 +437,18 @@ class HermitianPair:
         n = self.n
         L = np.hstack([self.sector_frame(True, True), self.sector_frame(False, True)])
         Lbar = np.hstack([self.sector_frame(True, False), self.sector_frame(False, False)])
-        self._V, self._V_inv, self._labels = _word_basis(
+        self._V, self._V_inv, self._labels, blocks = _word_basis(
             L, Lbar, [(-1, -1)] * n + [(-1, 1)] * n, (n, 0), self.star_gram
         )
-        vol = (self._V * _QUARTER_TURNS[self._labels.sum(axis=1) % 4]) @ self._V_inv
-        res = np.linalg.norm(self.star + vol)
-        if res > 1e-8 * np.linalg.norm(self.star):
+        self._blocks = [(r, w) for r, w, *_ in blocks]  # the index pairs alone: V and V^-1 hold the blocks
+        # per parity block; the star's off-parity blocks, zero for a product
+        # of an even number of vectors, enter the residual as they are
+        turns = _QUARTER_TURNS[self._labels.sum(axis=1) % 4]
+        diff = self.star.copy()
+        for r, w, Vb, Xb in blocks:
+            diff[r[:, None], r] += (Vb * turns[w]) @ Xb
+        res = np.linalg.norm(diff)
+        if not res <= 1e-8 * np.linalg.norm(self.star):
             raise ValueError(f"star does not match the spin volume elements (residual {res:.3e})")
 
     def _words(self, p: int | None, q: int | None) -> np.ndarray:
@@ -413,13 +466,27 @@ class HermitianPair:
         s = self._words(p, q)
         return (rows @ self._V_inv[s].T) @ self._V[:, s].T
 
-    def shift_part(self, op: np.ndarray, shift: tuple[int, int]) -> np.ndarray:
-        """``sum_{(p,q)} P_{p+dp,q+dq} op P_{pq}``, the part of ``op`` that moves
-        each ``U^{p,q}`` by ``shift = (dp, dq)``, as ``V (moves * (V^-1 op V))
-        V^-1`` with ``moves[s, t]`` true when word s is labelled word t's
-        label plus the shift."""
-        moves = (self._labels[:, None] == self._labels[None] + np.asarray(shift)).all(axis=-1)
-        return self._V @ (moves * (self._V_inv @ op @ self._V)) @ self._V_inv
+    def shift_parts(self, op: np.ndarray, shifts) -> dict[tuple[int, int], np.ndarray]:
+        """``sum_{(p,q)} P_{p+dp,q+dq} op P_{pq}`` for every ``shift = (dp,
+        dq)``, the part of ``op`` that moves each ``U^{p,q}`` by it: ``V
+        (moves * (V^-1 op V)) V^-1``, ``moves[s, t]`` true when word s is
+        labelled word t's label plus the shift, with each nonzero block of
+        ``op`` between two parity blocks transformed once and each part
+        formed by two products."""
+        out = {tuple(shift): np.zeros(op.shape, dtype=complex) for shift in shifts}
+        for r, w in self._blocks:
+            for s, u in self._blocks:
+                block = op[r[:, None], s]
+                if not block.any():
+                    continue
+                Vr, Xs = self._V[r[:, None], w], self._V_inv[u[:, None], s]
+                words = self._V_inv[w[:, None], r] @ block @ self._V[s[:, None], u]
+                steps = self._labels[w][:, None] - self._labels[u][None]
+                for shift, part in out.items():
+                    moves = (steps == shift).all(axis=-1)
+                    if moves.any():
+                        part[r[:, None], s] = Vr @ (moves * words) @ Xs
+        return out
 
     @cached_property
     def bigrading(self) -> dict[tuple[int, int], np.ndarray]:
@@ -461,10 +528,11 @@ class HermitianPair:
         return _projector_column_space(self.sector_projector(plus, holo), self.n)
 
     def canonical_generator(self, which: int = 2) -> np.ndarray:
-        """``canonical_generator`` of one structure from the rank-one
-        projector of its top level, the one word labelled (n, 0) or (0, n)."""
-        J, s = (self.J2, self._words(None, self.n)) if which == 2 else (self.J1, self._words(self.n, None))
-        return canonical_generator(J, projectors={self.n: self._V[:, s] @ self._V_inv[s]})
+        """``canonical_generator`` of one structure.  Its top level is the one
+        word labelled (n, 0) or (0, n), and every column of that word's
+        rank-one projector is a multiple of it, so no projector is formed."""
+        (word,) = self._V.T[self._words(None, self.n) if which == 2 else self._words(self.n, None)]
+        return _over_first_largest(word)
 
 
 def standard_kahler_pair(m: int) -> HermitianPair:

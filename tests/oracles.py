@@ -5,8 +5,10 @@ quantity the library computes another way, or a convenience for writing
 test data; no path of the library or the command line needs them.
 """
 
+import operator
 import sys
 import types
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -324,8 +326,9 @@ def affine_twist_residuals(pair, h):
     background by affine coefficient operators: the twisted derivative
     ``sum_j kappa_j W_j + H^`` and all 16 graded components, each a
     ``BlockOperator`` with m linear coefficients (zero for the +-3 shifts)
-    and the constant part ``shift_part(H^, shift)``, summed and normed over
-    all their coefficients; each over the derivative's coefficient norm."""
+    and the constant part ``dense_shift_part(pair, H^, shift)``, summed and
+    normed over all their coefficients; each over the derivative's
+    coefficient norm."""
     m = pair.m
     support = gh.Support([(0,) * m])
     wedge = cl.wedge_operator(three_form_spinor(h))
@@ -335,7 +338,7 @@ def affine_twist_residuals(pair, h):
     levels = [0.0, 0.0]
     for shift in gh.COMPONENT_SHIFTS:
         linear = gh.component_operator(shift, pair, support) if shift in gh.DELTA_SHIFTS.values() else zero
-        comp = with_constant(linear, pair.shift_part(wedge, shift))
+        comp = with_constant(linear, dense_shift_part(pair, wedge, shift))
         full = comp if full is None else full + comp
         for axis in (0, 1):
             if abs(shift[axis]) == 3:
@@ -389,3 +392,33 @@ def dense_splitting_residuals(pair):
     out["green_agrees_across_components"] = max(residual(other - lap, lap_scale) for other in laps.values())
     units = {name: lap_scale / scale**2 if name.startswith("green") else 1.0 for name in out}
     return out, units
+
+
+def dense_pure_spinor(L):
+    """The pure spinor of ``L`` the word basis used before its thin route: the
+    largest column of the dense rank-one product ``cl(l_1) ... cl(l_m)`` of
+    the Clifford matrices of the columns of ``L``."""
+    M = reduce(np.matmul, cl.clifford_matrices(L.T))
+    return M[:, np.argmax(np.linalg.norm(M, axis=0))]
+
+
+def lu_word_inverse(V, gram):
+    """``(V^H A V)^-1 V^H A`` for a whole word basis by one LU solve."""
+    H = V.conj().T @ gram
+    return np.linalg.solve(H @ V, H)
+
+
+def dense_shift_part(pair, op, shift):
+    """One part of ``HermitianPair.shift_parts`` on the whole word basis:
+    ``V (moves * (V^-1 op V)) V^-1`` by four dense products."""
+    labels = pair._labels
+    moves = (labels[:, None] == labels[None] + np.asarray(shift)).all(axis=-1)
+    return pair._V @ (moves * (pair._V_inv @ op @ pair._V)) @ pair._V_inv
+
+
+def block_operator_gap(pair):
+    """``verify-hodge``'s level-one gap ``D - sum of the four components`` by
+    the ``BlockOperator`` algebra (three ``__add__`` and one ``__sub__``)."""
+    support = gh.Support([(0,) * pair.m])
+    comps = [gh.component_operator(shift, pair, support) for shift in gh.DELTA_SHIFTS.values()]
+    return (gh.derivative_operator(pair.m, support) - reduce(operator.add, comps)).coeff_norm()

@@ -18,7 +18,13 @@ import genkahler.hodge as gh
 import genkahler.solver as sol
 import genkahler.structures as gs
 from genkahler import cli
-from oracles import DEFORM_WORKLOADS, affine_twist_residuals, dense_splitting_residuals, workload_config
+from oracles import (
+    DEFORM_WORKLOADS,
+    affine_twist_residuals,
+    block_operator_gap,
+    dense_splitting_residuals,
+    workload_config,
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -139,6 +145,22 @@ def test_canonical_json_batches_match_per_float_writer():
             cli.canonical_json(broken)
         with pytest.raises(ValueError, match=message):
             cli.canonical_json({"x": [1.0, bad]})
+
+
+def test_canonical_json_int_lists_and_repeated_keys_match_per_float_writer():
+    """Lists of plain ints go in one piece and each key's text is made once
+    per call: the same bytes as the per-float writer, with bools, floats and
+    None beside ints in a list, empty lists and tuples, nested int lists,
+    and keys that repeat across dicts, hold ``%`` or print alike."""
+    doc = {
+        "frequencies": [[1, -2, 0], [0, 0, 0], (3, 4), [], ()],
+        "mixed": [[1, True, 2], [1, 2.0], [False], [1, None], [[1, 2], 3]],
+        "rows": [{"frequency": [1, 0], "%k": 1, 2: [5]}, {"frequency": [0, 1], "%k": 2, "2": [-7]}],
+        3: {"3": [0], "%%": [10**20, -(10**20)]},
+    }
+    text = cli.canonical_json(doc)
+    assert text == _per_float_json(doc) + "\n"
+    assert '"frequencies": [[1, -2, 0], [0, 0, 0], [3, 4], [], []]' in text and "[1, true, 2]" in text
 
 
 def bfield_doc(order=2):
@@ -737,6 +759,18 @@ def test_verify_hodge_closed_form_matches_dense_oracle(tmp_path, capsys, monkeyp
         assert_matches_dense_oracle(pair, report)
 
 
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_verify_hodge_level_one_gap_matches_block_operator_sum(tmp_path, capsys, monkeypatch, m):
+    """The level-one gap, taken on the (m, n, n) coefficient stacks, equals
+    the ``BlockOperator`` sum and difference bit for bit on every pair of
+    ``splitting_pairs``."""
+    scale = gh.derivative_operator(m, gh.Support([(0,) * m])).coeff_norm()
+    for label, pair in splitting_pairs(m).items():
+        report = verify_hodge_on(tmp_path, capsys, monkeypatch, pair)
+        got = {c["name"]: c["max_residual"] for c in report["checks"]}["component_sum_reproduces_derivative"]
+        assert got == block_operator_gap(pair) / scale, label
+
+
 @pytest.mark.parametrize("m", [4, 6])
 def test_verify_hodge_tiny_twist_is_not_integrable(tmp_path, capsys, m):
     """verify-hodge decides integrability as deform does: a twist of 1e-13,
@@ -794,7 +828,8 @@ def test_torsion_parts_determine_the_three_form(m):
         for triple in itertools.combinations(range(m), 3):
             h = cli.build_twist({"twist": [[*triple, 1.0]]}, m)
             wedge = cl.wedge_operator(gf.three_form_spinor(h))
-            columns.append(np.concatenate([pair.shift_part(wedge, shift).ravel() for shift in torsion]))
+            parts = pair.shift_parts(wedge, torsion)
+            columns.append(np.concatenate([parts[shift].ravel() for shift in torsion]))
         smallest = np.linalg.svd(np.array(columns).T, compute_uv=False).min()
         assert smallest >= 0.1 * np.sqrt(n / 8), (label, smallest)
 

@@ -227,6 +227,18 @@ def test_chevalley_matches_wedge_reverse_top():
         )
 
 
+@pytest.mark.parametrize("m", range(1, cl.MAX_DIM + 1))
+def test_chevalley_gram_is_the_top_coefficient_of_every_wedge_with_a_reversed_subset(m):
+    """Entry ``(I, J)`` is minus the top coefficient of ``e_I ^ reverse(e_J)``:
+    the reversal sign of ``J`` times the whole ``wedge_sign_table`` entry
+    where ``I`` and ``J`` fill the top subset, zero elsewhere."""
+    n = 1 << m
+    reversal = cl.transpose_form(np.ones(n)).real
+    top = (np.arange(n)[:, None] | np.arange(n)[None]) == n - 1
+    want = np.where(top, -reversal[None] * cl.wedge_sign_table(m), 0.0)
+    assert np.array_equal(cl.chevalley_gram(m), want)
+
+
 def test_transpose_form_reverses_products():
     rng = np.random.default_rng(19)
     m = 4
@@ -382,12 +394,20 @@ def random_so_stack(rng, m, shape):
 @pytest.mark.parametrize("m", range(1, cl.MAX_DIM + 1))
 def test_flip_weights_densify_to_the_spin_action(m):
     """Batched weights, F = 1 + m(m-1)/2 per element, and
-    ``spin_lie_action`` of each element match the table scatter."""
+    ``spin_lie_action`` of each element match the table scatter.  The images
+    are exactly zero off their two parity blocks, which ``blocks`` forms
+    alone, entry for entry."""
     rng = np.random.default_rng(200 + m)
     alphas = random_so_stack(rng, m, (2, 3))
     weights = cl.spin_flip_weights(alphas)
     assert weights.shape == (2, 3, 1 + m * (m - 1) // 2, 1 << m)
     dense = cl.spin_flip_dense(weights)
+    blocks = cl.spin_flip_dense(weights, blocks=True)
+    assert blocks.shape == (2, 3, 2, 1 << (m - 1), 1 << (m - 1))
+    parities = cl._parity_rows(m)
+    for parity, rows in enumerate(parities):
+        assert np.array_equal(blocks[:, :, parity], dense[:, :, rows[:, None], rows])
+        assert not dense[:, :, rows[:, None], parities[1 - parity]].any()
     for idx in np.ndindex(2, 3):
         want = scatter_spin_action(alphas[idx])
         for got in (dense[idx], cl.spin_lie_action(alphas[idx])):
@@ -425,6 +445,10 @@ def test_flip_outer_matches_broadcast_gather(m):
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
     dense = np.stack([cl.spin_lie_action(a) @ x.T for a in alphas]).transpose(0, 2, 1)
     assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
+    # the images at some entries alone, from the weights of those entries
+    entries = rng.permutation(1 << m)[: max(1, 1 << (m - 1))]
+    part = cl._spin_flip_outer(np.ascontiguousarray(weights.transpose(2, 0, 1)[entries]), x, entries)
+    assert np.array_equal(part, got[..., entries])
 
 
 def test_flip_weights_reject_nan_and_non_so():

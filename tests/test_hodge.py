@@ -219,7 +219,7 @@ def test_component_operator_matches_projector_sum(m, twisted, lagrange_bigrading
     """Untwisted, each level-one component and the derivative against the
     Lagrange projector sums of the dense derivative blocks.  Twisted, the
     oracle's block at k = 0 is exactly H^, and its 16 projector sums are the
-    constant parts ``shift_part(H^, shift)`` that verify-hodge reads, which
+    constant parts ``shift_parts(H^, shifts)`` that verify-hodge reads, which
     add up to H^."""
     rng = np.random.default_rng(40 + m + twisted)
     pair = gs.random_hermitian_pair(rng, m, b_scale=0.7)
@@ -232,7 +232,7 @@ def test_component_operator_matches_projector_sum(m, twisted, lagrange_bigrading
         np.testing.assert_array_equal(derivative_block(zero, m, h), wedge)
         scale = np.linalg.norm(wedge)
         assert scale > 0.5
-        parts = {shift: pair.shift_part(wedge, shift) for shift in gh.COMPONENT_SHIFTS}
+        parts = pair.shift_parts(wedge, gh.COMPONENT_SHIFTS)
         for shift, part in parts.items():
             ref = projector_sum_component(shift, grading, m, [zero], h)[zero]
             assert np.linalg.norm(part - ref) <= 1e-10 * scale, shift
@@ -616,7 +616,7 @@ def test_batched_algebra_matches_per_block_oracle(m, twisted):
     for shift in ((1, 1), (-1, 1)):
         op = gh.component_operator(shift, pair, support)
         if twisted:
-            op = with_constant(op, pair.shift_part(cl.wedge_operator(gf.three_form_spinor(h)), shift))
+            op = with_constant(op, pair.shift_parts(cl.wedge_operator(gf.three_form_spinor(h)), [shift])[shift])
             assert len(op.exponents) == m + 1
         assert_matches_oracle(op, gram, None if twisted else pair)
 
@@ -661,7 +661,8 @@ def test_anticommutators_match_dense_products(m, twisted):
     ops = {name: gh.component_operator(shift, pair, support) for name, shift in gh.DELTA_SHIFTS.items()}
     if twisted:
         wedge = cl.wedge_operator(gf.three_form_spinor(h))
-        ops = {name: with_constant(ops[name], pair.shift_part(wedge, gh.DELTA_SHIFTS[name])) for name in ops}
+        parts = pair.shift_parts(wedge, gh.DELTA_SHIFTS.values())
+        ops = {name: with_constant(ops[name], parts[gh.DELTA_SHIFTS[name]]) for name in ops}
     anti = gh.anticommutators(pair)
     n = 2**m
     gaps = []

@@ -919,19 +919,20 @@ def test_chunked_verification_matches_per_point_oracle(m, build, t):
 
 
 def test_verification_memory_at_m6(monkeypatch):
-    """At m = 6 a chunk holds 4 points: the spinor side densifies one
-    ``(4, F, 2**m)`` stack per chunk and family.  Its own peak stays under
-    2 MB (about 1.6 MB), and 16 points peak no higher than 4 plus three
-    times the values and gradients of both families at the 12 extra points
-    (about 2.3 MB; 6.3 MB with all 16 points in one chunk)."""
+    """At m = 6 a chunk holds 4 points: the spinor side densifies the two
+    parity blocks of one ``(4, F, 2**m)`` stack per chunk and family.  Its
+    own peak stays under 2 MB (about 1.6 MB), and 16 points peak no higher
+    than 4 plus three times the values and gradients of both families at
+    the 12 extra points (about 2.3 MB; 6.3 MB with all 16 points in one
+    chunk)."""
     m = 6
     report = exact_bfield_report(m, 3, *M6_COEFFS)
     dense_shapes = []
     densify = sol.spin_flip_dense
 
-    def record(weights):
-        dense_shapes.append(weights.shape)
-        return densify(weights)
+    def record(weights, **kw):
+        dense_shapes.append((weights.shape, kw))
+        return densify(weights, **kw)
 
     monkeypatch.setattr(sol, "spin_flip_dense", record)
     sol.verify_gk_at_t(report, 1e-1, count=4, seed=0)  # builds the cached tables
@@ -945,7 +946,7 @@ def test_verification_memory_at_m6(monkeypatch):
             peaks[count] = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert dense_shapes == [(4, 16, 64)] * (2 * count // 4)
+        assert dense_shapes == [((4, 16, 64), {"blocks": True})] * (2 * count // 4)
     assert peaks[4] < 2e6, f"verification peaked {peaks[4] / 1e6:.1f} MB above its start"
     samples = 3 * 12 * 2 * (m + 1) * (2 * m) ** 2 * 16
     assert peaks[16] <= peaks[4] + samples, f"{peaks[16] / 1e6:.2f} MB at 16 points, {peaks[4] / 1e6:.2f} MB at 4"
@@ -979,6 +980,29 @@ def test_exp_jet_matches_frechet_derivative(size):
         want_v = E @ v[b]
         want_D = np.stack([E @ D[b, d] + scipy.linalg.expm_frechet(S, G[d], compute_expm=False) @ v[b] for d in range(m)])
         assert np.linalg.norm(got_v[b] - want_v) <= 1e-12 * np.linalg.norm(want_v)
+        assert np.linalg.norm(got_D[b] - want_D) <= 1e-12 * np.linalg.norm(want_D)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_exp_jet_keeps_the_parity_of_its_input(parity):
+    """Jets of one form parity, as a pure spinor's are, run on one half of
+    ``S``: they stay exactly zero on the other parity and match expm and
+    expm_frechet of the densified weights."""
+    rng = np.random.default_rng(7 + parity)
+    m, flips, n = 4, 7, 16
+    W = rng.normal(size=(2, 1 + m, flips, n)) + 1j * rng.normal(size=(2, 1 + m, flips, n))
+    W *= 0.3 / cl._flip_column_sums(W).max()
+    other = cl.degrees(m) % 2 != parity
+    v = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    D = rng.normal(size=(2, m, n)) + 1j * rng.normal(size=(2, m, n))
+    v[:, other], D[..., other] = 0.0, 0.0
+    got_v, got_D, _ = sol._exp_jet(W, v, D, sol._JET_STEP_BUDGET)
+    assert not got_v[:, other].any() and not got_D[..., other].any()
+    for b in range(2):
+        S, G = cl.spin_flip_dense(W[b, 0]), cl.spin_flip_dense(W[b, 1:])
+        E = scipy.linalg.expm(S)
+        want_D = np.stack([E @ D[b, d] + scipy.linalg.expm_frechet(S, G[d], compute_expm=False) @ v[b] for d in range(m)])
+        assert np.linalg.norm(got_v[b] - E @ v[b]) <= 1e-12 * np.linalg.norm(v[b])
         assert np.linalg.norm(got_D[b] - want_D) <= 1e-12 * np.linalg.norm(want_D)
 
 
@@ -1134,8 +1158,9 @@ def test_verification_at_t8(t8_report):
 
 
 def test_verification_at_t8_densifies_one_exponent_per_point_and_family(t8_report, monkeypatch):
-    """The verifier makes only the exponent ``S`` of each point and family
-    dense and applies the m gradients ``G_d`` as flip-mask gathers: its own
+    """The verifier makes only the two parity blocks of the exponent ``S``
+    of each point and family dense and applies the m gradients ``G_d`` as
+    flip-mask gathers: its own
     peak stays under 5 MB (about 2.7 MB; 13.9 MB with m dense gradient
     images per point), and 16 points peak no higher than 2 plus twice the
     values and gradients of both families at the 14 extra points, since
@@ -1144,9 +1169,9 @@ def test_verification_at_t8_densifies_one_exponent_per_point_and_family(t8_repor
     dense_shapes = []
     densify = sol.spin_flip_dense
 
-    def record(weights):
-        dense_shapes.append(weights.shape)
-        return densify(weights)
+    def record(weights, **kw):
+        dense_shapes.append((weights.shape, kw))
+        return densify(weights, **kw)
 
     def refuse(*args):
         raise AssertionError("dense spin image built by the verifier")
@@ -1164,8 +1189,9 @@ def test_verification_at_t8_densifies_one_exponent_per_point_and_family(t8_repor
             peaks[count] = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # one S per chunk and family; at m = 8 a chunk is one point, (1, F, 2**m)
-        assert dense_shapes == [(1, 29, 256)] * (2 * count)
+        # the parity blocks of one S per chunk and family; at m = 8 a chunk
+        # is one point, (1, F, 2**m)
+        assert dense_shapes == [((1, 29, 256), {"blocks": True})] * (2 * count)
     assert peaks[2] < 5e6, f"verification peaked {peaks[2] / 1e6:.1f} MB above its start"
     samples = 2 * 14 * 2 * (m + 1) * (2 * m) ** 2 * 16
     assert peaks[16] <= peaks[2] + samples, f"{peaks[16] / 1e6:.2f} MB at 16 points, {peaks[2] / 1e6:.2f} MB at 2"
@@ -1227,10 +1253,10 @@ def test_run_deformation_t8_holds_spin_images_as_flip_weights(monkeypatch):
     series engine)."""
     densified = []
 
-    def single(weights):
+    def single(weights, **kw):
         densified.append(weights.shape)
         assert weights.shape == (1, 29, 256), f"dense spin images of shape {weights.shape}"
-        return cl.spin_flip_dense(weights)
+        return cl.spin_flip_dense(weights, **kw)
 
     def refuse(*args):
         raise AssertionError("spin_lie_action called on the deform path")

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from functools import reduce
 
@@ -6,7 +7,7 @@ import pytest
 
 from genkahler import clifford as cl
 from genkahler import structures as gs
-from oracles import form_vector, two_form_spinor
+from oracles import dense_pure_spinor, dense_shift_part, form_vector, lu_word_inverse, two_form_spinor
 
 
 def test_require_gcs_rejects_non_structures():
@@ -379,3 +380,104 @@ def test_random_pairs_validate():
         pair = gs.random_hermitian_pair(rng, m)
         np.testing.assert_allclose(pair.J2, pair.G @ pair.J1, atol=1e-9)
         np.testing.assert_allclose(pair.G, -pair.J1 @ pair.J2, atol=1e-9)
+
+
+def _pair_frames(pair):
+    """The frames ``L`` and ``Lbar`` of the pair's word basis."""
+    L = np.hstack([pair.sector_frame(True, True), pair.sector_frame(False, True)])
+    Lbar = np.hstack([pair.sector_frame(True, False), pair.sector_frame(False, False)])
+    return L, Lbar
+
+
+PARITY_KINDS = ["kahler", "bfield", "symplectic"]
+
+
+def parity_pair(kind, m):
+    if kind == "kahler":
+        return gs.standard_kahler_pair(m)
+    return typed_pair(kind, m)
+
+
+@pytest.mark.parametrize("kind", PARITY_KINDS)
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_pure_spinor_is_the_largest_column_of_the_dense_product(m, kind):
+    """The thin route (a column picked by Cartan's relation, then m vector
+    gathers) gives a column of the dense rank-one product as large as its
+    largest one, so the same line at the same scale."""
+    L = _pair_frames(parity_pair(kind, m))[0]
+    got, want = gs._pure_spinor(L), dense_pure_spinor(L)
+    assert abs(abs(np.vdot(got, want)) / (np.linalg.norm(got) * np.linalg.norm(want)) - 1) <= 1e-13
+    assert abs(np.linalg.norm(got) / np.linalg.norm(want) - 1) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", PARITY_KINDS)
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_word_inverse_matches_the_lu_solve(m, kind):
+    pair = parity_pair(kind, m)
+    want = lu_word_inverse(pair._V, pair.star_gram)
+    assert np.linalg.norm(pair._V_inv - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", PARITY_KINDS)
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_word_basis_and_star_are_exactly_zero_off_the_parity_blocks(m, kind):
+    """Words, their inverse and the star keep form parity: exact zeros off
+    two blocks of 2^(m-1) rows and as many words, which cover the basis."""
+    pair = parity_pair(kind, m)
+    parity = cl.degrees(m) % 2
+    on = np.zeros((2**m, 2**m), dtype=bool)
+    for rows, words in pair._blocks:
+        assert len(rows) == len(words) == 2 ** (m - 1)
+        assert (parity[rows] == parity[rows[0]]).all()
+        on[rows[:, None], words] = True
+    assert on.sum() == 2 ** (2 * m - 1) and on.any(axis=0).all() and on.any(axis=1).all()
+    assert not pair._V[~on].any() and not pair._V_inv[~on.T].any()
+    assert not pair.star[parity[:, None] != parity[None]].any()
+
+
+def test_word_basis_rejects_a_gram_for_which_the_words_are_not_orthogonal():
+    pair = typed_pair("bfield", 6)
+    L, Lbar = _pair_frames(pair)
+    steps, top = [(-1, -1)] * 3 + [(-1, 1)] * 3, (3, 0)
+    gs._word_basis(L, Lbar, steps, top, pair.star_gram)
+    rng = np.random.default_rng(3)
+    noise = rng.normal(size=pair.star_gram.shape)
+    corrupted = pair.star_gram + 1e-6 * np.linalg.norm(pair.star_gram) * (noise + noise.T) / np.linalg.norm(noise)
+    with pytest.raises(ValueError, match="not orthogonal for the Gram matrix"):
+        gs._word_basis(L, Lbar, steps, top, corrupted)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_shift_parts_match_the_dense_transform(m):
+    """From one transform per block of ``op``, every part equals the dense
+    four-product route, on the odd ``H^`` of a three-form and on a dense
+    operator that mixes the parities."""
+    pair = typed_pair("bfield", m)
+    rng = np.random.default_rng(m)
+    h = rng.normal(size=(m, m, m))
+    h = sum(np.transpose(h, axes) * sign for axes, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1), ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)))
+    three_form = np.zeros(2**m, dtype=complex)
+    for i, j, k in itertools.combinations(range(m), 3):
+        three_form[(1 << i) | (1 << j) | (1 << k)] = h[i, j, k]
+    mixed = rng.normal(size=(2**m, 2**m)) + 1j * rng.normal(size=(2**m, 2**m))
+    shifts = list(itertools.product((-3, -1, 1, 3), repeat=2)) + [(0, 0), (2, -2)]
+    for op in (cl.wedge_operator(three_form), mixed):
+        parts = pair.shift_parts(op, shifts)
+        assert list(parts) == shifts
+        for shift, part in parts.items():
+            want = dense_shift_part(pair, op, shift)
+            assert np.linalg.norm(part - want) <= 1e-13 * max(np.linalg.norm(want), np.linalg.norm(op))
+
+
+@pytest.mark.parametrize("kind", PARITY_KINDS)
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_canonical_generator_divides_by_the_first_of_its_tied_largest_entries(m, kind):
+    """Entries of equal size in exact arithmetic tie up to roundoff; the
+    generator is scaled by the first of them, whatever the rounding of the
+    word basis, so its phase does not change with the route to the basis."""
+    pair = parity_pair(kind, m)
+    for which in (1, 2):
+        generator = pair.canonical_generator(which)
+        size = np.abs(generator)
+        first = np.flatnonzero(size >= (1 - 1e-12) * size.max())[0]
+        assert abs(generator[first] - 1) <= 1e-15, (which, first)
