@@ -183,6 +183,9 @@ def _word_basis(
     1e-15.
     """
     rho = _pure_spinor(L)
+    # an exact quarter turn brings the largest entry within 45 degrees of the
+    # positive real axis, so the phase of the words hangs little on the column
+    rho = rho * 1j ** -round(float(np.angle(rho[np.argmax(np.abs(rho))])) / (np.pi / 2))
     V, labels = rho[:, None], np.array([top])
     for weights, step in zip(_ladder_weights(Lbar.T), steps):
         V, labels = np.hstack([V, _ladder_gather(weights, V.T).T]), np.concatenate([labels, labels + step])
