@@ -64,8 +64,9 @@ def spinor_dim(m: int) -> int:
     return 1 << _check_m(m)
 
 
-def _infer_m_from_spinor(phi: np.ndarray) -> int:
-    n = phi.shape[-1]
+def _infer_m_from_spinor(phi: np.ndarray, parity: int | None = None) -> int:
+    """m of form vectors ``(..., 2**m)``, or given a parity of half rows."""
+    n = phi.shape[-1] << (parity is not None)
     m = n.bit_length() - 1
     if 1 << m != n:
         raise ValueError(f"spinor length {n} is not a power of two")
@@ -272,23 +273,25 @@ def clifford_vector_matrix(v: np.ndarray) -> np.ndarray:
     return clifford_matrices(v)
 
 
-def _ladder_weights(vectors: np.ndarray) -> np.ndarray:
+def _ladder_weights(vectors: np.ndarray, parity: int | None = None) -> np.ndarray:
     """Gather weights ``(..., m, 2**m)`` of the Clifford actions of a stack of
     vectors ``(..., 2m)``: ``X_j`` times the contraction signs plus ``xi_j``
-    times the wedge signs."""
+    times the wedge signs; given a form ``parity``, of its entries alone."""
     v = np.asarray(vectors, dtype=complex)
     m = _check_m(v.shape[-1] // 2)
-    _, signs = _ladder_tables(m)
+    signs = _ladder_tables(m)[1] if parity is None else _ladder_tables(m)[1][..., _parity_rows(m)[parity]]
     return np.einsum("...wj,wji->...ji", v.reshape(v.shape[:-1] + (2, m)), signs)
 
 
-def _ladder_gather(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _ladder_gather(weights: np.ndarray, rows: np.ndarray, parity: int | None = None) -> np.ndarray:
     """``out[..., i] = sum_j weights[..., j, i] rows[..., i ^ 2**j]``: the
     Clifford actions whose ``_ladder_weights`` are given, on rows ``(..., n)``
     broadcast against them.  One signed gather per ladder with a nonzero
-    weight, so no ``(..., m, n)`` temporary is formed."""
+    weight, so no ``(..., m, n)`` temporary is formed.  Given the image's
+    form ``parity``, the weights of its entries and the rows of the other
+    parity (each ladder flips it) are in half coordinates (``_half_ladder_sources``)."""
     m, n = weights.shape[-2:]
-    source, _ = _ladder_tables(m)
+    source = _ladder_tables(m)[0] if parity is None else _half_ladder_sources(m)[parity]
     used = np.flatnonzero(weights.reshape(-1, m, n).any(axis=(0, 2)))
     if not used.size:
         return np.zeros(np.broadcast_shapes(weights.shape[:-2] + (n,), rows.shape), dtype=complex)
@@ -429,7 +432,30 @@ def random_so_element(rng: np.random.Generator, m: int, scale: float = 1.0) -> n
 
 
 @lru_cache(maxsize=None)
-def _spin_flip_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _half_index(m: int) -> np.ndarray:
+    """The position of every form among the forms of its parity (``_parity_rows``)."""
+    n = spinor_dim(m)
+    out = np.empty(n, dtype=np.intp)
+    for rows in _parity_rows(m):
+        out[rows] = np.arange(n // 2)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _half_ladder_sources(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per form parity of the image, the ``source`` of ``_ladder_tables`` in
+    half coordinates ``(m, 2**(m-1))``: entry h of the forms ``rows`` of
+    that parity reads ``rows[h] ^ 2**j``, of the other parity, by its
+    position among the forms of that parity."""
+    out = tuple(_half_index(m)[_ladder_tables(m)[0][:, rows]] for rows in _parity_rows(m))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _spin_flip_table(m: int, parity: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flip-mask tables of the spin images ``T[r, c] = [B_r, D_c] / 4`` of
     the matrix units of so(m,m).
 
@@ -442,46 +468,50 @@ def _spin_flip_table(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     ``alpha`` whose ``T[r, c]`` is nonzero and has mask f, ascending and
     padded with index 0 to a common length K; ``values[f, k, i]``, the
     coefficient ``(+-1/4, +-1/2)`` of ``alpha.flat[coef[f, k]]`` at entry
-    ``(i, i ^ f)`` (zero on the padding), ``(F, K, 2**m)``; and the flat
-    positions ``i * 2**m + (i ^ f)`` of those entries in a dense matrix.
+    ``(i, i ^ f)`` (zero on the padding), ``(F, K, 2**m)``.  The values
+    come from single-ladder signs (``_ladder_tables``): entry i of ``T[r,
+    c]`` reads ``i ^ f``, which ``B_r D_c`` passes through ``i ^ bit(r %
+    m)`` and ``D_c B_r`` through ``i ^ bit(c % m)``.  Given a form
+    ``parity``, ``source`` and ``values`` cover the entries ``rows`` of
+    that parity alone, ``(F, 2**(m-1))`` and ``(F, K, 2**(m-1))``, in half
+    coordinates: ``rows[h] ^ f`` has the same parity, and ``source[f, h]``
+    is its position among ``rows``.
     """
     m = _check_m(m)
     n = spinor_dim(m)
+    source, signs = _ladder_tables(m)
+    # ladder k contracts by bit k % m for k < m and wedges after; onto[k, i]
+    # is its (integer, so no -0.0) sign onto i, out_of[k * n + j] out of j
+    onto = signs.reshape(2 * m, n).astype(np.int8)
+    out_of = onto[np.arange(2 * m)[:, None], np.concatenate([source, source])].ravel()
     coord = np.arange(2 * m)
     bit = coord % m
-    b_ladder = ((coord >= m)[:, None, None], bit.astype(np.uint64)[:, None, None])
-    d_ladder = ((coord < m)[None, :, None], bit.astype(np.uint64)[None, :, None])
-    idx = np.arange(n, dtype=np.uint64)[None, None, :]
-
-    def product(first, second):
-        ok1, mid, s1 = _ladder_step(*first, idx)
-        ok2, _, s2 = _ladder_step(*second, mid)
-        return np.where(ok1 & ok2, s1 * s2, 0)
-
-    # value[r, c, j]: the coefficient with which T[r, c] sends subset j to j ^ f
-    value = 0.25 * (product(d_ladder, b_ladder) - product(b_ladder, d_ladder))
-    r, c = np.nonzero(value.any(axis=2))
+    # T[r, c] vanishes when B_r and D_c wedge and contract by one bit
+    r, c = np.nonzero((bit[:, None] != bit) | ((coord[:, None] < m) == (coord < m)))
+    d = (c + m) % (2 * m)  # D_c is ladder d
     flips = (1 << bit[r]) ^ (1 << bit[c])
-    present = np.zeros(n, dtype=bool)
-    present[flips] = True
-    masks = np.flatnonzero(present)
-    reach = [np.flatnonzero(flips == f) for f in masks]
-    source = np.arange(n) ^ masks[:, None]
-    coef = np.zeros((len(masks), max(map(len, reach))), dtype=np.intp)
-    values = np.zeros(coef.shape + (n,), dtype=complex)
-    for g, e in enumerate(reach):
-        coef[g, : len(e)] = r[e] * (2 * m) + c[e]
-        # entry i of the image reads subset i ^ f
-        values[g, : len(e)] = value[r[e], c[e]][:, source[g]]
-    tables = (source, coef, values, np.arange(n) * n + source)
+    masks, group, counts = np.unique(flips, return_inverse=True, return_counts=True)
+    entries = np.arange(n) if parity is None else _parity_rows(m)[parity]
+    read = entries ^ flips[:, None]
+    value = onto[r][:, entries] * out_of[d[:, None] * n + read] - onto[d][:, entries] * out_of[r[:, None] * n + read]
+    # the pairs come in ascending r * 2m + c, so their rank within their mask is their slot
+    slot = np.empty(len(r), dtype=np.intp)
+    slot[np.argsort(group, kind="stable")] = np.arange(len(r)) - np.repeat(np.cumsum(counts) - counts, counts)
+    coef = np.zeros((len(masks), counts.max()), dtype=np.intp)
+    coef[group, slot] = r * (2 * m) + c
+    values = np.zeros(coef.shape + (len(entries),), dtype=complex)
+    values[group, slot] = 0.25 * value
+    source = entries ^ masks[:, None]
+    tables = (source if parity is None else _half_index(m)[source], coef, values)
     for arr in tables:
         arr.setflags(write=False)
     return tables
 
 
-def spin_flip_weights(alphas: np.ndarray) -> np.ndarray:
+def spin_flip_weights(alphas: np.ndarray, parity: int | None = None) -> np.ndarray:
     """Spinor representations of a stack of so(m,m) elements as flip-mask
-    weights, ``(..., 2m, 2m) -> (..., F, 2**m)``.
+    weights, ``(..., 2m, 2m) -> (..., F, 2**m)``; given a form ``parity``,
+    those of its entries, ``(..., F, 2**(m-1))``, the images' block on it.
 
     ``spin(alpha) = sum_f diag(W[f]) P_f`` over the F = 1 + m(m-1)/2 masks
     of ``_spin_flip_table``, ``P_f`` the gather ``x[i ^ f]``: 29 masks and
@@ -499,67 +529,50 @@ def spin_flip_weights(alphas: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"matrix is not skew for the split pairing (residual {so_residual(alphas)[outside].flat[0]:.3e})"
         )
-    _, coef, values, _ = _spin_flip_table(m)
+    _, coef, values = _spin_flip_table(m, parity)
     picked = alphas.reshape(-1, 4 * m * m)[:, coef].swapaxes(0, 1)  # (F, P, K)
     weights = (picked @ values).swapaxes(0, 1)
     return weights.reshape(alphas.shape[:-2] + weights.shape[1:])
 
 
-def _spin_flip_outer(entry_weights: np.ndarray, x: np.ndarray, entries: np.ndarray | None = None) -> np.ndarray:
-    """``out[a, s, i] = sum_f W[a, f, i] * x[s, i ^ f]``, ``(P, r, 2**m)``:
+def _spin_flip_outer(entry_weights: np.ndarray, x: np.ndarray, parity: int) -> np.ndarray:
+    """``out[a, s, i] = sum_f W[a, f, i] * x[s, i ^ f]``, ``(P, r, 2**(m-1))``:
     every operator of the flip-mask weights ``W`` ``(P, F, 2**m)`` on every
-    row of ``x`` ``(r, 2**m)``, with leading batch axes broadcast.  The one
-    applier of flip-mask weights.
+    row of ``x`` ``(r, 2**(m-1))``, with leading batch axes broadcast, on the
+    forms of one ``parity`` in half coordinates (``_spin_flip_table``),
+    which the operators keep.  The one applier of flip-mask weights.
 
     The weights come per entry, ``entry_weights[..., i, :, :] = W[..., :,
-    :, i]`` ``(..., 2**m, P, F)``, a layout a caller that applies one stack
-    many times keeps.  Entry i of every image is then one ``(P, F) @ (F, r)``
-    product with the gathered ``x[s, i ^ f]``, so the whole action is one
-    batched matrix product; the result is a transposed view of it.  Given
-    ``entries``, only those entries of the images are formed, from the
-    weights of those entries alone.
+    :, i]`` over the entries i of the parity, ``(..., 2**(m-1), P, F)``, a
+    layout a caller that applies one stack many times keeps.  Entry i of
+    every image is then one ``(P, F) @ (F, r)`` product with the gathered
+    ``x[s, i ^ f]``, so the whole action is one batched matrix product; the
+    result is a transposed view of it.
     """
-    source = _spin_flip_table(_infer_m_from_spinor(x))[0].T
-    source = source if entries is None else source[entries]
+    source = _spin_flip_table(_infer_m_from_spinor(x, parity), parity)[0].T
     gathered = np.ascontiguousarray(x.swapaxes(-1, -2))[..., source, :]  # (..., entries, F, r)
     return np.moveaxis(entry_weights @ gathered, -3, -1)
 
 
-def _flip_column_sums(weights: np.ndarray) -> np.ndarray:
-    """Absolute column sums ``(..., 2**m)`` of the operators of flip-mask
-    weights ``(..., F, 2**m)``: column j holds ``W[..., f, j ^ f]``."""
-    source = _spin_flip_table(_infer_m_from_spinor(weights))[0]
+def _flip_column_sums(weights: np.ndarray, parity: int) -> np.ndarray:
+    """Absolute column sums ``(..., 2**(m-1))`` of the blocks on one form
+    ``parity`` of the operators of flip-mask weights, from the weights of
+    its entries ``(..., F, 2**(m-1))``: column j holds ``W[..., f, j ^ f]``."""
+    source = _spin_flip_table(_infer_m_from_spinor(weights, parity), parity)[0]
     flat = np.abs(weights).reshape(weights.shape[:-2] + (-1,))
     return np.take(flat, np.arange(len(source))[:, None] * source.shape[1] + source, axis=-1).sum(axis=-2)
 
 
-@lru_cache(maxsize=None)
-def _parity_block_positions(m: int) -> np.ndarray:
-    """The flat positions ``(F, 2**m)`` of the entries ``(i, i ^ f)`` of
-    flip-mask weights in the two parity blocks ``(2, 2**(m-1), 2**(m-1))``:
-    block ``i``'s parity, row and column ``i`` and ``i ^ f`` counted within
-    the forms of that parity (``_parity_rows``)."""
-    n = spinor_dim(m)
-    half = np.empty(n, dtype=np.intp)
-    for rows in _parity_rows(m):
-        half[rows] = np.arange(n // 2)
-    out = ((degrees(m) % 2) * (n // 2) + half) * (n // 2) + half[_spin_flip_table(m)[0]]
-    out.setflags(write=False)
-    return out
-
-
-def spin_flip_dense(weights: np.ndarray, blocks: bool = False) -> np.ndarray:
+def spin_flip_dense(weights: np.ndarray, parity: int | None = None) -> np.ndarray:
     """The dense matrices ``(..., 2**m, 2**m)`` of flip-mask weights: entry
     ``(i, i ^ f)`` is ``W[..., f, i]`` and every other entry is zero.  Every
-    mask has an even number of bits, so the matrices keep form parity; with
-    ``blocks`` only their even and odd diagonal blocks are formed, ``(...,
-    2, 2**(m-1), 2**(m-1))`` on the forms of ``_parity_rows``."""
+    mask has an even number of bits, so the matrices keep form parity; given
+    a ``parity``, the weights of its entries give the block on it."""
     n = weights.shape[-1]
-    m = _infer_m_from_spinor(weights)
-    positions, shape = (_parity_block_positions(m), (2, n // 2, n // 2)) if blocks else (_spin_flip_table(m)[3], (n, n))
-    out = np.zeros(weights.shape[:-2] + (np.prod(shape),), dtype=complex)
-    out[..., positions] = weights
-    return out.reshape(weights.shape[:-2] + shape)
+    source = _spin_flip_table(_infer_m_from_spinor(weights, parity), parity)[0]
+    out = np.zeros(weights.shape[:-2] + (n * n,), dtype=complex)
+    out[..., np.arange(n) * n + source] = weights
+    return out.reshape(weights.shape[:-2] + (n, n))
 
 
 def spin_lie_action(alpha: np.ndarray) -> np.ndarray:

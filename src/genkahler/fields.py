@@ -23,6 +23,7 @@ import numpy as np
 from genkahler.clifford import (
     _ladder_gather,
     _ladder_tables,
+    _parity_rows,
     clifford_vector_matrix,
     pairing_matrix,
     spinor_dim,
@@ -313,12 +314,17 @@ def three_form_spinor(h: np.ndarray) -> np.ndarray:
     return out
 
 
-def derivative_rows(freqs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def derivative_rows(freqs: np.ndarray, rows: np.ndarray, parity: int | None = None) -> np.ndarray:
     """Exterior derivative of stacked coefficients: ``i sum_j k_j dx_j ^ v``
     for every row ``v`` of ``rows`` and ``k`` the matching row of the
     ``(S, m)`` frequency matrix ``freqs``, as m signed gathers per row,
-    weighted by ``i k`` and the wedge signs."""
-    return _ladder_gather(1j * freqs[:, :, None] * _ladder_tables(freqs.shape[1])[1][1], rows)
+    weighted by ``i k`` and the wedge signs.  Given the form ``parity`` of
+    the rows, they and the image are half rows (``clifford._ladder_gather``),
+    the image on the other parity."""
+    signs = _ladder_tables(freqs.shape[1])[1][1]
+    if parity is None:
+        return _ladder_gather(1j * freqs[:, :, None] * signs, rows)
+    return _ladder_gather(1j * freqs[:, :, None] * signs[:, _parity_rows(freqs.shape[1])[1 - parity]], rows, 1 - parity)
 
 
 def twisted_derivative(phi: FourierField, h: np.ndarray | None = None) -> FourierField:

@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from genkahler.clifford import _ladder_gather, _ladder_weights
+from genkahler.clifford import _ladder_gather, _ladder_weights, _parity_rows
 from genkahler.clifford import clifford_matrices, pairing_matrix, spinor_dim, wedge_matrices
 from genkahler.fields import derivative_rows
 from genkahler.structures import HermitianPair
@@ -390,12 +390,14 @@ class TorusBackground:
     """Constant generalized Kahler background over one :class:`Support`.
 
     Untwisted: a constant generalized Kahler pair on a flat torus has
-    ``H = 0`` (Gualtieri, CMP 331 (2014)).  Caches the Gram matrix, the
-    ladder gather weights of the four components (folded once from the
-    per-row vectors ``i pi_s k``; see ``apply``) and the Green operator as
-    one scalar per row.  The coefficient operators of the derivative and its
-    four components are built on first use.  Fields are packed over the
-    background's support.
+    ``H = 0`` (Gualtieri, CMP 331 (2014)).  Fields are ``(S, 2**(m-1))``
+    half rows over the support on the forms of one parity
+    (``clifford._parity_rows``), passed beside them; ``d`` and the four
+    components flip it.  ``norm`` uses the Gram's block on the parity (the
+    Gram keeps parity), ``apply`` and ``differentiate`` are half-coordinate
+    ladder gathers, with the components' weights (from ``i pi_s k``) cached
+    per image parity, and the Green operator is one scalar per row.  The
+    coefficient operators of ``d`` and the components are built on first use.
     """
 
     def __init__(self, pair: HermitianPair, support):
@@ -405,6 +407,10 @@ class TorusBackground:
     @cached_property
     def gram(self) -> np.ndarray:
         return l2_gram(self.pair)
+
+    @cached_property
+    def _gram_blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.ascontiguousarray(self.gram[r[:, None], r]) for r in _parity_rows(self.pair.m))
 
     @cached_property
     def derivative(self) -> BlockOperator:
@@ -418,32 +424,33 @@ class TorusBackground:
         }
 
     @cached_property
-    def _component_weights(self) -> dict[str, np.ndarray]:
-        """Ladder gather weights ``(S, m, n)`` of each component, whose
-        block at ``k`` is the Clifford action of ``i pi_s k``."""
+    def _component_weights(self) -> dict[str, tuple[np.ndarray, ...]]:
+        """Ladder gather weights ``(S, m, n / 2)`` of each component per
+        image parity, whose block at ``k`` is the Clifford action of ``i pi_s k``."""
         kappa = 1j * self.support.frequencies
         return {
-            name: _ladder_weights(kappa @ _sector_covectors(self.pair, shift).T)
+            name: tuple(_ladder_weights(kappa @ _sector_covectors(self.pair, shift).T, e) for e in (0, 1))
             for name, shift in DELTA_SHIFTS.items()
         }
 
-    def apply(self, name: str, rows: np.ndarray) -> np.ndarray:
-        """The component ``name`` on a field packed over the support, as one
-        gather-and-sum over the 2m Clifford ladders."""
-        if np.shape(rows) != (len(self.support), spinor_dim(self.pair.m)):
-            raise ValueError(f"packed field of shape {np.shape(rows)} does not match the background")
-        return _ladder_gather(self._component_weights[name], rows)
+    def apply(self, name: str, rows: np.ndarray, parity: int) -> np.ndarray:
+        """The component ``name`` on a field of form parity ``parity``, one
+        gather-and-sum over the 2m Clifford ladders onto the other parity."""
+        if np.shape(rows) != (len(self.support), spinor_dim(self.pair.m) // 2):
+            raise ValueError(f"packed field of shape {np.shape(rows)} does not match the background's half rows")
+        return _ladder_gather(self._component_weights[name][1 - parity], rows, 1 - parity)
 
     @cached_property
     def green(self) -> np.ndarray:
         return green_operator(self.pair, self.support)
 
-    def differentiate(self, rows: np.ndarray) -> np.ndarray:
-        """The exterior derivative of a field packed over the support."""
-        return derivative_rows(self.support.frequencies, rows)
+    def differentiate(self, rows: np.ndarray, parity: int) -> np.ndarray:
+        """The exterior derivative of a field of form parity ``parity``."""
+        return derivative_rows(self.support.frequencies, rows, parity)
 
-    def norm(self, f: np.ndarray) -> float:
-        return l2_norm(f, self.gram)
+    def norm(self, f: np.ndarray, parity: int) -> float:
+        """``l2_norm`` of a field of form parity ``parity``, on that Gram block."""
+        return l2_norm(f, self._gram_blocks[parity])
 
     def adjoint(self, op: BlockOperator) -> BlockOperator:
         return adjoint(op, self.gram)

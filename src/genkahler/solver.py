@@ -32,9 +32,10 @@ from .clifford import (
     _expm,
     _flip_column_sums,
     _in_so,
+    _ladder_gather,
+    _ladder_weights,
     _parity_rows,
     _spin_flip_outer,
-    clifford_act,
     pairing_matrix,
     so_from_pair,
     spin_flip_dense,
@@ -44,7 +45,6 @@ from .clifford import (
 from .fields import (
     FourierField,
     FourierOperatorField,
-    derivative_rows,
     uniform_points,
 )
 from .hodge import Support, TorusBackground, _frequency_table, _shifted_rows
@@ -150,7 +150,7 @@ class SeriesSoField:
         self.torus_dim = int(torus_dim)
         self.value_dim = 2 * self.torus_dim
         self.stacks: list[_Stack | None] = stacks or [None]
-        self._spin_stacks: list[_Stack | None] | None = None
+        self._spin_stacks: dict[int, list[_Stack | None]] = {}
 
     @classmethod
     def _packed(cls, torus_dim: int, stacks: list) -> "SeriesSoField":
@@ -201,22 +201,24 @@ class SeriesSoField:
                     grads[d] += t**j * np.tensordot(1j * k[:, d] * phase, stack[1], 1)
         return values, grads
 
-    def spin_stacks(self) -> list[_Stack | None]:
+    def spin_stacks(self, parity: int) -> list[_Stack | None]:
         """Per order, the frequencies and read-only spin images of the
-        coefficients as flip-mask weights (``_spin_stack``), computed on the
-        first call: a family's stacks are not changed after construction
-        (every method above returns a new one)."""
-        if self._spin_stacks is None:
-            self._spin_stacks = [None if s is None else _spin_stack(s) for s in self.stacks]
-        return self._spin_stacks
+        coefficients as flip-mask weights on the entries of one form parity
+        (``_spin_stack``), computed on the first call for that parity: a
+        family's stacks are not changed after construction (every method
+        above returns a new one)."""
+        if parity not in self._spin_stacks:
+            self._spin_stacks[parity] = [None if s is None else _spin_stack(s, parity) for s in self.stacks]
+        return self._spin_stacks[parity]
 
 
-def _spin_stack(stack: _Stack) -> _Stack:
+def _spin_stack(stack: _Stack, parity: int) -> _Stack:
     """Frequencies and read-only spin images of an so-valued stack as
-    flip-mask weights ``(P, F, 2**m)``, one batched ``spin_flip_weights``
-    call: 1.5 MB at m = 8 and 13 frequencies, against 13.6 MB dense."""
+    flip-mask weights ``(P, F, 2**(m-1))`` on the entries of one form
+    parity, one batched ``spin_flip_weights`` call: 0.75 MB at m = 8 and
+    13 frequencies, against 13.6 MB dense."""
     freqs, coeffs = stack
-    weights = spin_flip_weights(coeffs)
+    weights = spin_flip_weights(coeffs, parity)
     weights.setflags(write=False)
     return freqs, weights
 
@@ -236,16 +238,17 @@ class _Coefficient:
     """One coefficient ``x = sum_p x_p exp(i <p, .>)`` of a factor, ready to act.
 
     ``rows[a, r]`` is the row of ``k_r + p`` for ``p = freqs[a]`` (-1
-    outside the support).  On operator columns (``bracket``) ``mats[a] =
-    x_p``, a ``(2m, 2m)`` matrix.  On spinor columns ``x_p`` is given as the
-    flip-mask weights ``W[a]`` ``(F, 2**m)`` of a spin image, and ``mats``
-    holds them per entry, ``mats[i] = W[:, :, i]``, the layout of
+    outside the support).  On operator columns (``parity`` None) ``mats[a]
+    = x_p``, a ``(2m, 2m)`` matrix.  On spinor columns of one form parity
+    ``x_p`` is given as the flip-mask weights ``W[a]`` ``(F, 2**(m-1))`` of
+    a spin image on that parity's entries, and ``mats`` holds them per
+    entry, ``mats[h] = W[:, :, h]``, the layout of
     ``clifford._spin_flip_outer``; no dense spin image is formed.
     """
 
-    def __init__(self, support: Support, freqs: list, mats: np.ndarray, bracket: bool):
+    def __init__(self, support: Support, freqs: list, mats: np.ndarray, parity: int | None):
         self.freqs = freqs
-        self.mats = mats if bracket else np.ascontiguousarray(mats.transpose(2, 0, 1))
+        self.mats = mats if parity is None else np.ascontiguousarray(mats.transpose(2, 0, 1))
         self.rows = support.rows(_shifted_rows(support.table, freqs)).reshape(len(freqs), -1)
 
 
@@ -253,13 +256,15 @@ class _SeriesExp:
     """``exp(X^1_t) ... exp(X^F_t)`` applied to a series ``Y_t``, one power of t at a time.
 
     Every coefficient is a packed ``(S, *shape)`` array over one
-    :class:`~genkahler.hodge.Support`, or None where it vanishes.  A factor
-    coefficient ``X_i`` is given per frequency as the flip-mask weights of
-    its spin image (``SeriesSoField.spin_stacks``) and acts on spinor
-    columns by the flip gather; with ``bracket`` it is given as so(m,m)
+    :class:`~genkahler.hodge.Support`, or None where it vanishes; spinor
+    columns are ``(S, 2**(m-1))`` half rows of the seed's form ``parity``,
+    which spin images keep.  A factor coefficient ``X_i`` is given per
+    frequency as the flip-mask weights of its spin image
+    (``SeriesSoField.spin_stacks``) and acts on spinor columns by the
+    half-coordinate flip gather; with ``parity`` None it is given as so(m,m)
     matrices and acts on operator columns by ``[x, y] = x y - y x``.  Per
-    call, the nonzero rows of the column are gathered, acted on by all
-    frequencies of ``X_i`` in one batched product
+    call, the nonzero rows of the column are
+    gathered, acted on by all frequencies of ``X_i`` in one batched product
     (``clifford._spin_flip_outer`` on spinors), and summed into their rows
     of the coefficient's shift table.  A nonzero row that a shift would take
     outside the support raises ``ValueError``.
@@ -272,11 +277,11 @@ class _SeriesExp:
     (``extend``) enters that column only through ``X^f_n term_0[0]``.
     """
 
-    def __init__(self, support: Support, factors: list[list], source: list, order_cap: int, bracket: bool = False):
+    def __init__(self, support: Support, factors: list[list], source: list, order_cap: int, parity: int | None):
         """``factors[f][i]``: the frequencies and stacked spin weights (or,
-        with ``bracket``, matrices) of ``X^f_i``, or None; ``source[n]``:
+        with ``parity`` None, matrices) of ``X^f_i``, or None; ``source[n]``:
         column n of ``Y``."""
-        self.support, self.order_cap, self.bracket = support, order_cap, bracket
+        self.support, self.order_cap, self.parity = support, order_cap, parity
         self.X = [[None] * (order_cap + 1) for _ in factors]
         for f, terms in enumerate(factors):
             for i in range(1, min(len(terms), order_cap + 1)):
@@ -292,7 +297,7 @@ class _SeriesExp:
 
     def _set(self, f: int, i: int, stack: _Stack | None) -> None:
         if stack is not None:
-            self.X[f][i] = _Coefficient(self.support, *stack, self.bracket)
+            self.X[f][i] = _Coefficient(self.support, *stack, self.parity)
 
     def _apply(self, pairs) -> np.ndarray | None:
         """``sum x y`` over the (coefficient, column) pairs; None when it vanishes."""
@@ -309,10 +314,10 @@ class _SeriesExp:
                     f"support when shifted by {x.freqs[a]}"
                 )
             rows = y[nonzero]
-            if self.bracket:
+            if self.parity is None:
                 prod = x.mats[:, None] @ rows - rows @ x.mats[:, None]
             else:
-                prod = _spin_flip_outer(x.mats, rows)
+                prod = _spin_flip_outer(x.mats, rows, self.parity)
             targets.append(dst.ravel())
             values.append(prod.reshape(dst.size, *y.shape[1:]))
         if not targets:
@@ -399,6 +404,27 @@ def _seed_field(torus_dim: int, psi) -> FourierField:
     return FourierField.constant(torus_dim, vec)
 
 
+def _seed_parity(rows: np.ndarray) -> int:
+    """The form parity of a seed spinor's rows ``(..., 2**m)``; a pure spinor
+    is even or odd, so entries of both parities raise ``ValueError``."""
+    even, odd = (bool(rows[..., r].any()) for r in _parity_rows(rows.shape[-1].bit_length() - 1))
+    if even and odd:
+        raise ValueError("seed spinor has nonzero entries of both form parities, so it is not a pure spinor")
+    return int(odd)
+
+
+def _half(rows: np.ndarray, parity: int) -> np.ndarray:
+    """Rows ``(..., 2**m)`` on the forms of one parity, ``(..., 2**(m-1))``."""
+    return rows[..., _parity_rows(rows.shape[-1].bit_length() - 1)[parity]]
+
+
+def _widen(rows: np.ndarray, parity: int) -> np.ndarray:
+    """Half rows of one form parity as full rows, zero on the other parity."""
+    out = np.zeros(rows.shape[:-1] + (2 * rows.shape[-1],), dtype=complex)
+    out[..., _parity_rows(out.shape[-1].bit_length() - 1)[parity]] = rows
+    return out
+
+
 def _series_support(factors: list[SeriesSoField], seed: FourierField, order_cap: int) -> Support:
     """Frequencies of every coefficient of the factors applied to the seed up
     to the cap: the seed's frequencies shifted by the factors' closure."""
@@ -406,25 +432,24 @@ def _series_support(factors: list[SeriesSoField], seed: FourierField, order_cap:
     return Support(_shifted_rows(reach.table, seed.support() or [(0,) * seed.torus_dim]))
 
 
-def _spinor_series(support: Support, factors: list[SeriesSoField], seed: np.ndarray, order_cap: int) -> _SeriesExp:
-    """The series engine of the factors acting on a seed packed over the support."""
-    return _SeriesExp(support, [f.spin_stacks() for f in factors], [seed], order_cap)
+def _spinor_fields(support: Support, columns: list, parity: int) -> list[FourierField]:
+    """Half-row columns of one form parity as full-width Fourier fields."""
+    m = len(support[0])
+    return [support.unpack(c if c is None else _widen(c, parity), FourierField, m, spinor_dim(m)) for c in columns]
 
 
-def _spinor_fields(support: Support, columns: list) -> list[FourierField]:
-    torus_dim = len(support[0])
-    return [support.unpack(c, FourierField, torus_dim, spinor_dim(torus_dim)) for c in columns]
-
-
-def _seeded_series(a, b, psi, order_cap: int) -> tuple[list[SeriesSoField], Support, list]:
+def _seeded_series(a, b, psi, order_cap: int) -> tuple[list[SeriesSoField], Support, int, list]:
     """The factors of ``a`` then ``b``, the support of ``exp(a_t) exp(b_t) psi``
-    up to the cap and its packed columns."""
+    up to the cap, the seed's form parity and the packed half-row columns."""
     factors = _factor_list(a) + _factor_list(b)
     if not factors:
         raise ValueError("need at least one series family")
     seed = _seed_field(factors[0].torus_dim, psi)
     support = _series_support(factors, seed, order_cap)
-    return factors, support, _spinor_series(support, factors, support.pack(seed), order_cap).fill_all()
+    rows = support.pack(seed)
+    parity = _seed_parity(rows)
+    engine = _SeriesExp(support, [f.spin_stacks(parity) for f in factors], [_half(rows, parity)], order_cap, parity)
+    return factors, support, parity, engine.fill_all()
 
 
 def series_exp_action(a, b, psi, order_cap: int) -> list[FourierField]:
@@ -433,9 +458,11 @@ def series_exp_action(a, b, psi, order_cap: int) -> list[FourierField]:
     ``a`` may be a single family or a sequence of factor families composed
     left to right (leftmost acts last on the spinor); ``b`` may be None.
     The factors act on the spinor series one at a time, right to left, each
-    as the series exponential of its spin representation.
+    as the series exponential of its spin representation; ``psi`` has one
+    form parity, as a pure spinor has.
     """
-    return _spinor_fields(*_seeded_series(a, b, psi, order_cap)[1:])
+    _, support, parity, columns = _seeded_series(a, b, psi, order_cap)
+    return _spinor_fields(support, columns, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +504,12 @@ def first_structure_defects(a, pair: HermitianPair, order_cap: int) -> list[floa
     value at order j means the deformed first structure fails to be
     integrable at that order, which breaks the induction hypothesis.
     """
-    factors, support, moved = _seeded_series(a, None, pair.canonical_generator(1), order_cap)
-    derivs = [None if c is None else derivative_rows(support.frequencies, c) for c in moved]
-    inverse = [[None if x is None else (x[0], -x[1]) for x in f.spin_stacks()] for f in reversed(factors)]
-    columns = _SeriesExp(support, inverse, derivs, order_cap).fill_all()
-    return [0.0 if q is None else float(np.linalg.norm(q - pair.project(q, p=pair.n - 1))) for q in columns]
+    factors, support, parity, moved = _seeded_series(a, None, pair.canonical_generator(1), order_cap)
+    background = TorusBackground(pair, support)
+    derivs = [None if c is None else background.differentiate(c, parity) for c in moved]
+    inverse = [[None if x is None else (x[0], -x[1]) for x in f.spin_stacks(1 - parity)] for f in reversed(factors)]
+    columns = _SeriesExp(support, inverse, derivs, order_cap, 1 - parity).fill_all()
+    return [0.0 if q is None else float(np.linalg.norm(q - pair.project(q, 1 - parity, p=pair.n - 1))) for q in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +521,12 @@ class OrderData:
     """Obstruction at one order, its corner components and closedness data;
     ``rho``, the components and ``routes`` (the lower and the upper arrows
     into the middle space, applied to the corners and summed; the mixed
-    corner sum is their total) are packed over the background's support."""
+    corner sum is their total) are half rows over the background's support:
+    ``rho`` and the components of form ``parity``, the other of the seed's,
+    and the routes of the seed's."""
 
     order: int
+    parity: int
     rho: np.ndarray
     components: dict[tuple[int, int], np.ndarray]
     routes: tuple[np.ndarray, np.ndarray]
@@ -525,22 +556,25 @@ def order_residual(order: int, a, b: SeriesSoField | None, background: TorusBack
     Returns the order-``order`` coefficient of ``d^H exp(a_t) exp(b_{<order})
     psi`` together with its four corner components, the norm outside those
     corners, and the closedness checks that the corner structure demands.
-    Violations, beyond 1e-10 of the seed norm, raise distinct ValueErrors.
+    Violations, beyond 1e-10 of the seed norm, and a seed with entries of
+    both form parities raise distinct ValueErrors.
     """
     if order < 1:
         raise ValueError("orders start at 1")
     support = background.support
-    seed = support.pack(_seed_field(background.pair.m, psi))
-    scale = max(background.norm(seed), 1e-300)
+    rows = support.pack(_seed_field(background.pair.m, psi))
+    parity = _seed_parity(rows)
+    seed = _half(rows, parity)
+    scale = max(background.norm(seed, parity), 1e-300)
     factors = _factor_list(a) + _factor_list(b.truncate(order - 1) if b is not None else None)
     if not factors:
         raise ValueError("need at least one series family")
-    columns = _spinor_series(support, factors, seed, order).fill_all()
-    derivs = [background.differentiate(_dense(c, seed)) for c in columns]
-    bad = [j for j in range(order) if _exceeds(background.norm(derivs[j]), 1e-10 * scale)]
+    columns = _SeriesExp(support, [f.spin_stacks(parity) for f in factors], [seed], order, parity).fill_all()
+    derivs = [background.differentiate(_dense(c, seed), parity) for c in columns]
+    bad = [j for j in range(order) if _exceeds(background.norm(derivs[j], 1 - parity), 1e-10 * scale)]
     if bad:
         raise ValueError(f"residual below order {order} is nonzero at orders {bad}")
-    return _obstruction(order, derivs[order], background, scale, tol=1e-10)
+    return _obstruction(order, derivs[order], 1 - parity, background, scale, tol=1e-10)
 
 
 def _dense(column: np.ndarray | None, like: np.ndarray) -> np.ndarray:
@@ -548,39 +582,41 @@ def _dense(column: np.ndarray | None, like: np.ndarray) -> np.ndarray:
     return np.zeros_like(like) if column is None else column
 
 
-def _obstruction(order: int, rho: np.ndarray, background: TorusBackground, scale: float, *, tol: float) -> OrderData:
-    """Corner components of the packed order-``order`` obstruction and their checks."""
+def _obstruction(order: int, rho: np.ndarray, parity: int, background: TorusBackground, scale: float, *, tol: float) -> OrderData:
+    """Corner components of the order-``order`` obstruction's half rows of
+    form parity ``parity`` and their checks."""
     pair = background.pair
     n = pair.n
-    comps = {key: pair.project(rho, *key) for key in _corner_keys(n)}
-    outside_norm = background.norm(rho - sum(comps.values()))
+    norm = background.norm
+    comps = {key: pair.project(rho, parity, *key) for key in _corner_keys(n)}
+    outside_norm = norm(rho - sum(comps.values()), parity)
     if _exceeds(outside_norm, tol * scale):
         raise ValueError(f"order-{order} obstruction leaks outside the four corners ({outside_norm:.3e})")
 
-    apply = background.apply
-    closed = {
-        name: background.norm(apply(name, comps[corner]))
-        for name, corner in _annihilating_arrows(n).items()
-    }
+    def apply(name, corner):
+        return background.apply(name, comps[corner], parity)
+
+    closed = {name: norm(apply(name, corner), 1 - parity) for name, corner in _annihilating_arrows(n).items()}
     bad_ops = {k: v for k, v in closed.items() if _exceeds(v, tol * scale)}
     if bad_ops:
         raise ValueError(f"corner components are not closed under their outgoing arrows: {bad_ops}")
 
-    route_down = apply("delta-", comps[(-1, n - 1)]) + apply("delta_bar-", comps[(1, n - 3)])
-    route_up = apply("delta+", comps[(-1, n - 3)]) + apply("delta_bar+", comps[(1, n - 1)])
-    cross_sum = background.norm(route_down + route_up)
+    route_down = apply("delta-", (-1, n - 1)) + apply("delta_bar-", (1, n - 3))
+    route_up = apply("delta+", (-1, n - 3)) + apply("delta_bar+", (1, n - 1))
+    cross_sum = norm(route_down + route_up, 1 - parity)
     if _exceeds(cross_sum, tol * scale):
         raise ValueError(f"mixed corner sum does not cancel ({cross_sum:.3e})")
 
     return OrderData(
         order=order,
+        parity=parity,
         rho=rho,
         components=comps,
         routes=(route_down, route_up),
         outside_norm=outside_norm,
         component_closed=closed,
         cross_sum=cross_sum,
-        rho_norm=background.norm(rho),
+        rho_norm=norm(rho, parity),
     )
 
 
@@ -596,21 +632,22 @@ def solve_phi(
     Both Green-operator expressions (on the lower arrows into the middle
     space and on the negated upper ones, ``data.routes``) are formed; they must agree,
     and the recovered potential must reproduce the obstruction exactly.
-    The work is on packed arrays; ``phi`` is returned as a Fourier field.
+    The work is on the routes' half rows; ``phi`` is returned full width.
     """
     pair = background.pair
     n = pair.n
     G = background.green
+    parity = 1 - data.parity
     route_down, route_up = data.routes
     phi = G[:, None] * route_down
     phi_b = -G[:, None] * route_up
 
     scale = max(data.rho_norm, 1e-300)
-    agreement = background.norm(phi - phi_b)
-    exactness = background.norm(background.differentiate(phi) - data.rho)
-    off_grade = background.norm(phi - pair.project(phi, 0, n - 2))
+    agreement = background.norm(phi - phi_b, parity)
+    exactness = background.norm(background.differentiate(phi, parity) - data.rho, data.parity)
+    off_grade = background.norm(phi - pair.project(phi, parity, 0, n - 2), parity)
     info = {
-        "phi_norm": background.norm(phi),
+        "phi_norm": background.norm(phi, parity),
         "phi_agreement": agreement,
         "phi_exactness": exactness,
         "phi_off_grade": off_grade,
@@ -621,7 +658,7 @@ def solve_phi(
         raise ValueError(f"potential does not reproduce the obstruction ({exactness:.3e})")
     if _exceeds(off_grade, tol_agree * scale):
         raise ValueError(f"potential leaves the middle component ({off_grade:.3e})")
-    return background.support.unpack(phi, FourierField, pair.m, phi.shape[1]), info
+    return background.support.unpack(_widen(phi, parity), FourierField, pair.m, spinor_dim(pair.m)), info
 
 
 def _beta_basis(pair: HermitianPair) -> np.ndarray:
@@ -636,10 +673,10 @@ class CorrectionSystem:
 
     The ``alpha_i`` (``basis``) span ``V_-^{1,0} (x) V_+^{0,1}``, the unique
     sector that maps the top antiholomorphic line onto ``U^{0,n-2}``.
-    ``images`` holds the columns ``spin(alpha_i) psi``, gathered from one
-    ``spin_flip_weights`` call, and ``pinv`` its pseudo-inverse.  Built once
-    per seed; a seed that is not a single constant spinor, or a
-    rank-deficient system, raises.
+    ``images`` holds the columns ``spin(alpha_i) psi`` on the half of the
+    seed's form ``parity``, from one ``spin_flip_weights`` call, and
+    ``pinv`` its pseudo-inverse.  Built once per seed; a seed that is not a
+    single constant spinor of one parity, or a rank-deficient system, raises.
     """
 
     def __init__(self, psi, pair: HermitianPair):
@@ -648,11 +685,12 @@ class CorrectionSystem:
                 raise ValueError("the seed spinor must be constant")
             psi = psi[(0,) * psi.torus_dim]
         self.seed = np.asarray(psi, dtype=complex)
+        self.parity = _seed_parity(self.seed)
         self.basis = _beta_basis(pair)
         # applied once, so the per-entry layout stays a view: a copy would
-        # only raise the peak (1.9 MB at m = 8)
-        weights = spin_flip_weights(self.basis).transpose(2, 0, 1)
-        self.images = _spin_flip_outer(weights, self.seed[None])[:, 0].T
+        # only raise the peak (0.95 MB at m = 8)
+        weights = spin_flip_weights(self.basis, self.parity).transpose(2, 0, 1)
+        self.images = _spin_flip_outer(weights, _half(self.seed, self.parity)[None], self.parity)[:, 0].T
         sv = np.linalg.svd(self.images, compute_uv=False)
         if sv.size == 0 or sv[-1] <= 1e-12 * sv[0]:
             raise ValueError("seed spinor gives a singular correction system")
@@ -671,8 +709,8 @@ def beta_from_phi(phi: FourierField, system: CorrectionSystem) -> FourierOperato
     if not phi.coeffs:
         return out
     keys, V = phi.stacked()
-    C = V @ system.pinv.T
-    resid = np.linalg.norm(C @ system.images.T - V, axis=1)
+    C = _half(V, system.parity) @ system.pinv.T
+    resid = np.linalg.norm(_widen(C @ system.images.T, system.parity) - V, axis=1)
     bad = np.flatnonzero(~(resid <= 1e-8 * np.maximum(np.linalg.norm(V, axis=1), 1e-300)))
     if bad.size:
         k = bad[0]
@@ -739,9 +777,12 @@ def run_deformation(
 
     Preconditions (integrable deformed first structure, closed seed) raise
     IntegrabilityError; identity failures along the induction raise
-    ValueError.  Tolerances are relative to the seed norm, except the
-    first-structure check, which is relative to the norm of that
-    structure's canonical generator.
+    ValueError, and so does a seed with entries of both form parities,
+    which is not a pure spinor.  Tolerances are relative to the seed norm,
+    except the first-structure check, which is relative to the norm of that
+    structure's canonical generator.  Packed fields are half rows: the
+    series and potential of the seed's form parity, the obstruction and
+    the derivatives of the other; ``psi_series`` is full width.
     """
     if not 1 <= order_cap <= MAX_ORDER:
         raise ValueError(f"order cap must be between 1 and {MAX_ORDER}")
@@ -753,11 +794,13 @@ def run_deformation(
     support = _series_support(factors, seed, order_cap)
     background = TorusBackground(pair, support)
     seed_rows = support.pack(seed)
-    psi_norm = background.norm(seed_rows)
+    parity = _seed_parity(seed_rows)
+    seed_rows = _half(seed_rows, parity)
+    psi_norm = background.norm(seed_rows, parity)
     if not 0 < psi_norm < np.inf:
         raise ValueError(f"seed spinor norm {psi_norm:.3e} is zero or not finite")
 
-    seed_closed = background.norm(background.differentiate(seed_rows))
+    seed_closed = background.norm(background.differentiate(seed_rows, parity), 1 - parity)
     if _exceeds(seed_closed, tol_checks * psi_norm):
         raise IntegrabilityError(f"seed spinor is not closed ({seed_closed:.3e})", order=0)
 
@@ -779,7 +822,7 @@ def run_deformation(
 
     # the series exp(a_t) exp(b_t) psi is carried forward one column per
     # order: column k is built with b_k = 0, and b_k then adds spin(b_k) psi
-    engine = _SeriesExp(support, [f.spin_stacks() for f in factors] + [[]], [seed_rows], order_cap)
+    engine = _SeriesExp(support, [f.spin_stacks(parity) for f in factors] + [[]], [seed_rows], order_cap, parity)
     engine.fill(0)
     residual_norms = [seed_closed]
 
@@ -788,20 +831,21 @@ def run_deformation(
         bad = [j for j in range(order) if _exceeds(residual_norms[j], tol_checks * psi_norm)]
         if bad:
             raise ValueError(f"residual below order {order} is nonzero at orders {bad}")
-        rho = background.differentiate(_dense(engine.fill(order), seed_rows))
-        data = _obstruction(order, rho, background, psi_norm, tol=tol_checks)
+        rho = background.differentiate(_dense(engine.fill(order), seed_rows), parity)
+        data = _obstruction(order, rho, 1 - parity, background, psi_norm, tol=tol_checks)
         phi, info = solve_phi(data, background, tol_agree=tol_checks, tol_exact=tol_order)
         beta = -beta_from_phi(phi, system)
         # the real term b_k = beta + conj(beta); conj(beta) lies in
         # V_-^{0,1} (x) V_+^{1,0} and annihilates psi, so the increment
         # spin(b_k) psi the engine adds to column k is spin(beta) psi
         stack = _term_stack(torus_dim, beta + beta.conj())
-        acted = _dense(engine.extend(len(factors), order, None if stack is None else _spin_stack(stack)), seed_rows)
-        grading = background.norm(acted - pair.project(acted, 0, pair.n - 2))
+        acted = _dense(engine.extend(len(factors), order, None if stack is None else _spin_stack(stack, parity)), seed_rows)
+        grading = background.norm(acted - pair.project(acted, parity, 0, pair.n - 2), parity)
         if _exceeds(grading, tol_checks * psi_norm):
             raise ValueError(f"order-{order} correction acts outside the middle component ({grading:.3e})")
 
-        residual_norms.append(background.norm(background.differentiate(_dense(engine.out[0][order], seed_rows))))
+        column = _dense(engine.out[0][order], seed_rows)
+        residual_norms.append(background.norm(background.differentiate(column, parity), 1 - parity))
         betas.append(beta)
         b_stacks.append(stack)
         orders.append(
@@ -836,7 +880,7 @@ def run_deformation(
         precondition_defects=defects,
         residual_norms=residual_norms,
         support=support,
-        psi_series=_spinor_fields(support, engine.out[0]),
+        psi_series=_spinor_fields(support, engine.out[0], parity),
         order_wall_ms=wall_ms,
     )
 
@@ -861,25 +905,23 @@ _JET_STEP_BUDGET = 200_000
 _JET_CHUNK_ENTRIES = 16_384
 
 
-def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray, budget: int, parity: int) -> tuple[np.ndarray, np.ndarray, int]:
     """One factor applied to the first-order jets of a chunk of B points:
     ``(exp(S) v, exp(S) D_d + L(S, G_d) v)`` per point, and the steps taken.
 
-    ``W`` ``(B, m + 1, F, 2**m)`` holds each point's flip-mask weights of
-    ``S`` and of its m directional derivatives ``G_d``; ``v`` ``(B, 2**m)``
-    and ``D`` ``(B, m, 2**m)`` the jets.  ``exp([[S, G_d], [0, S]])`` acts on
-    ``[D_d; v]`` as a Taylor series on vectors in equal steps of 1-norm at
-    most one, the 1-norms being the largest column sums of the weights.  One
-    batched loop drops the points whose steps are done and the terms of the
-    points that converged.  A spin image keeps form parity, so the step
-    works on the two parity halves of the ``(B, 2**m, m + 1)`` layout: ``S``
-    is dense on its half, applied by one batched product, and the ``G_d``
-    act on ``v``'s column per entry of the half (``_spin_flip_outer``).  A
-    half whose input is exactly zero is skipped, which leaves a quarter of
-    the dense flops on jets of one parity, as a pure spinor's are.  More
-    steps in all than ``budget`` raise before the first step.
+    Everything is on the forms of one ``parity`` (a pure spinor's jets keep
+    it) in half coordinates: ``W`` ``(B, m + 1, F, 2**(m-1))`` holds each
+    point's flip-mask weights of ``S`` and of its m directional derivatives
+    ``G_d`` at those entries, ``v`` ``(B, 2**(m-1))`` and ``D`` ``(B, m,
+    2**(m-1))`` the jets.  ``exp([[S, G_d], [0, S]])`` acts on ``[D_d; v]``
+    as a Taylor series on vectors in equal steps of 1-norm at most one, the
+    1-norms being the largest column sums of the weights.  One batched loop
+    drops the points whose steps are done and the terms of the points that
+    converged; ``S`` is dense on its block, and the ``G_d`` act on ``v``'s
+    column per entry (``_spin_flip_outer``).  More steps in all than
+    ``budget`` raise before the first step.
     """
-    norms = _flip_column_sums(W).max(axis=-1)
+    norms = _flip_column_sums(W, parity).max(axis=-1)
     norm = norms[:, 0] + norms[:, 1:].sum(axis=1)
     if not np.isfinite(norm).all():
         raise ValueError("jet exponential needs a finite exponent")
@@ -888,27 +930,19 @@ def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray, budget: int) -> tuple[
     if total > budget:
         raise ValueError(f"jet exponential needs {total} steps, above the {budget} left of the budget of {_JET_STEP_BUDGET}")
     m = W.shape[1] - 1
-    S, G = spin_flip_dense(W[:, 0], blocks=True), W[:, 1:].transpose(0, 3, 1, 2)
-    parities = _parity_rows(W.shape[-1].bit_length() - 1)
-    halves = [(r, S[:, e], np.ascontiguousarray(G[:, r])) for e, r in enumerate(parities)]
+    S, G = spin_flip_dense(W[:, 0], parity=parity), np.ascontiguousarray(W[:, 1:].transpose(0, 3, 1, 2))
     x = np.ascontiguousarray(np.concatenate([D, v[:, None]], axis=1).transpose(0, 2, 1))
-    live = np.arange(len(x))  # the points still stepping, whose rows the halves hold
+    live = np.arange(len(x))  # the points still stepping, whose rows S and G hold
     for i in range(int(steps.max())):
         if steps[live].min() <= i:
             keep = steps[live] > i
-            live = live[keep]
-            halves = [(r, Sr[keep], Gr[keep]) for r, Sr, Gr in halves]
+            live, S, G = live[keep], S[keep], G[keep]
         # the step's 1/steps is applied to the vectors, so no scaled copy of S or G is made
         scale = steps[live, None, None]
         acc = term = x[live]
         for k in range(1, _JET_TERM_CAP + 1):
-            nxt = np.zeros_like(term)
-            for r, Sr, Gr in halves:
-                rows = term[:, r]
-                if rows.any():
-                    rows = Sr @ rows
-                    rows[..., :m] += _spin_flip_outer(Gr, term[:, None, :, m], r)[:, :, 0].swapaxes(1, 2)
-                    nxt[:, r] = rows
+            nxt = S @ term
+            nxt[..., :m] += _spin_flip_outer(G, term[:, None, :, m], parity)[:, :, 0].swapaxes(1, 2)
             term = nxt / (k * scale)
             acc = acc + term
             done = np.abs(term).sum(axis=(1, 2)) <= np.finfo(float).eps * np.abs(acc).sum(axis=(1, 2))
@@ -954,13 +988,14 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
     Taylor series on vectors after splitting into ``ceil(|S|_1 + sum_d
     |G_d|_1)`` steps of 1-norm at most one (Al-Mohy & Higham, SISC 2011),
     at most ``_JET_STEP_BUDGET`` summed over the call's points and families,
-    checked before each chunk's first step.  Points go in chunks of
-    ``max(1, _JET_CHUNK_ENTRIES // 4**m)``; per chunk and family, one
-    ``spin_flip_weights`` call and one batched Taylor loop (``_exp_jet``)
-    densify only the two parity blocks of ``S``, so the spinor side holds
-    one chunk's weights and those blocks (about 2 MB at m = 8) whatever the
-    sample size.  Then
-    ``psi_t = v`` and ``d psi_t = sum_d dx_d ^ D_d``.
+    checked before each chunk's first step.  ``psi0`` is a pure spinor, so
+    the jets, the weights, ``S``, the 1-norms and ``d psi_t`` are formed on
+    the half of its form parity, which spin images keep.  Points go in
+    chunks of ``max(1, _JET_CHUNK_ENTRIES // 4**m)``; per chunk and family,
+    one ``spin_flip_weights`` call and one batched Taylor loop
+    (``_exp_jet``) densify only that block of ``S``, so the spinor side
+    holds one chunk's weights and block (under 1 MB at m = 8) whatever the
+    sample size.  Then ``psi_t = v`` and ``d psi_t = sum_d dx_d ^ D_d``.
     """
     pair = report.pair
     m = pair.m
@@ -1004,10 +1039,13 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
         involution = _stacked_norm(Gt @ Gt - eye)
         stabilizer_defect = _stacked_norm(J1t - J1_only_a)
 
-    # spinor side, in chunks of points
-    wedges = np.eye(2 * m)[m:]  # (0; dx_d), whose Clifford actions are the wedges
+    # spinor side, in chunks of points, on the seed's half
     psi0 = report.psi0[(0,) * m]
+    parity = _seed_parity(psi0)
+    # the ladder weights of the wedges by dx_d onto the other parity
+    wedges = _ladder_weights(np.eye(2 * m)[m:], 1 - parity)
     chunk = max(1, _JET_CHUNK_ENTRIES // psi0.size**2)
+    psi0 = _half(psi0, parity)
     derivative_sup = 0.0
     psi_sup = 0.0
     budget = _JET_STEP_BUDGET
@@ -1015,11 +1053,11 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
         v = np.broadcast_to(psi0, (len(points[part]), psi0.size))
         D = np.zeros((len(v), m, psi0.size), dtype=complex)
         for f in reversed(range(len(families))):
-            W = spin_flip_weights(np.concatenate([vals[f][part, None], grads[f][:, part].swapaxes(0, 1)], axis=1))
-            v, D, steps = _exp_jet(W, v, D, budget)
+            W = spin_flip_weights(np.concatenate([vals[f][part, None], grads[f][:, part].swapaxes(0, 1)], axis=1), parity)
+            v, D, steps = _exp_jet(W, v, D, budget, parity)
             budget -= steps
         psi_sup = max(psi_sup, float(np.linalg.norm(v, axis=-1).max()))
-        dpsi = clifford_act(wedges, D).sum(axis=-2)
+        dpsi = _ladder_gather(wedges, D, 1 - parity).sum(axis=-2)
         derivative_sup = max(derivative_sup, float(np.linalg.norm(dpsi, axis=-1).max()))
 
     return {
@@ -1058,7 +1096,7 @@ def structure_series_of_family(a, J: np.ndarray, order_cap: int) -> list[Fourier
     torus_dim = factors[0].torus_dim
     support = support_closure([p for f in factors for p in f.weighted_support()], order_cap, torus_dim)
     source = support.pack(FourierOperatorField.constant(torus_dim, J))
-    columns = _SeriesExp(support, [f.stacks for f in factors], [source], order_cap, bracket=True).fill_all()
+    columns = _SeriesExp(support, [f.stacks for f in factors], [source], order_cap, None).fill_all()
     return [support.unpack(c, FourierOperatorField, torus_dim, source.shape[-1]) for c in columns]
 
 
@@ -1084,7 +1122,7 @@ def extract_transverse_family(J: np.ndarray, target: list[FourierOperatorField],
     source = support.pack(FourierOperatorField.constant(torus_dim, J))
     # the series exp(a_t) J exp(-a_t) is carried forward: column j is built
     # with a_j = 0, and a_j then adds its order-j correction [a_j, J]
-    engine = _SeriesExp(support, [[]], [source], order_cap, bracket=True)
+    engine = _SeriesExp(support, [[]], [source], order_cap, None)
     engine.fill(0)
     stacks: list[_Stack | None] = [None]
     for j in range(1, order_cap + 1):

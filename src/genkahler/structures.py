@@ -376,7 +376,7 @@ class HermitianPair:
     The bigrading is kept as one word basis (``_word_basis``): the words
     ``V``, their inverse, one ``(p, q)`` label per word and the (rows,
     words) index pairs of its two parity blocks.  ``project`` applies a
-    label's or a level's projector to rows and ``shift_parts`` takes the
+    label's or a level's projector to rows of one form parity and ``shift_parts`` takes the
     parts of an operator that shift every label by one amount, both through
     the basis; the dense projectors (``bigrading``, ``proj1``,
     ``proj2``) are formed only when asked for.
@@ -462,12 +462,16 @@ class HermitianPair:
                 s &= self._labels[:, axis] == k
         return s
 
-    def project(self, rows: np.ndarray, p: int | None = None, q: int | None = None) -> np.ndarray:
+    def project(self, rows: np.ndarray, parity: int, p: int | None = None, q: int | None = None) -> np.ndarray:
         """``rows @ P.T`` for the projector ``P`` onto ``U^{p,q}``, or with
         ``q`` (``p``) omitted onto level ``p`` of the first (level ``q`` of
-        the second) structure, as two thin products through the word basis."""
-        s = self._words(p, q)
-        return (rows @ self._V_inv[s].T) @ self._V[:, s].T
+        the second) structure, on rows ``(..., 2**(m-1))`` of form parity
+        ``parity`` (``clifford._parity_rows``): every word has one parity,
+        so ``P`` keeps it, and the two thin products run through the
+        parity's block of the word basis."""
+        r, w = self._blocks[parity]
+        s = w[self._words(p, q)[w]]
+        return (rows @ self._V_inv[s[:, None], r].T) @ self._V[r[:, None], s].T
 
     def shift_parts(self, op: np.ndarray, shifts) -> dict[tuple[int, int], np.ndarray]:
         """``sum_{(p,q)} P_{p+dp,q+dq} op P_{pq}`` for every ``shift = (dp,

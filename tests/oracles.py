@@ -18,6 +18,7 @@ from genkahler import hodge as gh
 from genkahler import solver as sol
 from genkahler.fields import (
     FourierField,
+    FourierOperatorField,
     derivative_rows,
     dual_l_frames,
     require_three_form,
@@ -108,10 +109,10 @@ def conjugated_residual_series(a, b, psi, order_cap):
     one.  The series of ``series_exp_action`` is differentiated termwise, then
     the factors act again left to right with negated spin terms.
     """
-    factors, support, moved = sol._seeded_series(a, b, psi, order_cap)
-    derivs = [None if c is None else derivative_rows(support.frequencies, c) for c in moved]
-    inverse = [[None if x is None else (x[0], -x[1]) for x in f.spin_stacks()] for f in reversed(factors)]
-    return sol._spinor_fields(support, sol._SeriesExp(support, inverse, derivs, order_cap).fill_all())
+    factors, support, parity, moved = sol._seeded_series(a, b, psi, order_cap)
+    derivs = [None if c is None else sol._half(derivative_rows(support.frequencies, sol._widen(c, parity)), 1 - parity) for c in moved]
+    inverse = [[None if x is None else (x[0], -x[1]) for x in f.spin_stacks(1 - parity)] for f in reversed(factors)]
+    return sol._spinor_fields(support, sol._SeriesExp(support, inverse, derivs, order_cap, 1 - parity).fill_all(), 1 - parity)
 
 
 def merged_exponents(exponents, coeffs):
@@ -155,10 +156,10 @@ def series_jet(family, t, points):
 
 def per_point_exp_jet(W, v, D, budget):
     """``solver._exp_jet`` for one point: ``W`` ``(m + 1, F, 2**m)``, ``v``
-    ``(2**m,)`` and ``D`` ``(m, 2**m)``, one Taylor loop over ``x = [D; v]``
-    with the ``G_d`` applied to ``v``'s row by one gather; returns
-    ``(v, D, steps)``."""
-    norms = cl._flip_column_sums(W).max(axis=-1)
+    ``(2**m,)`` and ``D`` ``(m, 2**m)`` of both form parities, one Taylor
+    loop over ``x = [D; v]`` with the dense ``S`` and the ``G_d`` applied to
+    ``v``'s row by ``spin_flip_apply``; returns ``(v, D, steps)``."""
+    norms = np.abs(cl.spin_flip_dense(W)).sum(axis=-2).max(axis=-1)
     norm = norms[0] + norms[1:].sum()
     if not np.isfinite(norm):
         raise ValueError("jet exponential needs a finite exponent")
@@ -166,13 +167,13 @@ def per_point_exp_jet(W, v, D, budget):
     if steps > budget:
         raise ValueError(f"jet exponential needs {steps} steps, above the {budget} left of the budget of {sol._JET_STEP_BUDGET}")
     m = len(W) - 1
-    S, G = cl.spin_flip_dense(W[0]), np.ascontiguousarray(W[1:].transpose(2, 0, 1))
+    S = cl.spin_flip_dense(W[0])
     x = np.vstack([D, v[None]])
     for _ in range(steps):
         acc, term = x, x
         for k in range(1, sol._JET_TERM_CAP + 1):
             nxt = term @ S.T
-            nxt[:m] += cl._spin_flip_outer(G, term[m:])[:, 0]
+            nxt[:m] += spin_flip_apply(W[1:], term[m])
             term = nxt / (k * steps)
             acc = acc + term
             if np.abs(term).sum() <= np.finfo(float).eps * np.abs(acc).sum():
@@ -422,3 +423,140 @@ def block_operator_gap(pair):
     support = gh.Support([(0,) * pair.m])
     comps = [gh.component_operator(shift, pair, support) for shift in gh.DELTA_SHIFTS.values()]
     return (gh.derivative_operator(pair.m, support) - reduce(operator.add, comps)).coeff_norm()
+
+
+def ladder_step_flip_table(m):
+    """``clifford._spin_flip_table`` built from the ``(2m, 2m, 2**m)``
+    products of ``_ladder_step`` over every pair of matrix units, one
+    flip mask at a time."""
+    n = cl.spinor_dim(m)
+    coord = np.arange(2 * m)
+    bit = coord % m
+    b_ladder = ((coord >= m)[:, None, None], bit.astype(np.uint64)[:, None, None])
+    d_ladder = ((coord < m)[None, :, None], bit.astype(np.uint64)[None, :, None])
+    idx = np.arange(n, dtype=np.uint64)[None, None, :]
+
+    def product(first, second):
+        ok1, mid, s1 = cl._ladder_step(*first, idx)
+        ok2, _, s2 = cl._ladder_step(*second, mid)
+        return np.where(ok1 & ok2, s1 * s2, 0)
+
+    # value[r, c, j]: the coefficient with which T[r, c] sends subset j to j ^ f
+    value = 0.25 * (product(d_ladder, b_ladder) - product(b_ladder, d_ladder))
+    r, c = np.nonzero(value.any(axis=2))
+    flips = (1 << bit[r]) ^ (1 << bit[c])
+    present = np.zeros(n, dtype=bool)
+    present[flips] = True
+    masks = np.flatnonzero(present)
+    reach = [np.flatnonzero(flips == f) for f in masks]
+    source = np.arange(n) ^ masks[:, None]
+    coef = np.zeros((len(masks), max(map(len, reach))), dtype=np.intp)
+    values = np.zeros(coef.shape + (n,), dtype=complex)
+    for g, e in enumerate(reach):
+        coef[g, : len(e)] = r[e] * (2 * m) + c[e]
+        # entry i of the image reads subset i ^ f
+        values[g, : len(e)] = value[r[e], c[e]][:, source[g]]
+    return source, coef, values
+
+
+def parity_half(rows, parity):
+    """The entries of full-width rows ``(..., 2**m)`` on the forms of one
+    parity, ``(..., 2**(m-1))``, and the rows with the other parity zeroed."""
+    forms = cl._parity_rows(rows.shape[-1].bit_length() - 1)[parity]
+    full = np.zeros_like(rows)
+    full[..., forms] = rows[..., forms]
+    return rows[..., forms], full
+
+
+def project_by_parity(pair, rows, p=None, q=None):
+    """``HermitianPair.project`` on full-width rows of both form parities:
+    each parity's half projected on its own and widened back."""
+    return sum(sol._widen(pair.project(parity_half(rows, e)[0], e, p, q), e) for e in (0, 1))
+
+
+def full_width_series(support, factors, seed_rows, order_cap):
+    """Columns of ``exp(a^1_t) ... exp(a^F_t) psi`` up to the cap, packed
+    full width over the support, from the dense spin images of the factors'
+    coefficients: factor f, right to left, maps its input ``term_0`` to
+    ``sum_j term_j`` with ``term_j[n] = (1/j) sum_i X_i term_{j-1}[n - i]``.
+    A row that a shift would take outside the support must be zero."""
+    zero = np.zeros_like(seed_rows)
+    cols = [seed_rows] + [zero] * order_cap
+    for family in reversed(factors):
+        X = {}
+        for i, stack in enumerate(family.stacks[: order_cap + 1]):
+            if i and stack is not None:
+                dst = support.rows(gh._shifted_rows(support.table, stack[0])).reshape(len(stack[0]), -1)
+                X[i] = dst, np.stack([cl.spin_lie_action(alpha) for alpha in stack[1]])
+        out, term = list(cols), cols
+        for j in range(1, order_cap + 1):
+            nxt = [zero.copy() for _ in range(order_cap + 1)]
+            for n in range(order_cap + 1):
+                for i, (dst, dense) in X.items():
+                    if i <= n:
+                        for a in range(len(dst)):
+                            inside = dst[a] >= 0
+                            assert not term[n - i][~inside].any(), "a shift leaves the support"
+                            nxt[n][dst[a][inside]] += term[n - i][inside] @ dense[a].T / j
+            term = nxt
+            out = [o + t for o, t in zip(out, term)]
+        cols = out
+    return cols
+
+
+def full_width_deformation(factors, pair, order_cap):
+    """``solver.run_deformation`` for the pair's canonical seed on the
+    full-width route: every field is ``(S, 2**m)`` rows over the support,
+    the series comes from ``full_width_series`` (from scratch at every
+    order), the projectors act through the whole word basis, the
+    components and ``d`` by full ladder gathers, and the norms against the
+    whole Gram matrix.  Returns the support, one record per order (its
+    ``rho_norm``, ``beta_norm`` and packed fields: the series column with
+    the order's correction set to zero, ``rho``, the corner ``components``,
+    the ``routes`` and ``phi``) and the final series columns."""
+    m, n = pair.m, pair.n
+    psi = pair.canonical_generator(2)
+    seed = FourierField.constant(m, psi)
+    support = sol._series_support(factors, seed, order_cap)
+    seed_rows = support.pack(seed)
+    gram = gh.l2_gram(pair)
+    kappa = 1j * support.frequencies
+
+    def project(rows, p, q):
+        s = (pair._labels == (p, q)).all(axis=1)
+        return rows @ pair._V_inv[s].T @ pair._V[:, s].T
+
+    def apply(name, rows):
+        weights = cl._ladder_weights(kappa @ gh._sector_covectors(pair, gh.DELTA_SHIFTS[name]).T)
+        return cl._ladder_gather(weights, rows)
+
+    basis = sol._beta_basis(pair)
+    pinv = np.linalg.pinv(np.stack([cl.spin_lie_action(alpha) @ psi for alpha in basis]).T, rcond=1e-12)
+    green = gh.green_operator(pair, support)
+    b_stacks, records = [None], []
+    for order in range(1, order_cap + 1):
+        b = sol.SeriesSoField._packed(m, b_stacks)
+        column = full_width_series(support, [*factors, b], seed_rows, order)[order]
+        rho = derivative_rows(support.frequencies, column)
+        comps = {key: project(rho, *key) for key in sol._corner_keys(n)}
+        routes = (
+            apply("delta-", comps[(-1, n - 1)]) + apply("delta_bar-", comps[(1, n - 3)]),
+            apply("delta+", comps[(-1, n - 3)]) + apply("delta_bar+", comps[(1, n - 1)]),
+        )
+        phi = green[:, None] * routes[0]
+        betas = np.tensordot(-phi @ pinv.T, basis, 1)
+        beta = FourierOperatorField(m, 2 * m, {support[r]: betas[r] for r in np.flatnonzero(betas.any(axis=(1, 2)))})
+        b_stacks.append(sol._term_stack(m, beta + beta.conj()))
+        records.append(
+            {
+                "rho_norm": gh.l2_norm(rho, gram),
+                "beta_norm": beta.coeff_norm(),
+                "column": column,
+                "rho": rho,
+                "components": comps,
+                "routes": routes,
+                "phi": phi,
+            }
+        )
+    b = sol.SeriesSoField._packed(m, b_stacks)
+    return support, records, full_width_series(support, [*factors, b], seed_rows, order_cap)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genkahler import clifford as cl
-from oracles import form_vector, spin_flip_apply, two_form_spinor
+from oracles import form_vector, ladder_step_flip_table, parity_half, spin_flip_apply, two_form_spinor
 
 
 def rand_vec(rng, m, complex_=True):
@@ -363,7 +363,7 @@ def two_stage_flip_table(m):
     values = np.zeros(coef.shape + (n,), dtype=complex)
     values[f, rank[f, coef_index], row] = value
     source = np.arange(n) ^ masks[:, None]
-    return source, coef, values, np.arange(n) * n + source
+    return source, coef, values
 
 
 @pytest.mark.parametrize("m", range(1, cl.MAX_DIM + 1))
@@ -374,6 +374,15 @@ def test_flip_table_matches_two_stage_builder(m):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+
+
+@pytest.mark.parametrize("m", range(2, cl.MAX_DIM + 1))
+def test_flip_table_is_bitwise_the_ladder_step_builder(m):
+    """The table built from single-ladder signs has the bytes of the one
+    built from the ``(2m, 2m, 2**m)`` ``_ladder_step`` products."""
+    for got, want in zip(cl._spin_flip_table(m), ladder_step_flip_table(m), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def scatter_spin_action(alpha):
@@ -395,18 +404,20 @@ def random_so_stack(rng, m, shape):
 def test_flip_weights_densify_to_the_spin_action(m):
     """Batched weights, F = 1 + m(m-1)/2 per element, and
     ``spin_lie_action`` of each element match the table scatter.  The images
-    are exactly zero off their two parity blocks, which ``blocks`` forms
-    alone, entry for entry."""
+    are exactly zero off their two parity blocks, and the weights of one
+    parity's entries (``spin_flip_weights(..., parity)``) densify to that
+    block, entry for entry up to the rounding of the weights."""
     rng = np.random.default_rng(200 + m)
     alphas = random_so_stack(rng, m, (2, 3))
     weights = cl.spin_flip_weights(alphas)
     assert weights.shape == (2, 3, 1 + m * (m - 1) // 2, 1 << m)
     dense = cl.spin_flip_dense(weights)
-    blocks = cl.spin_flip_dense(weights, blocks=True)
-    assert blocks.shape == (2, 3, 2, 1 << (m - 1), 1 << (m - 1))
     parities = cl._parity_rows(m)
     for parity, rows in enumerate(parities):
-        assert np.array_equal(blocks[:, :, parity], dense[:, :, rows[:, None], rows])
+        half = cl.spin_flip_weights(alphas, parity)
+        assert half.shape == (2, 3, 1 + m * (m - 1) // 2, 1 << (m - 1))
+        np.testing.assert_allclose(half, weights[..., rows], rtol=0, atol=1e-15 * np.abs(weights).max())
+        assert np.array_equal(cl.spin_flip_dense(weights[..., rows], parity), dense[:, :, rows[:, None], rows])
         assert not dense[:, :, rows[:, None], parities[1 - parity]].any()
     for idx in np.ndindex(2, 3):
         want = scatter_spin_action(alphas[idx])
@@ -418,7 +429,8 @@ def test_flip_weights_densify_to_the_spin_action(m):
 def test_flip_gather_matches_dense_product(m):
     """The gather applies any weights (not only spin images) as the dense
     product does, with weights and vectors broadcast against each other;
-    the column sums are those of the dense matrices."""
+    the column sums on the weights of one parity's entries are those of the
+    dense matrices' block on that parity."""
     rng = np.random.default_rng(300 + m)
     n, flips = 1 << m, 1 + m * (m - 1) // 2
     weights = rng.normal(size=(3, 1, flips, n)) + 1j * rng.normal(size=(3, 1, flips, n))
@@ -428,27 +440,29 @@ def test_flip_gather_matches_dense_product(m):
     got = spin_flip_apply(weights, x)
     assert got.shape == (3, 4, n)
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
-    np.testing.assert_allclose(cl._flip_column_sums(weights), np.abs(dense).sum(axis=-2), rtol=1e-14)
+    for parity, rows in enumerate(cl._parity_rows(m)):
+        block = np.abs(dense[..., rows[:, None], rows]).sum(axis=-2)
+        np.testing.assert_allclose(cl._flip_column_sums(weights[..., rows], parity), block, rtol=1e-14)
 
 
 @pytest.mark.parametrize("m", range(1, cl.MAX_DIM + 1))
 def test_flip_outer_matches_broadcast_gather(m):
-    """Per-entry weights applied to every row at once equal the gather
-    broadcast over (operator, row) pairs and the dense spin images."""
+    """Per-entry weights of one form parity applied to every half row at
+    once equal the gather broadcast over (operator, row) pairs and the dense
+    spin images on the rows of that parity, whose images keep it."""
     rng = np.random.default_rng(400 + m)
     alphas = random_so_stack(rng, m, (3,))
     weights = cl.spin_flip_weights(alphas)
     x = rng.normal(size=(5, 1 << m)) + 1j * rng.normal(size=(5, 1 << m))
-    got = cl._spin_flip_outer(np.ascontiguousarray(weights.transpose(2, 0, 1)), x)
-    assert got.shape == (3, 5, 1 << m)
-    want = spin_flip_apply(weights[:, None], x[None])
-    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
-    dense = np.stack([cl.spin_lie_action(a) @ x.T for a in alphas]).transpose(0, 2, 1)
-    assert np.linalg.norm(got - dense) <= 1e-14 * np.linalg.norm(dense)
-    # the images at some entries alone, from the weights of those entries
-    entries = rng.permutation(1 << m)[: max(1, 1 << (m - 1))]
-    part = cl._spin_flip_outer(np.ascontiguousarray(weights.transpose(2, 0, 1)[entries]), x, entries)
-    assert np.array_equal(part, got[..., entries])
+    for parity, rows in enumerate(cl._parity_rows(m)):
+        half, full = parity_half(x, parity)
+        got = cl._spin_flip_outer(np.ascontiguousarray(weights.transpose(2, 0, 1)[rows]), half, parity)
+        assert got.shape == (3, 5, 1 << (m - 1))
+        want = spin_flip_apply(weights[:, None], full[None])
+        assert np.linalg.norm(got - want[..., rows]) <= 1e-14 * np.linalg.norm(want)
+        assert not parity_half(want, 1 - parity)[0].any()
+        dense = np.stack([cl.spin_lie_action(a) @ full.T for a in alphas]).transpose(0, 2, 1)
+        assert np.linalg.norm(got - dense[..., rows]) <= 1e-14 * np.linalg.norm(dense)
 
 
 def test_flip_weights_reject_nan_and_non_so():

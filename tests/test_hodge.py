@@ -8,7 +8,16 @@ from genkahler import clifford as cl
 from genkahler import fields as gf
 from genkahler import hodge as gh
 from genkahler import structures as gs
-from oracles import dict_pack, dict_shifted, form_vector, l2_inner, merged_exponents, set_support, with_constant
+from oracles import (
+    dict_pack,
+    dict_shifted,
+    form_vector,
+    l2_inner,
+    merged_exponents,
+    parity_half,
+    set_support,
+    with_constant,
+)
 
 
 @pytest.fixture(scope="module")
@@ -257,9 +266,10 @@ def test_component_operator_matches_projector_sum(m, twisted, lagrange_bigrading
 @pytest.mark.parametrize("twisted", [False, True])
 def test_packed_derivative_matches_derivative_block_t8(twisted):
     """The stacked-row derivative (``derivative_rows``, the untwisted
-    background and the coefficient operator) against the dense block per
-    frequency, and the packed rows of ``twisted_derivative``, the one route
-    that takes a twist, against the dense twisted block."""
+    background on the half rows of each form parity and the coefficient
+    operator) against the dense block per frequency, and the packed rows
+    of ``twisted_derivative``, the one route that takes a twist, against
+    the dense twisted block."""
     rng = np.random.default_rng(80 + twisted)
     m = 8
     h = random_three_form(rng, m) if twisted else None
@@ -267,7 +277,11 @@ def test_packed_derivative_matches_derivative_block_t8(twisted):
     rows = rng.normal(size=(len(support), 2**m)) + 1j * rng.normal(size=(len(support), 2**m))
     packed = gf.derivative_rows(support.frequencies, rows)
     bg = gh.TorusBackground(gs.standard_kahler_pair(m), support)
-    np.testing.assert_array_equal(bg.differentiate(rows), packed)
+    for parity in (0, 1):
+        half, full = parity_half(rows, parity)
+        image = gf.derivative_rows(support.frequencies, full)
+        np.testing.assert_array_equal(bg.differentiate(half, parity), parity_half(image, 1 - parity)[0])
+        assert not parity_half(image, parity)[0].any()
     # the coefficient operator acting through its blocks
     acted = gh.derivative_operator(m, support).act(rows)
     assert np.linalg.norm(acted - packed) <= 1e-13 * np.linalg.norm(packed)
@@ -312,20 +326,29 @@ def test_derivative_rows_matches_wedge_matrix_route(m, twisted):
 
 @pytest.mark.parametrize("m, kind", [(4, "random"), (6, "random"), (8, "flat")])
 def test_background_apply_matches_component_operator(m, kind):
-    """The ladder-gather action of each component against its coefficient
-    operator acting through its blocks."""
+    """The ladder-gather action of each component on the half rows of each
+    form parity against its coefficient operator acting through its blocks
+    on the full rows of that parity, whose image has the other parity; the
+    norm on the Gram block of a parity is that of the full rows."""
     rng = np.random.default_rng(70 + m)
     pair = gs.random_hermitian_pair(rng, m, b_scale=0.7) if kind == "random" else gs.standard_kahler_pair(m)
     support = gh.Support(gf.frequencies_box(4, 1) if m == 4 else small_support(m))
     bg = gh.TorusBackground(pair, support)
     rows = rng.normal(size=(len(support), 2**m)) + 1j * rng.normal(size=(len(support), 2**m))
-    for name, shift in gh.DELTA_SHIFTS.items():
-        want = gh.component_operator(shift, pair, support).act(rows)
-        got = bg.apply(name, rows)
-        assert np.linalg.norm(want) > 1.0
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
+    for parity in (0, 1):
+        half, full = parity_half(rows, parity)
+        assert bg.norm(half, parity) == pytest.approx(gh.l2_norm(full, bg.gram), rel=1e-13)
+        for name, shift in gh.DELTA_SHIFTS.items():
+            image = gh.component_operator(shift, pair, support).act(full)
+            want = parity_half(image, 1 - parity)[0]
+            got = bg.apply(name, half, parity)
+            assert np.linalg.norm(want) > 1.0
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
+            assert not parity_half(image, parity)[0].any(), name
     with pytest.raises(ValueError, match="does not match"):
-        bg.apply("delta+", rows[1:])
+        bg.apply("delta+", half[1:], 1)
+    with pytest.raises(ValueError, match="does not match"):
+        bg.apply("delta+", rows, 0)
 
 
 def test_packed_act_and_norm_match_per_frequency_loop():
@@ -496,7 +519,10 @@ def test_green_inverts_laplacian_off_kernel(t4, lap4):
     rng = np.random.default_rng(5)
     raw = t4.support.pack(gf.random_field(rng, 4, 16, gf.frequencies_box(4, 1)))
     rho = t4.derivative.act(raw)  # exact, hence orthogonal to harmonics
-    np.testing.assert_allclose(rho, t4.differentiate(raw), atol=1e-13)
+    for parity in (0, 1):
+        half, full = parity_half(raw, parity)
+        np.testing.assert_allclose(parity_half(t4.derivative.act(full), 1 - parity)[1], t4.derivative.act(full), atol=1e-13)
+        np.testing.assert_allclose(t4.differentiate(half, parity), parity_half(rho, 1 - parity)[0], atol=1e-13)
     back = lap4.act(t4.green[:, None] * rho)
     assert np.linalg.norm(back - rho) < 1e-10 * max(1.0, np.linalg.norm(rho))
     # the scalar Green operator inverts every Laplacian block off k = 0

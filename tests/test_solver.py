@@ -24,7 +24,9 @@ from oracles import (
     conjugated_residual_series,
     dict_shifted,
     field_values,
+    full_width_deformation,
     is_real,
+    parity_half,
     per_point_exp_jet,
     per_point_verify_gk_at_t,
     series_jet,
@@ -307,7 +309,7 @@ def test_support_closure_rejects_sums_outside_int64():
     assert sol.support_closure([(1, (-(2**62),))], 2, 1) == ((-(2**63),), (-(2**62),), (0,))
     # the engine forms its shift sums the same way
     with pytest.raises(ValueError, match="int64"):
-        sol._Coefficient(gh.Support([(0,), (2**62,)]), [(2**62,)], np.zeros((1, 2, 2)), True)
+        sol._Coefficient(gh.Support([(0,), (2**62,)]), [(2**62,)], np.zeros((1, 2, 2)), None)
 
 
 @pytest.mark.parametrize("name", DEFORM_WORKLOADS)
@@ -437,7 +439,7 @@ def test_order_residual_corner_structure(pair, bfield_family):
     assert data.cross_sum < 1e-12
     # all four corner components are genuinely populated for this family
     n = pair.n
-    norms = {key: bg.norm(f) for key, f in data.components.items()}
+    norms = {key: bg.norm(f, data.parity) for key, f in data.components.items()}
     assert norms[(1, n - 1)] > 1e-4 and norms[(-1, n - 1)] > 1e-4
 
 
@@ -458,7 +460,8 @@ def test_solve_phi_routes_agree_and_reproduce(pair, bfield_family):
     assert info["phi_agreement"] < 1e-12
     assert info["phi_exactness"] < 1e-12
     assert info["phi_off_grade"] < 1e-12
-    assert bg.norm(bg.support.pack(gf.twisted_derivative(phi, None)) - data.rho) < 1e-12
+    exact = parity_half(bg.support.pack(gf.twisted_derivative(phi, None)), data.parity)[0]
+    assert bg.norm(exact - data.rho, data.parity) < 1e-12
 
 
 def test_beta_from_phi_roundtrip_and_errors(pair):
@@ -574,7 +577,7 @@ def test_conjugated_route_matches_direct(pair, bfield_family, bfield_report):
     b_low = bfield_report.b.truncate(1)
     data = sol.order_residual(2, bfield_family, b_low, bg, bfield_report.psi0)
     other = conjugated_residual_series(bfield_family, b_low, bfield_report.psi0, 2)
-    assert bg.norm(bg.support.pack(other[2]) - data.rho) < 1e-12
+    assert bg.norm(parity_half(bg.support.pack(other[2]), data.parity)[0] - data.rho, data.parity) < 1e-12
     assert other[1].coeff_norm() < 1e-12
 
 
@@ -919,8 +922,8 @@ def test_chunked_verification_matches_per_point_oracle(m, build, t):
 
 
 def test_verification_memory_at_m6(monkeypatch):
-    """At m = 6 a chunk holds 4 points: the spinor side densifies the two
-    parity blocks of one ``(4, F, 2**m)`` stack per chunk and family.  Its
+    """At m = 6 a chunk holds 4 points: the spinor side densifies the seed's
+    parity block of one ``(4, F, 2**(m-1))`` stack per chunk and family.  Its
     own peak stays under 2 MB (about 1.6 MB), and 16 points peak no higher
     than 4 plus three times the values and gradients of both families at
     the 12 extra points (about 2.3 MB; 6.3 MB with all 16 points in one
@@ -946,7 +949,7 @@ def test_verification_memory_at_m6(monkeypatch):
             peaks[count] = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert dense_shapes == [((4, 16, 64), {"blocks": True})] * (2 * count // 4)
+        assert dense_shapes == [((4, 16, 32), {"parity": 0})] * (2 * count // 4)
     assert peaks[4] < 2e6, f"verification peaked {peaks[4] / 1e6:.1f} MB above its start"
     samples = 3 * 12 * 2 * (m + 1) * (2 * m) ** 2 * 16
     assert peaks[16] <= peaks[4] + samples, f"{peaks[16] / 1e6:.2f} MB at 16 points, {peaks[4] / 1e6:.2f} MB at 4"
@@ -954,10 +957,13 @@ def test_verification_memory_at_m6(monkeypatch):
 
 @pytest.mark.parametrize("size", [0.01, 1.0, 20.0])
 def test_exp_jet_matches_frechet_derivative(size):
-    """The vector jets of a batch reproduce expm and expm_frechet of the
-    densified weights point by point.  The points have sizes ``size``,
-    ``size / 4`` and 0.01, so at size 20 they take different step counts,
-    which sum to the count returned."""
+    """The vector jets of a batch, on the forms of either parity in half
+    coordinates, reproduce expm and expm_frechet of the densified weights
+    point by point.  The weights of the other parity's entries are zero, so
+    each dense matrix is the half's block beside a zero block and the
+    full-width per-point oracle takes the same steps.  The points have sizes
+    ``size``, ``size / 4`` and 0.01, so at size 20 they take different step
+    counts, which sum to the count returned."""
     rng = np.random.default_rng(int(100 * size))
     m = 3
     flips, n = 7, 16  # the flip masks of spinor dimension 16
@@ -966,44 +972,52 @@ def test_exp_jet_matches_frechet_derivative(size):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     sizes = [size, size / 4, 0.01]
-    W = cplx(len(sizes), 1 + m, flips, n)
-    for w, point_size in zip(W, sizes):
-        dense = cl.spin_flip_dense(w)
-        w[0] *= point_size / np.abs(dense[0]).sum(axis=0).max()
-        w[1:] *= 0.5 * point_size / np.abs(dense[1:]).sum(axis=1).max()
-    v, D = cplx(len(sizes), n), cplx(len(sizes), m, n)
-    got_v, got_D, steps = sol._exp_jet(W, v, D, sol._JET_STEP_BUDGET)
-    assert steps == sum(per_point_exp_jet(W[b], v[b], D[b], sol._JET_STEP_BUDGET)[2] for b in range(len(sizes)))
-    for b in range(len(sizes)):
-        S, G = cl.spin_flip_dense(W[b, 0]), cl.spin_flip_dense(W[b, 1:])
-        E = scipy.linalg.expm(S)
-        want_v = E @ v[b]
-        want_D = np.stack([E @ D[b, d] + scipy.linalg.expm_frechet(S, G[d], compute_expm=False) @ v[b] for d in range(m)])
-        assert np.linalg.norm(got_v[b] - want_v) <= 1e-12 * np.linalg.norm(want_v)
-        assert np.linalg.norm(got_D[b] - want_D) <= 1e-12 * np.linalg.norm(want_D)
+    for forms, other in zip(cl._parity_rows(4), cl._parity_rows(4)[::-1]):
+        parity = int(cl.degrees(4)[forms[0]] % 2)
+        W = cplx(len(sizes), 1 + m, flips, n)
+        W[..., other] = 0.0
+        for w, point_size in zip(W, sizes):
+            dense = cl.spin_flip_dense(w)
+            w[0] *= point_size / np.abs(dense[0]).sum(axis=0).max()
+            w[1:] *= 0.5 * point_size / np.abs(dense[1:]).sum(axis=1).max()
+        v, D = cplx(len(sizes), n), cplx(len(sizes), m, n)
+        v[:, other], D[..., other] = 0.0, 0.0
+        got_v, got_D, steps = sol._exp_jet(W[..., forms], v[:, forms], D[..., forms], sol._JET_STEP_BUDGET, parity)
+        assert steps == sum(per_point_exp_jet(W[b], v[b], D[b], sol._JET_STEP_BUDGET)[2] for b in range(len(sizes)))
+        for b in range(len(sizes)):
+            S, G = cl.spin_flip_dense(W[b, 0]), cl.spin_flip_dense(W[b, 1:])
+            E = scipy.linalg.expm(S)
+            want_v = E @ v[b]
+            want_D = np.stack([E @ D[b, d] + scipy.linalg.expm_frechet(S, G[d], compute_expm=False) @ v[b] for d in range(m)])
+            assert np.linalg.norm(got_v[b] - want_v[forms]) <= 1e-12 * np.linalg.norm(want_v)
+            assert np.linalg.norm(got_D[b] - want_D[:, forms]) <= 1e-12 * np.linalg.norm(want_D)
 
 
 @pytest.mark.parametrize("parity", [0, 1])
 def test_exp_jet_keeps_the_parity_of_its_input(parity):
-    """Jets of one form parity, as a pure spinor's are, run on one half of
-    ``S``: they stay exactly zero on the other parity and match expm and
-    expm_frechet of the densified weights."""
+    """Jets of one form parity, as a pure spinor's are, run on the weights
+    of that half alone: with weights of every entry nonzero, the dense
+    route leaves the jets exactly zero on the other parity, and the half
+    route matches expm and expm_frechet of the full densified weights on
+    the forms of the parity."""
     rng = np.random.default_rng(7 + parity)
     m, flips, n = 4, 7, 16
+    forms = cl._parity_rows(m)[parity]
     W = rng.normal(size=(2, 1 + m, flips, n)) + 1j * rng.normal(size=(2, 1 + m, flips, n))
-    W *= 0.3 / cl._flip_column_sums(W).max()
+    W *= 0.3 / np.abs(cl.spin_flip_dense(W)).sum(axis=-2).max()
     other = cl.degrees(m) % 2 != parity
     v = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
     D = rng.normal(size=(2, m, n)) + 1j * rng.normal(size=(2, m, n))
     v[:, other], D[..., other] = 0.0, 0.0
-    got_v, got_D, _ = sol._exp_jet(W, v, D, sol._JET_STEP_BUDGET)
-    assert not got_v[:, other].any() and not got_D[..., other].any()
+    got_v, got_D, _ = sol._exp_jet(W[..., forms], v[:, forms], D[..., forms], sol._JET_STEP_BUDGET, parity)
     for b in range(2):
         S, G = cl.spin_flip_dense(W[b, 0]), cl.spin_flip_dense(W[b, 1:])
         E = scipy.linalg.expm(S)
+        want_v = E @ v[b]
         want_D = np.stack([E @ D[b, d] + scipy.linalg.expm_frechet(S, G[d], compute_expm=False) @ v[b] for d in range(m)])
-        assert np.linalg.norm(got_v[b] - E @ v[b]) <= 1e-12 * np.linalg.norm(v[b])
-        assert np.linalg.norm(got_D[b] - want_D) <= 1e-12 * np.linalg.norm(want_D)
+        assert not (S[other][:, ~other].any() or G[:, other][:, :, ~other].any())
+        assert np.linalg.norm(got_v[b] - want_v[forms]) <= 1e-12 * np.linalg.norm(v[b])
+        assert np.linalg.norm(got_D[b] - want_D[:, forms]) <= 1e-12 * np.linalg.norm(want_D)
 
 
 @pytest.mark.parametrize("m", [2, 4, 8])
@@ -1015,10 +1029,10 @@ def test_pairing_inverse_matches_linalg_inverse(m):
 
 
 def test_exp_jet_rejects_non_finite_exponent():
-    W = np.zeros((2, 2, 2, 4), dtype=complex)  # spinor dimension 4 has two flip masks
+    W = np.zeros((2, 2, 2, 2), dtype=complex)  # spinor dimension 4 has two flip masks, two even forms
     W[1, 0] = np.nan  # the second point of the batch
     with pytest.raises(ValueError, match="finite exponent"):
-        sol._exp_jet(W, np.ones((2, 4), dtype=complex), np.zeros((2, 1, 4), dtype=complex), sol._JET_STEP_BUDGET)
+        sol._exp_jet(W, np.ones((2, 2), dtype=complex), np.zeros((2, 1, 2), dtype=complex), sol._JET_STEP_BUDGET, 0)
 
 
 def test_exp_jet_step_cap_stops_a_large_rotation_before_any_step(monkeypatch):
@@ -1039,9 +1053,10 @@ def test_exp_jet_step_cap_stops_a_large_rotation_before_any_step(monkeypatch):
 
     monkeypatch.setattr(sol, "spin_flip_dense", refuse)
     values, grads = rotation.jet(1e-2, np.zeros((1, 4)))
-    W = cl.spin_flip_weights(np.concatenate([values, grads[:, 0]]))
+    W = cl.spin_flip_weights(np.concatenate([values, grads[:, 0]]), 0)
+    v = parity_half(report.psi0[(0,) * 4], 0)[0]
     with pytest.raises(ValueError, match=message):
-        sol._exp_jet(W[None], report.psi0[(0,) * 4][None], np.zeros((1, 4, 16), dtype=complex), budget)
+        sol._exp_jet(W[None], v[None], np.zeros((1, 4, 8), dtype=complex), budget, 0)
 
 
 def frequency_bound_report():
@@ -1074,8 +1089,8 @@ def budget_failure(monkeypatch, chunk_entries):
     taken = []
     exp_jet = sol._exp_jet
 
-    def counted(W, v, D, budget):
-        out = exp_jet(W, v, D, budget)
+    def counted(W, v, D, budget, parity):
+        out = exp_jet(W, v, D, budget, parity)
         taken.append(out[2])
         return out
 
@@ -1158,7 +1173,7 @@ def test_verification_at_t8(t8_report):
 
 
 def test_verification_at_t8_densifies_one_exponent_per_point_and_family(t8_report, monkeypatch):
-    """The verifier makes only the two parity blocks of the exponent ``S``
+    """The verifier makes only the seed's parity block of the exponent ``S``
     of each point and family dense and applies the m gradients ``G_d`` as
     flip-mask gathers: its own
     peak stays under 5 MB (about 2.7 MB; 13.9 MB with m dense gradient
@@ -1189,9 +1204,9 @@ def test_verification_at_t8_densifies_one_exponent_per_point_and_family(t8_repor
             peaks[count] = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # the parity blocks of one S per chunk and family; at m = 8 a chunk
-        # is one point, (1, F, 2**m)
-        assert dense_shapes == [((1, 29, 256), {"blocks": True})] * (2 * count)
+        # the seed's parity block of one S per chunk and family; at m = 8 a
+        # chunk is one point, (1, F, 2**(m-1))
+        assert dense_shapes == [((1, 29, 128), {"parity": 0})] * (2 * count)
     assert peaks[2] < 5e6, f"verification peaked {peaks[2] / 1e6:.1f} MB above its start"
     samples = 2 * 14 * 2 * (m + 1) * (2 * m) ** 2 * 16
     assert peaks[16] <= peaks[2] + samples, f"{peaks[16] / 1e6:.2f} MB at 16 points, {peaks[2] / 1e6:.2f} MB at 2"
@@ -1246,7 +1261,7 @@ def test_run_deformation_t8_builds_no_per_frequency_blocks(monkeypatch):
 def test_run_deformation_t8_holds_spin_images_as_flip_weights(monkeypatch):
     """The deform path makes no dense spin-image stack: at T^8, order cap 2
     (the benchmark's deform-m8-k2 shape), pair, solve and verification
-    densify only one-point ``(1, F, 2**m)`` weight stacks, the verifier's
+    densify only one-point ``(1, F, 2**(m-1))`` weight stacks, the verifier's
     exponent of each chunk (one point at m = 8) and family, never call
     ``spin_lie_action``, and peak under
     18 MB above their start (about 13 MB; 27 MB with dense images in the
@@ -1255,7 +1270,7 @@ def test_run_deformation_t8_holds_spin_images_as_flip_weights(monkeypatch):
 
     def single(weights, **kw):
         densified.append(weights.shape)
-        assert weights.shape == (1, 29, 256), f"dense spin images of shape {weights.shape}"
+        assert weights.shape == (1, 29, 128), f"dense spin images of shape {weights.shape}"
         return cl.spin_flip_dense(weights, **kw)
 
     def refuse(*args):
@@ -1275,9 +1290,9 @@ def test_run_deformation_t8_holds_spin_images_as_flip_weights(monkeypatch):
         tracemalloc.stop()
     assert max(report.residual_norms) <= 1e-12 * report.psi_norm
     assert len(densified) == 2 * 2  # two points, the family and b
-    for stacks in (family.spin_stacks(), report.b.spin_stacks()):
+    for stacks in (family.spin_stacks(0), report.b.spin_stacks(0)):
         for freqs, weights in filter(None, stacks):
-            assert weights.shape == (len(freqs), 29, 256) and not weights.flags.writeable
+            assert weights.shape == (len(freqs), 29, 128) and not weights.flags.writeable
     assert peak < 18e6, f"pair, solve and verification peaked {peak / 1e6:.1f} MB above their start"
 
 
@@ -1352,3 +1367,117 @@ def test_series_term_leaving_the_support_raises(pair, bfield_family):
     assert sol.order_residual(1, bfield_family, None, bg, psi0).rho_norm > 1e-3
     with pytest.raises(ValueError, match="leaves the support"):
         sol.order_residual(2, bfield_family, None, bg, psi0)
+
+
+# ---------------------------------------------------------------------------
+# the half-width rows against the full-width route
+
+
+def _typed_pair(kind, m):
+    """The flat Kahler pair, ``random_hermitian_pair(default_rng(0), m)``
+    or the explicit pair of symplectic type (identity metric, standard form)."""
+    if kind == "kahler":
+        return gs.standard_kahler_pair(m)
+    if kind == "bfield":
+        return gs.random_hermitian_pair(np.random.default_rng(0), m)
+    form = gs.standard_symplectic_form(m).tolist()
+    return cli.build_background({"background": {"kind": "explicit", "metric": np.eye(m).tolist(), "symplectic_form": form}}, m)
+
+
+def _typed_family(kind, m):
+    pair = _typed_pair(kind, m)
+    coeffs = {6: M6_COEFFS, 8: T8_COEFFS}[m]
+    return pair, lambda K: [exact_bfield_family(m, K, *coeffs, pair)]
+
+
+def _workload_case(name, monkeypatch):
+    doc = workload_config(name, monkeypatch)
+    pair = cli.build_background(doc, doc["dimension"])
+    return pair, lambda K: cli.build_deformation(doc, pair, K)
+
+
+@pytest.mark.parametrize(
+    "case, K",
+    [
+        ("deform-m4-k8", 4),
+        ("deform-m6-k5-blas2", 3),
+        ("deform-m8-k2", 2),
+        ("bfield-6", 3),
+        ("bfield-8", 2),
+        ("symplectic-6", 2),
+    ],
+)
+def test_half_width_solver_matches_full_width_route(case, K, monkeypatch):
+    """Order by order, the run's ``rho_norm`` and ``beta_norm`` and every
+    packed field (obstruction, corners, routes, potential, series), widened
+    to full width, match ``oracles.full_width_deformation`` to 1e-12
+    relative: the benchmark configs at reduced order caps, random b-field
+    pairs, whose Gram matrices are far from orthonormal, and the
+    symplectic-type T^6, whose seed is odd."""
+    kind, _, m = case.partition("-")
+    pair, family = _workload_case(case, monkeypatch) if kind == "deform" else _typed_family(kind, int(m))
+    factors = family(K)
+    orders, potentials = [], []
+    obstruction, solve = sol._obstruction, sol.solve_phi
+
+    def record_obstruction(*args, **kw):
+        orders.append(obstruction(*args, **kw))
+        return orders[-1]
+
+    def record_potential(*args, **kw):
+        out = solve(*args, **kw)
+        potentials.append(out[0])
+        return out
+
+    monkeypatch.setattr(sol, "_obstruction", record_obstruction)
+    monkeypatch.setattr(sol, "solve_phi", record_potential)
+    report = sol.run_deformation(factors, pair, order_cap=K)
+    support, want, series = full_width_deformation(factors, pair, K)
+    assert support == report.support and len(orders) == len(potentials) == len(want) == K
+
+    def close(got, expected, scale):
+        assert np.linalg.norm(got - expected) <= 1e-12 * scale
+
+    for rec, data, phi, w in zip(report.orders, orders, potentials, want):
+        assert abs(rec["rho_norm"] - w["rho_norm"]) <= 1e-12 * w["rho_norm"]
+        assert abs(rec["beta_norm"] - w["beta_norm"]) <= 1e-12 * w["beta_norm"]
+        scale = np.linalg.norm(w["rho"])
+        close(sol._widen(data.rho, data.parity), w["rho"], scale)
+        for key, comp in data.components.items():
+            close(sol._widen(comp, data.parity), w["components"][key], scale)
+        for route, expected in zip(data.routes, w["routes"]):
+            close(sol._widen(route, 1 - data.parity), expected, np.linalg.norm(expected))
+        close(support.pack(phi), w["phi"], np.linalg.norm(w["phi"]))
+    for got, expected in zip(report.psi_series, series):
+        close(support.pack(got), expected, np.linalg.norm(expected))
+
+
+def test_run_deformation_rejects_a_mixed_parity_seed(pair, bfield_family, bfield_report):
+    """A seed with nonzero entries of both form parities is not a pure
+    spinor: the run, a single order and the series action raise before
+    any series is formed."""
+    seed = pair.canonical_generator(2).copy()
+    seed[1] = 1e-3  # dx_1, an odd form beside the even generator
+    message = "seed spinor has nonzero entries of both form parities, so it is not a pure spinor"
+    with pytest.raises(ValueError, match=message):
+        sol.run_deformation(bfield_family, pair, order_cap=2, psi=seed)
+    bg = gh.TorusBackground(pair, bfield_report.support)
+    with pytest.raises(ValueError, match=message):
+        sol.order_residual(1, bfield_family, None, bg, seed)
+    with pytest.raises(ValueError, match=message):
+        sol.series_exp_action(bfield_family, None, seed, 2)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["kahler", "bfield", "symplectic"])
+def test_canonical_generators_have_one_form_parity(m, kind):
+    """The canonical generators of both structures are exactly zero on one
+    form parity, the other half of the half-width rows: even at m = 4 and
+    8; at m = 6 the first structure's generator is odd and the second's
+    even on the Kahler and the random b-field pair, and the other way round
+    on the symplectic-type pair."""
+    for which in (1, 2):
+        gen = _typed_pair(kind, m).canonical_generator(which)
+        parity = sol._seed_parity(gen)
+        assert not gen[cl._parity_rows(m)[1 - parity]].any()
+        assert parity == (m == 6 and which == (2 if kind == "symplectic" else 1))

@@ -7,7 +7,15 @@ import pytest
 
 from genkahler import clifford as cl
 from genkahler import structures as gs
-from oracles import dense_pure_spinor, dense_shift_part, form_vector, lu_word_inverse, two_form_spinor
+from oracles import (
+    dense_pure_spinor,
+    dense_shift_part,
+    form_vector,
+    lu_word_inverse,
+    parity_half,
+    project_by_parity,
+    two_form_spinor,
+)
 
 
 def test_require_gcs_rejects_non_structures():
@@ -299,7 +307,7 @@ def test_hermitian_pair_bigrading_dimensions_t4():
     np.testing.assert_allclose(total, np.eye(16), atol=1e-9)
     rng = np.random.default_rng(0)
     phi = rng.normal(size=16) + 1j * rng.normal(size=16)
-    recon = sum(pair.project(phi[None], p, q)[0] for (p, q) in pair.bigrading)
+    recon = sum(project_by_parity(pair, phi[None], p, q)[0] for (p, q) in pair.bigrading)
     np.testing.assert_allclose(recon, phi, atol=1e-9)
 
 
@@ -330,20 +338,24 @@ def test_sector_frames_shift_bigrading():
             Cv = cl.clifford_vector_matrix(frame[:, a])
             for (p, q), Ppq in pair.bigrading.items():
                 image = Cv @ Ppq
-                target = pair.project(image.T, p + dp, q + dq).T
+                target = project_by_parity(pair, image.T, p + dp, q + dq).T
                 np.testing.assert_allclose(target, image, atol=1e-8)
 
 
 def _assert_row_action_matches_projectors(pair):
+    """``project`` on the half rows of each form parity against the dense
+    projectors on the full rows of that parity, whose images keep it."""
     rng = np.random.default_rng(pair.m)
     rows = rng.normal(size=(3, 2**pair.m)) + 1j * rng.normal(size=(3, 2**pair.m))
-    for (p, q), P in pair.bigrading.items():
-        assert_close_rel(pair.project(rows, p, q), rows @ P.T, 1e-12)
-    for k, P in pair.proj1.items():
-        assert_close_rel(pair.project(rows, p=k), rows @ P.T, 1e-12)
-    for k, P in pair.proj2.items():
-        assert_close_rel(pair.project(rows, q=k), rows @ P.T, 1e-12)
-    assert not pair.project(rows, pair.n, pair.n).any()
+    for parity in (0, 1):
+        half, full = parity_half(rows, parity)
+        dense = [((p, q), P) for (p, q), P in pair.bigrading.items()]
+        dense += [((k, None), P) for k, P in pair.proj1.items()] + [((None, k), P) for k, P in pair.proj2.items()]
+        for (p, q), P in dense:
+            want, stray = parity_half(full @ P.T, parity)
+            assert_close_rel(pair.project(half, parity, p, q), want, 1e-12)
+            assert np.linalg.norm(stray - full @ P.T) <= 1e-12 * max(1.0, np.linalg.norm(want))
+        assert not pair.project(half, parity, pair.n, pair.n).any()
 
 
 @pytest.mark.parametrize("kind", ["complex", "symplectic", "bfield"])
@@ -370,7 +382,7 @@ def test_sector_frames_shift_bigrading_random_pair():
     Cv = cl.clifford_vector_matrix(frame[:, 0])
     for (p, q), Ppq in pair.bigrading.items():
         image = Cv @ Ppq
-        target = pair.project(image.T, p + 1, q + 1).T
+        target = project_by_parity(pair, image.T, p + 1, q + 1).T
         np.testing.assert_allclose(target, image, atol=1e-7)
 
 
