@@ -458,12 +458,13 @@ def _tolerances(doc: dict, tol_override: float | None) -> dict[str, float]:
 
 def _emit(report: dict, text_lines: list[str], out_dir: str | None, as_json: bool) -> None:
     text = "\n".join(text_lines) + "\n"
+    doc = canonical_json(report) if out_dir is not None or as_json else None
     if out_dir is not None:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
-        (path / "report.json").write_text(canonical_json(report), encoding="utf-8")
+        (path / "report.json").write_text(doc, encoding="utf-8")
         (path / "report.txt").write_text(text, encoding="utf-8")
-    sys.stdout.write(canonical_json(report) if as_json else text)
+    sys.stdout.write(doc if as_json else text)
 
 
 def _check_lines(checks: list[dict]) -> list[str]:
@@ -541,8 +542,6 @@ def cmd_verify_algebra(args) -> int:
             me = even_dims[trial % len(even_dims)]
             pair = gs.random_hermitian_pair(rng, me)
             star = gs.hodge_star(pair.metric, pair.b_field, pair.orientation)
-            if args.debug_flip_star_sign:
-                star = -star
             vol = gs.volume_spin_element(pair.J1, pair.proj1) @ gs.volume_spin_element(pair.J2, pair.proj2)
             record("star_matches_volume_product", np.linalg.norm(star + vol) / max(np.linalg.norm(vol), 1.0))
 
@@ -594,16 +593,15 @@ def cmd_verify_hodge(args) -> int:
         raise ConfigError("frequency_box must be a positive integer")
     # every identity is a polynomial in k and is checked on the operators'
     # coefficients, so it holds at every frequency and the box (echoed in the
-    # report) does not change the checks; the support is only where an
-    # operator would be evaluated
-    support = gh.Support([(0,) * m])
-
-    D = gh.derivative_operator(m, support)
+    # report) does not change the checks; the background's one frequency is
+    # only where an operator would be evaluated
+    background = gh.TorusBackground(pair, [(0,) * m])
+    D = background.derivative
     # the four level-one components of the untwisted derivative, which sum to
     # it; all five are linear, sum_j kappa_j C_j over the same exponent
     # table, so the gap is taken on their (m, n, n) coefficient stacks
-    comps = {shift: gh.component_operator(shift, pair, support) for shift in gh.DELTA_SHIFTS.values()}
-    gap = float(np.linalg.norm(D.coeffs - sum(op.coeffs for op in comps.values())))
+    ops = background.components
+    gap = float(np.linalg.norm(D.coeffs - sum(op.coeffs for op in ops.values())))
     scale = D.coeff_norm()
     torsion = [0.0, 0.0]
     if h is not None:
@@ -641,10 +639,8 @@ def cmd_verify_hodge(args) -> int:
     if integrable:
         # untwisted, the component sum is the level-one part
         add("level_one_components_suffice", component_sum)
-        ops = {name: comps[shift] for name, shift in gh.DELTA_SHIFTS.items()}
-        gram = gh.l2_gram(pair)
-        plus_adjoint = _operator_residual(gh.adjoint(ops["delta+"], gram) + ops["delta_bar+"], scale)
-        minus_adjoint = _operator_residual(gh.adjoint(ops["delta-"], gram) - ops["delta_bar-"], scale)
+        plus_adjoint = _operator_residual(background.adjoint(ops["delta+"]) + ops["delta_bar+"], scale)
+        minus_adjoint = _operator_residual(background.adjoint(ops["delta-"]) - ops["delta_bar-"], scale)
 
         # every product of two components has a closed form, which holds when
         # cl is a Clifford representation: that residual, exact on the 2m
@@ -872,11 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--tol", type=float, default=1e-9)
     va.add_argument("--out", type=str, default=None, help="directory for report.json / report.txt")
     va.add_argument("--json", action="store_true", help="print the JSON report instead of text")
-    va.add_argument(
-        "--debug-flip-star-sign",
-        action="store_true",
-        help="negative control: corrupt the star operator and expect failure",
-    )
     va.set_defaults(func=cmd_verify_algebra)
 
     vh = sub.add_parser("verify-hodge", help="operator-splitting identities on a configured background")

@@ -26,11 +26,11 @@ background the solver works on, applies the components to packed rows as
 signed gathers weighted by the per-row vectors ``i pi_s k`` and builds no
 coefficient matrices.  The :class:`BlockOperator` algebra
 (``derivative_operator``, ``component_operator``, ``adjoint``) serves the
-operator identities; ``verify-hodge`` builds it itself and multiplies no two
-of its operators: since ``{cl(u), cl(v)} = 2 <u, v> Id``, every
-anticommutator of two components is an ``m x m`` pairing matrix of the
-sector covectors times the identity (``anticommutators``,
-``scalar_quadratic_norm``).
+operator identities; ``verify-hodge`` reads it from a one-frequency
+``TorusBackground`` and multiplies no two of its operators: since
+``{cl(u), cl(v)} = 2 <u, v> Id``, every anticommutator of two components
+is an ``m x m`` pairing matrix of the sector covectors times the identity
+(``anticommutators``, ``scalar_quadratic_norm``).
 
 The inner product is ``h(f, g) = sum_k (f_k, star conj(g_k))_Ch`` with the
 star taken in the standard torus orientation; this is the unique placement of
@@ -51,14 +51,12 @@ from genkahler.fields import derivative_rows
 from genkahler.structures import HermitianPair
 
 __all__ = [
-    "DELTA_SHIFTS",
     "COMPONENT_SHIFTS",
     "Support",
     "BlockOperator",
     "l2_gram",
     "l2_norm",
     "adjoint",
-    "derivative_operator",
     "component_operator",
     "laplacian",
     "anticommutators",

@@ -900,9 +900,9 @@ _JET_TERM_CAP = 40
 # t = 1 over 16 points takes 18,567 steps (at most 1,177 for one point).
 _JET_STEP_BUDGET = 200_000
 
-# Dense exponent entries one chunk of verification points holds: 64 points
-# at m = 4, 4 at m = 6 and 1 at m = 8.
-_JET_CHUNK_ENTRIES = 16_384
+# Dense exponent entries one chunk of verification points holds, (2^(m-1))^2
+# per point on one parity block: 64 points at m = 4, 4 at m = 6 and 1 at m = 8.
+_JET_CHUNK_ENTRIES = 4_096
 
 
 def _exp_jet(W: np.ndarray, v: np.ndarray, D: np.ndarray, budget: int, parity: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -991,7 +991,7 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
     checked before each chunk's first step.  ``psi0`` is a pure spinor, so
     the jets, the weights, ``S``, the 1-norms and ``d psi_t`` are formed on
     the half of its form parity, which spin images keep.  Points go in
-    chunks of ``max(1, _JET_CHUNK_ENTRIES // 4**m)``; per chunk and family,
+    chunks of ``max(1, _JET_CHUNK_ENTRIES // 4**(m-1))``; per chunk and family,
     one ``spin_flip_weights`` call and one batched Taylor loop
     (``_exp_jet``) densify only that block of ``S``, so the spinor side
     holds one chunk's weights and block (under 1 MB at m = 8) whatever the
@@ -1044,8 +1044,8 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
     parity = _seed_parity(psi0)
     # the ladder weights of the wedges by dx_d onto the other parity
     wedges = _ladder_weights(np.eye(2 * m)[m:], 1 - parity)
-    chunk = max(1, _JET_CHUNK_ENTRIES // psi0.size**2)
     psi0 = _half(psi0, parity)
+    chunk = max(1, _JET_CHUNK_ENTRIES // psi0.size**2)
     derivative_sup = 0.0
     psi_sup = 0.0
     budget = _JET_STEP_BUDGET

@@ -31,7 +31,6 @@ __all__ = [
     "symplectic_gcs",
     "iso_projectors",
     "volume_spin_element",
-    "canonical_generator",
     "l_frame",
     "hodge_star",
     "HermitianPair",
@@ -218,11 +217,10 @@ def iso_projectors(J: np.ndarray) -> dict[int, np.ndarray]:
     vector of ``conj(L)`` lowers the level by one, so the words with ``|I|``
     letters span level ``n - |I|`` (Gualtieri, Ann. of Math. 174 (2011)).
     """
-    J = require_gcs(J)
-    m = J.shape[0] // 2
+    L = l_frame(J)
+    m = L.shape[1]
     if m % 2:
         raise ValueError("the eigenlevel grading needs an even dimension")
-    L = _projector_column_space(0.5 * (np.eye(2 * m) - 1j * J), m)
     levels = _label_projectors(*_word_basis(L, L.conj(), [(-1,)] * m, (m // 2,))[:3])
     return {k: P for (k,), P in levels.items()}
 
@@ -235,22 +233,6 @@ def volume_spin_element(J: np.ndarray, projectors: dict[int, np.ndarray] | None 
     if projectors is None:
         projectors = iso_projectors(J)
     return sum((1j**k) * Pk for k, Pk in sorted(projectors.items()))
-
-
-def canonical_generator(J: np.ndarray, projectors: dict[int, np.ndarray] | None = None) -> np.ndarray:
-    """Generator of the top eigenlevel line, scaled so max|coeff| = 1.
-
-    Deterministic: picks the largest column of the top-level projector and
-    divides by its largest entry (``_over_first_largest``).  ``projectors``
-    are the eigenlevel projectors of ``J`` if already at hand.  The projector
-    is idempotent, so its trace is its rank and must be one.
-    """
-    if projectors is None:
-        projectors = iso_projectors(J)
-    Pn = projectors[max(projectors)]
-    if abs(np.trace(Pn) - 1) > 0.5:
-        raise ValueError("top eigenlevel is not a line")
-    return _over_first_largest(Pn[:, int(np.argmax(np.linalg.norm(Pn, axis=0)))])
 
 
 def _over_first_largest(v: np.ndarray) -> np.ndarray:
@@ -535,9 +517,9 @@ class HermitianPair:
         return _projector_column_space(self.sector_projector(plus, holo), self.n)
 
     def canonical_generator(self, which: int = 2) -> np.ndarray:
-        """``canonical_generator`` of one structure.  Its top level is the one
-        word labelled (n, 0) or (0, n), and every column of that word's
-        rank-one projector is a multiple of it, so no projector is formed."""
+        """Generator of the top eigenlevel line of structure ``which``: the
+        one word labelled (n, 0) or (0, n), over its first largest entry
+        (``_over_first_largest``), so no projector is formed."""
         (word,) = self._V.T[self._words(None, self.n) if which == 2 else self._words(self.n, None)]
         return _over_first_largest(word)
 
@@ -560,10 +542,9 @@ def random_hermitian_pair(rng: np.random.Generator, m: int, b_scale: float = 1.0
     G = generalized_metric(g, b)
     P = pairing_matrix(m)
 
-    # pairing-orthonormal frames of both eigenspaces
-    Lch = np.linalg.cholesky(g)
-    X = np.linalg.solve(Lch, np.eye(m)).T
-    F_plus = np.vstack([X, (g - b) @ X])
+    # pairing-orthonormal frames of both eigenspaces, on the same vector parts
+    F_plus = _metric_frame(g, b, 1)
+    X = F_plus[:m]
     F_minus = np.vstack([X, -(g + b) @ X])
 
     def random_orthogonal_complex_structure() -> np.ndarray:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from genkahler import cli
 from genkahler import clifford as cl
 from genkahler import hodge as gh
 from genkahler import solver as sol
@@ -25,7 +26,7 @@ from genkahler.fields import (
     three_form_spinor,
     uniform_points,
 )
-from genkahler.structures import require_gcs
+from genkahler.structures import _over_first_largest, iso_projectors, require_gcs
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -41,6 +42,49 @@ def workload_config(name, monkeypatch):
     source = PERFBENCH / "workloads.py"
     exec(compile(source.read_text(encoding="utf-8"), str(source), "exec"), workloads.__dict__)
     return workloads.make_config(workloads.WORKLOADS[name], 0)
+
+
+def solve_config(doc, order_cap):
+    """The solution report of a deform config that sets no tolerance, at
+    ``order_cap``, built as ``genkahler deform`` builds it."""
+    pair = cli.build_background(doc, doc["dimension"])
+    seed, _ = cli.build_seed(doc, pair)
+    return sol.run_deformation(cli.build_deformation(doc, pair, order_cap), pair, order_cap=order_cap, psi=seed)
+
+
+def map_one_forms(doc, change):
+    """A copy of a deform config of exact-b-field families with each mode's
+    ``(cos, sin)`` replaced by ``change(frequency, cos, sin)`` (arrays)."""
+    def mapped(mode):
+        zero = [0.0] * len(mode["frequency"])
+        cos, sin = change(np.array(mode["frequency"]), np.array(mode.get("cos", zero)), np.array(mode.get("sin", zero)))
+        return {"frequency": mode["frequency"], "cos": cos.tolist(), "sin": sin.tolist()}
+
+    families = [{**item, "one_form": [mapped(mode) for mode in item["one_form"]]} for item in doc["deformation"]]
+    return {**doc, "deformation": families}
+
+
+def translated(doc, x0):
+    """The config of ``x -> xi(x + x0)``: each mode's cos/sin pair rotated by
+    ``theta = k.x0``, so its coefficient at ``k`` gains ``e^{+i theta}``."""
+    def rotate(k, cos, sin):
+        theta = float(k @ x0)
+        return np.cos(theta) * cos + np.sin(theta) * sin, np.cos(theta) * sin - np.sin(theta) * cos
+
+    return map_one_forms(doc, rotate)
+
+
+def scaled(doc, c):
+    """The config of the one-form ``c xi``."""
+    return map_one_forms(doc, lambda k, cos, sin: (c * cos, c * sin))
+
+
+def field_gap(got, want, phase):
+    """``|got - phase(k) want|`` over ``|want|`` (Frobenius over every
+    frequency ``k`` of either operator field)."""
+    keys = set(got.coeffs) | set(want.coeffs)
+    diff = sum(np.linalg.norm(got[k] - phase(k) * want[k]) ** 2 for k in keys)
+    return float(np.sqrt(diff)) / want.coeff_norm()
 
 
 def form_vector(m, components):
@@ -393,6 +437,20 @@ def dense_splitting_residuals(pair):
     out["green_agrees_across_components"] = max(residual(other - lap, lap_scale) for other in laps.values())
     units = {name: lap_scale / scale**2 if name.startswith("green") else 1.0 for name in out}
     return out, units
+
+
+def canonical_generator(J, projectors=None):
+    """``HermitianPair.canonical_generator`` of one structure ``J`` by its
+    dense eigenlevel projectors: the largest column of the top level's
+    projector over its first largest entry.  ``projectors`` are those of
+    ``J`` if already at hand; the projector is idempotent, so its trace is
+    its rank and must be one."""
+    if projectors is None:
+        projectors = iso_projectors(J)
+    Pn = projectors[max(projectors)]
+    if abs(np.trace(Pn) - 1) > 0.5:
+        raise ValueError("top eigenlevel is not a line")
+    return _over_first_largest(Pn[:, int(np.argmax(np.linalg.norm(Pn, axis=0)))])
 
 
 def dense_pure_spinor(L):

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -197,6 +198,25 @@ def test_verify_algebra_passes(tmp_path, capsys):
     assert "PASS clifford_square" in (out / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("command", ["verify-algebra", "verify-hodge", "deform"])
+def test_json_output_is_the_written_report(tmp_path, capsys, monkeypatch, command):
+    """With both ``--out`` and ``--json`` the report is serialized once, and
+    stdout is the written ``report.json`` byte for byte."""
+    argv = {
+        "verify-algebra": ["verify-algebra", "--trials", "8", "--n-max", "4"],
+        "verify-hodge": ["verify-hodge", "--config", write_config(tmp_path, {"schema": 1, "dimension": 4})],
+        "deform": ["deform", "--config", write_config(tmp_path, bfield_doc())],
+    }[command]
+    written = []
+    writer = cli.canonical_json
+    monkeypatch.setattr(cli, "canonical_json", lambda obj: written.append(obj) or writer(obj))
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out), "--json"]) == 0
+    assert capsys.readouterr().out == (out / "report.json").read_text(encoding="utf-8")
+    reports = [obj for obj in written if isinstance(obj, dict) and obj.get("suite") == command]
+    assert len(reports) == 1
+
+
 def test_verify_algebra_zero_trials_is_empty_pass(capsys):
     code = cli.main(["verify-algebra", "--trials", "0", "--json"])
     assert code == 0
@@ -204,8 +224,14 @@ def test_verify_algebra_zero_trials_is_empty_pass(capsys):
     assert report["checks"] == [] and report["ok"] is True
 
 
-def test_verify_algebra_negative_control_fails(capsys):
-    code = cli.main(["verify-algebra", "--trials", "20", "--debug-flip-star-sign", "--json"])
+def test_verify_algebra_negative_control_fails(capsys, monkeypatch):
+    """A negated star fails the star check and no other.  The command's view
+    of the structures module is replaced, not the module: the pair
+    constructor's own star check would raise on a negated star."""
+    flipped = types.SimpleNamespace(**vars(gs))
+    flipped.hodge_star = lambda *args: -gs.hodge_star(*args)
+    monkeypatch.setattr(cli, "gs", flipped)
+    code = cli.main(["verify-algebra", "--trials", "20", "--json"])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
     bad = [c["name"] for c in report["checks"] if not c["pass"]]
@@ -221,6 +247,9 @@ def test_usage_errors_exit_64(tmp_path):
     assert info.value.code == 64
     with pytest.raises(SystemExit) as info:
         cli.main(["verify-algebra", "--trials", "not-a-number"])
+    assert info.value.code == 64
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify-algebra", "--debug-flip-star-sign"])
     assert info.value.code == 64
 
 

@@ -909,7 +909,7 @@ def test_chunked_verification_matches_per_point_oracle(m, build, t):
     the per-point route: the orthogonal side's exactly, the spinor sups to
     1e-9 relative or 1e-15 psi_norm absolute (below the roundoff floor)."""
     report = build()
-    chunk = max(1, sol._JET_CHUNK_ENTRIES // 4**m)
+    chunk = max(1, sol._JET_CHUNK_ENTRIES // 4 ** (m - 1))
     for count in sorted({c for c in (1, chunk - 1, chunk, chunk + 1) if c >= 1}):
         got = sol.verify_gk_at_t(report, t, count=count, seed=3)
         want = per_point_verify_gk_at_t(report, t, count=count, seed=3)

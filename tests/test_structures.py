@@ -8,6 +8,7 @@ import pytest
 from genkahler import clifford as cl
 from genkahler import structures as gs
 from oracles import (
+    canonical_generator,
     dense_pure_spinor,
     dense_shift_part,
     form_vector,
@@ -58,23 +59,23 @@ def test_standard_blocks():
 
 def test_complex_type_canonical_line():
     J = gs.complex_structure_gcs(gs.standard_complex_structure(2))
-    gen = gs.canonical_generator(J)
+    gen = canonical_generator(J)
     np.testing.assert_allclose(gen, form_vector(2, {(1,): 1.0, (2,): 1j}), atol=1e-12)
     # the top-level projector must have rank (trace) one
     levels = gs.iso_projectors(J)
     top = max(levels)
     for bad in (0 * levels[top], levels[top] + levels[top - 1]):
         with pytest.raises(ValueError, match="not a line"):
-            gs.canonical_generator(J, projectors={**levels, top: bad})
+            canonical_generator(J, projectors={**levels, top: bad})
 
 
 def test_symplectic_canonical_line_is_exp_i_omega():
     w = gs.standard_symplectic_form(2)
-    gen = gs.canonical_generator(gs.symplectic_gcs(w))
+    gen = canonical_generator(gs.symplectic_gcs(w))
     np.testing.assert_allclose(gen, form_vector(2, {(): 1.0, (1, 2): 1j}), atol=1e-12)
     # and on T^4: exp(i w) = 1 + i w - w^2/2 up to overall scale
     w4 = gs.standard_symplectic_form(4)
-    gen4 = gs.canonical_generator(gs.symplectic_gcs(w4))
+    gen4 = canonical_generator(gs.symplectic_gcs(w4))
     two = two_form_spinor(w4)
     expw = form_vector(4, {(): 1.0}) + 1j * two - 0.5 * cl.wedge(two, two)
     scale = gen4[0] / expw[0]
@@ -166,7 +167,7 @@ def test_l_frame_annihilates_canonical_generator():
     for m in (2, 4):
         J = gs.random_hermitian_pair(rng, m).J2
         frame = gs.l_frame(J)
-        gen = gs.canonical_generator(J)
+        gen = canonical_generator(J)
         P = cl.pairing_matrix(m)
         # isotropic +i eigenspace
         np.testing.assert_allclose(frame.T @ P @ frame, np.zeros((m, m)), atol=1e-9)
@@ -479,6 +480,17 @@ def test_shift_parts_match_the_dense_transform(m):
         for shift, part in parts.items():
             want = dense_shift_part(pair, op, shift)
             assert np.linalg.norm(part - want) <= 1e-13 * max(np.linalg.norm(want), np.linalg.norm(op))
+
+
+@pytest.mark.parametrize("kind", PARITY_KINDS)
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_canonical_generator_matches_the_projector_oracle(m, kind):
+    """The pair's generator (its top word) is the largest column of the
+    structure's dense top-level projector, scaled the same way."""
+    pair = parity_pair(kind, m)
+    for which, J in ((1, pair.J1), (2, pair.J2)):
+        want = canonical_generator(J)
+        assert np.linalg.norm(pair.canonical_generator(which) - want) <= 1e-12 * np.linalg.norm(want), which
 
 
 @pytest.mark.parametrize("kind", PARITY_KINDS)
