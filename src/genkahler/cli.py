@@ -389,6 +389,11 @@ def _series_terms(terms, m: int) -> list[gf.FourierOperatorField | None]:
 
 
 def build_deformation(doc: dict, pair: gs.HermitianPair, order_cap: int) -> list[sol.SeriesSoField]:
+    """The families of a config's deformation list.  A lone constant
+    bivector or explicit series is its own family.  A lone exact-b-field
+    (the family ``t d xi``), or a list of several primitives composed as
+    ``exp(a_1) ... exp(a_r) J1 exp(-a_r) ... exp(-a_1)``, gives the one
+    transverse family of its deformed first structure."""
     items = doc.get("deformation")
     if not isinstance(items, list) or not items:
         raise ConfigError("deform needs a non-empty 'deformation' list")
@@ -398,9 +403,8 @@ def build_deformation(doc: dict, pair: gs.HermitianPair, order_cap: int) -> list
         if not isinstance(item, dict) or "kind" not in item:
             raise ConfigError("each deformation primitive must be an object with a 'kind'")
         kind = item["kind"]
-        # the order-j terms of the family, or of its generator for an
-        # exact-b-field; an overflowing norm is reported below, before the
-        # family's so(m,m) checks would warn about it
+        # the order-j terms of the family; an overflowing norm is reported
+        # below, before the family's so(m,m) checks would warn about it
         with np.errstate(over="ignore", invalid="ignore"):
             if kind == "constant-bivector":
                 _require_keys(item, {"kind", "vectors", "scale"}, {"kind", "vectors"}, "constant-bivector")
@@ -429,13 +433,15 @@ def build_deformation(doc: dict, pair: gs.HermitianPair, order_cap: int) -> list
         if not np.isfinite(norm):
             raise ConfigError(f"{kind} is too large: the norm of its coefficients overflows")
         try:
-            if kind == "exact-b-field":
-                target = sol.conjugated_structure_series(terms[1], pair.J1, order_cap)
-                factors.append(sol.extract_transverse_family(pair.J1, target, order_cap))
-            else:
-                factors.append(sol.SeriesSoField(m, terms))
+            factors.append(sol.SeriesSoField(m, terms))
         except ValueError as exc:
             raise ConfigError(f"{kind} is not a valid family: {exc}") from exc
+    if len(factors) > 1 or kind == "exact-b-field":  # kind: the one primitive's when alone
+        try:
+            target = sol.structure_series_of_family(factors, pair.J1, order_cap)
+            factors = [sol.extract_transverse_family(pair.J1, target, order_cap)]
+        except ValueError as exc:
+            raise ConfigError(f"the deformation is not a valid family: {exc}") from exc
     return factors
 
 
@@ -541,9 +547,8 @@ def cmd_verify_algebra(args) -> int:
         if even_dims:
             me = even_dims[trial % len(even_dims)]
             pair = gs.random_hermitian_pair(rng, me)
-            star = gs.hodge_star(pair.metric, pair.b_field, pair.orientation)
             vol = gs.volume_spin_element(pair.J1, pair.proj1) @ gs.volume_spin_element(pair.J2, pair.proj2)
-            record("star_matches_volume_product", np.linalg.norm(star + vol) / max(np.linalg.norm(vol), 1.0))
+            record("star_matches_volume_product", np.linalg.norm(pair.star + vol) / max(np.linalg.norm(vol), 1.0))
 
             gram = gh.l2_gram(pair)
             record("metric_pairing_symmetric", np.linalg.norm(gram - gram.T) + np.linalg.norm(gram.imag))
@@ -841,7 +846,9 @@ def cmd_deform(args) -> int:
 
 
 def _seed_arg(text: str) -> int:
-    """A ``--seed`` value: a non-negative integer, as ``numpy.random.default_rng`` takes."""
+    """A ``--seed`` value: a non-negative integer, which ``uniform_points``
+    draws deform's verification points from and ``verify-algebra`` seeds its
+    numpy generator with."""
     try:
         value = int(text)
     except ValueError:
@@ -862,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     va = sub.add_parser("verify-algebra", help="seeded random checks of the Clifford/spin layer")
-    va.add_argument("--seed", type=_seed_arg, default=0)
+    va.add_argument("--seed", type=_seed_arg, default=0, help="seed of the trials' numpy generator (non-negative)")
     va.add_argument("--n-max", type=int, default=3, help="largest torus dimension to draw")
     va.add_argument("--trials", type=int, default=200)
     va.add_argument("--tol", type=float, default=1e-9)
@@ -881,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     df.add_argument("--config", type=str, required=True)
     df.add_argument("--order", type=int, default=None, help="override the config order cap")
     df.add_argument("--tol", type=float, default=None, help="override the config tolerances")
-    df.add_argument("--seed", type=_seed_arg, default=0, help="sample-point seed for verification (non-negative)")
+    df.add_argument("--seed", type=_seed_arg, default=0, help="verification-point seed for random.Random (non-negative)")
     df.add_argument("--out", type=str, default=None)
     df.add_argument("--json", action="store_true")
     df.set_defaults(func=cmd_deform)

@@ -52,13 +52,16 @@ def solve_config(doc, order_cap):
     return sol.run_deformation(cli.build_deformation(doc, pair, order_cap), pair, order_cap=order_cap, psi=seed)
 
 
-def map_one_forms(doc, change):
+def map_one_forms(doc, change, carry=None):
     """A copy of a deform config of exact-b-field families with each mode's
-    ``(cos, sin)`` replaced by ``change(frequency, cos, sin)`` (arrays)."""
+    ``(cos, sin)`` replaced by ``change(frequency, cos, sin)`` (arrays) and,
+    given ``carry``, its frequency by ``carry(frequency)``."""
     def mapped(mode):
         zero = [0.0] * len(mode["frequency"])
-        cos, sin = change(np.array(mode["frequency"]), np.array(mode.get("cos", zero)), np.array(mode.get("sin", zero)))
-        return {"frequency": mode["frequency"], "cos": cos.tolist(), "sin": sin.tolist()}
+        k = np.array(mode["frequency"])
+        cos, sin = change(k, np.array(mode.get("cos", zero)), np.array(mode.get("sin", zero)))
+        frequency = mode["frequency"] if carry is None else carry(k).tolist()
+        return {"frequency": frequency, "cos": cos.tolist(), "sin": sin.tolist()}
 
     families = [{**item, "one_form": [mapped(mode) for mode in item["one_form"]]} for item in doc["deformation"]]
     return {**doc, "deformation": families}
@@ -77,6 +80,16 @@ def translated(doc, x0):
 def scaled(doc, c):
     """The config of the one-form ``c xi``."""
     return map_one_forms(doc, lambda k, cos, sin: (c * cos, c * sin))
+
+
+def lattice_mapped(doc, axes, coefficients=True):
+    """The config of the one-form pulled back by the axis map ``P`` with
+    ``P e_i = e_{axes[i]}``: each mode's frequency and its coefficient
+    vectors carried to ``P^T`` (entry i read from entry ``axes[i]``).  With
+    ``coefficients=False`` only the frequencies move, a broken pullback."""
+    carry = lambda v: v[list(axes)]
+    move = carry if coefficients else (lambda v: v)
+    return map_one_forms(doc, lambda k, cos, sin: (move(cos), move(sin)), carry)
 
 
 def field_gap(got, want, phase):

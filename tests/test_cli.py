@@ -226,11 +226,16 @@ def test_verify_algebra_zero_trials_is_empty_pass(capsys):
 
 def test_verify_algebra_negative_control_fails(capsys, monkeypatch):
     """A negated star fails the star check and no other.  The command's view
-    of the structures module is replaced, not the module: the pair
-    constructor's own star check would raise on a negated star."""
-    flipped = types.SimpleNamespace(**vars(gs))
-    flipped.hodge_star = lambda *args: -gs.hodge_star(*args)
-    monkeypatch.setattr(cli, "gs", flipped)
+    of the structures module is replaced, not the module, and the star is
+    negated after the pair is built: the constructor's own star check would
+    raise on a negated star."""
+
+    def flipped_pair(*args, **kwargs):
+        pair = gs.random_hermitian_pair(*args, **kwargs)
+        pair.star = -pair.star
+        return pair
+
+    monkeypatch.setattr(cli, "gs", types.SimpleNamespace(**{**vars(gs), "random_hermitian_pair": flipped_pair}))
     code = cli.main(["verify-algebra", "--trials", "20", "--json"])
     assert code == 1
     report = json.loads(capsys.readouterr().out)
@@ -489,8 +494,9 @@ def test_deform_frequency_bound_has_two_sides(tmp_path, capsys, monkeypatch, kin
 
 @pytest.mark.parametrize("command", ["deform", "verify-algebra"])
 def test_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
-    """numpy's generator and ``uniform_points`` take only non-negative
-    seeds: a negative ``--seed`` exits 64 with a message before any work."""
+    """``uniform_points`` and verify-algebra's numpy generator take only
+    non-negative seeds: a negative ``--seed`` exits 64 with a message before
+    any work."""
 
     def refuse(args):
         raise AssertionError("a command ran with a negative seed")
@@ -1022,6 +1028,40 @@ def test_deform_modulated_bivector_precondition_exit_2(tmp_path, capsys):
     assert "precondition failure" in capsys.readouterr().out
     report = json.loads((out / "report.json").read_text())
     assert report["ok"] is False and report["failed_order"] == 1
+
+
+BIVECTOR = {"kind": "constant-bivector", "vectors": [0, 1], "scale": 0.2}
+
+
+def composed_doc(monkeypatch, gauge_last):
+    """deform-m4-k8's seed-0 one-form and a constant bivector at order cap 4,
+    the gauge listed first (applied last) or the bivector first."""
+    doc = workload_config("deform-m4-k8", monkeypatch)
+    gauge = doc["deformation"]
+    items = gauge + [BIVECTOR] if gauge_last else [BIVECTOR] + gauge
+    return {**doc, "order": 4, "verify_t": 0.05, "deformation": items}
+
+
+def test_deform_composes_a_gauge_after_a_bivector(tmp_path, capsys, monkeypatch):
+    """``[exact-b-field, constant-bivector]`` is one family extracted from the
+    composed first structure: a genuine deformation of J1 coupled to a
+    nonzero correction at every order, with the t^5 halving ratio."""
+    out = tmp_path / "run"
+    doc = composed_doc(monkeypatch, gauge_last=True)
+    assert cli.main(["deform", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    betas = [o["beta_norm"] for o in report["orders"]]
+    np.testing.assert_allclose(betas, [0.129186, 0.0757989, 0.0167892, 0.00586833], rtol=1e-5)
+    assert 24.0 <= report["verification"]["halving_ratio"] <= 40.0
+    assert "result: ok" in capsys.readouterr().out
+
+
+def test_deform_bivector_after_a_gauge_loses_integrability(tmp_path, capsys, monkeypatch):
+    """A beta-transform is no symmetry of the bracket, so the reverse order's
+    first structure fails at order 2: a precondition failure, exit 2."""
+    doc = composed_doc(monkeypatch, gauge_last=False)
+    assert cli.main(["deform", "--config", write_config(tmp_path, doc)]) == 2
+    assert "loses integrability at order 2" in capsys.readouterr().out
 
 
 def test_console_module_entry():

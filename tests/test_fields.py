@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
@@ -40,15 +43,34 @@ UNIFORM_SEEDS = [*range(40), 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**6
 
 
 @pytest.mark.parametrize("shape", [(16, 4), (2, 8), (16, 6), (1, 1), (7, 3), (0, 4)])
-def test_uniform_points_match_numpy_default_rng(shape):
-    """Bit for bit the points of ``numpy.random.default_rng(seed).uniform``
-    on 55 seeds of one to five 32-bit words."""
+def test_uniform_points_are_stdlib_random_draws(shape):
+    """Bit for bit 2pi times ``random.Random(seed).random()`` in row-major
+    order, on 55 seeds of one to five 32-bit words."""
     assert len(UNIFORM_SEEDS) == 55
+    count, m = shape
     for seed in UNIFORM_SEEDS:
-        want = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, shape)
+        draw = random.Random(seed).random
+        want = np.array([[2.0 * math.pi * draw() for _ in range(m)] for _ in range(count)], dtype=float)
         got = gf.uniform_points(seed, *shape)
-        assert got.shape == shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes(), seed
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == want.reshape(shape).tobytes(), seed
+
+
+@pytest.mark.parametrize(
+    "seed,shape,digest",
+    [
+        (0, (16, 4), "634927cc0cd63f294f5b36c5c99dd3ea8bdd1f90c09b1682fe7523cafcc43c9f"),
+        (1, (16, 6), "bfce47864552638ac57e276284afc1addba3b579e56d329ef56520ac91296068"),
+        (2**64 + 3, (2, 8), "fbcd6f5870b942952504f03943f55742c62d9a1fe1ce2b44a4fde5d71e026d44"),
+        (10**40, (7, 3), "2c98869ef624ee6051c65b2a8bca342a18c2691809a6c860cf47199f6aab083a"),
+    ],
+    ids=["seed-0", "seed-1", "seed-2^64+3", "seed-10^40"],
+)
+def test_uniform_points_are_pinned(seed, shape, digest):
+    """The SHA-256 of the little-endian bytes, fixed so that a Python whose
+    generator drifted would move deform's verification points visibly."""
+    points = gf.uniform_points(seed, *shape).astype("<f8")
+    assert hashlib.sha256(points.tobytes()).hexdigest() == digest
 
 
 def test_uniform_points_reject_a_negative_seed():

@@ -22,7 +22,6 @@ ALLOWED = {
     "clifford.so_residual": "the residual that check compares, named in its messages",
     "solver.OrderData": "the record that order_residual returns",
     "solver.CorrectionSystem": "the system that beta_from_phi takes",
-    "solver.structure_series_of_family": "composes several families before extract_transverse_family",
 }
 
 
