@@ -332,6 +332,15 @@ MAX_FREQUENCY = 64
 #: would run out of memory only after the whole solve.
 MAX_VERIFY_POINTS = 1024
 
+#: Largest frequency support of a deformation: the closure of its families'
+#: frequencies up to the order cap (``solver.support_closure``), sized before
+#: the structure series and the solve.  The solver's memory grows faster
+#: than the support (its shift tables hold support x step rows): at m = 8 and
+#: order 8, 1,241 frequencies take 1.34 GB and 1,521 take 1.58 GB, so this
+#: bound admits about 1.6 GB there, and less at smaller m or order.  Six
+#: exact-b-field modes at e_0 ... e_5 on T^8 at order 8 reach 40,081.
+MAX_SUPPORT = 1_500
+
 #: Largest ``verify-algebra --trials``.  A trial costs about 50 ms at
 #: ``--n-max 8``, so this bound runs for about ten minutes; above it a
 #: mistyped count would run for days to years.
@@ -393,7 +402,10 @@ def build_deformation(doc: dict, pair: gs.HermitianPair, order_cap: int) -> list
     bivector or explicit series is its own family.  A lone exact-b-field
     (the family ``t d xi``), or a list of several primitives composed as
     ``exp(a_1) ... exp(a_r) J1 exp(-a_r) ... exp(-a_1)``, gives the one
-    transverse family of its deformed first structure."""
+    transverse family of its deformed first structure, over the closure of
+    the primitives' frequencies.  That closure bounds the solver's support
+    and is sized first: above ``MAX_SUPPORT`` frequencies it is a config
+    error."""
     items = doc.get("deformation")
     if not isinstance(items, list) or not items:
         raise ConfigError("deform needs a non-empty 'deformation' list")
@@ -436,10 +448,15 @@ def build_deformation(doc: dict, pair: gs.HermitianPair, order_cap: int) -> list
             factors.append(sol.SeriesSoField(m, terms))
         except ValueError as exc:
             raise ConfigError(f"{kind} is not a valid family: {exc}") from exc
+    weighted = [p for f in factors for p in f.weighted_support()]
+    try:
+        support = sol.support_closure(weighted, order_cap, m, limit=MAX_SUPPORT)
+    except ValueError as exc:
+        raise ConfigError(f"the deformation is too large: {exc} (cli.MAX_SUPPORT)") from exc
     if len(factors) > 1 or kind == "exact-b-field":  # kind: the one primitive's when alone
         try:
-            target = sol.structure_series_of_family(factors, pair.J1, order_cap)
-            factors = [sol.extract_transverse_family(pair.J1, target, order_cap)]
+            target = sol.structure_series_of_family(factors, pair.J1, order_cap, support)
+            factors = [sol.extract_transverse_family(pair.J1, target, order_cap, support)]
         except ValueError as exc:
             raise ConfigError(f"the deformation is not a valid family: {exc}") from exc
     return factors
@@ -550,7 +567,7 @@ def cmd_verify_algebra(args) -> int:
             vol = gs.volume_spin_element(pair.J1, pair.proj1) @ gs.volume_spin_element(pair.J2, pair.proj2)
             record("star_matches_volume_product", np.linalg.norm(pair.star + vol) / max(np.linalg.norm(vol), 1.0))
 
-            gram = gh.l2_gram(pair)
+            gram = cl._parity_dense(gh.l2_gram(pair))
             record("metric_pairing_symmetric", np.linalg.norm(gram - gram.T) + np.linalg.norm(gram.imag))
             record("metric_pairing_positive", max(0.0, -float(np.min(np.linalg.eigvalsh(gram.real)))))
 

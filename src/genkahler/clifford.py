@@ -30,7 +30,6 @@ __all__ = [
     "wedge",
     "wedge_operator",
     "transpose_form",
-    "chevalley_gram",
     "chevalley_pairing",
     "chevalley_symmetry_sign",
     "wedge_matrices",
@@ -94,6 +93,19 @@ def _parity_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
     out = np.flatnonzero(degrees(m) % 2 == 0), np.flatnonzero(degrees(m) % 2)
     for arr in out:
         arr.setflags(write=False)
+    return out
+
+
+def _parity_dense(blocks, shift: int = 0) -> np.ndarray:
+    """The ``(2**m, 2**m)`` matrix of two blocks in half coordinates:
+    ``blocks[p]`` on the rows of form parity p (``_parity_rows``) and the
+    columns of parity ``p + shift``, zero elsewhere.  Operators that keep or
+    flip the parity are held as their blocks; this assembles one on request."""
+    half = len(blocks[0])
+    rows = _parity_rows(_infer_m_from_spinor(blocks[0], 0))
+    out = np.zeros((2 * half, 2 * half), dtype=np.result_type(*blocks))
+    for p, block in enumerate(blocks):
+        out[rows[p][:, None], rows[(p + shift) % 2]] = block
     return out
 
 
@@ -174,25 +186,35 @@ def transpose_form(phi: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def chevalley_gram(m: int) -> np.ndarray:
+def _chevalley_gram(m: int) -> np.ndarray:
     """Matrix ``C`` with ``pairing(f, g) = f @ C @ g`` (bilinear, no conjugation).
 
     The pairing is minus the top coefficient of ``f ^ reverse(g)``; it couples
-    each subset ``I`` with its complement ``J`` only, with the reversal sign
-    of ``J`` and the ``wedge_sign_table`` entry ``(I, J)``, whose shuffle
-    exponent is formed here for those n pairs alone.
+    each subset ``I`` with its complement ``J`` only (``_chevalley_signs``).
     """
+    n = spinor_dim(m)
+    idx = np.arange(n)
+    C = np.zeros((n, n))
+    C[idx, idx ^ (n - 1)] = _chevalley_signs(m)
+    C.setflags(write=False)
+    return C
+
+
+@lru_cache(maxsize=None)
+def _chevalley_signs(m: int) -> np.ndarray:
+    """The one nonzero entry ``C[I, J]`` of each row of ``_chevalley_gram``,
+    ``J`` the complement of ``I``: the reversal sign of ``J`` times the
+    ``wedge_sign_table`` entry ``(I, J)``, whose shuffle exponent is formed
+    for those n pairs alone, ``(2**m,)`` and read-only."""
     m = _check_m(m)
     n = spinor_dim(m)
     idx = np.arange(n, dtype=np.uint64)
     J = idx ^ np.uint64(n - 1)
     one = np.uint64(1)
     exponent = sum(((J >> np.uint64(j)) & one) * np.bitwise_count(idx >> np.uint64(j + 1)) for j in range(m))
-    signs = 1 - 2 * (exponent % 2).astype(np.int64)
-    C = np.zeros((n, n))
-    C[idx.astype(np.intp), J.astype(np.intp)] = -_REVERSAL[degrees(m)[J] % 4] * signs
-    C.setflags(write=False)
-    return C
+    out = -_REVERSAL[degrees(m)[J] % 4] * (1 - 2 * (exponent % 2).astype(np.int64))
+    out.setflags(write=False)
+    return out
 
 
 def chevalley_pairing(f: np.ndarray, g: np.ndarray) -> complex:
@@ -200,7 +222,7 @@ def chevalley_pairing(f: np.ndarray, g: np.ndarray) -> complex:
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     m = _infer_m_from_spinor(f)
-    return complex(f @ chevalley_gram(m) @ g)
+    return complex(f @ _chevalley_gram(m) @ g)
 
 
 def chevalley_symmetry_sign(m: int) -> int:
@@ -283,22 +305,36 @@ def _ladder_weights(vectors: np.ndarray, parity: int | None = None) -> np.ndarra
     return np.einsum("...wj,wji->...ji", v.reshape(v.shape[:-1] + (2, m)), signs)
 
 
-def _ladder_gather(weights: np.ndarray, rows: np.ndarray, parity: int | None = None) -> np.ndarray:
+def _ladder_gather(
+    weights: np.ndarray, rows: np.ndarray, parity: int | None = None, factors: np.ndarray | None = None
+) -> np.ndarray:
     """``out[..., i] = sum_j weights[..., j, i] rows[..., i ^ 2**j]``: the
     Clifford actions whose ``_ladder_weights`` are given, on rows ``(..., n)``
     broadcast against them.  One signed gather per ladder with a nonzero
     weight, so no ``(..., m, n)`` temporary is formed.  Given the image's
     form ``parity``, the weights of its entries and the rows of the other
-    parity (each ladder flips it) are in half coordinates (``_half_ladder_sources``)."""
+    parity (each ladder flips it) are in half coordinates (``_half_ladder_sources``).
+    Given ``factors`` ``(..., m)``, the weights are ``factors[..., j, None]
+    * weights[j]`` for one ``(m, n)`` table, formed one ladder at a time, so
+    that no ``(..., m, n)`` stack of them is formed either."""
     m, n = weights.shape[-2:]
     source = _ladder_tables(m)[0] if parity is None else _half_ladder_sources(m)[parity]
-    used = np.flatnonzero(weights.reshape(-1, m, n).any(axis=(0, 2)))
+    live = weights.reshape(-1, m, n).any(axis=(0, 2))
+    lead = weights.shape[:-2]
+    if factors is not None:
+        live &= factors.reshape(-1, m).any(axis=0)
+        lead = factors.shape[:-1]
+    used = np.flatnonzero(live)
     if not used.size:
-        return np.zeros(np.broadcast_shapes(weights.shape[:-2] + (n,), rows.shape), dtype=complex)
-    first, *rest = used
-    out = weights[..., first, :] * rows[..., source[first]]
-    for j in rest:
-        out += weights[..., j, :] * rows[..., source[j]]
+        return np.zeros(np.broadcast_shapes(lead + (n,), rows.shape), dtype=complex)
+
+    out = None
+    for j in used:
+        term = (weights[..., j, :] if factors is None else factors[..., j, None] * weights[j]) * rows[..., source[j]]
+        if out is None:
+            out = term
+        else:
+            out += term
     return out
 
 

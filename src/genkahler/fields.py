@@ -262,13 +262,14 @@ def derivative_rows(freqs: np.ndarray, rows: np.ndarray, parity: int | None = No
     """Exterior derivative of stacked coefficients: ``i sum_j k_j dx_j ^ v``
     for every row ``v`` of ``rows`` and ``k`` the matching row of the
     ``(S, m)`` frequency matrix ``freqs``, as m signed gathers per row,
-    weighted by ``i k`` and the wedge signs.  Given the form ``parity`` of
-    the rows, they and the image are half rows (``clifford._ladder_gather``),
-    the image on the other parity."""
+    weighted by ``i k`` and the wedge signs, one ladder's ``(S, n)`` weights
+    at a time (``clifford._ladder_gather``).  Given the form ``parity`` of
+    the rows, they and the image are half rows, the image on the other
+    parity."""
     signs = _ladder_tables(freqs.shape[1])[1][1]
     if parity is None:
-        return _ladder_gather(1j * freqs[:, :, None] * signs, rows)
-    return _ladder_gather(1j * freqs[:, :, None] * signs[:, _parity_rows(freqs.shape[1])[1 - parity]], rows, 1 - parity)
+        return _ladder_gather(signs, rows, factors=1j * freqs)
+    return _ladder_gather(signs[:, _parity_rows(freqs.shape[1])[1 - parity]], rows, 1 - parity, 1j * freqs)
 
 
 def twisted_derivative(phi: FourierField, h: np.ndarray | None = None) -> FourierField:

@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from genkahler.clifford import _ladder_gather, _ladder_weights, _parity_rows
+from genkahler.clifford import _ladder_gather, _ladder_weights, _parity_dense
 from genkahler.clifford import clifford_matrices, pairing_matrix, spinor_dim, wedge_matrices
 from genkahler.fields import derivative_rows
 from genkahler.structures import HermitianPair
@@ -268,25 +268,30 @@ class BlockOperator:
 # inner product and adjoints
 
 
-def l2_gram(pair: HermitianPair) -> np.ndarray:
-    """Gram matrix ``A`` with ``h(f, g) = g^H A f`` per frequency.
+def l2_gram(pair: HermitianPair) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix ``A`` with ``h(f, g) = g^H A f`` per frequency, as its
+    blocks on the forms of each parity (``clifford._parity_rows``): ``A``
+    keeps form parity and is zero off them.
 
-    Real, symmetric and positive definite; raises ``ValueError`` otherwise
-    (that signals an inner-product construction bug, not bad user data).
+    Each block is real, symmetric and positive definite; raises
+    ``ValueError`` otherwise (that signals an inner-product construction
+    bug, not bad user data).
     """
-    # the pair forms ``+-(C star)^T`` once: its star is taken in its own
-    # orientation, and -1 negates one frame vector and with it the star
-    A = pair.star_gram
-    if np.linalg.norm(A.imag) > 1e-12 * np.linalg.norm(A.real):
-        raise ValueError("Gram matrix is not real")
-    A = A.real
-    if np.linalg.norm(A - A.T) > 1e-10 * np.linalg.norm(A):
-        raise ValueError("Gram matrix is not symmetric")
-    try:
-        np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Gram matrix is singular or indefinite") from exc
-    return A
+    # the pair forms the blocks of ``+-(C star)^T`` once: its star is taken in
+    # its own orientation, and -1 negates one frame vector and with it the star
+    out = []
+    for A in pair.star_gram:
+        if np.linalg.norm(A.imag) > 1e-12 * np.linalg.norm(A.real):
+            raise ValueError("Gram matrix is not real")
+        A = np.ascontiguousarray(A.real)
+        if np.linalg.norm(A - A.T) > 1e-10 * np.linalg.norm(A):
+            raise ValueError("Gram matrix is not symmetric")
+        try:
+            np.linalg.cholesky(A)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("Gram matrix is singular or indefinite") from exc
+        out.append(A)
+    return tuple(out)
 
 
 def l2_norm(f: np.ndarray, gram: np.ndarray) -> float:
@@ -391,24 +396,27 @@ class TorusBackground:
     ``H = 0`` (Gualtieri, CMP 331 (2014)).  Fields are ``(S, 2**(m-1))``
     half rows over the support on the forms of one parity
     (``clifford._parity_rows``), passed beside them; ``d`` and the four
-    components flip it.  ``norm`` uses the Gram's block on the parity (the
-    Gram keeps parity), ``apply`` and ``differentiate`` are half-coordinate
-    ladder gathers, with the components' weights (from ``i pi_s k``) cached
-    per image parity, and the Green operator is one scalar per row.  The
-    coefficient operators of ``d`` and the components are built on first use.
+    components flip it.  ``norm`` uses the Gram's block on the parity
+    (``l2_gram``), ``apply`` and ``differentiate`` are half-coordinate
+    ladder gathers, with each component's weights (from ``i pi_s k``) built
+    for one image parity on its first use there, and the Green operator is
+    one scalar per row.  The dense ``gram`` and the coefficient operators of
+    ``d`` and the components are built only when asked for.
     """
 
     def __init__(self, pair: HermitianPair, support):
         self.pair = pair
         self.support = Support(support)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        return l2_gram(self.pair)
+        # (component name, image parity) -> ladder gather weights (S, m, n / 2)
+        self._component_weights: dict[tuple[str, int], np.ndarray] = {}
 
     @cached_property
     def _gram_blocks(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.ascontiguousarray(self.gram[r[:, None], r]) for r in _parity_rows(self.pair.m))
+        return l2_gram(self.pair)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return _parity_dense(self._gram_blocks)
 
     @cached_property
     def derivative(self) -> BlockOperator:
@@ -421,22 +429,19 @@ class TorusBackground:
             for name, shift in DELTA_SHIFTS.items()
         }
 
-    @cached_property
-    def _component_weights(self) -> dict[str, tuple[np.ndarray, ...]]:
-        """Ladder gather weights ``(S, m, n / 2)`` of each component per
-        image parity, whose block at ``k`` is the Clifford action of ``i pi_s k``."""
-        kappa = 1j * self.support.frequencies
-        return {
-            name: tuple(_ladder_weights(kappa @ _sector_covectors(self.pair, shift).T, e) for e in (0, 1))
-            for name, shift in DELTA_SHIFTS.items()
-        }
-
     def apply(self, name: str, rows: np.ndarray, parity: int) -> np.ndarray:
         """The component ``name`` on a field of form parity ``parity``, one
-        gather-and-sum over the 2m Clifford ladders onto the other parity."""
+        gather-and-sum over the 2m Clifford ladders onto the other parity,
+        whose block at ``k`` is the Clifford action of ``i pi_s k``."""
         if np.shape(rows) != (len(self.support), spinor_dim(self.pair.m) // 2):
             raise ValueError(f"packed field of shape {np.shape(rows)} does not match the background's half rows")
-        return _ladder_gather(self._component_weights[name][1 - parity], rows, 1 - parity)
+        image = 1 - parity
+        weights = self._component_weights.get((name, image))
+        if weights is None:
+            covectors = _sector_covectors(self.pair, DELTA_SHIFTS[name])
+            weights = _ladder_weights(1j * self.support.frequencies @ covectors.T, image)
+            self._component_weights[name, image] = weights
+        return _ladder_gather(weights, rows, image)
 
     @cached_property
     def green(self) -> np.ndarray:

@@ -185,20 +185,23 @@ class SeriesSoField:
     def jet(self, t: float, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values ``(N, 2m, 2m)`` at the points and partial derivatives in the
         torus directions ``(m, N, 2m, 2m)``: per order, one phase matrix
-        ``exp(i <k, x>)`` and its products, alone and times ``i k_d``, with
-        the stacked matrices.  The products are formed one direction at a
-        time, so the largest temporary is ``(N, 2m, 2m)``, not the size of
-        the gradients."""
+        ``exp(i <k, x>)`` and one product of its rows, alone and times each
+        ``i k_d`` and stacked, with the stacked matrices.  The points go in
+        chunks of at most ``_JET_PRODUCT_ENTRIES`` product entries, so the
+        largest temporary stays far below the size of the gradients."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         values = np.zeros((len(points), self.value_dim, self.value_dim), dtype=complex)
         grads = np.zeros((self.torus_dim, *values.shape), dtype=complex)
+        chunk = max(1, _JET_PRODUCT_ENTRIES // ((self.torus_dim + 1) * self.value_dim**2))
         for j, stack in enumerate(self.stacks):
             if stack is not None:
                 k = np.array(stack[0], dtype=float)
                 phase = np.exp(1j * points @ k.T)
-                values += t**j * np.tensordot(phase, stack[1], 1)
-                for d in range(self.torus_dim):
-                    grads[d] += t**j * np.tensordot(1j * k[:, d] * phase, stack[1], 1)
+                for part in (slice(lo, lo + chunk) for lo in range(0, len(points), chunk)):
+                    rows = np.concatenate([phase[None, part], (1j * k.T)[:, None] * phase[part]])
+                    prod = np.tensordot(rows, stack[1], 1)
+                    values[part] += t**j * prod[0]
+                    grads[:, part] += t**j * prod[1:]
         return values, grads
 
     def spin_stacks(self, parity: int) -> list[_Stack | None]:
@@ -425,10 +428,14 @@ def _widen(rows: np.ndarray, parity: int) -> np.ndarray:
     return out
 
 
-def _series_support(factors: list[SeriesSoField], seed: FourierField, order_cap: int) -> Support:
-    """Frequencies of every coefficient of the factors applied to the seed up
-    to the cap: the seed's frequencies shifted by the factors' closure."""
-    reach = support_closure([p for f in factors for p in f.weighted_support()], order_cap, seed.torus_dim)
+def _reach(factors: list[SeriesSoField], order_cap: int) -> Support:
+    """The closure (``support_closure``) of the factors' weighted supports."""
+    return support_closure([p for f in factors for p in f.weighted_support()], order_cap, factors[0].torus_dim)
+
+
+def _series_support(reach: Support, seed: FourierField) -> Support:
+    """Frequencies of every coefficient of factors applied to the seed up to
+    the cap: the seed's frequencies shifted by the factors' closure ``reach``."""
     return Support(_shifted_rows(reach.table, seed.support() or [(0,) * seed.torus_dim]))
 
 
@@ -438,14 +445,15 @@ def _spinor_fields(support: Support, columns: list, parity: int) -> list[Fourier
     return [support.unpack(c if c is None else _widen(c, parity), FourierField, m, spinor_dim(m)) for c in columns]
 
 
-def _seeded_series(a, b, psi, order_cap: int) -> tuple[list[SeriesSoField], Support, int, list]:
+def _seeded_series(a, b, psi, order_cap: int, reach: Support | None = None) -> tuple[list[SeriesSoField], Support, int, list]:
     """The factors of ``a`` then ``b``, the support of ``exp(a_t) exp(b_t) psi``
-    up to the cap, the seed's form parity and the packed half-row columns."""
+    up to the cap (from their closure ``reach``, formed when not given), the
+    seed's form parity and the packed half-row columns."""
     factors = _factor_list(a) + _factor_list(b)
     if not factors:
         raise ValueError("need at least one series family")
     seed = _seed_field(factors[0].torus_dim, psi)
-    support = _series_support(factors, seed, order_cap)
+    support = _series_support(_reach(factors, order_cap) if reach is None else reach, seed)
     rows = support.pack(seed)
     parity = _seed_parity(rows)
     engine = _SeriesExp(support, [f.spin_stacks(parity) for f in factors], [_half(rows, parity)], order_cap, parity)
@@ -469,7 +477,7 @@ def series_exp_action(a, b, psi, order_cap: int) -> list[FourierField]:
 # frequency bookkeeping
 
 
-def support_closure(weighted, order_cap: int, torus_dim: int) -> Support:
+def support_closure(weighted, order_cap: int, torus_dim: int, limit: int | None = None) -> Support:
     """The :class:`~genkahler.hodge.Support` of the sums of ``(weight,
     frequency)`` steps of total weight at most the cap, such as a family's
     ``weighted_support``; steps of weight below 1 are ignored.
@@ -477,7 +485,10 @@ def support_closure(weighted, order_cap: int, torus_dim: int) -> Support:
     ``reach[c]``, the sums of weight at most c, is the ``Support`` of
     ``reach[c - 1]`` and every ``reach[c - w] + k`` (``hodge._shifted_rows``,
     which raises on a sum outside int64), from the zero frequency.  The
-    result bounds the support of every series term up to the cap.
+    result bounds the support of every series term up to the cap.  Given a
+    ``limit``, a ``reach[c]`` of more frequencies raises ``ValueError``
+    naming its size before ``reach[c + 1]`` is formed, so sizing a support
+    far above the limit costs little.
     """
     steps: dict[int, list] = {}
     for w, k in weighted:
@@ -487,6 +498,11 @@ def support_closure(weighted, order_cap: int, torus_dim: int) -> Support:
     for c in range(1, order_cap + 1):
         moved = [_shifted_rows(reach[c - w].table, ks) for w, ks in steps.items() if w <= c]
         reach.append(Support(np.concatenate([reach[c - 1].table, *moved])))
+        if limit is not None and len(reach[c]) > limit:
+            raise ValueError(
+                f"the frequency support reaches {len(reach[c])} frequencies at order {c} of {order_cap}, "
+                f"above the limit of {limit}"
+            )
     return reach[-1]
 
 
@@ -494,7 +510,7 @@ def support_closure(weighted, order_cap: int, torus_dim: int) -> Support:
 # integrability of the deformed first structure
 
 
-def first_structure_defects(a, pair: HermitianPair, order_cap: int) -> list[float]:
+def first_structure_defects(a, pair: HermitianPair, order_cap: int, reach: Support | None = None) -> list[float]:
     """Per-order norm of the part of ``exp(-a) d exp(a) gen`` outside the
     level just below the top of the first structure's grading.
 
@@ -503,8 +519,10 @@ def first_structure_defects(a, pair: HermitianPair, order_cap: int) -> list[floa
     factors act again left to right with negated spin terms.  A nonzero
     value at order j means the deformed first structure fails to be
     integrable at that order, which breaks the induction hypothesis.
+    ``reach``, the closure of the factors' supports, is formed when not
+    given.
     """
-    factors, support, parity, moved = _seeded_series(a, None, pair.canonical_generator(1), order_cap)
+    factors, support, parity, moved = _seeded_series(a, None, pair.canonical_generator(1), order_cap, reach)
     background = TorusBackground(pair, support)
     derivs = [None if c is None else background.differentiate(c, parity) for c in moved]
     inverse = [[None if x is None else (x[0], -x[1]) for x in f.spin_stacks(1 - parity)] for f in reversed(factors)]
@@ -791,7 +809,8 @@ def run_deformation(
         raise ValueError("need at least one deformation family")
     torus_dim = pair.m
     seed = _seed_field(torus_dim, psi if psi is not None else pair.canonical_generator(2))
-    support = _series_support(factors, seed, order_cap)
+    reach = _reach(factors, order_cap)
+    support = _series_support(reach, seed)
     background = TorusBackground(pair, support)
     seed_rows = support.pack(seed)
     parity = _seed_parity(seed_rows)
@@ -806,7 +825,7 @@ def run_deformation(
 
     # the defects measure the transported generator of the first structure,
     # so they scale with it and not with the seed
-    defects = first_structure_defects(factors, pair, order_cap)
+    defects = first_structure_defects(factors, pair, order_cap, reach)
     gen_norm = float(np.linalg.norm(pair.canonical_generator(1)))
     for j, d in enumerate(defects):
         if _exceeds(d, tol_checks * gen_norm):
@@ -899,6 +918,10 @@ _JET_TERM_CAP = 40
 # family could run for days.  One exact-b-field mode at |k| = 64 verified at
 # t = 1 over 16 points takes 18,567 steps (at most 1,177 for one point).
 _JET_STEP_BUDGET = 200_000
+
+# Entries of one stacked product of ``SeriesSoField.jet``, (m + 1) (2m)^2 per
+# point: 28 points at m = 8, 65 at m = 6 and 204 at m = 4.
+_JET_PRODUCT_ENTRIES = 1 << 16
 
 # Dense exponent entries one chunk of verification points holds, (2^(m-1))^2
 # per point on one parity block: 64 points at m = 4, 4 at m = 6 and 1 at m = 8.
@@ -1084,17 +1107,19 @@ def conjugated_structure_series(generator: FourierOperatorField, J: np.ndarray, 
     return structure_series_of_family(SeriesSoField._packed(m, [None, _term_stack(m, generator)]), J, order_cap)
 
 
-def structure_series_of_family(a, J: np.ndarray, order_cap: int) -> list[FourierOperatorField]:
+def structure_series_of_family(a, J: np.ndarray, order_cap: int, support: Support | None = None) -> list[FourierOperatorField]:
     """Coefficients of ``exp(a_t) J exp(-a_t)`` for a series family.
 
     Each factor, right to left, acts on the structure series by the series
-    exponential of its bracket ``[x, y] = x y - y x``.
+    exponential of its bracket ``[x, y] = x y - y x``, over the closure of
+    the factors' supports (``support``, formed when not given).
     """
     factors = _factor_list(a)
     if not factors:
         raise ValueError("need at least one series family")
     torus_dim = factors[0].torus_dim
-    support = support_closure([p for f in factors for p in f.weighted_support()], order_cap, torus_dim)
+    if support is None:
+        support = _reach(factors, order_cap)
     source = support.pack(FourierOperatorField.constant(torus_dim, J))
     columns = _SeriesExp(support, [f.stacks for f in factors], [source], order_cap, None).fill_all()
     return [support.unpack(c, FourierOperatorField, torus_dim, source.shape[-1]) for c in columns]
@@ -1105,7 +1130,9 @@ def commutant_part(J: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return 0.5 * (alpha - J @ alpha @ J)
 
 
-def extract_transverse_family(J: np.ndarray, target: list[FourierOperatorField], order_cap: int) -> SeriesSoField:
+def extract_transverse_family(
+    J: np.ndarray, target: list[FourierOperatorField], order_cap: int, support: Support | None = None
+) -> SeriesSoField:
     """Exponents anticommuting with ``J`` that reproduce a structure series.
 
     ``target[j]`` are the coefficients of a conjugated-structure family with
@@ -1114,11 +1141,15 @@ def extract_transverse_family(J: np.ndarray, target: list[FourierOperatorField],
     requires ``D_j`` to anticommute with ``J``; a commutant component above
     1e-8 of ``max(1, ||D_j||)`` means the input series is not such a family
     and raises, and so does an exponent outside so(m,m) at that tolerance.
+    The work is over ``support``, which must hold the closure of the
+    target's supports (formed when not given); a larger one, such as the
+    support the target was computed over, gives the same family.
     """
     J = np.asarray(J, dtype=float)
     torus_dim = target[0].torus_dim
-    weighted = [(j, k) for j in range(1, order_cap + 1) for k in target[j].coeffs]
-    support = support_closure(weighted, order_cap, torus_dim)
+    if support is None:
+        weighted = [(j, k) for j in range(1, order_cap + 1) for k in target[j].coeffs]
+        support = support_closure(weighted, order_cap, torus_dim)
     source = support.pack(FourierOperatorField.constant(torus_dim, J))
     # the series exp(a_t) J exp(-a_t) is carried forward: column j is built
     # with a_j = 0, and a_j then adds its order-j correction [a_j, J]

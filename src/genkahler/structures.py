@@ -15,10 +15,12 @@ import numpy as np
 
 from genkahler.clifford import (
     _check_m,
+    _chevalley_signs,
+    _half_index,
     _ladder_gather,
     _ladder_weights,
+    _parity_dense,
     _parity_rows,
-    chevalley_gram,
     pairing_matrix,
     spinor_dim,
 )
@@ -108,19 +110,27 @@ def symplectic_gcs(omega: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clifford_product(frame: np.ndarray) -> np.ndarray:
-    """``cl(f_1) @ cl(f_2) @ ... @ cl(f_k)`` over the columns of ``frame``.
+def _clifford_product_blocks(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cl(f_1) @ cl(f_2) @ ... @ cl(f_k)`` over the columns of ``frame``, as
+    its blocks on the rows of each form parity p, whose columns have parity
+    ``p + k`` (``clifford._parity_dense``); it is zero off them.
 
     The factors multiply the identity from the right, left one first.  The
     contraction and the wedge by one coordinate are each other's transpose,
     so the rows of ``X cl(v)`` are ``cl(v') X[r]`` with the halves of ``v``
-    swapped in ``v'``; a diagonal metric's frame uses one ladder per factor.
+    swapped in ``v'``, one signed gather per ladder; a diagonal metric's
+    frame uses one ladder per factor.  Each factor flips the parity of the
+    columns a row reaches, so row h of one half-height array holds the
+    rows ``rows[0][h]`` and ``rows[1][h]`` of the product on columns of
+    opposite parity, and one gather per ladder acts on both blocks.
     """
     m = frame.shape[0] // 2
-    out = np.eye(spinor_dim(m), dtype=complex)
+    rows = _parity_rows(m)
+    out = (np.arange(len(rows[0]))[:, None] == _half_index(m)).astype(complex)
     for weights in _ladder_weights(np.roll(frame, m, axis=0).T):
         out = _ladder_gather(weights, out)
-    return out
+    k = frame.shape[1]
+    return out[:, rows[k % 2]], out[:, rows[(k + 1) % 2]]
 
 
 def _pure_spinor(L: np.ndarray) -> np.ndarray:
@@ -163,10 +173,8 @@ def _gram_inverse(V: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return H - E @ H
 
 
-def _word_basis(
-    L: np.ndarray, Lbar: np.ndarray, steps, top, gram: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """The Clifford words on a pure spinor, their inverse, labels and blocks.
+def _word_basis(L: np.ndarray, Lbar: np.ndarray, steps, top, gram: tuple | None = None) -> tuple[np.ndarray, list]:
+    """The Clifford words on a pure spinor, their labels and their blocks.
 
     ``L`` frames (columns) a maximal isotropic subspace, ``Lbar`` a
     complement.  The words ``cl(lbar_I) rho`` on the pure spinor of ``L``
@@ -174,34 +182,46 @@ def _word_basis(
     columns), the word of ``I`` labelled ``top + sum_{i in I} steps[i]``;
     label ``s`` projects by ``V[:, s] V^-1[s]``.  ``rho`` has one form
     parity and each letter flips it, so ``V`` is exactly zero off two
-    blocks, listed as ``(rows, words, V block, V^-1 block)``, and ``V^-1``
-    is formed per block.  Given a ``gram`` A for which the words are
-    orthogonal, that is ``(V^H A V)^-1 V^H A`` (``_gram_inverse``).  A plain
-    ``inv(V)`` loses idempotency to about 1e-13 of the size of the pieces at
-    m = 8 (3.5e-10 absolute on a random pair), the Gram route keeps it near
-    1e-15.
+    blocks and is held as them: per form parity of the rows, ``(rows,
+    words, V block, V^-1 block)``, with ``V^-1`` formed per block.  The
+    words are built at half height: the words of ``I`` and ``I + {0}`` have
+    opposite parities and share one row of the ``(2**(m-1), 2**m)`` array
+    that each further letter gathers.  Given the blocks ``gram`` of a Gram
+    matrix A for which the words are orthogonal, ``V^-1`` is ``(V^H A
+    V)^-1 V^H A`` (``_gram_inverse``).  A plain ``inv(V)`` loses
+    idempotency to about 1e-13 of the size of the pieces at m = 8 (3.5e-10
+    absolute on a random pair), the Gram route keeps it near 1e-15.
     """
     rho = _pure_spinor(L)
     # an exact quarter turn brings the largest entry within 45 degrees of the
     # positive real axis, so the phase of the words hangs little on the column
     rho = rho * 1j ** -round(float(np.angle(rho[np.argmax(np.abs(rho))])) / (np.pi / 2))
-    V, labels = rho[:, None], np.array([top])
-    for weights, step in zip(_ladder_weights(Lbar.T), steps):
-        V, labels = np.hstack([V, _ladder_gather(weights, V.T).T]), np.concatenate([labels, labels + step])
-    V /= np.linalg.norm(V, axis=0)
     rows = _parity_rows(L.shape[0] // 2)
     odd = int(np.abs(rho[rows[1]]).max() > 0)
-    V_inv = np.zeros_like(V)
-    blocks = []
-    for r, w in zip(rows, rows[odd:] + rows[:odd]):
-        Vb = V[r[:, None], w]
-        V_inv[w[:, None], r] = Xb = np.linalg.inv(Vb) if gram is None else _gram_inverse(Vb, gram[r[:, None], r])
-        blocks.append((r, w, Vb, Xb))
-    return V, V_inv, labels, blocks
+    first, *rest = _ladder_weights(Lbar.T)
+    # the first letter's word fills the other parity of rho's row
+    words = rho[None].copy()
+    words[0, rows[1 - odd]] = _ladder_gather(first, rho)[rows[1 - odd]]
+    labels = np.array([top, np.add(top, steps[0])])
+    for weights, step in zip(rest, steps[1:]):
+        words, labels = np.vstack([words, _ladder_gather(weights, words)]), np.concatenate([labels, labels + step])
+    # per row parity p, the block (rows, words): words[i // 2] holds word i
+    pairs = list(zip(rows, rows[odd:] + rows[:odd]))
+    V = words[np.array([w // 2 for _, w in pairs])[:, None], np.array(rows)[:, :, None]]
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    return labels, [
+        (r, w, Vb, np.linalg.inv(Vb) if gram is None else _gram_inverse(Vb, gram[p]))
+        for p, ((r, w), Vb) in enumerate(zip(pairs, V))
+    ]
 
 
-def _label_projectors(V: np.ndarray, V_inv: np.ndarray, labels: np.ndarray) -> dict:
-    """``V[:, s] V^-1[s]`` for every label ``s`` of a word basis."""
+def _label_projectors(labels: np.ndarray, blocks: list) -> dict:
+    """``V[:, s] V^-1[s]`` for every label ``s`` of a word basis, on the
+    dense ``V`` and ``V^-1`` assembled from its blocks."""
+    n = len(labels)
+    V, V_inv = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    for r, w, Vb, Xb in blocks:
+        V[r[:, None], w], V_inv[w[:, None], r] = Vb, Xb
     out = {}
     for label in sorted(set(map(tuple, labels.tolist()))):
         cols = (labels == label).all(axis=1)
@@ -221,7 +241,7 @@ def iso_projectors(J: np.ndarray) -> dict[int, np.ndarray]:
     m = L.shape[1]
     if m % 2:
         raise ValueError("the eigenlevel grading needs an even dimension")
-    levels = _label_projectors(*_word_basis(L, L.conj(), [(-1,)] * m, (m // 2,))[:3])
+    levels = _label_projectors(*_word_basis(L, L.conj(), [(-1,)] * m, (m // 2,)))
     return {k: P for (k,), P in levels.items()}
 
 
@@ -312,6 +332,17 @@ def _metric_frame(metric: np.ndarray, b_field: np.ndarray | None, orientation: i
     return np.vstack([X, (g - b) @ X])
 
 
+def _star_blocks(
+    metric: np.ndarray,
+    b_field: np.ndarray | None = None,
+    orientation: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of ``hodge_star`` on the rows of each form parity p, whose
+    columns have parity ``p + m``: minus those of ``_clifford_product_blocks``."""
+    F = _metric_frame(metric, b_field, orientation)
+    return tuple(-block for block in _clifford_product_blocks(F[:, ::-1]))
+
+
 def hodge_star(
     metric: np.ndarray,
     b_field: np.ndarray | None = None,
@@ -321,10 +352,12 @@ def hodge_star(
 
     Minus the Clifford product of a pairing-orthonormal frame of the +1
     eigenspace of the generalized metric, first frame vector acting first.
-    The result only depends on the frame through its orientation.
+    The result only depends on the frame through its orientation.  It maps
+    each form parity p to ``p + m`` and is assembled from its two blocks
+    (``_star_blocks``).
     """
-    F = _metric_frame(metric, b_field, orientation)
-    return -_clifford_product(F[:, ::-1])
+    blocks = _star_blocks(metric, b_field, orientation)
+    return _parity_dense(blocks, np.shape(metric)[0] % 2)
 
 
 def _complex_orientation_sign(j: np.ndarray) -> int:
@@ -355,13 +388,17 @@ class HermitianPair:
     The constructor validates every defining identity and the compatibility
     of the induced star operator with the two spin-volume elements; it raises
     ``ValueError`` when any of them fails.
-    The bigrading is kept as one word basis (``_word_basis``): the words
-    ``V``, their inverse, one ``(p, q)`` label per word and the (rows,
-    words) index pairs of its two parity blocks.  ``project`` applies a
-    label's or a level's projector to rows of one form parity and ``shift_parts`` takes the
-    parts of an operator that shift every label by one amount, both through
-    the basis; the dense projectors (``bigrading``, ``proj1``,
-    ``proj2``) are formed only when asked for.
+    Every ``2**m``-sized operator the pair holds keeps form parity, so it
+    holds each as its two ``(2**(m-1), 2**(m-1))`` blocks on the forms of
+    one parity (``clifford._parity_rows``): the star, ``star_gram`` (the L2
+    Gram matrix ``+-(C star)^T``) and the bigrading's word basis
+    (``_word_basis``), kept as one ``(p, q)`` label per word and, per row
+    parity, ``(rows, words, V block, V^-1 block)`` in ``_blocks``; 2.1 MB at
+    m = 8.  ``project`` applies a label's or a level's projector to rows of
+    one form parity and ``shift_parts`` takes the parts of an operator that
+    shift every label by one amount, both through the blocks.  The dense
+    ``star``, ``bigrading``, ``proj1`` and ``proj2`` are assembled from the
+    blocks only when asked for.
     """
 
     def __init__(self, J1: np.ndarray, J2: np.ndarray):
@@ -408,33 +445,36 @@ class HermitianPair:
 
     def _check_star(self) -> None:
         """Star, its Gram matrix, the word basis, and the star against the
-        product of the spin volume elements, ``V diag(i^{p+q}) V^-1``."""
+        product of the spin volume elements, ``V diag(i^{p+q}) V^-1``,
+        block by block."""
         F = _metric_frame(self.metric, self.b_field, 1)
         j_plus = F.T @ pairing_matrix(self.m) @ self.J1 @ F
         if np.linalg.norm(j_plus @ j_plus + np.eye(self.m)) > 1e-8:
             raise ValueError("first structure does not restrict to the +1 eigenspace")
         self.orientation = _complex_orientation_sign(j_plus.real)
-        self.star = hodge_star(self.metric, self.b_field, self.orientation)
-        # C couples each subset I only with its complement n - 1 - I, so C star
-        # is a signed row gather; the orientation sign is that of hodge.l2_gram
-        signs = chevalley_gram(self.m)[:, ::-1].diagonal()
-        self.star_gram = (signs[:, None] * (self.orientation * self.star)[::-1]).T
+        self._star = _star_blocks(self.metric, self.b_field, self.orientation)
+        # C couples each subset I only with its complement n - 1 - I, which
+        # has I's parity and reverses the order within it, so each block of C
+        # star is a signed row gather; the orientation sign is that of hodge.l2_gram
+        signs = _chevalley_signs(self.m)
+        self.star_gram = tuple(
+            np.ascontiguousarray((signs[r][:, None] * (self.orientation * S)[::-1]).T)
+            for r, S in zip(_parity_rows(self.m), self._star)
+        )
         n = self.n
         L = np.hstack([self.sector_frame(True, True), self.sector_frame(False, True)])
         Lbar = np.hstack([self.sector_frame(True, False), self.sector_frame(False, False)])
-        self._V, self._V_inv, self._labels, blocks = _word_basis(
-            L, Lbar, [(-1, -1)] * n + [(-1, 1)] * n, (n, 0), self.star_gram
-        )
-        self._blocks = [(r, w) for r, w, *_ in blocks]  # the index pairs alone: V and V^-1 hold the blocks
-        # per parity block; the star's off-parity blocks, zero for a product
-        # of an even number of vectors, enter the residual as they are
+        self._labels, self._blocks = _word_basis(L, Lbar, [(-1, -1)] * n + [(-1, 1)] * n, (n, 0), self.star_gram)
         turns = _QUARTER_TURNS[self._labels.sum(axis=1) % 4]
-        diff = self.star.copy()
-        for r, w, Vb, Xb in blocks:
-            diff[r[:, None], r] += (Vb * turns[w]) @ Xb
-        res = np.linalg.norm(diff)
-        if not res <= 1e-8 * np.linalg.norm(self.star):
+        diffs = [S + (Vb * turns[w]) @ Xb for S, (r, w, Vb, Xb) in zip(self._star, self._blocks)]
+        res = np.linalg.norm(diffs)
+        if not res <= 1e-8 * np.linalg.norm(self._star):
             raise ValueError(f"star does not match the spin volume elements (residual {res:.3e})")
+
+    @cached_property
+    def star(self) -> np.ndarray:
+        """The dense star, assembled from its blocks."""
+        return _parity_dense(self._star)
 
     def _words(self, p: int | None, q: int | None) -> np.ndarray:
         """Mask of the words labelled ``(p, q)``; an omitted index matches any."""
@@ -451,9 +491,9 @@ class HermitianPair:
         ``parity`` (``clifford._parity_rows``): every word has one parity,
         so ``P`` keeps it, and the two thin products run through the
         parity's block of the word basis."""
-        r, w = self._blocks[parity]
-        s = w[self._words(p, q)[w]]
-        return (rows @ self._V_inv[s[:, None], r].T) @ self._V[r[:, None], s].T
+        _, w, Vb, Xb = self._blocks[parity]
+        s = self._words(p, q)[w]
+        return (rows @ Xb[s].T) @ Vb[:, s].T
 
     def shift_parts(self, op: np.ndarray, shifts) -> dict[tuple[int, int], np.ndarray]:
         """``sum_{(p,q)} P_{p+dp,q+dq} op P_{pq}`` for every ``shift = (dp,
@@ -463,13 +503,12 @@ class HermitianPair:
         ``op`` between two parity blocks transformed once and each part
         formed by two products."""
         out = {tuple(shift): np.zeros(op.shape, dtype=complex) for shift in shifts}
-        for r, w in self._blocks:
-            for s, u in self._blocks:
+        for r, w, Vr, Xr in self._blocks:
+            for s, u, Vs, Xs in self._blocks:
                 block = op[r[:, None], s]
                 if not block.any():
                     continue
-                Vr, Xs = self._V[r[:, None], w], self._V_inv[u[:, None], s]
-                words = self._V_inv[w[:, None], r] @ block @ self._V[s[:, None], u]
+                words = Xr @ block @ Vs
                 steps = self._labels[w][:, None] - self._labels[u][None]
                 for shift, part in out.items():
                     moves = (steps == shift).all(axis=-1)
@@ -488,10 +527,10 @@ class HermitianPair:
         ``a`` and ``b`` letters from their frames span ``U^{n-a-b, b-a}``.
         These are orthogonal for the pair's L2 Gram matrix ``star_gram``.
         """
-        return _label_projectors(self._V, self._V_inv, self._labels)
+        return _label_projectors(self._labels, self._blocks)
 
     def _levels(self, axis: int) -> dict[int, np.ndarray]:
-        levels = _label_projectors(self._V, self._V_inv, self._labels[:, [axis]])
+        levels = _label_projectors(self._labels[:, [axis]], self._blocks)
         return {k: P for (k,), P in levels.items()}
 
     @cached_property
@@ -520,8 +559,12 @@ class HermitianPair:
         """Generator of the top eigenlevel line of structure ``which``: the
         one word labelled (n, 0) or (0, n), over its first largest entry
         (``_over_first_largest``), so no projector is formed."""
-        (word,) = self._V.T[self._words(None, self.n) if which == 2 else self._words(self.n, None)]
-        return _over_first_largest(word)
+        (word,) = np.flatnonzero(self._words(None, self.n) if which == 2 else self._words(self.n, None))
+        out = np.zeros(spinor_dim(self.m), dtype=complex)
+        for r, w, Vb, _ in self._blocks:
+            if word in w:
+                out[r] = Vb[:, np.searchsorted(w, word)]
+        return _over_first_largest(out)
 
 
 def standard_kahler_pair(m: int) -> HermitianPair:

@@ -368,7 +368,7 @@ def dict_pack(support, field):
 
 def l2_inner(f, g, gram):
     """Hermitian inner product of two fields packed over one support,
-    conjugate-linear in the second argument; ``gram`` is ``hodge.l2_gram``."""
+    conjugate-linear in the second argument; ``gram`` is ``dense_gram``."""
     return complex(np.vdot(g, f @ gram.T))
 
 
@@ -417,7 +417,7 @@ def dense_splitting_residuals(pair):
     D = gh.derivative_operator(m, support)
     scale = D.coeff_norm()
     ops = {name: gh.component_operator(shift, pair, support) for name, shift in gh.DELTA_SHIFTS.items()}
-    gram = gh.l2_gram(pair)
+    gram = dense_gram(pair)
 
     def residual(op, scale_here):
         return op.coeff_norm() / max(scale_here, 1e-300)
@@ -474,6 +474,33 @@ def dense_pure_spinor(L):
     return M[:, np.argmax(np.linalg.norm(M, axis=0))]
 
 
+def clifford_product(frame):
+    """``cl(f_1) @ ... @ cl(f_k)`` over the columns of ``frame`` at full
+    width: the identity's rows gathered by one signed ladder gather per
+    factor's ladder, left factor first, the rows of ``X cl(v)`` being
+    ``cl(v') X[r]`` with the halves of ``v`` swapped in ``v'``."""
+    m = frame.shape[0] // 2
+    out = np.eye(cl.spinor_dim(m), dtype=complex)
+    for weights in cl._ladder_weights(np.roll(frame, m, axis=0).T):
+        out = cl._ladder_gather(weights, out)
+    return out
+
+
+def dense_words(pair):
+    """The word basis ``V`` and its inverse ``V^-1`` of a pair as dense
+    ``(2**m, 2**m)`` matrices, from the blocks the pair holds."""
+    n = cl.spinor_dim(pair.m)
+    V, V_inv = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+    for r, w, Vb, Xb in pair._blocks:
+        V[r[:, None], w], V_inv[w[:, None], r] = Vb, Xb
+    return V, V_inv
+
+
+def dense_gram(pair):
+    """``hodge.l2_gram`` of a pair as one dense matrix."""
+    return cl._parity_dense(gh.l2_gram(pair))
+
+
 def lu_word_inverse(V, gram):
     """``(V^H A V)^-1 V^H A`` for a whole word basis by one LU solve."""
     H = V.conj().T @ gram
@@ -485,7 +512,8 @@ def dense_shift_part(pair, op, shift):
     ``V (moves * (V^-1 op V)) V^-1`` by four dense products."""
     labels = pair._labels
     moves = (labels[:, None] == labels[None] + np.asarray(shift)).all(axis=-1)
-    return pair._V @ (moves * (pair._V_inv @ op @ pair._V)) @ pair._V_inv
+    V, V_inv = dense_words(pair)
+    return V @ (moves * (V_inv @ op @ V)) @ V_inv
 
 
 def block_operator_gap(pair):
@@ -588,14 +616,16 @@ def full_width_deformation(factors, pair, order_cap):
     m, n = pair.m, pair.n
     psi = pair.canonical_generator(2)
     seed = FourierField.constant(m, psi)
-    support = sol._series_support(factors, seed, order_cap)
+    support = sol._series_support(sol._reach(factors, order_cap), seed)
     seed_rows = support.pack(seed)
-    gram = gh.l2_gram(pair)
+    gram = dense_gram(pair)
     kappa = 1j * support.frequencies
+
+    V, V_inv = dense_words(pair)
 
     def project(rows, p, q):
         s = (pair._labels == (p, q)).all(axis=1)
-        return rows @ pair._V_inv[s].T @ pair._V[:, s].T
+        return rows @ V_inv[s].T @ V[:, s].T
 
     def apply(name, rows):
         weights = cl._ladder_weights(kappa @ gh._sector_covectors(pair, gh.DELTA_SHIFTS[name]).T)

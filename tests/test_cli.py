@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
@@ -490,6 +491,46 @@ def test_deform_frequency_bound_has_two_sides(tmp_path, capsys, monkeypatch, kin
     for k in (cli.MAX_FREQUENCY + 1, -cli.MAX_FREQUENCY - 1, 2**40):
         assert cli.main(["deform", "--config", write_config(tmp_path, frequency_doc(kind, k))]) == 64
         assert f"at most {cli.MAX_FREQUENCY} in absolute value" in capsys.readouterr().err
+
+
+def test_deform_rejects_a_support_above_the_cap_in_under_a_second(tmp_path, capsys, monkeypatch):
+    """Six exact-b-field modes at e_0 ... e_5 on T^8 at order 8 close to
+    40,081 frequencies: a config error naming the size the closure reached
+    above ``cli.MAX_SUPPORT``, in under a second and before any structure
+    series or solve, without a traceback."""
+    rng = np.random.default_rng(12)
+    modes = [{"frequency": np.eye(8, dtype=int)[j].tolist(), "cos": rng.uniform(-0.3, 0.3, 8).tolist()} for j in range(6)]
+    doc = {"schema": 1, "dimension": 8, "order": 8, "deformation": [{"kind": "exact-b-field", "one_form": modes}]}
+    path = write_config(tmp_path, doc)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("series work ran on a config above the support cap")
+
+    monkeypatch.setattr(sol, "structure_series_of_family", refuse)
+    monkeypatch.setattr(sol, "run_deformation", refuse)
+    start = time.perf_counter()
+    assert cli.main(["deform", "--config", path]) == 64
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    size = int(re.search(r"reaches (\d+) frequencies", err).group(1))
+    assert size > cli.MAX_SUPPORT and "MAX_SUPPORT" in err and "Traceback" not in err
+    assert elapsed < 1.0, f"rejecting the config took {elapsed:.2f} s"
+
+
+def test_deform_sizes_the_support_once_per_family_set(tmp_path, capsys, monkeypatch):
+    """One closure pass sizes the primitives' support and serves the
+    structure series and the transverse extraction; the solver forms one
+    for the family it solves and shares it with the precondition check."""
+    calls = []
+    closure = sol.support_closure
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("limit"))
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(sol, "support_closure", counted)
+    assert cli.main(["deform", "--config", write_config(tmp_path, bfield_doc())]) == 0
+    assert calls == [cli.MAX_SUPPORT, None]
 
 
 @pytest.mark.parametrize("command", ["deform", "verify-algebra"])

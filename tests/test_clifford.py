@@ -236,7 +236,7 @@ def test_chevalley_gram_is_the_top_coefficient_of_every_wedge_with_a_reversed_su
     reversal = cl.transpose_form(np.ones(n)).real
     top = (np.arange(n)[:, None] | np.arange(n)[None]) == n - 1
     want = np.where(top, -reversal[None] * cl.wedge_sign_table(m), 0.0)
-    assert np.array_equal(cl.chevalley_gram(m), want)
+    assert np.array_equal(cl._chevalley_gram(m), want)
 
 
 def test_transpose_form_reverses_products():

@@ -9,6 +9,7 @@ from genkahler import fields as gf
 from genkahler import hodge as gh
 from genkahler import structures as gs
 from oracles import (
+    dense_gram,
     dict_pack,
     dict_shifted,
     form_vector,
@@ -141,13 +142,32 @@ def test_gram_properties():
     )
     assert {pair.orientation for pair in pairs} == {1, -1}
     for pair in pairs:
-        A = gh.l2_gram(pair)
+        A = dense_gram(pair)
         np.testing.assert_allclose(A, A.T, atol=1e-10 * np.linalg.norm(A))
         assert np.min(np.linalg.eigvalsh(A)) > 0
         # the Gram matrix reuses the pair's star: orientation -1 negates it
         star = gs.hodge_star(pair.metric, pair.b_field, 1)
         np.testing.assert_array_equal(pair.orientation * pair.star, star)
-        np.testing.assert_array_equal(A, (cl.chevalley_gram(pair.m) @ star).T.real)
+        np.testing.assert_array_equal(A, (cl._chevalley_gram(pair.m) @ star).T.real)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_l2_gram_checks_each_parity_block(parity):
+    """The Gram matrix is held as its two parity blocks, and each must be
+    real, symmetric and positive definite on its own."""
+    pair = gs.random_hermitian_pair(np.random.default_rng(5), 4)
+    good = pair.star_gram
+    size = np.linalg.norm(good[parity])
+    skew = np.triu(np.ones_like(good[parity].real), 1)
+    corruptions = (
+        (lambda A: A + 1e-6j * size * np.eye(len(A)), "not real"),
+        (lambda A: A + 1e-6 * size * skew, "not symmetric"),
+        (lambda A: -A, "singular or indefinite"),
+    )
+    for corrupt, message in corruptions:
+        pair.star_gram = tuple(corrupt(A) if p == parity else A for p, A in enumerate(good))
+        with pytest.raises(ValueError, match=message):
+            gh.l2_gram(pair)
 
 
 def test_l2_inner_parseval_orthogonality(t2):
@@ -355,7 +375,7 @@ def test_packed_act_and_norm_match_per_frequency_loop():
     """Batched act, inner product and norm on a Gram matrix far from orthonormal."""
     rng = np.random.default_rng(90)
     pair = gs.random_hermitian_pair(rng, 4, b_scale=0.7)
-    gram = gh.l2_gram(pair)
+    gram = dense_gram(pair)
     assert np.linalg.norm(gram - np.eye(16)) > 1.0
     op = gh.component_operator((1, 1), pair, gf.frequencies_box(4, 1))
     f, g = (rng.normal(size=(len(op.support), 16)) + 1j * rng.normal(size=(len(op.support), 16)) for _ in range(2))
@@ -638,7 +658,7 @@ def test_batched_algebra_matches_per_block_oracle(m, twisted):
     assert np.linalg.norm(pair.b_field) > 0.1
     h = random_three_form(rng, m) if twisted else None
     support = gf.frequencies_box(4, 1) if m == 4 else small_support(m)
-    gram = gh.l2_gram(pair)
+    gram = dense_gram(pair)
     for shift in ((1, 1), (-1, 1)):
         op = gh.component_operator(shift, pair, support)
         if twisted:

@@ -22,6 +22,7 @@ from oracles import (
     DEFORM_WORKLOADS,
     PERFBENCH,
     conjugated_residual_series,
+    dense_gram,
     dict_shifted,
     field_values,
     full_width_deformation,
@@ -298,6 +299,15 @@ def test_support_closure_matches_set_oracle(m):
         steps = [(w, tuple(rng.integers(-3, 4, size=m).tolist())) for w in weights]
         closure = sol.support_closure(steps, cap, m)
         assert isinstance(closure, gh.Support) and closure == set_support_closure(steps, cap, m)
+
+
+def test_support_closure_stops_at_its_limit():
+    """Up to the limit the closure is unchanged; above it the first order
+    whose reach exceeds it raises, naming that reach's size."""
+    steps = [(1, (1, 0, 0, 0)), (1, (-1, 0, 0, 0)), (1, (0, 1, 0, 0)), (1, (0, -1, 0, 0))]
+    assert sol.support_closure(steps, 4, 4, limit=41) == sol.support_closure(steps, 4, 4)
+    with pytest.raises(ValueError, match="reaches 25 frequencies at order 3 of 4, above the limit of 20"):
+        sol.support_closure(steps, 4, 4, limit=20)
 
 
 def test_support_closure_rejects_sums_outside_int64():
@@ -1127,7 +1137,7 @@ def test_run_deformation_on_a_non_kahler_background(m):
     """A random pair with a b-field and a Gram matrix far from orthonormal:
     every order closes and halving t divides the defect by about 2^4."""
     pair = gs.random_hermitian_pair(np.random.default_rng(0), m)
-    gram = gh.l2_gram(pair)
+    gram = dense_gram(pair)
     assert np.linalg.norm(pair.b_field) > 0.1
     assert np.linalg.norm(gram - np.eye(len(gram))) > 1.0
     report = exact_bfield_report(m, 3, *(M4_COEFFS if m == 4 else M6_COEFFS), pair=pair)
@@ -1223,6 +1233,25 @@ def test_run_deformation_t8_order4():
     v2 = sol.verify_gk_at_t(report, 0.05, count=2, seed=0)
     assert v1["metric_positive"] and v2["metric_positive"]
     assert 24.0 <= v1["derivative_sup"] / v2["derivative_sup"] <= 40.0
+
+
+def test_t8_deform_builds_component_weights_for_one_image_parity(monkeypatch):
+    """The solver applies the components only to the obstruction's parity,
+    so a T^8 deform builds the ladder weights of the four components for
+    the seed's parity alone (each ``(S, m, 2^(m-1))``, 21 MB at 1,289
+    frequencies)."""
+    seen = []
+    weights = gh._ladder_weights
+
+    def record(vectors, parity=None):
+        seen.append(parity)
+        return weights(vectors, parity)
+
+    monkeypatch.setattr(gh, "_ladder_weights", record)
+    pair = gs.standard_kahler_pair(8)
+    report = sol.run_deformation([exact_bfield_family(8, 2, *T8_COEFFS, pair)], pair, order_cap=2)
+    parity = sol._seed_parity(report.psi0[(0,) * 8])
+    assert seen == [parity] * 4
 
 
 def test_run_deformation_t8_builds_no_per_frequency_blocks(monkeypatch):

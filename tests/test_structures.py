@@ -9,8 +9,10 @@ from genkahler import clifford as cl
 from genkahler import structures as gs
 from oracles import (
     canonical_generator,
+    clifford_product,
     dense_pure_spinor,
     dense_shift_part,
+    dense_words,
     form_vector,
     lu_word_inverse,
     parity_half,
@@ -231,10 +233,15 @@ def dense_clifford_product(frame):
 
 @pytest.mark.parametrize("m", range(2, cl.MAX_DIM + 1))
 def test_clifford_product_matches_dense_matrices(m):
+    """The full-width ladder-gather oracle, and the library's two parity
+    blocks of the product (here of m factors, so they map parity p to
+    ``p + m``), against the dense matrices."""
     rng = np.random.default_rng(50 + m)
     frame = rng.normal(size=(2 * m, m)) + 1j * rng.normal(size=(2 * m, m))
     want = dense_clifford_product(frame)
-    assert np.linalg.norm(gs._clifford_product(frame) - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.linalg.norm(clifford_product(frame) - want) <= 1e-13 * np.linalg.norm(want)
+    got = cl._parity_dense(gs._clifford_product_blocks(frame), m % 2)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
@@ -271,6 +278,21 @@ def test_pairs_build_without_clifford_matrices(monkeypatch):
     gs.random_hermitian_pair(np.random.default_rng(6), 6)
 
 
+def test_flat_t8_pair_retains_only_parity_blocks():
+    """The pair holds its star, star Gram, words and their inverse as their
+    two parity blocks: the flat T^8 pair retains under 2.5 MB (about 2.2 MB
+    with first-use caches; 4.8 MB with the four held at full width)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pair = gs.standard_kahler_pair(8)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 2.5e6, f"the T^8 pair retains {retained / 1e6:.2f} MB"
+    assert not {"star", "bigrading", "proj1", "proj2"} & set(vars(pair))
+
+
 def test_star_positivity_random_metrics():
     rng = np.random.default_rng(99)
     for _ in range(25):
@@ -280,7 +302,7 @@ def test_star_positivity_random_metrics():
         b = rng.normal(size=(m, m))
         b = b - b.T
         star = gs.hodge_star(g, b)
-        gram = cl.chevalley_gram(m) @ star
+        gram = cl._chevalley_gram(m) @ star
         gram = 0.5 * (gram + gram.conj().T)
         assert np.min(np.linalg.eigvalsh(gram)).real > 0
 
@@ -370,8 +392,8 @@ def test_row_action_matches_dense_projectors_t8(bfield_t8):
 
 
 def test_pair_rejects_a_star_that_misses_the_volume_elements(monkeypatch):
-    star = gs.hodge_star
-    monkeypatch.setattr(gs, "hodge_star", lambda *args: -star(*args))
+    star = gs._star_blocks
+    monkeypatch.setattr(gs, "_star_blocks", lambda *args: tuple(-block for block in star(*args)))
     with pytest.raises(ValueError, match="star does not match the spin volume elements"):
         gs.standard_kahler_pair(4)
 
@@ -426,26 +448,39 @@ def test_pure_spinor_is_the_largest_column_of_the_dense_product(m, kind):
 @pytest.mark.parametrize("kind", PARITY_KINDS)
 @pytest.mark.parametrize("m", [4, 6, 8])
 def test_word_inverse_matches_the_lu_solve(m, kind):
+    """Each block of ``V^-1`` against one LU solve on the dense words and
+    Gram matrix, whose solution is zero off the blocks."""
     pair = parity_pair(kind, m)
-    want = lu_word_inverse(pair._V, pair.star_gram)
-    assert np.linalg.norm(pair._V_inv - want) <= 1e-13 * np.linalg.norm(want)
+    V, _ = dense_words(pair)
+    want = lu_word_inverse(V, cl._parity_dense(pair.star_gram))
+    for r, w, _, Xb in pair._blocks:
+        assert np.linalg.norm(Xb - want[w[:, None], r]) <= 1e-13 * np.linalg.norm(want)
+    on = np.zeros(want.shape, dtype=bool)
+    for r, w, *_ in pair._blocks:
+        on[w[:, None], r] = True
+    assert np.linalg.norm(want[~on]) <= 1e-13 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("kind", PARITY_KINDS)
-@pytest.mark.parametrize("m", [4, 6, 8])
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
 def test_word_basis_and_star_are_exactly_zero_off_the_parity_blocks(m, kind):
-    """Words, their inverse and the star keep form parity: exact zeros off
-    two blocks of 2^(m-1) rows and as many words, which cover the basis."""
+    """The pair holds its words, their inverse and its star as blocks of
+    2^(m-1) rows of one form parity and as many words, which cover the
+    basis.  The full-width oracle product of the star's frame is exactly
+    zero off those blocks, and on them it is the pair's star."""
     pair = parity_pair(kind, m)
     parity = cl.degrees(m) % 2
     on = np.zeros((2**m, 2**m), dtype=bool)
-    for rows, words in pair._blocks:
-        assert len(rows) == len(words) == 2 ** (m - 1)
-        assert (parity[rows] == parity[rows[0]]).all()
+    for p, (rows, words, Vb, Xb) in enumerate(pair._blocks):
+        assert len(rows) == len(words) == 2 ** (m - 1) and Vb.shape == Xb.shape == (2 ** (m - 1),) * 2
+        assert (parity[rows] == p).all() and (parity[words] == parity[words[0]]).all()
         on[rows[:, None], words] = True
     assert on.sum() == 2 ** (2 * m - 1) and on.any(axis=0).all() and on.any(axis=1).all()
-    assert not pair._V[~on].any() and not pair._V_inv[~on.T].any()
-    assert not pair.star[parity[:, None] != parity[None]].any()
+    frame = gs._metric_frame(pair.metric, pair.b_field, pair.orientation)
+    want = -clifford_product(frame[:, ::-1])
+    assert not want[parity[:, None] != parity[None]].any()
+    for rows, block in zip(cl._parity_rows(m), pair._star):
+        assert np.linalg.norm(block - want[rows[:, None], rows]) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_word_basis_rejects_a_gram_for_which_the_words_are_not_orthogonal():
@@ -454,8 +489,10 @@ def test_word_basis_rejects_a_gram_for_which_the_words_are_not_orthogonal():
     steps, top = [(-1, -1)] * 3 + [(-1, 1)] * 3, (3, 0)
     gs._word_basis(L, Lbar, steps, top, pair.star_gram)
     rng = np.random.default_rng(3)
-    noise = rng.normal(size=pair.star_gram.shape)
-    corrupted = pair.star_gram + 1e-6 * np.linalg.norm(pair.star_gram) * (noise + noise.T) / np.linalg.norm(noise)
+    corrupted = []
+    for A in pair.star_gram:
+        noise = rng.normal(size=A.shape)
+        corrupted.append(A + 1e-6 * np.linalg.norm(A) * (noise + noise.T) / np.linalg.norm(noise))
     with pytest.raises(ValueError, match="not orthogonal for the Gram matrix"):
         gs._word_basis(L, Lbar, steps, top, corrupted)
 
