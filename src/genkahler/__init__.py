@@ -8,7 +8,7 @@ The package is organized bottom-up:
 - :mod:`genkahler.structures` -- pointwise generalized complex structures,
   Hermitian pairs, Hodge star, spinor-line extraction.
 - :mod:`genkahler.fields` -- trigonometric-polynomial fields on T^m, twisted
-  exterior derivative, Courant bracket, integrability torsion.
+  exterior derivative, integrability torsion of constant structures.
 - :mod:`genkahler.hodge` -- L2 inner product, adjoints, Laplacians and Green
   operators over a finite frequency support.
 - :mod:`genkahler.solver` -- the order-by-order deformation solver and its

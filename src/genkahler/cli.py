@@ -336,9 +336,10 @@ MAX_VERIFY_POINTS = 1024
 #: frequencies up to the order cap (``solver.support_closure``), sized before
 #: the structure series and the solve.  The solver's memory grows faster
 #: than the support (its shift tables hold support x step rows): at m = 8 and
-#: order 8, 1,241 frequencies take 1.34 GB and 1,521 take 1.58 GB, so this
-#: bound admits about 1.6 GB there, and less at smaller m or order.  Six
-#: exact-b-field modes at e_0 ... e_5 on T^8 at order 8 reach 40,081.
+#: order 8, exact-b-field modes at e_0, e_1, e_2 and e_0 + e_1 (1,241
+#: frequencies) take 1.24 GB and at e_0, e_1, e_2 and 2 e_0 (1,521) 1.49 GB,
+#: so this bound admits about 1.5 GB there, and less at smaller m or order.
+#: Six exact-b-field modes at e_0 ... e_5 on T^8 at order 8 reach 40,081.
 MAX_SUPPORT = 1_500
 
 #: Largest ``verify-algebra --trials``.  A trial costs about 50 ms at
@@ -567,7 +568,7 @@ def cmd_verify_algebra(args) -> int:
             vol = gs.volume_spin_element(pair.J1, pair.proj1) @ gs.volume_spin_element(pair.J2, pair.proj2)
             record("star_matches_volume_product", np.linalg.norm(pair.star + vol) / max(np.linalg.norm(vol), 1.0))
 
-            gram = cl._parity_dense(gh.l2_gram(pair))
+            gram = cl._parity_dense(pair.star_gram)
             record("metric_pairing_symmetric", np.linalg.norm(gram - gram.T) + np.linalg.norm(gram.imag))
             record("metric_pairing_positive", max(0.0, -float(np.min(np.linalg.eigvalsh(gram.real)))))
 

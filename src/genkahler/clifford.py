@@ -186,26 +186,12 @@ def transpose_form(phi: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _chevalley_gram(m: int) -> np.ndarray:
-    """Matrix ``C`` with ``pairing(f, g) = f @ C @ g`` (bilinear, no conjugation).
-
-    The pairing is minus the top coefficient of ``f ^ reverse(g)``; it couples
-    each subset ``I`` with its complement ``J`` only (``_chevalley_signs``).
-    """
-    n = spinor_dim(m)
-    idx = np.arange(n)
-    C = np.zeros((n, n))
-    C[idx, idx ^ (n - 1)] = _chevalley_signs(m)
-    C.setflags(write=False)
-    return C
-
-
-@lru_cache(maxsize=None)
 def _chevalley_signs(m: int) -> np.ndarray:
-    """The one nonzero entry ``C[I, J]`` of each row of ``_chevalley_gram``,
-    ``J`` the complement of ``I``: the reversal sign of ``J`` times the
-    ``wedge_sign_table`` entry ``(I, J)``, whose shuffle exponent is formed
-    for those n pairs alone, ``(2**m,)`` and read-only."""
+    """The sign ``s[I]`` with which the Chevalley pairing couples each subset
+    ``I`` to its complement ``J``, the only subset it couples ``I`` to:
+    ``pairing(f, g) = sum_I s[I] f[I] g[J]``.  It is the reversal sign of
+    ``J`` times the ``wedge_sign_table`` entry ``(I, J)``, whose shuffle
+    exponent is formed for those n pairs alone, ``(2**m,)`` and read-only."""
     m = _check_m(m)
     n = spinor_dim(m)
     idx = np.arange(n, dtype=np.uint64)
@@ -218,11 +204,14 @@ def _chevalley_signs(m: int) -> np.ndarray:
 
 
 def chevalley_pairing(f: np.ndarray, g: np.ndarray) -> complex:
-    """Bilinear spinor pairing ``-(f ^ reverse(g))_top``."""
+    """Bilinear spinor pairing ``-(f ^ reverse(g))_top``: the complement
+    of subset ``I`` is ``2**m - 1 - I``, so the signed ``f`` reversed pairs
+    with ``g`` entry by entry (``_chevalley_signs``)."""
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
     m = _infer_m_from_spinor(f)
-    return complex(f @ _chevalley_gram(m) @ g)
+    # reversed into a contiguous copy, so the sum is one BLAS dot over g's order
+    return complex(np.ascontiguousarray((f * _chevalley_signs(m))[::-1]) @ g)
 
 
 def chevalley_symmetry_sign(m: int) -> int:
@@ -272,15 +261,22 @@ def _ladder_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     return source, signs
 
 
+def _flip_dense(weights: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """The dense matrices ``(..., n, n)`` of gather weights ``(..., F, n)``:
+    entry ``(i, source[f, i])`` is ``W[..., f, i]`` and every other entry
+    zero, each row ``i`` reading its F distinct sources."""
+    n = weights.shape[-1]
+    out = np.zeros(weights.shape[:-2] + (n * n,), dtype=complex)
+    out[..., np.arange(n) * n + source] = weights
+    return out.reshape(weights.shape[:-2] + (n, n))
+
+
 def clifford_matrices(vectors: np.ndarray) -> np.ndarray:
     """Clifford actions of a stack of vectors, ``(..., 2m) -> (..., 2**m,
     2**m)``: the dense image of their ``_ladder_weights``, entry ``(i, i ^
     2**j)`` being ``W[..., j, i]`` and every other entry zero."""
     weights = _ladder_weights(vectors)
-    m, n = weights.shape[-2:]
-    out = np.zeros(weights.shape[:-2] + (n * n,), dtype=complex)
-    out[..., np.arange(n) * n + _ladder_tables(m)[0]] = weights
-    return out.reshape(weights.shape[:-2] + (n, n))
+    return _flip_dense(weights, _ladder_tables(weights.shape[-2])[0])
 
 
 def clifford_vector_matrix(v: np.ndarray) -> np.ndarray:
@@ -295,46 +291,48 @@ def clifford_vector_matrix(v: np.ndarray) -> np.ndarray:
     return clifford_matrices(v)
 
 
-def _ladder_weights(vectors: np.ndarray, parity: int | None = None) -> np.ndarray:
+def _ladder_weights(vectors: np.ndarray) -> np.ndarray:
     """Gather weights ``(..., m, 2**m)`` of the Clifford actions of a stack of
     vectors ``(..., 2m)``: ``X_j`` times the contraction signs plus ``xi_j``
-    times the wedge signs; given a form ``parity``, of its entries alone."""
+    times the wedge signs, for the dense builders."""
     v = np.asarray(vectors, dtype=complex)
     m = _check_m(v.shape[-1] // 2)
-    signs = _ladder_tables(m)[1] if parity is None else _ladder_tables(m)[1][..., _parity_rows(m)[parity]]
-    return np.einsum("...wj,wji->...ji", v.reshape(v.shape[:-1] + (2, m)), signs)
+    return np.einsum("...wj,wji->...ji", v.reshape(v.shape[:-1] + (2, m)), _ladder_tables(m)[1])
 
 
-def _ladder_gather(
-    weights: np.ndarray, rows: np.ndarray, parity: int | None = None, factors: np.ndarray | None = None
-) -> np.ndarray:
-    """``out[..., i] = sum_j weights[..., j, i] rows[..., i ^ 2**j]``: the
-    Clifford actions whose ``_ladder_weights`` are given, on rows ``(..., n)``
-    broadcast against them.  One signed gather per ladder with a nonzero
-    weight, so no ``(..., m, n)`` temporary is formed.  Given the image's
-    form ``parity``, the weights of its entries and the rows of the other
-    parity (each ladder flips it) are in half coordinates (``_half_ladder_sources``).
-    Given ``factors`` ``(..., m)``, the weights are ``factors[..., j, None]
-    * weights[j]`` for one ``(m, n)`` table, formed one ladder at a time, so
-    that no ``(..., m, n)`` stack of them is formed either."""
-    m, n = weights.shape[-2:]
-    source = _ladder_tables(m)[0] if parity is None else _half_ladder_sources(m)[parity]
-    live = weights.reshape(-1, m, n).any(axis=(0, 2))
-    lead = weights.shape[:-2]
-    if factors is not None:
-        live &= factors.reshape(-1, m).any(axis=0)
-        lead = factors.shape[:-1]
-    used = np.flatnonzero(live)
-    if not used.size:
-        return np.zeros(np.broadcast_shapes(lead + (n,), rows.shape), dtype=complex)
-
+def _clifford_gather(vectors: np.ndarray, rows: np.ndarray, parity: int | None = None) -> np.ndarray:
+    """``cl(v) x`` for the vectors ``v = (X; xi)`` of a stack ``(..., 2m)``
+    and the rows ``x`` ``(..., n)`` broadcast against them: ``out[..., i] =
+    sum_j (X_j c_j[i] + xi_j w_j[i]) x[..., i ^ 2**j]``, ``c_j`` and
+    ``w_j`` the contraction and wedge signs of ``_ladder_tables``.  One
+    signed gather per ladder, its weight formed from the coordinates as it
+    goes, so no ``(..., m, n)`` stack is formed: one ``(..., 2) @ (2, n)``
+    product, or, where one coordinate is zero on the whole stack (the
+    derivative's ``(0; i k)``), one scaling by the other; a ladder with both
+    zero makes no gather.  Given the image's form ``parity``, its entries
+    and the rows, of the other parity (each ladder flips it), are in half
+    coordinates (``_half_ladder_sources``)."""
+    v = np.asarray(vectors, dtype=complex)
+    m = _check_m(v.shape[-1] // 2)
+    source, signs = _ladder_tables(m)
+    if parity is not None:
+        source, signs = _half_ladder_sources(m)[parity], signs[..., _parity_rows(m)[parity]]
+    pairs = v.reshape(v.shape[:-1] + (2, m))
     out = None
-    for j in used:
-        term = (weights[..., j, :] if factors is None else factors[..., j, None] * weights[j]) * rows[..., source[j]]
+    for j, (x, xi) in enumerate(pairs.reshape(-1, 2, m).any(axis=0).T.tolist()):
+        if x and xi:
+            weight = pairs[..., :, j] @ signs[:, j]
+        elif x or xi:
+            weight = pairs[..., int(xi), j, None] * signs[int(xi), j]
+        else:
+            continue
+        term = weight * rows[..., source[j]]
         if out is None:
             out = term
         else:
             out += term
+    if out is None:
+        return np.zeros(np.broadcast_shapes(v.shape[:-1] + rows.shape[-1:], rows.shape), dtype=complex)
     return out
 
 
@@ -370,7 +368,7 @@ def clifford_act(v: np.ndarray, phi: np.ndarray) -> np.ndarray:
     m = _infer_m_from_spinor(phi)
     if v.ndim == 0 or v.shape[-1] != 2 * m:
         raise ValueError(f"vector shape {v.shape} does not match spinor dim {phi.shape}")
-    return _ladder_gather(_ladder_weights(v), phi)
+    return _clifford_gather(v, phi)
 
 
 def _frobenius(a: np.ndarray) -> np.ndarray:
@@ -604,11 +602,7 @@ def spin_flip_dense(weights: np.ndarray, parity: int | None = None) -> np.ndarra
     ``(i, i ^ f)`` is ``W[..., f, i]`` and every other entry is zero.  Every
     mask has an even number of bits, so the matrices keep form parity; given
     a ``parity``, the weights of its entries give the block on it."""
-    n = weights.shape[-1]
-    source = _spin_flip_table(_infer_m_from_spinor(weights, parity), parity)[0]
-    out = np.zeros(weights.shape[:-2] + (n * n,), dtype=complex)
-    out[..., np.arange(n) * n + source] = weights
-    return out.reshape(weights.shape[:-2] + (n, n))
+    return _flip_dense(weights, _spin_flip_table(_infer_m_from_spinor(weights, parity), parity)[0])
 
 
 def spin_lie_action(alpha: np.ndarray) -> np.ndarray:

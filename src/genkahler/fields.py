@@ -22,9 +22,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from genkahler.clifford import (
-    _ladder_gather,
-    _ladder_tables,
-    _parity_rows,
+    _clifford_gather,
     clifford_vector_matrix,
     pairing_matrix,
     spinor_dim,
@@ -261,15 +259,13 @@ def three_form_spinor(h: np.ndarray) -> np.ndarray:
 def derivative_rows(freqs: np.ndarray, rows: np.ndarray, parity: int | None = None) -> np.ndarray:
     """Exterior derivative of stacked coefficients: ``i sum_j k_j dx_j ^ v``
     for every row ``v`` of ``rows`` and ``k`` the matching row of the
-    ``(S, m)`` frequency matrix ``freqs``, as m signed gathers per row,
-    weighted by ``i k`` and the wedge signs, one ladder's ``(S, n)`` weights
-    at a time (``clifford._ladder_gather``).  Given the form ``parity`` of
-    the rows, they and the image are half rows, the image on the other
-    parity."""
-    signs = _ladder_tables(freqs.shape[1])[1][1]
-    if parity is None:
-        return _ladder_gather(signs, rows, factors=1j * freqs)
-    return _ladder_gather(signs[:, _parity_rows(freqs.shape[1])[1 - parity]], rows, 1 - parity, 1j * freqs)
+    ``(S, m)`` frequency matrix ``freqs``, the Clifford action of the
+    covector ``i k`` (``clifford._clifford_gather``, m signed gathers per
+    row).  Given the form ``parity`` of the rows, they and the image are
+    half rows, the image on the other parity."""
+    kappa = 1j * freqs
+    image = None if parity is None else 1 - parity
+    return _clifford_gather(np.concatenate([np.zeros_like(kappa), kappa], axis=-1), rows, image)
 
 
 def twisted_derivative(phi: FourierField, h: np.ndarray | None = None) -> FourierField:

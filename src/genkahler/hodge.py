@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from genkahler.clifford import _ladder_gather, _ladder_weights, _parity_dense
+from genkahler.clifford import _clifford_gather, _parity_dense
 from genkahler.clifford import clifford_matrices, pairing_matrix, spinor_dim, wedge_matrices
 from genkahler.fields import derivative_rows
 from genkahler.structures import HermitianPair
@@ -54,7 +54,6 @@ __all__ = [
     "COMPONENT_SHIFTS",
     "Support",
     "BlockOperator",
-    "l2_gram",
     "l2_norm",
     "adjoint",
     "component_operator",
@@ -193,8 +192,7 @@ class BlockOperator:
         self.coeffs = coeffs[order[starts]]
         first = np.zeros(len(order), dtype=bool)
         first[starts] = True
-        for group, row in zip(np.cumsum(first)[~first] - 1, order[~first]):
-            self.coeffs[group] += coeffs[row]
+        np.add.at(self.coeffs, np.cumsum(first)[~first] - 1, coeffs[order[~first]])
 
     def _kappa_powers(self, freqs: np.ndarray) -> np.ndarray:
         """``kappa^e`` for every row ``k`` of ``freqs`` and every exponent ``e``, ``(F, T)``."""
@@ -266,32 +264,6 @@ class BlockOperator:
 
 # ---------------------------------------------------------------------------
 # inner product and adjoints
-
-
-def l2_gram(pair: HermitianPair) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix ``A`` with ``h(f, g) = g^H A f`` per frequency, as its
-    blocks on the forms of each parity (``clifford._parity_rows``): ``A``
-    keeps form parity and is zero off them.
-
-    Each block is real, symmetric and positive definite; raises
-    ``ValueError`` otherwise (that signals an inner-product construction
-    bug, not bad user data).
-    """
-    # the pair forms the blocks of ``+-(C star)^T`` once: its star is taken in
-    # its own orientation, and -1 negates one frame vector and with it the star
-    out = []
-    for A in pair.star_gram:
-        if np.linalg.norm(A.imag) > 1e-12 * np.linalg.norm(A.real):
-            raise ValueError("Gram matrix is not real")
-        A = np.ascontiguousarray(A.real)
-        if np.linalg.norm(A - A.T) > 1e-10 * np.linalg.norm(A):
-            raise ValueError("Gram matrix is not symmetric")
-        try:
-            np.linalg.cholesky(A)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("Gram matrix is singular or indefinite") from exc
-        out.append(A)
-    return tuple(out)
 
 
 def l2_norm(f: np.ndarray, gram: np.ndarray) -> float:
@@ -396,10 +368,11 @@ class TorusBackground:
     ``H = 0`` (Gualtieri, CMP 331 (2014)).  Fields are ``(S, 2**(m-1))``
     half rows over the support on the forms of one parity
     (``clifford._parity_rows``), passed beside them; ``d`` and the four
-    components flip it.  ``norm`` uses the Gram's block on the parity
-    (``l2_gram``), ``apply`` and ``differentiate`` are half-coordinate
-    ladder gathers, with each component's weights (from ``i pi_s k``) built
-    for one image parity on its first use there, and the Green operator is
+    components flip it.  ``norm`` uses the pair's Gram block on the parity
+    (``HermitianPair.star_gram``), ``apply`` and ``differentiate`` are
+    half-coordinate Clifford gathers of the per-row vectors ``i pi_s k`` and
+    ``i k`` (``clifford._clifford_gather``), of which the background keeps
+    the ``(4, S, 2m)`` stack of the components, and the Green operator is
     one scalar per row.  The dense ``gram`` and the coefficient operators of
     ``d`` and the components are built only when asked for.
     """
@@ -407,16 +380,10 @@ class TorusBackground:
     def __init__(self, pair: HermitianPair, support):
         self.pair = pair
         self.support = Support(support)
-        # (component name, image parity) -> ladder gather weights (S, m, n / 2)
-        self._component_weights: dict[tuple[str, int], np.ndarray] = {}
-
-    @cached_property
-    def _gram_blocks(self) -> tuple[np.ndarray, ...]:
-        return l2_gram(self.pair)
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return _parity_dense(self._gram_blocks)
+        return _parity_dense(self.pair.star_gram)
 
     @cached_property
     def derivative(self) -> BlockOperator:
@@ -429,19 +396,21 @@ class TorusBackground:
             for name, shift in DELTA_SHIFTS.items()
         }
 
-    def apply(self, name: str, rows: np.ndarray, parity: int) -> np.ndarray:
-        """The component ``name`` on a field of form parity ``parity``, one
-        gather-and-sum over the 2m Clifford ladders onto the other parity,
-        whose block at ``k`` is the Clifford action of ``i pi_s k``."""
-        if np.shape(rows) != (len(self.support), spinor_dim(self.pair.m) // 2):
-            raise ValueError(f"packed field of shape {np.shape(rows)} does not match the background's half rows")
-        image = 1 - parity
-        weights = self._component_weights.get((name, image))
-        if weights is None:
-            covectors = _sector_covectors(self.pair, DELTA_SHIFTS[name])
-            weights = _ladder_weights(1j * self.support.frequencies @ covectors.T, image)
-            self._component_weights[name, image] = weights
-        return _ladder_gather(weights, rows, image)
+    @cached_property
+    def _vectors(self) -> np.ndarray:
+        """``i pi_s k`` for every component (``DELTA_SHIFTS`` order) and row, ``(4, S, 2m)``."""
+        kappa = 1j * self.support.frequencies
+        return np.stack([kappa @ _sector_covectors(self.pair, shift).T for shift in DELTA_SHIFTS.values()])
+
+    def apply(self, names, rows: np.ndarray, parity: int) -> np.ndarray:
+        """The components ``names`` on the fields of form parity ``parity``
+        stacked in ``rows``, ``(len(names), S, 2**(m-1))``: one Clifford
+        gather of the vectors ``i pi_s k`` over the 2m ladders onto the
+        other parity for the whole stack."""
+        if np.shape(rows) != (len(names), len(self.support), spinor_dim(self.pair.m) // 2):
+            raise ValueError(f"packed fields of shape {np.shape(rows)} do not match the background's half rows")
+        index = [list(DELTA_SHIFTS).index(name) for name in names]
+        return _clifford_gather(self._vectors[index], rows, 1 - parity)
 
     @cached_property
     def green(self) -> np.ndarray:
@@ -453,7 +422,7 @@ class TorusBackground:
 
     def norm(self, f: np.ndarray, parity: int) -> float:
         """``l2_norm`` of a field of form parity ``parity``, on that Gram block."""
-        return l2_norm(f, self._gram_blocks[parity])
+        return l2_norm(f, self.pair.star_gram[parity])
 
     def adjoint(self, op: BlockOperator) -> BlockOperator:
         return adjoint(op, self.gram)

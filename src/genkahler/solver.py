@@ -29,11 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clifford import (
+    _clifford_gather,
     _expm,
     _flip_column_sums,
     _in_so,
-    _ladder_gather,
-    _ladder_weights,
     _parity_rows,
     _spin_flip_outer,
     pairing_matrix,
@@ -611,16 +610,21 @@ def _obstruction(order: int, rho: np.ndarray, parity: int, background: TorusBack
     if _exceeds(outside_norm, tol * scale):
         raise ValueError(f"order-{order} obstruction leaks outside the four corners ({outside_norm:.3e})")
 
-    def apply(name, corner):
-        return background.apply(name, comps[corner], parity)
+    def apply(arrows):
+        """Each component on its corner, the four by one stacked gather."""
+        return background.apply(list(arrows), np.stack([comps[c] for c in arrows.values()]), parity)
 
-    closed = {name: norm(apply(name, corner), 1 - parity) for name, corner in _annihilating_arrows(n).items()}
+    arrows = _annihilating_arrows(n)
+    closed = {name: norm(image, 1 - parity) for name, image in zip(arrows, apply(arrows))}
     bad_ops = {k: v for k, v in closed.items() if _exceeds(v, tol * scale)}
     if bad_ops:
         raise ValueError(f"corner components are not closed under their outgoing arrows: {bad_ops}")
 
-    route_down = apply("delta-", (-1, n - 1)) + apply("delta_bar-", (1, n - 3))
-    route_up = apply("delta+", (-1, n - 3)) + apply("delta_bar+", (1, n - 1))
+    down, down_bar, up, up_bar = apply(
+        {"delta-": (-1, n - 1), "delta_bar-": (1, n - 3), "delta+": (-1, n - 3), "delta_bar+": (1, n - 1)}
+    )
+    route_down = down + down_bar
+    route_up = up + up_bar
     cross_sum = norm(route_down + route_up, 1 - parity)
     if _exceeds(cross_sum, tol * scale):
         raise ValueError(f"mixed corner sum does not cancel ({cross_sum:.3e})")
@@ -1065,8 +1069,6 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
     # spinor side, in chunks of points, on the seed's half
     psi0 = report.psi0[(0,) * m]
     parity = _seed_parity(psi0)
-    # the ladder weights of the wedges by dx_d onto the other parity
-    wedges = _ladder_weights(np.eye(2 * m)[m:], 1 - parity)
     psi0 = _half(psi0, parity)
     chunk = max(1, _JET_CHUNK_ENTRIES // psi0.size**2)
     derivative_sup = 0.0
@@ -1080,7 +1082,8 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
             v, D, steps = _exp_jet(W, v, D, budget, parity)
             budget -= steps
         psi_sup = max(psi_sup, float(np.linalg.norm(v, axis=-1).max()))
-        dpsi = _ladder_gather(wedges, D, 1 - parity).sum(axis=-2)
+        # the wedge by dx_d of the direction-d derivative, onto the other parity
+        dpsi = _clifford_gather(np.eye(2 * m)[m:], D, 1 - parity).sum(axis=-2)
         derivative_sup = max(derivative_sup, float(np.linalg.norm(dpsi, axis=-1).max()))
 
     return {

@@ -16,9 +16,8 @@ import numpy as np
 from genkahler.clifford import (
     _check_m,
     _chevalley_signs,
+    _clifford_gather,
     _half_index,
-    _ladder_gather,
-    _ladder_weights,
     _parity_dense,
     _parity_rows,
     pairing_matrix,
@@ -127,8 +126,8 @@ def _clifford_product_blocks(frame: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     m = frame.shape[0] // 2
     rows = _parity_rows(m)
     out = (np.arange(len(rows[0]))[:, None] == _half_index(m)).astype(complex)
-    for weights in _ladder_weights(np.roll(frame, m, axis=0).T):
-        out = _ladder_gather(weights, out)
+    for v in np.roll(frame, m, axis=0).T:
+        out = _clifford_gather(v, out)
     k = frame.shape[1]
     return out[:, rows[k % 2]], out[:, rows[(k + 1) % 2]]
 
@@ -145,8 +144,8 @@ def _pure_spinor(L: np.ndarray) -> np.ndarray:
     bits = (np.arange(n)[:, None] >> np.arange(m)) & 1
     rho = np.zeros(n, dtype=complex)
     rho[(n - 1) ^ np.argmax(np.abs(np.linalg.det(L[np.arange(m) + m * bits])))] = 1.0
-    for weights in _ladder_weights(L.T)[::-1]:
-        rho = _ladder_gather(weights, rho)
+    for v in L.T[::-1]:
+        rho = _clifford_gather(v, rho)
     return rho
 
 
@@ -198,13 +197,13 @@ def _word_basis(L: np.ndarray, Lbar: np.ndarray, steps, top, gram: tuple | None 
     rho = rho * 1j ** -round(float(np.angle(rho[np.argmax(np.abs(rho))])) / (np.pi / 2))
     rows = _parity_rows(L.shape[0] // 2)
     odd = int(np.abs(rho[rows[1]]).max() > 0)
-    first, *rest = _ladder_weights(Lbar.T)
+    first, *rest = Lbar.T
     # the first letter's word fills the other parity of rho's row
     words = rho[None].copy()
-    words[0, rows[1 - odd]] = _ladder_gather(first, rho)[rows[1 - odd]]
+    words[0, rows[1 - odd]] = _clifford_gather(first, rho)[rows[1 - odd]]
     labels = np.array([top, np.add(top, steps[0])])
-    for weights, step in zip(rest, steps[1:]):
-        words, labels = np.vstack([words, _ladder_gather(weights, words)]), np.concatenate([labels, labels + step])
+    for v, step in zip(rest, steps[1:]):
+        words, labels = np.vstack([words, _clifford_gather(v, words)]), np.concatenate([labels, labels + step])
     # per row parity p, the block (rows, words): words[i // 2] holds word i
     pairs = list(zip(rows, rows[odd:] + rows[:odd]))
     V = words[np.array([w // 2 for _, w in pairs])[:, None], np.array(rows)[:, :, None]]
@@ -391,9 +390,11 @@ class HermitianPair:
     Every ``2**m``-sized operator the pair holds keeps form parity, so it
     holds each as its two ``(2**(m-1), 2**(m-1))`` blocks on the forms of
     one parity (``clifford._parity_rows``): the star, ``star_gram`` (the L2
-    Gram matrix ``+-(C star)^T``) and the bigrading's word basis
+    Gram matrix ``h(f, g) = g^H A f`` per frequency, ``A = +-(C star)^T``,
+    whose blocks the constructor checks real, symmetric and positive
+    definite and keeps real) and the bigrading's word basis
     (``_word_basis``), kept as one ``(p, q)`` label per word and, per row
-    parity, ``(rows, words, V block, V^-1 block)`` in ``_blocks``; 2.1 MB at
+    parity, ``(rows, words, V block, V^-1 block)`` in ``_blocks``; 1.9 MB at
     m = 8.  ``project`` applies a label's or a level's projector to rows of
     one form parity and ``shift_parts`` takes the parts of an operator that
     shift every label by one amount, both through the blocks.  The dense
@@ -444,32 +445,45 @@ class HermitianPair:
     # -- derived data
 
     def _check_star(self) -> None:
-        """Star, its Gram matrix, the word basis, and the star against the
-        product of the spin volume elements, ``V diag(i^{p+q}) V^-1``,
-        block by block."""
+        """Star, its Gram matrix and the word basis, block by block; then
+        the checks of the star against the product of the spin volume
+        elements, ``V diag(i^{p+q}) V^-1``, and of each Gram block."""
         F = _metric_frame(self.metric, self.b_field, 1)
         j_plus = F.T @ pairing_matrix(self.m) @ self.J1 @ F
         if np.linalg.norm(j_plus @ j_plus + np.eye(self.m)) > 1e-8:
             raise ValueError("first structure does not restrict to the +1 eigenspace")
         self.orientation = _complex_orientation_sign(j_plus.real)
         self._star = _star_blocks(self.metric, self.b_field, self.orientation)
-        # C couples each subset I only with its complement n - 1 - I, which
-        # has I's parity and reverses the order within it, so each block of C
-        # star is a signed row gather; the orientation sign is that of hodge.l2_gram
+        # the L2 Gram matrix is +-(C star)^T with the star in the standard
+        # orientation, which -1 negates with one frame vector; C couples each
+        # subset I only with its complement n - 1 - I, which has I's parity
+        # and reverses the order within it, so each block is a signed row gather
         signs = _chevalley_signs(self.m)
-        self.star_gram = tuple(
+        gram = tuple(
             np.ascontiguousarray((signs[r][:, None] * (self.orientation * S)[::-1]).T)
             for r, S in zip(_parity_rows(self.m), self._star)
         )
         n = self.n
         L = np.hstack([self.sector_frame(True, True), self.sector_frame(False, True)])
         Lbar = np.hstack([self.sector_frame(True, False), self.sector_frame(False, False)])
-        self._labels, self._blocks = _word_basis(L, Lbar, [(-1, -1)] * n + [(-1, 1)] * n, (n, 0), self.star_gram)
+        self._labels, self._blocks = _word_basis(L, Lbar, [(-1, -1)] * n + [(-1, 1)] * n, (n, 0), gram)
         turns = _QUARTER_TURNS[self._labels.sum(axis=1) % 4]
         diffs = [S + (Vb * turns[w]) @ Xb for S, (r, w, Vb, Xb) in zip(self._star, self._blocks)]
         res = np.linalg.norm(diffs)
         if not res <= 1e-8 * np.linalg.norm(self._star):
             raise ValueError(f"star does not match the spin volume elements (residual {res:.3e})")
+        # each block must be real, symmetric and positive definite; otherwise
+        # the inner product is built wrong, which no input should reach
+        self.star_gram = tuple(np.ascontiguousarray(A.real) for A in gram)
+        for A, R in zip(gram, self.star_gram):
+            if np.linalg.norm(A.imag) > 1e-12 * np.linalg.norm(R):
+                raise ValueError("Gram matrix is not real")
+            if np.linalg.norm(R - R.T) > 1e-10 * np.linalg.norm(R):
+                raise ValueError("Gram matrix is not symmetric")
+            try:
+                np.linalg.cholesky(R)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("Gram matrix is singular or indefinite") from exc
 
     @cached_property
     def star(self) -> np.ndarray:

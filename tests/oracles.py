@@ -481,8 +481,8 @@ def clifford_product(frame):
     ``cl(v') X[r]`` with the halves of ``v`` swapped in ``v'``."""
     m = frame.shape[0] // 2
     out = np.eye(cl.spinor_dim(m), dtype=complex)
-    for weights in cl._ladder_weights(np.roll(frame, m, axis=0).T):
-        out = cl._ladder_gather(weights, out)
+    for v in np.roll(frame, m, axis=0).T:
+        out = cl._clifford_gather(v, out)
     return out
 
 
@@ -497,8 +497,17 @@ def dense_words(pair):
 
 
 def dense_gram(pair):
-    """``hodge.l2_gram`` of a pair as one dense matrix."""
-    return cl._parity_dense(gh.l2_gram(pair))
+    """The pair's L2 Gram matrix ``star_gram`` as one dense matrix."""
+    return cl._parity_dense(pair.star_gram)
+
+
+def chevalley_gram(m):
+    """Matrix ``C`` with ``chevalley_pairing(f, g) = f @ C @ g``: the sign
+    ``clifford._chevalley_signs`` at each subset and its complement."""
+    n = cl.spinor_dim(m)
+    C = np.zeros((n, n))
+    C[np.arange(n), np.arange(n) ^ (n - 1)] = cl._chevalley_signs(m)
+    return C
 
 
 def lu_word_inverse(V, gram):
@@ -628,8 +637,7 @@ def full_width_deformation(factors, pair, order_cap):
         return rows @ V_inv[s].T @ V[:, s].T
 
     def apply(name, rows):
-        weights = cl._ladder_weights(kappa @ gh._sector_covectors(pair, gh.DELTA_SHIFTS[name]).T)
-        return cl._ladder_gather(weights, rows)
+        return cl._clifford_gather(kappa @ gh._sector_covectors(pair, gh.DELTA_SHIFTS[name]).T, rows)
 
     basis = sol._beta_basis(pair)
     pinv = np.linalg.pinv(np.stack([cl.spin_lie_action(alpha) @ psi for alpha in basis]).T, rcond=1e-12)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genkahler import clifford as cl
-from oracles import form_vector, ladder_step_flip_table, parity_half, spin_flip_apply, two_form_spinor
+from oracles import chevalley_gram, form_vector, ladder_step_flip_table, parity_half, spin_flip_apply, two_form_spinor
 
 
 def rand_vec(rng, m, complex_=True):
@@ -231,12 +231,16 @@ def test_chevalley_matches_wedge_reverse_top():
 def test_chevalley_gram_is_the_top_coefficient_of_every_wedge_with_a_reversed_subset(m):
     """Entry ``(I, J)`` is minus the top coefficient of ``e_I ^ reverse(e_J)``:
     the reversal sign of ``J`` times the whole ``wedge_sign_table`` entry
-    where ``I`` and ``J`` fill the top subset, zero elsewhere."""
+    where ``I`` and ``J`` fill the top subset, zero elsewhere.  The matrix
+    is built from ``_chevalley_signs``, and the pairing, which reads that
+    vector alone, is ``f @ C @ g``."""
     n = 1 << m
     reversal = cl.transpose_form(np.ones(n)).real
     top = (np.arange(n)[:, None] | np.arange(n)[None]) == n - 1
     want = np.where(top, -reversal[None] * cl.wedge_sign_table(m), 0.0)
-    assert np.array_equal(cl._chevalley_gram(m), want)
+    assert np.array_equal(chevalley_gram(m), want)
+    f, g = np.random.default_rng(m).normal(size=(2, n, 2)) @ [1, 1j]
+    assert cl.chevalley_pairing(f, g) == pytest.approx(f @ want @ g, rel=1e-14)
 
 
 def test_transpose_form_reverses_products():

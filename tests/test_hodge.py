@@ -9,6 +9,7 @@ from genkahler import fields as gf
 from genkahler import hodge as gh
 from genkahler import structures as gs
 from oracles import (
+    chevalley_gram,
     dense_gram,
     dict_pack,
     dict_shifted,
@@ -148,26 +149,37 @@ def test_gram_properties():
         # the Gram matrix reuses the pair's star: orientation -1 negates it
         star = gs.hodge_star(pair.metric, pair.b_field, 1)
         np.testing.assert_array_equal(pair.orientation * pair.star, star)
-        np.testing.assert_array_equal(A, (cl._chevalley_gram(pair.m) @ star).T.real)
+        np.testing.assert_array_equal(A, (chevalley_gram(pair.m) @ star).T.real)
 
 
 @pytest.mark.parametrize("parity", [0, 1])
-def test_l2_gram_checks_each_parity_block(parity):
-    """The Gram matrix is held as its two parity blocks, and each must be
-    real, symmetric and positive definite on its own."""
+def test_l2_gram_checks_each_parity_block(parity, monkeypatch):
+    """The pair holds its Gram matrix as its two parity blocks, kept real,
+    and its constructor checks each, after the star, to be real, symmetric
+    and positive definite: a block corrupted after the word basis has read
+    it fails with its own message."""
     pair = gs.random_hermitian_pair(np.random.default_rng(5), 4)
     good = pair.star_gram
+    assert all(A.dtype == float and A.flags.c_contiguous for A in good)
     size = np.linalg.norm(good[parity])
-    skew = np.triu(np.ones_like(good[parity].real), 1)
+    skew = np.triu(np.ones_like(good[parity]), 1)
     corruptions = (
         (lambda A: A + 1e-6j * size * np.eye(len(A)), "not real"),
         (lambda A: A + 1e-6 * size * skew, "not symmetric"),
         (lambda A: -A, "singular or indefinite"),
     )
+    word_basis = gs._word_basis
     for corrupt, message in corruptions:
-        pair.star_gram = tuple(corrupt(A) if p == parity else A for p, A in enumerate(good))
+
+        def corrupting(*args):
+            out = word_basis(*args)
+            gram = args[-1][parity]
+            gram[...] = corrupt(gram)
+            return out
+
+        monkeypatch.setattr(gs, "_word_basis", corrupting)
         with pytest.raises(ValueError, match=message):
-            gh.l2_gram(pair)
+            gs.HermitianPair(pair.J1, pair.J2)
 
 
 def test_l2_inner_parseval_orthogonality(t2):
@@ -346,29 +358,35 @@ def test_derivative_rows_matches_wedge_matrix_route(m, twisted):
 
 @pytest.mark.parametrize("m, kind", [(4, "random"), (6, "random"), (8, "flat")])
 def test_background_apply_matches_component_operator(m, kind):
-    """The ladder-gather action of each component on the half rows of each
-    form parity against its coefficient operator acting through its blocks
-    on the full rows of that parity, whose image has the other parity; the
-    norm on the Gram block of a parity is that of the full rows."""
+    """The Clifford-gather action of each component on the half rows of each
+    form parity, alone and with all four stacked on scaled rows, against its
+    coefficient operator acting through its blocks on the full rows of that
+    parity, whose image has the other parity; the norm on the Gram block of
+    a parity is that of the full rows."""
     rng = np.random.default_rng(70 + m)
     pair = gs.random_hermitian_pair(rng, m, b_scale=0.7) if kind == "random" else gs.standard_kahler_pair(m)
     support = gh.Support(gf.frequencies_box(4, 1) if m == 4 else small_support(m))
     bg = gh.TorusBackground(pair, support)
     rows = rng.normal(size=(len(support), 2**m)) + 1j * rng.normal(size=(len(support), 2**m))
+    names = list(gh.DELTA_SHIFTS)
     for parity in (0, 1):
         half, full = parity_half(rows, parity)
         assert bg.norm(half, parity) == pytest.approx(gh.l2_norm(full, bg.gram), rel=1e-13)
-        for name, shift in gh.DELTA_SHIFTS.items():
+        stacked = bg.apply(names, np.stack([half * (1 + a) for a in range(4)]), parity)
+        for a, (name, shift) in enumerate(gh.DELTA_SHIFTS.items()):
             image = gh.component_operator(shift, pair, support).act(full)
             want = parity_half(image, 1 - parity)[0]
-            got = bg.apply(name, half, parity)
+            got = bg.apply([name], half[None], parity)[0]
             assert np.linalg.norm(want) > 1.0
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
+            assert np.linalg.norm(stacked[a] - (1 + a) * want) <= 1e-13 * np.linalg.norm((1 + a) * want), name
             assert not parity_half(image, parity)[0].any(), name
-    with pytest.raises(ValueError, match="does not match"):
-        bg.apply("delta+", half[1:], 1)
-    with pytest.raises(ValueError, match="does not match"):
-        bg.apply("delta+", rows, 0)
+    with pytest.raises(ValueError, match="do not match"):
+        bg.apply(["delta+"], half[None, 1:], 1)
+    with pytest.raises(ValueError, match="do not match"):
+        bg.apply(["delta+"], rows[None], 0)
+    with pytest.raises(ValueError, match="do not match"):
+        bg.apply(names[:2], half[None], 1)
 
 
 def test_packed_act_and_norm_match_per_frequency_loop():

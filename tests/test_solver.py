@@ -1235,23 +1235,22 @@ def test_run_deformation_t8_order4():
     assert 24.0 <= v1["derivative_sup"] / v2["derivative_sup"] <= 40.0
 
 
-def test_t8_deform_builds_component_weights_for_one_image_parity(monkeypatch):
-    """The solver applies the components only to the obstruction's parity,
-    so a T^8 deform builds the ladder weights of the four components for
-    the seed's parity alone (each ``(S, m, 2^(m-1))``, 21 MB at 1,289
-    frequencies)."""
-    seen = []
-    weights = gh._ladder_weights
+def test_t8_deform_builds_no_ladder_weight_stacks(monkeypatch):
+    """Every Clifford action on the deform path is one gather that forms
+    its weights from the vectors as it goes: with ``_ladder_weights``, the
+    dense builders' ``(..., m, 2^m)`` weight stacks (21 MB per component at
+    1,289 frequencies on T^8), made to raise wherever it is reachable, a
+    T^8 deform builds its pair, solves and verifies."""
 
-    def record(vectors, parity=None):
-        seen.append(parity)
-        return weights(vectors, parity)
+    def refuse(*args, **kwargs):
+        raise AssertionError("ladder weight stack built on the deform path")
 
-    monkeypatch.setattr(gh, "_ladder_weights", record)
+    for module in (cl, gf, gh, gs, sol):
+        monkeypatch.setattr(module, "_ladder_weights", refuse, raising=False)
     pair = gs.standard_kahler_pair(8)
     report = sol.run_deformation([exact_bfield_family(8, 2, *T8_COEFFS, pair)], pair, order_cap=2)
-    parity = sol._seed_parity(report.psi0[(0,) * 8])
-    assert seen == [parity] * 4
+    assert max(report.residual_norms) <= 1e-12 * report.psi_norm
+    assert sol.verify_gk_at_t(report, 0.01, count=2, seed=0)["metric_positive"]
 
 
 def test_run_deformation_t8_builds_no_per_frequency_blocks(monkeypatch):
