@@ -71,40 +71,40 @@ def _float_texts(floats: np.ndarray) -> tuple[str, ...]:
     return tuple(table[index + len(texts) * np.signbit(floats)])
 
 
-def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats,
-    complex numbers as [re, im] pairs.
+def _json_batches(obj):
+    """The text of ``canonical_json(obj)`` in pieces, its final newline in
+    the last.
 
     The walk writes a ``%`` template, a literal ``%`` doubled and ``%s`` in
     place of each float, and queues the floats.  Once ``_FLOAT_BATCH`` are
-    queued, the template so far is filled with their ``_float_texts``."""
-    parts, queued, done = [], [], []
+    queued, the template so far is filled with their ``_float_texts`` and
+    yielded, so the walk holds one batch of text at a time."""
+    parts, queued = [], []
     pending = 0
 
-    def flush() -> None:
+    def filled() -> str:
         nonlocal pending
-        done.append("".join(parts) % _float_texts(np.concatenate(queued) if queued else np.zeros(0)))
+        text = "".join(parts) % _float_texts(np.concatenate(queued) if queued else np.zeros(0))
         parts.clear()
         queued.clear()
         pending = 0
+        return text
 
     def queue(template: str, floats: np.ndarray) -> None:
         nonlocal pending
         parts.append(template)
         queued.append(floats)
         pending += len(floats)
-        if pending >= _FLOAT_BATCH:
-            flush()
 
     keys: dict[str, str] = {}  # the written text of each dict key met so far
 
-    def emit(v) -> None:
+    def emit(v):
         if isinstance(v, dict):
             parts.append("{")
             for i, (key, val) in enumerate(sorted(v.items(), key=lambda kv: str(kv[0]))):
                 text = keys.get(name := str(key)) or keys.setdefault(name, json.dumps(name).replace("%", "%%") + ": ")
                 parts.append((", " if i else "") + text)
-                emit(val)
+                yield from emit(val)
             parts.append("}")
         elif isinstance(v, (list, tuple)) and all(type(x) is int for x in v):
             parts.append("[" + ", ".join(map(str, v)) + "]")  # a frequency, in one piece
@@ -112,12 +112,12 @@ def canonical_json(obj) -> str:
             parts.append("[")
             for i, x in enumerate(v):
                 parts.append(", " if i else "")
-                emit(x)
+                yield from emit(x)
             parts.append("]")
         elif isinstance(v, np.ndarray) and v.dtype == complex and v.ndim and v.size:
             queue(_array_template(v.shape), np.ascontiguousarray(v).view(float).ravel())
         elif isinstance(v, np.ndarray):
-            emit(v.tolist())
+            yield from emit(v.tolist())
         elif v is None or isinstance(v, bool):
             parts.append(json.dumps(v))
         elif isinstance(v, (int, np.integer)):
@@ -130,10 +130,30 @@ def canonical_json(obj) -> str:
             parts.append(json.dumps(v).replace("%", "%%"))
         else:
             raise TypeError(f"cannot serialize {type(v)!r}")
+        if pending >= _FLOAT_BATCH:
+            yield filled()
 
-    emit(obj)
-    flush()
-    return "".join(done) + "\n"
+    yield from emit(obj)
+    yield filled() + "\n"
+
+
+def canonical_json(obj) -> str:
+    """Deterministic JSON: sorted keys, 17-significant-digit floats,
+    complex numbers as [re, im] pairs; the joined ``_json_batches``."""
+    return "".join(_json_batches(obj))
+
+
+def _write_json(path: Path, obj) -> None:
+    """``canonical_json(obj)`` written to ``path`` batch by batch, so the
+    whole text is never held; when a value cannot be written (a number that
+    is not finite raises ``ValueError``) the file is removed before the
+    error propagates."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(_json_batches(obj))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +355,14 @@ MAX_VERIFY_POINTS = 1024
 #: Largest frequency support of a deformation: the closure of its families'
 #: frequencies up to the order cap (``solver.support_closure``), sized before
 #: the structure series and the solve.  The solver's memory grows faster
-#: than the support (its shift tables hold support x step rows): at m = 8 and
-#: order 8, exact-b-field modes at e_0, e_1, e_2 and e_0 + e_1 (1,241
-#: frequencies) take 1.24 GB and at e_0, e_1, e_2 and 2 e_0 (1,521) 1.49 GB,
-#: so this bound admits about 1.5 GB there, and less at smaller m or order.
-#: Six exact-b-field modes at e_0 ... e_5 on T^8 at order 8 reach 40,081.
+#: than the support: each series product (``solver._SeriesExp._apply``)
+#: holds a coefficient's frequencies times the nonzero rows, 884 MB above
+#: its start at the first config below.  At m = 8 and order 8, exact-b-field
+#: modes at e_0, e_1, e_2 and e_0 + e_1 (1,241 frequencies) take 1.26 GB and
+#: at e_0, e_1, e_2 and 2 e_0 (1,521) 1.48 GB (``ru_maxrss``, one BLAS
+#: thread), so this bound admits about 1.5 GB there, and less at smaller m
+#: or order.  Six exact-b-field modes at e_0 ... e_5 on T^8 at order 8 reach
+#: 40,081.
 MAX_SUPPORT = 1_500
 
 #: Largest ``verify-algebra --trials``.  A trial costs about 50 ms at
@@ -855,7 +878,7 @@ def cmd_deform(args) -> int:
     if args.out is not None:
         path = Path(args.out)
         (path / "residuals.csv").write_text(_residual_csv(report), encoding="utf-8")
-        (path / "series.json").write_text(canonical_json(_series_record(report)), encoding="utf-8")
+        _write_json(path / "series.json", _series_record(report))
     return 0
 
 

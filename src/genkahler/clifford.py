@@ -336,6 +336,17 @@ def _clifford_gather(vectors: np.ndarray, rows: np.ndarray, parity: int | None =
     return out
 
 
+def _wedge_sum(rows: np.ndarray, parity: int) -> np.ndarray:
+    """``sum_j dx_{j+1} ^ rows[..., j, :]`` for half rows ``(..., m,
+    2**(m-1))`` of the form parity other than ``parity``, in half
+    coordinates on the entries of ``parity``: ladder j gathers from the one
+    row it wedges (``_half_ladder_sources``), signed by its wedge signs."""
+    m = _check_m(rows.shape[-2])
+    source = np.arange(m)[:, None] * rows.shape[-1] + _half_ladder_sources(m)[parity]
+    signs = _ladder_tables(m)[1][1][:, _parity_rows(m)[parity]]
+    return (signs * np.take(rows.reshape(rows.shape[:-2] + (-1,)), source, axis=-1)).sum(axis=-2)
+
+
 def clifford_relation_residual(m: int) -> float:
     """Largest entry of ``{cl(e_r), cl(e_s)} - 2 <e_r, e_s> Id`` over all
     (2m)^2 pairs of unit vectors, exact from the ladder tables.

@@ -80,15 +80,63 @@ COMPONENT_SHIFTS: tuple[tuple[int, int], ...] = tuple(
 )
 
 
+def _rank(values: np.ndarray, entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position of every entry among the sorted distinct ``values``
+    (``np.searchsorted``, clipped into range) and whether it is there."""
+    at = np.searchsorted(values, entries)
+    np.minimum(at, len(values) - 1, out=at)
+    return at, values[at] == entries
+
+
+def _row_keys(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """One int64 key per row of an int64 ``(R, m)`` table, in the rows'
+    lexicographic order (first column primary, equal rows equal keys), and
+    what keys other rows the same way.
+
+    The key packs the ranks of the row's entries among sorted distinct
+    ``values``, axis by axis in mixed radix: every integer from the least
+    entry to the greatest where those number at most the entries, as for
+    any table of bounded frequencies (the ranks are then offsets and no sort
+    is made), else the distinct entries of all columns (``np.unique``).
+    After j axes the keys lie in a box of ``len(values)**j`` cells.  Where
+    the next axis would take the box past ``2**63`` cells, which int64
+    holds, the keys so far are ranked among their own distinct values
+    first, so a box never exceeds ``R * len(values)`` cells after a fold.
+    Returns the keys, ``values``, the ``(R, m)`` ranks and, per axis, the
+    distinct keys ranked before it (None where none are)."""
+    low, high = (int(table.min()), int(table.max())) if table.size else (0, -1)
+    if high - low < table.size:
+        values, ranks = np.arange(low, high + 1, dtype=np.int64), table - low
+    else:
+        values, ranks = np.unique(table, return_inverse=True)
+        ranks = ranks.reshape(table.shape)
+    keys, box, folds = np.zeros(len(table), dtype=np.int64), 1, []
+    for column in ranks.T:
+        folded = None
+        if box * len(values) > 2**63:
+            folded, keys = np.unique(keys, return_inverse=True)
+            box = len(folded)
+        keys = keys * len(values) + column
+        box *= len(values)
+        folds.append(folded)
+    return keys, values, ranks, folds
+
+
+def _key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending order of int64 keys, equal keys kept in their given
+    order, and the start of each run of equal keys within it."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(first)
+
+
 def _sorted_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The lexicographic order of the rows of an integer ``(R, m)`` table
-    (first column primary, equal rows kept in their given order) and the
-    start of each group of equal rows within that order."""
-    order = np.lexsort(table.T[::-1]) if table.size else np.arange(0)
-    ordered = table[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return order, np.flatnonzero(first)
+    (equal rows kept in their given order) and the start of each group of
+    equal rows within that order: ``_key_groups`` of their ``_row_keys``."""
+    return _key_groups(_row_keys(np.asarray(table, dtype=np.int64))[0])
 
 
 def _frequency_table(frequencies) -> np.ndarray:
@@ -101,45 +149,89 @@ def _frequency_table(frequencies) -> np.ndarray:
     return table if table.size else table.reshape(0, 0)
 
 
-def _shifted_rows(table: np.ndarray, steps) -> np.ndarray:
-    """Every row of an int64 ``(R, m)`` table plus every step, with the rows
-    plus step ``a`` in block ``a``: the one place frequencies are added.  A
-    sum outside int64 raises ``ValueError`` instead of wrapping."""
-    steps = _frequency_table(steps)
+def _check_sums(table: np.ndarray, steps: np.ndarray) -> None:
+    """Raise ``ValueError`` when a row of one int64 table plus a row of the
+    other would leave int64, from the ends of their columns."""
     limits = np.iinfo(np.int64)
     ends = zip(*(x.tolist() for x in (table.min(axis=0), table.max(axis=0), steps.min(axis=0), steps.max(axis=0))))
     if any(low + bottom < limits.min or high + top > limits.max for low, high, bottom, top in ends):
         raise ValueError("frequency sums leave the int64 range")
+
+
+def _shifted_rows(table: np.ndarray, steps) -> np.ndarray:
+    """Every row of an int64 ``(R, m)`` table plus every step, with the rows
+    plus step ``a`` in block ``a``.  A sum outside int64 raises
+    ``ValueError`` instead of wrapping."""
+    steps = _frequency_table(steps)
+    _check_sums(table, steps)
     return (steps[:, None] + table[None]).reshape(-1, table.shape[1])
 
 
 class Support(tuple):
     """Distinct integer frequencies in lexicographic order: a tuple of tuples over
-    one read-only int64 ``(S, m)`` ``table`` sorted once by ``_sorted_rows``, and
-    its float copy ``frequencies``; a ``Support`` given is used as it is."""
+    one read-only int64 ``(S, m)`` ``table``, its float copy ``frequencies``
+    and the ascending int64 ``keys`` of its rows (``_row_keys``), by which
+    the constructor drops repeated rows and every lookup finds a row with
+    ``np.searchsorted``; a ``Support`` given is used as it is."""
 
     def __new__(cls, frequencies):
         if isinstance(frequencies, Support):
             return frequencies
         table = _frequency_table(frequencies)
-        order, starts = _sorted_rows(table)
-        table = table[order[starts]]
+        keys, values, ranks, folds = _row_keys(table)
+        order, starts = _key_groups(keys)
+        table, keys = table[order[starts]], keys[order[starts]]
         out = super().__new__(cls, map(tuple, table.tolist()))
-        out.table, out.frequencies = table, table.astype(float)
-        table.setflags(write=False)
-        out.frequencies.setflags(write=False)
+        out.table, out.frequencies, out.keys = table, table.astype(float), keys
+        out._values, out._ranks, out._folds = values, ranks[order[starts]], folds
+        for arr in (table, out.frequencies, keys):
+            arr.setflags(write=False)
         return out
 
+    def _find(self, shape, ranked) -> np.ndarray:
+        """The rows of an array of frequencies given axis by axis, -1 where
+        one is absent: ``ranked(j)`` gives, in ``shape``, the rank of every
+        entry on axis j among the support's distinct ``_values`` and whether
+        it is one of them.  The ranks are packed as the support's keys were
+        and the keys looked up in ``keys``."""
+        keys, present = np.zeros(shape, dtype=np.int64), np.ones(shape, dtype=bool)
+        for j, folded in enumerate(self._folds):
+            if folded is not None:
+                keys, found = _rank(folded, keys)
+                present &= found
+            rank, found = ranked(j)
+            present &= found
+            keys *= len(self._values)
+            keys += rank
+            del rank, found
+        rows, found = _rank(self.keys, keys)
+        del keys
+        present &= found
+        rows[~present] = -1
+        return rows
+
     def rows(self, keys) -> np.ndarray:
-        """The row of every key frequency, -1 where it is absent: one
-        ``_sorted_rows`` pass over the table and the keys, in which each
-        support row comes first in its run of equal rows."""
+        """The row of every key frequency, -1 where it is absent."""
         keys = _frequency_table(keys).reshape(-1, self.table.shape[1])
-        order, starts = _sorted_rows(np.concatenate([self.table, keys]))
-        head = order[starts]
-        out = np.empty(len(order), dtype=np.intp)
-        out[order] = np.repeat(np.where(head < len(self), head, -1), np.diff(starts, append=len(order)))
-        return out[len(self) :]
+        return self._find(len(keys), lambda j: _rank(self._values, keys[:, j]))
+
+    def shifted_rows(self, steps) -> np.ndarray:
+        """``out[a, r]``, the row of frequency ``r`` plus ``steps[a]``, -1
+        where it is absent, ``(P, S)``.  Per axis, the sums of the step
+        entries and the support's distinct values are ranked once, ``(P,
+        len(_values))``, and the ranks of the ``(P, S)`` sums are gathered
+        from them at the ranks of the support's own entries, so no ``(P * S,
+        m)`` table is formed.  A sum outside int64 raises ``ValueError``
+        instead of wrapping; sums with values the axis does not hold may
+        wrap, and are never gathered."""
+        steps = _frequency_table(steps)
+        _check_sums(self.table, steps)
+
+        def ranked(j):
+            rank, found = _rank(self._values, steps[:, j, None] + self._values)
+            return rank[:, self._ranks[:, j]], found[:, self._ranks[:, j]]
+
+        return self._find((len(steps), len(self)), ranked)
 
     def pack(self, field) -> np.ndarray:
         """Coefficients of a Fourier field as one ``(S, *value shape)`` array

@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clifford import (
-    _clifford_gather,
     _expm,
     _flip_column_sums,
     _in_so,
     _parity_rows,
     _spin_flip_outer,
+    _wedge_sum,
     pairing_matrix,
     so_from_pair,
     spin_flip_dense,
@@ -205,22 +205,24 @@ class SeriesSoField:
 
     def spin_stacks(self, parity: int) -> list[_Stack | None]:
         """Per order, the frequencies and read-only spin images of the
-        coefficients as flip-mask weights on the entries of one form parity
-        (``_spin_stack``), computed on the first call for that parity: a
-        family's stacks are not changed after construction (every method
-        above returns a new one)."""
+        coefficients as entry-major flip-mask weights on the entries of one
+        form parity (``_spin_stack``), computed on the first call for that
+        parity: a family's stacks are not changed after construction (every
+        method above returns a new one)."""
         if parity not in self._spin_stacks:
             self._spin_stacks[parity] = [None if s is None else _spin_stack(s, parity) for s in self.stacks]
         return self._spin_stacks[parity]
 
 
 def _spin_stack(stack: _Stack, parity: int) -> _Stack:
-    """Frequencies and read-only spin images of an so-valued stack as
-    flip-mask weights ``(P, F, 2**(m-1))`` on the entries of one form
-    parity, one batched ``spin_flip_weights`` call: 0.75 MB at m = 8 and
-    13 frequencies, against 13.6 MB dense."""
+    """Frequencies and read-only spin images of an so-valued stack as the
+    flip-mask weights ``W`` ``(P, F, 2**(m-1))`` on the entries of one form
+    parity, one batched ``spin_flip_weights`` call, held entry-major,
+    ``out[i] = W[:, :, i]`` ``(2**(m-1), P, F)``, the layout that
+    ``clifford._spin_flip_outer`` reads: 0.75 MB at m = 8 and 13
+    frequencies, against 13.6 MB dense."""
     freqs, coeffs = stack
-    weights = spin_flip_weights(coeffs, parity)
+    weights = np.ascontiguousarray(spin_flip_weights(coeffs, parity).transpose(2, 0, 1))
     weights.setflags(write=False)
     return freqs, weights
 
@@ -240,18 +242,18 @@ class _Coefficient:
     """One coefficient ``x = sum_p x_p exp(i <p, .>)`` of a factor, ready to act.
 
     ``rows[a, r]`` is the row of ``k_r + p`` for ``p = freqs[a]`` (-1
-    outside the support).  On operator columns (``parity`` None) ``mats[a]
-    = x_p``, a ``(2m, 2m)`` matrix.  On spinor columns of one form parity
-    ``x_p`` is given as the flip-mask weights ``W[a]`` ``(F, 2**(m-1))`` of
-    a spin image on that parity's entries, and ``mats`` holds them per
-    entry, ``mats[h] = W[:, :, h]``, the layout of
-    ``clifford._spin_flip_outer``; no dense spin image is formed.
+    outside the support, ``Support.shifted_rows``).  On operator columns
+    (``parity`` None) ``mats[a] = x_p``, a ``(2m, 2m)`` matrix.  On spinor
+    columns of one form parity ``mats`` is the entry-major stack of
+    ``_spin_stack``, ``mats[h, a]`` the flip-mask weights ``(P, F)`` of the
+    spin image of ``x_p`` at entry h of that parity, the layout of
+    ``clifford._spin_flip_outer``, held as given; no dense spin image is
+    formed.
     """
 
     def __init__(self, support: Support, freqs: list, mats: np.ndarray, parity: int | None):
-        self.freqs = freqs
-        self.mats = mats if parity is None else np.ascontiguousarray(mats.transpose(2, 0, 1))
-        self.rows = support.rows(_shifted_rows(support.table, freqs)).reshape(len(freqs), -1)
+        self.freqs, self.mats = freqs, mats
+        self.rows = support.shifted_rows(freqs)
 
 
 class _SeriesExp:
@@ -260,8 +262,8 @@ class _SeriesExp:
     Every coefficient is a packed ``(S, *shape)`` array over one
     :class:`~genkahler.hodge.Support`, or None where it vanishes; spinor
     columns are ``(S, 2**(m-1))`` half rows of the seed's form ``parity``,
-    which spin images keep.  A factor coefficient ``X_i`` is given per
-    frequency as the flip-mask weights of its spin image
+    which spin images keep.  A factor coefficient ``X_i`` is given as the
+    entry-major flip-mask weights of its spin images
     (``SeriesSoField.spin_stacks``) and acts on spinor columns by the
     half-coordinate flip gather; with ``parity`` None it is given as so(m,m)
     matrices and acts on operator columns by ``[x, y] = x y - y x``.  Per
@@ -280,8 +282,8 @@ class _SeriesExp:
     """
 
     def __init__(self, support: Support, factors: list[list], source: list, order_cap: int, parity: int | None):
-        """``factors[f][i]``: the frequencies and stacked spin weights (or,
-        with ``parity`` None, matrices) of ``X^f_i``, or None; ``source[n]``:
+        """``factors[f][i]``: the frequencies and entry-major spin weights
+        (or, with ``parity`` None, matrices) of ``X^f_i``, or None; ``source[n]``:
         column n of ``Y``."""
         self.support, self.order_cap, self.parity = support, order_cap, parity
         self.X = [[None] * (order_cap + 1) for _ in factors]
@@ -524,6 +526,7 @@ def first_structure_defects(a, pair: HermitianPair, order_cap: int, reach: Suppo
     factors, support, parity, moved = _seeded_series(a, None, pair.canonical_generator(1), order_cap, reach)
     background = TorusBackground(pair, support)
     derivs = [None if c is None else background.differentiate(c, parity) for c in moved]
+    # the negated entry-major weights are those of the negated coefficients
     inverse = [[None if x is None else (x[0], -x[1]) for x in f.spin_stacks(1 - parity)] for f in reversed(factors)]
     columns = _SeriesExp(support, inverse, derivs, order_cap, 1 - parity).fill_all()
     return [0.0 if q is None else float(np.linalg.norm(q - pair.project(q, 1 - parity, p=pair.n - 1))) for q in columns]
@@ -1083,7 +1086,7 @@ def verify_gk_at_t(report: SolutionReport, t: float, *, count: int = 16, seed: i
             budget -= steps
         psi_sup = max(psi_sup, float(np.linalg.norm(v, axis=-1).max()))
         # the wedge by dx_d of the direction-d derivative, onto the other parity
-        dpsi = _clifford_gather(np.eye(2 * m)[m:], D, 1 - parity).sum(axis=-2)
+        dpsi = _wedge_sum(D, 1 - parity)
         derivative_sup = max(derivative_sup, float(np.linalg.norm(dpsi, axis=-1).max()))
 
     return {

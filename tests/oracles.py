@@ -195,6 +195,70 @@ def set_support_closure(weighted, order_cap, torus_dim):
     return tuple(sorted(reach[-1]))
 
 
+def int64_tables(rng, m):
+    """Random int64 ``(R, m)`` tables: small entries with many repeated rows,
+    entries over the whole int64 range, entries at and next to both of its
+    ends, and entries over +-2**20, whose distinct values per column span a
+    mixed-radix box of more than 2**63 cells at m = 8."""
+    ends = np.iinfo(np.int64)
+    edge = np.array([ends.min, ends.min + 1, -1, 0, 1, ends.max - 1, ends.max], dtype=np.int64)
+    return [
+        rng.integers(-3, 4, size=(80, m)),
+        rng.integers(ends.min, ends.max, size=(40, m), endpoint=True),
+        rng.choice(edge, size=(60, m)),
+        rng.integers(-(2**20), 2**20, size=(1500, m)),
+    ]
+
+
+def lexsort_rows(table):
+    """``hodge._sorted_rows`` by ``np.lexsort`` on the whole table (first
+    column primary, equal rows kept in their given order) and a row-wise
+    comparison of neighbours for the starts of the groups."""
+    order = np.lexsort(table.T[::-1]) if table.size else np.arange(0)
+    ordered = table[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.flatnonzero(first)
+
+
+def lexsort_support(frequencies):
+    """The table of ``hodge.Support(frequencies)`` through ``lexsort_rows``."""
+    table = gh._frequency_table(frequencies)
+    order, starts = lexsort_rows(table)
+    return table[order[starts]]
+
+
+def lexsort_lookup(table, keys):
+    """``Support.rows`` of a sorted distinct table by one ``lexsort_rows``
+    pass over the table and the keys, in which each table row comes first
+    in its run of equal rows; -1 for an absent key."""
+    order, starts = lexsort_rows(np.concatenate([table, keys]))
+    head = order[starts]
+    out = np.empty(len(order), dtype=np.intp)
+    out[order] = np.repeat(np.where(head < len(table), head, -1), np.diff(starts, append=len(order)))
+    return out[len(table) :]
+
+
+def lexsort_shift_table(table, steps):
+    """``Support.shifted_rows`` by ``lexsort_lookup`` of the whole
+    ``(P * S, m)`` table of shifted rows (``hodge._shifted_rows``)."""
+    return lexsort_lookup(table, gh._shifted_rows(table, steps)).reshape(len(steps), -1)
+
+
+def lexsort_support_closure(weighted, order_cap, torus_dim):
+    """The table of ``support_closure`` with every reach deduplicated by
+    ``lexsort_support``."""
+    steps = {}
+    for w, k in weighted:
+        if 1 <= w <= order_cap:
+            steps.setdefault(int(w), []).append(k)
+    reach = [np.zeros((1, torus_dim), dtype=np.int64)]
+    for c in range(1, order_cap + 1):
+        moved = [gh._shifted_rows(reach[c - w], ks) for w, ks in steps.items() if w <= c]
+        reach.append(lexsort_support(np.concatenate([reach[c - 1], *moved])))
+    return reach[-1]
+
+
 def series_jet(family, t, points):
     """``SeriesSoField.jet`` with the gradient products of all directions
     formed at once, ``(m, N, 2m, 2m)`` per order."""

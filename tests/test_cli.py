@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -25,6 +26,7 @@ from oracles import (
     affine_twist_residuals,
     block_operator_gap,
     dense_splitting_residuals,
+    solve_config,
     workload_config,
 )
 
@@ -108,6 +110,33 @@ def test_series_records_match_per_float_writer(name, monkeypatch):
     seed, _ = cli.build_seed(doc, pair)
     record = cli._series_record(sol.run_deformation(cli.build_deformation(doc, pair, order), pair, order_cap=order, psi=seed))
     assert cli.canonical_json(record) == _per_float_json(record) + "\n"
+
+
+def test_series_json_is_written_batch_by_batch(monkeypatch, tmp_path):
+    """``series.json`` of deform-m4-k8's config is streamed: the file is
+    ``canonical_json`` of its record byte for byte, and writing it peaks
+    under 1 MB traced and below the size of its 0.88 MB text (writing the
+    whole text at once took about 2.5 MB).  A NaN coefficient in the last
+    batch raises the writer's message and leaves no file, neither the
+    partial one nor the one written before."""
+    doc = workload_config("deform-m4-k8", monkeypatch)
+    record = cli._series_record(solve_config(doc, doc["order"]))
+    path = tmp_path / "series.json"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli._write_json(path, record)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    text = path.read_text(encoding="utf-8")
+    assert text == cli.canonical_json(record)
+    assert peak < min(1e6, len(text)), f"writing {len(text)} characters peaked {peak / 1e6:.2f} MB"
+    last = record["psi"][-1]["modes"][-1]
+    last["vector"] = np.full_like(last["vector"], np.nan)
+    with pytest.raises(ValueError, match="^reports must contain finite numbers$"):
+        cli._write_json(path, record)
+    assert not path.exists()
 
 
 def test_canonical_json_batches_match_per_float_writer():

@@ -14,7 +14,12 @@ from oracles import (
     dict_pack,
     dict_shifted,
     form_vector,
+    int64_tables,
     l2_inner,
+    lexsort_lookup,
+    lexsort_rows,
+    lexsort_shift_table,
+    lexsort_support,
     merged_exponents,
     parity_half,
     set_support,
@@ -480,6 +485,45 @@ def test_support_rejects_frequencies_outside_int64():
     for rows, step in ((table, (-(2**63),)), (table + 2, (2**63 - 2,)), (table, (2**63,))):
         with pytest.raises(ValueError, match="int64"):
             gh._shifted_rows(rows, [(0,), step])
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_keyed_lookups_match_the_lexsort_oracle(m):
+    """The int64 keys of ``Support`` against the lexicographic sort they
+    replaced: the deduplicated table, the stable group order of
+    ``_sorted_rows``, ``rows`` of present, repeated, absent and no keys, and
+    the shift tables of steps whose sums stay in int64, on every table of
+    ``int64_tables``; a step whose sums leave int64 raises on both routes."""
+    rng = np.random.default_rng(100 + m)
+    tables = int64_tables(rng, m)
+    if m == 8:
+        box = functools.reduce(operator.mul, (len(np.unique(c)) for c in tables[-1].T))
+        assert box > 2**63
+    for given in tables:
+        given = np.concatenate([given, given[::7]])  # repeated rows
+        support = gh.Support(given)
+        np.testing.assert_array_equal(support.table, lexsort_support(given))
+        for got, want in zip(gh._sorted_rows(given), lexsort_rows(given)):
+            np.testing.assert_array_equal(got, want)
+        table = support.table
+        absent = table[rng.integers(0, len(table), size=20)].copy()
+        absent[np.arange(20), rng.integers(0, m, size=20)] ^= 1 << int(rng.integers(0, 62))
+        keys = np.concatenate([table[rng.permutation(len(table))], absent, table[:5], np.zeros((1, m), dtype=np.int64)])
+        for query in (keys, keys[:0]):
+            np.testing.assert_array_equal(support.rows(query), lexsort_lookup(table, query))
+        assert (lexsort_lookup(table, absent) < 0).any()
+        pairs = rng.integers(0, len(table), size=(12, 2))
+        moves = table[pairs[:, 0]] - table[pairs[:, 1]]  # may wrap: those steps raise
+        candidates = [np.zeros((1, m), dtype=np.int64), moves[:6], moves[6:], absent[:3]]
+        for steps in candidates:
+            try:
+                want = lexsort_shift_table(table, steps)
+            except ValueError as exc:
+                assert "int64" in str(exc)
+                with pytest.raises(ValueError, match="int64"):
+                    support.shifted_rows(steps)
+            else:
+                np.testing.assert_array_equal(support.shifted_rows(steps), want)
 
 
 def test_components_sum_to_derivative(t4):

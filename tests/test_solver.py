@@ -26,7 +26,9 @@ from oracles import (
     dict_shifted,
     field_values,
     full_width_deformation,
+    int64_tables,
     is_real,
+    lexsort_support_closure,
     parity_half,
     per_point_exp_jet,
     per_point_verify_gk_at_t,
@@ -299,6 +301,51 @@ def test_support_closure_matches_set_oracle(m):
         steps = [(w, tuple(rng.integers(-3, 4, size=m).tolist())) for w in weights]
         closure = sol.support_closure(steps, cap, m)
         assert isinstance(closure, gh.Support) and closure == set_support_closure(steps, cap, m)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_support_closure_matches_the_lexsort_oracle(m):
+    """``support_closure`` of steps drawn from the rows of ``int64_tables``
+    (small entries, the whole int64 range, both of its ends, +-2**20) with
+    weights 1 and 2 up to order 3 equals the closure whose every reach is
+    deduplicated by the lexicographic sort; where a sum leaves int64 both
+    routes raise."""
+    rng = np.random.default_rng(300 + m)
+    for table in int64_tables(rng, m):
+        rows = table[rng.choice(len(table), size=3, replace=False)]
+        weighted = [(1, rows[0]), (1, rows[1]), (2, rows[2]), (1, np.zeros(m, dtype=np.int64))]
+        try:
+            want = lexsort_support_closure(weighted, 3, m)
+        except ValueError as exc:
+            assert "int64" in str(exc)
+            with pytest.raises(ValueError, match="int64"):
+                sol.support_closure(weighted, 3, m)
+        else:
+            np.testing.assert_array_equal(sol.support_closure(weighted, 3, m).table, want)
+
+
+def test_coefficient_shift_table_is_linear_in_its_size():
+    """The shift table of an order-6 coefficient over the support of four
+    unit exact-b-field modes on T^8 (all 832 nonzero frequencies of even
+    1-norm up to 6, over 1,289 frequencies) peaks under 40 MB traced, about
+    three times the 8.6 MB table it returns: no ``(P * S, m)`` table of
+    shifted rows is formed, whose sort took 225 MB; it matches the dict
+    lookups on a sample of steps."""
+    units = [(1, tuple(s * int(i == j) for i in range(8))) for j in range(4) for s in (1, -1)]
+    support = sol.support_closure(units, 6, 8)
+    steps = [k for k in support if any(k) and sum(map(abs, k)) % 2 == 0]
+    assert (len(support), len(steps)) == (1289, 832)
+    mats = np.zeros((len(steps), 16, 16))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        x = sol._Coefficient(support, steps, mats, None)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert x.rows.shape == (832, 1289) and peak < 40e6, f"shift table peaked {peak / 1e6:.1f} MB"
+    for a in (0, 415, 831):
+        np.testing.assert_array_equal(x.rows[a], dict_shifted(support, steps[a]))
 
 
 def test_support_closure_stops_at_its_limit():
@@ -1320,7 +1367,7 @@ def test_run_deformation_t8_holds_spin_images_as_flip_weights(monkeypatch):
     assert len(densified) == 2 * 2  # two points, the family and b
     for stacks in (family.spin_stacks(0), report.b.spin_stacks(0)):
         for freqs, weights in filter(None, stacks):
-            assert weights.shape == (len(freqs), 29, 128) and not weights.flags.writeable
+            assert weights.shape == (128, len(freqs), 29) and not weights.flags.writeable
     assert peak < 18e6, f"pair, solve and verification peaked {peak / 1e6:.1f} MB above their start"
 
 
