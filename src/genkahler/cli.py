@@ -18,11 +18,11 @@ appear in the residual CSV.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import operator
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -886,6 +886,10 @@ def cmd_deform(args) -> int:
 # entry point
 
 
+class _UsageError(ValueError):
+    """A command line that the option table ``COMMANDS`` does not accept."""
+
+
 def _seed_arg(text: str) -> int:
     """A ``--seed`` value: a non-negative integer, which ``uniform_points``
     draws deform's verification points from and ``verify-algebra`` seeds its
@@ -895,50 +899,198 @@ def _seed_arg(text: str) -> int:
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+        raise _UsageError(f"seed must be a non-negative integer, got {text!r}")
     return value
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit with 64, not argparse's 2
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+_REPORT_DIR = "directory for report.json / report.txt"
+_JSON = "print the JSON report instead of text"
+
+# command: (function, help line, options); an option is (name, converter or
+# None for a flag, default, required, help line)
+COMMANDS = {
+    "verify-algebra": (
+        cmd_verify_algebra,
+        "seeded random checks of the Clifford/spin layer",
+        (
+            ("--seed", _seed_arg, 0, False, "seed of the trials' numpy generator (non-negative)"),
+            ("--n-max", int, 3, False, "largest torus dimension to draw"),
+            ("--trials", int, 200, False, f"number of random trials, at most {MAX_TRIALS}"),
+            ("--tol", float, 1e-9, False, "tolerance of every check"),
+            ("--out", str, None, False, _REPORT_DIR),
+            ("--json", None, False, False, _JSON),
+        ),
+    ),
+    "verify-hodge": (
+        cmd_verify_hodge,
+        "operator-splitting identities on a configured background",
+        (
+            ("--config", str, None, True, "config document (JSON)"),
+            ("--tol", float, None, False, "override the config tolerance"),
+            ("--out", str, None, False, _REPORT_DIR),
+            ("--json", None, False, False, _JSON),
+        ),
+    ),
+    "deform": (
+        cmd_deform,
+        "run the order-by-order deformation solver",
+        (
+            ("--config", str, None, True, "config document (JSON)"),
+            ("--order", int, None, False, "override the config order cap"),
+            ("--tol", float, None, False, "override the config tolerances"),
+            ("--seed", _seed_arg, 0, False, "verification-point seed for random.Random (non-negative)"),
+            ("--out", str, None, False, "directory for report.json / report.txt, residuals.csv and series.json"),
+            ("--json", None, False, False, _JSON),
+        ),
+    ),
+}
+
+_HELP = ("--help", None, False, False, "show this help message and exit")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="genkahler", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    va = sub.add_parser("verify-algebra", help="seeded random checks of the Clifford/spin layer")
-    va.add_argument("--seed", type=_seed_arg, default=0, help="seed of the trials' numpy generator (non-negative)")
-    va.add_argument("--n-max", type=int, default=3, help="largest torus dimension to draw")
-    va.add_argument("--trials", type=int, default=200)
-    va.add_argument("--tol", type=float, default=1e-9)
-    va.add_argument("--out", type=str, default=None, help="directory for report.json / report.txt")
-    va.add_argument("--json", action="store_true", help="print the JSON report instead of text")
-    va.set_defaults(func=cmd_verify_algebra)
-
-    vh = sub.add_parser("verify-hodge", help="operator-splitting identities on a configured background")
-    vh.add_argument("--config", type=str, required=True)
-    vh.add_argument("--tol", type=float, default=None, help="override the config tolerance")
-    vh.add_argument("--out", type=str, default=None)
-    vh.add_argument("--json", action="store_true")
-    vh.set_defaults(func=cmd_verify_hodge)
-
-    df = sub.add_parser("deform", help="run the order-by-order deformation solver")
-    df.add_argument("--config", type=str, required=True)
-    df.add_argument("--order", type=int, default=None, help="override the config order cap")
-    df.add_argument("--tol", type=float, default=None, help="override the config tolerances")
-    df.add_argument("--seed", type=_seed_arg, default=0, help="verification-point seed for random.Random (non-negative)")
-    df.add_argument("--out", type=str, default=None)
-    df.add_argument("--json", action="store_true")
-    df.set_defaults(func=cmd_deform)
-    return parser
+def _label(option: tuple) -> str:
+    name, convert = option[:2]
+    return name if convert is None else f"{name} {name[2:].replace('-', '_').upper()}"
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: genkahler [-h] {" + ",".join(COMMANDS) + "} ..."
+    words = [f"usage: genkahler {command} [-h]"]
+    for option in COMMANDS[command][2]:
+        words.append(_label(option) if option[3] else f"[{_label(option)}]")
+    return " ".join(words)
+
+
+def _help(command: str | None) -> str:
+    """The ``-h`` text of ``genkahler`` or of one command, from ``COMMANDS``."""
+    options = [("-h, --help", _HELP[4])]
+    if command is None:
+        about = (__doc__ or "").strip()
+        sections = {"commands": [(name, entry[1]) for name, entry in COMMANDS.items()], "options": options}
+    else:
+        about = COMMANDS[command][1]
+        sections = {"options": options + [(_label(option), option[4]) for option in COMMANDS[command][2]]}
+    width = 2 + max(len(label) for rows in sections.values() for label, _ in rows)
+    lines = [_usage(command), "", about]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:"] + [f"  {label:<{width}}{text}" for label, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _is_value(token: str) -> bool:
+    """A token is a value, not an option, unless it starts with ``-`` and
+    does not read as a number (``--tol -1`` gives ``--tol`` the value -1)."""
+    if not token.startswith("-"):
+        return True
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _option(options: tuple, token: str) -> tuple:
+    """The option that ``--name`` or ``--name=value`` names, with the value
+    after ``=`` (None without one), or ``(None, None)``.  ``-h`` is
+    ``--help``, and a unique prefix of a name names its option."""
+    name, eq, inline = token.partition("=")
+    name = "--help" if name == "-h" else name
+    found = [option for option in options if option[0] == name]
+    if not found and len(name) > 2 and name.startswith("--"):
+        found = [option for option in options if option[0].startswith(name)]
+        if len(found) > 1:
+            raise _UsageError(f"ambiguous option: {name} could match {', '.join(o[0] for o in found)}")
+    return (found[0], inline if eq else None) if found else (None, None)
+
+
+def _read_options(command: str | None, options: tuple, tokens: list[str]) -> tuple[dict, list[str]]:
+    """The values the tokens give ``options`` (the last occurrence wins),
+    and the tokens that name none of them.  ``-h`` anywhere prints the help
+    and exits 0, unless a token before it is a usage error; an ambiguous
+    prefix is one wherever it stands."""
+    parsed = [None if _is_value(token) else _option(options, token) for token in tokens]
+    values, extras, i = {}, [], 0
+    while i < len(tokens):
+        token, (option, inline) = tokens[i], parsed[i] or (None, None)
+        i += 1
+        if option is None:
+            extras.append(token)
+            continue
+        name, convert = option[:2]
+        if convert is None:  # --help or a flag
+            if inline is not None:
+                raise _UsageError(f"argument {name}: ignored explicit argument {inline!r}")
+            if option is _HELP:
+                sys.stdout.write(_help(command))
+                raise SystemExit(0)
+            values[name] = True
+            continue
+        if inline is None:
+            if i == len(tokens) or parsed[i] is not None:
+                raise _UsageError(f"argument {name}: expected one argument")
+            inline, i = tokens[i], i + 1
+        try:
+            values[name] = convert(inline)
+        except _UsageError as exc:
+            raise _UsageError(f"argument {name}: {exc}") from None
+        except ValueError:
+            raise _UsageError(f"argument {name}: invalid {convert.__name__} value: {inline!r}") from None
+    return values, extras
+
+
+def _check_out_dir(out: str) -> None:
+    """Reject an ``--out`` that cannot be made a directory: the empty name,
+    or a path that is, or lies under, something other than a directory."""
+    if not out:
+        raise _UsageError("argument --out: '' names no directory")
+    path = Path(out)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        culprit = "it" if existing == path else repr(str(existing))
+        raise _UsageError(f"argument --out: {out!r} cannot be a directory, since {culprit} is not one")
+
+
+def parse_args(argv: list[str] | None = None) -> types.SimpleNamespace:
+    """The command and its option values, read by the table ``COMMANDS``.
+
+    The attributes are ``command``, ``func`` and one per option (``--n-max``
+    gives ``n_max``), at its default when not given.  A usage error, also
+    an ``--out`` that cannot be a directory, is found before the command
+    runs: it prints the usage line and the error to stderr and exits 64.
+    """
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    command = None
+    try:
+        head = next((i for i, token in enumerate(tokens) if _is_value(token)), len(tokens))
+        _, extras = _read_options(None, (_HELP,), tokens[:head])
+        if head == len(tokens):
+            raise _UsageError("the following arguments are required: command")
+        if tokens[head] not in COMMANDS:
+            choices = ", ".join(map(repr, COMMANDS))
+            raise _UsageError(f"argument command: invalid choice: {tokens[head]!r} (choose from {choices})")
+        command = tokens[head]
+        func, _, options = COMMANDS[command]
+        values, unknown = _read_options(command, (_HELP, *options), tokens[head + 1 :])
+        missing = [option[0] for option in options if option[3] and option[0] not in values]
+        if missing:
+            raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+        if extras + unknown:
+            raise _UsageError(f"unrecognized arguments: {' '.join(extras + unknown)}")
+        args = types.SimpleNamespace(command=command, func=func)
+        for name, _, default, _, _ in options:
+            setattr(args, name[2:].replace("-", "_"), values.get(name, default))
+        if args.out is not None:
+            _check_out_dir(args.out)
+    except _UsageError as exc:
+        prog = "genkahler" if command is None else f"genkahler {command}"
+        sys.stderr.write(f"{_usage(command)}\n{prog}: error: {exc}\n")
+        raise SystemExit(USAGE_ERROR) from None
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

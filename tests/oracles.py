@@ -5,6 +5,7 @@ quantity the library computes another way, or a convenience for writing
 test data; no path of the library or the command line needs them.
 """
 
+import argparse
 import operator
 import sys
 import types
@@ -733,3 +734,55 @@ def full_width_deformation(factors, pair, order_cap):
         )
     b = sol.SeriesSoField._packed(m, b_stacks)
     return support, records, full_width_series(support, [*factors, b], seed_rows, order_cap)
+
+
+def _seed_arg(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, which ``uniform_points``
+    draws deform's verification points from and ``verify-algebra`` seeds its
+    numpy generator with."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage problems exit with 64, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(cli.USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``cli.parse_args`` replaced: the reference
+    for the command lines it accepts and the values it reads."""
+    parser = _Parser(prog="genkahler", description=cli.__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    va = sub.add_parser("verify-algebra", help="seeded random checks of the Clifford/spin layer")
+    va.add_argument("--seed", type=_seed_arg, default=0, help="seed of the trials' numpy generator (non-negative)")
+    va.add_argument("--n-max", type=int, default=3, help="largest torus dimension to draw")
+    va.add_argument("--trials", type=int, default=200)
+    va.add_argument("--tol", type=float, default=1e-9)
+    va.add_argument("--out", type=str, default=None, help="directory for report.json / report.txt")
+    va.add_argument("--json", action="store_true", help="print the JSON report instead of text")
+    va.set_defaults(func=cli.cmd_verify_algebra)
+
+    vh = sub.add_parser("verify-hodge", help="operator-splitting identities on a configured background")
+    vh.add_argument("--config", type=str, required=True)
+    vh.add_argument("--tol", type=float, default=None, help="override the config tolerance")
+    vh.add_argument("--out", type=str, default=None)
+    vh.add_argument("--json", action="store_true")
+    vh.set_defaults(func=cli.cmd_verify_hodge)
+
+    df = sub.add_parser("deform", help="run the order-by-order deformation solver")
+    df.add_argument("--config", type=str, required=True)
+    df.add_argument("--order", type=int, default=None, help="override the config order cap")
+    df.add_argument("--tol", type=float, default=None, help="override the config tolerances")
+    df.add_argument("--seed", type=_seed_arg, default=0, help="verification-point seed for random.Random (non-negative)")
+    df.add_argument("--out", type=str, default=None)
+    df.add_argument("--json", action="store_true")
+    df.set_defaults(func=cli.cmd_deform)
+    return parser

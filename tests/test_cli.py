@@ -25,6 +25,7 @@ from oracles import (
     DEFORM_WORKLOADS,
     affine_twist_residuals,
     block_operator_gap,
+    build_parser,
     dense_splitting_residuals,
     solve_config,
     workload_config,
@@ -286,6 +287,183 @@ def test_usage_errors_exit_64(tmp_path):
     with pytest.raises(SystemExit) as info:
         cli.main(["verify-algebra", "--debug-flip-star-sign"])
     assert info.value.code == 64
+
+
+# values each option reads the same way under the reader and the reference
+# parser; negative numbers are values, not options
+OPTION_VALUES = {
+    "--seed": ["3", "+7"],
+    "--n-max": ["2", "-1"],
+    "--trials": ["5", "-4"],
+    "--tol": ["1e-3", "-1", "-.5"],
+    "--order": ["2", "-3"],
+    "--config": ["c.json", "x=y.json", ""],
+    "--out": ["out-dir", "a/b"],
+}
+
+# command lines that both parsers reject: an unknown, ambiguous or extra
+# argument, a missing value, a missing --config, a bad number, no command or
+# an unknown one
+MALFORMED = [
+    [],
+    ["nope"],
+    ["--bogus"],
+    ["--json", "verify-algebra"],
+    ["--bogus", "deform", "--config", "c.json"],
+    ["verify-algebra", "verify-algebra"],
+    ["verify-algebra", "extra"],
+    ["verify-algebra", "--bogus"],
+    ["verify-algebra", "--bogus=1"],
+    ["verify-algebra", "--t", "1"],
+    ["verify-algebra", "--t=1"],
+    ["verify-algebra", "--t", "1", "-h"],
+    ["deform", "--config", "c.json", "--o", "d"],
+    ["deform"],
+    ["deform", "--order", "2"],
+    ["verify-hodge", "--json"],
+    ["deform", "--config"],
+    ["deform", "--config", "--json"],
+    ["deform", "--config", "c.json", "--order"],
+    ["deform", "--config", "c.json", "-x"],
+    ["deform", "-c", "c.json"],
+    ["verify-algebra", "--json=1"],
+    ["verify-algebra", "--json="],
+    ["verify-algebra", "--help=1"],
+    ["verify-algebra", "--trials", "x"],
+    ["verify-algebra", "--trials", "x", "-h"],
+    ["verify-algebra", "--trials", "1.5"],
+    ["verify-algebra", "--trials", "-x"],
+    ["verify-algebra", "--n-max", "-1.5"],
+    ["verify-algebra", "--tol", "abc"],
+    ["verify-algebra", "--tol="],
+    ["verify-algebra", "--seed", "-1"],
+    ["verify-algebra", "--seed", "x"],
+    ["verify-algebra", "--seed=-3"],
+    ["verify-hodge", "--config", "c.json", "--seed", "1"],
+    ["verify-hodge", "--config", "c.json", "--order", "1"],
+]
+
+
+def option_forms(name, names):
+    """``name`` as ``--name value``, ``--name=value`` and its shortest unique
+    prefix in both forms, for each of its values; a flag without one."""
+    prefix = next(name[:k] for k in range(3, len(name) + 1) if sum(n.startswith(name[:k]) for n in names) == 1)
+    if name == "--json":
+        return [[name], [prefix]]
+    return [form for v in OPTION_VALUES[name] for form in ([name, v], [f"{name}={v}"], [prefix, v], [f"{prefix}={v}"])]
+
+
+def command_line_corpus():
+    """Command lines over every option of every command: each option in
+    every form, options repeated, every option at once in two orders, and
+    defaults only; then each of those with ``-h`` at every position."""
+    lines = []
+    for command, (_, _, options) in cli.COMMANDS.items():
+        names = ["--help", *(option[0] for option in options)]
+        base = [] if command == "verify-algebra" else ["--config", "c.json"]
+        lines.append([command, *base])
+        for name in names[1:]:
+            forms = option_forms(name, names)
+            rest = [] if name == "--config" else base
+            lines += [[command, *rest, *form] for form in forms]
+            lines += [[command, *form, *rest] for form in forms]
+            lines.append([command, *rest, *forms[-1], *forms[0]])
+        every = [option_forms(name, names)[0] for name in names[1:]]
+        lines.append([command, *(token for form in every for token in form)])
+        lines.append([command, *(token for form in reversed(every) for token in form)])
+    helped = [line[:i] + [flag] + line[i:] for line in lines[::4] for flag in ("-h", "--he") for i in range(len(line) + 1)]
+    return lines + helped + [["-h"], ["--help"], ["--bogus", "-h"], ["verify-algebra", "extra", "-h"]]
+
+
+def parse_outcome(parse, argv):
+    """The namespace's attributes, or the exit code."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_reader_matches_the_reference_parser(tmp_path, capsys, monkeypatch):
+    """``cli.parse_args`` reads every command line of the corpus as the
+    argparse parser it replaced does (``oracles.build_parser``): the same
+    attributes, help (exit 0) or a usage error (exit 64)."""
+    monkeypatch.chdir(tmp_path)
+    reference = build_parser()
+    corpus = command_line_corpus()
+    assert len(corpus) > 300
+    outcomes = {}
+    for argv in corpus:
+        want = parse_outcome(reference.parse_args, argv)
+        assert parse_outcome(cli.parse_args, argv) == want, argv
+        outcomes[type(want)] = outcomes.get(type(want), 0) + 1
+    assert set(outcomes) == {dict, int}, outcomes
+    for argv in MALFORMED:
+        assert parse_outcome(reference.parse_args, argv) == 64, argv
+        assert parse_outcome(cli.parse_args, argv) == 64, argv
+    assert not any(tmp_path.iterdir())
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_names_every_option_and_its_help(capsys, command):
+    """``-h`` prints, from the option table, every command or every option
+    with its help line, and names the options the reference parser has."""
+    argv = ["-h"] if command is None else [command, "-h"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 0
+    text = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    reference = capsys.readouterr().out
+    if command is None:
+        rows = [(name, entry[1]) for name, entry in cli.COMMANDS.items()]
+    else:
+        rows = [(option[0], option[4]) for option in cli.COMMANDS[command][2]]
+        assert set(re.findall(r"--[\w-]+", text)) == set(re.findall(r"--[\w-]+", reference))
+    for name, help_line in rows:
+        assert re.search(rf"^  {re.escape(name)}\b.*  {re.escape(help_line)}$", text, re.M), name
+
+
+@pytest.mark.parametrize("case", ["existing-file", "under-a-file", "empty"])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch, command, case):
+    """An ``--out`` that names a file, lies under one or is empty exits 64
+    with a message naming it, before the command reads its config or draws
+    a trial, and nothing is written."""
+
+    def refuse(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_config", refuse)
+    monkeypatch.setattr(cli, "_random_vector", refuse)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = {"existing-file": "file", "under-a-file": str(Path("file", "sub", "out")), "empty": ""}[case]
+    argv = [command, "--trials", "1"] if command == "verify-algebra" else [command, "--config", "config.json"]
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, f"--out={out}"])
+    assert info.value.code == 64
+    captured = capsys.readouterr()
+    assert f"genkahler {command}: error: argument --out: {out!r}" in captured.err and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_cli_runs_without_argparse_gettext_or_locale(tmp_path):
+    """The command line is read from the option table: a deform and a
+    verify-hodge run import neither argparse nor gettext, nor the locale
+    module that gettext's first lookup loads."""
+    deform = write_config(tmp_path, bfield_doc(), "deform.json")
+    hodge = write_config(tmp_path, {"schema": 1, "dimension": 4, "frequency_box": 2}, "hodge.json")
+    code = (
+        "import sys\n"
+        "from genkahler import cli\n"
+        f"assert cli.main(['deform', '--config', {deform!r}, '--out', {str(tmp_path / 'deform-out')!r}]) == 0\n"
+        f"assert cli.main(['verify-hodge', '--config', {hodge!r}, '--json']) == 0\n"
+        "sys.exit(' '.join(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))) or None)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
